@@ -45,8 +45,8 @@
 // member-capable — POST /v1/federate/sample runs one stratum round against
 // the local graph. Started with -federate-members (or
 // -federate-members-file), kgaqd becomes a coordinator instead: /v1/query
-// scatters across the listed members, merges their draw streams through the
-// stratified Horvitz–Thompson combiner, and refines with Neyman-allocated
+// scatters across the listed members, merges their samples' moments through
+// the stratified Horvitz–Thompson combiner, and refines with Neyman-allocated
 // rounds until the global (eb, α) guarantee holds. -federate-timeout,
 // -federate-retries and -federate-hedge-after tune the per-member RPC
 // deadline, retry budget and tail-latency hedge; healthz gains a federation

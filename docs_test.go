@@ -80,6 +80,9 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/estimate/estimate.go", "func Estimate"},
 		{"internal/estimate/estimate.go", "func NextSampleSize"},
 		{"internal/estimate/estimate.go", "func Satisfied"},
+		{"internal/estimate/estimate.go", "func MoESeeded"},
+		{"internal/estimate/estimate.go", "func (sc *moeScratch) flatSigma"},
+		{"internal/estimate/moments.go", "func MoEMoments"},
 		{"internal/estimate/stratified.go", "func EstimateStratified"},
 		{"internal/estimate/stratified.go", "func MoEStratified"},
 		{"internal/estimate/stratified.go", "func AllocateDraws"},

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"kgaq/internal/datagen"
 	"kgaq/internal/estimate"
 	"kgaq/internal/kg"
 	"kgaq/internal/query"
@@ -23,12 +25,14 @@ const (
 	// cache sweep (answerSpace.prevalidate, shardedSpace.prevalidate).
 	validateAllocBudget = 0
 	// estimateAllocBudget covers one warm round's observation rebuild plus
-	// the flattened-bootstrap MoE (observations + MoESeeded): both run on
-	// pooled buffers.
+	// its point estimate and margin (observations + roundEval.estimate/moe):
+	// the observations live in pooled scratch and the margin's one-stratum
+	// view of them on the stack.
 	estimateAllocBudget = 0
 	// mergeAllocBudget covers the stratified Horvitz–Thompson merge of a
-	// sharded round (Regroup excluded — the engine merges via pooled
-	// MoEStratified/EstimateStratified over per-round strata).
+	// sharded round (Regroup excluded — the engine merges via
+	// MoEStratified/EstimateStratified over per-round strata, which reduce
+	// each stratum to moments held in registers).
 	mergeAllocBudget = 0
 	// multiAccumBudget covers one warm multi-target accumulation round: the
 	// shared-draw observation list with its flat Values/Has arena plus one
@@ -85,15 +89,19 @@ func TestAllocBudgetValidateCached(t *testing.T) {
 func TestAllocBudgetEstimate(t *testing.T) {
 	x, ctx, release := warmExecution(t)
 	defer release()
-	o := x.opts
-	obs := x.observations(ctx)
-	seed := x.moeSeed(query.Count, len(obs))
-	if _, err := estimate.MoESeeded(query.Count, obs, o.Policy, o.guarantee(), seed); err != nil {
+	round := func() error {
+		re := roundEval{x: x, fn: query.Count, obs: x.observations(ctx)}
+		if _, err := re.estimate(); err != nil {
+			return err
+		}
+		_, err := re.moe()
+		return err
+	}
+	if err := round(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		obs := x.observations(ctx)
-		if _, err := estimate.MoESeeded(query.Count, obs, o.Policy, o.guarantee(), seed); err != nil {
+		if err := round(); err != nil {
 			panic(err)
 		}
 	})
@@ -145,5 +153,110 @@ func TestAllocBudgetMultiAccumulation(t *testing.T) {
 	})
 	if allocs > multiAccumBudget {
 		t.Fatalf("multi-target accumulation allocates %.1f/op, budget %d", allocs, multiAccumBudget)
+	}
+}
+
+// chainPrepareAllocBudget covers compiling a chain query whose stages are
+// all resident: one CSR answer → intermediates index and one π map, no
+// per-intermediate distribution copy, no goroutine. The parent allocated 359
+// times here and a per-answer slice index 687; measured 175.
+const chainPrepareAllocBudget = 200
+
+func TestAllocBudgetWarmChainPrepare(t *testing.T) {
+	ds, err := datagen.Generate(datagen.TinyProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := ds.QueriesByShape(query.ShapeChain)[0].Agg
+	if _, err := e.Prepare(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := e.Prepare(ctx, q); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > chainPrepareAllocBudget {
+		t.Fatalf("warm chain Prepare allocates %.0f/op, budget %d", allocs, chainPrepareAllocBudget)
+	}
+}
+
+// drainScratch empties the free list so that a test sees only its own puts.
+func drainScratch() {
+	for {
+		select {
+		case <-scratchFree:
+		default:
+			return
+		}
+	}
+}
+
+// The free list keeps a scratch across collections (a sync.Pool, emptied by
+// every second one, handed a cold-compile workload an empty scratch on most
+// calls) and refuses one grown past scratchKeepDraws.
+func TestScratchFreeListSurvivesGC(t *testing.T) {
+	drainScratch()
+	defer drainScratch()
+	s := &execScratch{obs: make([]estimate.Observation, 0, 1024)}
+	putScratch(s)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if got := getScratch(); got != s {
+		t.Fatal("the scratch did not survive three collections")
+	}
+	putScratch(&execScratch{obs: make([]estimate.Observation, 0, scratchKeepDraws+1)})
+	if got := getScratch(); cap(got.obs) != 0 {
+		t.Fatalf("an oversized scratch (cap %d) was retained", cap(got.obs))
+	}
+}
+
+// A one-shot query borrows its draw list from the scratch and leaves it
+// there; an interactive execution owns its list. A one-shot query run
+// between two Refine calls of an interactive execution must not disturb it.
+func TestOneShotDrawListDoesNotAliasInteractive(t *testing.T) {
+	drainScratch()
+	defer drainScratch()
+	e, _ := figure1Engine(t, Options{Seed: 21})
+	ctx := context.Background()
+	refineTwice := func(between func()) *Result {
+		x, err := e.Start(ctx, avgPriceQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Refine(ctx, 0.10); err != nil {
+			t.Fatal(err)
+		}
+		between()
+		res, err := x.Refine(ctx, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := refineTwice(func() {})
+	got := refineTwice(func() {
+		res, err := e.Query(ctx, countQuery(), WithSeed(99), WithErrorBound(0.01))
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case s := <-scratchFree:
+			if cap(s.drawIdx) < res.SampleSize {
+				t.Errorf("the one-shot draw list (%d draws) did not return to the scratch (cap %d)", res.SampleSize, cap(s.drawIdx))
+			}
+			putScratch(s)
+		default:
+			t.Error("no scratch on the free list after a query")
+		}
+	})
+	if got.Estimate != want.Estimate || got.MoE != want.MoE || got.SampleSize != want.SampleSize || got.Correct != want.Correct {
+		t.Fatalf("interactive refinement disturbed by a one-shot query:\n got %+v\nwant %+v", got, want)
 	}
 }

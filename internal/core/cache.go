@@ -64,7 +64,6 @@ type stageEntry struct {
 
 	epoch uint64
 	scope []kg.NodeID // sorted; the walk's n-bounded node set
-	types []kg.TypeID // decoded target types, for compaction rewarm
 
 	mu       sync.Mutex
 	verdicts map[verdictKey]*verdictTable
@@ -162,14 +161,13 @@ func (st *stageEntry) verdictsFor(k verdictKey) *verdictTable {
 }
 
 func newStageEntry(answers []kg.NodeID, probs []float64, piMap map[kg.NodeID]float64,
-	epoch uint64, scope []kg.NodeID, types []kg.TypeID) *stageEntry {
+	epoch uint64, scope []kg.NodeID) *stageEntry {
 	st := &stageEntry{
 		answers:  answers,
 		probs:    probs,
 		piMap:    piMap,
 		epoch:    epoch,
 		scope:    scope,
-		types:    append([]kg.TypeID(nil), types...),
 		verdicts: make(map[verdictKey]*verdictTable),
 	}
 	// Approximate resident bytes: the distribution slices, the π map, the
@@ -238,9 +236,6 @@ type spaceCache struct {
 	ll     *list.List // front = most recently used
 	items  map[stageKey]*list.Element
 	events []invalEvent // recent invalidations, oldest first
-	// evicted remembers recently invalidated keys (bounded) so the
-	// compaction rewarm can rebuild them off the query path.
-	evicted map[stageKey]*stageEntry
 }
 
 type cacheItem struct {
@@ -248,15 +243,11 @@ type cacheItem struct {
 	entry *stageEntry
 }
 
-// maxEvictedKeys bounds the rewarm memory between compactions.
-const maxEvictedKeys = 64
-
 func newSpaceCache(maxBytes int64) *spaceCache {
 	return &spaceCache{
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    make(map[stageKey]*list.Element),
-		evicted:  make(map[stageKey]*stageEntry),
 	}
 }
 
@@ -320,8 +311,8 @@ func (c *spaceCache) put(key stageKey, st *stageEntry) *stageEntry {
 			c.ll.MoveToFront(el)
 			return prev
 		}
-		// The resident entry predates ours (e.g. rewarmed from an older
-		// snapshot losing a race); replace it.
+		// The resident entry predates ours (a concurrent build on an older
+		// snapshot won the insert); replace it.
 		c.ll.Remove(el)
 		delete(c.items, key)
 		c.bytes -= prev.cost
@@ -360,8 +351,7 @@ func scopeIntersects(a, b []kg.NodeID) bool {
 // invalidate evicts every entry whose scope intersects the touched set of a
 // mutation batch applied at epoch — selective by construction: an entry
 // rooted in an untouched region survives and keeps serving hits. The event
-// is recorded so concurrently building stages cannot re-insert stale state,
-// and evicted keys are remembered for the compaction rewarm.
+// is recorded so concurrently building stages cannot re-insert stale state.
 func (c *spaceCache) invalidate(touched []kg.NodeID, epoch uint64) {
 	if c == nil || len(touched) == 0 {
 		return
@@ -388,9 +378,6 @@ func (c *spaceCache) invalidate(touched []kg.NodeID, epoch uint64) {
 			c.bytes -= it.entry.cost
 			c.invalidated.Add(1)
 			metSpaceInvalidated.Inc()
-			if len(c.evicted) < maxEvictedKeys {
-				c.evicted[it.key] = it.entry
-			}
 		}
 		el = next
 	}
@@ -398,19 +385,6 @@ func (c *spaceCache) invalidate(touched []kg.NodeID, epoch uint64) {
 	if len(c.events) > maxInvalEvents {
 		c.events = c.events[len(c.events)-maxInvalEvents:]
 	}
-}
-
-// takeEvicted drains the remembered invalidated entries — the compaction
-// rewarm's work list.
-func (c *spaceCache) takeEvicted() map[stageKey]*stageEntry {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.evicted
-	c.evicted = make(map[stageKey]*stageEntry)
-	return out
 }
 
 func (c *spaceCache) stats() CacheStats {

@@ -124,7 +124,7 @@ func TestCacheLRUEviction(t *testing.T) {
 			answers[i] = kg.NodeID(i)
 			pi[kg.NodeID(i)] = 1.0 / 32
 		}
-		return newStageEntry(answers, probs, pi, 0, nil, nil)
+		return newStageEntry(answers, probs, pi, 0, nil)
 	}
 	keyOf := func(i int) stageKey { return stageKey{root: kg.NodeID(i), types: "[]"} }
 
@@ -175,7 +175,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // configurations than maxVerdictConfigs resets the maps instead of growing
 // past the memory the LRU budget charged for them.
 func TestVerdictConfigsBounded(t *testing.T) {
-	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, map[kg.NodeID]float64{1: 0.5, 2: 0.5}, 0, nil, nil)
+	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, map[kg.NodeID]float64{1: 0.5, 2: 0.5}, 0, nil)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := 0; i < 5*maxVerdictConfigs; i++ {
@@ -198,8 +198,8 @@ func TestVerdictConfigsBounded(t *testing.T) {
 func TestCachePutReturnsCanonicalEntry(t *testing.T) {
 	c := newSpaceCache(1 << 20)
 	key := stageKey{root: 1, types: "[]"}
-	a := newStageEntry([]kg.NodeID{1}, []float64{1}, map[kg.NodeID]float64{1: 1}, 0, nil, nil)
-	b := newStageEntry([]kg.NodeID{1}, []float64{1}, map[kg.NodeID]float64{1: 1}, 0, nil, nil)
+	a := newStageEntry([]kg.NodeID{1}, []float64{1}, map[kg.NodeID]float64{1: 1}, 0, nil)
+	b := newStageEntry([]kg.NodeID{1}, []float64{1}, map[kg.NodeID]float64{1: 1}, 0, nil)
 	if got := c.put(key, a); got != a {
 		t.Fatal("first put did not return its own entry")
 	}

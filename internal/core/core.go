@@ -55,9 +55,10 @@ type Options struct {
 	Repeat int
 	// Lambda is the desired sample ratio λ (default 0.3).
 	Lambda float64
-	// T, B, M configure the Bag of Little Bootstraps (defaults 3, 50, 0.6).
+	// T and M size the initial sample |S| = T·(λ·|A|)^M (defaults 3, 0.6:
+	// the paper's BLB small-sample count and scale factor, which it reuses
+	// for this sizing).
 	T int
-	B int
 	M float64
 	// MaxRounds caps refinement rounds (default 10; the paper observes
 	// Ne ≤ 10 in practice).
@@ -73,8 +74,8 @@ type Options struct {
 	MaxDraws int
 	// MinCorrect is the minimum number of correct draws required before a
 	// confidence interval is trusted for termination (default 30). With
-	// fewer, the bootstrap cannot see the heavy tail of the
-	// Horvitz–Thompson weights and reports over-tight intervals.
+	// fewer, the sample has not seen the heavy tail of the Horvitz–Thompson
+	// weights and the CLT margin under-covers.
 	MinCorrect int
 	// Seed makes execution deterministic (default 1).
 	Seed int64
@@ -131,9 +132,6 @@ func (o Options) withDefaults() Options {
 	if o.T <= 0 {
 		o.T = 3
 	}
-	if o.B <= 0 {
-		o.B = 50
-	}
 	if o.M <= 0 || o.M > 1 {
 		o.M = 0.6
 	}
@@ -171,7 +169,7 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) guarantee() estimate.GuaranteeConfig {
-	return estimate.GuaranteeConfig{Confidence: o.Confidence, T: o.T, B: o.B, M: o.M}
+	return estimate.GuaranteeConfig{Confidence: o.Confidence}
 }
 
 // StepTimes breaks the response time into the paper's three steps
@@ -356,11 +354,6 @@ func NewLiveEngine(store *live.Store, model embedding.Model, opts Options) (*Eng
 			e.cache.invalidate(ev.Touched, ev.Epoch)
 		}
 	})
-	if e.cache != nil {
-		store.OnCompact(func(ev live.CompactEvent) {
-			e.rewarm(ev)
-		})
-	}
 	return e, nil
 }
 
@@ -391,26 +384,6 @@ func newEngine(src graphSource, base *kg.Graph, model embedding.Model, opts Opti
 		e.cache = newSpaceCache(opts.CacheMaxBytes)
 	}
 	return e, nil
-}
-
-// rewarm rebuilds recently invalidated stages against the freshly compacted
-// graph: walker construction, CSR/CSC assembly and convergence run here, in
-// the compactor's goroutine, so the next query on a hot root finds the
-// stage cached instead of paying convergence on the query path. Best
-// effort: a stage that fails to rebuild (e.g. its root lost all candidate
-// answers) is simply dropped.
-func (e *Engine) rewarm(live.CompactEvent) {
-	work := e.cache.takeEvicted()
-	if len(work) == 0 {
-		return
-	}
-	v := e.src.snapshot()
-	for key, old := range work {
-		cfg := e.opts
-		cfg.N = key.n
-		cfg.SelfLoopSim = key.selfLoop
-		_, _ = e.convergedStage(context.Background(), cfg, v, key.root, key.pred, old.types, nil)
-	}
 }
 
 // Graph returns the engine's construction-time knowledge graph (for a live

@@ -47,7 +47,7 @@ func TestOptionsDefaults(t *testing.T) {
 	o := e.Options()
 	if o.Tau != 0.85 || o.ErrorBound != 0.01 || o.Confidence != 0.95 ||
 		o.N != 3 || o.Repeat != 3 || o.Lambda != 0.3 ||
-		o.T != 3 || o.B != 50 || o.M != 0.6 || o.MaxRounds != 10 {
+		o.T != 3 || o.M != 0.6 || o.MaxRounds != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
@@ -233,7 +233,7 @@ func TestInteractiveRefinement(t *testing.T) {
 
 // The end-to-end accuracy guarantee: across many seeds, the converged
 // estimate respects the error bound in well over the nominal share of runs
-// (bootstrap CIs are approximate, so the assertion is conservative).
+// (CLT intervals are approximate, so the assertion is conservative).
 func TestGuaranteeCoverage(t *testing.T) {
 	hits, runs := 0, 0
 	for seed := int64(1); seed <= 25; seed++ {

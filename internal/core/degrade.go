@@ -59,6 +59,20 @@ func (d Degradation) shouldStop(ctx context.Context, lastRound time.Duration) bo
 	return time.Until(deadline) < lastRound+d.headroom()
 }
 
+// nextRoundCost predicts what the round after a step of delta draws will
+// cost from what the round begun at roundBegin did, its draws included: a
+// round rebuilds the observation list and its moments over the whole
+// sample, so its cost is linear in the sample size, and one undamped Eq. 12
+// step may multiply the sample by six.
+func (x *Execution) nextRoundCost(roundBegin time.Time, delta int) time.Duration {
+	last := time.Since(roundBegin) + x.drawCost
+	cur := len(x.drawIdx)
+	if cur == 0 || delta <= 0 {
+		return last
+	}
+	return time.Duration(float64(last) * float64(cur+delta) / float64(cur))
+}
+
 // ShouldStop reports whether a refinement loop that just spent lastRound on
 // its latest round should degrade now rather than start another: the
 // context deadline is closer than one more round plus the headroom. It is

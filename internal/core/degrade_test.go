@@ -141,3 +141,22 @@ func TestDeadlineDegradeMulti(t *testing.T) {
 		}
 	}
 }
+
+// TestNextRoundCostScalesWithStep: the degradation check prices the next
+// round by the sample it will cover and counts the draws that fed the last
+// one. With the closed-form margin a round is linear in |S| and a step may
+// multiply |S| by six; taking the last round's cost as the next one's let a
+// 250 ms deadline start a 300 ms round (TestDeadlineDegradedResponse in
+// internal/httpapi failed two runs in three on a loaded host).
+func TestNextRoundCostScalesWithStep(t *testing.T) {
+	x := &Execution{drawIdx: make([]int, 1000), drawCost: 10 * time.Millisecond}
+	begin := time.Now().Add(-30 * time.Millisecond)
+	same := x.nextRoundCost(begin, 0)
+	if same < 40*time.Millisecond || same > 60*time.Millisecond {
+		t.Fatalf("no step: predicted %v, want the last round's ≈ 40ms (30ms + 10ms of draws)", same)
+	}
+	sixfold := x.nextRoundCost(begin, 5000)
+	if lo, hi := 5.9*float64(same), 6.5*float64(same); float64(sixfold) < lo || float64(sixfold) > hi {
+		t.Fatalf("5x step: predicted %v, want ≈ 6 × %v", sixfold, same)
+	}
+}

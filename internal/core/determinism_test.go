@@ -75,10 +75,10 @@ func TestPooledMatchesUnpooledQueryMulti(t *testing.T) {
 // One shared draw stream means QueryMulti and three sequential Query calls
 // see the same sample: under a bound loose enough that every aggregate
 // settles as soon as the minimum-correct floor is met, the estimates,
-// margins and draw counts agree bitwise. This pins the guarantee-RNG split — the bootstrap seeds derive
-// from (query seed, aggregate, sample size), never from the draw stream's
-// position, so running three aggregates together consumes exactly the
-// stream one aggregate would.
+// margins and draw counts agree bitwise. This pins that the guarantee
+// step never reads the draw stream — ε is a function of the observations
+// alone — so running three aggregates together consumes exactly the stream
+// one aggregate would.
 func TestQueryMultiBitwiseMatchesSequentialSingles(t *testing.T) {
 	const seed, eb = 9, 0.5
 	e, _ := figure1Engine(t, Options{ErrorBound: eb, Seed: seed})

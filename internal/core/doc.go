@@ -1,7 +1,9 @@
 // Package core is the paper's primary contribution assembled end to end
 // (Algorithm 2): semantic-aware sampling over the n-bounded subgraph
 // (§IV-A), correctness validation and Horvitz–Thompson estimation (§IV-B),
-// and the iteratively refined CLT/BLB accuracy guarantee (§IV-C), extended
+// and the iteratively refined CLT accuracy guarantee (§IV-C, with σ in
+// closed form from per-stratum moments — DESIGN.md "Deliberate deviation:
+// closed-form margin"), extended
 // with filters, GROUP-BY, MAX/MIN, chain-shaped queries via two-stage
 // sampling, and star/cycle/flower queries via decomposition–assembly (§V).
 //

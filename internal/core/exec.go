@@ -49,8 +49,15 @@ type Execution struct {
 	rng     *rand.Rand    // the draw stream: consumed by sampling alone
 	scr     *execScratch  // pooled hot-loop buffers, held per Refine call
 	drawIdx []int
+	// oneShot marks an execution that dies with its first refinement call
+	// (Query, QueryMulti, FederateSample): nothing reads its draw list
+	// afterwards, so the list lives in the scratch (holdScratch).
+	oneShot bool
 	rounds  []Round
 	times   StepTimes
+	// drawCost is what the latest sampleMore took: the sampling share of
+	// the round it feeds, which the degradation check prices in.
+	drawCost time.Duration
 
 	// Telemetry bookkeeping. reportedTimes is what earlier result() calls on
 	// this execution already exported to the step-seconds metrics, so
@@ -169,6 +176,7 @@ func (e *Engine) Query(ctx context.Context, q *query.Aggregate, opts ...QueryOpt
 	if err != nil {
 		return nil, err
 	}
+	x.oneShot = true
 	return x.Refine(ctx, 0)
 }
 
@@ -344,6 +352,9 @@ func (x *Execution) prevalidateDraws(ctx context.Context) {
 func (x *Execution) observations(ctx context.Context) []estimate.Observation {
 	x.prevalidateDraws(ctx)
 	out := x.scr.obs[:0]
+	if cap(out) < len(x.drawIdx) {
+		out = make([]estimate.Observation, 0, len(x.drawIdx))
+	}
 	for _, i := range x.drawIdx {
 		out = append(out, x.observation(ctx, i))
 	}
@@ -396,28 +407,42 @@ func (re *roundEval) estimate() (float64, error) {
 	return estimate.Estimate(re.fn, re.obs, x.opts.Policy)
 }
 
-// moe computes ε — the closed-form stratified CLT variance when sharded
-// (one O(|S|) pass), BLB otherwise.
+// moe computes ε: the closed-form stratified CLT margin over the round's
+// strata — an unsharded sample is one stratum of weight 1, viewed from this
+// frame without allocating. ε is a function of the observations alone: it
+// consumes no randomness, so the draw stream stays a function of draw
+// counts and pooled and unpooled execution, or a QueryMulti and sequential
+// Query calls over the same plan, sample identically.
 func (re *roundEval) moe() (float64, error) {
-	x := re.x
-	o := x.opts
-	if re.strata != nil {
-		return estimate.MoEStratified(re.fn, re.strata, o.Policy, o.guarantee())
+	o := re.x.opts
+	strata := re.strata
+	if strata == nil {
+		one := [1]estimate.Stratum{{Weight: 1, Obs: re.obs}}
+		strata = one[:]
 	}
-	return estimate.MoESeeded(re.fn, re.obs, o.Policy, o.guarantee(), x.moeSeed(re.fn, len(re.obs)))
+	return estimate.MoEStratified(re.fn, strata, o.Policy, o.guarantee())
 }
 
-// moeSeed derives the BLB bootstrap stream for one MoE evaluation from the
-// execution seed, the aggregate function and the sample size. The bootstrap
-// deliberately does NOT consume x.rng: the draw stream stays a function of
-// draw counts alone, so pooled and unpooled execution, and a QueryMulti
-// versus sequential Query calls over the same plan, sample identically —
-// the determinism property tests pin this down. Distinct (fn, n) pairs map
-// to distinct pre-scramble seeds (fn is a small enum), and splitmix64
-// decorrelates consecutive sample sizes.
-func (x *Execution) moeSeed(fn query.AggFunc, n int) int64 {
-	sm := stats.NewSplitmix(x.opts.Seed + int64(n)*1_000_003 + int64(fn))
-	return int64(sm.Next())
+// sizingGap remembers, within one refinement round, the estimate furthest
+// from its Theorem 2 target — the largest ε/target ratio among the round's
+// unsatisfied specs or groups — which drives the round's Eq. 12 sizing.
+type sizingGap struct {
+	ratio, v, eps, eb float64
+}
+
+// note offers one unsatisfied estimate; a zero estimate has no target and
+// gives no ratio to size with.
+func (g *sizingGap) note(v, eps, eb float64) {
+	if t := estimate.Target(v, eb); t > 0 {
+		if r := eps / t; r > g.ratio {
+			*g = sizingGap{ratio: r, v: v, eps: eps, eb: eb}
+		}
+	}
+}
+
+// nextSampleSize is Eq. 12 for the noted estimate (0 when none was noted).
+func (g sizingGap) nextSampleSize(cur int) int {
+	return estimate.NextSampleSize(cur, g.eps, g.v, g.eb)
 }
 
 // sampleMore extends the draw list by k, honouring the MaxDraws budget. It
@@ -442,7 +467,8 @@ func (x *Execution) sampleMore(k int) bool {
 	}
 	x.drawIdx = append(x.drawIdx, fresh...)
 	x.e.countDraws(x.sp.answers, fresh)
-	x.times.Sampling += time.Since(begin)
+	x.drawCost = time.Since(begin)
+	x.times.Sampling += x.drawCost
 	return true
 }
 
@@ -530,9 +556,9 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 			}
 			return nil, err
 		}
-		// With too few correct draws the bootstrap cannot see the heavy
-		// tail of the HT weights; a CI computed now would terminate
-		// over-optimistically. Grow first.
+		// With too few correct draws the sample has not seen the heavy tail
+		// of the HT weights and the CLT margin under-covers; a CI computed
+		// now would terminate over-optimistically. Grow first.
 		if correct < o.MinCorrect {
 			if !x.sampleMore(len(x.drawIdx)) {
 				// Budget exhausted: fall through and report what we have,
@@ -562,33 +588,25 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 			converged = true
 			break
 		}
-		// Deadline-aware degradation: when another round (predicted from this
-		// one's cost) would not fit before the context deadline, stop here and
-		// report the honest interval already held rather than be cancelled
-		// mid-validation. The estimate above is complete, so the answer is
-		// exactly what an earlier termination would have returned.
-		if x.degrade.shouldStop(ctx, time.Since(roundBegin)) {
-			x.degraded = true
-			break
-		}
 		begin = time.Now()
 		delta := o.FixedDelta
 		if delta <= 0 {
-			m := o.M
-			if x.sh != nil {
-				// The sharded guarantee uses the closed-form stratified CLT
-				// ε, which scales exactly as 1/√N — so the Eq. 12 sizing
-				// runs undamped (m = 1) instead of with the BLB's
-				// conservative exponent; the stable ε estimate makes the
-				// full step safe where the bootstrap's noise would not.
-				m = 1
-			}
-			delta = estimate.NextSampleSize(len(x.drawIdx), eps, v, eb, m)
+			delta = estimate.NextSampleSize(len(x.drawIdx), eps, v, eb)
 		}
 		if max := 5 * len(x.drawIdx); delta > max {
 			delta = max // keep one round from ballooning on a noisy early ε
 		}
 		x.times.Guarantee += time.Since(begin)
+		// Deadline-aware degradation: when another round (predicted from this
+		// one's cost and the step just sized) would not fit before the context
+		// deadline, stop here and report the honest interval already held
+		// rather than be cancelled mid-validation. The estimate above is
+		// complete, so the answer is exactly what an earlier termination would
+		// have returned.
+		if x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
+			x.degraded = true
+			break
+		}
 		if !x.sampleMore(delta) {
 			break // draw budget exhausted: report the best estimate so far
 		}
@@ -691,7 +709,7 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 		}
 		groups = map[string]GroupResult{}
 		allOK := len(byGroup) > 0
-		worstRatio := 1.0
+		var worst sizingGap
 		for label, obs := range byGroup {
 			groupEval := x.eval(obs, false)
 			v, err := groupEval.estimate()
@@ -707,11 +725,7 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 			groups[label] = GroupResult{Estimate: v, MoE: eps, Draws: inGroup[label]}
 			if inGroup[label] >= minGroupDraws && !estimate.Satisfied(v, eps, eb) {
 				allOK = false
-				if t := estimate.Target(v, eb); t > 0 {
-					if r := eps / t; r > worstRatio {
-						worstRatio = r
-					}
-				}
+				worst.note(v, eps, eb)
 			}
 		}
 		x.times.Estimation += time.Since(begin)
@@ -719,16 +733,16 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 			converged = true
 			break
 		}
-		if x.degrade.shouldStop(ctx, time.Since(roundBegin)) {
-			x.degraded = true
-			break
-		}
-		delta := int(float64(len(x.drawIdx)) * (math.Pow(worstRatio, 2*o.M) - 1))
+		delta := worst.nextSampleSize(len(x.drawIdx))
 		if delta < len(x.drawIdx)/2 {
 			delta = len(x.drawIdx) / 2
 		}
 		if max := 5 * len(x.drawIdx); delta > max {
 			delta = max
+		}
+		if x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
+			x.degraded = true
+			break
 		}
 		if !x.sampleMore(delta) {
 			break // draw budget exhausted

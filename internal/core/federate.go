@@ -10,15 +10,15 @@ import (
 
 // This file is the member half of federated execution (DESIGN.md
 // "Federation: remote strata"): one engine instance samples its own graph
-// as a single remote stratum and hands the draws to a coordinator, which
-// merges per-member streams through the stratified Horvitz–Thompson
-// combiner in internal/federate.
+// as a single remote stratum; the HTTP layer reduces the draws to their
+// moments and hands those to a coordinator, which merges the members
+// through the stratified Horvitz–Thompson combiner in internal/federate.
 
 // MemberSample is one round's worth of local draws, produced by
-// FederateSample and shipped to the coordinator. Observation probabilities
-// are member-local (conditional on this graph), so the per-draw HT terms
-// v·1{correct}/p estimate this member's local aggregate total without any
-// knowledge of the rest of the federation.
+// FederateSample. Observation probabilities are member-local (conditional
+// on this graph), so the per-draw HT terms v·1{correct}/p estimate this
+// member's local aggregate total without any knowledge of the rest of the
+// federation.
 type MemberSample struct {
 	// Obs are the draws from this member's sampling distribution, with
 	// member-local inclusion probabilities and no stratum assignment (the
@@ -32,15 +32,12 @@ type MemberSample struct {
 	// it per member: a moved epoch means earlier rounds sampled a different
 	// graph and the member's stream restarts.
 	Epoch uint64
-	// Sigma is the sample standard deviation of the per-draw HT terms — the
-	// member's variance signal for cross-member Neyman allocation.
-	Sigma float64
 }
 
 // FederateSample runs one federated sampling round against this engine's
 // own graph: prepare (or reuse) the query's answer space, draw n
-// observations, validate them, and return the stream with the member-side
-// statistics the coordinator needs. Each call is an independent round —
+// observations, validate them, and return them with the member-side facts
+// the coordinator needs. Each call is an independent round —
 // draws across calls are i.i.d. from the same space (per-call seeds keep
 // rounds distinct), so the coordinator can pool them freely.
 //
@@ -68,6 +65,7 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 	if err != nil {
 		return nil, err
 	}
+	x.oneShot = true
 	release := x.holdScratch()
 	defer release()
 	if pilot {
@@ -90,6 +88,5 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 		Obs:        out,
 		Candidates: x.sp.len(),
 		Epoch:      x.v.epoch,
-		Sigma:      estimate.StratumSigma(q.Func, out),
 	}, nil
 }

@@ -117,6 +117,7 @@ func (p *Prepared) QueryMulti(ctx context.Context, specs []AggSpec, opts ...Quer
 	if err != nil {
 		return nil, err
 	}
+	x.oneShot = true
 	return x.refineMulti(ctx, specs)
 }
 
@@ -139,6 +140,7 @@ func (e *Engine) QueryMulti(ctx context.Context, q *query.Aggregate, specs []Agg
 		return nil, err
 	}
 	x.times.Sampling += p.buildTime
+	x.oneShot = true
 	return x.refineMulti(ctx, specs)
 }
 
@@ -199,6 +201,9 @@ func (x *Execution) multiObservationList(ctx context.Context, attrs []kg.AttrID)
 	}
 	vals, has := scr.vals[:n*targets], scr.has[:n*targets]
 	out := scr.mobs[:0]
+	if cap(out) < n {
+		out = make([]estimate.MultiObservation, 0, n)
+	}
 	var labels []string
 	grouped := x.group != kg.InvalidAttr
 	if grouped {
@@ -335,8 +340,7 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		}
 		allOK := true
 		haveEst := false
-		worst := 1.0
-		var worstV, worstEps, worstEb float64
+		var worst sizingGap
 		for gi, k := range guaranteed {
 			fn := specs[k].Func
 			begin := time.Now()
@@ -375,39 +379,22 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 			state[k].Converged = estimate.Satisfied(v, eps, ebs[k])
 			if !state[k].Converged {
 				allOK = false
-				if t := estimate.Target(v, ebs[k]); t > 0 {
-					if r := eps / t; r > worst {
-						worst, worstV, worstEps, worstEb = r, v, eps, ebs[k]
-					}
-				}
+				worst.note(v, eps, ebs[k])
 			}
 		}
 		if allOK && haveEst {
 			converged = true
 			break
 		}
-		// Deadline-aware degradation, as the single-aggregate loop: every
-		// spec's current interval is complete and honest, so stopping here
-		// beats being cancelled mid-round (see Degradation).
-		if haveEst && x.degrade.shouldStop(ctx, time.Since(roundBegin)) {
-			x.degraded = true
-			break
-		}
 		var delta int
 		switch {
 		case o.FixedDelta > 0:
 			delta = o.FixedDelta
-		case grouped && worst > 1:
-			delta = int(float64(len(x.drawIdx)) * (math.Pow(worst, 2*o.M) - 1))
-			if delta < len(x.drawIdx)/2 {
+		case worst.ratio > 1:
+			delta = worst.nextSampleSize(len(x.drawIdx))
+			if grouped && delta < len(x.drawIdx)/2 {
 				delta = len(x.drawIdx) / 2
 			}
-		case !grouped && worst > 1:
-			m := o.M
-			if x.sh != nil {
-				m = 1 // stable stratified ε: undamped Eq. 12, as single-agg
-			}
-			delta = estimate.NextSampleSize(len(x.drawIdx), worstEps, worstV, worstEb, m)
 		default:
 			// An unestimable or zero-estimate spec gives no ratio to size
 			// with: enlarge geometrically and retry, as the single path does.
@@ -415,6 +402,13 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		}
 		if max := 5 * len(x.drawIdx); delta > max {
 			delta = max
+		}
+		// Deadline-aware degradation, as the single-aggregate loop: every
+		// spec's current interval is complete and honest, so stopping here
+		// beats being cancelled mid-round (see Degradation).
+		if haveEst && x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
+			x.degraded = true
+			break
 		}
 		if !x.sampleMore(delta) {
 			break // draw budget exhausted: report the best estimates so far
@@ -456,11 +450,10 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 
 // multiGroupRound evaluates one guaranteed spec's per-group estimators for
 // the current round, filling st.Groups and reporting whether every
-// sufficiently observed group satisfies the spec's bound. The worst
-// ε/target ratio across unsatisfied groups accumulates into *worst, the
-// shared growth signal.
+// sufficiently observed group satisfies the spec's bound. Unsatisfied groups
+// are offered to worst, the shared growth signal.
 func (x *Execution) multiGroupRound(k int, fn query.AggFunc, base []estimate.Observation,
-	labels []string, eb float64, minGroupDraws int, st *AggResult, worst *float64) bool {
+	labels []string, eb float64, minGroupDraws int, st *AggResult, worst *sizingGap) bool {
 
 	seen := map[string]bool{}
 	inGroup := map[string]int{}
@@ -494,11 +487,7 @@ func (x *Execution) multiGroupRound(k int, fn query.AggFunc, base []estimate.Obs
 		groups[label] = GroupResult{Estimate: gv, MoE: geps, Draws: inGroup[label]}
 		if inGroup[label] >= minGroupDraws && !estimate.Satisfied(gv, geps, eb) {
 			allOK = false
-			if t := estimate.Target(gv, eb); t > 0 {
-				if r := geps / t; r > *worst {
-					*worst = r
-				}
-			}
+			worst.note(gv, geps, eb)
 		}
 	}
 	st.Groups = groups

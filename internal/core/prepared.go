@@ -368,6 +368,7 @@ func (p *Prepared) Query(ctx context.Context, opts ...QueryOption) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	x.oneShot = true
 	return x.Refine(ctx, 0)
 }
 

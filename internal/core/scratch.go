@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"runtime"
 
 	"kgaq/internal/estimate"
 	"kgaq/internal/kg"
@@ -12,11 +12,15 @@ import (
 // the batch-validation work queue and the generation-stamped candidate
 // marks. One scratch serves one Refine/refineMulti call at a time; the
 // buffers are reset (re-sliced to zero length, never reallocated while
-// capacity holds) at each use, and the whole struct returns to a sync.Pool
-// when the call finishes, so steady-state refinement rounds allocate
+// capacity holds) at each use, and the whole struct returns to the free
+// list when the call finishes, so steady-state refinement rounds allocate
 // nothing on these paths. The allocation-budget tests in
 // allocbudget_test.go enforce that property per stage.
 type execScratch struct {
+	// drawIdx is the draw list of a one-shot execution (Execution.oneShot):
+	// lent for the call and taken back with it, so the list of a query that
+	// dies with its Refine is not regrown round by round on every request.
+	drawIdx []int
 	// obs is the per-round single-target observation list (observations).
 	obs []estimate.Observation
 	// base and labels serve the grouped path's shared base list and
@@ -44,38 +48,66 @@ type execScratch struct {
 	gen   uint32
 }
 
-var execScratchPool = sync.Pool{New: func() any { return new(execScratch) }}
+// scratchFree is the free list: a bounded channel, not a sync.Pool. A pool
+// is emptied by every second collection and keeps a returned object where
+// only the returning P finds it; a server compiling answer spaces on cache
+// misses collects more than once per query, so the pool handed out an empty
+// scratch on most calls and the observation list was regrown, doubling by
+// doubling, exactly where allocation already set the pace of the collector
+// (27% of all bytes allocated under churn). The channel keeps at most one
+// scratch per P whatever the collector does; a put beyond that is dropped.
+var scratchFree = make(chan *execScratch, runtime.GOMAXPROCS(0))
 
-// disableScratchPool short-circuits the pool: every acquire returns a fresh
-// zero scratch and nothing is recycled. The pooled-versus-unpooled
+// disableScratchPool short-circuits the free list: every acquire returns a
+// fresh zero scratch and nothing is recycled. The pooled-versus-unpooled
 // equivalence tests flip it to prove pooling is behaviour-invisible.
 var disableScratchPool = false
 
 func getScratch() *execScratch {
-	if disableScratchPool {
-		return new(execScratch)
+	if !disableScratchPool {
+		select {
+		case s := <-scratchFree:
+			return s
+		default:
+		}
 	}
-	return execScratchPool.Get().(*execScratch)
+	return new(execScratch)
 }
 
+// scratchKeepDraws bounds what the free list retains: a scratch grown past
+// this many draws (the default MaxDraws is 20 000; a request may lift it a
+// thousandfold) is left to the collector instead of pinning its arrays.
+const scratchKeepDraws = 1 << 15
+
 func putScratch(s *execScratch) {
-	if disableScratchPool || s == nil {
+	if disableScratchPool || s == nil || cap(s.drawIdx) > scratchKeepDraws || cap(s.obs) > scratchKeepDraws ||
+		cap(s.base) > scratchKeepDraws || cap(s.mobs) > scratchKeepDraws {
 		return
 	}
-	execScratchPool.Put(s)
+	select {
+	case scratchFree <- s:
+	default:
+	}
 }
 
 // holdScratch attaches pooled scratch to the execution for the duration of
 // one refinement entry point and returns the release. Nested refinement
 // helpers (runExtreme, runGrouped) see the already-attached scratch and the
 // release becomes a no-op for them, so only the outermost holder returns it
-// to the pool.
+// to the free list. A one-shot execution that has drawn nothing yet also
+// borrows its draw list from the scratch and leaves it there on release.
 func (x *Execution) holdScratch() func() {
 	if x.scr != nil {
 		return func() {}
 	}
 	x.scr = getScratch()
+	if x.oneShot && len(x.drawIdx) == 0 {
+		x.drawIdx = x.scr.drawIdx[:0]
+	}
 	return func() {
+		if x.oneShot {
+			x.scr.drawIdx, x.drawIdx = x.drawIdx[:0], nil
+		}
 		putScratch(x.scr)
 		x.scr = nil
 	}

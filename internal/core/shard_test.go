@@ -19,7 +19,7 @@ import (
 // Sharded runs must satisfy the same Theorem 2 bound as single-shard runs:
 // for every shard count the converged estimate lands within the configured
 // error bound of the ground truth, because the stratified merge preserves
-// unbiasedness and the stratified bootstrap drives the same termination
+// unbiasedness and the stratified CLT margin drives the same termination
 // test.
 func TestShardedWithinErrorBound(t *testing.T) {
 	const eb = 0.05
@@ -71,7 +71,7 @@ func TestShardedCountUnbiased(t *testing.T) {
 
 // MoE coverage across shard counts {1, 2, 8}: converged intervals must
 // cover the ground truth at roughly the configured 95% confidence. The
-// tolerance (85%) leaves room for the bootstrap's small-sample optimism,
+// tolerance (85%) leaves room for the CLT margin's small-sample optimism,
 // matching the slack the unsharded coverage tests allow.
 func TestShardedMoECoverage(t *testing.T) {
 	const truth = kgtest.Figure1SumPrice

@@ -228,25 +228,48 @@ func spaceFromMap(pi map[kg.NodeID]float64, oracle correctOracle) (*answerSpace,
 func (e *Engine) convergedStage(ctx context.Context, o Options, v view,
 	root kg.NodeID, pred kg.PredID, types []kg.TypeID, bm *buildMetrics) (*stageEntry, error) {
 
-	key := stageKey{
+	key := stageKeyOf(o, root, pred, types)
+	if st := e.cachedStage(key, v, bm); st != nil {
+		return st, nil
+	}
+	return e.buildStage(ctx, o, v, key, types, bm)
+}
+
+func stageKeyOf(o Options, root kg.NodeID, pred kg.PredID, types []kg.TypeID) stageKey {
+	return stageKey{
 		root:     root,
 		pred:     pred,
 		types:    typesKeyOf(types),
 		n:        o.N,
 		selfLoop: o.SelfLoopSim,
 	}
-	if st := e.cache.get(key, v.epoch); st != nil {
+}
+
+// cachedStage is the hit half of convergedStage: the resident stage for key
+// that view v may read, or nil.
+func (e *Engine) cachedStage(key stageKey, v view, bm *buildMetrics) *stageEntry {
+	st := e.cache.get(key, v.epoch)
+	if st != nil {
 		bm.hit()
-		return st, nil
 	}
+	return st
+}
+
+// buildStage is the miss half of convergedStage: converge a fresh walker
+// and publish the stage. The caller has already consulted the cache.
+func (e *Engine) buildStage(ctx context.Context, o Options, v view,
+	key stageKey, types []kg.TypeID, bm *buildMetrics) (*stageEntry, error) {
+
 	bm.build()
 	metStageBuilds.Inc()
 	endSpan := obs.TraceFrom(ctx).Span("walk_converge")
-	w, err := walk.New(v.g, e.calc, root, pred, walk.Config{N: o.N, SelfLoopSim: o.SelfLoopSim})
+	w, err := walk.New(v.g, e.calc, key.root, key.pred, walk.Config{N: o.N, SelfLoopSim: o.SelfLoopSim})
 	if err != nil {
 		endSpan()
 		return nil, err
 	}
+	// Everything the stage keeps is copied out of the walker below.
+	defer w.Release()
 	if _, err := w.ConvergeCtx(ctx); err != nil {
 		endSpan()
 		return nil, err
@@ -254,11 +277,11 @@ func (e *Engine) convergedStage(ctx context.Context, o Options, v view,
 	endSpan()
 	dist, err := w.AnswerDistribution(types)
 	if err != nil {
-		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(root), err)
+		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(key.root), err)
 	}
 	scope := append([]kg.NodeID(nil), w.Bound().Nodes...)
 	sort.Slice(scope, func(i, j int) bool { return scope[i] < scope[j] })
-	st := newStageEntry(dist.Answers, dist.Probs, w.PiMap(), v.epoch, scope, types)
+	st := newStageEntry(dist.Answers, dist.Probs, w.PiMap(), v.epoch, scope)
 	return e.cache.put(key, st), nil
 }
 
@@ -317,6 +340,100 @@ func (e *Engine) stageOracle(o Options, v view, st *stageEntry,
 	return correctOracle{single: legOK, batch: legBatch}
 }
 
+// chainSub is one expanded stage-one intermediate of a chain: the node and
+// its stage-one probability, then — filled by expandChain — the final
+// answers its remaining hops reach with their visiting probabilities from
+// it, and the oracle of that onward path. An intermediate that leads
+// nowhere keeps nil answers and contributes nothing.
+type chainSub struct {
+	node    kg.NodeID
+	prob    float64
+	answers []kg.NodeID
+	probs   []float64 // parallel to answers
+	correct correctOracle
+}
+
+// expandChain fills the onward half of every intermediate in subs. With one
+// hop left the onward level is a converged stage whose answer and
+// probability slices are read in place: a resident stage is picked up
+// inline, so a warm chain query starts no goroutine and copies no
+// distribution. Misses, and deeper chains (which recurse), are independent
+// builds and fan out over the engine's worker pool. A worker slot is
+// acquired opportunistically: when the pool is saturated (many concurrent
+// queries, or a deeper recursion level already took the slots) the build
+// simply runs inline, which keeps the fan-out deadlock-free at any depth.
+func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chainSub, hops []query.Hop, bm *buildMetrics) error {
+	leaf := len(hops) == 1
+	var key stageKey
+	var types []kg.TypeID
+	if leaf {
+		pred, err := resolvePred(v.g, hops[0].Predicate)
+		if err != nil {
+			return nil // as when every recursion fails: no onward answers
+		}
+		if types, err = resolveTypes(v.g, hops[0].Types); err != nil {
+			return nil
+		}
+		key = stageKeyOf(o, 0, pred, types)
+	}
+	fill := func(sub *chainSub, st *stageEntry) {
+		sub.answers, sub.probs = st.answers, st.probs
+		sub.correct = e.stageOracle(o, v, st, sub.node, key.pred)
+	}
+	build := func(sub *chainSub) {
+		if leaf {
+			k := key
+			k.root = sub.node
+			if st, err := e.buildStage(ctx, o, v, k, types, bm); err == nil {
+				fill(sub, st)
+			}
+			return
+		}
+		pi, correct, err := e.buildChainLevel(ctx, o, v, sub.node, hops, bm)
+		if err != nil {
+			return
+		}
+		sub.correct = correct
+		sub.answers = make([]kg.NodeID, 0, len(pi))
+		sub.probs = make([]float64, 0, len(pi))
+		for u, p := range pi {
+			sub.answers = append(sub.answers, u)
+			sub.probs = append(sub.probs, p)
+		}
+	}
+	var wg sync.WaitGroup
+	var pb panicBox
+	for i := range subs {
+		if ctx.Err() != nil {
+			break
+		}
+		sub := &subs[i]
+		if leaf {
+			k := key
+			k.root = sub.node
+			if st := e.cachedStage(k, v, bm); st != nil {
+				fill(sub, st)
+				continue
+			}
+		}
+		select {
+		case e.sem <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-e.sem }()
+				defer pb.capture()
+				build(sub)
+			}()
+		default:
+			build(sub)
+		}
+	}
+	wg.Wait()
+	pb.rethrow()
+	return ctx.Err()
+}
+
 // buildChainLevel returns the exact visiting distribution over the final
 // hop's answers together with a lazy correctness oracle, recursing over the
 // chain's hops: π(j) = Σᵢ π′ᵢ · π′ⱼ|ᵢ (§V-B), and an answer is correct when
@@ -351,112 +468,160 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, root kg
 
 	// Multi-hop: expand the highest-probability intermediates, recursing
 	// into the remaining hops from each.
-	type inter struct {
-		node kg.NodeID
-		prob float64
-	}
-	inters := make([]inter, len(st.answers))
+	subs := make([]chainSub, len(st.answers))
 	for i, u := range st.answers {
-		inters[i] = inter{node: u, prob: st.probs[i]}
+		subs[i] = chainSub{node: u, prob: st.probs[i]}
 	}
-	sort.Slice(inters, func(a, b int) bool {
-		if inters[a].prob != inters[b].prob {
-			return inters[a].prob > inters[b].prob
+	sort.Slice(subs, func(a, b int) bool {
+		if subs[a].prob != subs[b].prob {
+			return subs[a].prob > subs[b].prob
 		}
-		return inters[a].node < inters[b].node
+		return subs[a].node < subs[b].node
 	})
-	if len(inters) > maxChainIntermediates {
-		inters = inters[:maxChainIntermediates]
+	if len(subs) > maxChainIntermediates {
+		subs = subs[:maxChainIntermediates]
 	}
 
-	// The per-intermediate recursions are independent, so they fan out over
-	// the engine's worker pool. A worker slot is acquired opportunistically:
-	// when the pool is saturated (e.g. many concurrent queries, or a deeper
-	// recursion level already took the slots) the recursion simply runs
-	// inline, which keeps the fan-out deadlock-free at any nesting depth.
-	subPis := make([]map[kg.NodeID]float64, len(inters))
-	subOracles := make([]correctOracle, len(inters))
-	subErrs := make([]error, len(inters))
-	var wg sync.WaitGroup
-	var pb panicBox
-	for i, in := range inters {
-		if ctx.Err() != nil {
-			break
-		}
-		build := func(i int, node kg.NodeID) {
-			subPis[i], subOracles[i], subErrs[i] = e.buildChainLevel(ctx, o, v, node, hops[1:], bm)
-		}
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, node kg.NodeID) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				defer pb.capture()
-				build(i, node)
-			}(i, in.node)
-		default:
-			build(i, in.node)
-		}
-	}
-	wg.Wait()
-	pb.rethrow()
-	if err := ctx.Err(); err != nil {
+	if err := e.expandChain(ctx, o, v, subs, hops[1:], bm); err != nil {
 		return nil, none, err
 	}
 
 	// Accumulate sequentially in intermediate order so the assembled π is
-	// deterministic regardless of which goroutine finished first.
-	pi := map[kg.NodeID]float64{}
-	type subLevel struct {
-		prob    float64
-		node    kg.NodeID
-		pi      map[kg.NodeID]float64
-		correct correctOracle
+	// deterministic regardless of which goroutine finished first. Answers
+	// get dense ids in order of first sight; ids remembers the id of every
+	// (intermediate, answer) pair so the second pass needs no map.
+	pairs, widest := 0, 0
+	for k := range subs {
+		pairs += len(subs[k].answers)
+		widest = max(widest, len(subs[k].answers))
 	}
-	var subs []subLevel
-	for i, in := range inters {
-		if subErrs[i] != nil || subPis[i] == nil {
-			continue // an intermediate with no onward answers contributes nothing
+	idOf := make(map[kg.NodeID]int32, widest)
+	var answers []kg.NodeID
+	var mass []float64
+	var fanIn []int32
+	ids := make([]int32, 0, pairs)
+	for k := range subs {
+		sub := &subs[k]
+		for j, u := range sub.answers {
+			id, seen := idOf[u]
+			if !seen {
+				id = int32(len(answers))
+				idOf[u] = id
+				answers = append(answers, u)
+				mass = append(mass, 0)
+				fanIn = append(fanIn, 0)
+			}
+			mass[id] += sub.prob * sub.probs[j]
+			if sub.probs[j] > 0 {
+				fanIn[id]++
+			}
+			ids = append(ids, id)
 		}
-		for u, p := range subPis[i] {
-			pi[u] += in.prob * p
-		}
-		subs = append(subs, subLevel{prob: in.prob, node: in.node, pi: subPis[i], correct: subOracles[i]})
 	}
-	if len(pi) == 0 {
+	if len(answers) == 0 {
 		return nil, none, fmt.Errorf("core: chain stage rooted at %q found no final answers", v.g.Name(root))
 	}
-
-	correct := func(ctx context.Context, u kg.NodeID) bool {
-		// Try intermediates by descending contribution to u's mass: the
-		// most probable chains are checked first, mirroring the greedy
-		// validation heuristic.
-		order := make([]int, 0, len(subs))
-		for i := range subs {
-			if subs[i].pi[u] > 0 {
-				order = append(order, i)
+	pi := make(map[kg.NodeID]float64, len(answers))
+	for id, u := range answers {
+		pi[u] = mass[id]
+	}
+	// reach(u) lists the intermediates whose walk reaches answer u, most
+	// probable first (the order of subs), as one row of a CSR index —
+	// built once, here, so neither oracle form ever scans intermediates ×
+	// answers and the build allocates two arrays, not one slice per answer.
+	rowStart := make([]int32, len(answers)+1)
+	for id, n := range fanIn {
+		rowStart[id+1] = rowStart[id] + n
+	}
+	rows := make([]int32, rowStart[len(answers)])
+	next := fanIn // reused as the per-row fill cursor
+	copy(next, rowStart)
+	at := 0
+	for k := range subs {
+		for _, p := range subs[k].probs {
+			if id := ids[at]; p > 0 {
+				rows[next[id]] = int32(k)
+				next[id]++
 			}
+			at++
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ca := subs[order[a]].prob * subs[order[a]].pi[u]
-			cb := subs[order[b]].prob * subs[order[b]].pi[u]
-			if ca != cb {
-				return ca > cb
-			}
-			return subs[order[a]].node < subs[order[b]].node
-		})
-		for _, i := range order {
+	}
+	reach := func(u kg.NodeID) []int32 {
+		id, ok := idOf[u]
+		if !ok {
+			return nil
+		}
+		return rows[rowStart[id]:rowStart[id+1]]
+	}
+
+	// An answer is correct when some chain validates every leg:
+	// OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
+	single := func(ctx context.Context, u kg.NodeID) bool {
+		for _, k := range reach(u) {
 			if ctx.Err() != nil {
 				return false
 			}
-			if legOK(ctx, subs[i].node) && subs[i].correct.single(ctx, u) {
+			if legOK(ctx, subs[k].node) && subs[k].correct.single(ctx, u) {
 				return true
 			}
 		}
 		return false
 	}
-	return pi, correctOracle{single: correct}, nil
+	// The batch form evaluates the same disjunction in a different order,
+	// which cannot change it, and semsim.ValidateCtx expands by π of the
+	// path tip whatever set it was asked for, so an answer's verdict is the
+	// same alone or in company. One search from the root settles the leg of
+	// every intermediate the requested answers are reached through; then
+	// each leg-correct intermediate runs its own batch over the answers it
+	// reaches that no earlier chain has validated yet.
+	batch := func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
+		out := make(map[kg.NodeID]bool, len(us))
+		wanted := make([]bool, len(subs))
+		var legs []kg.NodeID
+		for _, u := range us {
+			out[u] = false
+			for _, k := range reach(u) {
+				if !wanted[k] {
+					wanted[k] = true
+					legs = append(legs, subs[k].node)
+				}
+			}
+		}
+		legVerdicts := oracle.batch(ctx, legs)
+		if ctx.Err() != nil {
+			return out
+		}
+		through := make([][]kg.NodeID, len(subs))
+		for _, u := range us {
+			for _, k := range reach(u) {
+				if legVerdicts[subs[k].node] {
+					through[k] = append(through[k], u)
+				}
+			}
+		}
+		for k, reaches := range through {
+			open := reaches[:0]
+			for _, u := range reaches {
+				if !out[u] {
+					open = append(open, u)
+				}
+			}
+			if len(open) == 0 {
+				continue
+			}
+			verdicts := subs[k].correct.batch(ctx, open)
+			if ctx.Err() != nil {
+				return out
+			}
+			for _, u := range open {
+				if verdicts[u] {
+					out[u] = true
+				}
+			}
+		}
+		return out
+	}
+	return pi, correctOracle{single: single, batch: batch}, nil
 }
 
 // buildAssemblySpace implements decomposition–assembly (§V-B): one sampling
@@ -500,8 +665,7 @@ func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, path
 	if len(inter) == 0 {
 		return nil, fmt.Errorf("core: decomposition–assembly intersection is empty")
 	}
-	// The assembled verdict is the conjunction over paths; the batch form
-	// exists when every level has one.
+	// The assembled verdict is the conjunction over paths, in both forms.
 	single := func(ctx context.Context, u kg.NodeID) bool {
 		for _, lv := range levels {
 			if !lv.correct.single(ctx, u) {
@@ -510,32 +674,22 @@ func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, path
 		}
 		return true
 	}
-	allBatch := true
-	for _, lv := range levels {
-		if lv.correct.batch == nil {
-			allBatch = false
-			break
+	batch := func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
+		out := make(map[kg.NodeID]bool, len(us))
+		for _, u := range us {
+			out[u] = true
 		}
-	}
-	oracle := correctOracle{single: single}
-	if allBatch {
-		oracle.batch = func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
-			out := make(map[kg.NodeID]bool, len(us))
+		for _, lv := range levels {
+			verdicts := lv.correct.batch(ctx, us)
 			for _, u := range us {
-				out[u] = true
-			}
-			for _, lv := range levels {
-				verdicts := lv.correct.batch(ctx, us)
-				for _, u := range us {
-					if !verdicts[u] {
-						out[u] = false
-					}
+				if !verdicts[u] {
+					out[u] = false
 				}
 			}
-			return out
 		}
+		return out
 	}
-	return spaceFromMap(inter, oracle)
+	return spaceFromMap(inter, correctOracle{single: single, batch: batch})
 }
 
 // buildTopologySpace assembles the answer space using a topology-only

@@ -55,6 +55,6 @@ func BenchmarkMoEBLB1k(b *testing.B) {
 func BenchmarkNextSampleSize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NextSampleSize(1000, 50, 578, 0.01, 0.6)
+		NextSampleSize(1000, 50, 578, 0.01)
 	}
 }

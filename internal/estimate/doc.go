@@ -2,9 +2,11 @@
 // accuracy-guarantee layers of the paper (§IV-B, §IV-C): Horvitz–Thompson
 // style estimators for COUNT and SUM (unbiased) and AVG (consistent) over
 // the non-uniform sample drawn from the stationary answer distribution π′,
-// confidence intervals via the Central Limit Theorem with the Bag of Little
-// Bootstraps variance estimate, the Theorem 2 termination test, and the
-// error-based sample-size configuration of Eq. 12.
+// confidence intervals via the Central Limit Theorem — σ in closed form
+// from per-stratum Moments of the HT terms (MoEMoments), with the paper's
+// Bag of Little Bootstraps (MoESeeded) kept as the tested reference — the
+// Theorem 2 termination test, and the error-based sample-size configuration
+// of Eq. 12.
 //
 // The package also provides the cross-shard side of sharded execution
 // (DESIGN.md "Sharded execution"): per-shard samples arrive as disjoint
@@ -12,7 +14,9 @@
 // one unbiased estimate with the shard inclusion probabilities folded into
 // each Observation's conditional draw probability, MoEStratified computes
 // the closed-form stratified CLT margin of error, and AllocateDraws splits
-// the next round's draws across strata by Neyman allocation.
+// the next round's draws across strata by Neyman allocation. Federation
+// members are strata too: they ship their Moments, which EstimateMoments
+// and MoEMoments merge without ever seeing an observation.
 //
 // Multi-aggregate execution rides the same machinery: a MultiObservation
 // carries one draw's shared facts (π′, correctness verdict, stratum) plus

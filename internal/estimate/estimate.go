@@ -130,7 +130,9 @@ func htSum(fn query.AggFunc, obs []Observation) (float64, int) {
 	return sum, n
 }
 
-// GuaranteeConfig tunes the confidence-interval machinery of §IV-C.
+// GuaranteeConfig tunes the confidence-interval machinery of §IV-C. The
+// closed-form margin the engine serves (MoEMoments, MoEStratified) reads
+// Confidence alone; T, B and M configure the bootstrap reference MoESeeded.
 type GuaranteeConfig struct {
 	// Confidence is 1-α (default 0.95).
 	Confidence float64
@@ -203,9 +205,7 @@ func moeKindOf(fn query.AggFunc, pol DivisorPolicy) moeKind {
 
 // moeScratch is the reusable working memory of one MoE evaluation: the
 // flattened per-observation contribution arrays and the resample estimate
-// buffer. Pooled so a warm guarantee round allocates nothing — the
-// guarantee loop calls MoE every round and the old per-call resample
-// materialisation was 93% of warm query CPU.
+// buffer, pooled so a warm evaluation allocates nothing.
 type moeScratch struct {
 	valTerms []float64
 	cntTerms []float64
@@ -225,7 +225,10 @@ func grow(buf []float64, n int) []float64 {
 
 // MoE estimates the margin of error ε of the confidence interval V̂ ± ε at
 // the configured confidence level using the Bag of Little Bootstraps
-// (§IV-C): the sample is split into T small samples; each is bootstrapped B
+// (§IV-C) — the paper's Eq. 10–11, kept as the reference the closed-form
+// margin is tested against (the engine itself serves MoEMoments; see
+// DESIGN.md "Deliberate deviation: closed-form margin"): the sample is
+// split into T small samples; each is bootstrapped B
 // times with resamples of size |S| — the size of the full collected sample,
 // so the bootstrap distribution matches the estimator actually reported;
 // Eq. 11 turns the resample estimates into a σ, Eq. 10 into an ε; the final
@@ -240,11 +243,10 @@ func MoE(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
 	return MoESeeded(fn, obs, pol, cfg, r.Int63())
 }
 
-// MoESeeded is MoE with the resampling stream seeded directly — the
-// allocation-free form the guarantee loop uses (constructing a *rand.Rand
-// per round costs a ~5KB source allocation; a seed is free). The engine
-// derives the seed from the query seed, the aggregate function and the
-// sample size, making ε independent of the draw stream's position.
+// MoESeeded is MoE with the resampling stream seeded directly: a
+// deterministic function of its arguments, allocation-free once its pooled
+// scratch is warm. Tests and the benchmark's estimate.moe_blb_* probes call
+// it; no execution path does.
 func MoESeeded(fn query.AggFunc, obs []Observation, pol DivisorPolicy,
 	cfg GuaranteeConfig, seed int64) (float64, error) {
 
@@ -398,18 +400,19 @@ func Satisfied(vhat, moe, eb float64) bool {
 }
 
 // NextSampleSize returns |ΔS| per Eq. 12: the number of additional answers
-// to collect so that ε shrinks to the Theorem 2 target, assuming σ ∝ 1/√N.
-// It returns at least 1 whenever the termination condition is unmet.
-func NextSampleSize(curSize int, moe, vhat, eb, m float64) int {
+// to collect so that ε shrinks to the Theorem 2 target, assuming σ ∝ 1/√N —
+// |S|·((ε/target)² − 1). The step is undamped: the closed-form ε scales as
+// 1/√N exactly, so the paper's bootstrap-era exponent 2m < 2 would only
+// under-size every round (DESIGN.md "Deliberate deviation: closed-form
+// margin"). It returns at least 1 whenever the termination condition is
+// unmet.
+func NextSampleSize(curSize int, moe, vhat, eb float64) int {
 	tgt := Target(vhat, eb)
 	if tgt <= 0 || moe <= tgt {
 		return 0
 	}
-	if m <= 0 || m > 1 {
-		m = 0.6
-	}
 	ratio := moe / tgt
-	delta := int(float64(curSize) * (math.Pow(ratio, 2*m) - 1))
+	delta := int(float64(curSize) * (ratio*ratio - 1))
 	if delta < 1 {
 		delta = 1
 	}

@@ -308,31 +308,37 @@ func TestTheorem2(t *testing.T) {
 	}
 }
 
-// Example 5 of the paper: |S|=100, V̂=578, ε=6.5, eb=1%, m=0.6 → |ΔS| ≈ 16.
+// Example 5 of the paper: |S|=100, V̂=578, ε=6.5, eb=1%. The paper damps the
+// step with m=0.6 (|ΔS| ≈ 16); the closed-form ε scales as 1/√N exactly, so
+// the engine sizes undamped: 100·((6.5/5.7228)² − 1) = 29.
 func TestNextSampleSizeExample5(t *testing.T) {
-	got := NextSampleSize(100, 6.5, 578, 0.01, 0.6)
-	if got != 16 {
-		t.Fatalf("|ΔS| = %d, want 16", got)
+	got := NextSampleSize(100, 6.5, 578, 0.01)
+	if got != 29 {
+		t.Fatalf("|ΔS| = %d, want 29", got)
 	}
 }
 
 func TestNextSampleSizeBoundaries(t *testing.T) {
 	// Termination already satisfied → no more samples.
-	if got := NextSampleSize(100, 1.0, 578, 0.01, 0.6); got != 0 {
+	if got := NextSampleSize(100, 1.0, 578, 0.01); got != 0 {
 		t.Fatalf("satisfied case = %d, want 0", got)
 	}
 	// Barely unsatisfied → at least 1.
 	target := Target(578, 0.01)
-	if got := NextSampleSize(100, target*1.0001, 578, 0.01, 0.6); got < 1 {
+	if got := NextSampleSize(100, target*1.0001, 578, 0.01); got < 1 {
 		t.Fatalf("tiny excess = %d, want ≥ 1", got)
 	}
 	// Larger ε → more samples (monotonicity).
-	if NextSampleSize(100, 13, 578, 0.01, 0.6) <= NextSampleSize(100, 6.5, 578, 0.01, 0.6) {
+	if NextSampleSize(100, 13, 578, 0.01) <= NextSampleSize(100, 6.5, 578, 0.01) {
 		t.Fatal("|ΔS| not monotone in ε")
 	}
-	// Invalid m falls back to 0.6.
-	if NextSampleSize(100, 6.5, 578, 0.01, -1) != 16 {
-		t.Fatal("m fallback broken")
+	// Undamped: halving ε needs four times the sample.
+	if got := NextSampleSize(100, 2*target, 578, 0.01); got != 300 {
+		t.Fatalf("ε at twice the target sizes |ΔS| = %d, want 300", got)
+	}
+	// A zero estimate has no target to size toward.
+	if got := NextSampleSize(100, 6.5, 0, 0.01); got != 0 {
+		t.Fatalf("zero estimate = %d, want 0", got)
 	}
 }
 

@@ -1,12 +1,10 @@
 package estimate
 
 import (
-	"math"
 	"sort"
 	"sync"
 
 	"kgaq/internal/query"
-	"kgaq/internal/stats"
 )
 
 // This file implements the cross-shard combiner of the sharded execution
@@ -67,9 +65,10 @@ func Regroup(obs []Observation) []Stratum {
 
 // EstimateStratified computes the merged point estimate over per-shard
 // strata. COUNT and SUM merge as Σ_h f̂(S_h) over conditional-probability
-// HT means; AVG is the ratio of the stratified SUM and COUNT; MAX and MIN
-// are the extreme over every stratum's correct observations (weights play
-// no role for extremes).
+// HT means; AVG is the ratio of the stratified SUM and COUNT (each stratum
+// is reduced to its moments, see EstimateMoments); MAX and MIN are the
+// extreme over every stratum's correct observations (weights play no role
+// for extremes).
 //
 // A stratum without draws contributes zero, biasing the merge low by that
 // stratum's share — callers own coverage. The engine guarantees it by
@@ -78,251 +77,41 @@ func Regroup(obs []Observation) []Stratum {
 // driving this combiner directly with fewer draws than strata inherits the
 // bias.
 func EstimateStratified(fn query.AggFunc, strata []Stratum, pol DivisorPolicy) (float64, error) {
-	total := 0
-	for _, st := range strata {
-		total += len(st.Obs)
-	}
-	if total == 0 {
-		return 0, ErrNoObservations
-	}
-	switch fn {
-	case query.Count, query.Sum:
-		v, _, err := stratifiedSum(fn, strata, pol)
-		return v, err
-	case query.Avg:
-		// Ratio estimator over the stratified totals; divisor policy cancels
-		// in spirit but each component uses the requested policy.
-		sum, nCorrect, _ := stratifiedSumLenient(query.Sum, strata, pol)
-		cnt, _, _ := stratifiedSumLenient(query.Count, strata, pol)
-		if nCorrect == 0 || cnt == 0 {
-			return 0, ErrNoCorrect
+	if fn == query.Max || fn == query.Min {
+		total := 0
+		for _, st := range strata {
+			total += len(st.Obs)
 		}
-		return sum / cnt, nil
-	case query.Max, query.Min:
 		flat := make([]Observation, 0, total)
 		for _, st := range strata {
 			flat = append(flat, st.Obs...)
 		}
 		return Estimate(fn, flat, pol)
-	default:
-		return 0, ErrNoObservations
 	}
-}
-
-// stratifiedSum merges COUNT/SUM strata under the policy, failing with
-// ErrNoCorrect when CorrectOnly sees no correct draw anywhere.
-func stratifiedSum(fn query.AggFunc, strata []Stratum, pol DivisorPolicy) (float64, int, error) {
-	v, nCorrect, _ := stratifiedSumLenient(fn, strata, pol)
-	if pol == CorrectOnly && nCorrect == 0 {
-		return 0, 0, ErrNoCorrect
-	}
-	return v, nCorrect, nil
-}
-
-// stratifiedSumLenient is stratifiedSum without the CorrectOnly failure:
-// strata with no correct draws simply contribute zero.
-func stratifiedSumLenient(fn query.AggFunc, strata []Stratum, pol DivisorPolicy) (float64, int, int) {
-	acc := 0.0
-	nCorrect := 0
-	n := 0
-	for _, st := range strata {
-		if len(st.Obs) == 0 {
-			continue
-		}
-		n += len(st.Obs)
-		// The stratum's inclusion probability is already folded into the
-		// conditional draw probabilities, so the per-stratum HT mean
-		// estimates the stratum total directly; the merge is a plain sum.
-		num, c := htSum(fn, st.Obs)
-		nCorrect += c
-		switch pol {
-		case CorrectOnly:
-			if c > 0 {
-				acc += num / float64(c)
-			}
-		default:
-			acc += num / float64(len(st.Obs))
-		}
-	}
-	return acc, nCorrect, n
+	return accOfStrata(fn, strata, pol).estimate(fn, pol)
 }
 
 // MoEStratified estimates the margin of error of the stratified estimate
-// with the closed-form stratified CLT variance: the strata are independent,
-// so Var(V̂) = Σ_h s_h²/n_h with s_h the sample standard deviation of
-// stratum h's per-draw HT terms, and ε = z·σ at the configured confidence.
-// This is where the stratified decomposition pays on the guarantee step —
-// one O(|S|) pass replaces the unsharded path's T·B bootstrap resamples
-// (the BLB exists to see the pooled sample's heavy HT tail; the strata
-// localise that tail, and each stratum term is a plain mean of i.i.d.
-// draws whose variance the within-stratum s_h captures directly). AVG uses
-// the delta-method linearisation of the ratio. Strata too small to carry a
-// variance signal (a single draw) are pooled and assessed jointly, erring
-// toward a wider interval.
-//
-// MAX and MIN carry no guarantee (§VII) and report ErrNoCorrect.
+// with the closed-form stratified CLT variance: each stratum is reduced to
+// its moments in one O(|S_h|) pass and the margin is MoEMoments of those.
+// The strata localise the heavy tail of the pooled sample's HT terms, and
+// each stratum term is a plain mean of i.i.d. draws whose variance the
+// within-stratum s_h captures directly. The strata slice does not escape,
+// so a caller's one-stratum view of an unstratified sample stays on its
+// stack.
 func MoEStratified(fn query.AggFunc, strata []Stratum, pol DivisorPolicy,
 	cfg GuaranteeConfig) (float64, error) {
 
-	cfg = cfg.withDefaults()
-	total := 0
-	for _, st := range strata {
-		total += len(st.Obs)
-	}
-	if total == 0 {
-		return 0, ErrNoObservations
-	}
-	if fn == query.Max || fn == query.Min {
-		return 0, ErrNoCorrect
-	}
-
-	// Per-stratum HT terms for the numerator (value) and, for AVG's
-	// linearisation, the denominator (correctness indicator). The term
-	// buffers come from the shared estimator pool: this merge runs once per
-	// guarantee round per spec, and reallocating them was a measurable slice
-	// of the sharded round's allocations.
-	sumFn := fn
-	if fn == query.Avg {
-		sumFn = query.Sum
-	}
-	sc := stratPool.Get().(*stratScratch)
-	defer stratPool.Put(sc)
-	variance := 0.0
-	pooledS, pooledC := sc.pooledS[:0], sc.pooledC[:0] // single-draw strata, assessed jointly
-	var ratio float64
-	var denom float64
-	if fn == query.Avg {
-		s, nCorrect, _ := stratifiedSumLenient(query.Sum, strata, pol)
-		c, _, _ := stratifiedSumLenient(query.Count, strata, pol)
-		if nCorrect == 0 || c == 0 {
-			return 0, ErrNoCorrect
-		}
-		ratio, denom = s/c, c
-	}
-	anyCorrect := false
-	for _, st := range strata {
-		n := len(st.Obs)
-		if n == 0 {
-			continue
-		}
-		sc.sTerms = grow(sc.sTerms, n)
-		sc.cTerms = grow(sc.cTerms, n)
-		sTerms, cTerms := sc.sTerms, sc.cTerms
-		for i := range sTerms {
-			sTerms[i], cTerms[i] = 0, 0
-		}
-		for i, o := range st.Obs {
-			if !o.Correct || o.Prob <= 0 {
-				continue
-			}
-			anyCorrect = true
-			v := 1.0
-			if sumFn != query.Count {
-				v = o.Value
-			}
-			sTerms[i] = v / o.Prob
-			cTerms[i] = 1 / o.Prob
-		}
-		if n < 2 {
-			pooledS = append(pooledS, sTerms[0])
-			pooledC = append(pooledC, cTerms[0])
-			continue
-		}
-		variance += stratumVariance(fn, sTerms, cTerms, ratio) / float64(n)
-	}
-	if !anyCorrect {
-		return 0, ErrNoCorrect
-	}
-	if len(pooledS) > 0 {
-		// Single-draw strata cannot estimate their own variance; treat their
-		// union as one proportionally sampled pseudo-stratum. The pooled
-		// spread includes between-stratum variation, so the interval errs
-		// wide. A lone single-draw stratum contributes its squared term —
-		// maximally conservative — which the allocator's next round resolves.
-		if m := len(pooledS); m >= 2 {
-			variance += stratumVariance(fn, pooledS, pooledC, ratio) / float64(m)
-		} else {
-			variance += pooledS[0] * pooledS[0]
-		}
-	}
-	sc.pooledS, sc.pooledC = pooledS, pooledC // retain growth for reuse
-	if fn == query.Avg {
-		variance /= denom * denom
-	}
-	if variance < 0 {
-		variance = 0 // delta-method cross terms can dip below zero numerically
-	}
-	return stats.ZCritical(cfg.Confidence) * math.Sqrt(variance), nil
+	return accOfStrata(fn, strata, pol).margin(fn, cfg.withDefaults().Confidence)
 }
-
-// stratumVariance returns the per-draw variance of one stratum's estimator
-// terms: the plain HT-term sample variance for COUNT and SUM, the
-// delta-method combination Var(s) + R²·Var(c) − 2R·Cov(s,c) for AVG.
-func stratumVariance(fn query.AggFunc, sTerms, cTerms []float64, ratio float64) float64 {
-	n := float64(len(sTerms))
-	var meanS, meanC float64
-	for i := range sTerms {
-		meanS += sTerms[i]
-		meanC += cTerms[i]
-	}
-	meanS /= n
-	meanC /= n
-	var varS, varC, cov float64
-	for i := range sTerms {
-		ds, dc := sTerms[i]-meanS, cTerms[i]-meanC
-		varS += ds * ds
-		varC += dc * dc
-		cov += ds * dc
-	}
-	varS /= n - 1
-	varC /= n - 1
-	cov /= n - 1
-	if fn != query.Avg {
-		return varS
-	}
-	return varS + ratio*ratio*varC - 2*ratio*cov
-}
-
-// stratScratch is the reusable working memory of the stratified merge,
-// pooled like moeScratch so a warm sharded guarantee round allocates
-// nothing in the combiner.
-type stratScratch struct {
-	sTerms, cTerms, pooledS, pooledC []float64
-}
-
-var stratPool = sync.Pool{New: func() any { return new(stratScratch) }}
 
 // StratumSigma returns the sample standard deviation of a stratum's
 // per-draw Horvitz–Thompson terms v·1{correct}/π′ — the variance signal the
-// Neyman allocator weighs strata by. COUNT uses v = 1; a stratum with fewer
-// than two draws reports zero (no signal yet). Computed in two streaming
-// passes (no term buffer): the allocator refreshes this per stratum per
-// round.
+// Neyman allocator weighs strata by. COUNT uses v = 1 (for AVG the SUM
+// terms: the numerator dominates the ratio's variance); a stratum with
+// fewer than two draws reports zero (no signal yet).
 func StratumSigma(fn query.AggFunc, obs []Observation) float64 {
-	if len(obs) < 2 {
-		return 0
-	}
-	term := func(o Observation) float64 {
-		if !o.Correct || o.Prob <= 0 {
-			return 0
-		}
-		v := 1.0
-		if fn != query.Count {
-			v = o.Value // SUM terms; for AVG the numerator dominates the ratio's variance
-		}
-		return v / o.Prob
-	}
-	mean := 0.0
-	for _, o := range obs {
-		mean += term(o)
-	}
-	mean /= float64(len(obs))
-	acc := 0.0
-	for _, o := range obs {
-		d := term(o) - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(obs)-1))
+	return MomentsOf(fn, obs).Sigma()
 }
 
 // StratumStats carries one stratum's allocation inputs.

@@ -13,10 +13,10 @@ import (
 	"time"
 )
 
-// maxResponseBytes bounds a member sample response body. A round of 20k
-// draws serialises to well under 2 MiB; anything past this is a broken or
-// hostile member, not a big sample.
-const maxResponseBytes = 64 << 20
+// maxResponseBytes bounds a member sample response body. A response is
+// seven numbers and three fields, a few hundred bytes whatever the round
+// drew; anything past this is a broken or hostile member.
+const maxResponseBytes = 64 << 10
 
 // sampleMember runs one member's scatter RPC for one round: per-attempt
 // deadline, Retries extra attempts with jittered exponential backoff, and a

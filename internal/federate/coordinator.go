@@ -22,7 +22,7 @@ import (
 var ErrUnresolved = errors.New("query resolves on no federation member")
 
 // Coordinator scatters aggregate queries across the configured members and
-// gathers their draw streams into one guaranteed estimate. It is safe for
+// gathers their sample moments into one guaranteed estimate. It is safe for
 // concurrent use; member health is tracked across queries.
 type Coordinator struct {
 	cfg  Config
@@ -80,9 +80,10 @@ func (c *Coordinator) Members() []Member {
 
 // memberRun is the per-query accumulated state of one member stratum.
 type memberRun struct {
-	obs        []estimate.Observation
+	// sample is the running moments of every round the member answered at
+	// its current epoch; a frozen member keeps what it gathered.
+	sample     estimate.Moments
 	candidates int
-	sigma      float64
 	epoch      uint64
 	epochKnown bool
 	empty      bool // member resolved the query to zero candidates
@@ -95,11 +96,11 @@ type memberRun struct {
 func (r *memberRun) live() bool { return !r.empty && !r.frozen && !r.dropped }
 
 // contributing reports whether the member's stratum enters the merge.
-func (r *memberRun) contributing() bool { return !r.empty && !r.dropped && len(r.obs) > 0 }
+func (r *memberRun) contributing() bool { return !r.empty && !r.dropped && r.sample.N > 0 }
 
 // Query executes one federated aggregate query: scatter a pilot, then
 // refinement rounds of Neyman-allocated draws across members, merging the
-// streams through the stratified Horvitz–Thompson combiner until the
+// members' moments through the stratified Horvitz–Thompson combiner until the
 // Theorem 2 condition holds for the requested (eb, α) — the same contract
 // and option surface as Engine.Query, across machine boundaries.
 //
@@ -160,11 +161,12 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 	}
 	rq := core.ResolveQuery(c.base, opts...)
 	o := rq.Opts
-	gcfg := estimate.GuaranteeConfig{Confidence: o.Confidence, T: o.T, B: o.B, M: o.M}
+	gcfg := estimate.GuaranteeConfig{Confidence: o.Confidence}
 	qtext := q.String()
 	nm := len(c.cfg.Members)
 
 	runs := make([]memberRun, nm)
+	strata := make([]estimate.Moments, 0, nm) // contributing members' moments, per round
 	alloc := make([]int, nm)
 	for i := range alloc {
 		alloc[i] = o.MinSample
@@ -197,13 +199,9 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 		for i := range runs {
 			if runs[i].contributing() {
 				res.Shards++
-				res.SampleSize += len(runs[i].obs)
+				res.SampleSize += runs[i].sample.N
+				res.Correct += runs[i].sample.Correct
 				res.Candidates += runs[i].candidates
-				for _, ob := range runs[i].obs {
-					if ob.Correct {
-						res.Correct++
-					}
-				}
 			}
 		}
 		return res
@@ -217,7 +215,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 			return nil, len(rounds), fmt.Errorf("federate: %w before the first merge: %w", core.ErrInterrupted, cerr)
 		}
 		roundStart := time.Now()
-		c.scatter(ctx, qtext, q.Func, o, runs, alloc, pilot, round)
+		c.scatter(ctx, qtext, o, runs, alloc, pilot, round)
 		sampleTime += time.Since(roundStart)
 		pilot = false
 
@@ -232,7 +230,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 				}
 				anyDeath = true
 				deadNames = append(deadNames, c.cfg.Members[i].Name)
-				if len(r.obs) > 0 {
+				if r.sample.N > 0 {
 					r.frozen = true
 				} else {
 					r.dropped = true
@@ -261,22 +259,13 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 			return nil, len(rounds), fmt.Errorf("federate: %w (0 candidates federation-wide)", ErrUnresolved)
 		}
 
-		strata := make([]estimate.Stratum, 0, nm)
+		strata = strata[:0]
 		total, correct := 0, 0
 		for i := range runs {
-			r := &runs[i]
-			if !r.contributing() {
-				continue
-			}
-			strata = append(strata, estimate.Stratum{
-				Weight: float64(r.candidates) / float64(sumCand),
-				Obs:    r.obs,
-			})
-			total += len(r.obs)
-			for _, ob := range r.obs {
-				if ob.Correct {
-					correct++
-				}
+			if r := &runs[i]; r.contributing() {
+				strata = append(strata, r.sample)
+				total += r.sample.N
+				correct += r.sample.Correct
 			}
 		}
 
@@ -306,7 +295,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 				if runs[i].live() {
 					live = append(live, estimate.StratumStats{
 						Weight: float64(runs[i].candidates) / float64(sumCand),
-						Sigma:  runs[i].sigma,
+						Sigma:  runs[i].sample.Sigma(),
 					})
 					idx = append(idx, i)
 				}
@@ -321,11 +310,11 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 			return true
 		}
 
-		vr, verr := estimate.EstimateStratified(q.Func, strata, o.Policy)
+		vr, verr := estimate.EstimateMoments(q.Func, strata, o.Policy)
 		var er float64
 		var merr error
 		if verr == nil {
-			er, merr = estimate.MoEStratified(q.Func, strata, o.Policy, gcfg)
+			er, merr = estimate.MoEMoments(q.Func, strata, o.Policy, gcfg)
 		}
 		if verr != nil || merr != nil {
 			// No estimable merge yet (no correct draws, or a degenerate
@@ -362,7 +351,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 			degradedBy = "deadline"
 			break
 		}
-		delta := estimate.NextSampleSize(total, eps, v, o.ErrorBound, 1)
+		delta := estimate.NextSampleSize(total, eps, v, o.ErrorBound)
 		if delta <= 0 {
 			delta = total // V̂=0 keeps the target at zero; double and retry
 		}
@@ -380,7 +369,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 // scatter runs one round's member RPCs in parallel and folds the answers
 // into the per-member runs. Members with a zero allocation (or already
 // empty/frozen/dropped) are skipped.
-func (c *Coordinator) scatter(ctx context.Context, qtext string, fn query.AggFunc, o core.Options, runs []memberRun, alloc []int, pilot bool, round int) {
+func (c *Coordinator) scatter(ctx context.Context, qtext string, o core.Options, runs []memberRun, alloc []int, pilot bool, round int) {
 	var wg sync.WaitGroup
 	for i := range runs {
 		if alloc[i] <= 0 || !runs[i].live() {
@@ -408,27 +397,25 @@ func (c *Coordinator) scatter(ctx context.Context, qtext string, fn query.AggFun
 			r.err = nil
 			if resp.Candidates <= 0 {
 				r.empty = true
-				r.obs, r.candidates, r.sigma = nil, 0, 0
+				r.sample, r.candidates = estimate.Moments{}, 0
 				return
 			}
-			obs, err := estimate.FromWire(resp.Observations)
-			if err != nil {
+			if err := resp.Moments.Validate(); err != nil {
 				r.err = fmt.Errorf("federate: member %s: %w", c.cfg.Members[i].Name, err)
 				return
 			}
 			if r.epochKnown && resp.Epoch != r.epoch {
 				// The member's graph moved between rounds: its earlier draws
-				// observed a different graph. Restart its stream from this
+				// observed a different graph. Restart its moments from this
 				// round's draws alone.
-				r.obs = r.obs[:0]
+				r.sample = estimate.Moments{}
 				metEpochRestarts.Inc()
 				c.noteEpochRestart(i)
 			}
 			r.epoch, r.epochKnown = resp.Epoch, true
-			r.obs = append(r.obs, obs...)
+			r.sample.Merge(resp.Moments)
 			r.candidates = resp.Candidates
-			r.sigma = estimate.StratumSigma(fn, r.obs)
-			metDraws.Add(float64(len(obs)))
+			metDraws.Add(float64(resp.Moments.N))
 			c.noteEpoch(i, resp.Epoch)
 		}(i)
 	}

@@ -1,18 +1,21 @@
 // Package federate scatters one aggregate query across several kgaqd
 // members — engine instances each owning a distinct graph or answer-space
-// partition — and gathers their per-member draw streams into one guaranteed
-// estimate (DESIGN.md "Federation: remote strata").
+// partition — and gathers their per-member sample moments into one
+// guaranteed estimate (DESIGN.md "Federation: remote strata").
 //
 // The math is the PR4 stratified Horvitz–Thompson combiner generalised from
 // in-process shards to remote strata: one member = one stratum. A member
 // samples its own graph with member-local inclusion probabilities, so its
 // per-draw HT terms v·1{correct}/p estimate the member's local aggregate
-// total without any global knowledge; the coordinator merges stratum totals
-// as Σ_h f̂(S_h) (estimate.EstimateStratified), bounds the merged margin
-// with the closed-form stratified CLT (estimate.MoEStratified), and splits
-// every refinement round's draws across members by Neyman allocation on the
-// members' reported σ̂ (estimate.AllocateDraws). The Theorem 2 (eb, α)
-// guarantee therefore holds end to end, across machine boundaries.
+// total without any global knowledge. Those terms enter every estimator
+// only through their per-stratum moments (estimate.Moments), so that is all
+// a member ships: the coordinator adds each round's moments into the
+// member's running moments, merges stratum totals as Σ_h f̂(S_h)
+// (estimate.EstimateMoments), bounds the merged margin with the closed-form
+// stratified CLT (estimate.MoEMoments), and splits every refinement round's
+// draws across members by Neyman allocation on the members' σ̂
+// (estimate.AllocateDraws). The Theorem 2 (eb, α) guarantee therefore holds
+// end to end, across machine boundaries.
 //
 // Failure is part of the contract. A member that stays unreachable past its
 // retry budget either freezes (its already-gathered sample keeps
@@ -53,7 +56,7 @@ const SamplePath = "/v1/federate/sample"
 
 // SampleRequest is the body of POST /v1/federate/sample: run the query's
 // pilot and/or the requested number of draws against the member's local
-// space and return the observation stream.
+// space and return the sample's moments.
 type SampleRequest struct {
 	// Query is the textual aggregate query (the coordinator scatters the
 	// query verbatim; each member resolves it against its own graph).
@@ -74,20 +77,21 @@ type SampleRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// SampleResponse is the member's answer: the draw stream plus the
-// member-side statistics the coordinator's allocator and epoch tracking
-// need. A member that cannot resolve the query against its own graph
-// (entity/type/predicate absent) answers with zero candidates and no
-// observations — an honest "nothing here", not an error.
+// SampleResponse is the member's answer: the moments of this round's draws
+// under the query's aggregate plus the member-side facts the coordinator's
+// weights and epoch tracking need — a few hundred bytes whatever the round
+// drew. A member that cannot resolve the query against its own graph
+// (entity/type/predicate absent) answers with zero candidates and zero
+// moments — an honest "nothing here", not an error.
 type SampleResponse struct {
-	Observations []estimate.WireObservation `json:"observations"`
+	// Moments reduces the round's draws to what the estimators read; the
+	// coordinator validates them before use (estimate.Moments.Validate).
+	Moments estimate.Moments `json:"moments"`
 	// Candidates is the size of the member's candidate-answer space — the
 	// coordinator's stratum-weight basis.
 	Candidates int `json:"candidates"`
 	// Epoch is the member-local graph epoch the draws observed.
 	Epoch uint64 `json:"epoch"`
-	// Sigma is the member's per-draw HT-term standard deviation σ̂.
-	Sigma float64 `json:"sigma"`
 	// ElapsedMS is the member-side execution time.
 	ElapsedMS float64 `json:"elapsed_ms"`
 }

@@ -2,6 +2,7 @@ package federate_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -12,10 +13,12 @@ import (
 
 	"kgaq/internal/core"
 	"kgaq/internal/embedding/embtest"
+	"kgaq/internal/estimate"
 	"kgaq/internal/federate"
 	"kgaq/internal/httpapi"
 	"kgaq/internal/kg"
 	"kgaq/internal/query"
+	"kgaq/internal/stats"
 )
 
 // buildSplit constructs a federation fixture the way a shard-owners
@@ -376,5 +379,162 @@ func TestReadMembersFile(t *testing.T) {
 	}
 	if _, err := federate.ReadMembersFile("a b c\n"); err == nil {
 		t.Error("three-field line must be rejected")
+	}
+}
+
+// TestMomentsWireKeepsCoordinatorResult pins the coordinator's answer for a
+// fixed seed to the values the observation wire produced (captured on the
+// commit before members began shipping moments): the statistics are
+// algebraically the same, so estimate and ε agree to rounding and rounds and
+// sample size exactly.
+func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
+	graphs, _, _ := buildSplit(3, 240)
+	members := startFederation(t, graphs, nil)
+	coord, err := federate.New(fastConfig(members), core.Options{ErrorBound: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, tc := range []struct {
+		fn     query.AggFunc
+		attr   string
+		rounds []core.Round // as the observation wire returned them
+	}{
+		{query.Sum, "price", []core.Round{
+			{Estimate: 5800152.0000000084, MoE: 438060.31059506797, SampleSize: 90},
+			{Estimate: 5633962.078310525, MoE: 169535.11933256272, SampleSize: 540},
+			{Estimate: 5570482.4413468363, MoE: 111297.65626791392, SampleSize: 1271},
+			{Estimate: 5563077.7993282648, MoE: 109075.25049709913, SampleSize: 1319},
+		}},
+		{query.Avg, "price", []core.Round{
+			{Estimate: 24167.299999999988, MoE: 1825.251294146113, SampleSize: 90},
+			{Estimate: 23474.841992960512, MoE: 706.39633055234447, SampleSize: 540},
+			{Estimate: 23210.343505611811, MoE: 463.74023444964121, SampleSize: 1271},
+			{Estimate: 23179.490830534432, MoE: 454.48021040457951, SampleSize: 1319},
+		}},
+	} {
+		q := query.Simple(tc.fn, tc.attr, "Root_0", "Country", "product", "Automobile")
+		res, err := coord.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.fn, err)
+		}
+		last := tc.rounds[len(tc.rounds)-1]
+		if !res.Converged || res.SampleSize != last.SampleSize || res.Correct != last.SampleSize {
+			t.Errorf("%v: converged %v with %d draws (%d correct), want true with %d, all correct",
+				tc.fn, res.Converged, res.SampleSize, res.Correct, last.SampleSize)
+		}
+		if len(res.Rounds) != len(tc.rounds) {
+			t.Fatalf("%v: %d rounds, want %d: %+v", tc.fn, len(res.Rounds), len(tc.rounds), res.Rounds)
+		}
+		for i, want := range tc.rounds {
+			got := res.Rounds[i]
+			if got.SampleSize != want.SampleSize ||
+				math.Abs(got.Estimate-want.Estimate) > 1e-9*want.Estimate ||
+				math.Abs(got.MoE-want.MoE) > 1e-9*want.MoE {
+				t.Errorf("%v round %d: %+v, the observation wire gave %+v", tc.fn, i, got, want)
+			}
+		}
+		if res.Estimate != res.Rounds[len(res.Rounds)-1].Estimate || res.MoE != res.Rounds[len(res.Rounds)-1].MoE {
+			t.Errorf("%v: result %v ± %v is not its last round %+v", tc.fn, res.Estimate, res.MoE, res.Rounds[len(res.Rounds)-1])
+		}
+	}
+}
+
+// fakeMember answers sample RPCs with the moments of a synthetic seeded
+// sample over 100 equiprobable candidates, half of them correct, at the
+// epoch and through the tampering the test chooses.
+func fakeMember(t *testing.T, epochOf func(rpc int) uint64, tamper func(*federate.SampleResponse)) (federate.Member, *atomic.Int64) {
+	t.Helper()
+	var rpcs, drawn atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req federate.SampleRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		n := req.Draws
+		if req.Pilot && n < 30 {
+			n = 30
+		}
+		rng := stats.NewRand(req.Seed)
+		obs := make([]estimate.Observation, n)
+		for i := range obs {
+			obs[i] = estimate.Observation{Value: 10 + 90*rng.Float64(), Prob: 0.01, Correct: rng.Float64() < 0.5}
+		}
+		resp := federate.SampleResponse{
+			Moments:    estimate.MomentsOf(query.Count, obs),
+			Candidates: 100,
+			Epoch:      epochOf(int(rpcs.Add(1))),
+		}
+		if tamper != nil {
+			tamper(&resp)
+		}
+		drawn.Add(int64(n))
+		if err := json.NewEncoder(w).Encode(resp); err != nil {
+			t.Errorf("encode: %v", err)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return federate.Member{Name: "fake", URL: srv.URL}, &drawn
+}
+
+// TestEpochRestartResetsMoments: a member whose graph moved between rounds
+// sampled a different graph earlier, so the coordinator drops its running
+// moments and restarts them from the round that reported the new epoch.
+func TestEpochRestartResetsMoments(t *testing.T) {
+	var pilotDraws atomic.Int64
+	var drawn *atomic.Int64
+	member, drawn := fakeMember(t, func(rpc int) uint64 {
+		if rpc == 1 {
+			return 1
+		}
+		if rpc == 2 {
+			pilotDraws.Store(drawn.Load()) // everything drawn at epoch 1
+		}
+		return 2
+	}, nil)
+	coord, err := federate.New(fastConfig([]federate.Member{member}), core.Options{ErrorBound: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.Simple(query.Count, "", "Root_0", "Country", "product", "Automobile")
+	res, err := coord.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rounds) < 2 {
+		t.Fatalf("fixture must need a second round, got %+v", res.Rounds)
+	}
+	before, all := pilotDraws.Load(), drawn.Load()
+	if before == 0 || res.SampleSize != int(all-before) {
+		t.Errorf("sample size %d, want the %d draws made at the new epoch (%d drawn in all, %d before the restart)",
+			res.SampleSize, all-before, all, before)
+	}
+	if got := coord.Stats().Members[0].EpochRestarts; got != 1 {
+		t.Errorf("epoch restarts = %d, want 1", got)
+	}
+	if math.Abs(res.Estimate-50) > res.MoE+5 {
+		t.Errorf("COUNT over 100 half-correct candidates = %.2f ± %.2f", res.Estimate, res.MoE)
+	}
+}
+
+// TestMalformedMomentsFailTheMember: moments no sample can produce take the
+// member-error path, exactly as an undecodable observation did.
+func TestMalformedMomentsFailTheMember(t *testing.T) {
+	for name, tamper := range map[string]func(*federate.SampleResponse){
+		"correct > n":     func(r *federate.SampleResponse) { r.Moments.Correct = r.Moments.N + 1 },
+		"negative square": func(r *federate.SampleResponse) { r.Moments.M2S = -1 },
+		"sums without a correct draw": func(r *federate.SampleResponse) {
+			r.Moments = estimate.Moments{N: r.Moments.N, SumS: 12}
+		},
+	} {
+		member, _ := fakeMember(t, func(int) uint64 { return 0 }, tamper)
+		coord, err := federate.New(fastConfig([]federate.Member{member}), core.Options{ErrorBound: 0.05, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := query.Simple(query.Count, "", "Root_0", "Country", "product", "Automobile")
+		if _, err := coord.Query(context.Background(), q); !errors.Is(err, federate.ErrPartialFederation) {
+			t.Errorf("%s: want ErrPartialFederation, got %v", name, err)
+		}
 	}
 }

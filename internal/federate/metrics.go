@@ -24,7 +24,7 @@ var (
 		"Member strata contributing to the final merged estimate of a federated query.",
 		[]float64{1, 2, 3, 4, 6, 8, 12, 16})
 	metEpochRestarts = obs.Default().Counter("kgaq_federate_epoch_restarts_total",
-		"Member draw streams discarded because the member's graph epoch moved mid-query.")
+		"Member samples discarded because the member's graph epoch moved mid-query.")
 	metDraws = obs.Default().Counter("kgaq_federate_draws_total",
-		"Observations gathered from members across all federated queries.")
+		"Remote draws gathered (as moments) from members across all federated queries.")
 )

@@ -27,7 +27,7 @@ func (s *Server) ConfigureFederation(c *federate.Coordinator) { s.fed = c }
 
 // handleFederateSample is the member half of a federated query: run a pilot
 // and/or the allocated draws against the local engine's own graph and
-// return the observation stream with member-local probabilities
+// return the moments of the draws' member-local HT terms
 // (POST /v1/federate/sample, see federate.SampleRequest/SampleResponse).
 func (s *Server) handleFederateSample(w http.ResponseWriter, r *http.Request) {
 	var req federate.SampleRequest
@@ -79,11 +79,10 @@ func (s *Server) handleFederateSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, federate.SampleResponse{
-		Observations: estimate.ToWire(ms.Obs),
-		Candidates:   ms.Candidates,
-		Epoch:        ms.Epoch,
-		Sigma:        ms.Sigma,
-		ElapsedMS:    float64(time.Since(begin).Microseconds()) / 1000,
+		Moments:    estimate.MomentsOf(agg.Func, ms.Obs),
+		Candidates: ms.Candidates,
+		Epoch:      ms.Epoch,
+		ElapsedMS:  float64(time.Since(begin).Microseconds()) / 1000,
 	})
 }
 

@@ -21,9 +21,7 @@ type Event struct {
 	Touched []kg.NodeID
 }
 
-// CompactEvent describes one completed compaction, delivered to OnCompact
-// hooks from the compacting goroutine — the natural place to rebuild warm
-// state (converged walkers, stationary distributions) off the query path.
+// CompactEvent describes one completed compaction.
 type CompactEvent struct {
 	// Epoch is the store's epoch at swap time; content is unchanged.
 	Epoch uint64
@@ -48,7 +46,6 @@ type Store struct {
 	log     []loggedBatch // batches since the current base, oldest first
 	watch   chan struct{} // closed and replaced on every Apply
 	applyFn []func(Event)
-	compFn  []func(CompactEvent)
 
 	compacting atomic.Bool
 }
@@ -79,14 +76,6 @@ func (s *Store) OnApply(fn func(Event)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.applyFn = append(s.applyFn, fn)
-}
-
-// OnCompact registers a hook invoked after every completed compaction, from
-// the compacting goroutine.
-func (s *Store) OnCompact(fn func(CompactEvent)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compFn = append(s.compFn, fn)
 }
 
 // Apply atomically applies a batch: either every mutation lands, the store
@@ -213,14 +202,9 @@ func (s *Store) Compact() (*CompactEvent, error) {
 	}
 	s.log = tail
 	s.snap.Store(fresh)
-	compFn := append([]func(CompactEvent){}, s.compFn...)
 	s.mu.Unlock()
 
-	ev := CompactEvent{Epoch: fresh.epoch, Folded: folded, Elapsed: time.Since(begin)}
-	for _, fn := range compFn {
-		fn(ev)
-	}
-	return &ev, nil
+	return &CompactEvent{Epoch: fresh.epoch, Folded: folded, Elapsed: time.Since(begin)}, nil
 }
 
 // CompactorConfig tunes the background compactor.

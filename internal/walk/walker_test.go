@@ -359,3 +359,63 @@ func TestWalkerInvariants(t *testing.T) {
 func nodeName(i int) string {
 	return "n" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
+
+// Release recycles a walker's arrays into the next New: the recycled walker
+// must compute exactly what a fresh one does, whatever the arena held
+// before — here a larger scope's transition matrix, then a smaller one's.
+func TestReleaseRecyclesArena(t *testing.T) {
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		for {
+			select {
+			case <-arenas:
+			default:
+				return
+			}
+		}
+	}
+	piOf := func(start string, n int) (map[kg.NodeID]float64, *arena) {
+		w, err := New(g, calc, g.NodeByName(start), g.PredByName("product"), Config{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Converge()
+		pi, mem := w.PiMap(), w.mem
+		w.Release()
+		return pi, mem
+	}
+	drain()
+	defer drain()
+	fresh := map[string]map[kg.NodeID]float64{}
+	for _, c := range []struct {
+		start string
+		n     int
+	}{{"Germany", 3}, {"Germany", 1}, {"BMW_320", 2}} {
+		drain()
+		fresh[c.start+string(rune('0'+c.n))], _ = piOf(c.start, c.n)
+	}
+	drain()
+	_, first := piOf("Germany", 3)
+	for _, c := range []struct {
+		start string
+		n     int
+	}{{"Germany", 1}, {"BMW_320", 2}, {"Germany", 3}} {
+		pi, mem := piOf(c.start, c.n)
+		if mem != first {
+			t.Fatalf("%s/%d: New did not take the released arena", c.start, c.n)
+		}
+		want := fresh[c.start+string(rune('0'+c.n))]
+		if len(pi) != len(want) {
+			t.Fatalf("%s/%d: %d nodes from a recycled arena, %d from a fresh one", c.start, c.n, len(pi), len(want))
+		}
+		for u, p := range want {
+			if pi[u] != p {
+				t.Fatalf("%s/%d: π(%d) = %v from a recycled arena, %v from a fresh one", c.start, c.n, u, pi[u], p)
+			}
+		}
+	}
+}

@@ -43,8 +43,10 @@
 // sample of candidate answers biased toward semantic similarity;
 // Horvitz–Thompson estimators with greedy correctness validation produce an
 // unbiased COUNT/SUM (consistent AVG) estimate; the Central Limit Theorem
-// with Bag-of-Little-Bootstraps variance yields a confidence interval that
-// is iteratively tightened until the user's relative error bound holds.
+// yields a confidence interval (its variance in closed form from the
+// sample's moments; the paper's Bag of Little Bootstraps is kept as a
+// tested reference) that is iteratively tightened until the user's
+// relative error bound holds.
 // Filters, GROUP-BY, MAX/MIN (without guarantee) and chain / star / cycle /
 // flower query shapes are supported (§V extensions).
 //
