@@ -341,7 +341,7 @@ func microBenchmarks() []MicroResult {
 	w.Converge()
 	pi := w.PiMap()
 	auto := g.TypeByName("Automobile")
-	cands := w.Bound().CandidateAnswers(g, []kg.TypeID{auto})
+	cands := g.BoundedSubgraph(us, 3).CandidateAnswers(g, []kg.TypeID{auto})
 	out = append(out, microResult("validate_batch", func(b *testing.B) {
 		b.ReportAllocs()
 		vcfg := semsim.ValidatorConfig{Repeat: 3, MaxLen: 3, Tau: 0.85}

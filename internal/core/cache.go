@@ -3,7 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,8 +38,8 @@ type verdictKey struct {
 
 // typesKeyOf canonicalises a type set (query order is irrelevant).
 func typesKeyOf(types []kg.TypeID) string {
-	ts := append([]kg.TypeID(nil), types...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	ts := slices.Clone(types)
+	slices.Sort(ts)
 	return fmt.Sprint(ts)
 }
 
@@ -356,8 +356,8 @@ func (c *spaceCache) invalidate(touched []kg.NodeID, epoch uint64) {
 	if c == nil || len(touched) == 0 {
 		return
 	}
-	nodes := append([]kg.NodeID(nil), touched...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	nodes := slices.Clone(touched)
+	slices.Sort(nodes)
 	lo, hi := nodes[0], nodes[len(nodes)-1]
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -8,6 +8,8 @@ import (
 
 	"kgaq/internal/datagen"
 	"kgaq/internal/kg"
+	"kgaq/internal/kg/kgtest"
+	"kgaq/internal/obs"
 	"kgaq/internal/query"
 )
 
@@ -272,5 +274,43 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	}
 	if st.Bytes > st.MaxBytes {
 		t.Fatalf("cache over budget: %d > %d", st.Bytes, st.MaxBytes)
+	}
+}
+
+// A stage build says how its walk went: the walk_converge span carries the
+// scope size and the sweep count, and a build that fell back to power
+// iteration is counted in kgaq_core_walk_fallbacks_total.
+func TestStageBuildReportsWalk(t *testing.T) {
+	e, g := figure1Engine(t, Options{})
+	types := []kg.TypeID{g.TypeByName("Automobile")}
+	key := stageKeyOf(e.opts, g.NodeByName("Germany"), g.PredByName("product"), types)
+	for _, c := range []struct {
+		name      string
+		g         kg.ReadGraph
+		fallbacks float64
+	}{
+		{"symmetric", g, 0},
+		{"one half-edge hidden", kgtest.OneWay(g, g.NodeByName("EA211_TSI"), g.NodeByName("Volkswagen")), 1},
+	} {
+		tracer := obs.NewTracer(1, 1)
+		tr := tracer.Start("query", c.name)
+		before := metWalkFallbacks.Value()
+		if _, err := e.buildStage(obs.WithTrace(context.Background(), tr), e.opts, view{g: c.g}, key, types, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := metWalkFallbacks.Value() - before; got != c.fallbacks {
+			t.Errorf("%s: kgaq_core_walk_fallbacks_total moved by %v, want %v", c.name, got, c.fallbacks)
+		}
+		tracer.Finish(tr)
+		spans := tracer.Lookup(tr.ID()).Spans
+		if len(spans) != 1 || spans[0].Name != "walk_converge" {
+			t.Fatalf("%s: spans = %+v, want one walk_converge", c.name, spans)
+		}
+		if int(spans[0].ScopeNodes) != g.NumNodes() {
+			t.Errorf("%s: scope_nodes = %d, want %d", c.name, spans[0].ScopeNodes, g.NumNodes())
+		}
+		if iters := spans[0].Iters; iters < 1 || (iters > 1) != (c.fallbacks > 0) {
+			t.Errorf("%s: iters = %d", c.name, iters)
+		}
 	}
 }

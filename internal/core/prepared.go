@@ -206,32 +206,32 @@ func (e *Engine) prepare(ctx context.Context, q *query.Aggregate, cfg queryConfi
 // space. Pure with respect to p's mutable fields — callers install the
 // result.
 func (p *Prepared) compile(ctx context.Context, v view) (*compiled, error) {
-	defer obs.TraceFrom(ctx).Span("compile")()
+	defer obs.TraceFrom(ctx).Span("compile").End()
 	e, q, o := p.e, p.q, p.cfg.opts
 	c := &compiled{v: v}
 	var err error
 	endResolve := obs.TraceFrom(ctx).Span("resolve")
 	if c.attr, err = resolveAttr(v.g, q.Attr); err != nil {
-		endResolve()
+		endResolve.End()
 		return nil, err
 	}
 	if c.group, err = resolveAttr(v.g, q.GroupBy); err != nil {
-		endResolve()
+		endResolve.End()
 		return nil, err
 	}
 	for _, f := range q.Filters {
 		a, err := resolveAttr(v.g, f.Attr)
 		if err != nil {
-			endResolve()
+			endResolve.End()
 			return nil, err
 		}
 		c.filters = append(c.filters, resolvedFilter{attr: a, low: f.Low, high: f.High})
 	}
-	endResolve()
+	endResolve.End()
 	bm := &buildMetrics{}
 	endBuild := obs.TraceFrom(ctx).Span("build_space")
 	c.sp, err = e.buildAssemblySpace(ctx, o, v, p.paths, bm)
-	endBuild()
+	endBuild.End()
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("core: %w during preparation: %w", ErrInterrupted, cerr)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,6 +170,14 @@ func (e *Engine) buildSemanticSpace(ctx context.Context, o Options, v view, p qu
 	if err != nil {
 		return nil, err
 	}
+	if len(p.Hops) == 1 {
+		// One hop: the space is the stage's own distribution, reordered.
+		st, oracle, err := e.hopStage(ctx, o, v, us, p.Hops[0], bm)
+		if err != nil {
+			return nil, err
+		}
+		return spaceFromStage(st, oracle)
+	}
 	pi, oracle, err := e.buildChainLevel(ctx, o, v, us, p.Hops, bm)
 	if err != nil {
 		return nil, err
@@ -190,12 +200,42 @@ func spaceFromMap(pi map[kg.NodeID]float64, oracle correctOracle) (*answerSpace,
 	for u := range pi {
 		answers = append(answers, u)
 	}
-	sort.Slice(answers, func(i, j int) bool { return answers[i] < answers[j] })
+	slices.Sort(answers)
 	probs := make([]float64, len(answers))
-	total := 0.0
 	for i, u := range answers {
 		probs[i] = pi[u]
-		total += pi[u]
+	}
+	return newAnswerSpace(answers, probs, oracle)
+}
+
+// spaceFromStage is spaceFromMap for the distribution of one converged
+// stage, whose answers come in walk order: the (answer, probability) pairs
+// are put into NodeID order directly.
+func spaceFromStage(st *stageEntry, oracle correctOracle) (*answerSpace, error) {
+	type pair struct {
+		u kg.NodeID
+		p float64
+	}
+	pairs := make([]pair, len(st.answers))
+	for i, u := range st.answers {
+		pairs[i] = pair{u, st.probs[i]}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.u, b.u) })
+	answers := make([]kg.NodeID, len(pairs))
+	probs := make([]float64, len(pairs))
+	for i, pr := range pairs {
+		answers[i], probs[i] = pr.u, pr.p
+	}
+	return newAnswerSpace(answers, probs, oracle)
+}
+
+// newAnswerSpace builds the space over answers in ascending NodeID order,
+// normalising their masses in that order (so a space's probabilities do not
+// depend on how its answers were collected).
+func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle correctOracle) (*answerSpace, error) {
+	total := 0.0
+	for _, p := range probs {
+		total += p
 	}
 	if len(answers) == 0 || total <= 0 {
 		return nil, fmt.Errorf("core: no candidate answers with positive visiting probability")
@@ -265,22 +305,31 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 	endSpan := obs.TraceFrom(ctx).Span("walk_converge")
 	w, err := walk.New(v.g, e.calc, key.root, key.pred, walk.Config{N: o.N, SelfLoopSim: o.SelfLoopSim})
 	if err != nil {
-		endSpan()
+		endSpan.End()
 		return nil, err
 	}
 	// Everything the stage keeps is copied out of the walker below.
 	defer w.Release()
-	if _, err := w.ConvergeCtx(ctx); err != nil {
-		endSpan()
+	iters, err := w.ConvergeCtx(ctx)
+	if err != nil {
+		endSpan.End()
 		return nil, err
 	}
-	endSpan()
+	endSpan.EndWalk(w.Size(), iters)
+	if iters > 1 {
+		metWalkFallbacks.Inc()
+	}
 	dist, err := w.AnswerDistribution(types)
 	if err != nil {
 		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(key.root), err)
 	}
-	scope := append([]kg.NodeID(nil), w.Bound().Nodes...)
-	sort.Slice(scope, func(i, j int) bool { return scope[i] < scope[j] })
+	// The scope is what a mutation is matched against to invalidate the
+	// cached stage; without a cache nothing reads it.
+	var scope []kg.NodeID
+	if e.cache != nil {
+		scope = slices.Clone(w.Scope())
+		slices.Sort(scope)
+	}
 	st := newStageEntry(dist.Answers, dist.Probs, w.PiMap(), v.epoch, scope)
 	return e.cache.put(key, st), nil
 }
@@ -434,6 +483,24 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 	return ctx.Err()
 }
 
+// hopStage returns the converged stage of one hop from root and the leg
+// validator over it.
+func (e *Engine) hopStage(ctx context.Context, o Options, v view, root kg.NodeID, hop query.Hop, bm *buildMetrics) (*stageEntry, correctOracle, error) {
+	pred, err := resolvePred(v.g, hop.Predicate)
+	if err != nil {
+		return nil, correctOracle{}, err
+	}
+	types, err := resolveTypes(v.g, hop.Types)
+	if err != nil {
+		return nil, correctOracle{}, err
+	}
+	st, err := e.convergedStage(ctx, o, v, root, pred, types, bm)
+	if err != nil {
+		return nil, correctOracle{}, err
+	}
+	return st, e.stageOracle(o, v, st, root, pred), nil
+}
+
 // buildChainLevel returns the exact visiting distribution over the final
 // hop's answers together with a lazy correctness oracle, recursing over the
 // chain's hops: π(j) = Σᵢ π′ᵢ · π′ⱼ|ᵢ (§V-B), and an answer is correct when
@@ -443,19 +510,10 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, root kg
 	if len(hops) == 0 {
 		return nil, none, fmt.Errorf("core: empty hop sequence")
 	}
-	pred, err := resolvePred(v.g, hops[0].Predicate)
+	st, oracle, err := e.hopStage(ctx, o, v, root, hops[0], bm)
 	if err != nil {
 		return nil, none, err
 	}
-	types, err := resolveTypes(v.g, hops[0].Types)
-	if err != nil {
-		return nil, none, err
-	}
-	st, err := e.convergedStage(ctx, o, v, root, pred, types, bm)
-	if err != nil {
-		return nil, none, err
-	}
-	oracle := e.stageOracle(o, v, st, root, pred)
 	legOK := oracle.single
 
 	if len(hops) == 1 {

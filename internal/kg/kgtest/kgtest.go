@@ -150,3 +150,31 @@ func Star(n int) *kg.Graph {
 	}
 	return b.Build()
 }
+
+// OneWay returns g with the half-edge from→to hidden: to still lists from
+// as a neighbour, from no longer lists to. A stored edge always shows at
+// both ends, so this is a data fault — the one input on which the
+// semantic-aware walk is not a reversible chain and its closed-form
+// stationary distribution is wrong.
+func OneWay(g kg.ReadGraph, from, to kg.NodeID) kg.ReadGraph {
+	return oneWay{g, from, to}
+}
+
+type oneWay struct {
+	kg.ReadGraph
+	from, to kg.NodeID
+}
+
+func (o oneWay) Neighbors(u kg.NodeID) []kg.HalfEdge {
+	hes := o.ReadGraph.Neighbors(u)
+	if u != o.from {
+		return hes
+	}
+	var out []kg.HalfEdge
+	for _, he := range hes {
+		if he.To != o.to {
+			out = append(out, he)
+		}
+	}
+	return out
+}

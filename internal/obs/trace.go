@@ -153,27 +153,50 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Span opens a named span and returns its closer:
+// Span opens a named span; its End closes it:
 //
-//	defer t.Span("walk_converge")()
-func (t *Trace) Span(name string) func() {
+//	defer t.Span("compile").End()
+func (t *Trace) Span(name string) Span {
 	if t == nil {
-		return func() {}
+		return Span{}
 	}
-	begin := time.Now()
-	return func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if len(t.spans) >= maxSpansPerTrace {
-			t.droppedSpans++
-			return
-		}
-		t.spans = append(t.spans, SpanData{
-			Name:    name,
-			StartMS: float64(begin.Sub(t.start)) / float64(time.Millisecond),
-			DurMS:   float64(time.Since(begin)) / float64(time.Millisecond),
-		})
+	return Span{t: t, name: name, begin: time.Now()}
+}
+
+// Span is one open span of a trace. The zero Span (what a nil trace opens)
+// is valid and records nothing.
+type Span struct {
+	t     *Trace
+	name  string
+	begin time.Time
+}
+
+// End closes the span.
+func (s Span) End() { s.end(0, 0) }
+
+// EndWalk closes a walk_converge span with what the walk found out about
+// its own work: the size of its scope and the sweeps convergence took (more
+// than one: the closed form failed its check and power iteration ran).
+func (s Span) EndWalk(scopeNodes, iters int) { s.end(scopeNodes, iters) }
+
+func (s Span) end(scopeNodes, iters int) {
+	t := s.t
+	if t == nil {
+		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.spans) >= maxSpansPerTrace {
+		t.droppedSpans++
+		return
+	}
+	t.spans = append(t.spans, SpanData{
+		Name:       s.name,
+		StartMS:    float64(s.begin.Sub(t.start)) / float64(time.Millisecond),
+		DurMS:      float64(time.Since(s.begin)) / float64(time.Millisecond),
+		ScopeNodes: int32(scopeNodes),
+		Iters:      int32(iters),
+	})
 }
 
 // Add accumulates a named counter (draws, validation_calls,
@@ -243,6 +266,11 @@ type SpanData struct {
 	Name    string  `json:"name"`
 	StartMS float64 `json:"start_ms"`
 	DurMS   float64 `json:"dur_ms"`
+	// Set on walk_converge spans only. They sit on the span, not in a map
+	// beside it: a chain query records some 190 of these spans, and the
+	// tracer's ring keeps the last 256 traces.
+	ScopeNodes int32 `json:"scope_nodes,omitempty"`
+	Iters      int32 `json:"iters,omitempty"`
 }
 
 // TraceData is the full JSON export of a finished (or in-flight) trace.

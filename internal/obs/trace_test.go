@@ -10,7 +10,7 @@ import (
 
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
-	tr.Span("x")()
+	tr.Span("x").End()
 	tr.Add("c", 1)
 	tr.SetAttr("k", "v")
 	tr.Round(RoundTelemetry{})
@@ -30,8 +30,7 @@ func TestTraceLifecycle(t *testing.T) {
 	if tr == nil {
 		t.Fatal("sample-every-1 tracer returned nil trace")
 	}
-	done := tr.Span("resolve")
-	done()
+	tr.Span("walk_converge").EndWalk(2798, 3)
 	tr.Add("draws", 10)
 	tr.Add("draws", 5)
 	tr.SetAttr("converged", true)
@@ -47,6 +46,9 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	if !d.Finished || d.Kind != "query" || d.Target != "COUNT(x)" {
 		t.Errorf("bad export: %+v", d)
+	}
+	if len(d.Spans) != 1 || d.Spans[0].ScopeNodes != 2798 || d.Spans[0].Iters != 3 {
+		t.Errorf("spans = %+v, want one walk_converge with its scope and sweeps", d.Spans)
 	}
 	if d.Counters["draws"] != 15 {
 		t.Errorf("counters = %v", d.Counters)
@@ -128,7 +130,7 @@ func TestTraceConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				tr.Add("draws", 1)
-				tr.Span("s")()
+				tr.Span("s").End()
 				tr.Round(RoundTelemetry{Round: i})
 				tr.SetAttr("k", i)
 			}

@@ -5,16 +5,18 @@ import (
 	"math"
 	"testing"
 
+	"kgaq/internal/datagen"
 	"kgaq/internal/embedding/embtest"
 	"kgaq/internal/kg"
 	"kgaq/internal/kg/kgtest"
+	"kgaq/internal/query"
 	"kgaq/internal/semsim"
 	"kgaq/internal/stats"
 )
 
-// Micro-benchmarks of the walk engine: transition-matrix construction,
-// power-iteration convergence (CSR vs the pre-CSR slice-of-slices layout),
-// and the two sampling mechanisms.
+// Micro-benchmarks of the walk engine: the stage build every cold query
+// pays, power-iteration convergence (CSR vs the pre-CSR slice-of-slices
+// layout), and the two sampling mechanisms.
 
 func benchWalker(b *testing.B) (*Walker, *kg.Graph) {
 	b.Helper()
@@ -101,6 +103,75 @@ func BenchmarkWalkerConverge(b *testing.B) {
 	}
 }
 
+// stageBuildInput is one one-hop query of dbpedia-sim: the graph every
+// benchmark workload runs on, a root whose 3-hop scope covers most of it.
+func stageBuildInput(tb testing.TB) (*kg.Graph, *semsim.Calculator, kg.NodeID, kg.PredID, []kg.TypeID) {
+	tb.Helper()
+	p, _ := datagen.ProfileByName("dbpedia-sim")
+	ds, err := datagen.Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := ds.Graph
+	calc, err := semsim.NewCalculator(g, ds.Model, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	paths, err := ds.QueriesByShape(query.ShapeSimple)[0].Agg.Q.Decompose()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hop := paths[0].Hops[0]
+	types := make([]kg.TypeID, len(hop.Types))
+	for i, name := range hop.Types {
+		types[i] = g.TypeByName(name)
+	}
+	return g, calc, g.NodeByName(paths[0].RootName), g.PredByName(hop.Predicate), types
+}
+
+// stageBuild is what the engine does with a walker on every answer-space
+// cache miss.
+func stageBuild(tb testing.TB, g *kg.Graph, calc *semsim.Calculator, root kg.NodeID, pred kg.PredID, types []kg.TypeID) *arena {
+	w, err := New(g, calc, root, pred, Config{N: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if iters := w.Converge(); iters != 1 {
+		tb.Fatalf("iters = %d, want the closed form to verify", iters)
+	}
+	if _, err := w.AnswerDistribution(types); err != nil {
+		tb.Fatal(err)
+	}
+	mem := w.mem
+	w.Release()
+	return mem
+}
+
+func BenchmarkStageBuild(b *testing.B) {
+	g, calc, root, pred, types := stageBuildInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stageBuild(b, g, calc, root, pred, types)
+	}
+}
+
+// The path every query takes builds no transition matrix: after a stage
+// build on a fresh arena, none of the CSR/CSC arrays has been allocated.
+func TestStageBuildTouchesNoMatrix(t *testing.T) {
+	g, calc, root, pred, types := stageBuildInput(t)
+	drainArenas()
+	defer drainArenas()
+	mem := stageBuild(t, g, calc, root, pred, types)
+	if mem.rowStart != nil || mem.targets != nil || mem.probs != nil ||
+		mem.inStart != nil || mem.inSrc != nil || mem.inProb != nil || mem.pos != nil || mem.piNext != nil {
+		t.Fatalf("a stage build on the fast path allocated transition-matrix arrays: %d targets, %d transposed", cap(mem.targets), cap(mem.inSrc))
+	}
+	if got := stageBuild(t, g, calc, root, pred, types); got != mem {
+		t.Fatal("the second stage build did not recycle the first one's arena")
+	}
+}
+
 // legacyNbr/legacyRows reconstruct the pre-CSR transition layout (one slice
 // of {to, p} structs per row) from a built walker, so the two convergence
 // benchmarks iterate the exact same stochastic matrix.
@@ -156,7 +227,7 @@ func legacyConverge(rows [][]legacyNbr, start int, tol float64, maxIter int) ([]
 }
 
 // BenchmarkConvergeCSR measures the production Converge path: the
-// reversibility closed form plus one CSR verification sweep.
+// reversibility closed form, checked against the weights New scattered.
 func BenchmarkConvergeCSR(b *testing.B) {
 	w := benchBigWalker(b)
 	b.ReportAllocs()
@@ -175,7 +246,7 @@ func BenchmarkConvergeCSR(b *testing.B) {
 func csrPowerIterate(w *Walker, tol float64, maxIter int) ([]float64, int) {
 	n := len(w.nodes)
 	pi := make([]float64, n)
-	pi[w.idx[w.start]] = 1
+	pi[0] = 1 // the start node leads the scope
 	next := make([]float64, n)
 	iters := 0
 	for it := 1; it <= maxIter; it++ {
@@ -191,6 +262,7 @@ func csrPowerIterate(w *Walker, tol float64, maxIter int) ([]float64, int) {
 
 func BenchmarkConvergePowerIterCSR(b *testing.B) {
 	w := benchBigWalker(b)
+	w.materialise()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -201,12 +273,11 @@ func BenchmarkConvergePowerIterCSR(b *testing.B) {
 func BenchmarkConvergeLegacy(b *testing.B) {
 	w := benchBigWalker(b)
 	rows := legacyRows(w)
-	start := w.idx[w.start]
 	cfg := w.cfg
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		legacyConverge(rows, start, cfg.Tol, cfg.MaxIter)
+		legacyConverge(rows, 0, cfg.Tol, cfg.MaxIter)
 	}
 }
 
@@ -218,7 +289,7 @@ func TestCSRMatchesLegacyConverge(t *testing.T) {
 	w, _ := figure1Walker(t, Config{N: 3})
 	rows := legacyRows(w)
 	w.Converge()
-	pi, _ := legacyConverge(rows, w.idx[w.start], w.cfg.Tol, w.cfg.MaxIter)
+	pi, _ := legacyConverge(rows, 0, w.cfg.Tol, w.cfg.MaxIter)
 	for i := range pi {
 		if math.Abs(pi[i]-w.pi[i]) > 1e-8 {
 			t.Fatalf("π[%d]: CSR %v vs legacy %v", i, w.pi[i], pi[i])
@@ -226,28 +297,95 @@ func TestCSRMatchesLegacyConverge(t *testing.T) {
 	}
 }
 
-// Forcing the verification residual to fail (an impossible Tol) drives
-// ConvergeCtx into the power-iteration fallback, which must land on the
-// same stationary distribution.
+// A graph whose adjacency lists an edge in one direction only (kgtest.OneWay)
+// fails the closed form's check, so ConvergeCtx must materialise P and land in power iteration, on the π that
+// the pre-dense-pass walker (which verified by a CSR sweep) computed for the
+// same graph — the expectations below are its output, in scope order. The
+// second case leaves BMW_320 with no listed neighbour: its row is the
+// probability-1 self-loop, an absorbing state.
 func TestConvergeFallbackPowerIteration(t *testing.T) {
-	w, _ := figure1Walker(t, Config{N: 3})
-	w.cfg.Tol = 1e-300 // below FP slack: the closed form can never verify
-	w.cfg.MaxIter = 200
-	iters := w.Converge()
-	if iters <= 1 {
-		t.Fatalf("iters = %d, want the fallback to have run sweeps", iters)
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast, _ := figure1Walker(t, Config{N: 3})
-	fast.Converge()
-	total := 0.0
-	for i, u := range w.nodes {
-		total += w.pi[i]
-		if math.Abs(w.Pi(u)-fast.Pi(u)) > 1e-8 {
-			t.Fatalf("fallback π(%d) = %v, fast path %v", u, w.Pi(u), fast.Pi(u))
+	type nodePi struct {
+		name string
+		pi   float64
+	}
+	for _, c := range []struct {
+		from, to string
+		iters    int
+		want     []nodePi
+	}{
+		{"EA211_TSI", "Volkswagen", 499, []nodePi{
+			{"Germany", 0.23044660047530116},
+			{"BMW_320", 0.04824560318167371},
+			{"BMW_X6", 0.04824560318167371},
+			{"Porsche", 0.08418365453171026},
+			{"Volkswagen", 0.20085924589280418},
+			{"Peter_Schreyer", 0.08073754001865444},
+			{"Angela_Merkel", 0.006892229025953385},
+			{"Berlin", 0.005907624879388616},
+			{"Porsche_911", 0.044307186589586996},
+			{"Audi_TT", 0.04824560317716844},
+			{"Lamando", 0.12533350714952343},
+			{"EA211_TSI", 0.037211436039105386},
+			{"KIA_K5", 0.03938416585744184},
+		}},
+		{"BMW_320", "Germany", 506, []nodePi{
+			{"Germany", 2.2509129387240918e-10},
+			{"BMW_320", 0.9999999988101326},
+			{"BMW_X6", 4.9067749985073815e-11},
+			{"Porsche", 9.445229647706405e-11},
+			{"Volkswagen", 3.202476446999461e-10},
+			{"Peter_Schreyer", 8.926998973483081e-11},
+			{"Angela_Merkel", 7.009678569296257e-12},
+			{"Berlin", 6.008295916539649e-12},
+			{"Porsche_911", 5.1761747803718414e-11},
+			{"Audi_TT", 8.009434767732684e-11},
+			{"Lamando", 1.6354326660484366e-10},
+			{"EA211_TSI", 5.7978781164768346e-11},
+			{"KIA_K5", 4.534210053123389e-11},
+		}},
+	} {
+		ow := kgtest.OneWay(g, g.NodeByName(c.from), g.NodeByName(c.to))
+		w, err := New(ow, calc, g.NodeByName("Germany"), g.PredByName("product"), Config{N: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("fallback π sums to %v", total)
+		if iters := w.Converge(); iters != c.iters {
+			t.Fatalf("%s -/-> %s: iters = %d, want the fallback's %d sweeps", c.from, c.to, iters, c.iters)
+		}
+		if w.rowStart == nil {
+			t.Fatalf("%s -/-> %s: the fallback ran without a transition matrix", c.from, c.to)
+		}
+		if len(w.nodes) != len(c.want) {
+			t.Fatalf("%s -/-> %s: scope of %d nodes, want %d", c.from, c.to, len(w.nodes), len(c.want))
+		}
+		total := 0.0
+		next := make([]float64, len(w.nodes))
+		for i, u := range w.nodes {
+			if g.Name(u) != c.want[i].name || w.pi[i] != c.want[i].pi {
+				t.Errorf("%s -/-> %s: π(%s) = %v at %d, want π(%s) = %v",
+					c.from, c.to, g.Name(u), w.pi[i], i, c.want[i].name, c.want[i].pi)
+			}
+			total += w.pi[i]
+			targets, probs := w.row(i)
+			for k, to := range targets {
+				next[to] += w.pi[i] * probs[k]
+			}
+		}
+		if math.Abs(total-1) > 1e-9 {
+			t.Errorf("%s -/-> %s: fallback π sums to %v", c.from, c.to, total)
+		}
+		// Stationary under the materialised P, to the resolution Tol stops at.
+		for i := range next {
+			if math.Abs(next[i]-w.pi[i]) > w.cfg.Tol {
+				t.Errorf("%s -/-> %s: π not stationary at %s: %v vs %v",
+					c.from, c.to, g.Name(w.nodes[i]), next[i], w.pi[i])
+			}
+		}
 	}
 }
 

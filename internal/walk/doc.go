@@ -5,6 +5,13 @@
 // stationary distribution π, and continuous sampling of candidate answers
 // from the renormalised answer distribution π′ (Theorem 1).
 //
+// The chain is reversible, so π is the closed form W(i)/ΣW over weighted
+// degrees. New computes those in one dense pass (breadth-first scope, then
+// every half-edge once) together with the weight arriving at each node,
+// which lets ConvergeCtx verify the closed form without a transition
+// matrix. The matrix is assembled only when that check fails (adjacency
+// that is not symmetric), for power iteration, and for SampleByWalk.
+//
 // The package also provides the topology-only samplers CNARW and Node2Vec
 // used as ablation baselines in Fig. 5a of the paper.
 package walk

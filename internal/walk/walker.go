@@ -54,25 +54,35 @@ func (c Config) withDefaults() Config {
 // specialised to one query predicate. Build with New, call Converge, then
 // sample answers.
 //
-// The transition matrix lives in CSR (compressed sparse row) form: row i's
-// transitions are targets[rowStart[i]:rowStart[i+1]] with matching
-// probabilities in probs. Power iteration sweeps the transpose (inStart/
-// inSrc/inProb — the same entries grouped by target), so each π′(j) is a
-// gather into one register followed by a single write, rather than a
+// New keeps only what the stationary distribution needs: the scope in BFS
+// order, a NodeID-addressed dense index, and per node the weighted degree
+// W(i) and the weight arriving at it. The transition matrix itself is built
+// by materialise, for the callers that read it: the convergence fallback and
+// the literal walk of SampleByWalk. It lives in CSR (compressed sparse row)
+// form: row i's transitions are targets[rowStart[i]:rowStart[i+1]] with
+// matching probabilities in probs. Power iteration sweeps the transpose
+// (inStart/inSrc/inProb — the same entries grouped by target), so each π′(j)
+// is a gather into one register followed by a single write, rather than a
 // scatter of read-modify-writes into random memory; the zeroing and the L1
 // diff pass fuse into the same sweep.
 type Walker struct {
 	g     kg.ReadGraph
 	calc  *semsim.Calculator
-	bound *kg.Bounded
 	start kg.NodeID
+	pred  kg.PredID
 	cfg   Config
 
-	nodes []kg.NodeID       // dense index → NodeID (bound BFS order)
-	idx   map[kg.NodeID]int // NodeID → dense index
+	nodes []kg.NodeID // dense index → NodeID (BFS discovery order)
+	index []int32     // NodeID → dense index + 1; 0 outside the scope
 
-	// CSR transition matrix; each row sums to 1. Used by the walking
-	// samplers, which need outgoing rows.
+	// rowWeight[i] is the unnormalised weight mass of row i (Σ sim + the
+	// start self-loop) — the weighted degree W(i) that the reversibility
+	// fast path of ConvergeCtx turns into the closed-form π. inWeight[j] is
+	// the same mass summed by target: Σᵢ w(i,j).
+	rowWeight []float64
+	inWeight  []float64
+
+	// CSR transition matrix; each row sums to 1. Nil until materialise.
 	rowStart []int32
 	targets  []int32
 	probs    []float64
@@ -84,28 +94,27 @@ type Walker struct {
 	inSrc   []int32
 	inProb  []float64
 
-	// rowWeight[i] is the unnormalised weight mass of row i (Σ sim + the
-	// start self-loop) — the weighted degree W(i) that the reversibility
-	// fast path of ConvergeCtx turns into the closed-form π.
-	rowWeight []float64
-
 	pi    []float64 // stationary distribution (after Converge)
 	iters int       // sweeps used (1 when the closed form verified directly)
 
-	mem *arena // backs idx and every array above; see Release
+	mem *arena // backs every array above; see Release
 }
 
-// arena is the working memory of one Walker: the dense index and the
-// CSR/CSC and iteration arrays, all sized by the walk's scope. The engine
-// keeps a walker only for one stage build — converge, copy π′ out, drop —
-// and that build runs on every answer-space cache miss, so the arrays
-// (0.6 MB on a 2 800-node scope, a quarter of all bytes a cold query
-// allocates) are recycled through Release instead of left to the collector.
+// arena is the working memory of one Walker. The engine keeps a walker only
+// for one stage build — converge, copy π′ out, drop — and that build runs on
+// every answer-space cache miss, so the arrays are recycled through Release
+// instead of left to the collector. index is addressed by NodeID and so
+// sized by the graph; it is all zero whenever the arena is on the free list.
+// The first row below is what every walker uses, sized by its scope; the
+// rest is the transition matrix, allocated only by materialise.
 type arena struct {
-	idx                                  map[kg.NodeID]int
-	counts, rowStart, targets, inStart   []int32
-	inSrc, pos                           []int32
-	probs, inProb, rowWeight, pi, piNext []float64
+	index                   []int32
+	nodes                   []kg.NodeID
+	cand                    []int32
+	rowWeight, inWeight, pi []float64
+
+	rowStart, targets, inStart, inSrc, pos []int32
+	probs, inProb, piNext                  []float64
 }
 
 // arenas is the free list: at most one arena per P, whatever the garbage
@@ -113,9 +122,17 @@ type arena struct {
 // collection, and a cold query triggers more than one).
 var arenas = make(chan *arena, runtime.GOMAXPROCS(0))
 
-// arenaKeepEdges bounds what the free list retains (24 bytes per
-// transition): the arena of a larger scope is left to the collector.
-const arenaKeepEdges = 1 << 18
+// arenaKeepBytes bounds what the free list retains per arena: one whose
+// arrays hold more (a huge graph's index, a huge scope's matrix) is left to
+// the collector.
+const arenaKeepBytes = 6 << 20
+
+// bytes is the memory the arena's arrays hold.
+func (a *arena) bytes() int {
+	return 4*(cap(a.index)+cap(a.nodes)+cap(a.cand)+cap(a.rowStart)+cap(a.targets)+
+		cap(a.inStart)+cap(a.inSrc)+cap(a.pos)) +
+		8*(cap(a.rowWeight)+cap(a.inWeight)+cap(a.pi)+cap(a.probs)+cap(a.inProb)+cap(a.piNext))
+}
 
 func getArena() *arena {
 	select {
@@ -138,15 +155,21 @@ func sized[T int32 | float64](buf []T, n int) []T {
 }
 
 // Release hands the walker's arrays back for the next New. It is optional —
-// an unreleased walker is ordinary garbage — and final: the walker, and
-// every slice or map obtained from its unexported state, must not be used
-// afterwards. Results already copied out (AnswerDistribution, PiMap) and
-// the Bounded subgraph stay valid.
+// an unreleased walker is ordinary garbage, its arena with it — and final:
+// the walker, and every slice obtained from it (Scope included), must not be
+// used afterwards. Results already copied out (AnswerDistribution, PiMap)
+// stay valid.
+//
+// The next scope is whatever the index says it is, so Release zeroes exactly
+// the slots this walker set — by walking its scope, not the graph.
 func (w *Walker) Release() {
-	mem := w.mem
+	mem, nodes := w.mem, w.nodes
 	*w = Walker{}
-	if mem == nil || cap(mem.targets) > arenaKeepEdges {
+	if mem == nil || mem.bytes() > arenaKeepBytes {
 		return
+	}
+	for _, u := range nodes {
+		mem.index[u] = 0
 	}
 	select {
 	case arenas <- mem:
@@ -154,16 +177,18 @@ func (w *Walker) Release() {
 	}
 }
 
-// New builds the walker: extracts the n-bounded subgraph around start and
-// assembles the transition matrix of Eq. 5 with the aperiodicity self-loop.
+// New builds the walker: finds the n-bounded scope around start and, in one
+// pass over the scope's half-edges, the weighted degrees of Eq. 5's
+// transition matrix with the aperiodicity self-loop — all ConvergeCtx needs
+// unless its check of the closed form fails.
 //
 // g is the graph view the walk runs on. For a live graph this is one
-// epoch's snapshot: the CSR assembled here reads delta-overridden adjacency
-// for mutated nodes and falls through to the compacted base's slices for
-// everything else, so an in-flight query keeps one consistent topology no
-// matter how many mutations land while it runs. calc must share g's
-// predicate vocabulary (live graphs freeze it, so the engine-wide
-// calculator always qualifies).
+// epoch's snapshot: the pass reads delta-overridden adjacency for mutated
+// nodes and falls through to the compacted base's slices for everything
+// else, so an in-flight query keeps one consistent topology no matter how
+// many mutations land while it runs. calc must share g's predicate
+// vocabulary (live graphs freeze it, so the engine-wide calculator always
+// qualifies).
 func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.PredID, cfg Config) (*Walker, error) {
 	if calc == nil {
 		return nil, fmt.Errorf("walk: nil similarity calculator")
@@ -179,37 +204,95 @@ func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.
 		return nil, fmt.Errorf("walk: query predicate %d out of range", queryPred)
 	}
 
-	bound := g.BoundedSubgraph(start, cfg.N)
 	mem := getArena()
-	if mem.idx == nil {
-		mem.idx = make(map[kg.NodeID]int, len(bound.Nodes))
+	if len(mem.index) < g.NumNodes() {
+		// First use, or a graph that grew since the arena's last one. The
+		// old index was all zero, so nothing is carried over.
+		mem.index = make([]int32, g.NumNodes())
 	}
-	clear(mem.idx)
-	w := &Walker{
-		g:     g,
-		calc:  calc,
-		bound: bound,
-		start: start,
-		cfg:   cfg,
-		nodes: bound.Nodes,
-		idx:   mem.idx,
-		mem:   mem,
+	index := mem.index
+
+	// The scope, in the discovery order of kg.BFS: nodes doubles as the
+	// queue, and the frontier of each depth is the stretch discovered at the
+	// previous one.
+	nodes := append(mem.nodes[:0], start)
+	index[start] = 1
+	for lo, depth := 0, 1; depth <= cfg.N && lo < len(nodes); depth++ {
+		hi := len(nodes)
+		for _, u := range nodes[lo:hi] {
+			for _, he := range g.Neighbors(u) {
+				if index[he.To] != 0 {
+					continue
+				}
+				nodes = append(nodes, he.To)
+				index[he.To] = int32(len(nodes))
+			}
+		}
+		lo = hi
 	}
-	for i, u := range w.nodes {
-		w.idx[u] = i
+	mem.nodes = nodes
+
+	// Weighted degrees. The query predicate's similarity row is a single
+	// precomputed slice, so scoring an edge is one index. Every weight w(i,j)
+	// of the matrix is added once to its row's mass and once to its target's.
+	n := len(nodes)
+	mem.rowWeight, mem.inWeight = sized(mem.rowWeight, n), sized(mem.inWeight, n)
+	rowWeight, inWeight := mem.rowWeight, mem.inWeight
+	simRow := calc.SimRow(queryPred)
+	for i, u := range nodes {
+		sum, entries := 0.0, 0
+		for _, he := range g.Neighbors(u) {
+			j := index[he.To]
+			if j == 0 {
+				continue // neighbour outside the n-bound: walk never leaves
+			}
+			s := simRow[he.Pred]
+			sum += s
+			inWeight[j-1] += s
+			entries++
+		}
+		if u == start {
+			sum += cfg.SelfLoopSim
+			inWeight[i] += cfg.SelfLoopSim
+			entries++
+		}
+		if entries == 0 {
+			// A node that lists no neighbour inside the bound: probability-1
+			// self-loop.
+			sum = 1
+			inWeight[i] += 1
+		}
+		rowWeight[i] = sum
 	}
+	return &Walker{
+		g: g, calc: calc, start: start, pred: queryPred, cfg: cfg,
+		nodes: nodes, index: index,
+		rowWeight: rowWeight, inWeight: inWeight,
+		mem: mem,
+	}, nil
+}
+
+// materialise assembles the transition matrix of Eq. 5 — CSR, then its
+// transpose — over the scope New found. It is off the path every query
+// takes: only a failed closed-form check, SampleByWalk and tests need P
+// itself.
+func (w *Walker) materialise() {
+	if w.rowStart != nil {
+		return
+	}
+	g, mem, index, start := w.g, w.mem, w.index, w.start
 
 	// First pass: count in-bound transitions per row so the CSR arrays are
 	// allocated exactly once. Every row gets at least one entry (the
-	// isolated-start fallback below), the start row one extra for the
+	// probability-1 self-loop below), the start row one extra for the
 	// aperiodicity self-loop.
 	n := len(w.nodes)
-	mem.counts = sized(mem.counts, n)
-	counts := mem.counts
+	mem.rowStart = sized(mem.rowStart, n+1)
+	w.rowStart = mem.rowStart
 	for i, u := range w.nodes {
 		c := int32(0)
 		for _, he := range g.Neighbors(u) {
-			if _, in := w.idx[he.To]; in {
+			if index[he.To] != 0 {
 				c++
 			}
 		}
@@ -217,52 +300,38 @@ func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.
 			c++ // self-loop
 		}
 		if c == 0 {
-			c = 1 // isolated node inside the bound: probability-1 self-loop
+			c = 1 // no listed neighbour inside the bound: probability-1 self-loop
 		}
-		counts[i] = c
-	}
-	mem.rowStart = sized(mem.rowStart, n+1)
-	w.rowStart = mem.rowStart
-	for i := 0; i < n; i++ {
-		w.rowStart[i+1] = w.rowStart[i] + counts[i]
+		w.rowStart[i+1] = w.rowStart[i] + c
 	}
 	total := int(w.rowStart[n])
 	mem.targets, mem.probs = sized(mem.targets, total), sized(mem.probs, total)
 	w.targets, w.probs = mem.targets, mem.probs
 
-	// Second pass: fill rows. The query predicate's similarity row is a
-	// single precomputed slice, so scoring an edge is one index.
-	simRow := calc.SimRow(queryPred)
-	mem.rowWeight = sized(mem.rowWeight, n)
-	w.rowWeight = mem.rowWeight
+	// Second pass: fill rows, normalised by the row masses New summed.
+	simRow := w.calc.SimRow(w.pred)
 	for i, u := range w.nodes {
 		at := w.rowStart[i]
-		sum := 0.0
 		for _, he := range g.Neighbors(u) {
-			j, in := w.idx[he.To]
-			if !in {
-				continue // neighbour outside the n-bound: walk never leaves
+			j := index[he.To]
+			if j == 0 {
+				continue
 			}
-			s := simRow[he.Pred]
-			w.targets[at] = int32(j)
-			w.probs[at] = s
-			sum += s
+			w.targets[at] = j - 1
+			w.probs[at] = simRow[he.Pred]
 			at++
 		}
 		if u == start {
 			w.targets[at] = int32(i)
-			w.probs[at] = cfg.SelfLoopSim
-			sum += cfg.SelfLoopSim
+			w.probs[at] = w.cfg.SelfLoopSim
 			at++
 		}
 		if at == w.rowStart[i] {
-			// Isolated node inside the bound (only the start with no edges).
 			w.targets[at] = int32(i)
 			w.probs[at] = 1
-			sum = 1
 			at++
 		}
-		w.rowWeight[i] = sum
+		sum := w.rowWeight[i]
 		for k := w.rowStart[i]; k < at; k++ {
 			w.probs[k] /= sum
 		}
@@ -292,17 +361,19 @@ func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.
 			pos[j]++
 		}
 	}
-	return w, nil
 }
 
 // Size returns the number of nodes in the walk's scope.
 func (w *Walker) Size() int { return len(w.nodes) }
 
-// Bound returns the n-bounded subgraph the walk runs on.
-func (w *Walker) Bound() *kg.Bounded { return w.bound }
+// Scope returns the nodes of the walk's n-bounded scope in BFS discovery
+// order, the start node first. The slice is the walker's own: read-only, and
+// invalid after Release.
+func (w *Walker) Scope() []kg.NodeID { return w.nodes }
 
 // row returns the CSR row of dense node i: its targets and probabilities.
 func (w *Walker) row(i int) ([]int32, []float64) {
+	w.materialise()
 	lo, hi := w.rowStart[i], w.rowStart[i+1]
 	return w.targets[lo:hi], w.probs[lo:hi]
 }
@@ -319,11 +390,11 @@ func (w *Walker) row(i int) ([]int32, []float64) {
 // edges). Its stationary distribution therefore has the closed form
 // π(i) = W(i)/ΣⱼW(j) with W the weighted degree (detailed balance:
 // π(i)·w(i,j)/W(i) = π(j)·w(j,i)/W(j)). Converge computes that closed form
-// directly and verifies it with a single πP sweep over the CSR transpose;
-// only if the residual exceeds Tol (it cannot for symmetric weights beyond
-// floating-point slack, but future asymmetric weightings may differ) does
-// it fall back to classic power iteration (Eq. 6), warm-started from the
-// closed form.
+// directly and verifies it; only if the residual reaches Tol (it cannot for
+// symmetric weights beyond floating-point slack, but a graph whose
+// adjacency lists an edge in one direction only, or a future asymmetric
+// weighting, differs) does it fall back to classic power iteration (Eq. 6),
+// warm-started from the closed form.
 func (w *Walker) Converge() int {
 	n, _ := w.ConvergeCtx(context.Background())
 	return n
@@ -333,6 +404,20 @@ func (w *Walker) Converge() int {
 // sweep, and a cancelled run returns ctx's error without storing a
 // stationary distribution (the walker stays usable — a later ConvergeCtx
 // restarts the computation).
+//
+// The check needs no matrix. One step of the chain from the closed form
+// puts on node j the mass
+//
+//	πP(j) = Σᵢ (W(i)/ΣW) · (w(i,j)/W(i)) = Σᵢ w(i,j)/ΣW = inW(j)/ΣW,
+//
+// where inW(j) is the weight arriving at j. New summed it next to W, every
+// entry of P once: a half-edge i→j inside the bound adds its similarity to
+// W(i) and to inW(j), the start's self-loop adds SelfLoopSim to both
+// W(start) and inW(start), a probability-1 self-loop adds 1 to both. So
+// Σⱼ|inW(j) − W(j)|/ΣW is ‖πP − π‖₁ — the L1 change sweep measures over the
+// transpose — up to rounding, and it is held to the same Tol. Only when it
+// fails is P materialised, for the same check by sweep and then power
+// iteration.
 func (w *Walker) ConvergeCtx(ctx context.Context) (int, error) {
 	if w.pi != nil {
 		return w.iters, nil
@@ -344,17 +429,28 @@ func (w *Walker) ConvergeCtx(ctx context.Context) (int, error) {
 
 	// Reversibility fast path: π ∝ weighted degree, exactly.
 	mem := w.mem
-	mem.pi, mem.piNext = sized(mem.pi, n), sized(mem.piNext, n)
-	pi, next := mem.pi, mem.piNext
+	mem.pi = sized(mem.pi, n)
+	pi := mem.pi
 	totalW := 0.0
 	for _, wt := range w.rowWeight {
 		totalW += wt
 	}
+	diff := 0.0
 	for i, wt := range w.rowWeight {
 		pi[i] = wt / totalW
+		diff += math.Abs(w.inWeight[i] - wt)
 	}
-	diff := w.sweep(pi, next)
-	if diff < w.cfg.Tol {
+	verified := diff/totalW < w.cfg.Tol
+	var next []float64
+	if !verified {
+		// The closed form failed its check: verify it against the matrix
+		// itself.
+		w.materialise()
+		mem.piNext = sized(mem.piNext, n)
+		next = mem.piNext
+		verified = w.sweep(pi, next) < w.cfg.Tol
+	}
+	if verified {
 		w.pi = pi
 		w.iters = 1
 		return w.iters, nil
@@ -417,11 +513,10 @@ func (w *Walker) Pi(u kg.NodeID) float64 {
 	if w.pi == nil {
 		return 0
 	}
-	i, ok := w.idx[u]
-	if !ok {
+	if u < 0 || int(u) >= len(w.index) || w.index[u] == 0 {
 		return 0
 	}
-	return w.pi[i]
+	return w.pi[w.index[u]-1]
 }
 
 // PiMap materialises the stationary distribution keyed by NodeID, the form
@@ -451,11 +546,10 @@ func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error
 	if w.pi == nil {
 		return nil, ErrNotConverged
 	}
-	// One allocation each, sized by the scope: every candidate is a scope
-	// node, so len(w.nodes) bounds the growth and the append loop never
-	// reallocates mid-scan.
-	ans := make([]kg.NodeID, 0, len(w.nodes))
-	probs := make([]float64, 0, len(w.nodes))
+	// Candidates are collected in arena scratch first, so the returned
+	// slices — which the engine's stage cache keeps — are exactly as long as
+	// the answer set, not as long as the scope.
+	cand := w.mem.cand[:0]
 	total := 0.0
 	for i, u := range w.nodes {
 		if u == w.start {
@@ -467,15 +561,18 @@ func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error
 		if w.pi[i] <= 0 {
 			continue
 		}
-		ans = append(ans, u)
-		probs = append(probs, w.pi[i])
+		cand = append(cand, int32(i))
 		total += w.pi[i]
 	}
-	if len(ans) == 0 || total <= 0 {
+	w.mem.cand = cand
+	if len(cand) == 0 || total <= 0 {
 		return nil, fmt.Errorf("walk: no candidate answers with positive visiting probability in %d-bounded scope", w.cfg.N)
 	}
-	for i := range probs {
-		probs[i] /= total
+	ans := make([]kg.NodeID, len(cand))
+	probs := make([]float64, len(cand))
+	for k, i := range cand {
+		ans[k] = w.nodes[i]
+		probs[k] = w.pi[i] / total
 	}
 	alias := stats.NewAlias(probs)
 	if alias == nil {
@@ -510,7 +607,7 @@ func (w *Walker) SampleByWalk(r *rand.Rand, targetTypes []kg.TypeID, burnIn, k i
 	if w.pi == nil {
 		return nil, ErrNotConverged
 	}
-	cur := w.idx[w.start]
+	cur := 0 // the start node leads the scope
 	step := func() {
 		targets, probs := w.row(cur)
 		if len(targets) == 0 {

@@ -3,12 +3,15 @@ package walk
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"kgaq/internal/embedding/embtest"
 	"kgaq/internal/kg"
 	"kgaq/internal/kg/kgtest"
+	"kgaq/internal/live"
 	"kgaq/internal/semsim"
 	"kgaq/internal/stats"
 )
@@ -63,6 +66,7 @@ func TestTransitionRowsSumToOne(t *testing.T) {
 
 func TestCSRShape(t *testing.T) {
 	w, _ := figure1Walker(t, Config{N: 3})
+	w.materialise()
 	if len(w.rowStart) != len(w.nodes)+1 {
 		t.Fatalf("rowStart has %d entries, want %d", len(w.rowStart), len(w.nodes)+1)
 	}
@@ -88,7 +92,7 @@ func TestCSRShape(t *testing.T) {
 
 func TestSelfLoopOnlyOnStart(t *testing.T) {
 	w, _ := figure1Walker(t, Config{N: 3})
-	si := w.idx[w.start]
+	si := int(w.index[w.start]) - 1
 	found := false
 	for i := range w.nodes {
 		targets, _ := w.row(i)
@@ -360,6 +364,18 @@ func nodeName(i int) string {
 	return "n" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
 
+// drainArenas empties the free list, so the next New starts from a fresh
+// arena and a test sees only its own releases.
+func drainArenas() {
+	for {
+		select {
+		case <-arenas:
+		default:
+			return
+		}
+	}
+}
+
 // Release recycles a walker's arrays into the next New: the recycled walker
 // must compute exactly what a fresh one does, whatever the arena held
 // before — here a larger scope's transition matrix, then a smaller one's.
@@ -369,36 +385,33 @@ func TestReleaseRecyclesArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain := func() {
-		for {
-			select {
-			case <-arenas:
-			default:
-				return
-			}
-		}
-	}
+	// piOf also materialises the matrix, so that the arena carries one into
+	// its next use, and checks π against it.
 	piOf := func(start string, n int) (map[kg.NodeID]float64, *arena) {
 		w, err := New(g, calc, g.NodeByName(start), g.PredByName("product"), Config{N: n})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.Converge()
+		w.materialise()
+		if diff := w.sweep(w.pi, make([]float64, w.Size())); diff >= w.cfg.Tol {
+			t.Fatalf("%s/%d: π is %v off stationary under the materialised matrix", start, n, diff)
+		}
 		pi, mem := w.PiMap(), w.mem
 		w.Release()
 		return pi, mem
 	}
-	drain()
-	defer drain()
+	drainArenas()
+	defer drainArenas()
 	fresh := map[string]map[kg.NodeID]float64{}
 	for _, c := range []struct {
 		start string
 		n     int
 	}{{"Germany", 3}, {"Germany", 1}, {"BMW_320", 2}} {
-		drain()
+		drainArenas()
 		fresh[c.start+string(rune('0'+c.n))], _ = piOf(c.start, c.n)
 	}
-	drain()
+	drainArenas()
 	_, first := piOf("Germany", 3)
 	for _, c := range []struct {
 		start string
@@ -417,5 +430,192 @@ func TestReleaseRecyclesArena(t *testing.T) {
 				t.Fatalf("%s/%d: π(%d) = %v from a recycled arena, %v from a fresh one", c.start, c.n, u, pi[u], p)
 			}
 		}
+	}
+}
+
+// checkScope fails unless the walker's scope is exactly kg.BFS's — the
+// symptom of a dense index that was not clean is a node missing from the
+// scope or admitted into it, not a crash.
+func checkScope(t *testing.T, w *Walker, g kg.ReadGraph, start kg.NodeID, n int) {
+	t.Helper()
+	want := kg.BFS(g, start, n).Nodes
+	if !slices.Equal(w.Scope(), want) {
+		t.Errorf("scope of %s/%d = %v, kg.BFS finds %v", g.Name(start), n, w.Scope(), want)
+	}
+}
+
+// After a scope covering the whole graph is released, every smaller scope
+// built on the recycled arena — inside the old one, so any slot Release
+// left set borders it — is the scope a breadth-first search finds.
+func TestDenseIndexCleanAfterRelease(t *testing.T) {
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := g.PredByName("product")
+	drainArenas()
+	defer drainArenas()
+	for u := kg.NodeID(0); int(u) < g.NumNodes(); u++ {
+		for n := 1; n <= 2; n++ {
+			big, err := New(g, calc, g.NodeByName("Germany"), pred, Config{N: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if big.Size() != g.NumNodes() {
+				t.Fatalf("Germany/3 spans %d of %d nodes", big.Size(), g.NumNodes())
+			}
+			mem := big.mem
+			big.Release()
+			w, err := New(g, calc, u, pred, Config{N: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.mem != mem {
+				t.Fatal("New did not take the released arena")
+			}
+			checkScope(t, w, g, u, n)
+			w.Release()
+			for i, slot := range mem.index {
+				if slot != 0 {
+					t.Fatalf("slot %d of a released index holds %d", i, slot)
+				}
+			}
+		}
+	}
+}
+
+// A walker that is never released keeps its arena to itself: the next
+// walker starts from another one, and both stay correct.
+func TestDenseIndexUnreleasedWalker(t *testing.T) {
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := g.PredByName("product")
+	drainArenas()
+	defer drainArenas()
+	kept, err := New(g, calc, g.NodeByName("Germany"), pred, Config{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(g, calc, g.NodeByName("KIA_K5"), pred, Config{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.mem == kept.mem {
+		t.Fatal("two live walkers share one arena")
+	}
+	checkScope(t, w, g, g.NodeByName("KIA_K5"), 1)
+	w.Release()
+	checkScope(t, kept, g, g.NodeByName("Germany"), 3)
+	kept.Converge()
+	if got := kept.Pi(g.NodeByName("KIA_K5")); got <= 0 {
+		t.Fatalf("π(KIA_K5) = %v on the unreleased walker after another was built and released", got)
+	}
+}
+
+// An arena outlives the graph it was sized for: a live snapshot that added
+// an entity has a NodeID the recycled index has no slot for.
+func TestDenseIndexGraphGrew(t *testing.T) {
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := live.NewStore(g, 0).Apply(live.Batch{
+		live.AddEntity("Golf", "Automobile"),
+		live.AddEdge("Golf", "assembly", "Germany"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golf := snap.NodeByName("Golf")
+	if int(golf) != g.NumNodes() {
+		t.Fatalf("the added entity got id %d, want the first id past the base (%d)", golf, g.NumNodes())
+	}
+	pred := g.PredByName("product")
+	drainArenas()
+	defer drainArenas()
+	small, err := New(g, calc, g.NodeByName("Germany"), pred, Config{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := small.mem
+	small.Release()
+	w, err := New(snap, calc, golf, pred, Config{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.mem != mem {
+		t.Fatal("New did not take the released arena")
+	}
+	checkScope(t, w, snap, golf, 3)
+	w.Release()
+	// And back on the smaller graph, with an index longer than it.
+	w, err = New(g, calc, g.NodeByName("Berlin"), pred, Config{N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScope(t, w, g, g.NodeByName("Berlin"), 2)
+	w.Release()
+}
+
+// Arenas travel between goroutines through the free list; each walker must
+// still see a clean index. Run under -race -count=10 in CI.
+func TestArenaConcurrentBuildRelease(t *testing.T) {
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := g.PredByName("product")
+	var wg sync.WaitGroup
+	for k := 0; k < 8; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				u := kg.NodeID((k + round) % g.NumNodes())
+				n := 1 + (k+round)%3
+				w, err := New(g, calc, u, pred, Config{N: n})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				checkScope(t, w, g, u, n)
+				w.Converge()
+				total := 0.0
+				for _, v := range w.Scope() {
+					total += w.Pi(v)
+				}
+				if math.Abs(total-1) > 1e-9 {
+					t.Errorf("π of %s/%d sums to %v", g.Name(u), n, total)
+				}
+				w.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// The free list keeps an arena by what its arrays hold: one grown past
+// arenaKeepBytes — here by the index of a huge graph — goes to the
+// collector instead of pinning that memory for good.
+func TestArenaRetentionBound(t *testing.T) {
+	drainArenas()
+	defer drainArenas()
+	w, _ := figure1Walker(t, Config{N: 3})
+	w.Release()
+	if len(arenas) != 1 {
+		t.Fatalf("%d arenas on the free list after one release, want 1", len(arenas))
+	}
+	drainArenas()
+	w, _ = figure1Walker(t, Config{N: 3})
+	w.mem.index = make([]int32, arenaKeepBytes/4+1)
+	w.Release()
+	if len(arenas) != 0 {
+		t.Fatal("an arena over arenaKeepBytes was retained")
 	}
 }
