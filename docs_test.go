@@ -83,6 +83,13 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/estimate/estimate.go", "func MoESeeded"},
 		{"internal/estimate/estimate.go", "func (sc *moeScratch) flatSigma"},
 		{"internal/estimate/moments.go", "func MoEMoments"},
+		{"internal/estimate/moments.go", "func (r *Running) Add"},
+		{"internal/estimate/moments.go", "func (m Moments) Estimate"},
+		{"internal/core/terms.go", "func (x *Execution) record"},
+		{"internal/core/terms.go", "func (x *Execution) fold"},
+		{"internal/core/terms.go", "func (x *Execution) advance"},
+		{"internal/core/terms.go", "func (x *Execution) estimateOf"},
+		{"internal/core/exec.go", "func (x *Execution) groupRound"},
 		{"internal/estimate/stratified.go", "func EstimateStratified"},
 		{"internal/estimate/stratified.go", "func MoEStratified"},
 		{"internal/estimate/stratified.go", "func AllocateDraws"},

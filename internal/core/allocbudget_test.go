@@ -2,48 +2,53 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"kgaq/internal/datagen"
 	"kgaq/internal/estimate"
 	"kgaq/internal/kg"
+	"kgaq/internal/kg/kgtest"
 	"kgaq/internal/query"
 )
 
-// Per-stage allocation budgets for the draw→validate→estimate→merge hot
+// Per-stage allocation budgets for the draw→evaluate→fold→read-out hot
 // loop, measured on the warm path: scratch attached, pools primed, every
-// current draw's verdict cached. These are the numbers the PR 9 reclamation
-// bought — a budget increase is a performance regression and needs the same
-// scrutiny as a latency one.
+// candidate of the space already in the term table. These are the numbers
+// the PR 9 reclamation bought — a budget increase is a performance
+// regression and needs the same scrutiny as a latency one.
 const (
 	// drawAllocBudget covers one alias-table draw batch into reused scratch
 	// (answerSpace.drawInto and shardedSpace.drawInto).
 	drawAllocBudget = 0
-	// validateAllocBudget covers the batch-validation entry when every draw
-	// already has a verdict — the steady-state round where validation is a
-	// cache sweep (answerSpace.prevalidate, shardedSpace.prevalidate).
+	// validateAllocBudget covers a warm round's evaluation sweep over its
+	// fresh draws when every candidate they reach is already known — the
+	// steady-state round, where evaluation is a scan of state bits
+	// (Execution.evaluate).
 	validateAllocBudget = 0
-	// estimateAllocBudget covers one warm round's observation rebuild plus
-	// its point estimate and margin (observations + roundEval.estimate/moe):
-	// the observations live in pooled scratch and the margin's one-stratum
-	// view of them on the stack.
+	// estimateAllocBudget covers one whole warm round: draw a batch, sweep
+	// it, fold it into the running moments, and read the point estimate and
+	// the margin out of them (sampleMore + advance + estimateOf/marginOf).
+	// The moments are read into the table's own buffer.
 	estimateAllocBudget = 0
 	// mergeAllocBudget covers the stratified Horvitz–Thompson merge of a
-	// sharded round (Regroup excluded — the engine merges via
-	// MoEStratified/EstimateStratified over per-round strata, which reduce
-	// each stratum to moments held in registers).
+	// sharded round in its reference list form (Regroup excluded):
+	// MoEStratified/EstimateStratified reduce each stratum to moments held in
+	// registers.
 	mergeAllocBudget = 0
-	// multiAccumBudget covers one warm multi-target accumulation round: the
-	// shared-draw observation list with its flat Values/Has arena plus one
-	// projection (multiObservationList + ProjectInto).
+	// multiAccumBudget covers one warm multi-aggregate round: the same draw,
+	// sweep and fold with three specs fed from each draw, and every spec's
+	// read-out.
 	multiAccumBudget = 0
 )
 
-// warmExecution prepares a figure-1 COUNT execution with scratch held, an
-// initial sample drawn and every draw's verdict cached, so the per-stage
-// benchmarks below measure exactly the steady-state round.
-func warmExecution(t *testing.T) (*Execution, context.Context, func()) {
+// warmExecution prepares a figure-1 execution of the given specs (COUNT(*)
+// when none) with scratch held, an initial sample drawn and folded, every
+// candidate evaluated, and a draw list with room for the rounds the
+// budgets below run, so they measure exactly the steady-state round.
+func warmExecution(t *testing.T, specs ...termSpec) (*Execution, context.Context, func()) {
 	t.Helper()
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 21})
 	p, err := e.Prepare(context.Background(), countQuery())
@@ -55,11 +60,40 @@ func warmExecution(t *testing.T) (*Execution, context.Context, func()) {
 		t.Fatal(err)
 	}
 	release := x.holdScratch()
-	x.firstSample()
+	if len(specs) == 0 {
+		specs = []termSpec{{fn: query.Count, attr: kg.InvalidAttr}}
+	}
+	x.bindTerms(specs...)
 	ctx := context.Background()
-	x.prevalidateDraws(ctx)
-	x.observations(ctx) // prime obs scratch and every lazy verdict
+	all := make([]int, x.sp.len())
+	for i := range all {
+		all[i] = i
+	}
+	if !x.evaluate(ctx, all) {
+		t.Fatal("evaluation of a live context reported a cancellation")
+	}
+	x.firstSample()
+	x.advance(ctx)
+	x.drawIdx = slices.Grow(x.drawIdx, x.opts.MaxDraws)
 	return x, ctx, release
+}
+
+// warmRound is one steady-state refinement round of every spec: fresh
+// draws, their sweep and fold, then estimate and margin per spec.
+func warmRound(x *Execution, ctx context.Context) error {
+	if !x.sampleMore(64) || !x.advance(ctx) {
+		return errors.New("the warm round did not run")
+	}
+	for k := range x.tab.specs {
+		mom := x.tab.moments(0, k)
+		if _, err := x.estimateOf(k, mom); err != nil {
+			return err
+		}
+		if _, err := x.marginOf(k, mom); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestAllocBudgetDraw(t *testing.T) {
@@ -78,8 +112,13 @@ func TestAllocBudgetDraw(t *testing.T) {
 func TestAllocBudgetValidateCached(t *testing.T) {
 	x, ctx, release := warmExecution(t)
 	defer release()
+	const k = 128
+	x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
 	allocs := testing.AllocsPerRun(200, func() {
-		x.sp.prevalidate(ctx, x.drawIdx, x.scr)
+		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
+		if !x.evaluate(ctx, x.scr.draws) {
+			panic("cancelled")
+		}
 	})
 	if allocs > validateAllocBudget {
 		t.Fatalf("validate stage (cached) allocates %.1f/op, budget %d", allocs, validateAllocBudget)
@@ -89,19 +128,11 @@ func TestAllocBudgetValidateCached(t *testing.T) {
 func TestAllocBudgetEstimate(t *testing.T) {
 	x, ctx, release := warmExecution(t)
 	defer release()
-	round := func() error {
-		re := roundEval{x: x, fn: query.Count, obs: x.observations(ctx)}
-		if _, err := re.estimate(); err != nil {
-			return err
-		}
-		_, err := re.moe()
-		return err
-	}
-	if err := round(); err != nil {
+	if err := warmRound(x, ctx); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := round(); err != nil {
+		if err := warmRound(x, ctx); err != nil {
 			panic(err)
 		}
 	})
@@ -142,14 +173,20 @@ func TestAllocBudgetStratifiedMerge(t *testing.T) {
 }
 
 func TestAllocBudgetMultiAccumulation(t *testing.T) {
-	x, ctx, release := warmExecution(t)
+	g := kgtest.Figure1()
+	price := g.AttrByName("price")
+	x, ctx, release := warmExecution(t,
+		termSpec{fn: query.Count, attr: kg.InvalidAttr},
+		termSpec{fn: query.Sum, attr: price},
+		termSpec{fn: query.Avg, attr: price})
 	defer release()
-	attrs := []kg.AttrID{kg.InvalidAttr, kg.InvalidAttr, kg.InvalidAttr}
-	mobs, _ := x.multiObservationList(ctx, attrs)
-	x.scr.proj = estimate.ProjectInto(x.scr.proj[:0], mobs, 0, query.Count)
+	if err := warmRound(x, ctx); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		mobs, _ := x.multiObservationList(ctx, attrs)
-		x.scr.proj = estimate.ProjectInto(x.scr.proj[:0], mobs, 0, query.Count)
+		if err := warmRound(x, ctx); err != nil {
+			panic(err)
+		}
 	})
 	if allocs > multiAccumBudget {
 		t.Fatalf("multi-target accumulation allocates %.1f/op, budget %d", allocs, multiAccumBudget)
@@ -218,6 +255,42 @@ func TestAllocBudgetColdOneHopPrepare(t *testing.T) {
 	}
 }
 
+// warmQueryAllocBudget covers one whole execution of a warm one-hop plan
+// (Prepared.Query on dbpedia-sim, three rounds, 8 219 draws over 780
+// candidates, every verdict already in the stage's table): the Execution and
+// its RNG, the rounds and the Result, and per round the batch oracle's
+// verdict map. The list form allocated 48 times here — the per-execution
+// verdict array and the stratum view of every round among them; measured 40
+// (43 under the race detector).
+const warmQueryAllocBudget = 44
+
+func TestAllocBudgetWarmOneHopQuery(t *testing.T) {
+	ds, err := datagen.Generate(datagen.DBpediaSim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: 0.85, ErrorBound: 0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p, err := e.Prepare(ctx, ds.QueriesByShape(query.ShapeSimple)[0].Agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Query(ctx); err != nil { // primes the scratch and the stage's verdicts
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := p.Query(ctx); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > warmQueryAllocBudget {
+		t.Fatalf("warm one-hop Query allocates %.0f/op, budget %d", allocs, warmQueryAllocBudget)
+	}
+}
+
 // drainScratch empties the free list so that a test sees only its own puts.
 func drainScratch() {
 	for {
@@ -231,11 +304,12 @@ func drainScratch() {
 
 // The free list keeps a scratch across collections (a sync.Pool, emptied by
 // every second one, handed a cold-compile workload an empty scratch on most
-// calls) and refuses one grown past scratchKeepDraws.
+// calls) and refuses one whose draw list grew past scratchKeepDraws or whose
+// draw list and term table hold more than scratchKeepBytes.
 func TestScratchFreeListSurvivesGC(t *testing.T) {
 	drainScratch()
 	defer drainScratch()
-	s := &execScratch{obs: make([]estimate.Observation, 0, 1024)}
+	s := &execScratch{drawIdx: make([]int, 0, 1024), tab: termTable{s: make([]float64, 0, 4096)}}
 	putScratch(s)
 	for i := 0; i < 3; i++ {
 		runtime.GC()
@@ -243,15 +317,21 @@ func TestScratchFreeListSurvivesGC(t *testing.T) {
 	if got := getScratch(); got != s {
 		t.Fatal("the scratch did not survive three collections")
 	}
-	putScratch(&execScratch{obs: make([]estimate.Observation, 0, scratchKeepDraws+1)})
-	if got := getScratch(); cap(got.obs) != 0 {
-		t.Fatalf("an oversized scratch (cap %d) was retained", cap(got.obs))
+	putScratch(&execScratch{drawIdx: make([]int, 0, scratchKeepDraws+1)})
+	if got := getScratch(); cap(got.drawIdx) != 0 {
+		t.Fatalf("a scratch with an oversized draw list (cap %d) was retained", cap(got.drawIdx))
+	}
+	// Candidates × specs: a table no draw-list bound would have caught.
+	putScratch(&execScratch{tab: termTable{val: make([]float64, scratchKeepBytes/16), s: make([]float64, scratchKeepBytes/16+1)}})
+	if got := getScratch(); got.tab.heldBytes() != 0 {
+		t.Fatalf("a scratch holding a %d-byte term table was retained", got.tab.heldBytes())
 	}
 }
 
-// A one-shot query borrows its draw list from the scratch and leaves it
-// there; an interactive execution owns its list. A one-shot query run
-// between two Refine calls of an interactive execution must not disturb it.
+// A one-shot query borrows its draw list and term table from the scratch
+// and leaves them there; an interactive execution owns both. One-shot
+// queries and a QueryMulti run between two Refine calls of an interactive
+// execution must leave its sample intact.
 func TestOneShotDrawListDoesNotAliasInteractive(t *testing.T) {
 	drainScratch()
 	defer drainScratch()
@@ -283,12 +363,24 @@ func TestOneShotDrawListDoesNotAliasInteractive(t *testing.T) {
 			if cap(s.drawIdx) < res.SampleSize {
 				t.Errorf("the one-shot draw list (%d draws) did not return to the scratch (cap %d)", res.SampleSize, cap(s.drawIdx))
 			}
+			if cap(s.tab.state) < res.Candidates {
+				t.Errorf("the one-shot term table (%d candidates) did not return to the scratch (cap %d)", res.Candidates, cap(s.tab.state))
+			}
 			putScratch(s)
 		default:
 			t.Error("no scratch on the free list after a query")
 		}
+		// The same scratch, now with other specs, another seed and a wider
+		// table: whatever it writes must land in its own arrays.
+		if _, err := e.QueryMulti(ctx, avgPriceQuery(), threeSpecs(), WithSeed(5), WithErrorBound(0.01)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Query(ctx, avgPriceQuery(), WithSeed(7), WithErrorBound(0.01)); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if got.Estimate != want.Estimate || got.MoE != want.MoE || got.SampleSize != want.SampleSize || got.Correct != want.Correct {
-		t.Fatalf("interactive refinement disturbed by a one-shot query:\n got %+v\nwant %+v", got, want)
+	if got.Estimate != want.Estimate || got.MoE != want.MoE || got.SampleSize != want.SampleSize ||
+		got.Correct != want.Correct || got.Distinct != want.Distinct || !slices.Equal(got.Rounds, want.Rounds) {
+		t.Fatalf("interactive refinement disturbed by one-shot queries:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -79,6 +79,7 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []*query.Aggregate, opts ...
 			if err != nil {
 				return nil, err
 			}
+			x.oneShot = true
 			return x.Refine(ctx, 0)
 		}
 		if err := q.Validate(); err != nil {
@@ -119,6 +120,7 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []*query.Aggregate, opts ...
 		if building {
 			x.times.Sampling += p.buildTime
 		}
+		x.oneShot = true
 		return x.Refine(ctx, 0)
 	}
 

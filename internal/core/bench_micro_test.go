@@ -111,3 +111,68 @@ func BenchmarkInteractiveTighten(b *testing.B) {
 		}
 	}
 }
+
+// warmPlan prepares the first one-hop dbpedia-sim query (the benchmark of
+// record's hot_repeat shape: stages resident, τ and eb as kgaqd serves them)
+// and runs it once, so the scratch free list and the stage verdict tables
+// are primed.
+func warmPlan(b *testing.B) *Prepared {
+	b.Helper()
+	ds, err := datagen.Generate(datagen.DBpediaSim())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: 0.85, ErrorBound: 0.10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var q *query.Aggregate
+	for _, gq := range ds.QueriesByShape(query.ShapeSimple) {
+		if gq.Agg.Attr != "" && gq.Category == "simple" {
+			q = gq.Agg
+			break
+		}
+	}
+	p, err := e.Prepare(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.Query(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkWarmQuery is one execution of a warm plan: draws, the evaluation
+// of the candidates they reach, the fold and the read-outs — no compile, no
+// cold validation.
+func BenchmarkWarmQuery(b *testing.B) {
+	p := warmPlan(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Query(ctx, WithSeed(int64(i%16)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmQueryMulti is BenchmarkWarmQuery with three aggregates over
+// the one sample: the K-spec fold.
+func BenchmarkWarmQueryMulti(b *testing.B) {
+	p := warmPlan(b)
+	ctx := context.Background()
+	attr := p.Aggregate().Attr
+	specs := []AggSpec{{Func: query.Count}, {Func: query.Sum, Attr: attr}, {Func: query.Avg, Attr: attr}}
+	if _, err := p.QueryMulti(ctx, specs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.QueryMulti(ctx, specs, WithSeed(int64(i%16)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -96,10 +96,10 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// A batch cancelled at any depth caches no verdict: not on the execution
-// (prevalidate discards the round) and not on the stages, so the same
-// space validated afterwards under a live context still matches a space
-// that never saw a cancellation.
+// A batch cancelled at any depth caches no verdict: not in the execution's
+// term table (evaluate records nothing of a cut batch) and not on the
+// stages, so the same space validated afterwards under a live context still
+// matches a space that never saw a cancellation.
 func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 	p := datagen.TinyProfile()
 	ds, err := datagen.Generate(p)
@@ -117,7 +117,17 @@ func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 			t.Fatalf("%s: fixture has no correct answer to poison", gq.ID)
 		}
 
-		sp := compileSpace(t, ds, p.OptimalTau, gq.Agg)
+		e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: p.OptimalTau})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := e.Start(context.Background(), gq.Agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer x.holdScratch()()
+		x.bindTerms(termSpec{fn: gq.Agg.Func, attr: x.attr})
+		sp := x.sp
 		all := make([]int, len(sp.answers))
 		for i := range all {
 			all[i] = i
@@ -126,21 +136,19 @@ func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 		for polls := int64(0); polls < 64; polls++ {
 			ctx := &pollCtx{Context: context.Background()}
 			ctx.left.Store(polls)
-			sp.prevalidate(ctx, all, new(execScratch))
-			if ctx.left.Load() >= 0 {
+			if x.evaluate(ctx, all) {
 				break // the batch finished before the cancellation landed
 			}
 			depths++
-			for i, v := range sp.verdicts {
-				if v != verdictUnknown {
-					t.Fatalf("%s: cancelled after %d polls, yet answer %d carries verdict %d", gq.ID, polls, sp.answers[i], v)
+			for i, state := range x.tab.state {
+				if state != 0 {
+					t.Fatalf("%s: cancelled after %d polls, yet answer %d carries state %b", gq.ID, polls, sp.answers[i], state)
 				}
 			}
 		}
 		if depths < 5 {
 			t.Fatalf("%s: only %d cancellation depths exercised", gq.ID, depths)
 		}
-		clear(sp.verdicts)
 		got := sp.oracle.batch(context.Background(), sp.answers)
 		for _, u := range sp.answers {
 			if got[u] != want[u] {

@@ -437,12 +437,27 @@ func (e *Engine) ShardStats() []ShardStat {
 }
 
 // countDraws attributes a batch of drawn answers to the engine plan's
-// shards.
-func (e *Engine) countDraws(answers []kg.NodeID, idx []int) {
+// shards. The per-shard counters are shared by every concurrent query, so a
+// batch is tallied in counts (the caller's scratch, returned for reuse) and
+// each shard's total added once — one atomic add per shard and batch, not
+// one per draw; a one-shard plan owns every answer and is not even scanned.
+func (e *Engine) countDraws(answers []kg.NodeID, idx []int, counts []uint64) []uint64 {
 	metDraws.Add(float64(len(idx)))
-	for _, i := range idx {
-		e.shardDraws[e.plan.Of(answers[i])].Add(1)
+	if len(e.shardDraws) == 1 {
+		e.shardDraws[0].Add(uint64(len(idx)))
+		return counts
 	}
+	counts = sized(counts, len(e.shardDraws))
+	clear(counts)
+	for _, i := range idx {
+		counts[e.plan.Of(answers[i])]++
+	}
+	for s, n := range counts {
+		if n > 0 {
+			e.shardDraws[s].Add(n)
+		}
+	}
+	return counts
 }
 
 // resolveRoot maps a decomposed path's root onto the query's graph view,

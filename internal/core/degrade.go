@@ -60,10 +60,12 @@ func (d Degradation) shouldStop(ctx context.Context, lastRound time.Duration) bo
 }
 
 // nextRoundCost predicts what the round after a step of delta draws will
-// cost from what the round begun at roundBegin did, its draws included: a
-// round rebuilds the observation list and its moments over the whole
-// sample, so its cost is linear in the sample size, and one undamped Eq. 12
-// step may multiply the sample by six.
+// cost from what the round begun at roundBegin did, its draws included,
+// scaled by the growth of the sample: one undamped Eq. 12 step may multiply
+// it by six. The price dates from the rounds that re-read the whole sample;
+// a round now costs its fresh draws, which after a large step are most of
+// the sample, so the prediction stays on the safe (early-stopping) side and
+// degradation decides as it always has.
 func (x *Execution) nextRoundCost(roundBegin time.Time, delta int) time.Duration {
 	last := time.Since(roundBegin) + x.drawCost
 	cur := len(x.drawIdx)

@@ -15,26 +15,38 @@
 // Engine.Prepare compiles a query once — name→id resolution, shape
 // classification, filter/attribute binding, walker convergence, the answer
 // distribution, alias tables and the shard split — into a concurrency-safe
-// *Prepared (introspectable via Plan()); each Prepared.Start then forks a
-// private Execution holding the execution's verdict caches, RNG and draw
-// list, pinned to one epoch-consistent graph view (EpochPin freezes the
-// Prepare-time snapshot, EpochRepin follows the live graph).
-// Execution.Refine implements Algorithm 1's refinement loop: draw,
+// *Prepared (introspectable via Plan()); each Prepared.Start then returns a
+// private Execution holding its own RNG, draw list and term table over the
+// shared compiled space, pinned to one epoch-consistent graph view
+// (EpochPin freezes the Prepare-time snapshot, EpochRepin follows the live
+// graph). Execution.Refine implements Algorithm 1's refinement loop: draw,
 // validate, estimate, compute the margin of error, test Theorem 2's
 // termination condition, and size the next round per Eq. 12. Engine.Query
 // and Engine.Start remain as thin single-use wrappers, and
 // Engine.QueryBatch dedupes identical plan keys so same-graph queries
 // share one build.
 //
+// The sample is kept in reduced form (terms.go, DESIGN.md "Running moments
+// and the term table"): a candidate answer is evaluated once — verdict,
+// filters, attribute values, Horvitz–Thompson terms, group — into the
+// execution's term table; each round validates only the new candidates
+// among its fresh draws and folds only those fresh draws into one running
+// moments accumulator per (aggregate, stratum, group), all of them or —
+// when cancelled mid-validation — none; estimate and margin are read from
+// the moments. Every loop below (Refine, its GROUP-BY and MAX/MIN arms,
+// refineMulti, sharded or not, and FederateSample's single round) sits on
+// that one data path, bit-identical to the observation-list form it
+// replaced.
+//
 // # Multi-aggregate execution
 //
 // Prepared.QueryMulti (and the Engine.QueryMulti one-shot) evaluates a
 // list of AggSpecs — e.g. COUNT, SUM(price), AVG(price) — over one shared
 // draw stream: the Eq. 7–9 estimators all consume the same semantic-aware
-// sample, so each round validates its fresh draws once and feeds every
-// spec's Horvitz–Thompson accumulator (estimate.MultiObservation /
-// estimate.Project); the guarantee loop refines until every guaranteed
-// spec meets its error bound, GROUP-BY and sharded strata included.
+// sample, so a candidate is evaluated once against every spec and each
+// round's one fold feeds every spec's running Horvitz–Thompson moments;
+// the guarantee loop refines until every guaranteed spec meets its error
+// bound, GROUP-BY and sharded strata included.
 //
 // # Performance machinery
 //

@@ -27,8 +27,8 @@ type resolvedFilter struct {
 // the interactive scenario of §IV-C where the user tightens eb at runtime
 // and the engine reuses everything collected so far.
 //
-// An Execution carries its own RNG, sampling space and validation caches
-// and must not be shared across goroutines; concurrency happens by running
+// An Execution carries its own RNG, draw list and term table and must not
+// be shared across goroutines; concurrency happens by running
 // many Executions of one Engine in parallel.
 type Execution struct {
 	e       *Engine
@@ -49,9 +49,12 @@ type Execution struct {
 	rng     *rand.Rand    // the draw stream: consumed by sampling alone
 	scr     *execScratch  // pooled hot-loop buffers, held per Refine call
 	drawIdx []int
+	// tab is the sample in reduced form: what is known of each candidate and
+	// the running moments of the draws folded so far (terms.go).
+	tab *termTable
 	// oneShot marks an execution that dies with its first refinement call
-	// (Query, QueryMulti, FederateSample): nothing reads its draw list
-	// afterwards, so the list lives in the scratch (holdScratch).
+	// (Query, QueryMulti, FederateSample): nothing reads its draw list or
+	// term table afterwards, so both live in the scratch (holdScratch).
 	oneShot bool
 	rounds  []Round
 	times   StepTimes
@@ -291,138 +294,6 @@ func (x *Execution) firstSample() {
 	x.sampleMore(size)
 }
 
-// observation materialises draw i: the correctness verdict combines the
-// cached semantic validation with the §V-A filter condition
-// c(u) = (L ≤ u.b ≤ U && s ≥ τ), and an answer missing the aggregated
-// attribute cannot contribute to SUM/AVG/MAX/MIN. Under sharded execution
-// the probability is conditional on the draw's stratum and the stratum's
-// inclusion probability rides along, so the stratified combiner can merge
-// per-shard samples from the flat observation list.
-func (x *Execution) observation(ctx context.Context, i int) estimate.Observation {
-	g := x.v.g
-	u := x.sp.answers[i]
-	// The Fig. 5b ablation (SkipValidation) trusts the sampler blindly:
-	// every sampled answer is treated as correct.
-	obs := estimate.Observation{Prob: x.sp.probs[i],
-		Correct: x.opts.SkipValidation || x.sp.correctness(ctx, i)}
-	if x.sh != nil {
-		spc := x.sh.spaces[x.sh.posOf[i]]
-		obs.Prob = x.sh.condProb(x.sp, i)
-		obs.Stratum = spc.Shard
-		obs.StratumWeight = spc.Weight
-	}
-	if obs.Correct {
-		for _, f := range x.filters {
-			v, ok := g.Attr(u, f.attr)
-			if !ok || v < f.low || v > f.high {
-				obs.Correct = false
-				break
-			}
-		}
-	}
-	if x.attr != kg.InvalidAttr {
-		v, ok := g.Attr(u, x.attr)
-		if !ok {
-			if x.q.Func != query.Count {
-				obs.Correct = false
-			}
-		} else {
-			obs.Value = v
-		}
-	}
-	return obs
-}
-
-// prevalidateDraws batch-validates every fresh distinct answer in the draw
-// list — per stratum and in parallel when sharded, in one shared greedy
-// search otherwise — so the per-draw observation path hits the verdict
-// cache.
-func (x *Execution) prevalidateDraws(ctx context.Context) {
-	fireValidatePoint()
-	if x.opts.SkipValidation {
-		return
-	}
-	if x.sh != nil {
-		x.sh.prevalidate(ctx, x.e, x.sp, x.drawIdx, x.scr)
-		return
-	}
-	x.sp.prevalidate(ctx, x.drawIdx, x.scr)
-}
-
-func (x *Execution) observations(ctx context.Context) []estimate.Observation {
-	x.prevalidateDraws(ctx)
-	out := x.scr.obs[:0]
-	if cap(out) < len(x.drawIdx) {
-		out = make([]estimate.Observation, 0, len(x.drawIdx))
-	}
-	for _, i := range x.drawIdx {
-		out = append(out, x.observation(ctx, i))
-	}
-	x.scr.obs = out
-	return out
-}
-
-// roundEval evaluates one observation list — a refinement round's full
-// sample, or one GROUP-BY group's view of it — under one aggregate
-// function. When sharded, the strata are regrouped once and shared by the
-// point estimate and the margin of error.
-type roundEval struct {
-	x      *Execution
-	fn     query.AggFunc
-	obs    []estimate.Observation
-	strata []estimate.Stratum // nil when unsharded
-}
-
-// eval builds the round evaluator for the execution's own aggregate.
-// updateAlloc must be true exactly for the full-sample evaluation of a
-// round: it refreshes the Neyman allocator's per-stratum variance signals,
-// which per-group views (subsets with out-of-group draws zeroed, visited
-// in map order) must never do — allocation stays a function of the whole
-// sample and the run stays deterministic under its seed.
-func (x *Execution) eval(obs []estimate.Observation, updateAlloc bool) *roundEval {
-	return x.evalFn(x.q.Func, obs, updateAlloc)
-}
-
-// evalFn is eval for an explicit aggregate function — the multi-aggregate
-// path evaluates several functions over projections of one shared sample.
-func (x *Execution) evalFn(fn query.AggFunc, obs []estimate.Observation, updateAlloc bool) *roundEval {
-	re := &roundEval{x: x, fn: fn, obs: obs}
-	if x.sh != nil {
-		re.strata = estimate.Regroup(obs)
-		if updateAlloc {
-			x.sh.updateSigmas(fn, re.strata)
-		}
-	}
-	return re
-}
-
-// estimate computes the point estimate — stratified when sharded (the
-// per-shard samples merge as Σ_h f̂(S_h) over conditional probabilities),
-// plain Horvitz–Thompson otherwise.
-func (re *roundEval) estimate() (float64, error) {
-	x := re.x
-	if re.strata != nil {
-		return estimate.EstimateStratified(re.fn, re.strata, x.opts.Policy)
-	}
-	return estimate.Estimate(re.fn, re.obs, x.opts.Policy)
-}
-
-// moe computes ε: the closed-form stratified CLT margin over the round's
-// strata — an unsharded sample is one stratum of weight 1, viewed from this
-// frame without allocating. ε is a function of the observations alone: it
-// consumes no randomness, so the draw stream stays a function of draw
-// counts and pooled and unpooled execution, or a QueryMulti and sequential
-// Query calls over the same plan, sample identically.
-func (re *roundEval) moe() (float64, error) {
-	o := re.x.opts
-	strata := re.strata
-	if strata == nil {
-		one := [1]estimate.Stratum{{Weight: 1, Obs: re.obs}}
-		strata = one[:]
-	}
-	return estimate.MoEStratified(re.fn, strata, o.Policy, o.guarantee())
-}
-
 // sizingGap remembers, within one refinement round, the estimate furthest
 // from its Theorem 2 target — the largest ε/target ratio among the round's
 // unsatisfied specs or groups — which drives the round's Eq. 12 sizing.
@@ -466,7 +337,7 @@ func (x *Execution) sampleMore(k int) bool {
 		fresh = x.scr.draws
 	}
 	x.drawIdx = append(x.drawIdx, fresh...)
-	x.e.countDraws(x.sp.answers, fresh)
+	x.scr.shardCounts = x.e.countDraws(x.sp.answers, fresh, x.scr.shardCounts)
 	x.drawCost = time.Since(begin)
 	x.times.Sampling += x.drawCost
 	return true
@@ -478,8 +349,8 @@ func (x *Execution) sampleMore(k int) bool {
 // round of its own, the estimate falls back to the last recorded round
 // (an earlier Refine on the same Execution may have produced one); only a
 // truly round-less execution reports NaN. The cancelled ctx flows into
-// the result bookkeeping on purpose: draws whose validation never ran
-// count as incorrect instead of blocking the cancel on a fresh
+// the result bookkeeping on purpose: draws of candidates whose validation
+// never ran count as incorrect instead of blocking the cancel on a fresh
 // validation pass.
 func (x *Execution) interrupted(ctx context.Context, vhat, moe float64, estimated bool, cause error) (*Result, error) {
 	if !estimated {
@@ -506,6 +377,7 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 	}
 	release := x.holdScratch()
 	defer release()
+	x.bindTerms(termSpec{fn: x.q.Func, attr: x.attr})
 	if eb <= 0 {
 		eb = x.opts.ErrorBound
 	}
@@ -529,22 +401,15 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 			return x.interrupted(ctx, vhat, moe, estimated, err)
 		}
 		roundBegin := time.Now()
+		if !x.advance(ctx) {
+			// Validation was cut short: the round's draws stay unfolded, and
+			// a later Refine picks them up where this one stopped.
+			return x.interrupted(ctx, vhat, moe, estimated, ctx.Err())
+		}
 		begin := time.Now()
-		obs := x.observations(ctx)
-		correct := 0
-		for _, ob := range obs {
-			if ob.Correct {
-				correct++
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			// Validation was cut short; the verdicts of this round are
-			// incomplete, so do not fold them into the estimate.
-			x.times.Estimation += time.Since(begin)
-			return x.interrupted(ctx, vhat, moe, estimated, err)
-		}
-		re := x.eval(obs, true)
-		v, err := re.estimate()
+		mom := x.sampleMoments(0)
+		correct := x.tab.hits(0, 0)
+		v, err := x.estimateOf(0, mom)
 		x.times.Estimation += time.Since(begin)
 		if err != nil {
 			if err == estimate.ErrNoCorrect {
@@ -570,7 +435,7 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 			continue
 		}
 		begin = time.Now()
-		eps, err := re.moe()
+		eps, err := x.marginOf(0, mom)
 		// Close the timing window before the OnRound callback fires: its
 		// latency (e.g. a slow streaming client) is not guarantee time.
 		x.times.Guarantee += time.Since(begin)
@@ -618,17 +483,22 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 	return x.result(ctx, vhat, moe, converged, nil), nil
 }
 
+// extremeRoundSize is the fixed round of the MAX/MIN paths: 5% of the
+// candidates, at least 20 draws, and at least one per stratum so that every
+// stratum is observed each round.
+func (x *Execution) extremeRoundSize() int {
+	per := max(x.sp.len()/20, 20)
+	if x.sh != nil {
+		per = max(per, len(x.sh.spaces))
+	}
+	return per
+}
+
 // runExtreme supports MAX/MIN without a guarantee (§VII): fixed-size rounds
 // over the sampling distribution, returning the running extreme.
 func (x *Execution) runExtreme(ctx context.Context) (*Result, error) {
 	o := x.opts
-	per := x.sp.len() / 20 // 5% of the candidates per round
-	if per < 20 {
-		per = 20
-	}
-	if x.sh != nil && per < len(x.sh.spaces) {
-		per = len(x.sh.spaces) // observe every stratum each extreme round
-	}
+	per := x.extremeRoundSize()
 	var best float64
 	found := false
 	for round := 0; round < o.ExtremeRounds; round++ {
@@ -639,8 +509,11 @@ func (x *Execution) runExtreme(ctx context.Context) (*Result, error) {
 		if !x.sampleMore(per) && round > 0 {
 			break
 		}
+		if !x.advance(ctx) {
+			return x.interrupted(ctx, best, 0, found, ctx.Err())
+		}
 		begin := time.Now()
-		v, err := x.eval(x.observations(ctx), true).estimate()
+		v, err := x.estimateOf(0, x.sampleMoments(0))
 		x.times.Estimation += time.Since(begin)
 		if err != nil {
 			continue
@@ -656,6 +529,10 @@ func (x *Execution) runExtreme(ctx context.Context) (*Result, error) {
 	return x.result(ctx, best, 0, false, nil), nil
 }
 
+// minGroupDraws is how many in-group correct draws a GROUP-BY group needs
+// before its own Theorem 2 condition counts toward termination.
+const minGroupDraws = 8
+
 // runGrouped answers GROUP-BY queries: each group's estimator runs over the
 // full sample with group membership folded into the correctness indicator
 // (a draw outside the group contributes zero), which keeps the HT estimator
@@ -667,36 +544,34 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 	if len(x.drawIdx) == 0 {
 		x.firstSample()
 	}
-	const minGroupDraws = 8
 	maxRounds := 3 * o.MaxRounds
 	var groups map[string]GroupResult
 	var vhat, moe float64
 	estimated := false
 	lastEmit := -1 // sample size the last emitted round covered
 	converged := false
+	cut := func(cause error) (*Result, error) {
+		res, rerr := x.interrupted(ctx, vhat, moe, estimated, cause)
+		res.Groups = groups
+		return res, rerr
+	}
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
-			res, rerr := x.interrupted(ctx, vhat, moe, estimated, err)
-			res.Groups = groups
-			return res, rerr
+			return cut(err)
 		}
 		roundBegin := time.Now()
-		begin := time.Now()
-		byGroup, inGroup, base := x.groupedObservations(ctx)
-		if err := ctx.Err(); err != nil {
-			// Validation was cut short; this round's verdicts are incomplete,
-			// so report the previous round's groups, not estimates over them.
-			x.times.Estimation += time.Since(begin)
-			res, rerr := x.interrupted(ctx, vhat, moe, estimated, err)
-			res.Groups = groups
-			return res, rerr
+		if !x.advance(ctx) {
+			// Validation was cut short; the round's draws stay unfolded, so
+			// report the previous round's groups.
+			return cut(ctx.Err())
 		}
+		begin := time.Now()
 		// The overall (ungrouped) estimate of this round, streamed to
 		// OnRound so grouped queries report live progress too.
-		baseEval := x.eval(base, true)
-		if v, err := baseEval.estimate(); err == nil {
+		mom := x.sampleMoments(0)
+		if v, err := x.estimateOf(0, mom); err == nil {
 			gbegin := time.Now()
-			eps, err := baseEval.moe()
+			eps, err := x.marginOf(0, mom)
 			x.times.Guarantee += time.Since(gbegin)
 			if err != nil {
 				eps = math.NaN()
@@ -707,27 +582,9 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 			x.emitRound(Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)})
 			x.traceRound(ctx, roundBegin, v, eps)
 		}
-		groups = map[string]GroupResult{}
-		allOK := len(byGroup) > 0
 		var worst sizingGap
-		for label, obs := range byGroup {
-			groupEval := x.eval(obs, false)
-			v, err := groupEval.estimate()
-			if err != nil {
-				continue
-			}
-			gbegin := time.Now()
-			eps, err := groupEval.moe()
-			x.times.Guarantee += time.Since(gbegin)
-			if err != nil {
-				continue
-			}
-			groups[label] = GroupResult{Estimate: v, MoE: eps, Draws: inGroup[label]}
-			if inGroup[label] >= minGroupDraws && !estimate.Satisfied(v, eps, eb) {
-				allOK = false
-				worst.note(v, eps, eb)
-			}
-		}
+		var allOK bool
+		groups, allOK = x.groupRound(0, eb, &worst)
 		x.times.Estimation += time.Since(begin)
 		if allOK && len(groups) > 0 {
 			converged = true
@@ -752,18 +609,15 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 	// only when no round produced one or draws arrived after the last round.
 	if !estimated || lastEmit != len(x.drawIdx) {
 		finalBegin := time.Now()
-		finalObs := x.observations(ctx)
-		if err := ctx.Err(); err != nil {
-			res, rerr := x.interrupted(ctx, vhat, moe, estimated, err)
-			res.Groups = groups
-			return res, rerr
+		if !x.advance(ctx) {
+			return cut(ctx.Err())
 		}
-		finalEval := x.eval(finalObs, true)
-		v, err := finalEval.estimate()
+		mom := x.sampleMoments(0)
+		v, err := x.estimateOf(0, mom)
 		if err != nil {
 			return nil, err
 		}
-		eps, err := finalEval.moe()
+		eps, err := x.marginOf(0, mom)
 		if err != nil {
 			eps = math.NaN()
 		}
@@ -774,58 +628,51 @@ func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error)
 	return x.result(ctx, vhat, moe, converged, groups), nil
 }
 
-// groupedObservations builds, for every group label, a full-sample
-// observation list in which draws outside the group are marked incorrect,
-// plus the count of in-group draws per label and the shared base
-// observation list itself (for the round's overall estimate).
-func (x *Execution) groupedObservations(ctx context.Context) (map[string][]estimate.Observation, map[string]int, []estimate.Observation) {
-	g := x.v.g
-	x.prevalidateDraws(ctx)
-	labels := x.scr.labels[:0]
-	base := x.scr.base[:0]
-	seen := map[string]bool{}
-	inGroup := map[string]int{}
-	for _, i := range x.drawIdx {
-		ob := x.observation(ctx, i)
-		base = append(base, ob)
-		label := "n/a"
-		if v, ok := g.Attr(x.sp.answers[i], x.group); ok {
-			label = strconv.FormatFloat(v, 'g', -1, 64)
+// groupRound reads out spec k's per-group estimators for the current round:
+// every group with a draw correct for the spec gets its estimate and margin
+// over the full sample, in which the draws outside the group are zeros. It
+// reports whether every sufficiently observed group (minGroupDraws)
+// satisfies eb; the unsatisfied ones are offered to worst, the round's
+// growth signal.
+func (x *Execution) groupRound(k int, eb float64, worst *sizingGap) (map[string]GroupResult, bool) {
+	t := x.tab
+	groups := map[string]GroupResult{}
+	allOK := t.hits(0, k) > 0
+	for g := 1; g < len(t.labels); g++ {
+		inGroup := t.hits(g, k)
+		if inGroup == 0 {
+			continue
 		}
-		labels = append(labels, label)
-		if ob.Correct {
-			seen[label] = true
-			inGroup[label]++
+		mom := t.moments(g, k)
+		v, err := x.estimateOf(k, mom)
+		if err != nil {
+			continue
+		}
+		begin := time.Now()
+		eps, err := x.marginOf(k, mom)
+		x.times.Guarantee += time.Since(begin)
+		if err != nil {
+			continue
+		}
+		groups[t.labels[g]] = GroupResult{Estimate: v, MoE: eps, Draws: inGroup}
+		if inGroup >= minGroupDraws && !estimate.Satisfied(v, eps, eb) {
+			allOK = false
+			worst.note(v, eps, eb)
 		}
 	}
-	x.scr.labels, x.scr.base = labels, base
-	byGroup := map[string][]estimate.Observation{}
-	for label := range seen {
-		obs := make([]estimate.Observation, len(base))
-		copy(obs, base)
-		for k := range obs {
-			if labels[k] != label {
-				obs[k].Correct = false
-			}
-		}
-		byGroup[label] = obs
-	}
-	return byGroup, inGroup, base
+	return groups, allOK
 }
 
+// result assembles the Result. Draws that arrived after the last evaluated
+// round (a loop that ran out of rounds right after sampling) are settled
+// first, so Correct and Distinct cover the whole SampleSize; under a
+// cancelled ctx they are not, and count as sampleCounts says.
 func (x *Execution) result(ctx context.Context, vhat, moe float64, converged bool, groups map[string]GroupResult) *Result {
-	x.finishTelemetry(ctx, converged, vhat, moe)
-	correct := 0
-	distinct := 0
-	x.scr.beginMarks(x.sp.len())
-	for _, i := range x.drawIdx {
-		if x.scr.mark(i) {
-			distinct++
-		}
-		if x.observation(ctx, i).Correct {
-			correct++
-		}
+	if x.tab.folded < len(x.drawIdx) && ctx.Err() == nil {
+		x.advance(ctx)
 	}
+	x.finishTelemetry(ctx, converged, vhat, moe)
+	correct, distinct := x.sampleCounts(0)
 	shards := 0
 	if x.sh != nil {
 		shards = len(x.sh.spaces)

@@ -68,6 +68,7 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 	x.oneShot = true
 	release := x.holdScratch()
 	defer release()
+	x.bindTerms(termSpec{fn: q.Func, attr: x.attr})
 	if pilot {
 		if floor := x.initialSize(x.sp.len()); n < floor {
 			n = floor
@@ -77,13 +78,16 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 		n = 2 // σ̂ needs two draws to exist
 	}
 	x.sampleMore(n)
-	obs := x.observations(ctx)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("core: %w during member sampling: %w", ErrInterrupted, cerr)
+	if !x.evaluate(ctx, x.drawIdx) {
+		return nil, fmt.Errorf("core: %w during member sampling: %w", ErrInterrupted, ctx.Err())
 	}
-	// The observation list is scratch-backed; copy it out of the pool.
-	out := make([]estimate.Observation, len(obs))
-	copy(out, obs)
+	// The round leaves the engine as observations, one per draw, read off
+	// the term table; nothing is folded, the caller reduces them.
+	t := x.tab
+	out := make([]estimate.Observation, len(x.drawIdx))
+	for k, i := range x.drawIdx {
+		out[k] = estimate.Observation{Value: t.val[i], Prob: x.sp.probs[i], Correct: t.specCorrect(i, 0)}
+	}
 	return &MemberSample{
 		Obs:        out,
 		Candidates: x.sp.len(),

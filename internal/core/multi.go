@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"kgaq/internal/estimate"
@@ -105,8 +104,8 @@ func validateSpecs(specs []AggSpec, grouped bool) error {
 }
 
 // QueryMulti executes every spec over one shared sample of the plan: a
-// single answer-space reuse, a single draw stream, a single validation
-// pass per round, with per-spec Horvitz–Thompson accumulators. The
+// single answer-space reuse, a single draw stream, a single evaluation per
+// candidate, with per-spec Horvitz–Thompson accumulators. The
 // guarantee loop refines until every guaranteed spec (COUNT/SUM/AVG) meets
 // its error bound at the configured confidence — per group when the plan's
 // query has GROUP-BY, per stratum-merged estimate when the plan is
@@ -144,96 +143,14 @@ func (e *Engine) QueryMulti(ctx context.Context, q *query.Aggregate, specs []Agg
 	return x.refineMulti(ctx, specs)
 }
 
-// multiObservation materialises draw i against every spec target at once:
-// probability, stratum identity and the semantic + filter verdict are
-// computed once and shared; each target contributes its own attribute
-// value. values and has are the draw's K-wide slots in the round's flat
-// arena — the caller carves them out of one reused backing array, so
-// multi-target accumulation allocates nothing per draw.
-func (x *Execution) multiObservation(ctx context.Context, i int, attrs []kg.AttrID,
-	values []float64, has []bool) estimate.MultiObservation {
-
-	g := x.v.g
-	u := x.sp.answers[i]
-	m := estimate.MultiObservation{Prob: x.sp.probs[i],
-		Correct: x.opts.SkipValidation || x.sp.correctness(ctx, i)}
-	if x.sh != nil {
-		spc := x.sh.spaces[x.sh.posOf[i]]
-		m.Prob = x.sh.condProb(x.sp, i)
-		m.Stratum = spc.Shard
-		m.StratumWeight = spc.Weight
-	}
-	if m.Correct {
-		for _, f := range x.filters {
-			v, ok := g.Attr(u, f.attr)
-			if !ok || v < f.low || v > f.high {
-				m.Correct = false
-				break
-			}
-		}
-	}
-	m.Values, m.Has = values, has
-	for k, a := range attrs {
-		values[k], has[k] = 0, false
-		if a == kg.InvalidAttr {
-			continue // COUNT(*) target: no value column
-		}
-		if v, ok := g.Attr(u, a); ok {
-			values[k] = v
-			has[k] = true
-		}
-	}
-	return m
-}
-
-// multiObservationList builds the round's multi-target observation list
-// (batch-validating fresh draws first) plus, for grouped queries, the
-// per-draw group labels. The list, its Values/Has backing and the labels
-// all live in the execution's scratch: rebuilt in place each round, valid
-// until the next refresh.
-func (x *Execution) multiObservationList(ctx context.Context, attrs []kg.AttrID) ([]estimate.MultiObservation, []string) {
-	x.prevalidateDraws(ctx)
-	scr := x.scr
-	n, targets := len(x.drawIdx), len(attrs)
-	if cap(scr.vals) < n*targets {
-		scr.vals = make([]float64, n*targets)
-		scr.has = make([]bool, n*targets)
-	}
-	vals, has := scr.vals[:n*targets], scr.has[:n*targets]
-	out := scr.mobs[:0]
-	if cap(out) < n {
-		out = make([]estimate.MultiObservation, 0, n)
-	}
-	var labels []string
-	grouped := x.group != kg.InvalidAttr
-	if grouped {
-		labels = scr.labels[:0]
-	}
-	for k, i := range x.drawIdx {
-		lo, hi := k*targets, (k+1)*targets
-		out = append(out, x.multiObservation(ctx, i, attrs, vals[lo:hi:hi], has[lo:hi:hi]))
-		if grouped {
-			label := "n/a"
-			if v, ok := x.v.g.Attr(x.sp.answers[i], x.group); ok {
-				label = strconv.FormatFloat(v, 'g', -1, 64)
-			}
-			labels = append(labels, label)
-		}
-	}
-	scr.mobs = out
-	if grouped {
-		scr.labels = labels
-	}
-	return out, labels
-}
-
 // refineMulti is the multi-aggregate guarantee loop: one shared draw
-// stream, per-spec estimators over projections of the same multi-target
-// sample, refinement until every guaranteed spec satisfies Theorem 2 (per
-// group when grouped). Sample sizing follows the worst-converged spec —
-// the aggregate whose ε/target ratio is largest drives the Eq. 12 growth,
-// so the loop never terminates early on an easy aggregate while a hard one
-// still misses its bound.
+// stream, one evaluation per candidate against every spec at once, one
+// running-moments accumulator per spec fed from the same fold, refinement
+// until every guaranteed spec satisfies Theorem 2 (per group when grouped).
+// Sample sizing follows the worst-converged spec — the aggregate whose
+// ε/target ratio is largest drives the Eq. 12 growth, so the loop never
+// terminates early on an easy aggregate while a hard one still misses its
+// bound.
 func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *MultiResult, err error) {
 	defer catchPanics(x.queryString(), &err)
 	if ctx == nil {
@@ -246,7 +163,7 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		return nil, err
 	}
 	o := x.opts
-	attrs := make([]kg.AttrID, len(specs))
+	terms := make([]termSpec, len(specs))
 	ebs := make([]float64, len(specs))
 	var guaranteed, extremes []int
 	for k, s := range specs {
@@ -254,7 +171,7 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		if err != nil {
 			return nil, err
 		}
-		attrs[k] = a
+		terms[k] = termSpec{fn: s.Func, attr: a}
 		ebs[k] = s.ErrorBound
 		if ebs[k] <= 0 {
 			ebs[k] = o.ErrorBound
@@ -265,6 +182,7 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 			extremes = append(extremes, k)
 		}
 	}
+	x.bindTerms(terms...)
 	state := make([]AggResult, len(specs))
 	for k, s := range specs {
 		state[k] = AggResult{Spec: s, Estimate: math.NaN(), MoE: math.NaN(), ErrorBound: ebs[k]}
@@ -277,35 +195,17 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 	if grouped {
 		maxRounds *= 3
 	}
-	const minGroupDraws = 8
 
 	rounds := 0
 	converged := false
-	var mobs []estimate.MultiObservation
-	var labels []string
-	obsAt := -1 // the drawIdx length mobs reflects
-
-	refresh := func() error {
-		begin := time.Now()
-		mobs, labels = x.multiObservationList(ctx, attrs)
-		obsAt = len(x.drawIdx)
-		x.times.Estimation += time.Since(begin)
-		return ctx.Err()
-	}
 
 	if len(guaranteed) == 0 {
 		// Extremes only: fixed-size rounds over the shared stream, as the
 		// single-aggregate MAX/MIN path (§VII, no guarantee).
-		per := x.sp.len() / 20
-		if per < 20 {
-			per = 20
-		}
-		if x.sh != nil && per < len(x.sh.spaces) {
-			per = len(x.sh.spaces)
-		}
+		per := x.extremeRoundSize()
 		for round := 1; round < o.ExtremeRounds; round++ {
 			if err := ctx.Err(); err != nil {
-				return x.multiInterrupted(ctx, specs, state, rounds, mobs, err)
+				return x.multiInterrupted(ctx, state, rounds, err)
 			}
 			if !x.sampleMore(per) {
 				break
@@ -315,24 +215,16 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 
 	for round := 0; len(guaranteed) > 0 && round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return x.multiInterrupted(ctx, specs, state, rounds, mobs, err)
+			return x.multiInterrupted(ctx, state, rounds, err)
 		}
 		roundBegin := time.Now()
-		if err := refresh(); err != nil {
-			// Validation was cut short; this round's verdicts are
-			// incomplete, so do not fold them into the estimates.
-			return x.multiInterrupted(ctx, specs, state, rounds, nil, err)
-		}
-		correct := 0
-		for _, m := range mobs {
-			if m.Correct {
-				correct++
-			}
+		if !x.advance(ctx) {
+			return x.multiInterrupted(ctx, state, rounds, ctx.Err())
 		}
 		rounds++
 		// With too few correct draws the variance machinery under-sees the
 		// heavy HT tail for every spec at once; grow first (as single-agg).
-		if correct < o.MinCorrect {
+		if x.tab.correct < o.MinCorrect {
 			if !x.sampleMore(len(x.drawIdx)) {
 				break
 			}
@@ -342,22 +234,24 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		haveEst := false
 		var worst sizingGap
 		for gi, k := range guaranteed {
-			fn := specs[k].Func
 			begin := time.Now()
-			base := estimate.ProjectInto(x.scr.proj[:0], mobs, k, fn)
-			x.scr.proj = base
 			// The first guaranteed spec refreshes the Neyman allocator's
 			// variance signals; allocation stays a function of one spec so
 			// the draw streams remain deterministic under the seed.
-			re := x.evalFn(fn, base, gi == 0)
-			v, err := re.estimate()
+			var mom []estimate.Moments
+			if gi == 0 {
+				mom = x.sampleMoments(k)
+			} else {
+				mom = x.tab.moments(0, k)
+			}
+			v, err := x.estimateOf(k, mom)
 			x.times.Estimation += time.Since(begin)
 			if err != nil {
 				allOK = false // unestimable spec: the default growth arm doubles
 				continue
 			}
 			begin = time.Now()
-			eps, merr := re.moe()
+			eps, merr := x.marginOf(k, mom)
 			x.times.Guarantee += time.Since(begin)
 			if merr != nil {
 				allOK = false
@@ -371,7 +265,10 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 			}
 			haveEst = true
 			if grouped {
-				if !x.multiGroupRound(k, fn, base, labels, ebs[k], minGroupDraws, &state[k], &worst) {
+				groups, ok := x.groupRound(k, ebs[k], &worst)
+				state[k].Groups = groups
+				state[k].Converged = ok && len(groups) > 0
+				if !state[k].Converged {
 					allOK = false
 				}
 				continue
@@ -428,102 +325,34 @@ func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *Mult
 		}
 	}
 	// Settle the extremes (and the shared counters) over the final sample.
-	if obsAt != len(x.drawIdx) {
-		if err := refresh(); err != nil {
-			return x.multiInterrupted(ctx, specs, state, rounds, mobs, err)
-		}
+	if x.tab.folded != len(x.drawIdx) && !x.advance(ctx) {
+		return x.multiInterrupted(ctx, state, rounds, ctx.Err())
 	}
 	for _, k := range extremes {
-		fn := specs[k].Func
 		begin := time.Now()
-		obs := estimate.ProjectInto(x.scr.proj[:0], mobs, k, fn)
-		x.scr.proj = obs
-		if v, err := x.evalFn(fn, obs, false).estimate(); err == nil {
+		if v, err := x.estimateOf(k, nil); err == nil {
 			state[k].Estimate = v
 			state[k].MoE = 0
 			state[k].Rounds = append(state[k].Rounds, Round{Estimate: v, SampleSize: len(x.drawIdx)})
 		}
 		x.times.Estimation += time.Since(begin)
 	}
-	return x.multiResult(ctx, state, rounds, converged, mobs), nil
-}
-
-// multiGroupRound evaluates one guaranteed spec's per-group estimators for
-// the current round, filling st.Groups and reporting whether every
-// sufficiently observed group satisfies the spec's bound. Unsatisfied groups
-// are offered to worst, the shared growth signal.
-func (x *Execution) multiGroupRound(k int, fn query.AggFunc, base []estimate.Observation,
-	labels []string, eb float64, minGroupDraws int, st *AggResult, worst *sizingGap) bool {
-
-	seen := map[string]bool{}
-	inGroup := map[string]int{}
-	for idx, ob := range base {
-		if ob.Correct {
-			seen[labels[idx]] = true
-			inGroup[labels[idx]]++
-		}
-	}
-	groups := map[string]GroupResult{}
-	allOK := len(seen) > 0
-	for label := range seen {
-		obsL := make([]estimate.Observation, len(base))
-		copy(obsL, base)
-		for idx := range obsL {
-			if labels[idx] != label {
-				obsL[idx].Correct = false
-			}
-		}
-		ge := x.evalFn(fn, obsL, false)
-		gv, err := ge.estimate()
-		if err != nil {
-			continue
-		}
-		begin := time.Now()
-		geps, err := ge.moe()
-		x.times.Guarantee += time.Since(begin)
-		if err != nil {
-			continue
-		}
-		groups[label] = GroupResult{Estimate: gv, MoE: geps, Draws: inGroup[label]}
-		if inGroup[label] >= minGroupDraws && !estimate.Satisfied(gv, geps, eb) {
-			allOK = false
-			worst.note(gv, geps, eb)
-		}
-	}
-	st.Groups = groups
-	st.Converged = allOK && len(groups) > 0
-	return st.Converged
+	return x.multiResult(ctx, state, rounds, converged), nil
 }
 
 // multiInterrupted packages the partial state of a cancelled
 // multi-aggregate refinement, mirroring the single-aggregate interrupted
 // contract: best estimates so far, Converged false, an error wrapping both
 // ErrInterrupted and the ctx cause.
-func (x *Execution) multiInterrupted(ctx context.Context, _ []AggSpec, state []AggResult, rounds int,
-	mobs []estimate.MultiObservation, cause error) (*MultiResult, error) {
-
-	return x.multiResult(ctx, state, rounds, false, mobs),
+func (x *Execution) multiInterrupted(ctx context.Context, state []AggResult, rounds int, cause error) (*MultiResult, error) {
+	return x.multiResult(ctx, state, rounds, false),
 		fmt.Errorf("core: %w after %d draws: %w", ErrInterrupted, len(x.drawIdx), cause)
 }
 
 // multiResult assembles the shared-counters result.
-func (x *Execution) multiResult(ctx context.Context, state []AggResult, rounds int, converged bool,
-	mobs []estimate.MultiObservation) *MultiResult {
-
+func (x *Execution) multiResult(ctx context.Context, state []AggResult, rounds int, converged bool) *MultiResult {
 	x.finishTelemetry(ctx, converged, math.NaN(), math.NaN())
-	x.scr.beginMarks(x.sp.len())
-	distinct := 0
-	for _, i := range x.drawIdx {
-		if x.scr.mark(i) {
-			distinct++
-		}
-	}
-	correct := 0
-	for _, m := range mobs {
-		if m.Correct {
-			correct++
-		}
-	}
+	correct, distinct := x.sampleCounts(-1)
 	shards := 0
 	if x.sh != nil {
 		shards = len(x.sh.spaces)

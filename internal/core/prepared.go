@@ -115,9 +115,9 @@ type compiled struct {
 // classification, filter/attribute binding and the full answer-space build
 // (walk convergence, alias tables, shard split) all done once at Prepare.
 // It is safe for concurrent use — any number of goroutines may Start
-// executions or Query/QueryMulti from one Prepared; each execution forks
-// its own verdict caches and RNG while sharing the immutable compiled
-// space.
+// executions or Query/QueryMulti from one Prepared; each execution has
+// its own RNG, draw list and term table and only reads the immutable
+// compiled space.
 type Prepared struct {
 	e      *Engine
 	q      *query.Aggregate
@@ -320,8 +320,8 @@ func (p *Prepared) ensure(ctx context.Context, minEpoch uint64) (*compiled, erro
 // sampler, shard count, hop bound, self-loop weight, τ or the repeat
 // factor fails with ErrPlanOption, because those are baked into the
 // compiled space and its validation oracle. The execution reuses the
-// compiled answer space directly; only drawing, validation verdict caching
-// and estimation remain per call. Refine the returned Execution exactly as
+// compiled answer space directly; only drawing, candidate evaluation and
+// estimation remain per call. Refine the returned Execution exactly as
 // one from Engine.Start.
 func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution, err error) {
 	defer catchPanics(aggString(p.q), &err)
@@ -351,7 +351,7 @@ func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution
 		attr:    c.attr,
 		group:   c.group,
 		filters: c.filters,
-		sp:      c.sp.fork(),
+		sp:      c.sp,
 		rng:     stats.NewRand(cfg.opts.Seed),
 	}
 	if c.split != nil {
@@ -384,8 +384,9 @@ func planKey(paths []query.Path, o Options) string {
 // space — the QueryBatch dedupe path: q decomposes to the same paths under
 // the same plan knobs (equal planKey), so only its aggregate bindings
 // (attribute, filters, GROUP-BY) need resolving. The two plans share the
-// immutable space and shard split; executions still fork private verdict
-// caches, so the sharing is invisible except in build cost.
+// immutable space and shard split; what an execution learns of a candidate
+// stays in its own term table, so the sharing is invisible except in build
+// cost.
 func (e *Engine) prepareShared(q *query.Aggregate, paths []query.Path, cfg queryConfig, base *Prepared) (*Prepared, error) {
 	if !q.Func.HasGuarantee() && q.GroupBy != "" {
 		return nil, fmt.Errorf("core: GROUP-BY with %v is unsupported", q.Func)

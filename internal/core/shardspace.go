@@ -1,15 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"kgaq/internal/estimate"
-	"kgaq/internal/kg"
-	"kgaq/internal/query"
 	"kgaq/internal/shard"
 	"kgaq/internal/stats"
 )
@@ -53,8 +48,9 @@ func newShardSplit(sp *answerSpace, shards int) (*shardSplit, error) {
 // immutable partition plus the per-execution draw state — each stratum's
 // deterministic RNG stream, its draw count, and the latest variance
 // signals feeding the Neyman allocator. Per-shard validation runs in
-// parallel without sharing mutable state; draws merge back through the
-// stratified Horvitz–Thompson combiner of internal/estimate.
+// parallel without sharing mutable state (Execution.validate); each
+// stratum's draws fold into its own running moments, which merge through
+// the stratified Horvitz–Thompson combiner of internal/estimate.
 type shardedSpace struct {
 	*shardSplit
 	// rngs are per-stratum generators: each stratum's draw stream is
@@ -122,124 +118,13 @@ func (sh *shardedSpace) drawInto(dst []int, k int) []int {
 }
 
 // updateSigmas refreshes the per-stratum variance signals from a round's
-// regrouped strata (stratum ids are shard ids) under the aggregate function
-// whose guarantee is driving the refinement. Strata counts are small, so a
-// direct scan over spaces beats building a shard→sigma map every round.
-func (sh *shardedSpace) updateSigmas(fn query.AggFunc, strata []estimate.Stratum) {
-	for _, st := range strata {
-		if len(st.Obs) == 0 {
-			continue
-		}
-		id := st.Obs[0].Stratum
-		for pos, spc := range sh.spaces {
-			if spc.Shard == id {
-				sh.sigmas[pos] = estimate.StratumSigma(fn, st.Obs)
-				break
-			}
-		}
-	}
-}
-
-// prevalidate batch-validates the not-yet-validated answers in the draw
-// list. The fresh answers are grouped per stratum, strata are packed into
-// at most GOMAXPROCS buckets, and each bucket runs one shared greedy
-// search on its own goroutine (taken opportunistically from the engine's
-// worker pool). On a single-CPU machine every stratum lands in one bucket
-// and the search is exactly the unsharded shared traversal — sharding
-// never splits validation work it cannot parallelise. Each goroutine
-// writes only its bucket's verdict segment; segments merge into the
-// execution's shared verdict slab afterwards, on the calling goroutine, so
-// the lazy single-draw path stays lock-free. A ctx cancellation mid-batch
-// discards that batch's verdicts, exactly like the unsharded path.
-//
-// The fully-cached round (every draw already carries a verdict) allocates
-// nothing: de-duplication runs on the scratch marks and the fresh queue
-// reuses scratch storage, so the per-stratum machinery is only built when
-// there is genuinely fresh work.
-func (sh *shardedSpace) prevalidate(ctx context.Context, e *Engine, sp *answerSpace, drawIdx []int, scr *execScratch) {
-	if sp.oracle.batch == nil {
-		return
-	}
-	scr.beginMarks(len(sp.answers))
-	flat := scr.freshIdx[:0]
-	for _, i := range drawIdx {
-		if !scr.mark(i) {
-			continue
-		}
-		if sp.verdicts[i] != verdictUnknown {
-			continue
-		}
-		flat = append(flat, i)
-	}
-	scr.freshIdx = flat
-	if len(flat) == 0 {
-		return
-	}
-	fresh := make([][]kg.NodeID, len(sh.spaces))
-	freshIdx := make([][]int, len(sh.spaces))
-	active := 0
-	for _, i := range flat {
-		pos := sh.posOf[i]
-		if len(fresh[pos]) == 0 {
-			active++
-		}
-		fresh[pos] = append(fresh[pos], sp.answers[i])
-		freshIdx[pos] = append(freshIdx[pos], i)
-	}
-	buckets := runtime.GOMAXPROCS(0)
-	if buckets > active {
-		buckets = active
-	}
-	bucketNodes := make([][]kg.NodeID, buckets)
-	bucketIdx := make([][]int, buckets)
-	b := 0
-	for pos := range sh.spaces {
-		if len(fresh[pos]) == 0 {
-			continue
-		}
-		bucketNodes[b] = append(bucketNodes[b], fresh[pos]...)
-		bucketIdx[b] = append(bucketIdx[b], freshIdx[pos]...)
-		b = (b + 1) % buckets
-	}
-	segments := make([]map[int]bool, buckets)
-	var wg sync.WaitGroup
-	var pb panicBox
-	for b := range bucketNodes {
-		segments[b] = map[int]bool{}
-		validate := func(b int) {
-			res := sp.oracle.batch(ctx, bucketNodes[b])
-			if ctx.Err() != nil {
-				return
-			}
-			for k, i := range bucketIdx[b] {
-				segments[b][i] = res[bucketNodes[b][k]]
-			}
-		}
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(b int) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				defer pb.capture()
-				validate(b)
-			}(b)
-		default:
-			validate(b)
-		}
-	}
-	wg.Wait()
-	pb.rethrow()
-	if ctx.Err() != nil {
-		return
-	}
-	// Merge the segments into the execution-shared verdict slab on this
-	// goroutine; the per-draw observation path then works unchanged.
-	for _, seg := range segments {
-		for i, v := range seg {
-			if sp.verdicts[i] == verdictUnknown {
-				sp.setVerdict(i, v)
-			}
+// per-stratum moments (in stratum position order) under the aggregate whose
+// guarantee is driving the refinement. A stratum without draws keeps its
+// previous signal.
+func (sh *shardedSpace) updateSigmas(mom []estimate.Moments) {
+	for pos, m := range mom {
+		if m.N > 0 {
+			sh.sigmas[pos] = m.Sigma()
 		}
 	}
 }

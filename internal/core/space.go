@@ -24,21 +24,21 @@ import (
 // bulk of the probability mass while bounding work.
 const maxChainIntermediates = 300
 
-// answerSpace is the sampling space of one query execution: the candidate
-// answers A with their exact per-draw probabilities π′ (Theorem 1), plus a
-// lazily evaluated, cached correctness oracle combining the τ threshold and
-// the greedy validation of §IV-B2.
+// answerSpace is the sampling space of a compiled query: the candidate
+// answers A with their exact per-draw probabilities π′ (Theorem 1), plus the
+// correctness oracle combining the τ threshold and the greedy validation of
+// §IV-B2.
 //
 // The oracle closures accept a ctx so a cancelled query can abandon an
-// in-flight validation; verdicts are only cached when the validation ran to
-// completion, so a cancelled call never poisons the cache with false
+// in-flight validation; a verdict is only kept when the validation ran to
+// completion, so a cancelled call never poisons a cache with false
 // negatives.
 //
-// answers, probs, alias and the oracle are immutable after construction —
-// the compiled-plan half a Prepared shares across executions; verdicts is a
-// per-execution cache, renewed by fork, so concurrent executions of one
-// plan never write the same array. (The semantic oracle's own caches live
-// on the engine's stage entries, guarded by their mutex.)
+// The whole space is immutable after construction — the compiled-plan half
+// a Prepared shares across executions. What an execution learns about a
+// candidate lives in its own term table (terms.go), so concurrent executions
+// of one plan never write shared memory. (The semantic oracle's own caches
+// live on the engine's stage entries, guarded by their mutex.)
 type answerSpace struct {
 	answers []kg.NodeID
 	probs   []float64 // sums to 1
@@ -47,56 +47,9 @@ type answerSpace struct {
 	// set, validates many answers in one shared search so a round's worth of
 	// fresh answers costs one traversal instead of one per answer.
 	oracle correctOracle
-	// verdicts caches per-index validation outcomes, one byte per candidate
-	// (verdictUnknown / verdictIncorrect / verdictCorrect). The flat probe
-	// replaced a map lookup on the per-draw observation path, which runs
-	// |S| times per refinement round.
-	verdicts []uint8
 }
-
-// Per-candidate verdict-cache states.
-const (
-	verdictUnknown uint8 = iota
-	verdictIncorrect
-	verdictCorrect
-)
 
 func (s *answerSpace) len() int { return len(s.answers) }
-
-// fork returns an execution-private view of the space: the immutable parts
-// (candidate answers, probabilities, alias table, correctness oracle) are
-// shared, the per-execution verdict cache starts fresh. This is what makes
-// a Prepared safe for concurrent Start calls.
-func (s *answerSpace) fork() *answerSpace {
-	return &answerSpace{
-		answers: s.answers, probs: s.probs, alias: s.alias, oracle: s.oracle,
-		verdicts: make([]uint8, len(s.answers)),
-	}
-}
-
-// setVerdict caches a completed validation outcome for index i.
-func (s *answerSpace) setVerdict(i int, v bool) {
-	if v {
-		s.verdicts[i] = verdictCorrect
-	} else {
-		s.verdicts[i] = verdictIncorrect
-	}
-}
-
-// correctness returns the validated semantic correctness (similarity ≥ τ
-// through validation) for the answer at index i, caching completed
-// verdicts on the execution.
-func (s *answerSpace) correctness(ctx context.Context, i int) bool {
-	if v := s.verdicts[i]; v != verdictUnknown {
-		return v == verdictCorrect
-	}
-	v := s.oracle.single(ctx, s.answers[i])
-	if ctx.Err() != nil {
-		return false // incomplete validation: no verdict, no cache entry
-	}
-	s.setVerdict(i, v)
-	return v
-}
 
 // drawInto appends k alias-table draws to dst and returns it; callers pass
 // a reused scratch buffer so the per-round draw batch allocates nothing
@@ -106,40 +59,6 @@ func (s *answerSpace) drawInto(dst []int, r *rand.Rand, k int) []int {
 		dst = append(dst, s.alias.Draw(r))
 	}
 	return dst
-}
-
-// prevalidate batch-validates every not-yet-validated answer appearing in
-// the draw list, queueing the distinct fresh indices through the scratch
-// work buffers. Without a batch validator it is a no-op (the per-answer
-// oracle runs lazily instead). A ctx cancellation mid-batch discards the
-// incomplete verdicts instead of caching them.
-func (s *answerSpace) prevalidate(ctx context.Context, drawIdx []int, scr *execScratch) {
-	if s.oracle.batch == nil {
-		return
-	}
-	scr.beginMarks(len(s.answers))
-	fresh := scr.freshNodes[:0]
-	freshIdx := scr.freshIdx[:0]
-	for _, i := range drawIdx {
-		if !scr.mark(i) {
-			continue
-		}
-		if s.verdicts[i] == verdictUnknown {
-			fresh = append(fresh, s.answers[i])
-			freshIdx = append(freshIdx, i)
-		}
-	}
-	scr.freshNodes, scr.freshIdx = fresh, freshIdx
-	if len(fresh) == 0 {
-		return
-	}
-	res := s.oracle.batch(ctx, fresh)
-	if ctx.Err() != nil {
-		return
-	}
-	for k, i := range freshIdx {
-		s.setVerdict(i, res[fresh[k]])
-	}
 }
 
 // buildMetrics counts answer-space build work, the raw material of a
@@ -247,10 +166,7 @@ func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle correctOracle) 
 	if alias == nil {
 		return nil, fmt.Errorf("core: failed to build sampling table")
 	}
-	return &answerSpace{
-		answers: answers, probs: probs, alias: alias, oracle: oracle,
-		verdicts: make([]uint8, len(answers)),
-	}, nil
+	return &answerSpace{answers: answers, probs: probs, alias: alias, oracle: oracle}, nil
 }
 
 // convergedStage returns the converged stage for (root, pred, types) under
@@ -782,13 +698,12 @@ func (e *Engine) buildTopologySpace(ctx context.Context, o Options, v view, p qu
 	if alias == nil {
 		return nil, nil, fmt.Errorf("core: topology sample has no mass")
 	}
-	sp := &answerSpace{answers: ts.Answers, probs: ts.Probs, alias: alias,
-		verdicts: make([]uint8, len(ts.Answers))}
+	sp := &answerSpace{answers: ts.Answers, probs: ts.Probs, alias: alias}
 
 	// Correctness still uses the greedy validator so the ablation isolates
 	// the sampling step (S1) exactly as in Fig. 5a. The validator wants a
-	// π map; the empirical shares serve. Verdict caching happens on the
-	// execution's answerSpace verdict array, as for the semantic oracle.
+	// π map; the empirical shares serve. The verdict is remembered in the
+	// execution's term table, as for the semantic oracle.
 	pred, err := resolvePred(v.g, p.Hops[0].Predicate)
 	if err != nil {
 		return nil, nil, err

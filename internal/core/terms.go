@@ -1,0 +1,559 @@
+package core
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"strconv"
+	"sync"
+	"time"
+	"unsafe"
+
+	"kgaq/internal/estimate"
+	"kgaq/internal/kg"
+	"kgaq/internal/query"
+)
+
+// This file is the data path every refinement loop shares (DESIGN.md
+// "Running moments and the term table"). A candidate answer is evaluated
+// once per execution — verdict, filters, attribute values, Horvitz–Thompson
+// terms, group — and remembered in the execution's term table; a round then
+// folds only its fresh draws, by table lookup, into one running-moments
+// accumulator per (spec, stratum, group), and the estimate and its margin
+// are read from those moments. No loop rebuilds an observation list.
+
+// termSpec is one aggregate the table evaluates candidates against: the
+// single aggregate of Refine and FederateSample, or each AggSpec of a
+// multi-aggregate execution.
+type termSpec struct {
+	fn   query.AggFunc
+	attr kg.AttrID // InvalidAttr for COUNT(*)
+}
+
+// Per-candidate state bits of the term table.
+const (
+	// termKnown: the candidate was evaluated and its terms are recorded. It
+	// is set only when the candidate's validation ran to completion, so a
+	// cancelled round leaves its candidates unknown, never wrongly incorrect.
+	termKnown uint8 = 1 << iota
+	// termCorrect: semantic verdict ∧ every filter passed — the correctness
+	// indicator c(u) of §V-A, shared by all specs.
+	termCorrect
+	// termSeen: the candidate occurs among the folded draws (Result.Distinct).
+	termSeen
+	// termQueued marks a candidate inside one pass that must visit it once
+	// (the evaluation queue, the distinct count of an unfolded tail); every
+	// such pass clears the marks it set.
+	termQueued
+)
+
+// termTable is one execution's sample in reduced form: what is known of
+// each candidate, and the running moments of the draws folded so far. It
+// belongs to the Execution and survives between Refine calls; a one-shot
+// execution borrows the one inside its scratch (bindTerms).
+type termTable struct {
+	specs   []termSpec
+	strata  int // accumulators per (group, spec): 1 unless sharded
+	grouped bool
+
+	// Per candidate i. c is 1/p with p the draw probability (conditional on
+	// the stratum when sharded); group the id of a correct candidate's
+	// GROUP-BY group.
+	state []uint8
+	c     []float64
+	group []int32
+	// Per candidate and spec, at i·K+k: the attribute value, whether the
+	// candidate has the attribute at all, and the term v/p.
+	val []float64
+	has []bool
+	s   []float64
+
+	// Groups get dense ids in order of first sight; id 0 is the whole sample.
+	// groupIDs keys a group by the bits of its attribute value, naGroup is
+	// the group of the answers without the attribute (0 until one is seen).
+	groupIDs map[uint64]int32
+	naGroup  int32
+	labels   []string
+
+	// The fold. drawIdx[:folded] is in the accumulators; acc holds them at
+	// (g·K+k)·strata+h, draws the folded draw count per stratum, best the
+	// running extreme of each MAX/MIN spec (NaN until a correct draw).
+	folded   int
+	distinct int
+	correct  int // folded draws of termCorrect candidates
+	draws    []int
+	acc      []estimate.Running
+	best     []float64
+	mom      []estimate.Moments // read-out buffer, one per stratum
+}
+
+// sized returns buf with length n, reallocating only when capacity is short.
+// The contents are unspecified: every table array is written before it is
+// read, guarded by the state bits, except state itself.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// reset sizes the table for n candidates and empties it.
+func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec) {
+	t.specs = append(t.specs[:0], specs...)
+	t.strata, t.grouped = strata, grouped
+	k := len(specs)
+	t.state = sized(t.state, n)
+	clear(t.state)
+	t.c = sized(t.c, n)
+	t.val = sized(t.val, n*k)
+	t.has = sized(t.has, n*k)
+	t.s = sized(t.s, n*k)
+	t.labels = append(t.labels[:0], "")
+	t.naGroup = 0
+	if grouped {
+		t.group = sized(t.group, n)
+		if t.groupIDs == nil {
+			t.groupIDs = map[uint64]int32{}
+		}
+		clear(t.groupIDs)
+	}
+	t.folded, t.distinct, t.correct = 0, 0, 0
+	t.draws = sized(t.draws, strata)
+	clear(t.draws)
+	t.acc = sized(t.acc, k*strata)
+	clear(t.acc)
+	t.best = sized(t.best, k)
+	for i := range t.best {
+		t.best[i] = math.NaN()
+	}
+	t.mom = sized(t.mom, strata)
+}
+
+// heldBytes is what the table's arrays pin, the free list's retention
+// measure (putScratch).
+func (t *termTable) heldBytes() int {
+	return cap(t.state) + 8*cap(t.c) + 4*cap(t.group) +
+		8*cap(t.val) + cap(t.has) + 8*cap(t.s) + int(unsafe.Sizeof(estimate.Running{}))*cap(t.acc)
+}
+
+// groupOf interns the GROUP-BY group of an answer: by attribute value, with
+// one group for the answers that lack the attribute. The label — the value
+// formatted as the API prints it — is built once per group, and a new group
+// extends acc by one zeroed accumulator per (spec, stratum).
+func (t *termTable) groupOf(v float64, present bool) int32 {
+	if !present {
+		if t.naGroup == 0 {
+			t.naGroup = t.addGroup("n/a")
+		}
+		return t.naGroup
+	}
+	if v != v {
+		v = math.NaN() // every NaN prints alike: one group
+	}
+	key := math.Float64bits(v)
+	id, ok := t.groupIDs[key]
+	if !ok {
+		id = t.addGroup(strconv.FormatFloat(v, 'g', -1, 64))
+		t.groupIDs[key] = id
+	}
+	return id
+}
+
+func (t *termTable) addGroup(label string) int32 {
+	id := int32(len(t.labels))
+	t.labels = append(t.labels, label)
+	per := len(t.specs) * t.strata
+	for i := 0; i < per; i++ {
+		t.acc = append(t.acc, estimate.Running{})
+	}
+	return id
+}
+
+// specCorrect reports whether candidate i counts as correct for spec k (an
+// unknown candidate never does): the shared indicator, and — for every aggregate but COUNT — the
+// aggregated attribute present (an answer without it cannot contribute to
+// SUM, AVG, MAX or MIN).
+func (t *termTable) specCorrect(i, k int) bool {
+	if t.state[i]&termCorrect == 0 {
+		return false
+	}
+	return t.specs[k].fn == query.Count || t.has[i*len(t.specs)+k]
+}
+
+// prob is the draw probability of candidate i: π′, conditional on the
+// candidate's stratum under sharded execution.
+func (x *Execution) prob(i int) float64 {
+	if x.sh != nil {
+		return x.sh.condProb(x.sp, i)
+	}
+	return x.sp.probs[i]
+}
+
+// bindTerms attaches the execution's term table for the given specs. An
+// interactive execution allocates its own on the first refinement call and
+// keeps it — and with it the sample — for the later ones; a one-shot
+// execution uses the table inside the scratch it holds and leaves the arrays
+// there (holdScratch's release).
+func (x *Execution) bindTerms(specs ...termSpec) {
+	if x.tab != nil {
+		return
+	}
+	if x.oneShot {
+		x.tab = &x.scr.tab
+	} else {
+		x.tab = new(termTable)
+	}
+	strata := 1
+	if x.sh != nil {
+		strata = len(x.sh.spaces)
+	}
+	x.tab.reset(x.sp.len(), strata, x.group != kg.InvalidAttr, specs)
+}
+
+// record evaluates candidate i under a completed validation verdict and
+// stores it: the §V-A indicator c(u) = (L ≤ u.b ≤ U ∧ s ≥ τ), each spec's
+// attribute value and Horvitz–Thompson term, and the group. This is the one
+// place a candidate is looked at; every draw of it afterwards is a lookup.
+// (A candidate without draw probability has no HT weight and is recorded
+// incorrect; the alias tables never draw one.)
+func (x *Execution) record(i int, verdict bool) {
+	t, g, u := x.tab, x.v.g, x.sp.answers[i]
+	p := x.prob(i)
+	state := termKnown
+	if verdict && p > 0 {
+		state |= termCorrect
+		for _, f := range x.filters {
+			v, ok := g.Attr(u, f.attr)
+			if !ok || v < f.low || v > f.high {
+				state = termKnown
+				break
+			}
+		}
+	}
+	t.c[i] = 1 / p
+	k := len(t.specs)
+	for j, spec := range t.specs {
+		at := i*k + j
+		t.val[at], t.has[at], t.s[at] = 0, false, 0
+		if spec.attr == kg.InvalidAttr {
+			continue
+		}
+		if v, ok := g.Attr(u, spec.attr); ok {
+			t.val[at], t.has[at], t.s[at] = v, true, v/p
+		}
+	}
+	if t.grouped && state&termCorrect != 0 {
+		t.group[i] = t.groupOf(g.Attr(u, x.group))
+	}
+	t.state[i] = state
+}
+
+// evaluate settles every not-yet-known candidate among the fresh draws: one
+// batch validation over the distinct new candidates (per stratum bucket and
+// in parallel when sharded, one lazy search per answer under the topology
+// ablation samplers, none under SkipValidation), then one record each. It is
+// the only cancellable part of a round and reports false when ctx cut it
+// short: a verdict is recorded only when its validation ran to completion,
+// so the candidates of a cancelled batch stay unknown.
+func (x *Execution) evaluate(ctx context.Context, fresh []int) bool {
+	fireValidatePoint()
+	t := x.tab
+	queue := x.scr.freshIdx[:0]
+	for _, i := range fresh {
+		if t.state[i]&(termKnown|termQueued) == 0 {
+			t.state[i] |= termQueued
+			queue = append(queue, i)
+		}
+	}
+	x.scr.freshIdx = queue
+	// record overwrites the queue mark; what a cancellation — or a panic
+	// inside validation, which an interactive execution outlives — left
+	// unevaluated is unmarked here.
+	defer func() {
+		for _, i := range queue {
+			t.state[i] &^= termQueued
+		}
+	}()
+	return x.settle(ctx, queue) && ctx.Err() == nil
+}
+
+// settle validates and records the queued candidates, in queue order, and
+// reports whether it reached the end of the queue.
+func (x *Execution) settle(ctx context.Context, queue []int) bool {
+	switch {
+	case len(queue) == 0:
+	case x.opts.SkipValidation:
+		// The Fig. 5b ablation trusts the sampler blindly.
+		for _, i := range queue {
+			x.record(i, true)
+		}
+	case x.sp.oracle.batch == nil:
+		for _, i := range queue {
+			verdict := x.sp.oracle.single(ctx, x.sp.answers[i])
+			if ctx.Err() != nil {
+				return false
+			}
+			x.record(i, verdict)
+		}
+	default:
+		verdicts := sized(x.scr.verdicts, len(queue))
+		x.scr.verdicts = verdicts
+		if !x.validate(ctx, queue, verdicts) {
+			return false
+		}
+		for k, i := range queue {
+			x.record(i, verdicts[k])
+		}
+	}
+	return true
+}
+
+// validate batch-validates the queued candidates into out (parallel to
+// queue) and reports whether the validation ran to completion. Unsharded it
+// is one shared greedy search. Sharded, the queue is cut per stratum, the
+// strata are packed into at most GOMAXPROCS buckets, and each bucket runs
+// its own shared search on a goroutine taken opportunistically from the
+// engine's worker pool — on a single CPU every stratum lands in one bucket
+// and the search is exactly the unsharded one, so sharding never splits
+// validation work it cannot parallelise. Each goroutine writes only its own
+// bucket's slots of out.
+func (x *Execution) validate(ctx context.Context, queue []int, out []bool) bool {
+	sp := x.sp
+	if x.sh == nil {
+		nodes := x.scr.freshNodes[:0]
+		for _, i := range queue {
+			nodes = append(nodes, sp.answers[i])
+		}
+		x.scr.freshNodes = nodes
+		res := sp.oracle.batch(ctx, nodes)
+		if ctx.Err() != nil {
+			return false
+		}
+		for k, u := range nodes {
+			out[k] = res[u]
+		}
+		return true
+	}
+	sh := x.sh
+	perStratum := make([][]int, len(sh.spaces)) // positions in queue
+	active := 0
+	for k, i := range queue {
+		pos := sh.posOf[i]
+		if len(perStratum[pos]) == 0 {
+			active++
+		}
+		perStratum[pos] = append(perStratum[pos], k)
+	}
+	buckets := min(runtime.GOMAXPROCS(0), active)
+	slots := make([][]int, buckets)
+	b := 0
+	for _, ks := range perStratum {
+		if len(ks) == 0 {
+			continue
+		}
+		slots[b] = append(slots[b], ks...)
+		b = (b + 1) % buckets
+	}
+	var wg sync.WaitGroup
+	var pb panicBox
+	for _, ks := range slots {
+		search := func() {
+			nodes := make([]kg.NodeID, len(ks))
+			for j, k := range ks {
+				nodes[j] = sp.answers[queue[k]]
+			}
+			res := sp.oracle.batch(ctx, nodes)
+			if ctx.Err() != nil {
+				return
+			}
+			for j, k := range ks {
+				out[k] = res[nodes[j]]
+			}
+		}
+		select {
+		case x.e.sem <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-x.e.sem }()
+				defer pb.capture()
+				search()
+			}()
+		default:
+			search()
+		}
+	}
+	wg.Wait()
+	pb.rethrow()
+	return ctx.Err() == nil
+}
+
+// fold adds the fresh draws drawIdx[folded:] to the running moments. Every
+// candidate among them is known (evaluate succeeded), so it cannot fail and
+// is never cancelled: a round folds all of its draws or none, which is what
+// lets a Refine interrupted mid-validation be resumed by a later one without
+// counting a draw twice.
+//
+// A correct draw adds its terms to the whole-sample accumulator of every
+// spec it is correct for, in its stratum, and to its group's; an incorrect
+// draw, an out-of-group draw and a draw missing a spec's attribute are zero
+// terms there, which the accumulators never see — the read-out merges them
+// as the stratum's draw count minus the accumulator's (estimate.Running).
+func (x *Execution) fold() {
+	t := x.tab
+	k, strata := len(t.specs), t.strata
+	var posOf []int // nil: one stratum
+	if x.sh != nil {
+		posOf = x.sh.posOf
+	}
+	for _, i := range x.drawIdx[t.folded:] {
+		h := 0
+		if posOf != nil {
+			h = posOf[i]
+		}
+		t.draws[h]++
+		state := t.state[i]
+		if state&termSeen == 0 {
+			t.state[i] = state | termSeen
+			t.distinct++
+		}
+		if state&termCorrect == 0 {
+			continue
+		}
+		t.correct++
+		c := t.c[i]
+		g := 0
+		if t.grouped {
+			g = int(t.group[i])
+		}
+		for j, spec := range t.specs {
+			s := c
+			if spec.fn != query.Count {
+				at := i*k + j
+				if !t.has[at] {
+					continue
+				}
+				s = t.s[at]
+				if v := t.val[at]; !spec.fn.HasGuarantee() &&
+					(math.IsNaN(t.best[j]) || (spec.fn == query.Max && v > t.best[j]) || (spec.fn == query.Min && v < t.best[j])) {
+					t.best[j] = v
+				}
+			}
+			t.acc[j*strata+h].Add(s, c)
+			if g != 0 {
+				t.acc[(g*k+j)*strata+h].Add(s, c)
+			}
+		}
+	}
+	t.folded = len(x.drawIdx)
+}
+
+// advance brings the running moments up to the draw list, on the estimation
+// clock: evaluate the new candidates of the fresh draws, then fold the fresh
+// draws. It reports false when ctx cut the evaluation short, in which case
+// nothing was folded.
+func (x *Execution) advance(ctx context.Context) bool {
+	begin := time.Now()
+	done := x.evaluate(ctx, x.drawIdx[x.tab.folded:])
+	if done {
+		x.fold()
+	}
+	x.times.Estimation += time.Since(begin)
+	return done
+}
+
+// moments reads spec k of group g (0: the whole sample) out as per-stratum
+// moments, into a buffer valid until the next call. Every stratum's sample
+// is its full draw count: whatever the accumulator did not see is a zero.
+func (t *termTable) moments(g, k int) []estimate.Moments {
+	at := (g*len(t.specs) + k) * t.strata
+	for h := range t.mom {
+		t.mom[h] = t.acc[at+h].Moments(t.draws[h])
+	}
+	return t.mom
+}
+
+// sampleMoments reads spec k's whole-sample moments per stratum and, when
+// sharded, refreshes the Neyman allocator's per-stratum variance signals
+// from them. Only the spec driving the refinement may do so, once per round
+// and over the whole sample — per-group moments never: allocation stays a
+// function of the whole sample and the run stays deterministic under its
+// seed.
+func (x *Execution) sampleMoments(k int) []estimate.Moments {
+	mom := x.tab.moments(0, k)
+	if x.sh != nil {
+		x.sh.updateSigmas(mom)
+	}
+	return mom
+}
+
+// hits counts the folded draws correct for spec k inside group g (0: the
+// whole sample) — Result.Correct, and a group's Draws.
+func (t *termTable) hits(g, k int) int {
+	at := (g*len(t.specs) + k) * t.strata
+	n := 0
+	for h := 0; h < t.strata; h++ {
+		n += t.acc[at+h].Correct()
+	}
+	return n
+}
+
+// estimateOf is the point estimate of spec k from its moments (Eq. 7–9):
+// stratified when sharded — the per-shard samples merge as Σ_h f̂(S_h) over
+// conditional probabilities — plain Horvitz–Thompson otherwise. MAX and MIN
+// report the running extreme over the draws correct for the spec.
+func (x *Execution) estimateOf(k int, mom []estimate.Moments) (float64, error) {
+	t, fn := x.tab, x.tab.specs[k].fn
+	switch {
+	case !fn.HasGuarantee():
+		if t.folded == 0 {
+			return 0, estimate.ErrNoObservations
+		}
+		if math.IsNaN(t.best[k]) {
+			return 0, estimate.ErrNoCorrect
+		}
+		return t.best[k], nil
+	case x.sh != nil:
+		return estimate.EstimateMoments(fn, mom, x.opts.Policy)
+	default:
+		return mom[0].Estimate(fn, x.opts.Policy)
+	}
+}
+
+// marginOf is ε of spec k: the closed-form stratified CLT margin over the
+// strata's moments — an unsharded sample is one stratum of weight 1. ε is a
+// function of the moments alone: it consumes no randomness, so the draw
+// stream stays a function of draw counts and pooled and unpooled execution,
+// or a QueryMulti and sequential Query calls over the same plan, sample
+// identically.
+func (x *Execution) marginOf(k int, mom []estimate.Moments) (float64, error) {
+	return estimate.MoEMoments(x.tab.specs[k].fn, mom, x.opts.Policy, x.opts.guarantee())
+}
+
+// sampleCounts returns the correct draws for spec k (k < 0: by the shared
+// indicator alone) and the distinct answers of the whole draw list. The
+// folded draws come from the fold's own counters. A tail the fold has not
+// reached exists only when a refinement was cut short; its draws of known
+// candidates are counted here and an unknown candidate counts as incorrect.
+func (x *Execution) sampleCounts(k int) (correct, distinct int) {
+	t := x.tab
+	correct, distinct = t.correct, t.distinct
+	if k >= 0 {
+		correct = t.hits(0, k)
+	}
+	tail := x.drawIdx[t.folded:]
+	for _, i := range tail {
+		state := t.state[i]
+		if state&(termSeen|termQueued) == 0 {
+			t.state[i] |= termQueued
+			distinct++
+		}
+		if k < 0 && state&termCorrect != 0 || k >= 0 && t.specCorrect(i, k) {
+			correct++
+		}
+	}
+	for _, i := range tail {
+		t.state[i] &^= termQueued
+	}
+	return correct, distinct
+}

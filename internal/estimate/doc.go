@@ -8,6 +8,16 @@
 // Theorem 2 termination test, and the error-based sample-size configuration
 // of Eq. 12.
 //
+// The engine's refinement loops keep their sample as moments, not as a
+// list: Running is MomentsOf in running form (Welford over the correct
+// draws in draw order, the zero terms merged at read-out), so a round folds
+// its fresh draws only, and Moments.Estimate / EstimateMoments / MoEMoments
+// read the estimate and its margin out. The observation-list forms —
+// Estimate, EstimateStratified, MoEStratified, MomentsOf, Regroup, Project —
+// stay as the reference the running forms are tested bit for bit against
+// (TestRunningMatchesMomentsOf; core's TestFoldMatchesListForm); no query
+// path calls them.
+//
 // The package also provides the cross-shard side of sharded execution
 // (DESIGN.md "Sharded execution"): per-shard samples arrive as disjoint
 // strata of the candidate-answer space, EstimateStratified merges them into
@@ -18,9 +28,10 @@
 // members are strata too: they ship their Moments, which EstimateMoments
 // and MoEMoments merge without ever seeing an observation.
 //
-// Multi-aggregate execution rides the same machinery: a MultiObservation
-// carries one draw's shared facts (π′, correctness verdict, stratum) plus
-// per-target attribute values, and Project lowers it onto any single
-// target's classic observation list, so one sample feeds COUNT, SUM and
-// AVG accumulators at once without touching the estimators.
+// Multi-aggregate execution rides the same machinery: the engine keeps one
+// Running per aggregate over the one sample. In list form, a
+// MultiObservation carries one draw's shared facts (π′, correctness verdict,
+// stratum) plus per-target attribute values, and Project lowers it onto any
+// single target's classic observation list — the reference for "one sample
+// feeds COUNT, SUM and AVG at once without touching the estimators".
 package estimate

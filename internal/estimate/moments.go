@@ -77,6 +77,78 @@ func MomentsOf(fn query.AggFunc, obs []Observation) Moments {
 	return m
 }
 
+// Running is MomentsOf in running form: the accumulator a refinement loop
+// keeps per (aggregate, stratum, group) so that a round folds only its fresh
+// draws instead of reducing the whole sample again. Add takes the HT terms
+// of one correct draw — Welford's update, the same arithmetic in the same
+// order as MomentsOf's loop — and the incorrect draws are never seen: they
+// are the stratum's draw count minus Correct, merged as one block of zeros
+// at read-out, exactly as MomentsOf merges them. Fed a stratum's correct
+// draws in draw order, Moments(n) therefore returns MomentsOf of the first n
+// draws bit for bit, whatever the round boundaries in between
+// (TestRunningMatchesMomentsOf).
+type Running struct {
+	m            Moments // over the correct draws alone: N is filled at read-out
+	meanS, meanC float64
+}
+
+// Add folds one correct draw's terms s = v/p (1/p for COUNT) and c = 1/p.
+func (r *Running) Add(s, c float64) {
+	m := &r.m
+	m.Correct++
+	k := float64(m.Correct)
+	m.SumS += s
+	m.SumC += c
+	ds, dc := s-r.meanS, c-r.meanC
+	r.meanS += ds / k
+	r.meanC += dc / k
+	m.M2S += ds * (s - r.meanS)
+	m.M2C += dc * (c - r.meanC)
+	m.CSC += ds * (c - r.meanC)
+}
+
+// Correct is the number of draws added so far.
+func (r *Running) Correct() int { return r.m.Correct }
+
+// Moments reads the accumulator out as the moments of a stratum of n draws,
+// n − Correct of them zero terms.
+func (r *Running) Moments(n int) Moments {
+	m := r.m
+	m.N = m.Correct
+	m.Merge(Moments{N: n - m.Correct})
+	return m
+}
+
+// Estimate is the point estimate of one unstratified sample from its
+// moments, in Estimate's own arithmetic — COUNT and SUM divide Σs by the
+// divisor the policy names, AVG is Σs/Σc — so a loop that keeps moments
+// instead of the observation list reports the same bits. (EstimateMoments
+// over a single stratum divides both AVG sums by N first, which rounds
+// differently; it is the form of the stratified paths.) MAX and MIN have no
+// moments form.
+func (m Moments) Estimate(fn query.AggFunc, pol DivisorPolicy) (float64, error) {
+	if m.N == 0 {
+		return 0, ErrNoObservations
+	}
+	switch fn {
+	case query.Count, query.Sum:
+		if pol == CorrectOnly {
+			if m.Correct == 0 {
+				return 0, ErrNoCorrect
+			}
+			return m.SumS / float64(m.Correct), nil
+		}
+		return m.SumS / float64(m.N), nil
+	case query.Avg:
+		if m.Correct == 0 || m.SumC == 0 {
+			return 0, ErrNoCorrect
+		}
+		return m.SumS / m.SumC, nil
+	default:
+		return 0, fmt.Errorf("estimate: %v has no moments form", fn)
+	}
+}
+
 // Merge folds another sample of the same stratum into m (Chan et al.'s
 // pairwise combine): the counts and sums add, the centred moments add plus
 // the between-sample term δ²·n_a·n_b/(n_a+n_b).
