@@ -96,6 +96,10 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/exec.go", "func (x *Execution) Refine"},
 		{"internal/core/space.go", "func (e *Engine) buildChainLevel"},
 		{"internal/core/space.go", "func (e *Engine) buildAssemblySpace"},
+		{"internal/core/space.go", "func (l *levelOracle) batch"},
+		{"internal/core/space.go", "func (l *levelOracle) legBatch"},
+		{"internal/core/terms.go", "func (x *Execution) settle"},
+		{"internal/core/cache.go", "func (c *spaceCache) getPlan"},
 		{"internal/core/prepared.go", "func (e *Engine) Prepare"},
 		{"internal/core/multi.go", "func (x *Execution) refineMulti"},
 		{"internal/estimate/multi.go", "func Project"},

@@ -193,11 +193,12 @@ func TestAllocBudgetMultiAccumulation(t *testing.T) {
 	}
 }
 
-// chainPrepareAllocBudget covers compiling a chain query whose stages are
-// all resident: one CSR answer → intermediates index and one π map, no
-// per-intermediate distribution copy, no goroutine. The parent allocated 359
-// times here and a per-answer slice index 687; measured 175.
-const chainPrepareAllocBudget = 200
+// chainPrepareAllocBudget covers compiling a chain query whose assembled
+// answer space is resident: validation and decomposition of the query
+// graph, the plan key, one cache lookup, the plan and its bindings — nothing
+// that grows with the chain. Assembling it from resident stages allocated
+// 175 times here; measured 42.
+const chainPrepareAllocBudget = 50
 
 func TestAllocBudgetWarmChainPrepare(t *testing.T) {
 	ds, err := datagen.Generate(datagen.TinyProfile())
@@ -257,12 +258,11 @@ func TestAllocBudgetColdOneHopPrepare(t *testing.T) {
 
 // warmQueryAllocBudget covers one whole execution of a warm one-hop plan
 // (Prepared.Query on dbpedia-sim, three rounds, 8 219 draws over 780
-// candidates, every verdict already in the stage's table): the Execution and
-// its RNG, the rounds and the Result, and per round the batch oracle's
-// verdict map. The list form allocated 48 times here — the per-execution
-// verdict array and the stratum view of every round among them; measured 40
-// (43 under the race detector).
-const warmQueryAllocBudget = 44
+// candidates, every verdict already shared on the plan's space): the
+// Execution and its RNG, the rounds and the Result. With the verdicts in the
+// stage's table only, every round went through the batch oracle and its
+// verdict map: 40 allocations; measured 9.
+const warmQueryAllocBudget = 12
 
 func TestAllocBudgetWarmOneHopQuery(t *testing.T) {
 	ds, err := datagen.Generate(datagen.DBpediaSim())
@@ -288,6 +288,37 @@ func TestAllocBudgetWarmOneHopQuery(t *testing.T) {
 	})
 	if allocs > warmQueryAllocBudget {
 		t.Fatalf("warm one-hop Query allocates %.0f/op, budget %d", allocs, warmQueryAllocBudget)
+	}
+}
+
+// warmChainQueryAllocBudget covers a whole one-shot chain query on a warm
+// engine (Engine.Query on dbpedia-sim: the compile of the budget above, as a
+// plan hit, then an execution that validates nothing), the path of a repeat
+// /v1/query. Measured 51; 1 363 when the space was reassembled from ≈ 190
+// resident stages per request and every round's verdicts went through maps.
+const warmChainQueryAllocBudget = 60
+
+func TestAllocBudgetWarmChainQuery(t *testing.T) {
+	ds, err := datagen.Generate(datagen.DBpediaSim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: 0.85, ErrorBound: 0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := ds.QueriesByShape(query.ShapeChain)[0].Agg
+	if _, err := e.Query(ctx, q); err != nil { // compiles, and settles the verdicts
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.Query(ctx, q); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > warmChainQueryAllocBudget {
+		t.Fatalf("warm chain Query allocates %.0f/op, budget %d", allocs, warmChainQueryAllocBudget)
 	}
 }
 

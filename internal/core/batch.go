@@ -128,7 +128,7 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []*query.Aggregate, opts ...
 	// process) down: each query is guarded individually, so a poisoned
 	// query yields its own ErrInternal and the batch completes.
 	runSafe := func(i int) (res *Result, err error) {
-		defer catchPanics(aggString(qs[i]), &err)
+		defer catchPanics(qs[i], &err)
 		return run(i)
 	}
 

@@ -158,6 +158,54 @@ func BenchmarkWarmQuery(b *testing.B) {
 	}
 }
 
+// warmChainEngine runs the first dbpedia-sim chain query once on a fresh
+// engine: its answer space is a resident plan entry with the verdicts of one
+// execution settled, the state in which kgaqd serves a repeat of it.
+func warmChainEngine(b *testing.B) (*Engine, *query.Aggregate) {
+	b.Helper()
+	ds, err := datagen.Generate(datagen.DBpediaSim())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: 0.85, ErrorBound: 0.10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := ds.QueriesByShape(query.ShapeChain)[0].Agg
+	if _, err := e.Query(context.Background(), q); err != nil {
+		b.Fatal(err)
+	}
+	return e, q
+}
+
+// BenchmarkWarmChainQuery is a repeat /v1/query of a chain: the compile is
+// a plan hit, the execution draws, reads shared verdicts and folds.
+func BenchmarkWarmChainQuery(b *testing.B) {
+	e, q := warmChainEngine(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query(ctx, q, WithSeed(int64(i%16)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFederateSampleWarm is one member round of a federated chain
+// query after the first: a plan hit, 500 draws and their evaluation.
+func BenchmarkFederateSampleWarm(b *testing.B) {
+	e, q := warmChainEngine(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.FederateSample(ctx, q, 500, false, WithSeed(int64(i%16)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWarmQueryMulti is BenchmarkWarmQuery with three aggregates over
 // the one sample: the K-spec fold.
 func BenchmarkWarmQueryMulti(b *testing.B) {

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,16 +58,24 @@ func typesKeyOf(types []kg.TypeID) string {
 // the scope's topology and types alone, so snapshots whose mutations all
 // land outside the scope share the entry soundly.
 type stageEntry struct {
-	answers []kg.NodeID
-	probs   []float64
-	piMap   map[kg.NodeID]float64
-	cost    int64
-
-	epoch uint64
-	scope []kg.NodeID // sorted; the walk's n-bounded node set
+	cacheMeta // scope: the walk's n-bounded node set
+	answers   []kg.NodeID
+	probs     []float64
+	piMap     map[kg.NodeID]float64
 
 	mu       sync.Mutex
 	verdicts map[verdictKey]*verdictTable
+}
+
+// cacheMeta is what the cache knows of an entry of either kind — a converged
+// stage or an assembled answer space — and all its validity rule needs: the
+// epoch the entry was built at (never served to an older view), the sorted
+// node set a mutation is matched against (any touch evicts the entry), and
+// the resident bytes charged to the budget.
+type cacheMeta struct {
+	epoch uint64
+	scope []kg.NodeID
+	cost  int64
 }
 
 // verdictTable is a flat open-addressing verdict cache keyed by node id —
@@ -163,12 +172,11 @@ func (st *stageEntry) verdictsFor(k verdictKey) *verdictTable {
 func newStageEntry(answers []kg.NodeID, probs []float64, piMap map[kg.NodeID]float64,
 	epoch uint64, scope []kg.NodeID) *stageEntry {
 	st := &stageEntry{
-		answers:  answers,
-		probs:    probs,
-		piMap:    piMap,
-		epoch:    epoch,
-		scope:    scope,
-		verdicts: make(map[verdictKey]*verdictTable),
+		cacheMeta: cacheMeta{epoch: epoch, scope: scope},
+		answers:   answers,
+		probs:     probs,
+		piMap:     piMap,
+		verdicts:  make(map[verdictKey]*verdictTable),
 	}
 	// Approximate resident bytes: the distribution slices, the π map, the
 	// scope list, and headroom for the verdict tables to fill in (9 bytes
@@ -183,13 +191,17 @@ func newStageEntry(answers []kg.NodeID, probs []float64, piMap map[kg.NodeID]flo
 	return st
 }
 
-// CacheStats is a point-in-time snapshot of the answer-space cache.
+// CacheStats is a point-in-time snapshot of the answer-space cache. Hits and
+// Misses count lookups of both kinds of entry; Entries and Bytes cover both
+// kinds, Plans and PlanBytes say how much of them is assembled answer spaces.
 type CacheStats struct {
 	Hits        uint64
 	Misses      uint64
 	Invalidated uint64 // entries evicted by mutation-scope intersection
 	Entries     int
 	Bytes       int64
+	Plans       int   // assembled answer spaces among Entries
+	PlanBytes   int64 // their share of Bytes
 	MaxBytes    int64
 }
 
@@ -215,11 +227,14 @@ type invalEvent struct {
 // anyway).
 const maxInvalEvents = 256
 
-// spaceCache is a concurrency-safe, memory-bounded LRU of converged stages.
-// Lookups and insertions take one short critical section; the heavy work
-// (convergence, validation) always happens outside the lock, so concurrent
-// misses on the same key may build the stage twice — the first insert wins
-// and both callers end up sharing it.
+// spaceCache is a concurrency-safe, memory-bounded LRU holding two kinds of
+// entry under one byte budget and one validity rule: converged stages, keyed
+// by stageKey, and assembled answer spaces — a whole compiled query graph
+// with its shared per-candidate verdicts — keyed by planKey. Lookups and
+// insertions take one short critical section; the heavy work (convergence,
+// assembly, validation) always happens outside the lock, so concurrent
+// misses on the same key may build twice — the first insert wins and both
+// callers end up sharing it.
 //
 // Under a live graph the cache is kept coherent by invalidate(), called
 // synchronously for every applied batch: entries whose scope intersects the
@@ -231,109 +246,202 @@ type spaceCache struct {
 	misses      atomic.Uint64
 	invalidated atomic.Uint64
 
-	mu     sync.Mutex
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[stageKey]*list.Element
-	events []invalEvent // recent invalidations, oldest first
+	mu        sync.Mutex
+	bytes     int64
+	planBytes int64
+	ll        *list.List // front = most recently used
+	stages    map[stageKey]*list.Element
+	plans     map[string]*list.Element
+	events    []invalEvent // recent invalidations, oldest first
 }
 
+// cacheItem is one element of the LRU: a stage under its stageKey, or an
+// answer space (plan non-nil) under its plan key.
 type cacheItem struct {
-	key   stageKey
-	entry *stageEntry
+	*cacheMeta
+	stageKey stageKey
+	planKey  string
+	stage    *stageEntry
+	plan     *answerSpace
 }
 
 func newSpaceCache(maxBytes int64) *spaceCache {
 	return &spaceCache{
 		maxBytes: maxBytes,
 		ll:       list.New(),
-		items:    make(map[stageKey]*list.Element),
+		stages:   make(map[stageKey]*list.Element),
+		plans:    make(map[string]*list.Element),
 	}
 }
 
-// get returns the cached stage for key, promoting it to most recently used.
-// A stage built at an epoch later than the querying snapshot's is not
-// served (the query must not observe writes newer than its snapshot); the
-// entry stays cached for queries at or above its build epoch.
-func (c *spaceCache) get(key stageKey, epoch uint64) *stageEntry {
+// getStage returns the cached stage for key, promoting it to most recently
+// used, and counts the lookup. An entry built at an epoch later than the
+// querying snapshot's is not served (the query must not observe writes newer
+// than its snapshot); it stays cached for queries at or above its build
+// epoch.
+func (c *spaceCache) getStage(key stageKey, epoch uint64) *stageEntry {
+	st := c.fetchStage(key, epoch)
+	c.count(st != nil)
+	return st
+}
+
+// fetchStage is getStage for a validation that needs a stage its plan was
+// compiled from: the same lookup, uncounted — Hits and Misses say how
+// compiles fared, and an execution fetching the stage of a compile already
+// counted is not one.
+func (c *spaceCache) fetchStage(key stageKey, epoch uint64) *stageEntry {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	el, ok := c.items[key]
-	var st *stageEntry
-	if ok {
-		st = el.Value.(*cacheItem).entry
-		if st.epoch > epoch {
-			st = nil
-		} else {
-			c.ll.MoveToFront(el)
-		}
+	defer c.mu.Unlock()
+	if it := c.serve(c.stages[key], epoch); it != nil {
+		return it.stage
 	}
-	c.mu.Unlock()
-	if st == nil {
-		c.misses.Add(1)
-		metSpaceMisses.Inc()
-		return nil
-	}
-	c.hits.Add(1)
-	metSpaceHits.Inc()
-	return st
+	return nil
 }
 
-// put inserts a freshly built stage and returns the canonical entry for the
-// key: when a concurrent builder inserted first, its entry is kept (and
+// getPlan is getStage for an assembled answer space.
+func (c *spaceCache) getPlan(key string, epoch uint64) *answerSpace {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	it := c.serve(c.plans[key], epoch)
+	c.mu.Unlock()
+	c.count(it != nil)
+	if it == nil {
+		return nil
+	}
+	return it.plan
+}
+
+// serve is the lookup both kinds share: the element's entry, promoted, when
+// it may be read at epoch. Callers hold c.mu.
+func (c *spaceCache) serve(el *list.Element, epoch uint64) *cacheItem {
+	if el == nil {
+		return nil
+	}
+	it := el.Value.(*cacheItem)
+	if it.epoch > epoch {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	return it
+}
+
+// count books one compile's lookup; a disabled cache looks nothing up.
+func (c *spaceCache) count(hit bool) {
+	switch {
+	case c == nil:
+	case hit:
+		c.hits.Add(1)
+		metSpaceHits.Inc()
+	default:
+		c.misses.Add(1)
+		metSpaceMisses.Inc()
+	}
+}
+
+// putStage inserts a freshly built stage and returns the canonical entry for
+// the key: when a concurrent builder inserted first, its entry is kept (and
 // returned) so every caller shares one verdict cache. Entries larger than
 // the whole budget are returned uncached, as are entries whose scope was
 // touched by a mutation applied after their build snapshot (the racing
 // counterpart of invalidate).
-func (c *spaceCache) put(key stageKey, st *stageEntry) *stageEntry {
-	if c == nil || st.cost > c.maxBytes {
+func (c *spaceCache) putStage(key stageKey, st *stageEntry) *stageEntry {
+	if c == nil {
 		return st
+	}
+	return c.insert(&cacheItem{cacheMeta: &st.cacheMeta, stageKey: key, stage: st}).stage
+}
+
+// putPlan is putStage for an assembled answer space.
+func (c *spaceCache) putPlan(key string, sp *answerSpace) *answerSpace {
+	if c == nil {
+		return sp
+	}
+	return c.insert(&cacheItem{cacheMeta: &sp.cacheMeta, planKey: key, plan: sp}).plan
+}
+
+func (c *spaceCache) insert(it *cacheItem) *cacheItem {
+	if it.cost > c.maxBytes {
+		return it
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, ev := range c.events {
-		if ev.epoch <= st.epoch {
+		if ev.epoch <= it.epoch {
 			continue
 		}
-		if scopeIntersects(st.scope, ev.nodes) {
-			return st // stale before it was ever cached
+		if scopeIntersects(it.scope, ev.nodes) {
+			return it // stale before it was ever cached
 		}
 	}
-	if len(c.events) == maxInvalEvents && c.events[0].epoch > st.epoch {
+	if len(c.events) == maxInvalEvents && c.events[0].epoch > it.epoch {
 		// The ring no longer covers the build window; be conservative.
-		return st
+		return it
 	}
-	if el, ok := c.items[key]; ok {
-		prev := el.Value.(*cacheItem).entry
-		if prev.epoch >= st.epoch {
+	if el := c.slot(it); el != nil {
+		prev := el.Value.(*cacheItem)
+		if prev.epoch >= it.epoch {
 			c.ll.MoveToFront(el)
 			return prev
 		}
 		// The resident entry predates ours (a concurrent build on an older
 		// snapshot won the insert); replace it.
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.bytes -= prev.cost
+		c.remove(el)
 	}
-	c.items[key] = c.ll.PushFront(&cacheItem{key: key, entry: st})
-	c.bytes += st.cost
-	for c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		it := back.Value.(*cacheItem)
-		c.ll.Remove(back)
-		delete(c.items, it.key)
-		c.bytes -= it.entry.cost
+	el := c.ll.PushFront(it)
+	if it.plan != nil {
+		c.plans[it.planKey] = el
+		c.planBytes += it.cost
+	} else {
+		c.stages[it.stageKey] = el
 	}
-	return st
+	c.bytes += it.cost
+	for c.bytes > c.maxBytes && c.ll.Back() != nil {
+		c.remove(c.ll.Back())
+	}
+	return it
 }
 
-// scopeIntersects reports whether two sorted node lists share an element.
+// slot is the resident element under the item's key, if any.
+func (c *spaceCache) slot(it *cacheItem) *list.Element {
+	if it.plan != nil {
+		return c.plans[it.planKey]
+	}
+	return c.stages[it.stageKey]
+}
+
+// remove unlinks one element and returns its bytes to the budget.
+func (c *spaceCache) remove(el *list.Element) {
+	it := c.ll.Remove(el).(*cacheItem)
+	if it.plan != nil {
+		delete(c.plans, it.planKey)
+		c.planBytes -= it.cost
+	} else {
+		delete(c.stages, it.stageKey)
+	}
+	c.bytes -= it.cost
+}
+
+// scopeIntersects reports whether two sorted node lists share an element. A
+// batch touches a handful of nodes and a scope holds thousands, and every
+// batch is matched against every entry: few against many is a binary search
+// per node of the short list, not a merge over the long one.
 func scopeIntersects(a, b []kg.NodeID) bool {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	if len(b)*bits.Len(uint(len(a))) < len(a) {
+		for _, u := range b {
+			if _, found := slices.BinarySearch(a, u); found {
+				return true
+			}
+		}
+		return false
+	}
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -351,7 +459,7 @@ func scopeIntersects(a, b []kg.NodeID) bool {
 // invalidate evicts every entry whose scope intersects the touched set of a
 // mutation batch applied at epoch — selective by construction: an entry
 // rooted in an untouched region survives and keeps serving hits. The event
-// is recorded so concurrently building stages cannot re-insert stale state.
+// is recorded so concurrently building entries cannot re-insert stale state.
 func (c *spaceCache) invalidate(touched []kg.NodeID, epoch uint64) {
 	if c == nil || len(touched) == 0 {
 		return
@@ -363,19 +471,12 @@ func (c *spaceCache) invalidate(touched []kg.NodeID, epoch uint64) {
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		it := el.Value.(*cacheItem)
 		// Range prefilter: scopes are sorted, so a batch entirely outside
 		// [scope[0], scope[last]] cannot intersect — the common case under
 		// regional churn, and it keeps the full merge off most entries.
-		sc := it.entry.scope
-		if len(sc) == 0 || hi < sc[0] || sc[len(sc)-1] < lo {
-			el = next
-			continue
-		}
-		if scopeIntersects(sc, nodes) {
-			c.ll.Remove(el)
-			delete(c.items, it.key)
-			c.bytes -= it.entry.cost
+		sc := el.Value.(*cacheItem).scope
+		if len(sc) != 0 && hi >= sc[0] && sc[len(sc)-1] >= lo && scopeIntersects(sc, nodes) {
+			c.remove(el)
 			c.invalidated.Add(1)
 			metSpaceInvalidated.Inc()
 		}
@@ -392,7 +493,7 @@ func (c *spaceCache) stats() CacheStats {
 		return CacheStats{MaxBytes: -1}
 	}
 	c.mu.Lock()
-	entries, bytes := c.ll.Len(), c.bytes
+	entries, bytes, plans, planBytes := c.ll.Len(), c.bytes, len(c.plans), c.planBytes
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:        c.hits.Load(),
@@ -400,6 +501,8 @@ func (c *spaceCache) stats() CacheStats {
 		Invalidated: c.invalidated.Load(),
 		Entries:     entries,
 		Bytes:       bytes,
+		Plans:       plans,
+		PlanBytes:   planBytes,
 		MaxBytes:    c.maxBytes,
 	}
 }

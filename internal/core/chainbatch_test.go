@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kgaq/internal/datagen"
+	"kgaq/internal/kg"
 	"kgaq/internal/query"
 )
 
@@ -24,9 +25,21 @@ func multiHopQueries(ds *datagen.Dataset, perShape int) []datagen.GenQuery {
 	return out
 }
 
+// testSpace is a compiled answer space with the environment its oracle is
+// run in.
+type testSpace struct {
+	*answerSpace
+	env oracleEnv
+}
+
+func (s testSpace) batch(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
+	out, _ := s.oracle.batch(ctx, s.env, us)
+	return out
+}
+
 // compileSpace builds a query's answer space on a fresh engine, so that no
 // verdict settled by an earlier build is shared through a stage cache.
-func compileSpace(t *testing.T, ds *datagen.Dataset, tau float64, q *query.Aggregate) *answerSpace {
+func compileSpace(t *testing.T, ds *datagen.Dataset, tau float64, q *query.Aggregate) testSpace {
 	t.Helper()
 	e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: tau})
 	if err != nil {
@@ -36,16 +49,17 @@ func compileSpace(t *testing.T, ds *datagen.Dataset, tau float64, q *query.Aggre
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := e.buildAssemblySpace(context.Background(), e.opts, e.src.snapshot(), paths, nil)
+	v := e.src.snapshot()
+	sp, err := e.buildAssemblySpace(context.Background(), e.opts, v, paths, nil)
 	if err != nil {
 		t.Fatalf("%v: %v", q, err)
 	}
-	return sp
+	return testSpace{sp, oracleEnv{e: e, o: e.opts, v: v}}
 }
 
-// The chain-level oracle's batch form settles exactly the verdicts its
-// single form does, on every candidate of every chain, cycle and flower
-// query of the tiny profile and of one dbpedia-sim root.
+// The chain-level oracle settles for a whole batch exactly the verdicts it
+// settles for each answer alone, on every candidate of every chain, cycle
+// and flower query of the tiny profile and of one dbpedia-sim root.
 func TestChainBatchMatchesSingle(t *testing.T) {
 	for _, c := range []struct {
 		profile  datagen.Profile
@@ -63,13 +77,10 @@ func TestChainBatchMatchesSingle(t *testing.T) {
 		for _, gq := range qs {
 			viaSingle := compileSpace(t, ds, c.profile.OptimalTau, gq.Agg)
 			viaBatch := compileSpace(t, ds, c.profile.OptimalTau, gq.Agg)
-			if viaBatch.oracle.batch == nil {
-				t.Fatalf("%s: no batch oracle", gq.ID)
-			}
-			got := viaBatch.oracle.batch(ctx, viaBatch.answers)
+			got := viaBatch.batch(ctx, viaBatch.answers)
 			correct := 0
 			for _, u := range viaSingle.answers {
-				want := viaSingle.oracle.single(ctx, u)
+				want := viaSingle.batch(ctx, []kg.NodeID{u})[u]
 				if want {
 					correct++
 				}
@@ -97,9 +108,10 @@ func (c *pollCtx) Err() error {
 }
 
 // A batch cancelled at any depth caches no verdict: not in the execution's
-// term table (evaluate records nothing of a cut batch) and not on the
-// stages, so the same space validated afterwards under a live context still
-// matches a space that never saw a cancellation.
+// term table (evaluate records nothing of a cut batch), not among the
+// space's shared verdicts and not on the stages, so the same space validated
+// afterwards under a live context still matches a space that never saw a
+// cancellation.
 func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 	p := datagen.TinyProfile()
 	ds, err := datagen.Generate(p)
@@ -108,7 +120,7 @@ func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 	}
 	for _, gq := range multiHopQueries(ds, 1) {
 		clean := compileSpace(t, ds, p.OptimalTau, gq.Agg)
-		want := clean.oracle.batch(context.Background(), clean.answers)
+		want := clean.batch(context.Background(), clean.answers)
 		anyCorrect := false
 		for _, v := range want {
 			anyCorrect = anyCorrect || v
@@ -127,7 +139,7 @@ func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 		}
 		defer x.holdScratch()()
 		x.bindTerms(termSpec{fn: gq.Agg.Func, attr: x.attr})
-		sp := x.sp
+		sp := testSpace{x.sp, x.oracleEnv()}
 		all := make([]int, len(sp.answers))
 		for i := range all {
 			all[i] = i
@@ -141,15 +153,16 @@ func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 			}
 			depths++
 			for i, state := range x.tab.state {
-				if state != 0 {
-					t.Fatalf("%s: cancelled after %d polls, yet answer %d carries state %b", gq.ID, polls, sp.answers[i], state)
+				if state != 0 || sp.verdicts[i].Load() != verdictUnknown {
+					t.Fatalf("%s: cancelled after %d polls, yet answer %d carries state %b, shared verdict %d",
+						gq.ID, polls, sp.answers[i], state, sp.verdicts[i].Load())
 				}
 			}
 		}
 		if depths < 5 {
 			t.Fatalf("%s: only %d cancellation depths exercised", gq.ID, depths)
 		}
-		got := sp.oracle.batch(context.Background(), sp.answers)
+		got := sp.batch(context.Background(), sp.answers)
 		for _, u := range sp.answers {
 			if got[u] != want[u] {
 				t.Errorf("%s: answer %d reads %v after the cancelled batches, %v on a clean space", gq.ID, u, got[u], want[u])
@@ -170,7 +183,7 @@ func TestChainBatchConcurrent(t *testing.T) {
 	}
 	gq := multiHopQueries(ds, 1)[0]
 	quiet := compileSpace(t, ds, p.OptimalTau, gq.Agg)
-	want := quiet.oracle.batch(context.Background(), quiet.answers)
+	want := quiet.batch(context.Background(), quiet.answers)
 
 	sp := compileSpace(t, ds, p.OptimalTau, gq.Agg)
 	var wg sync.WaitGroup
@@ -181,7 +194,7 @@ func TestChainBatchConcurrent(t *testing.T) {
 			// Overlapping windows, so workers race on the same stage verdicts.
 			lo := w * len(sp.answers) / 16
 			us := sp.answers[lo : lo+len(sp.answers)/2]
-			got := sp.oracle.batch(context.Background(), us)
+			got := sp.batch(context.Background(), us)
 			for _, u := range us {
 				if got[u] != want[u] {
 					t.Errorf("worker %d: answer %d reads %v, quiet run %v", w, u, got[u], want[u])

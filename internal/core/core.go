@@ -95,10 +95,11 @@ type Options struct {
 	// ExtremeRounds is the number of fixed-size sampling rounds for MAX and
 	// MIN, which carry no guarantee (default 4, as reported in §VII-B).
 	ExtremeRounds int
-	// CacheMaxBytes bounds the engine's answer-space cache (converged
-	// stationary distributions plus their validation verdicts, shared
-	// across queries). Zero means DefaultCacheBytes; a negative value
-	// disables the cache entirely.
+	// CacheMaxBytes bounds the engine's answer-space cache: converged
+	// stationary distributions with their leg verdicts, and the answer
+	// spaces assembled from them, one per compiled query graph, with one
+	// verdict per candidate — all shared across queries. Zero means
+	// DefaultCacheBytes; a negative value disables the cache entirely.
 	CacheMaxBytes int64
 	// Shards partitions query execution: the candidate-answer space is cut
 	// into this many hash-ownership strata, sampled and validated per shard

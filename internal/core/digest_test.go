@@ -348,18 +348,28 @@ func digestScenarios(t *testing.T, fx digestFixture) map[string]string {
 	return out
 }
 
+// Every fixture runs its scenarios twice on one engine. The second pass
+// compiles nothing — every answer space is a plan entry of the first, with
+// the verdicts the first settled — and must return the same digests.
 func TestAnswerDigests(t *testing.T) {
 	for _, fx := range digestFixtures(t) {
-		got := digestScenarios(t, fx)
-		names := make([]string, 0, len(got))
-		for name := range got {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			key := fx.name + "/" + name
-			if want, ok := answerDigests[key]; !ok || want != got[name] {
-				t.Errorf("%q: %q, // golden %q", key, got[name], want)
+		for _, pass := range []string{"cold", "warm"} {
+			before := fx.eng.CacheStats()
+			got := digestScenarios(t, fx)
+			after := fx.eng.CacheStats()
+			if pass == "warm" && (after.Misses != before.Misses || after.Hits == before.Hits) {
+				t.Errorf("%s: the warm pass compiled: cache %+v → %+v", fx.name, before, after)
+			}
+			names := make([]string, 0, len(got))
+			for name := range got {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				key := fx.name + "/" + name
+				if want, ok := answerDigests[key]; !ok || want != got[name] {
+					t.Errorf("%s pass: %q: %q, // golden %q", pass, key, got[name], want)
+				}
 			}
 		}
 	}

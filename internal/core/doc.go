@@ -52,8 +52,11 @@
 //
 // Converged walker stages (stationary distributions plus their validation
 // verdicts) live in an engine-wide memory-bounded LRU keyed by (root,
-// predicate, target types, walk config); repeat queries skip convergence
-// and re-validation. Under a live graph, entries are invalidated
+// predicate, target types, walk config), and so do the answer spaces
+// assembled from them, keyed by (decomposed paths, plan knobs) and carrying
+// one shared verdict per candidate: a repeat of a query graph — through any
+// entry point — skips compilation and re-validation and goes straight to
+// drawing. Under a live graph, entries are invalidated
 // selectively — only when a mutation touches their walk scope — and
 // compactions rebuild recently evicted stages off the query path.
 //

@@ -88,7 +88,7 @@ type Execution struct {
 // a query graph (or fan several aggregates over one sample) should call
 // Engine.Prepare once and reuse the plan.
 func (e *Engine) Start(ctx context.Context, q *query.Aggregate, opts ...QueryOption) (x *Execution, err error) {
-	defer catchPanics(aggString(q), &err)
+	defer catchPanics(q, &err)
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -51,7 +51,7 @@ type MemberSample struct {
 // conditional probabilities, not probabilities conditional on a member's
 // own sub-strata.
 func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, pilot bool, opts ...QueryOption) (ms *MemberSample, err error) {
-	defer catchPanics(aggString(q), &err)
+	defer catchPanics(q, &err)
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -12,6 +12,13 @@ import (
 	"kgaq/internal/query"
 )
 
+// oracleFunc lets a test stand in front of a compiled space's oracle.
+type oracleFunc func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool)
+
+func (f oracleFunc) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	return f(ctx, env, us)
+}
+
 // tinyEngine builds a fresh engine over the tiny profile: nothing cached, so
 // every first validation of a candidate really runs.
 func tinyEngine(t *testing.T) (*Engine, *datagen.Dataset) {
@@ -150,16 +157,15 @@ func TestTermTableEvaluatesEachCandidateOnce(t *testing.T) {
 			}
 			var mu sync.Mutex // the sharded validator runs its buckets concurrently
 			asked := map[kg.NodeID]int{}
-			sp := *x.sp
-			batch := sp.oracle.batch
-			sp.oracle.batch = func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
+			sp, inner := *x.sp, x.sp.oracle
+			sp.oracle = oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
 				mu.Lock()
 				for _, u := range us {
 					asked[u]++
 				}
 				mu.Unlock()
-				return batch(ctx, us)
-			}
+				return inner.batch(ctx, env, us)
+			})
 			x.sp = &sp
 			res, err := x.Refine(context.Background(), 0)
 			if err != nil {
@@ -298,14 +304,13 @@ func TestFoldResumesAfterPanickedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := *x.sp
-	batch, calls := sp.oracle.batch, 0
-	sp.oracle.batch = func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
+	sp, inner, calls := *x.sp, x.sp.oracle, 0
+	sp.oracle = oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
 		if calls++; calls == 2 {
 			panic("validator fault")
 		}
-		return batch(ctx, us)
-	}
+		return inner.batch(ctx, env, us)
+	})
 	x.sp = &sp
 	if _, err := x.Refine(context.Background(), 0); !errors.Is(err, ErrInternal) {
 		t.Fatalf("Refine over a panicking validator returned %v, want ErrInternal", err)

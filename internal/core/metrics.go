@@ -4,7 +4,7 @@ import "kgaq/internal/obs"
 
 // Engine-tier metrics. Registered once into the process registry; the
 // hot-path updates are single atomic adds next to the counters the engine
-// already keeps (cache stats, buildMetrics), so a scrape and /debug/cache
+// already keeps (cache stats, spaceBuild), so a scrape and /debug/cache
 // always tell the same story.
 var (
 	metQueries = obs.Default().CounterVec("kgaq_core_queries_total",
@@ -17,13 +17,13 @@ var (
 	metValidationCalls = obs.Default().Counter("kgaq_core_validation_calls_total",
 		"Candidate answers greedily validated against the similarity oracle (verdict-cache misses).")
 	metVerdictHits = obs.Default().Counter("kgaq_core_verdict_cache_hits_total",
-		"Candidate validations answered from a stage's shared verdict cache.")
+		"Candidate validations answered from a shared verdict cache: a plan entry's per-candidate verdicts or a stage's leg table.")
 	metSpaceHits = obs.Default().Counter("kgaq_core_space_cache_hits_total",
-		"Answer-space stage cache hits.")
+		"Answer-space cache hits (assembled answer spaces and converged stages).")
 	metSpaceMisses = obs.Default().Counter("kgaq_core_space_cache_misses_total",
-		"Answer-space stage cache misses (stage walked to convergence).")
+		"Answer-space cache misses (space assembled, or stage walked to convergence).")
 	metSpaceInvalidated = obs.Default().Counter("kgaq_core_space_cache_invalidated_total",
-		"Answer-space stages evicted by mutation-driven invalidation.")
+		"Answer-space cache entries evicted by mutation-driven invalidation.")
 	metStageBuilds = obs.Default().Counter("kgaq_core_stage_builds_total",
 		"Random-walk stages converged from scratch (cache misses plus uncached builds).")
 	metWalkFallbacks = obs.Default().Counter("kgaq_core_walk_fallbacks_total",

@@ -152,7 +152,7 @@ func (e *Engine) QueryMulti(ctx context.Context, q *query.Aggregate, specs []Agg
 // terminates early on an easy aggregate while a hard one still misses its
 // bound.
 func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *MultiResult, err error) {
-	defer catchPanics(x.queryString(), &err)
+	defer x.catchPanics(&err)
 	if ctx == nil {
 		ctx = context.Background()
 	}

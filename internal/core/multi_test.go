@@ -34,8 +34,8 @@ func TestQueryMultiSingleBuildSharedSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := e.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("stage cache misses = %d, want 1 (one answer-space build)", cs.Misses)
+	if cs := e.CacheStats(); cs.Misses != 2 || cs.Plans != 1 {
+		t.Fatalf("cache misses = %d, plan entries = %d, want 2 (the plan and its one stage: one answer-space build) and 1", cs.Misses, cs.Plans)
 	}
 	if !res.Converged {
 		t.Fatalf("multi query did not converge: %+v", res)

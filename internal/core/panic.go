@@ -41,16 +41,18 @@ func (e *InternalError) Unwrap() error { return ErrInternal }
 // the engine itself untouched and usable. A panic captured on a worker
 // goroutine (rethrown as *capturedPanic) keeps its original stack. Both
 // variants call recover() directly — recover only works in the immediate
-// deferred frame.
+// deferred frame — and take the query, not its text: the arguments of a
+// deferred call are evaluated at the defer, on every call, and only a
+// recovered panic reads the text.
 func (x *Execution) catchPanics(err *error) {
 	if r := recover(); r != nil {
 		*err = toInternal(x.queryString(), r)
 	}
 }
 
-func catchPanics(query string, err *error) {
+func catchPanics(q *query.Aggregate, err *error) {
 	if r := recover(); r != nil {
-		*err = toInternal(query, r)
+		*err = toInternal(aggString(q), r)
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -26,8 +28,8 @@ const (
 	EpochPin EpochPolicy = iota
 	// EpochRepin re-pins the plan to the engine's current snapshot at each
 	// Start: when the epoch moved, the compiled answer space is rebuilt
-	// against the new view (cheap when the engine's stage cache still holds
-	// the untouched stages) and the plan's epoch advances. WithMinEpoch
+	// against the new view (a cache hit when the mutations missed the plan's
+	// scope) and the plan's epoch advances. WithMinEpoch
 	// waits for the store to reach the epoch, then rebuilds.
 	EpochRepin
 )
@@ -86,9 +88,11 @@ type PlanInfo struct {
 	Epoch uint64
 	// EpochPolicy is the plan's behaviour when the live graph moves on.
 	EpochPolicy EpochPolicy
-	// CacheHits / CacheBuilt count the converged chain stages the
-	// compilation served from the engine's answer-space cache versus built
-	// fresh — CacheBuilt 0 means the plan compiled entirely from cache.
+	// CacheHits / CacheBuilt count what the compilation took from the
+	// engine's answer-space cache versus built fresh: 1 / 0 when the
+	// assembled answer space itself was resident, else the converged chain
+	// stages served and converged — CacheBuilt 0 means the plan compiled
+	// entirely from cache.
 	CacheHits  int
 	CacheBuilt int
 	// Rebuilds counts how many times an EpochRepin plan re-compiled after
@@ -107,8 +111,11 @@ type compiled struct {
 	filters []resolvedFilter
 	sp      *answerSpace
 	split   *shardSplit // non-nil when the plan is sharded
-	hits    int         // stage-cache hits during this compilation
-	built   int         // stages converged fresh during this compilation
+	// hits and built count the compilation's cache traffic: one hit and
+	// nothing built when the assembled space itself was resident, else the
+	// converged stages served from the cache and built fresh.
+	hits  int
+	built int
 }
 
 // Prepared is a compiled aggregate query: name→id resolution, shape
@@ -123,6 +130,7 @@ type Prepared struct {
 	q      *query.Aggregate
 	cfg    queryConfig // Prepare-time configuration: the plan's defaults
 	paths  []query.Path
+	key    string // planKey(paths, cfg.opts): the compiled space's cache key
 	shape  query.Shape
 	policy EpochPolicy
 
@@ -154,7 +162,7 @@ type Prepared struct {
 // executions stay pinned there or re-pin to fresh snapshots as the graph
 // moves.
 func (e *Engine) Prepare(ctx context.Context, q *query.Aggregate, opts ...QueryOption) (p *Prepared, err error) {
-	defer catchPanics(aggString(q), &err)
+	defer catchPanics(q, &err)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -189,6 +197,7 @@ func (e *Engine) prepare(ctx context.Context, q *query.Aggregate, cfg queryConfi
 		q:      q,
 		cfg:    cfg,
 		paths:  paths,
+		key:    planKey(paths, cfg.opts),
 		shape:  q.Q.ShapeOf(),
 		policy: cfg.epochPolicy,
 	}
@@ -202,9 +211,15 @@ func (e *Engine) prepare(ctx context.Context, q *query.Aggregate, cfg queryConfi
 	return p, nil
 }
 
-// compile builds one epoch's compiled state: bindings plus the answer
-// space. Pure with respect to p's mutable fields — callers install the
-// result.
+// compile builds one epoch's compiled state: the aggregate's bindings plus
+// the answer space, which is a function of (query graph, graph state, plan
+// knobs) alone and so is taken from the engine's answer-space cache under
+// the plan key when a space valid for v is resident — every path that
+// compiles (Query, Start, QueryBatch, QueryMulti, FederateSample, Prepare,
+// an EpochRepin rebuild) then goes straight to drawing, with the verdicts
+// earlier executions settled. A miss assembles the space and publishes it;
+// errors are never cached. Pure with respect to p's mutable fields —
+// callers install the result.
 func (p *Prepared) compile(ctx context.Context, v view) (*compiled, error) {
 	defer obs.TraceFrom(ctx).Span("compile").End()
 	e, q, o := p.e, p.q, p.cfg.opts
@@ -228,22 +243,30 @@ func (p *Prepared) compile(ctx context.Context, v view) (*compiled, error) {
 		c.filters = append(c.filters, resolvedFilter{attr: a, low: f.Low, high: f.High})
 	}
 	endResolve.End()
-	bm := &buildMetrics{}
-	endBuild := obs.TraceFrom(ctx).Span("build_space")
-	c.sp, err = e.buildAssemblySpace(ctx, o, v, p.paths, bm)
-	endBuild.End()
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: %w during preparation: %w", ErrInterrupted, cerr)
+	if c.sp = e.cache.getPlan(p.key, v.epoch); c.sp != nil {
+		c.hits = 1
+	} else {
+		sb := &spaceBuild{}
+		endBuild := obs.TraceFrom(ctx).Span("build_space")
+		sp, err := e.buildAssemblySpace(ctx, o, v, p.paths, sb)
+		endBuild.End()
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, fmt.Errorf("core: %w during preparation: %w", ErrInterrupted, cerr)
+			}
+			return nil, err
 		}
-		return nil, err
+		c.sp = e.cache.putPlan(p.key, sp)
+		c.hits, c.built = int(sb.hits.Load()), int(sb.built.Load())
 	}
+	// The shard split is a function of the space and the shard count alone,
+	// but it is recomputed per compile: sharding has no measured win yet
+	// (ROADMAP item 4) and does not earn cache bytes.
 	if o.Shards > 1 {
 		if c.split, err = newShardSplit(c.sp, o.Shards); err != nil {
 			return nil, err
 		}
 	}
-	c.hits, c.built = int(bm.hits.Load()), int(bm.built.Load())
 	return c, nil
 }
 
@@ -324,7 +347,7 @@ func (p *Prepared) ensure(ctx context.Context, minEpoch uint64) (*compiled, erro
 // estimation remain per call. Refine the returned Execution exactly as
 // one from Engine.Start.
 func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution, err error) {
-	defer catchPanics(aggString(p.q), &err)
+	defer catchPanics(p.q, &err)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -375,9 +398,42 @@ func (p *Prepared) Query(ctx context.Context, opts ...QueryOption) (*Result, err
 // planKey canonically identifies the compiled half of a query under given
 // options: the decomposed paths (which capture roots, predicates and type
 // sets, the inputs of the walk) plus the compiled plan knobs. Queries with
-// equal keys share one answer-space build — QueryBatch's dedupe unit.
+// equal keys share one answer space — the key of its entry in the engine's
+// cache, and QueryBatch's dedupe unit. It is on every request's path, so it
+// is spelled out by hand: names are length-prefixed (two different path
+// lists never spell the same key) and floats are written by their bits.
 func planKey(paths []query.Path, o Options) string {
-	return fmt.Sprintf("%+v|%+v", paths, knobsOf(o))
+	b := make([]byte, 0, 128)
+	name := func(s string) {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, ':')
+		b = append(b, s...)
+	}
+	names := func(ss []string) {
+		b = strconv.AppendInt(b, int64(len(ss)), 10)
+		b = append(b, '[')
+		for _, s := range ss {
+			name(s)
+		}
+	}
+	for _, p := range paths {
+		name(p.RootName)
+		names(p.RootTypes)
+		b = strconv.AppendInt(b, int64(len(p.Hops)), 10)
+		b = append(b, '{')
+		for _, h := range p.Hops {
+			name(h.Predicate)
+			names(h.Types)
+		}
+	}
+	k := knobsOf(o)
+	b = append(b, '|')
+	for _, n := range []uint64{uint64(k.sampler), uint64(k.shards), uint64(k.n),
+		math.Float64bits(k.selfLoop), math.Float64bits(k.tau), uint64(k.repeat)} {
+		b = strconv.AppendUint(b, n, 16)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // prepareShared derives a plan for q that reuses base's compiled answer
@@ -414,6 +470,7 @@ func (e *Engine) prepareShared(q *query.Aggregate, paths []query.Path, cfg query
 		q:      q,
 		cfg:    cfg,
 		paths:  paths,
+		key:    base.key,
 		shape:  q.Q.ShapeOf(),
 		policy: cfg.epochPolicy,
 		cur:    c,

@@ -80,8 +80,8 @@ func TestPreparedQueryReuse(t *testing.T) {
 				i, res.Estimate, res.SampleSize, first.Estimate, first.SampleSize)
 		}
 	}
-	if cs := e.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("stage cache misses = %d after 5 plan executions, want 1", cs.Misses)
+	if cs := e.CacheStats(); cs.Misses != 2 || cs.Plans != 1 {
+		t.Fatalf("cache misses = %d, plan entries = %d after 5 plan executions, want 2 (the plan and its one stage) and 1", cs.Misses, cs.Plans)
 	}
 	// Seed overrides draw an independent stream without recompiling.
 	res, err := p.Query(ctx, WithSeed(1234))
@@ -91,8 +91,8 @@ func TestPreparedQueryReuse(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("seed-override run did not converge")
 	}
-	if cs := e.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("stage cache misses = %d after seed override, want 1", cs.Misses)
+	if cs := e.CacheStats(); cs.Misses != 2 {
+		t.Fatalf("cache misses = %d after seed override, want 2", cs.Misses)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestQueryBatchDedupesPlans(t *testing.T) {
 			t.Fatalf("query %d did not converge", i)
 		}
 	}
-	if cs := e.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("stage cache misses = %d for a 4-query same-graph batch, want 1 (one shared build)", cs.Misses)
+	if cs := e.CacheStats(); cs.Misses != 2 || cs.Plans != 1 {
+		t.Fatalf("cache misses = %d, plan entries = %d for a 4-query same-graph batch, want 2 (the plan and its one stage: one shared build) and 1", cs.Misses, cs.Plans)
 	}
 }

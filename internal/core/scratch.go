@@ -27,11 +27,13 @@ type execScratch struct {
 	draws       []int
 	shardCounts []uint64
 	// freshIdx queues the distinct not-yet-known candidates of a round for
-	// evaluation; freshNodes and verdicts are the batch validator's input and
-	// output, parallel to it.
+	// evaluation and verdicts, parallel to it, takes what is decided of them;
+	// openAt lists the queue positions the plan's shared verdicts leave to
+	// the batch validator, freshNodes is its input.
 	freshIdx   []int
-	freshNodes []kg.NodeID
 	verdicts   []bool
+	openAt     []int
+	freshNodes []kg.NodeID
 }
 
 // scratchFree is the free list: a bounded channel, not a sync.Pool. A pool

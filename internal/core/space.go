@@ -4,11 +4,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"kgaq/internal/kg"
 	"kgaq/internal/obs"
@@ -21,32 +22,47 @@ import (
 // maxChainIntermediates caps the number of stage-one entities expanded per
 // chain hop. The paper's two-stage sampling runs "till enough automobiles
 // are obtained"; expanding the highest-π intermediates first preserves the
-// bulk of the probability mass while bounding work.
+// bulk of the probability mass while bounding work. An intermediate's rank
+// fits the uint16 rows of a chain level's reach index.
 const maxChainIntermediates = 300
 
-// answerSpace is the sampling space of a compiled query: the candidate
-// answers A with their exact per-draw probabilities π′ (Theorem 1), plus the
-// correctness oracle combining the τ threshold and the greedy validation of
-// §IV-B2.
+// Shared verdict of one candidate (answerSpace.verdicts).
+const (
+	verdictUnknown uint32 = iota
+	verdictIncorrect
+	verdictCorrect
+)
+
+// answerSpace is the sampling space of a compiled query graph: the candidate
+// answers A with their exact per-draw probabilities π′ (Theorem 1), the data
+// of the correctness oracle combining the τ threshold and the greedy
+// validation of §IV-B2, and one shared verdict per candidate.
 //
-// The oracle closures accept a ctx so a cancelled query can abandon an
-// in-flight validation; a verdict is only kept when the validation ran to
-// completion, so a cancelled call never poisons a cache with false
-// negatives.
+// It is also the unit the engine's answer-space cache holds per plan key, so
+// it is data only: no graph view, no stage pointer, no closure over one. The
+// oracle is handed the execution's own view each time it runs (oracleEnv)
+// and fetches the stages it needs by key, which is why a cached space pins
+// exactly the bytes its cost charges and never a superseded snapshot.
 //
-// The whole space is immutable after construction — the compiled-plan half
-// a Prepared shares across executions. What an execution learns about a
-// candidate lives in its own term table (terms.go), so concurrent executions
-// of one plan never write shared memory. (The semantic oracle's own caches
-// live on the engine's stage entries, guarded by their mutex.)
+// Everything but verdicts is immutable after construction — the
+// compiled-plan half a Prepared shares across executions. A verdict is a
+// function of (graph inside the space's scope, candidate, τ, repeat), all of
+// which are fixed while the space is valid, so whichever execution settles a
+// candidate first settles it for every other: verdicts[i] is written once a
+// validation of candidate i ran to completion (atomically; racing writers
+// store the same value) and read before anything is queued for the oracle.
+// What else an execution learns of a candidate — filters, attribute values,
+// HT terms — lives in its own term table (terms.go).
 type answerSpace struct {
-	answers []kg.NodeID
-	probs   []float64 // sums to 1
-	alias   *stats.Alias
-	// oracle is the per-answer correctness machinery; the batch form, when
-	// set, validates many answers in one shared search so a round's worth of
-	// fresh answers costs one traversal instead of one per answer.
-	oracle correctOracle
+	// cacheMeta is the space's cache header: the view epoch it was assembled
+	// at, the union of the scopes of every stage the assembly read, and the
+	// bytes it holds.
+	cacheMeta
+	answers  []kg.NodeID // ascending
+	probs    []float64   // sums to 1
+	alias    *stats.Alias
+	oracle   oracle
+	verdicts []atomic.Uint32 // parallel to answers
 }
 
 func (s *answerSpace) len() int { return len(s.answers) }
@@ -61,97 +77,278 @@ func (s *answerSpace) drawInto(dst []int, r *rand.Rand, k int) []int {
 	return dst
 }
 
-// buildMetrics counts answer-space build work, the raw material of a
-// prepared plan's introspection (PlanInfo.CacheHits / CacheBuilt). Counters
-// are atomic because chain builds fan out over the engine's worker pool. A
-// nil *buildMetrics is a valid no-op sink.
-type buildMetrics struct {
+// spaceBuild follows one answer-space build: how many converged stages came
+// from the engine cache and how many were converged fresh (the raw material
+// of PlanInfo.CacheHits / CacheBuilt), and the scope of each — their union
+// is what a mutation must miss for the assembled space to stay valid. Chain
+// builds fan out over the engine's worker pool, hence the atomics and the
+// mutex. A nil *spaceBuild is a valid no-op sink.
+type spaceBuild struct {
 	hits  atomic.Int64 // converged stages served from the engine cache
 	built atomic.Int64 // stages converged fresh during this build
+
+	mu     sync.Mutex
+	scopes [][]kg.NodeID
 }
 
-func (b *buildMetrics) hit() {
+func (b *spaceBuild) hit() {
 	if b != nil {
 		b.hits.Add(1)
 	}
 }
 
-func (b *buildMetrics) build() {
+func (b *spaceBuild) build() {
 	if b != nil {
 		b.built.Add(1)
 	}
 }
 
-// buildSemanticSpace assembles the answer space for one decomposed path
-// using the semantic-aware walker (§IV-A), recursively for chains (§V-B).
-func (e *Engine) buildSemanticSpace(ctx context.Context, o Options, v view, p query.Path, bm *buildMetrics) (*answerSpace, error) {
-	us, err := resolveRoot(v.g, p)
-	if err != nil {
-		return nil, err
+// read notes a stage the assembly read.
+func (b *spaceBuild) read(st *stageEntry) {
+	if b != nil && len(st.scope) > 0 {
+		b.mu.Lock()
+		b.scopes = append(b.scopes, st.scope)
+		b.mu.Unlock()
 	}
-	if len(p.Hops) == 1 {
-		// One hop: the space is the stage's own distribution, reordered.
-		st, oracle, err := e.hopStage(ctx, o, v, us, p.Hops[0], bm)
-		if err != nil {
-			return nil, err
+}
+
+// unionScope merges the scopes of every stage read into one sorted node
+// list, through a bitmap over the view's node ids: a two-hop chain reads
+// ≈ 190 stages of ≈ 2 800 nodes each that overlap almost entirely.
+func (b *spaceBuild) unionScope(g kg.ReadGraph) []kg.NodeID {
+	if len(b.scopes) == 1 {
+		return b.scopes[0] // a one-hop space shares its stage's list
+	}
+	marks := make([]uint64, (g.NumNodes()+63)/64)
+	for _, sc := range b.scopes {
+		for _, u := range sc {
+			marks[u>>6] |= 1 << (u & 63)
 		}
-		return spaceFromStage(st, oracle)
 	}
-	pi, oracle, err := e.buildChainLevel(ctx, o, v, us, p.Hops, bm)
-	if err != nil {
-		return nil, err
+	n := 0
+	for _, w := range marks {
+		n += bits.OnesCount64(w)
 	}
-	return spaceFromMap(pi, oracle)
+	out := make([]kg.NodeID, 0, n)
+	for i, w := range marks {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, kg.NodeID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
 
-// correctOracle is the per-path correctness machinery: a per-answer verdict
-// plus an optional batch form that shares one greedy search across many
-// answers.
-type correctOracle struct {
-	single func(ctx context.Context, u kg.NodeID) bool
-	batch  func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool
+// oracleEnv is what a validation needs beyond the space's own data and what
+// a cached space must not hold: the engine, the graph view and the options
+// of the execution asking. A space valid for the view gives the same verdict
+// under any such view (the validity rule of the cache), so the env never
+// shows in the outcome.
+type oracleEnv struct {
+	e *Engine
+	o Options
+	v view
 }
 
-// spaceFromMap normalises a π map into an answerSpace with deterministic
-// answer order.
-func spaceFromMap(pi map[kg.NodeID]float64, oracle correctOracle) (*answerSpace, error) {
-	answers := make([]kg.NodeID, 0, len(pi))
-	for u := range pi {
-		answers = append(answers, u)
-	}
-	slices.Sort(answers)
-	probs := make([]float64, len(answers))
-	for i, u := range answers {
-		probs[i] = pi[u]
-	}
-	return newAnswerSpace(answers, probs, oracle)
+// oracle is the correctness machinery of an answer space, in batch form: one
+// shared greedy search settles a round's worth of fresh answers (§IV-B2's
+// search is a single traversal recording paths to every requested answer).
+// It returns the verdict of each requested answer and whether the validation
+// ran to completion; a cut batch carries no evidence and nothing of it may
+// be kept.
+type oracle interface {
+	batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool)
 }
 
-// spaceFromStage is spaceFromMap for the distribution of one converged
-// stage, whose answers come in walk order: the (answer, probability) pairs
-// are put into NodeID order directly.
-func spaceFromStage(st *stageEntry, oracle correctOracle) (*answerSpace, error) {
-	type pair struct {
-		u kg.NodeID
-		p float64
+// levelOracle validates the answers of one decomposed path from one root.
+// A one-hop level is the key of its converged stage: the verdicts are the
+// stage's leg verdicts. A multi-hop level (§V-B) additionally lists the
+// stage-one intermediates it expanded, most probable first, each with the
+// level of its remaining hops, and indexes which intermediates reach which
+// final answer: an answer is correct when some intermediate chain validates
+// every leg at the τ threshold.
+type levelOracle struct {
+	key   stageKey
+	types []kg.TypeID // key.types, as the stage build wants them
+	// st is the converged stage itself, set only when the engine has no
+	// cache to fetch it from by key: such a space is never cached either and
+	// lives as long as the plan that compiled it.
+	st *stageEntry
+
+	subs []levelOracle
+	// answers are the level's final answers, ascending; row i of the CSR
+	// index (rowStart, rows) lists the positions in subs of the
+	// intermediates whose walk reaches answers[i], most probable first.
+	answers  []kg.NodeID
+	rowStart []int32
+	rows     []uint16
+}
+
+// bytes is what the level's data holds, for the space's cache cost.
+func (l *levelOracle) bytes() int64 {
+	n := int64(unsafe.Sizeof(*l)) + int64(len(l.answers))*4 + int64(len(l.rowStart))*4 + int64(len(l.rows))*2
+	for k := range l.subs {
+		n += l.subs[k].bytes()
 	}
-	pairs := make([]pair, len(st.answers))
-	for i, u := range st.answers {
-		pairs[i] = pair{u, st.probs[i]}
+	return n
+}
+
+// reach lists the intermediates whose walk reaches answer u.
+func (l *levelOracle) reach(u kg.NodeID) []uint16 {
+	i, ok := slices.BinarySearch(l.answers, u)
+	if !ok {
+		return nil
 	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.u, b.u) })
-	answers := make([]kg.NodeID, len(pairs))
-	probs := make([]float64, len(pairs))
-	for i, pr := range pairs {
-		answers[i], probs[i] = pr.u, pr.p
+	return l.rows[l.rowStart[i]:l.rowStart[i+1]]
+}
+
+// legBatch validates us against the level's own stage — the leg from its
+// root. Verdicts live on the shared stage entry under the (τ, repeat)
+// sub-map, guarded by its mutex, and are stored only when the search was not
+// cancelled mid-flight; the validation itself runs outside the lock so
+// concurrent queries never serialise on it. The stage is fetched by key, and
+// re-converged if the LRU has let it go (a later epoch's stage gives the same
+// verdicts) — reached only for answers nobody has validated under this plan
+// yet.
+func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	out := make(map[kg.NodeID]bool, len(us))
+	st := l.st
+	if st == nil {
+		if st = env.e.cache.fetchStage(l.key, env.v.epoch); st == nil {
+			var err error
+			if st, err = env.e.buildStage(ctx, env.o, env.v, l.key, l.types, nil); err != nil {
+				return out, false
+			}
+		}
 	}
-	return newAnswerSpace(answers, probs, oracle)
+	o := env.o
+	vkey := verdictKey{tau: o.Tau, repeat: o.Repeat}
+	var fresh []kg.NodeID
+	st.mu.Lock()
+	verdicts := st.verdictsFor(vkey)
+	for _, u := range us {
+		if v, ok := verdicts.get(u); ok {
+			out[u] = v
+		} else {
+			fresh = append(fresh, u)
+		}
+	}
+	st.mu.Unlock()
+	if hits := len(us) - len(fresh); hits > 0 {
+		metVerdictHits.Add(float64(hits))
+		obs.TraceFrom(ctx).Add("verdict_cache_hits", float64(hits))
+	}
+	if len(fresh) == 0 {
+		return out, true
+	}
+	if ctx.Err() != nil {
+		return out, false
+	}
+	metValidationCalls.Add(float64(len(fresh)))
+	obs.TraceFrom(ctx).Add("validation_calls", float64(len(fresh)))
+	res, _ := semsim.ValidateCtx(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, st.piMap, fresh,
+		semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
+	if ctx.Err() != nil {
+		return out, false
+	}
+	st.mu.Lock()
+	verdicts = st.verdictsFor(vkey)
+	for _, u := range fresh {
+		v, ok := verdicts.get(u)
+		if !ok {
+			v = res[u].Similarity >= o.Tau
+			verdicts.put(u, v)
+		}
+		out[u] = v
+	}
+	st.mu.Unlock()
+	return out, true
+}
+
+// batch evaluates OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
+// The order of evaluation cannot change a disjunction, and
+// semsim.ValidateCtx expands by π of the path tip whatever set it was asked
+// for, so an answer's verdict is the same alone or in company. One search
+// from the root settles the leg of every intermediate the requested answers
+// are reached through; then each leg-correct intermediate runs its own batch
+// over the answers it reaches that no earlier chain has validated yet.
+func (l *levelOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	if l.subs == nil {
+		return l.legBatch(ctx, env, us)
+	}
+	out := make(map[kg.NodeID]bool, len(us))
+	wanted := make([]bool, len(l.subs))
+	var legs []kg.NodeID
+	for _, u := range us {
+		out[u] = false
+		for _, k := range l.reach(u) {
+			if !wanted[k] {
+				wanted[k] = true
+				legs = append(legs, l.subs[k].key.root)
+			}
+		}
+	}
+	legVerdicts, ok := l.legBatch(ctx, env, legs)
+	if !ok {
+		return out, false
+	}
+	through := make([][]kg.NodeID, len(l.subs))
+	for _, u := range us {
+		for _, k := range l.reach(u) {
+			if legVerdicts[l.subs[k].key.root] {
+				through[k] = append(through[k], u)
+			}
+		}
+	}
+	for k, reaches := range through {
+		open := reaches[:0]
+		for _, u := range reaches {
+			if !out[u] {
+				open = append(open, u)
+			}
+		}
+		if len(open) == 0 {
+			continue
+		}
+		verdicts, ok := l.subs[k].batch(ctx, env, open)
+		if !ok {
+			return out, false
+		}
+		for _, u := range open {
+			if verdicts[u] {
+				out[u] = true
+			}
+		}
+	}
+	return out, true
+}
+
+// allPaths is the oracle of a decomposed query (§V-B): an answer is correct
+// only if every path validates it.
+type allPaths []*levelOracle
+
+func (a allPaths) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	out := make(map[kg.NodeID]bool, len(us))
+	for _, u := range us {
+		out[u] = true
+	}
+	for _, l := range a {
+		verdicts, ok := l.batch(ctx, env, us)
+		if !ok {
+			return out, false
+		}
+		for _, u := range us {
+			if !verdicts[u] {
+				out[u] = false
+			}
+		}
+	}
+	return out, true
 }
 
 // newAnswerSpace builds the space over answers in ascending NodeID order,
 // normalising their masses in that order (so a space's probabilities do not
 // depend on how its answers were collected).
-func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle correctOracle) (*answerSpace, error) {
+func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle oracle) (*answerSpace, error) {
 	total := 0.0
 	for _, p := range probs {
 		total += p
@@ -166,14 +363,20 @@ func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle correctOracle) 
 	if alias == nil {
 		return nil, fmt.Errorf("core: failed to build sampling table")
 	}
-	return &answerSpace{answers: answers, probs: probs, alias: alias, oracle: oracle}, nil
+	return &answerSpace{
+		answers:  answers,
+		probs:    probs,
+		alias:    alias,
+		oracle:   oracle,
+		verdicts: make([]atomic.Uint32, len(answers)),
+	}, nil
 }
 
-// convergedStage returns the converged stage for (root, pred, types) under
-// the walk configuration in o, consulting the engine's answer-space cache
-// first. A miss builds the walker over the query's graph view, converges it
-// and extracts π′, then publishes the stage for every later query with the
-// same key; concurrent misses build independently and converge on the
+// convergedStage returns the converged stage for key under the walk
+// configuration in o, consulting the engine's answer-space cache first. A
+// miss builds the walker over the query's graph view, converges it and
+// extracts π′, then publishes the stage for every later query with the same
+// key; concurrent misses build independently and converge on the
 // first-published entry.
 //
 // Epoch discipline: a cached stage is served only when its build epoch is
@@ -182,13 +385,12 @@ func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle correctOracle) 
 // fresh build is tagged with the view's epoch and its walk scope, the unit
 // of selective invalidation.
 func (e *Engine) convergedStage(ctx context.Context, o Options, v view,
-	root kg.NodeID, pred kg.PredID, types []kg.TypeID, bm *buildMetrics) (*stageEntry, error) {
+	key stageKey, types []kg.TypeID, sb *spaceBuild) (*stageEntry, error) {
 
-	key := stageKeyOf(o, root, pred, types)
-	if st := e.cachedStage(key, v, bm); st != nil {
+	if st := e.cachedStage(key, v, sb); st != nil {
 		return st, nil
 	}
-	return e.buildStage(ctx, o, v, key, types, bm)
+	return e.buildStage(ctx, o, v, key, types, sb)
 }
 
 func stageKeyOf(o Options, root kg.NodeID, pred kg.PredID, types []kg.TypeID) stageKey {
@@ -203,10 +405,11 @@ func stageKeyOf(o Options, root kg.NodeID, pred kg.PredID, types []kg.TypeID) st
 
 // cachedStage is the hit half of convergedStage: the resident stage for key
 // that view v may read, or nil.
-func (e *Engine) cachedStage(key stageKey, v view, bm *buildMetrics) *stageEntry {
-	st := e.cache.get(key, v.epoch)
+func (e *Engine) cachedStage(key stageKey, v view, sb *spaceBuild) *stageEntry {
+	st := e.cache.getStage(key, v.epoch)
 	if st != nil {
-		bm.hit()
+		sb.hit()
+		sb.read(st)
 	}
 	return st
 }
@@ -214,9 +417,9 @@ func (e *Engine) cachedStage(key stageKey, v view, bm *buildMetrics) *stageEntry
 // buildStage is the miss half of convergedStage: converge a fresh walker
 // and publish the stage. The caller has already consulted the cache.
 func (e *Engine) buildStage(ctx context.Context, o Options, v view,
-	key stageKey, types []kg.TypeID, bm *buildMetrics) (*stageEntry, error) {
+	key stageKey, types []kg.TypeID, sb *spaceBuild) (*stageEntry, error) {
 
-	bm.build()
+	sb.build()
 	metStageBuilds.Inc()
 	endSpan := obs.TraceFrom(ctx).Span("walk_converge")
 	w, err := walk.New(v.g, e.calc, key.root, key.pred, walk.Config{N: o.N, SelfLoopSim: o.SelfLoopSim})
@@ -246,124 +449,96 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 		scope = slices.Clone(w.Scope())
 		slices.Sort(scope)
 	}
-	st := newStageEntry(dist.Answers, dist.Probs, w.PiMap(), v.epoch, scope)
-	return e.cache.put(key, st), nil
+	st := e.cache.putStage(key, newStageEntry(dist.Answers, dist.Probs, w.PiMap(), v.epoch, scope))
+	sb.read(st)
+	return st, nil
 }
 
-// stageOracle builds the leg validator over one converged stage. The batch
-// form runs one greedy search for a whole set of answers (§IV-B2's search
-// is a single traversal recording paths to every requested answer).
-// Verdicts live on the shared stage entry under the (τ, repeat) sub-map,
-// guarded by its mutex, and are stored only when the search was not
-// cancelled mid-flight; the validation itself runs outside the lock so
-// concurrent queries never serialise on it.
-func (e *Engine) stageOracle(o Options, v view, st *stageEntry,
-	root kg.NodeID, pred kg.PredID) correctOracle {
-
-	vcfg := semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau}
-	vkey := verdictKey{tau: o.Tau, repeat: o.Repeat}
-	legBatch := func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
-		out := make(map[kg.NodeID]bool, len(us))
-		var fresh []kg.NodeID
-		st.mu.Lock()
-		verdicts := st.verdictsFor(vkey)
-		for _, u := range us {
-			if v, ok := verdicts.get(u); ok {
-				out[u] = v
-			} else {
-				fresh = append(fresh, u)
-			}
-		}
-		st.mu.Unlock()
-		if hits := len(us) - len(fresh); hits > 0 {
-			metVerdictHits.Add(float64(hits))
-			obs.TraceFrom(ctx).Add("verdict_cache_hits", float64(hits))
-		}
-		if len(fresh) > 0 && ctx.Err() == nil {
-			metValidationCalls.Add(float64(len(fresh)))
-			obs.TraceFrom(ctx).Add("validation_calls", float64(len(fresh)))
-			res, _ := semsim.ValidateCtx(ctx, v.g, e.calc, root, pred, st.piMap, fresh, vcfg)
-			if ctx.Err() == nil {
-				st.mu.Lock()
-				verdicts := st.verdictsFor(vkey)
-				for _, u := range fresh {
-					v, ok := verdicts.get(u)
-					if !ok {
-						v = res[u].Similarity >= o.Tau
-						verdicts.put(u, v)
-					}
-					out[u] = v
-				}
-				st.mu.Unlock()
-			}
-		}
-		return out
-	}
-	legOK := func(ctx context.Context, u kg.NodeID) bool {
-		return legBatch(ctx, []kg.NodeID{u})[u]
-	}
-	return correctOracle{single: legOK, batch: legBatch}
+// level is one decomposed path's contribution to an assembly: its final
+// answers in ascending order with their visiting probabilities from the
+// path's root, and the oracle that validates them.
+type level struct {
+	answers []kg.NodeID
+	mass    []float64
+	oracle  *levelOracle
 }
 
-// chainSub is one expanded stage-one intermediate of a chain: the node and
-// its stage-one probability, then — filled by expandChain — the final
-// answers its remaining hops reach with their visiting probabilities from
-// it, and the oracle of that onward path. An intermediate that leads
-// nowhere keeps nil answers and contributes nothing.
+// levelOfStage is the level of one hop from root: the converged stage's own
+// distribution, put into NodeID order (its answers come in walk order).
+func (e *Engine) levelOfStage(key stageKey, types []kg.TypeID, st *stageEntry) level {
+	type pair struct {
+		u kg.NodeID
+		p float64
+	}
+	pairs := make([]pair, len(st.answers))
+	for i, u := range st.answers {
+		pairs[i] = pair{u, st.probs[i]}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.u, b.u) })
+	lv := level{
+		answers: make([]kg.NodeID, len(pairs)),
+		mass:    make([]float64, len(pairs)),
+		oracle:  e.stageLevel(key, types, st),
+	}
+	for i, pr := range pairs {
+		lv.answers[i], lv.mass[i] = pr.u, pr.p
+	}
+	return lv
+}
+
+// stageLevel is the one-hop oracle over a converged stage: its key, and the
+// stage itself only when no cache could return it by key later.
+func (e *Engine) stageLevel(key stageKey, types []kg.TypeID, st *stageEntry) *levelOracle {
+	l := &levelOracle{key: key, types: types}
+	if e.cache == nil {
+		l.st = st
+	}
+	return l
+}
+
+// chainSub is one expanded stage-one intermediate of a chain while its level
+// is being assembled: the node's stage-one probability, then — filled by
+// expandChain — the final answers its remaining hops reach with their
+// visiting probabilities from it, and the oracle of that onward path, which
+// starts out as the key of its next hop's stage. An intermediate that leads
+// nowhere keeps nil answers and contributes nothing. With one hop left the
+// answers and masses are the converged stage's own arrays, read in place;
+// they go with the subs when the assembly is done, so the level's oracle
+// never pins them.
 type chainSub struct {
-	node    kg.NodeID
 	prob    float64
 	answers []kg.NodeID
-	probs   []float64 // parallel to answers
-	correct correctOracle
+	mass    []float64 // parallel to answers
+	oracle  levelOracle
 }
 
-// expandChain fills the onward half of every intermediate in subs. With one
-// hop left the onward level is a converged stage whose answer and
-// probability slices are read in place: a resident stage is picked up
-// inline, so a warm chain query starts no goroutine and copies no
-// distribution. Misses, and deeper chains (which recurse), are independent
-// builds and fan out over the engine's worker pool. A worker slot is
-// acquired opportunistically: when the pool is saturated (many concurrent
-// queries, or a deeper recursion level already took the slots) the build
-// simply runs inline, which keeps the fan-out deadlock-free at any depth.
-func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chainSub, hops []query.Hop, bm *buildMetrics) error {
+// expandChain fills the onward half of every intermediate in subs, whose
+// oracle already carries the stage key of its next hop. With one hop left
+// the onward level is a converged stage whose answer and probability slices
+// are read in place: a resident stage is picked up inline, so a chain build
+// over warm stages starts no goroutine and copies no distribution. Misses,
+// and deeper chains (which recurse), are independent builds and fan out over
+// the engine's worker pool. A worker slot is acquired opportunistically:
+// when the pool is saturated (many concurrent queries, or a deeper recursion
+// level already took the slots) the build simply runs inline, which keeps
+// the fan-out deadlock-free at any depth.
+func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chainSub, hops []query.Hop, sb *spaceBuild) error {
 	leaf := len(hops) == 1
-	var key stageKey
-	var types []kg.TypeID
-	if leaf {
-		pred, err := resolvePred(v.g, hops[0].Predicate)
-		if err != nil {
-			return nil // as when every recursion fails: no onward answers
-		}
-		if types, err = resolveTypes(v.g, hops[0].Types); err != nil {
-			return nil
-		}
-		key = stageKeyOf(o, 0, pred, types)
-	}
 	fill := func(sub *chainSub, st *stageEntry) {
-		sub.answers, sub.probs = st.answers, st.probs
-		sub.correct = e.stageOracle(o, v, st, sub.node, key.pred)
+		sub.answers, sub.mass = st.answers, st.probs
+		if e.cache == nil {
+			sub.oracle.st = st // see levelOracle.st
+		}
 	}
 	build := func(sub *chainSub) {
 		if leaf {
-			k := key
-			k.root = sub.node
-			if st, err := e.buildStage(ctx, o, v, k, types, bm); err == nil {
+			if st, err := e.buildStage(ctx, o, v, sub.oracle.key, sub.oracle.types, sb); err == nil {
 				fill(sub, st)
 			}
 			return
 		}
-		pi, correct, err := e.buildChainLevel(ctx, o, v, sub.node, hops, bm)
-		if err != nil {
-			return
-		}
-		sub.correct = correct
-		sub.answers = make([]kg.NodeID, 0, len(pi))
-		sub.probs = make([]float64, 0, len(pi))
-		for u, p := range pi {
-			sub.answers = append(sub.answers, u)
-			sub.probs = append(sub.probs, p)
+		if lv, err := e.buildChainLevel(ctx, o, v, sub.oracle.key, sub.oracle.types, hops, sb); err == nil {
+			sub.answers, sub.mass, sub.oracle = lv.answers, lv.mass, *lv.oracle
 		}
 	}
 	var wg sync.WaitGroup
@@ -374,9 +549,7 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 		}
 		sub := &subs[i]
 		if leaf {
-			k := key
-			k.root = sub.node
-			if st := e.cachedStage(k, v, bm); st != nil {
+			if st := e.cachedStage(sub.oracle.key, v, sb); st != nil {
 				fill(sub, st)
 				continue
 			}
@@ -399,71 +572,69 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 	return ctx.Err()
 }
 
-// hopStage returns the converged stage of one hop from root and the leg
-// validator over it.
-func (e *Engine) hopStage(ctx context.Context, o Options, v view, root kg.NodeID, hop query.Hop, bm *buildMetrics) (*stageEntry, correctOracle, error) {
-	pred, err := resolvePred(v.g, hop.Predicate)
+// hopKey resolves one hop from root into the key of its stage.
+func hopKey(o Options, g kg.ReadGraph, root kg.NodeID, hop query.Hop) (stageKey, []kg.TypeID, error) {
+	pred, err := resolvePred(g, hop.Predicate)
 	if err != nil {
-		return nil, correctOracle{}, err
+		return stageKey{}, nil, err
 	}
-	types, err := resolveTypes(v.g, hop.Types)
+	types, err := resolveTypes(g, hop.Types)
 	if err != nil {
-		return nil, correctOracle{}, err
+		return stageKey{}, nil, err
 	}
-	st, err := e.convergedStage(ctx, o, v, root, pred, types, bm)
-	if err != nil {
-		return nil, correctOracle{}, err
-	}
-	return st, e.stageOracle(o, v, st, root, pred), nil
+	return stageKeyOf(o, root, pred, types), types, nil
 }
 
 // buildChainLevel returns the exact visiting distribution over the final
-// hop's answers together with a lazy correctness oracle, recursing over the
-// chain's hops: π(j) = Σᵢ π′ᵢ · π′ⱼ|ᵢ (§V-B), and an answer is correct when
-// some intermediate chain validates every leg at the τ threshold.
-func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, root kg.NodeID, hops []query.Hop, bm *buildMetrics) (map[kg.NodeID]float64, correctOracle, error) {
-	none := correctOracle{}
-	if len(hops) == 0 {
-		return nil, none, fmt.Errorf("core: empty hop sequence")
-	}
-	st, oracle, err := e.hopStage(ctx, o, v, root, hops[0], bm)
+// hop's answers together with the data of a lazy correctness oracle,
+// recursing over the chain's hops: π(j) = Σᵢ π′ᵢ · π′ⱼ|ᵢ (§V-B). key is the
+// stage of hops[0] from the level's root.
+func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key stageKey, types []kg.TypeID, hops []query.Hop, sb *spaceBuild) (level, error) {
+	st, err := e.convergedStage(ctx, o, v, key, types, sb)
 	if err != nil {
-		return nil, none, err
+		return level{}, err
 	}
-	legOK := oracle.single
-
 	if len(hops) == 1 {
-		pi := make(map[kg.NodeID]float64, len(st.answers))
-		for i, u := range st.answers {
-			pi[u] = st.probs[i]
-		}
-		return pi, oracle, nil
+		return e.levelOfStage(key, types, st), nil
 	}
 
 	// Multi-hop: expand the highest-probability intermediates, recursing
 	// into the remaining hops from each.
-	subs := make([]chainSub, len(st.answers))
+	noAnswers := func() error {
+		return fmt.Errorf("core: chain stage rooted at %q found no final answers", v.g.Name(key.root))
+	}
+	next, nextTypes, err := hopKey(o, v.g, 0, hops[1])
+	if err != nil {
+		return level{}, noAnswers() // as when every onward build fails
+	}
+	type ranked struct {
+		node kg.NodeID
+		prob float64
+	}
+	top := make([]ranked, len(st.answers))
 	for i, u := range st.answers {
-		subs[i] = chainSub{node: u, prob: st.probs[i]}
+		top[i] = ranked{u, st.probs[i]}
 	}
-	sort.Slice(subs, func(a, b int) bool {
-		if subs[a].prob != subs[b].prob {
-			return subs[a].prob > subs[b].prob
+	slices.SortFunc(top, func(a, b ranked) int {
+		if a.prob != b.prob {
+			return cmp.Compare(b.prob, a.prob)
 		}
-		return subs[a].node < subs[b].node
+		return cmp.Compare(a.node, b.node)
 	})
-	if len(subs) > maxChainIntermediates {
-		subs = subs[:maxChainIntermediates]
+	top = top[:min(len(top), maxChainIntermediates)]
+	subs := make([]chainSub, len(top))
+	for i, r := range top {
+		next.root = r.node
+		subs[i] = chainSub{prob: r.prob, oracle: levelOracle{key: next, types: nextTypes}}
 	}
-
-	if err := e.expandChain(ctx, o, v, subs, hops[1:], bm); err != nil {
-		return nil, none, err
+	if err := e.expandChain(ctx, o, v, subs, hops[1:], sb); err != nil {
+		return level{}, err
 	}
 
 	// Accumulate sequentially in intermediate order so the assembled π is
 	// deterministic regardless of which goroutine finished first. Answers
 	// get dense ids in order of first sight; ids remembers the id of every
-	// (intermediate, answer) pair so the second pass needs no map.
+	// (intermediate, answer) pair so the later passes need no map.
 	pairs, widest := 0, 0
 	for k := range subs {
 		pairs += len(subs[k].answers)
@@ -485,185 +656,133 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, root kg
 				mass = append(mass, 0)
 				fanIn = append(fanIn, 0)
 			}
-			mass[id] += sub.prob * sub.probs[j]
-			if sub.probs[j] > 0 {
+			mass[id] += sub.prob * sub.mass[j]
+			if sub.mass[j] > 0 {
 				fanIn[id]++
 			}
 			ids = append(ids, id)
 		}
 	}
 	if len(answers) == 0 {
-		return nil, none, fmt.Errorf("core: chain stage rooted at %q found no final answers", v.g.Name(root))
+		return level{}, noAnswers()
 	}
-	pi := make(map[kg.NodeID]float64, len(answers))
-	for id, u := range answers {
-		pi[u] = mass[id]
+	// Put the answers into NodeID order: rank[id] is the position of the
+	// answer first seen id-th.
+	order := make([]int32, len(answers))
+	for id := range order {
+		order[id] = int32(id)
 	}
-	// reach(u) lists the intermediates whose walk reaches answer u, most
-	// probable first (the order of subs), as one row of a CSR index —
-	// built once, here, so neither oracle form ever scans intermediates ×
-	// answers and the build allocates two arrays, not one slice per answer.
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(answers[a], answers[b]) })
+	rank := make([]int32, len(answers))
+	out := level{answers: make([]kg.NodeID, len(answers)), mass: make([]float64, len(answers))}
+	// Row i of the reach index lists the intermediates whose walk reaches
+	// answer i, most probable first (the order of subs) — built once, here,
+	// so the oracle never scans intermediates × answers and the build
+	// allocates two arrays, not one slice per answer.
 	rowStart := make([]int32, len(answers)+1)
-	for id, n := range fanIn {
-		rowStart[id+1] = rowStart[id] + n
+	for i, id := range order {
+		rank[id] = int32(i)
+		out.answers[i], out.mass[i] = answers[id], mass[id]
+		rowStart[i+1] = rowStart[i] + fanIn[id]
 	}
-	rows := make([]int32, rowStart[len(answers)])
-	next := fanIn // reused as the per-row fill cursor
-	copy(next, rowStart)
+	rows := make([]uint16, rowStart[len(answers)])
+	cursor := fanIn // reused as the per-row fill cursor
+	copy(cursor, rowStart)
 	at := 0
 	for k := range subs {
-		for _, p := range subs[k].probs {
-			if id := ids[at]; p > 0 {
-				rows[next[id]] = int32(k)
-				next[id]++
+		for _, p := range subs[k].mass {
+			if i := rank[ids[at]]; p > 0 {
+				rows[cursor[i]] = uint16(k)
+				cursor[i]++
 			}
 			at++
 		}
 	}
-	reach := func(u kg.NodeID) []int32 {
-		id, ok := idOf[u]
-		if !ok {
-			return nil
-		}
-		return rows[rowStart[id]:rowStart[id+1]]
+	out.oracle = e.stageLevel(key, types, st)
+	out.oracle.subs = make([]levelOracle, len(subs))
+	for k := range subs {
+		out.oracle.subs[k] = subs[k].oracle
 	}
-
-	// An answer is correct when some chain validates every leg:
-	// OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
-	single := func(ctx context.Context, u kg.NodeID) bool {
-		for _, k := range reach(u) {
-			if ctx.Err() != nil {
-				return false
-			}
-			if legOK(ctx, subs[k].node) && subs[k].correct.single(ctx, u) {
-				return true
-			}
-		}
-		return false
-	}
-	// The batch form evaluates the same disjunction in a different order,
-	// which cannot change it, and semsim.ValidateCtx expands by π of the
-	// path tip whatever set it was asked for, so an answer's verdict is the
-	// same alone or in company. One search from the root settles the leg of
-	// every intermediate the requested answers are reached through; then
-	// each leg-correct intermediate runs its own batch over the answers it
-	// reaches that no earlier chain has validated yet.
-	batch := func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
-		out := make(map[kg.NodeID]bool, len(us))
-		wanted := make([]bool, len(subs))
-		var legs []kg.NodeID
-		for _, u := range us {
-			out[u] = false
-			for _, k := range reach(u) {
-				if !wanted[k] {
-					wanted[k] = true
-					legs = append(legs, subs[k].node)
-				}
-			}
-		}
-		legVerdicts := oracle.batch(ctx, legs)
-		if ctx.Err() != nil {
-			return out
-		}
-		through := make([][]kg.NodeID, len(subs))
-		for _, u := range us {
-			for _, k := range reach(u) {
-				if legVerdicts[subs[k].node] {
-					through[k] = append(through[k], u)
-				}
-			}
-		}
-		for k, reaches := range through {
-			open := reaches[:0]
-			for _, u := range reaches {
-				if !out[u] {
-					open = append(open, u)
-				}
-			}
-			if len(open) == 0 {
-				continue
-			}
-			verdicts := subs[k].correct.batch(ctx, open)
-			if ctx.Err() != nil {
-				return out
-			}
-			for _, u := range open {
-				if verdicts[u] {
-					out[u] = true
-				}
-			}
-		}
-		return out
-	}
-	return pi, correctOracle{single: single, batch: batch}, nil
+	out.oracle.answers, out.oracle.rowStart, out.oracle.rows = out.answers, rowStart, rows
+	return out, nil
 }
 
-// buildAssemblySpace implements decomposition–assembly (§V-B): one sampling
-// space per decomposed path, intersected. The assembled distribution is the
-// normalised product of per-path visiting probabilities (an answer must be
-// reachable by every constraint's walk), and an answer is correct only if
-// every path validates it.
-func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, paths []query.Path, bm *buildMetrics) (*answerSpace, error) {
-	if len(paths) == 1 {
-		return e.buildSemanticSpace(ctx, o, v, paths[0], bm)
-	}
-	type level struct {
-		pi      map[kg.NodeID]float64
-		correct correctOracle
-	}
+// buildAssemblySpace implements decomposition–assembly (§V-B): one level per
+// decomposed path, intersected. The assembled distribution is the normalised
+// product of per-path visiting probabilities (an answer must be reachable by
+// every constraint's walk), and an answer is correct only if every path
+// validates it. The space is tagged with the view's epoch and the union of
+// the scopes of the stages it read, and charged what it holds.
+func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, paths []query.Path, sb *spaceBuild) (*answerSpace, error) {
 	levels := make([]level, 0, len(paths))
 	for _, p := range paths {
 		us, err := resolveRoot(v.g, p)
 		if err != nil {
 			return nil, err
 		}
-		pi, correct, err := e.buildChainLevel(ctx, o, v, us, p.Hops, bm)
+		if len(p.Hops) == 0 {
+			return nil, fmt.Errorf("core: empty hop sequence")
+		}
+		key, types, err := hopKey(o, v.g, us, p.Hops[0])
+		var lv level
+		if err == nil {
+			lv, err = e.buildChainLevel(ctx, o, v, key, types, p.Hops, sb)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: sub-query rooted at %q: %w", p.RootName, err)
-		}
-		levels = append(levels, level{pi: pi, correct: correct})
-	}
-	inter := map[kg.NodeID]float64{}
-	for u, p := range levels[0].pi {
-		inter[u] = p
-	}
-	for _, lv := range levels[1:] {
-		for u := range inter {
-			if p, ok := lv.pi[u]; ok {
-				inter[u] *= p
-			} else {
-				delete(inter, u)
+			if len(paths) > 1 {
+				err = fmt.Errorf("core: sub-query rooted at %q: %w", p.RootName, err)
 			}
+			return nil, err
 		}
+		levels = append(levels, lv)
 	}
-	if len(inter) == 0 {
-		return nil, fmt.Errorf("core: decomposition–assembly intersection is empty")
-	}
-	// The assembled verdict is the conjunction over paths, in both forms.
-	single := func(ctx context.Context, u kg.NodeID) bool {
-		for _, lv := range levels {
-			if !lv.correct.single(ctx, u) {
-				return false
-			}
+	answers, probs := levels[0].answers, levels[0].mass
+	var orc oracle = levels[0].oracle
+	if len(levels) > 1 {
+		// Intersect the ascending answer lists, multiplying masses in path
+		// order.
+		all := make(allPaths, len(levels))
+		for k, lv := range levels {
+			all[k] = lv.oracle
 		}
-		return true
-	}
-	batch := func(ctx context.Context, us []kg.NodeID) map[kg.NodeID]bool {
-		out := make(map[kg.NodeID]bool, len(us))
-		for _, u := range us {
-			out[u] = true
-		}
-		for _, lv := range levels {
-			verdicts := lv.correct.batch(ctx, us)
-			for _, u := range us {
-				if !verdicts[u] {
-					out[u] = false
+		orc = all
+		first := levels[0]
+		answers, probs = make([]kg.NodeID, 0, len(first.answers)), make([]float64, 0, len(first.answers))
+		at := make([]int, len(levels))
+	next:
+		for i, u := range first.answers {
+			p := first.mass[i]
+			for k := 1; k < len(levels); k++ {
+				lv := &levels[k]
+				for at[k] < len(lv.answers) && lv.answers[at[k]] < u {
+					at[k]++
 				}
+				if at[k] == len(lv.answers) || lv.answers[at[k]] != u {
+					continue next
+				}
+				p *= lv.mass[at[k]]
 			}
+			answers, probs = append(answers, u), append(probs, p)
 		}
-		return out
+		if len(answers) == 0 {
+			return nil, fmt.Errorf("core: decomposition–assembly intersection is empty")
+		}
 	}
-	return spaceFromMap(inter, correctOracle{single: single, batch: batch})
+	sp, err := newAnswerSpace(answers, probs, orc)
+	if err != nil {
+		return nil, err
+	}
+	sp.epoch = v.epoch
+	if sb != nil && e.cache != nil {
+		sp.scope = sb.unionScope(v.g)
+	}
+	// Approximate resident bytes: per candidate its id, probability, alias
+	// slot and verdict; the oracles' data; the scope list.
+	sp.cost = 256 + int64(len(answers))*(4+8+16+4) + int64(len(sp.scope))*4
+	for _, lv := range levels {
+		sp.cost += lv.oracle.bytes()
+	}
+	return sp, nil
 }
 
 // buildTopologySpace assembles the answer space using a topology-only
@@ -698,27 +817,45 @@ func (e *Engine) buildTopologySpace(ctx context.Context, o Options, v view, p qu
 	if alias == nil {
 		return nil, nil, fmt.Errorf("core: topology sample has no mass")
 	}
-	sp := &answerSpace{answers: ts.Answers, probs: ts.Probs, alias: alias}
-
 	// Correctness still uses the greedy validator so the ablation isolates
 	// the sampling step (S1) exactly as in Fig. 5a. The validator wants a
-	// π map; the empirical shares serve. The verdict is remembered in the
-	// execution's term table, as for the semantic oracle.
+	// π map; the empirical shares serve.
 	pred, err := resolvePred(v.g, p.Hops[0].Predicate)
 	if err != nil {
 		return nil, nil, err
 	}
-	piMap := map[kg.NodeID]float64{}
+	piMap := make(map[kg.NodeID]float64, len(ts.Answers))
 	for i, u := range ts.Answers {
 		piMap[u] = ts.Probs[i]
 	}
-	sp.oracle.single = func(ctx context.Context, u kg.NodeID) bool {
-		res, _ := semsim.ValidateCtx(ctx, v.g, e.calc, us, pred, piMap, []kg.NodeID{u},
-			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
-		if ctx.Err() != nil {
-			return false
-		}
-		return res[u].Similarity >= o.Tau
+	sp := &answerSpace{
+		answers:  ts.Answers,
+		probs:    ts.Probs,
+		alias:    alias,
+		oracle:   &topologyOracle{root: us, pred: pred, pi: piMap},
+		verdicts: make([]atomic.Uint32, len(ts.Answers)),
 	}
 	return sp, ts.Draws, nil
+}
+
+// topologyOracle validates the answers of a topology-sampled space: one lazy
+// greedy search per answer from the query's root.
+type topologyOracle struct {
+	root kg.NodeID
+	pred kg.PredID
+	pi   map[kg.NodeID]float64
+}
+
+func (t *topologyOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	out := make(map[kg.NodeID]bool, len(us))
+	o := env.o
+	for _, u := range us {
+		res, _ := semsim.ValidateCtx(ctx, env.v.g, env.e.calc, t.root, t.pred, t.pi, []kg.NodeID{u},
+			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
+		if ctx.Err() != nil {
+			return out, false
+		}
+		out[u] = res[u].Similarity >= o.Tau
+	}
+	return out, true
 }

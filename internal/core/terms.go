@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"kgaq/internal/estimate"
 	"kgaq/internal/kg"
+	"kgaq/internal/obs"
 	"kgaq/internal/query"
 )
 
@@ -277,68 +279,93 @@ func (x *Execution) evaluate(ctx context.Context, fresh []int) bool {
 	return x.settle(ctx, queue) && ctx.Err() == nil
 }
 
-// settle validates and records the queued candidates, in queue order, and
-// reports whether it reached the end of the queue.
+// settle decides and records the queued candidates, in queue order, and
+// reports whether it reached the end of the queue. A candidate some
+// execution of the plan has already validated is read off the space's shared
+// verdicts; only the others go to the oracle, and what it settles — when,
+// and only when, the validation ran to completion — is published there for
+// every later execution before anything is recorded here.
 func (x *Execution) settle(ctx context.Context, queue []int) bool {
-	switch {
-	case len(queue) == 0:
-	case x.opts.SkipValidation:
+	if len(queue) == 0 {
+		return true
+	}
+	if x.opts.SkipValidation {
 		// The Fig. 5b ablation trusts the sampler blindly.
 		for _, i := range queue {
 			x.record(i, true)
 		}
-	case x.sp.oracle.batch == nil:
-		for _, i := range queue {
-			verdict := x.sp.oracle.single(ctx, x.sp.answers[i])
-			if ctx.Err() != nil {
-				return false
-			}
-			x.record(i, verdict)
+		return true
+	}
+	sp := x.sp
+	verdicts := sized(x.scr.verdicts, len(queue))
+	x.scr.verdicts = verdicts
+	open := x.scr.openAt[:0] // positions in queue nobody has settled yet
+	for k, i := range queue {
+		if v := sp.verdicts[i].Load(); v == verdictUnknown {
+			open = append(open, k)
+		} else {
+			verdicts[k] = v == verdictCorrect
 		}
-	default:
-		verdicts := sized(x.scr.verdicts, len(queue))
-		x.scr.verdicts = verdicts
-		if !x.validate(ctx, queue, verdicts) {
+	}
+	x.scr.openAt = open
+	if hits := len(queue) - len(open); hits > 0 {
+		metVerdictHits.Add(float64(hits))
+		obs.TraceFrom(ctx).Add("verdict_cache_hits", float64(hits))
+	}
+	if len(open) > 0 {
+		if !x.validate(ctx, queue, open, verdicts) {
 			return false
 		}
-		for k, i := range queue {
-			x.record(i, verdicts[k])
+		for _, k := range open {
+			v := verdictIncorrect
+			if verdicts[k] {
+				v = verdictCorrect
+			}
+			sp.verdicts[queue[k]].Store(v)
 		}
+	}
+	for k, i := range queue {
+		x.record(i, verdicts[k])
 	}
 	return true
 }
 
-// validate batch-validates the queued candidates into out (parallel to
-// queue) and reports whether the validation ran to completion. Unsharded it
-// is one shared greedy search. Sharded, the queue is cut per stratum, the
-// strata are packed into at most GOMAXPROCS buckets, and each bucket runs
-// its own shared search on a goroutine taken opportunistically from the
-// engine's worker pool — on a single CPU every stratum lands in one bucket
-// and the search is exactly the unsharded one, so sharding never splits
-// validation work it cannot parallelise. Each goroutine writes only its own
-// bucket's slots of out.
-func (x *Execution) validate(ctx context.Context, queue []int, out []bool) bool {
-	sp := x.sp
+// oracleEnv is the execution's side of a validation: its engine, its options
+// and the one graph view it observes.
+func (x *Execution) oracleEnv() oracleEnv { return oracleEnv{e: x.e, o: x.opts, v: x.v} }
+
+// validate batch-validates the candidates at the open positions of queue
+// into the same positions of out and reports whether the validation ran to
+// completion. Unsharded it is one shared greedy search (one lazy search per
+// answer under the topology ablation samplers). Sharded, the open positions
+// are cut per stratum, the strata are packed into at most GOMAXPROCS
+// buckets, and each bucket runs its own shared search on a goroutine taken
+// opportunistically from the engine's worker pool — on a single CPU every
+// stratum lands in one bucket and the search is exactly the unsharded one,
+// so sharding never splits validation work it cannot parallelise. Each
+// goroutine writes only its own bucket's slots of out.
+func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool) bool {
+	sp, env := x.sp, x.oracleEnv()
 	if x.sh == nil {
 		nodes := x.scr.freshNodes[:0]
-		for _, i := range queue {
-			nodes = append(nodes, sp.answers[i])
+		for _, k := range open {
+			nodes = append(nodes, sp.answers[queue[k]])
 		}
 		x.scr.freshNodes = nodes
-		res := sp.oracle.batch(ctx, nodes)
-		if ctx.Err() != nil {
+		res, ok := sp.oracle.batch(ctx, env, nodes)
+		if !ok {
 			return false
 		}
-		for k, u := range nodes {
-			out[k] = res[u]
+		for j, k := range open {
+			out[k] = res[nodes[j]]
 		}
 		return true
 	}
 	sh := x.sh
 	perStratum := make([][]int, len(sh.spaces)) // positions in queue
 	active := 0
-	for k, i := range queue {
-		pos := sh.posOf[i]
+	for _, k := range open {
+		pos := sh.posOf[queue[k]]
 		if len(perStratum[pos]) == 0 {
 			active++
 		}
@@ -356,14 +383,16 @@ func (x *Execution) validate(ctx context.Context, queue []int, out []bool) bool 
 	}
 	var wg sync.WaitGroup
 	var pb panicBox
+	var cut atomic.Bool
 	for _, ks := range slots {
 		search := func() {
 			nodes := make([]kg.NodeID, len(ks))
 			for j, k := range ks {
 				nodes[j] = sp.answers[queue[k]]
 			}
-			res := sp.oracle.batch(ctx, nodes)
-			if ctx.Err() != nil {
+			res, ok := sp.oracle.batch(ctx, env, nodes)
+			if !ok {
+				cut.Store(true)
 				return
 			}
 			for j, k := range ks {
@@ -385,7 +414,7 @@ func (x *Execution) validate(ctx context.Context, queue []int, out []bool) bool 
 	}
 	wg.Wait()
 	pb.rethrow()
-	return ctx.Err() == nil
+	return !cut.Load()
 }
 
 // fold adds the fresh draws drawIdx[folded:] to the running moments. Every

@@ -934,23 +934,29 @@ func (s *Server) handlePlanQuery(w http.ResponseWriter, r *http.Request) {
 // cacheJSON is the answer-space cache snapshot on the wire, shared by
 // /v1/healthz and the debug mux's /debug/cache.
 type cacheJSON struct {
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	HitRate  float64 `json:"hit_rate"`
-	Entries  int     `json:"entries"`
-	Bytes    int64   `json:"bytes"`
-	MaxBytes int64   `json:"max_bytes"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
+	Entries int     `json:"entries"`
+	Bytes   int64   `json:"bytes"`
+	// Plans and PlanBytes are the share of Entries and Bytes held by
+	// assembled answer spaces (the rest is converged stages).
+	Plans     int   `json:"plans"`
+	PlanBytes int64 `json:"plan_bytes"`
+	MaxBytes  int64 `json:"max_bytes"`
 }
 
 func cacheSnapshot(eng *core.Engine) cacheJSON {
 	st := eng.CacheStats()
 	return cacheJSON{
-		Hits:     st.Hits,
-		Misses:   st.Misses,
-		HitRate:  st.HitRate(),
-		Entries:  st.Entries,
-		Bytes:    st.Bytes,
-		MaxBytes: st.MaxBytes,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		HitRate:   st.HitRate(),
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
+		Plans:     st.Plans,
+		PlanBytes: st.PlanBytes,
+		MaxBytes:  st.MaxBytes,
 	}
 }
 

@@ -109,7 +109,7 @@ func TestDebugMux(t *testing.T) {
 	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Cache.Misses != c.Misses || h.Cache.Entries != c.Entries {
+	if h.Cache.Misses != c.Misses || h.Cache.Entries != c.Entries || h.Cache.Plans != c.Plans || c.Plans != 1 {
 		t.Fatalf("healthz cache %+v disagrees with /debug/cache %+v", h.Cache, c)
 	}
 
@@ -458,5 +458,68 @@ func TestQuerySharded(t *testing.T) {
 	}
 	if len(sh) != 4 {
 		t.Fatalf("/debug/shards returned %d entries, want 4", len(sh))
+	}
+}
+
+// A federated round after the first compiles nothing on the member: the
+// second /v1/federate/sample of a query finds its assembled answer space
+// under the plan key — exactly one cache hit, no miss — and, at the same
+// seed, every verdict it needs already shared on it, so it returns the same
+// moments. healthz and /debug/cache report the entry.
+func TestFederateSampleRepeatIsOnePlanHit(t *testing.T) {
+	g := kgtest.Figure1()
+	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(eng).Handler())
+	t.Cleanup(ts.Close)
+	sample := func(seed int) string {
+		t.Helper()
+		body := fmt.Sprintf(`{"query": %q, "draws": 200, "pilot": true, "seed": %d}`, avgPriceText, seed)
+		resp, err := http.Post(ts.URL+"/v1/federate/sample", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Moments    json.RawMessage `json:"moments"`
+			Candidates int             `json:"candidates"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out.Candidates == 0 {
+			t.Fatalf("sample: status %d, %+v, %v", resp.StatusCode, out, err)
+		}
+		return string(out.Moments)
+	}
+	first := sample(7)
+	cold := eng.CacheStats()
+	if cold.Plans != 1 || cold.Misses == 0 {
+		t.Fatalf("after the first round: %+v, want one plan entry built on misses", cold)
+	}
+	second := sample(7)
+	warm := eng.CacheStats()
+	if warm.Hits != cold.Hits+1 || warm.Misses != cold.Misses {
+		t.Fatalf("the second round: cache %+v → %+v, want exactly one more hit and no miss", cold, warm)
+	}
+	if first != second {
+		t.Fatalf("the second round at the same seed differs:\n%s\n%s", first, second)
+	}
+	// Another seed may reach candidates nobody has validated; fetching their
+	// stage by key is not a compile and is not counted as a lookup.
+	sample(8)
+	if cs := eng.CacheStats(); cs.Hits != warm.Hits+1 || cs.Misses != warm.Misses || cs.Plans != 1 {
+		t.Fatalf("a round at another seed: cache %+v → %+v, want exactly one more hit and no miss", warm, cs)
+	}
+	hresp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var h healthResponse
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Cache.Plans != 1 || h.Cache.PlanBytes <= 0 || h.Cache.PlanBytes >= h.Cache.Bytes {
+		t.Fatalf("healthz cache block %+v, want one plan entry inside the byte total", h.Cache)
 	}
 }

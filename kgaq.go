@@ -240,8 +240,9 @@ type GroupResult = core.GroupResult
 type BatchResult = core.BatchResult
 
 // CacheStats snapshots the engine's answer-space cache (Engine.CacheStats):
-// converged stationary distributions and validation verdicts reused across
-// queries. Bound the cache with Options.CacheMaxBytes (default 64 MiB,
+// converged stationary distributions, the answer spaces assembled from them
+// per compiled query graph (Plans, PlanBytes) and validation verdicts, all
+// reused across queries. Bound the cache with Options.CacheMaxBytes (default 64 MiB,
 // negative disables).
 type CacheStats = core.CacheStats
 
