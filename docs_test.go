@@ -89,7 +89,7 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/terms.go", "func (x *Execution) fold"},
 		{"internal/core/terms.go", "func (x *Execution) advance"},
 		{"internal/core/terms.go", "func (x *Execution) estimateOf"},
-		{"internal/core/exec.go", "func (x *Execution) groupRound"},
+		{"internal/core/exec.go", "func (x *Execution) groupsOf"},
 		{"internal/estimate/stratified.go", "func EstimateStratified"},
 		{"internal/estimate/stratified.go", "func MoEStratified"},
 		{"internal/estimate/stratified.go", "func AllocateDraws"},
@@ -101,7 +101,9 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/terms.go", "func (x *Execution) settle"},
 		{"internal/core/cache.go", "func (c *spaceCache) getPlan"},
 		{"internal/core/prepared.go", "func (e *Engine) Prepare"},
-		{"internal/core/multi.go", "func (x *Execution) refineMulti"},
+		{"internal/core/exec.go", "func (x *Execution) refine"},
+		{"internal/core/decide.go", "func Decide"},
+		{"internal/core/decide.go", "func (p *Progress) Check"},
 		{"internal/estimate/multi.go", "func Project"},
 		{"internal/shard/shard.go", "func SplitSpace"},
 		{"internal/estimate/estimate_test.go", "func TestTheorem2"},

@@ -81,7 +81,8 @@ func warmExecution(t *testing.T, specs ...termSpec) (*Execution, context.Context
 // warmRound is one steady-state refinement round of every spec: fresh
 // draws, their sweep and fold, then estimate and margin per spec.
 func warmRound(x *Execution, ctx context.Context) error {
-	if !x.sampleMore(64) || !x.advance(ctx) {
+	n := len(x.drawIdx)
+	if x.sampleMore(64); len(x.drawIdx) == n || !x.advance(ctx) {
 		return errors.New("the warm round did not run")
 	}
 	for k := range x.tab.specs {

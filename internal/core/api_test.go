@@ -6,41 +6,76 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"kgaq/internal/query"
 )
 
 // TestQueryCancelMidRefinement is the acceptance test of the context-aware
 // API: cancelling after the first refinement round yields ErrInterrupted
-// plus the partial estimate of the completed rounds, Converged=false.
+// plus the partial estimate of the completed rounds, Converged=false — on a
+// plain query, a GROUP-BY query (whose partial result keeps the groups of
+// its last round) and a MAX-only QueryMulti, all through the one loop.
 func TestQueryCancelMidRefinement(t *testing.T) {
-	e, _ := figure1Engine(t, Options{Seed: 7, MinSample: 10, MinCorrect: 5, FixedDelta: 10})
-	ctx, cancel := context.WithCancel(context.Background())
-	var rounds []Round
-	res, err := e.Query(ctx, avgPriceQuery(),
-		// An unreachable bound keeps refinement running until cancelled.
-		WithErrorBound(1e-9),
-		OnRound(func(r Round) {
-			rounds = append(rounds, r)
-			cancel()
-		}))
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v should also match context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("cancelled query returned no partial result")
-	}
-	if res.Converged {
-		t.Fatal("cancelled query claims convergence")
-	}
-	if len(rounds) == 0 || math.IsNaN(res.Estimate) {
-		t.Fatalf("partial result lacks the completed round: %+v", res)
-	}
-	if res.Estimate != rounds[len(rounds)-1].Estimate {
-		t.Fatalf("partial estimate %v ≠ last round's %v", res.Estimate, rounds[len(rounds)-1].Estimate)
+	grouped := countQuery().WithGroupBy("fuel_economy")
+	for _, c := range []struct {
+		name string
+		opts Options
+		run  func(e *Engine, ctx context.Context, opts ...QueryOption) (estimate float64, converged bool, err error)
+	}{
+		{"plain", Options{Seed: 7, MinSample: 10, MinCorrect: 5, FixedDelta: 10},
+			func(e *Engine, ctx context.Context, opts ...QueryOption) (float64, bool, error) {
+				res, err := e.Query(ctx, avgPriceQuery(), opts...)
+				if res == nil {
+					return math.NaN(), false, err
+				}
+				return res.Estimate, res.Converged, err
+			}},
+		{"grouped", Options{Seed: 7, MinSample: 200},
+			func(e *Engine, ctx context.Context, opts ...QueryOption) (float64, bool, error) {
+				res, err := e.Query(ctx, grouped, opts...)
+				if res == nil {
+					return math.NaN(), false, err
+				}
+				if len(res.Groups) == 0 {
+					return res.Estimate, res.Converged, errors.New("partial grouped result lost its groups")
+				}
+				return res.Estimate, res.Converged, err
+			}},
+		{"max-only multi", Options{Seed: 7},
+			func(e *Engine, ctx context.Context, opts ...QueryOption) (float64, bool, error) {
+				res, err := e.QueryMulti(ctx, countQuery(), []AggSpec{{Func: query.Max, Attr: "price"}}, opts...)
+				if res == nil {
+					return math.NaN(), false, err
+				}
+				return res.Aggs[0].Estimate, res.Converged, err
+			}},
+	} {
+		e, _ := figure1Engine(t, c.opts)
+		ctx, cancel := context.WithCancel(context.Background())
+		var rounds []Round
+		estimate, converged, err := c.run(e, ctx,
+			// An unreachable bound keeps refinement running until cancelled.
+			WithErrorBound(1e-9),
+			OnRound(func(r Round) {
+				rounds = append(rounds, r)
+				cancel()
+			}))
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%s: err = %v, want ErrInterrupted", c.name, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v should also match context.Canceled", c.name, err)
+		}
+		if converged {
+			t.Fatalf("%s: cancelled query claims convergence", c.name)
+		}
+		if len(rounds) == 0 || math.IsNaN(estimate) {
+			t.Fatalf("%s: partial result lacks the completed round (estimate %v)", c.name, estimate)
+		}
+		if estimate != rounds[len(rounds)-1].Estimate {
+			t.Fatalf("%s: partial estimate %v ≠ last round's %v", c.name, estimate, rounds[len(rounds)-1].Estimate)
+		}
 	}
 }
 
@@ -231,30 +266,49 @@ func TestQueryBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestRoundsStreaming: the OnRound callback and the Rounds accessor both
-// see exactly the rounds recorded on the result.
+// TestRoundsStreaming: OnRound sees exactly the rounds Rounds() and the
+// result record, one per evaluated round, on the plain, GROUP-BY and
+// multi-aggregate paths alike.
 func TestRoundsStreaming(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 7})
-	var streamed []Round
-	x, err := e.Start(context.Background(), avgPriceQuery(),
-		OnRound(func(r Round) { streamed = append(streamed, r) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := x.Refine(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(res.Rounds) {
-		t.Fatalf("streamed %d rounds, result has %d", len(streamed), len(res.Rounds))
-	}
-	for i := range streamed {
-		if streamed[i] != res.Rounds[i] {
-			t.Fatalf("round %d mismatch: %+v vs %+v", i, streamed[i], res.Rounds[i])
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		q     *query.Aggregate
+		specs []AggSpec // nil: the query's own aggregate through Refine
+	}{
+		{"plain", avgPriceQuery(), nil},
+		{"grouped", countQuery().WithGroupBy("fuel_economy"), nil},
+		{"multi", countQuery(), threeSpecs()},
+	} {
+		var streamed []Round
+		x, err := e.Start(ctx, c.q, OnRound(func(r Round) { streamed = append(streamed, r) }))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := x.Rounds(); len(got) != len(res.Rounds) {
-		t.Fatalf("Rounds() = %d, want %d", len(got), len(res.Rounds))
+		var recorded []Round
+		if c.specs == nil {
+			res, err := x.Refine(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded = res.Rounds
+		} else {
+			res, err := x.queryMulti(ctx, c.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded = res.Aggs[0].Rounds
+		}
+		got := x.Rounds()
+		if len(streamed) == 0 || len(streamed) != len(got) || len(got) != len(recorded) {
+			t.Fatalf("%s: streamed %d rounds, Rounds() has %d, the result %d", c.name, len(streamed), len(got), len(recorded))
+		}
+		for i := range streamed {
+			if streamed[i] != got[i] || got[i] != recorded[i] {
+				t.Fatalf("%s: round %d: streamed %+v, Rounds() %+v, result %+v", c.name, i, streamed[i], got[i], recorded[i])
+			}
+		}
 	}
 }
 
@@ -281,19 +335,40 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShims: the one-release Execute/Run compatibility layer
-// still answers queries.
-func TestDeprecatedShims(t *testing.T) {
-	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 3})
-	res, err := e.Execute(countQuery())
-	if err != nil || res.Estimate <= 0 {
-		t.Fatalf("Execute shim: %v, %+v", err, res)
+// TestGroupedStepTimesWithinWall: a grouped Refine charges each interval
+// to exactly one step and none to its OnRound callback, so its step times
+// add up to no more than the wall time of the call less the time spent in
+// the callback.
+func TestGroupedStepTimesWithinWall(t *testing.T) {
+	e, ds := tinyEngine(t)
+	var q *query.Aggregate
+	for _, gq := range ds.Queries {
+		if gq.Category == "groupby" {
+			q = gq.Agg
+			break
+		}
 	}
-	x, err := e.Start(context.Background(), countQuery())
+	ctx := context.Background()
+	const pause = 2 * time.Millisecond
+	p, err := e.Prepare(ctx, q, WithErrorBound(0.01), OnRound(func(Round) { time.Sleep(pause) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = x.Run(0.10); err != nil || res.Estimate <= 0 {
-		t.Fatalf("Run shim: %v, %+v", err, res)
+	for seed := int64(1); seed <= 3; seed++ {
+		x, err := p.Start(ctx, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		begin := time.Now()
+		res, err := x.Refine(ctx, 0)
+		wall := time.Since(begin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := res.Times.Sampling + res.Times.Estimation + res.Times.Guarantee
+		if callbacks := time.Duration(len(res.Rounds)) * pause; steps > wall-callbacks {
+			t.Fatalf("seed %d: steps add up to %v (%+v) over %v of wall time, %v of it in OnRound",
+				seed, steps, res.Times, wall, callbacks)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func BenchmarkExecuteSimpleCount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.Query(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func BenchmarkExecuteSimpleAvg(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.Query(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkExecuteChain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.Query(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -512,3 +512,41 @@ func resolveAttr(g kg.ReadGraph, name string) (kg.AttrID, error) {
 	}
 	return a, nil
 }
+
+// resolvedFilter is a query filter with its attribute interned.
+type resolvedFilter struct {
+	attr kg.AttrID
+	low  float64
+	high float64
+}
+
+// bindings are an aggregate's attribute references interned against one
+// graph view: the aggregated attribute, the GROUP-BY attribute and the
+// filters.
+type bindings struct {
+	attr    kg.AttrID
+	group   kg.AttrID
+	filters []resolvedFilter
+}
+
+// bind resolves q's attribute references against g. GROUP-BY needs a
+// guaranteed aggregate.
+func bind(g kg.ReadGraph, q *query.Aggregate) (b bindings, err error) {
+	if !q.Func.HasGuarantee() && q.GroupBy != "" {
+		return b, fmt.Errorf("core: GROUP-BY with %v is unsupported", q.Func)
+	}
+	if b.attr, err = resolveAttr(g, q.Attr); err != nil {
+		return b, err
+	}
+	if b.group, err = resolveAttr(g, q.GroupBy); err != nil {
+		return b, err
+	}
+	for _, f := range q.Filters {
+		a, err := resolveAttr(g, f.Attr)
+		if err != nil {
+			return b, err
+		}
+		b.filters = append(b.filters, resolvedFilter{attr: a, low: f.Low, high: f.High})
+	}
+	return b, nil
+}

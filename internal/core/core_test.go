@@ -55,7 +55,7 @@ func TestOptionsDefaults(t *testing.T) {
 // The running example: AVG(price) of cars produced in Germany ≈ $44,072.16.
 func TestExecuteAvgRunningExample(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 7})
-	res, err := e.Execute(avgPriceQuery())
+	res, err := e.Query(context.Background(), avgPriceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExecuteAvgRunningExample(t *testing.T) {
 
 func TestExecuteCount(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 3})
-	res, err := e.Execute(countQuery())
+	res, err := e.Query(context.Background(), countQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestExecuteCount(t *testing.T) {
 func TestExecuteSum(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 5})
 	q := query.Simple(query.Sum, "price", "Germany", "Country", "product", "Automobile")
-	res, err := e.Execute(q)
+	res, err := e.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestExecuteSum(t *testing.T) {
 func TestExecuteWithFilter(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 11})
 	q := countQuery().WithFilter("fuel_economy", 25, 30)
-	res, err := e.Execute(q)
+	res, err := e.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestExecuteWithFilter(t *testing.T) {
 func TestExecuteMaxMin(t *testing.T) {
 	e, _ := figure1Engine(t, Options{Seed: 13})
 	qMax := query.Simple(query.Max, "price", "Germany", "Country", "product", "Automobile")
-	res, err := e.Execute(qMax)
+	res, err := e.Query(context.Background(), qMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestExecuteMaxMin(t *testing.T) {
 		t.Fatal("extremes must not claim a guarantee")
 	}
 	qMin := query.Simple(query.Min, "price", "Germany", "Country", "product", "Automobile")
-	res, err = e.Execute(qMin)
+	res, err = e.Query(context.Background(), qMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestExecuteMaxMin(t *testing.T) {
 func TestExecuteGroupBy(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 17})
 	q := countQuery().WithGroupBy("fuel_economy")
-	res, err := e.Execute(q)
+	res, err := e.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestExecuteChain(t *testing.T) {
 		{Predicate: "nationality", Types: []string{"Person"}},
 		{Predicate: "designer", Types: []string{"Automobile"}},
 	})
-	res, err := e.Execute(q)
+	res, err := e.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestExecuteStar(t *testing.T) {
 	b.Edge(de, tgt, "product")
 	b.Edge(vw, tgt, "designCompany")
 	q := b.Aggregate(query.Count, "")
-	res, err := e.Execute(q)
+	res, err := e.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestGuaranteeCoverage(t *testing.T) {
 	hits, runs := 0, 0
 	for seed := int64(1); seed <= 25; seed++ {
 		e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: seed})
-		res, err := e.Execute(avgPriceQuery())
+		res, err := e.Query(context.Background(), avgPriceQuery())
 		if err != nil || !res.Converged {
 			continue
 		}
@@ -258,7 +258,7 @@ func TestGuaranteeCoverage(t *testing.T) {
 func TestSkipValidationAblation(t *testing.T) {
 	// Without validation, KIA K5 pollutes the COUNT: expectation is 6.
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 31, SkipValidation: true})
-	res, err := e.Execute(countQuery())
+	res, err := e.Query(context.Background(), countQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSkipValidationAblation(t *testing.T) {
 
 func TestFixedDeltaAblation(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 37, FixedDelta: 50, MinSample: 10})
-	res, err := e.Execute(avgPriceQuery())
+	res, err := e.Query(context.Background(), avgPriceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFixedDeltaAblation(t *testing.T) {
 func TestTopologySamplerAblation(t *testing.T) {
 	for _, s := range []SamplerKind{SamplerCNARW, SamplerNode2Vec} {
 		e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 41, Sampler: s})
-		res, err := e.Execute(countQuery())
+		res, err := e.Query(context.Background(), countQuery())
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -304,7 +304,7 @@ func TestTopologySamplerAblation(t *testing.T) {
 			{Predicate: "nationality", Types: []string{"Person"}},
 			{Predicate: "designer", Types: []string{"Automobile"}},
 		})
-		if _, err := e.Execute(q); err == nil {
+		if _, err := e.Query(context.Background(), q); err == nil {
 			t.Fatalf("%v: chain accepted", s)
 		}
 	}
@@ -314,12 +314,12 @@ func TestDivisorPolicyAblation(t *testing.T) {
 	// With τ=0.85 some sampled answers (KIA) are incorrect, so the
 	// CorrectOnly policy overestimates COUNT.
 	def, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 43})
-	resDef, err := def.Execute(countQuery())
+	resDef, err := def.Query(context.Background(), countQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 	alt, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 43, Policy: estimate.CorrectOnly})
-	resAlt, err := alt.Execute(countQuery())
+	resAlt, err := alt.Query(context.Background(), countQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,13 +340,13 @@ func TestExecuteResolutionErrors(t *testing.T) {
 		query.Simple(query.Count, "", "Germany", "Person", "product", "Automobile"),
 	}
 	for i, q := range cases {
-		if _, err := e.Execute(q); err == nil {
+		if _, err := e.Query(context.Background(), q); err == nil {
 			t.Errorf("case %d: invalid query accepted", i)
 		}
 	}
 	// GROUP-BY with MAX is rejected.
 	q := query.Simple(query.Max, "price", "Germany", "Country", "product", "Automobile").WithGroupBy("fuel_economy")
-	if _, err := e.Execute(q); err == nil {
+	if _, err := e.Query(context.Background(), q); err == nil {
 		t.Error("GROUP-BY MAX accepted")
 	}
 }
@@ -354,7 +354,7 @@ func TestExecuteResolutionErrors(t *testing.T) {
 func TestExecuteNoCorrectAnswers(t *testing.T) {
 	// τ=0.99 excludes every answer; AVG must fail loudly.
 	e, _ := figure1Engine(t, Options{Tau: 0.99, MaxRounds: 3, Seed: 47})
-	_, err := e.Execute(avgPriceQuery())
+	_, err := e.Query(context.Background(), avgPriceQuery())
 	if err == nil || !strings.Contains(err.Error(), "no") {
 		t.Fatalf("err = %v, want no-correct-answers failure", err)
 	}
@@ -363,11 +363,11 @@ func TestExecuteNoCorrectAnswers(t *testing.T) {
 func TestExecuteDeterministic(t *testing.T) {
 	e1, _ := figure1Engine(t, Options{Seed: 53})
 	e2, _ := figure1Engine(t, Options{Seed: 53})
-	r1, err := e1.Execute(avgPriceQuery())
+	r1, err := e1.Query(context.Background(), avgPriceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e2.Execute(avgPriceQuery())
+	r2, err := e2.Query(context.Background(), avgPriceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,44 +45,24 @@ func (d Degradation) headroom() time.Duration {
 	return DefaultDeadlineHeadroom
 }
 
-// shouldStop reports whether a refinement loop that just spent lastRound on
-// its latest round should degrade now rather than start another round: the
-// context deadline is closer than one more round plus the headroom.
-func (d Degradation) shouldStop(ctx context.Context, lastRound time.Duration) bool {
+// slack is the time left before ctx's deadline minus the headroom, and
+// whether the deadline applies at all (degradation enabled, a deadline set):
+// the refinement loop stops degraded when the next round's predicted cost
+// exceeds it (Decide).
+func (d Degradation) slack(ctx context.Context) (time.Duration, bool) {
 	if !d.enabled() {
-		return false
+		return 0, false
 	}
 	deadline, ok := ctx.Deadline()
 	if !ok {
-		return false
+		return 0, false
 	}
-	return time.Until(deadline) < lastRound+d.headroom()
+	return time.Until(deadline) - d.headroom(), true
 }
 
-// nextRoundCost predicts what the round after a step of delta draws will
-// cost from what the round begun at roundBegin did, its draws included,
-// scaled by the growth of the sample: one undamped Eq. 12 step may multiply
-// it by six. The price dates from the rounds that re-read the whole sample;
-// a round now costs its fresh draws, which after a large step are most of
-// the sample, so the prediction stays on the safe (early-stopping) side and
-// degradation decides as it always has.
-func (x *Execution) nextRoundCost(roundBegin time.Time, delta int) time.Duration {
-	last := time.Since(roundBegin) + x.drawCost
-	cur := len(x.drawIdx)
-	if cur == 0 || delta <= 0 {
-		return last
-	}
-	return time.Duration(float64(last) * float64(cur+delta) / float64(cur))
-}
-
-// ShouldStop reports whether a refinement loop that just spent lastRound on
-// its latest round should degrade now rather than start another: the
-// context deadline is closer than one more round plus the headroom. It is
-// the exported form of the engine's own deadline-degradation check, shared
-// with the federated round driver (internal/federate).
-func (d Degradation) ShouldStop(ctx context.Context, lastRound time.Duration) bool {
-	return d.shouldStop(ctx, lastRound)
-}
+// Slack is the exported form of slack, for the federated round driver
+// (internal/federate), which stops on the same rule.
+func (d Degradation) Slack(ctx context.Context) (time.Duration, bool) { return d.slack(ctx) }
 
 // Enabled reports whether this configuration permits degradation at all (a
 // zero MaxErrorBound disables it). The federated coordinator uses it to

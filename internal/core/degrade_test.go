@@ -149,14 +149,19 @@ func TestDeadlineDegradeMulti(t *testing.T) {
 // 250 ms deadline start a 300 ms round (TestDeadlineDegradedResponse in
 // internal/httpapi failed two runs in three on a loaded host).
 func TestNextRoundCostScalesWithStep(t *testing.T) {
-	x := &Execution{drawIdx: make([]int, 1000), drawCost: 10 * time.Millisecond}
-	begin := time.Now().Add(-30 * time.Millisecond)
-	same := x.nextRoundCost(begin, 0)
-	if same < 40*time.Millisecond || same > 60*time.Millisecond {
-		t.Fatalf("no step: predicted %v, want the last round's ≈ 40ms (30ms + 10ms of draws)", same)
+	// A round of 30ms after 10ms of draws: the loop's Progress.Cost.
+	p := Progress{Draws: 1000, Cost: 30*time.Millisecond + 10*time.Millisecond}
+	if same := p.nextCost(0); same != 40*time.Millisecond {
+		t.Fatalf("no step: predicted %v, want the last round's 40ms (30ms + 10ms of draws)", same)
 	}
-	sixfold := x.nextRoundCost(begin, 5000)
-	if lo, hi := 5.9*float64(same), 6.5*float64(same); float64(sixfold) < lo || float64(sixfold) > hi {
-		t.Fatalf("5x step: predicted %v, want ≈ 6 × %v", sixfold, same)
+	if sixfold := p.nextCost(5000); sixfold != 240*time.Millisecond {
+		t.Fatalf("5x step: predicted %v, want 6 × 40ms", sixfold)
+	}
+	// The prediction, not the last round's cost, decides: 200ms of slack
+	// outlasts the 40ms round but not the 240ms one its step buys.
+	p.Unestimable, p.Estimated, p.Correct, p.Deadline, p.Slack = false, true, 100, true, 200*time.Millisecond
+	p.Check(100, 50, 0.05) // ε/target = 10.5: Eq. 12 would grow 100×, the cap grows 5×
+	if st := Decide(Options{MinCorrect: 30, MaxDraws: 1 << 20}, p); st.Stop != StopDegraded {
+		t.Fatalf("Decide = %+v, want a degraded stop", st)
 	}
 }

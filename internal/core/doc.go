@@ -33,10 +33,11 @@
 // among its fresh draws and folds only those fresh draws into one running
 // moments accumulator per (aggregate, stratum, group), all of them or —
 // when cancelled mid-validation — none; estimate and margin are read from
-// the moments. Every loop below (Refine, its GROUP-BY and MAX/MIN arms,
-// refineMulti, sharded or not, and FederateSample's single round) sits on
-// that one data path, bit-identical to the observation-list form it
-// replaced.
+// the moments. The one refinement loop (refine, behind Refine and
+// QueryMulti, grouped, sharded or not) and FederateSample's single round sit
+// on that one data path, bit-identical to the observation-list form it
+// replaced; the loop's stopping rule is Decide (decide.go), which the
+// federated coordinator calls too.
 //
 // # Multi-aggregate execution
 //

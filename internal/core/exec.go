@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,13 +16,6 @@ import (
 	"kgaq/internal/query"
 	"kgaq/internal/stats"
 )
-
-// resolvedFilter is a query filter with its attribute interned.
-type resolvedFilter struct {
-	attr kg.AttrID
-	low  float64
-	high float64
-}
 
 // Execution is a started query whose sample can be refined incrementally —
 // the interactive scenario of §IV-C where the user tightens eb at runtime
@@ -37,9 +31,7 @@ type Execution struct {
 	opts    Options // engine options with per-query overrides applied
 	onRound func(Round)
 	degrade Degradation // deadline-aware degradation (disabled by default)
-	attr    kg.AttrID
-	group   kg.AttrID
-	filters []resolvedFilter
+	bindings
 
 	degraded bool    // the guarantee loop stopped early under degrade
 	targetEB float64 // the bound the last Refine targeted
@@ -117,9 +109,6 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if !q.Func.HasGuarantee() && q.GroupBy != "" {
-		return nil, fmt.Errorf("core: GROUP-BY with %v is unsupported", q.Func)
-	}
 	o := cfg.opts
 	if o.Shards > 1 {
 		return nil, fmt.Errorf("core: %w (got %v)", ErrShardedSampler, o.Sampler)
@@ -134,18 +123,8 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 	x := &Execution{e: e, q: q, v: v, opts: o, onRound: cfg.onRound, degrade: cfg.degrade, rng: stats.NewRand(o.Seed)}
 
 	var err error
-	if x.attr, err = resolveAttr(v.g, q.Attr); err != nil {
+	if x.bindings, err = bind(v.g, q); err != nil {
 		return nil, err
-	}
-	if x.group, err = resolveAttr(v.g, q.GroupBy); err != nil {
-		return nil, err
-	}
-	for _, f := range q.Filters {
-		a, err := resolveAttr(v.g, f.Attr)
-		if err != nil {
-			return nil, err
-		}
-		x.filters = append(x.filters, resolvedFilter{attr: a, low: f.Low, high: f.High})
 	}
 
 	paths, err := q.Q.Decompose()
@@ -187,15 +166,6 @@ func (e *Engine) Query(ctx context.Context, q *query.Aggregate, opts ...QueryOpt
 // pull-style counterpart of the OnRound streaming option.
 func (x *Execution) Rounds() []Round {
 	return append([]Round(nil), x.rounds...)
-}
-
-// emitRound records a refinement round and streams it to the OnRound
-// callback, if any.
-func (x *Execution) emitRound(r Round) {
-	x.rounds = append(x.rounds, r)
-	if x.onRound != nil {
-		x.onRound(r)
-	}
 }
 
 // traceRound records one guarantee-loop round into the request trace: the
@@ -294,74 +264,30 @@ func (x *Execution) firstSample() {
 	x.sampleMore(size)
 }
 
-// sizingGap remembers, within one refinement round, the estimate furthest
-// from its Theorem 2 target — the largest ε/target ratio among the round's
-// unsatisfied specs or groups — which drives the round's Eq. 12 sizing.
-type sizingGap struct {
-	ratio, v, eps, eb float64
-}
-
-// note offers one unsatisfied estimate; a zero estimate has no target and
-// gives no ratio to size with.
-func (g *sizingGap) note(v, eps, eb float64) {
-	if t := estimate.Target(v, eb); t > 0 {
-		if r := eps / t; r > g.ratio {
-			*g = sizingGap{ratio: r, v: v, eps: eps, eb: eb}
-		}
-	}
-}
-
-// nextSampleSize is Eq. 12 for the noted estimate (0 when none was noted).
-func (g sizingGap) nextSampleSize(cur int) int {
-	return estimate.NextSampleSize(cur, g.eps, g.v, g.eb)
-}
-
-// sampleMore extends the draw list by k, honouring the MaxDraws budget. It
-// reports whether any draws were added. Sharded executions allocate the k
-// draws across strata (Neyman once variance signals exist) and draw each
-// stratum from its own deterministic stream.
-func (x *Execution) sampleMore(k int) bool {
-	if budget := x.opts.MaxDraws - len(x.drawIdx); k > budget {
-		k = budget
-	}
-	if k <= 0 {
-		return false
+// sampleMore extends the draw list by k, honouring the MaxDraws budget.
+// Sharded executions allocate the k draws across strata (Neyman once
+// variance signals exist) and draw each stratum from its own deterministic
+// stream.
+func (x *Execution) sampleMore(k int) {
+	if k = min(k, x.opts.MaxDraws-len(x.drawIdx)); k <= 0 {
+		return
 	}
 	begin := time.Now()
-	var fresh []int
 	if x.sh != nil {
 		x.scr.draws = x.sh.drawInto(x.scr.draws[:0], k)
-		fresh = x.scr.draws
 	} else {
 		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
-		fresh = x.scr.draws
 	}
-	x.drawIdx = append(x.drawIdx, fresh...)
-	x.scr.shardCounts = x.e.countDraws(x.sp.answers, fresh, x.scr.shardCounts)
+	x.drawIdx = append(x.drawIdx, x.scr.draws...)
+	x.scr.shardCounts = x.e.countDraws(x.sp.answers, x.scr.draws, x.scr.shardCounts)
 	x.drawCost = time.Since(begin)
 	x.times.Sampling += x.drawCost
-	return true
 }
 
-// interrupted packages the partial state of a cancelled refinement: the
-// best estimate so far with Converged=false, plus an error matching both
-// ErrInterrupted and the ctx cause. When this Refine call completed no
-// round of its own, the estimate falls back to the last recorded round
-// (an earlier Refine on the same Execution may have produced one); only a
-// truly round-less execution reports NaN. The cancelled ctx flows into
-// the result bookkeeping on purpose: draws of candidates whose validation
-// never ran count as incorrect instead of blocking the cancel on a fresh
-// validation pass.
-func (x *Execution) interrupted(ctx context.Context, vhat, moe float64, estimated bool, cause error) (*Result, error) {
-	if !estimated {
-		if n := len(x.rounds); n > 0 {
-			vhat, moe = x.rounds[n-1].Estimate, x.rounds[n-1].MoE
-		} else {
-			vhat, moe = math.NaN(), math.NaN()
-		}
-	}
-	return x.result(ctx, vhat, moe, false, nil),
-		fmt.Errorf("core: %w after %d draws: %w", ErrInterrupted, len(x.drawIdx), cause)
+// cut is the error of a cancelled refinement: it matches both
+// ErrInterrupted and the ctx cause.
+func (x *Execution) cut(cause error) error {
+	return fmt.Errorf("core: %w after %d draws: %w", ErrInterrupted, len(x.drawIdx), cause)
 }
 
 // Refine grows the sample until the Theorem 2 condition holds for the given
@@ -369,7 +295,9 @@ func (x *Execution) interrupted(ctx context.Context, vhat, moe float64, estimate
 // previously collected draws — interactive tightening of eb keeps the
 // sample. ctx is checked between refinement rounds and inside the
 // validation hot loop; a cancelled Refine returns the partial Result with
-// Converged=false and an error wrapping ErrInterrupted.
+// Converged=false and an error wrapping ErrInterrupted. Its estimate is the
+// last round's — of an earlier Refine on the same Execution when this call
+// completed none — or NaN when no round ever ran.
 func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err error) {
 	defer x.catchPanics(&err)
 	if ctx == nil {
@@ -377,110 +305,17 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 	}
 	release := x.holdScratch()
 	defer release()
-	x.bindTerms(termSpec{fn: x.q.Func, attr: x.attr})
 	if eb <= 0 {
 		eb = x.opts.ErrorBound
 	}
 	x.targetEB = eb
-	if !x.q.Func.HasGuarantee() {
-		return x.runExtreme(ctx)
+	runs := [1]AggResult{{Spec: AggSpec{Func: x.q.Func, Attr: x.q.Attr}, ErrorBound: eb}}
+	terms := [1]termSpec{{fn: x.q.Func, attr: x.attr}}
+	_, converged, err := x.refine(ctx, runs[:], terms[:], false)
+	if err != nil && !errors.Is(err, ErrInterrupted) {
+		return nil, err
 	}
-	if x.group != kg.InvalidAttr {
-		return x.runGrouped(ctx, eb)
-	}
-	o := x.opts
-	if len(x.drawIdx) == 0 {
-		x.firstSample()
-	}
-
-	var vhat, moe float64
-	converged := false
-	estimated := false
-	for round := 0; round < o.MaxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return x.interrupted(ctx, vhat, moe, estimated, err)
-		}
-		roundBegin := time.Now()
-		if !x.advance(ctx) {
-			// Validation was cut short: the round's draws stay unfolded, and
-			// a later Refine picks them up where this one stopped.
-			return x.interrupted(ctx, vhat, moe, estimated, ctx.Err())
-		}
-		begin := time.Now()
-		mom := x.sampleMoments(0)
-		correct := x.tab.hits(0, 0)
-		v, err := x.estimateOf(0, mom)
-		x.times.Estimation += time.Since(begin)
-		if err != nil {
-			if err == estimate.ErrNoCorrect {
-				// Unlucky sample: enlarge and retry.
-				if !x.sampleMore(len(x.drawIdx)) {
-					break
-				}
-				continue
-			}
-			return nil, err
-		}
-		// With too few correct draws the sample has not seen the heavy tail
-		// of the HT weights and the CLT margin under-covers; a CI computed
-		// now would terminate over-optimistically. Grow first.
-		if correct < o.MinCorrect {
-			if !x.sampleMore(len(x.drawIdx)) {
-				// Budget exhausted: fall through and report what we have,
-				// without claiming convergence.
-				vhat, moe = v, math.NaN()
-				estimated = true
-				break
-			}
-			continue
-		}
-		begin = time.Now()
-		eps, err := x.marginOf(0, mom)
-		// Close the timing window before the OnRound callback fires: its
-		// latency (e.g. a slow streaming client) is not guarantee time.
-		x.times.Guarantee += time.Since(begin)
-		if err != nil {
-			if !x.sampleMore(len(x.drawIdx)) {
-				break
-			}
-			continue
-		}
-		vhat, moe = v, eps
-		estimated = true
-		x.emitRound(Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)})
-		x.traceRound(ctx, roundBegin, v, eps)
-		if estimate.Satisfied(v, eps, eb) {
-			converged = true
-			break
-		}
-		begin = time.Now()
-		delta := o.FixedDelta
-		if delta <= 0 {
-			delta = estimate.NextSampleSize(len(x.drawIdx), eps, v, eb)
-		}
-		if max := 5 * len(x.drawIdx); delta > max {
-			delta = max // keep one round from ballooning on a noisy early ε
-		}
-		x.times.Guarantee += time.Since(begin)
-		// Deadline-aware degradation: when another round (predicted from this
-		// one's cost and the step just sized) would not fit before the context
-		// deadline, stop here and report the honest interval already held
-		// rather than be cancelled mid-validation. The estimate above is
-		// complete, so the answer is exactly what an earlier termination would
-		// have returned.
-		if x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
-			x.degraded = true
-			break
-		}
-		if !x.sampleMore(delta) {
-			break // draw budget exhausted: report the best estimate so far
-		}
-	}
-	if !estimated {
-		return nil, fmt.Errorf("core: %w: no estimable sample within %d rounds: %w",
-			ErrNotConverged, o.MaxRounds, estimate.ErrNoCorrect)
-	}
-	return x.result(ctx, vhat, moe, converged, nil), nil
+	return x.result(ctx, runs[0].Estimate, runs[0].MoE, converged, runs[0].Groups), err
 }
 
 // extremeRoundSize is the fixed round of the MAX/MIN paths: 5% of the
@@ -494,150 +329,190 @@ func (x *Execution) extremeRoundSize() int {
 	return per
 }
 
-// runExtreme supports MAX/MIN without a guarantee (§VII): fixed-size rounds
-// over the sampling distribution, returning the running extreme.
-func (x *Execution) runExtreme(ctx context.Context) (*Result, error) {
+// refine is Algorithm 2 over a spec list, the one refinement loop behind
+// Refine and QueryMulti (DESIGN.md "Refinement loop"). A round validates and
+// folds the fresh draws (advance), reads every spec's interval out of the
+// term table, and asks Decide whether to stop or how much to draw. The first
+// guaranteed spec drives: its correct draws feed the MinCorrect gate, its
+// moments the sharded allocator, and its intervals are the execution's
+// rounds (OnRound, Rounds()). Under GROUP-BY each spec's groups are what
+// Theorem 2 checks. MAX/MIN specs ride along and are read once over the
+// final sample; a list of extremes alone runs fixed-size rounds (§VII). It
+// returns the rounds it evaluated; a cancelled refine returns an error from
+// cut and leaves each run at its last evaluated round.
+func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSpec, keepRounds bool) (rounds int, converged bool, err error) {
 	o := x.opts
-	per := x.extremeRoundSize()
-	var best float64
-	found := false
-	for round := 0; round < o.ExtremeRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return x.interrupted(ctx, best, 0, found, err)
+	grouped := x.group != kg.InvalidAttr
+	drive := -1
+	for k := range runs {
+		runs[k].Estimate, runs[k].MoE = math.NaN(), math.NaN()
+		if drive < 0 && runs[k].Spec.Func.HasGuarantee() {
+			drive = k
 		}
-		roundBegin := time.Now()
-		if !x.sampleMore(per) && round > 0 {
-			break
-		}
-		if !x.advance(ctx) {
-			return x.interrupted(ctx, best, 0, found, ctx.Err())
-		}
-		begin := time.Now()
-		v, err := x.estimateOf(0, x.sampleMoments(0))
-		x.times.Estimation += time.Since(begin)
-		if err != nil {
-			continue
-		}
-		best = v
-		found = true
-		x.emitRound(Round{Estimate: v, SampleSize: len(x.drawIdx)})
-		x.traceRound(ctx, roundBegin, v, math.NaN())
 	}
-	if !found {
-		return nil, estimate.ErrNoCorrect
-	}
-	return x.result(ctx, best, 0, false, nil), nil
-}
+	x.bindTerms(terms...)
 
-// minGroupDraws is how many in-group correct draws a GROUP-BY group needs
-// before its own Theorem 2 condition counts toward termination.
-const minGroupDraws = 8
-
-// runGrouped answers GROUP-BY queries: each group's estimator runs over the
-// full sample with group membership folded into the correctness indicator
-// (a draw outside the group contributes zero), which keeps the HT estimator
-// unbiased per group. Every sufficiently observed group must individually
-// satisfy Theorem 2, which is why GROUP-BY costs roughly a group-count
-// multiple of a plain query (Table X).
-func (x *Execution) runGrouped(ctx context.Context, eb float64) (*Result, error) {
-	o := x.opts
-	if len(x.drawIdx) == 0 {
+	extreme, maxRounds := 0, o.MaxRounds
+	switch {
+	case drive < 0:
+		// Extremes alone: every round draws its fixed size, then evaluates.
+		drive, extreme, maxRounds = 0, x.extremeRoundSize(), o.ExtremeRounds
+		x.sampleMore(extreme)
+	case len(x.drawIdx) == 0:
 		x.firstSample()
 	}
-	maxRounds := 3 * o.MaxRounds
-	var groups map[string]GroupResult
-	var vhat, moe float64
-	estimated := false
-	lastEmit := -1 // sample size the last emitted round covered
-	converged := false
-	cut := func(cause error) (*Result, error) {
-		res, rerr := x.interrupted(ctx, vhat, moe, estimated, cause)
-		res.Groups = groups
-		return res, rerr
+	if grouped {
+		maxRounds *= 3
+	}
+	// A call cut short before its first round reports the execution's last.
+	if n := len(x.rounds); n > 0 {
+		runs[drive].Estimate, runs[drive].MoE = x.rounds[n-1].Estimate, x.rounds[n-1].MoE
 	}
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return cut(err)
+			return rounds, false, x.cut(err)
 		}
 		roundBegin := time.Now()
 		if !x.advance(ctx) {
-			// Validation was cut short; the round's draws stay unfolded, so
-			// report the previous round's groups.
-			return cut(ctx.Err())
+			// Validation was cut short: the round's draws stay unfolded, and
+			// a later call picks them up where this one stopped.
+			return rounds, false, x.cut(ctx.Err())
 		}
+		rounds++
+		p := Progress{Draws: len(x.drawIdx), Grouped: grouped, Extreme: extreme, Last: extreme > 0 && round+1 >= maxRounds}
+		v, verr := x.evaluateRound(ctx, runs, drive, &p, roundBegin, keepRounds)
+		p.Cost = time.Since(roundBegin) + x.drawCost
+		p.Slack, p.Deadline = x.degrade.slack(ctx)
 		begin := time.Now()
-		// The overall (ungrouped) estimate of this round, streamed to
-		// OnRound so grouped queries report live progress too.
-		mom := x.sampleMoments(0)
-		if v, err := x.estimateOf(0, mom); err == nil {
-			gbegin := time.Now()
-			eps, err := x.marginOf(0, mom)
-			x.times.Guarantee += time.Since(gbegin)
-			if err != nil {
-				eps = math.NaN()
+		st := Decide(o, p)
+		x.times.Guarantee += time.Since(begin)
+		if st.Gated && st.Stop != Continue && verr == nil {
+			// The budget ran out under the gate: report the estimate
+			// without claiming a margin.
+			runs[drive].Estimate, runs[drive].MoE = v, math.NaN()
+		}
+		if st.Stop != Continue {
+			converged = st.Stop == StopConverged
+			if st.Stop == StopDegraded {
+				x.degraded = true
 			}
-			vhat, moe = v, eps
-			estimated = true
-			lastEmit = len(x.drawIdx)
-			x.emitRound(Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)})
-			x.traceRound(ctx, roundBegin, v, eps)
-		}
-		var worst sizingGap
-		var allOK bool
-		groups, allOK = x.groupRound(0, eb, &worst)
-		x.times.Estimation += time.Since(begin)
-		if allOK && len(groups) > 0 {
-			converged = true
 			break
 		}
-		delta := worst.nextSampleSize(len(x.drawIdx))
-		if delta < len(x.drawIdx)/2 {
-			delta = len(x.drawIdx) / 2
+		x.sampleMore(st.Grow)
+	}
+
+	estimated := false
+	for k := range runs {
+		estimated = estimated || !math.IsNaN(runs[k].Estimate)
+	}
+	switch {
+	case !estimated:
+		return rounds, false, fmt.Errorf("core: %w: no estimable sample within %d rounds: %w",
+			ErrNotConverged, maxRounds, estimate.ErrNoCorrect)
+	case extreme > 0:
+		return rounds, false, nil
+	}
+	// Extremes riding along are read once, over the final sample.
+	for k := range runs {
+		if runs[k].Spec.Func.HasGuarantee() {
+			continue
 		}
-		if max := 5 * len(x.drawIdx); delta > max {
-			delta = max
+		if x.tab.folded != len(x.drawIdx) && !x.advance(ctx) {
+			return rounds, false, x.cut(ctx.Err())
 		}
-		if x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
-			x.degraded = true
-			break
-		}
-		if !x.sampleMore(delta) {
-			break // draw budget exhausted
+		if v, err := x.estimateOf(k, nil); err == nil {
+			x.report(ctx, &runs[k], false, v, 0, time.Time{}, keepRounds)
 		}
 	}
-	// The overall (ungrouped) estimate accompanies the groups; recompute it
-	// only when no round produced one or draws arrived after the last round.
-	if !estimated || lastEmit != len(x.drawIdx) {
-		finalBegin := time.Now()
-		if !x.advance(ctx) {
-			return cut(ctx.Err())
-		}
-		mom := x.sampleMoments(0)
-		v, err := x.estimateOf(0, mom)
-		if err != nil {
-			return nil, err
-		}
-		eps, err := x.marginOf(0, mom)
-		if err != nil {
-			eps = math.NaN()
-		}
-		vhat, moe = v, eps
-		x.emitRound(Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)})
-		x.traceRound(ctx, finalBegin, v, eps)
-	}
-	return x.result(ctx, vhat, moe, converged, groups), nil
+	return rounds, converged, nil
 }
 
-// groupRound reads out spec k's per-group estimators for the current round:
+// evaluateRound reads one round's intervals out of the term table into the
+// runs and puts them to Theorem 2 through p. A round the MinCorrect gate
+// holds reads no margin: it returns the driving spec's estimate, which the
+// loop reports alone should the budget end it. An ungrouped spec without an
+// estimate or a margin is unestimable; a grouped spec reports its
+// whole-sample estimate even without a margin, and is checked by its groups.
+func (x *Execution) evaluateRound(ctx context.Context, runs []AggResult, drive int, p *Progress, began time.Time, keepRounds bool) (float64, error) {
+	// The driving spec refreshes the sharded allocator every round, gated
+	// or not.
+	mom := x.sampleMoments(drive)
+	if p.Extreme > 0 {
+		for k := range runs {
+			if v, err := x.estimateOf(k, nil); err == nil {
+				x.report(ctx, &runs[k], k == drive, v, 0, began, keepRounds)
+			}
+		}
+		return 0, nil
+	}
+	if p.Correct = x.tab.hits(0, drive); p.gated(x.opts.MinCorrect) {
+		return x.estimateOf(drive, mom)
+	}
+	for k := drive; k < len(runs); k++ {
+		r := &runs[k]
+		if !r.Spec.Func.HasGuarantee() {
+			continue
+		}
+		if k != drive {
+			mom = x.tab.moments(0, k)
+		}
+		v, err := x.estimateOf(k, mom)
+		eps := math.NaN()
+		if err == nil {
+			switch e, merr := x.marginOf(k, mom); {
+			case merr == nil:
+				eps = e
+			case !p.Grouped:
+				err = merr // a grouped spec is checked by its groups' margins
+			}
+		}
+		switch {
+		case err == nil:
+			x.report(ctx, r, k == drive, v, eps, began, keepRounds)
+			p.Estimated = true
+			if !p.Grouped {
+				r.Converged = p.Check(v, eps, r.ErrorBound)
+			}
+		case !p.Grouped:
+			p.Unestimable = true
+		}
+		if p.Grouped {
+			r.Groups, r.Converged = x.groupsOf(k, r.ErrorBound, p)
+		}
+	}
+	return 0, nil
+}
+
+// report records one interval of spec run r. The driving spec's interval is
+// also the execution's refinement round: recorded, streamed to the OnRound
+// callback, if any, and traced.
+func (x *Execution) report(ctx context.Context, r *AggResult, drive bool, v, eps float64, began time.Time, keepRounds bool) {
+	round := Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)}
+	r.Estimate, r.MoE = v, eps
+	if keepRounds {
+		r.Rounds = append(r.Rounds, round)
+	}
+	if drive {
+		x.rounds = append(x.rounds, round)
+		if x.onRound != nil {
+			x.onRound(round)
+		}
+		if !r.Spec.Func.HasGuarantee() {
+			eps = math.NaN()
+		}
+		x.traceRound(ctx, began, v, eps)
+	}
+}
+
+// groupsOf reads out spec k's per-group estimators for the current round:
 // every group with a draw correct for the spec gets its estimate and margin
-// over the full sample, in which the draws outside the group are zeros. It
-// reports whether every sufficiently observed group (minGroupDraws)
-// satisfies eb; the unsatisfied ones are offered to worst, the round's
-// growth signal.
-func (x *Execution) groupRound(k int, eb float64, worst *sizingGap) (map[string]GroupResult, bool) {
+// over the full sample, in which the draws outside the group are zeros, and
+// is put to Theorem 2 through p. It reports whether the spec's groups meet
+// eb; a spec without a group is unestimable.
+func (x *Execution) groupsOf(k int, eb float64, p *Progress) (map[string]GroupResult, bool) {
 	t := x.tab
 	groups := map[string]GroupResult{}
-	allOK := t.hits(0, k) > 0
+	ok := true
 	for g := 1; g < len(t.labels); g++ {
 		inGroup := t.hits(g, k)
 		if inGroup == 0 {
@@ -648,29 +523,33 @@ func (x *Execution) groupRound(k int, eb float64, worst *sizingGap) (map[string]
 		if err != nil {
 			continue
 		}
-		begin := time.Now()
 		eps, err := x.marginOf(k, mom)
-		x.times.Guarantee += time.Since(begin)
 		if err != nil {
 			continue
 		}
 		groups[t.labels[g]] = GroupResult{Estimate: v, MoE: eps, Draws: inGroup}
-		if inGroup >= minGroupDraws && !estimate.Satisfied(v, eps, eb) {
-			allOK = false
-			worst.note(v, eps, eb)
-		}
+		ok = p.CheckGroup(v, eps, eb, inGroup) && ok
 	}
-	return groups, allOK
+	if len(groups) == 0 {
+		p.Unestimable = true
+		return groups, false
+	}
+	return groups, ok
 }
 
-// result assembles the Result. Draws that arrived after the last evaluated
-// round (a loop that ran out of rounds right after sampling) are settled
-// first, so Correct and Distinct cover the whole SampleSize; under a
-// cancelled ctx they are not, and count as sampleCounts says.
-func (x *Execution) result(ctx context.Context, vhat, moe float64, converged bool, groups map[string]GroupResult) *Result {
+// settleTail validates the draws that arrived after the last evaluated
+// round (a loop that ran out of rounds right after sampling), so a result's
+// Correct and Distinct cover its whole SampleSize; under a cancelled ctx
+// they are not, and count as sampleCounts says.
+func (x *Execution) settleTail(ctx context.Context) {
 	if x.tab.folded < len(x.drawIdx) && ctx.Err() == nil {
 		x.advance(ctx)
 	}
+}
+
+// result assembles the Result.
+func (x *Execution) result(ctx context.Context, vhat, moe float64, converged bool, groups map[string]GroupResult) *Result {
+	x.settleTail(ctx)
 	x.finishTelemetry(ctx, converged, vhat, moe)
 	correct, distinct := x.sampleCounts(0)
 	shards := 0
@@ -695,22 +574,6 @@ func (x *Execution) result(ctx context.Context, vhat, moe float64, converged boo
 		Times:      x.times,
 		Groups:     groups,
 	}
-}
-
-// Execute runs the full pipeline with the engine's configured error bound.
-//
-// Deprecated: use Query, which adds context cancellation and per-query
-// options. Execute remains as a one-release compatibility shim.
-func (e *Engine) Execute(q *query.Aggregate) (*Result, error) {
-	return e.Query(context.Background(), q)
-}
-
-// Run refines the sample until the Theorem 2 condition holds for eb.
-//
-// Deprecated: use Refine, which adds context cancellation. Run remains as
-// a one-release compatibility shim.
-func (x *Execution) Run(eb float64) (*Result, error) {
-	return x.Refine(context.Background(), eb)
 }
 
 // CandidateAnswers exposes the sampling space (candidate answers sorted by

@@ -223,7 +223,7 @@ func TestFoldMatchesListForm(t *testing.T) {
 				} else {
 					// Not through QueryMulti: an execution that is not one-shot
 					// keeps its table past the call.
-					_, err = x.refineMulti(ctx, c.specs)
+					_, err = x.queryMulti(ctx, c.specs)
 				}
 				if err != nil {
 					t.Fatal(err)

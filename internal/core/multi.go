@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"kgaq/internal/estimate"
 	"kgaq/internal/kg"
 	"kgaq/internal/query"
 )
@@ -117,240 +116,63 @@ func (p *Prepared) QueryMulti(ctx context.Context, specs []AggSpec, opts ...Quer
 		return nil, err
 	}
 	x.oneShot = true
-	return x.refineMulti(ctx, specs)
+	return x.queryMulti(ctx, specs)
 }
 
 // QueryMulti is the one-shot form of Prepared.QueryMulti: prepare the
 // query once, execute every spec over one shared sample.
 func (e *Engine) QueryMulti(ctx context.Context, q *query.Aggregate, specs []AggSpec, opts ...QueryOption) (*MultiResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if s := e.queryConfig(opts).opts.Sampler; s != SamplerSemantic {
+		return nil, fmt.Errorf("core: %w (got %v)", ErrPlanSampler, s)
 	}
-	cfg := e.queryConfig(opts)
-	if cfg.opts.Sampler != SamplerSemantic {
-		return nil, fmt.Errorf("core: %w (got %v)", ErrPlanSampler, cfg.opts.Sampler)
-	}
-	p, err := e.prepare(ctx, q, cfg)
+	x, err := e.Start(ctx, q, opts...)
 	if err != nil {
 		return nil, err
 	}
-	x, err := p.Start(ctx)
-	if err != nil {
-		return nil, err
-	}
-	x.times.Sampling += p.buildTime
 	x.oneShot = true
-	return x.refineMulti(ctx, specs)
+	return x.queryMulti(ctx, specs)
 }
 
-// refineMulti is the multi-aggregate guarantee loop: one shared draw
-// stream, one evaluation per candidate against every spec at once, one
-// running-moments accumulator per spec fed from the same fold, refinement
-// until every guaranteed spec satisfies Theorem 2 (per group when grouped).
-// Sample sizing follows the worst-converged spec — the aggregate whose
-// ε/target ratio is largest drives the Eq. 12 growth, so the loop never
-// terminates early on an easy aggregate while a hard one still misses its
-// bound.
-func (x *Execution) refineMulti(ctx context.Context, specs []AggSpec) (res *MultiResult, err error) {
+// queryMulti runs the spec list through the one refinement loop (refine):
+// one shared draw stream, one evaluation per candidate against every spec
+// at once, refinement until every guaranteed spec satisfies Theorem 2 (per
+// group when grouped). Sizing follows the worst-converged spec, so the loop
+// never terminates early on an easy aggregate while a hard one still misses
+// its bound.
+func (x *Execution) queryMulti(ctx context.Context, specs []AggSpec) (res *MultiResult, err error) {
 	defer x.catchPanics(&err)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	release := x.holdScratch()
 	defer release()
-	grouped := x.group != kg.InvalidAttr
-	if err := validateSpecs(specs, grouped); err != nil {
+	if err := validateSpecs(specs, x.group != kg.InvalidAttr); err != nil {
 		return nil, err
 	}
-	o := x.opts
+	runs := make([]AggResult, len(specs))
 	terms := make([]termSpec, len(specs))
-	ebs := make([]float64, len(specs))
-	var guaranteed, extremes []int
 	for k, s := range specs {
 		a, err := resolveAttr(x.v.g, s.Attr)
 		if err != nil {
 			return nil, err
 		}
+		eb := s.ErrorBound
+		if eb <= 0 {
+			eb = x.opts.ErrorBound
+		}
+		runs[k] = AggResult{Spec: s, ErrorBound: eb}
 		terms[k] = termSpec{fn: s.Func, attr: a}
-		ebs[k] = s.ErrorBound
-		if ebs[k] <= 0 {
-			ebs[k] = o.ErrorBound
-		}
-		if s.Func.HasGuarantee() {
-			guaranteed = append(guaranteed, k)
-		} else {
-			extremes = append(extremes, k)
-		}
 	}
-	x.bindTerms(terms...)
-	state := make([]AggResult, len(specs))
-	for k, s := range specs {
-		state[k] = AggResult{Spec: s, Estimate: math.NaN(), MoE: math.NaN(), ErrorBound: ebs[k]}
+	rounds, converged, err := x.refine(ctx, runs, terms, true)
+	if err != nil && !errors.Is(err, ErrInterrupted) {
+		return nil, err
 	}
-
-	if len(x.drawIdx) == 0 {
-		x.firstSample()
-	}
-	maxRounds := o.MaxRounds
-	if grouped {
-		maxRounds *= 3
-	}
-
-	rounds := 0
-	converged := false
-
-	if len(guaranteed) == 0 {
-		// Extremes only: fixed-size rounds over the shared stream, as the
-		// single-aggregate MAX/MIN path (§VII, no guarantee).
-		per := x.extremeRoundSize()
-		for round := 1; round < o.ExtremeRounds; round++ {
-			if err := ctx.Err(); err != nil {
-				return x.multiInterrupted(ctx, state, rounds, err)
-			}
-			if !x.sampleMore(per) {
-				break
-			}
-		}
-	}
-
-	for round := 0; len(guaranteed) > 0 && round < maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return x.multiInterrupted(ctx, state, rounds, err)
-		}
-		roundBegin := time.Now()
-		if !x.advance(ctx) {
-			return x.multiInterrupted(ctx, state, rounds, ctx.Err())
-		}
-		rounds++
-		// With too few correct draws the variance machinery under-sees the
-		// heavy HT tail for every spec at once; grow first (as single-agg).
-		if x.tab.correct < o.MinCorrect {
-			if !x.sampleMore(len(x.drawIdx)) {
-				break
-			}
-			continue
-		}
-		allOK := true
-		haveEst := false
-		var worst sizingGap
-		for gi, k := range guaranteed {
-			begin := time.Now()
-			// The first guaranteed spec refreshes the Neyman allocator's
-			// variance signals; allocation stays a function of one spec so
-			// the draw streams remain deterministic under the seed.
-			var mom []estimate.Moments
-			if gi == 0 {
-				mom = x.sampleMoments(k)
-			} else {
-				mom = x.tab.moments(0, k)
-			}
-			v, err := x.estimateOf(k, mom)
-			x.times.Estimation += time.Since(begin)
-			if err != nil {
-				allOK = false // unestimable spec: the default growth arm doubles
-				continue
-			}
-			begin = time.Now()
-			eps, merr := x.marginOf(k, mom)
-			x.times.Guarantee += time.Since(begin)
-			if merr != nil {
-				allOK = false
-				continue
-			}
-			state[k].Estimate, state[k].MoE = v, eps
-			state[k].Rounds = append(state[k].Rounds, Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)})
-			if gi == 0 {
-				x.emitRound(Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)})
-				x.traceRound(ctx, roundBegin, v, eps)
-			}
-			haveEst = true
-			if grouped {
-				groups, ok := x.groupRound(k, ebs[k], &worst)
-				state[k].Groups = groups
-				state[k].Converged = ok && len(groups) > 0
-				if !state[k].Converged {
-					allOK = false
-				}
-				continue
-			}
-			state[k].Converged = estimate.Satisfied(v, eps, ebs[k])
-			if !state[k].Converged {
-				allOK = false
-				worst.note(v, eps, ebs[k])
-			}
-		}
-		if allOK && haveEst {
-			converged = true
-			break
-		}
-		var delta int
-		switch {
-		case o.FixedDelta > 0:
-			delta = o.FixedDelta
-		case worst.ratio > 1:
-			delta = worst.nextSampleSize(len(x.drawIdx))
-			if grouped && delta < len(x.drawIdx)/2 {
-				delta = len(x.drawIdx) / 2
-			}
-		default:
-			// An unestimable or zero-estimate spec gives no ratio to size
-			// with: enlarge geometrically and retry, as the single path does.
-			delta = len(x.drawIdx)
-		}
-		if max := 5 * len(x.drawIdx); delta > max {
-			delta = max
-		}
-		// Deadline-aware degradation, as the single-aggregate loop: every
-		// spec's current interval is complete and honest, so stopping here
-		// beats being cancelled mid-round (see Degradation).
-		if haveEst && x.degrade.shouldStop(ctx, x.nextRoundCost(roundBegin, delta)) {
-			x.degraded = true
-			break
-		}
-		if !x.sampleMore(delta) {
-			break // draw budget exhausted: report the best estimates so far
-		}
-	}
-
-	if len(guaranteed) > 0 {
-		any := false
-		for _, k := range guaranteed {
-			if !math.IsNaN(state[k].Estimate) {
-				any = true
-			}
-		}
-		if !any {
-			return nil, fmt.Errorf("core: %w: no estimable sample within %d rounds: %w",
-				ErrNotConverged, maxRounds, estimate.ErrNoCorrect)
-		}
-	}
-	// Settle the extremes (and the shared counters) over the final sample.
-	if x.tab.folded != len(x.drawIdx) && !x.advance(ctx) {
-		return x.multiInterrupted(ctx, state, rounds, ctx.Err())
-	}
-	for _, k := range extremes {
-		begin := time.Now()
-		if v, err := x.estimateOf(k, nil); err == nil {
-			state[k].Estimate = v
-			state[k].MoE = 0
-			state[k].Rounds = append(state[k].Rounds, Round{Estimate: v, SampleSize: len(x.drawIdx)})
-		}
-		x.times.Estimation += time.Since(begin)
-	}
-	return x.multiResult(ctx, state, rounds, converged), nil
-}
-
-// multiInterrupted packages the partial state of a cancelled
-// multi-aggregate refinement, mirroring the single-aggregate interrupted
-// contract: best estimates so far, Converged false, an error wrapping both
-// ErrInterrupted and the ctx cause.
-func (x *Execution) multiInterrupted(ctx context.Context, state []AggResult, rounds int, cause error) (*MultiResult, error) {
-	return x.multiResult(ctx, state, rounds, false),
-		fmt.Errorf("core: %w after %d draws: %w", ErrInterrupted, len(x.drawIdx), cause)
+	return x.multiResult(ctx, runs, rounds, converged), err
 }
 
 // multiResult assembles the shared-counters result.
-func (x *Execution) multiResult(ctx context.Context, state []AggResult, rounds int, converged bool) *MultiResult {
+func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds int, converged bool) *MultiResult {
+	x.settleTail(ctx)
 	x.finishTelemetry(ctx, converged, math.NaN(), math.NaN())
 	correct, distinct := x.sampleCounts(-1)
 	shards := 0
@@ -359,7 +181,7 @@ func (x *Execution) multiResult(ctx context.Context, state []AggResult, rounds i
 	}
 	return &MultiResult{
 		Query:      x.q,
-		Aggs:       state,
+		Aggs:       runs,
 		Confidence: x.opts.Confidence,
 		Converged:  converged,
 		Degraded:   x.degraded,

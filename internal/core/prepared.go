@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"kgaq/internal/kg"
 	"kgaq/internal/obs"
 	"kgaq/internal/query"
 	"kgaq/internal/stats"
@@ -105,12 +104,10 @@ type PlanInfo struct {
 // compiled replaces the old wholesale when an EpochRepin plan follows the
 // graph, so executions started earlier keep their epoch's state untouched.
 type compiled struct {
-	v       view
-	attr    kg.AttrID
-	group   kg.AttrID
-	filters []resolvedFilter
-	sp      *answerSpace
-	split   *shardSplit // non-nil when the plan is sharded
+	v view
+	bindings
+	sp    *answerSpace
+	split *shardSplit // non-nil when the plan is sharded
 	// hits and built count the compilation's cache traffic: one hit and
 	// nothing built when the assembled space itself was resident, else the
 	// converged stages served from the cache and built fresh.
@@ -179,9 +176,6 @@ func (e *Engine) prepare(ctx context.Context, q *query.Aggregate, cfg queryConfi
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if !q.Func.HasGuarantee() && q.GroupBy != "" {
-		return nil, fmt.Errorf("core: GROUP-BY with %v is unsupported", q.Func)
-	}
 	paths, err := q.Q.Decompose()
 	if err != nil {
 		return nil, err
@@ -226,23 +220,11 @@ func (p *Prepared) compile(ctx context.Context, v view) (*compiled, error) {
 	c := &compiled{v: v}
 	var err error
 	endResolve := obs.TraceFrom(ctx).Span("resolve")
-	if c.attr, err = resolveAttr(v.g, q.Attr); err != nil {
-		endResolve.End()
-		return nil, err
-	}
-	if c.group, err = resolveAttr(v.g, q.GroupBy); err != nil {
-		endResolve.End()
-		return nil, err
-	}
-	for _, f := range q.Filters {
-		a, err := resolveAttr(v.g, f.Attr)
-		if err != nil {
-			endResolve.End()
-			return nil, err
-		}
-		c.filters = append(c.filters, resolvedFilter{attr: a, low: f.Low, high: f.High})
-	}
+	c.bindings, err = bind(v.g, q)
 	endResolve.End()
+	if err != nil {
+		return nil, err
+	}
 	if c.sp = e.cache.getPlan(p.key, v.epoch); c.sp != nil {
 		c.hits = 1
 	} else {
@@ -365,17 +347,15 @@ func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution
 		return nil, err
 	}
 	x = &Execution{
-		e:       p.e,
-		q:       p.q,
-		v:       c.v,
-		opts:    cfg.opts,
-		onRound: cfg.onRound,
-		degrade: cfg.degrade,
-		attr:    c.attr,
-		group:   c.group,
-		filters: c.filters,
-		sp:      c.sp,
-		rng:     stats.NewRand(cfg.opts.Seed),
+		e:        p.e,
+		q:        p.q,
+		v:        c.v,
+		opts:     cfg.opts,
+		onRound:  cfg.onRound,
+		degrade:  cfg.degrade,
+		bindings: c.bindings,
+		sp:       c.sp,
+		rng:      stats.NewRand(cfg.opts.Seed),
 	}
 	if c.split != nil {
 		x.sh = newShardedSpace(c.split, cfg.opts.Seed)
@@ -444,26 +424,13 @@ func planKey(paths []query.Path, o Options) string {
 // stays in its own term table, so the sharing is invisible except in build
 // cost.
 func (e *Engine) prepareShared(q *query.Aggregate, paths []query.Path, cfg queryConfig, base *Prepared) (*Prepared, error) {
-	if !q.Func.HasGuarantee() && q.GroupBy != "" {
-		return nil, fmt.Errorf("core: GROUP-BY with %v is unsupported", q.Func)
-	}
 	base.mu.Lock()
 	c0 := base.cur
 	base.mu.Unlock()
 	c := &compiled{v: c0.v, sp: c0.sp, split: c0.split, hits: c0.hits, built: c0.built}
 	var err error
-	if c.attr, err = resolveAttr(c.v.g, q.Attr); err != nil {
+	if c.bindings, err = bind(c.v.g, q); err != nil {
 		return nil, err
-	}
-	if c.group, err = resolveAttr(c.v.g, q.GroupBy); err != nil {
-		return nil, err
-	}
-	for _, f := range q.Filters {
-		a, err := resolveAttr(c.v.g, f.Attr)
-		if err != nil {
-			return nil, err
-		}
-		c.filters = append(c.filters, resolvedFilter{attr: a, low: f.Low, high: f.High})
 	}
 	return &Prepared{
 		e:      e,

@@ -8,7 +8,7 @@ import (
 
 // execScratch is the reusable working memory of the draw→evaluate→fold hot
 // loop: a one-shot execution's draw list and term table, the draw batch and
-// the evaluation queue. One scratch serves one Refine/refineMulti call at a
+// the evaluation queue. One scratch serves one Refine/QueryMulti call at a
 // time; the buffers are reset (re-sliced, never reallocated while capacity
 // holds) at each use, and the whole struct returns to the free list when the
 // call finishes, so steady-state refinement rounds allocate nothing on these
@@ -85,12 +85,11 @@ func putScratch(s *execScratch) {
 }
 
 // holdScratch attaches pooled scratch to the execution for the duration of
-// one refinement entry point and returns the release. Nested refinement
-// helpers (runExtreme, runGrouped) see the already-attached scratch and the
-// release becomes a no-op for them, so only the outermost holder returns it
-// to the free list. A one-shot execution that has drawn nothing yet also
-// borrows its draw list from the scratch — and, at bindTerms, its term
-// table — and leaves both there on release.
+// one refinement entry point and returns the release. A nested holder sees
+// the already-attached scratch and its release is a no-op, so only the
+// outermost holder returns it to the free list. A one-shot execution that
+// has drawn nothing yet also borrows its draw list from the scratch — and,
+// at bindTerms, its term table — and leaves both there on release.
 func (x *Execution) holdScratch() func() {
 	if x.scr != nil {
 		return func() {}

@@ -477,6 +477,12 @@ func (x *Execution) fold() {
 	t.folded = len(x.drawIdx)
 }
 
+// charge adds the time since begin to one step of the execution's times:
+// each interval of a refinement is charged to exactly one step.
+func (x *Execution) charge(step *time.Duration, begin time.Time) {
+	*step += time.Since(begin)
+}
+
 // advance brings the running moments up to the draw list, on the estimation
 // clock: evaluate the new candidates of the fresh draws, then fold the fresh
 // draws. It reports false when ctx cut the evaluation short, in which case
@@ -530,8 +536,10 @@ func (t *termTable) hits(g, k int) int {
 // estimateOf is the point estimate of spec k from its moments (Eq. 7–9):
 // stratified when sharded — the per-shard samples merge as Σ_h f̂(S_h) over
 // conditional probabilities — plain Horvitz–Thompson otherwise. MAX and MIN
-// report the running extreme over the draws correct for the spec.
+// report the running extreme over the draws correct for the spec. Its time
+// is estimation time.
 func (x *Execution) estimateOf(k int, mom []estimate.Moments) (float64, error) {
+	defer x.charge(&x.times.Estimation, time.Now())
 	t, fn := x.tab, x.tab.specs[k].fn
 	switch {
 	case !fn.HasGuarantee():
@@ -554,8 +562,9 @@ func (x *Execution) estimateOf(k int, mom []estimate.Moments) (float64, error) {
 // function of the moments alone: it consumes no randomness, so the draw
 // stream stays a function of draw counts and pooled and unpooled execution,
 // or a QueryMulti and sequential Query calls over the same plan, sample
-// identically.
+// identically. Its time is guarantee time.
 func (x *Execution) marginOf(k int, mom []estimate.Moments) (float64, error) {
+	defer x.charge(&x.times.Guarantee, time.Now())
 	return estimate.MoEMoments(x.tab.specs[k].fn, mom, x.opts.Policy, x.opts.guarantee())
 }
 

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"testing"
 
 	"kgaq/internal/core"
@@ -208,7 +209,7 @@ func TestEngineOnGeneratedData(t *testing.T) {
 		if err != nil || truth < 3 {
 			continue
 		}
-		res, err := eng.Execute(q.Agg)
+		res, err := eng.Query(context.Background(), q.Agg)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}

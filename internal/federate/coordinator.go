@@ -149,6 +149,10 @@ func outcome(res *core.Result, err error) string {
 	}
 }
 
+// run is the federated round driver: scatter, classify member deaths,
+// merge the members' moments, and let core.Decide — the engine's stopping
+// rule — stop the query or size the next round, which allocate spreads
+// across the live members.
 func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.QueryOption) (*core.Result, int, error) {
 	if q == nil {
 		return nil, 0, fmt.Errorf("federate: nil query")
@@ -177,11 +181,12 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 		v, eps     float64
 		estimated  bool
 		converged  bool
-		degradedBy string // why the loop stopped early, for the error path
+		degraded   bool // the loop stopped early on the deadline
 		anyDeath   bool
 		deadNames  []string
 		rounds     []core.Round
 		sampleTime time.Duration
+		lastErr    error // why the latest round had no estimate
 	)
 
 	result := func() *core.Result {
@@ -191,7 +196,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 			MoE:        eps,
 			Confidence: o.Confidence,
 			Converged:  converged,
-			Degraded:   anyDeath || degradedBy == "deadline",
+			Degraded:   anyDeath || degraded,
 			TargetEB:   o.ErrorBound,
 			Rounds:     rounds,
 			Times:      core.StepTimes{Sampling: sampleTime},
@@ -246,9 +251,14 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 		// contributing member (frozen included — its sample stays in the
 		// merge; dropped and empty members are re-weighted away).
 		sumCand := 0
+		strata = strata[:0]
+		p := core.Progress{Last: round+1 >= o.MaxRounds}
 		for i := range runs {
-			if runs[i].contributing() {
-				sumCand += runs[i].candidates
+			if r := &runs[i]; r.contributing() {
+				sumCand += r.candidates
+				strata = append(strata, r.sample)
+				p.Draws += r.sample.N
+				p.Correct += r.sample.Correct
 			}
 		}
 		if sumCand == 0 {
@@ -259,111 +269,63 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 			return nil, len(rounds), fmt.Errorf("federate: %w (0 candidates federation-wide)", ErrUnresolved)
 		}
 
-		strata = strata[:0]
-		total, correct := 0, 0
-		for i := range runs {
-			if r := &runs[i]; r.contributing() {
-				strata = append(strata, r.sample)
-				total += r.sample.N
-				correct += r.sample.Correct
-			}
-		}
-
-		nlive := 0
-		for i := range runs {
-			if runs[i].live() {
-				nlive++
-			}
-		}
-
-		// grow re-allocates delta draws across live members (Neyman on the
-		// accumulated per-member σ̂) and reports whether another round is
-		// possible at all.
-		grow := func(delta int) bool {
-			if nlive == 0 || round+1 >= o.MaxRounds || total >= o.MaxDraws {
-				return false
-			}
-			if delta < nlive {
-				delta = nlive
-			}
-			if total+delta > o.MaxDraws {
-				delta = o.MaxDraws - total
-			}
-			live := make([]estimate.StratumStats, 0, nlive)
-			idx := make([]int, 0, nlive)
-			for i := range runs {
-				if runs[i].live() {
-					live = append(live, estimate.StratumStats{
-						Weight: float64(runs[i].candidates) / float64(sumCand),
-						Sigma:  runs[i].sample.Sigma(),
-					})
-					idx = append(idx, i)
-				}
-			}
-			shares := estimate.AllocateDraws(delta, live)
-			for i := range alloc {
-				alloc[i] = 0
-			}
-			for j, n := range shares {
-				alloc[idx[j]] = n
-			}
-			return true
-		}
-
-		vr, verr := estimate.EstimateMoments(q.Func, strata, o.Policy)
+		vr, err := estimate.EstimateMoments(q.Func, strata, o.Policy)
 		var er float64
-		var merr error
-		if verr == nil {
-			er, merr = estimate.MoEMoments(q.Func, strata, o.Policy, gcfg)
+		if err == nil {
+			er, err = estimate.MoEMoments(q.Func, strata, o.Policy, gcfg)
 		}
-		if verr != nil || merr != nil {
+		if err == nil {
+			v, eps, estimated = vr, er, true
+			rounds = append(rounds, core.Round{Estimate: v, MoE: eps, SampleSize: p.Draws})
+			if rq.OnRound != nil {
+				rq.OnRound(core.Round{Estimate: v, MoE: eps, SampleSize: p.Draws})
+			}
+			p.Estimated = true
+			p.Check(v, eps, o.ErrorBound)
+		} else {
 			// No estimable merge yet (no correct draws, or a degenerate
-			// stratum): double the sample if the budgets allow.
-			if grow(total) {
-				continue
-			}
-			err := verr
-			if err == nil {
-				err = merr
-			}
-			return nil, len(rounds), fmt.Errorf("federate: %w: %w", core.ErrNotConverged, err)
+			// stratum).
+			p.Unestimable, lastErr = true, err
 		}
-		v, eps, estimated = vr, er, true
-		rounds = append(rounds, core.Round{Estimate: v, MoE: eps, SampleSize: total})
-		if rq.OnRound != nil {
-			rq.OnRound(core.Round{Estimate: v, MoE: eps, SampleSize: total})
-		}
-
-		// The MinCorrect gate mirrors the engine: with too few correct
-		// draws the interval machinery under-covers, so grow instead of
-		// trusting it for termination.
-		if correct < o.MinCorrect {
-			if grow(total) {
-				continue
-			}
-			break
-		}
-		if estimate.Satisfied(v, eps, o.ErrorBound) {
-			converged = true
-			break
-		}
-		if rq.Degrade.ShouldStop(ctx, time.Since(roundStart)) {
-			degradedBy = "deadline"
-			break
-		}
-		delta := estimate.NextSampleSize(total, eps, v, o.ErrorBound)
-		if delta <= 0 {
-			delta = total // V̂=0 keeps the target at zero; double and retry
-		}
-		if delta > 5*total {
-			delta = 5 * total
-		}
-		if !grow(delta) {
+		p.Cost = time.Since(roundStart)
+		p.Slack, p.Deadline = rq.Degrade.Slack(ctx)
+		st := core.Decide(o, p)
+		converged = st.Stop == core.StopConverged
+		degraded = st.Stop == core.StopDegraded
+		if st.Stop != core.Continue || !c.allocate(runs, alloc, st.Grow, sumCand, p.Draws, o.MaxDraws) {
 			break
 		}
 	}
-
+	if !estimated {
+		return nil, len(rounds), fmt.Errorf("federate: %w: %w", core.ErrNotConverged, lastErr)
+	}
 	return result(), len(rounds), nil
+}
+
+// allocate spreads the next round's delta draws across the live members —
+// Neyman on each member's accumulated σ̂, at least one draw per member,
+// within the draw budget — and reports whether any member is live.
+func (c *Coordinator) allocate(runs []memberRun, alloc []int, delta, sumCand, total, maxDraws int) bool {
+	live := make([]estimate.StratumStats, 0, len(runs))
+	idx := make([]int, 0, len(runs))
+	for i := range runs {
+		if runs[i].live() {
+			live = append(live, estimate.StratumStats{
+				Weight: float64(runs[i].candidates) / float64(sumCand),
+				Sigma:  runs[i].sample.Sigma(),
+			})
+			idx = append(idx, i)
+		}
+	}
+	if len(live) == 0 {
+		return false
+	}
+	delta = min(max(delta, len(live)), maxDraws-total)
+	clear(alloc)
+	for j, n := range estimate.AllocateDraws(delta, live) {
+		alloc[idx[j]] = n
+	}
+	return true
 }
 
 // scatter runs one round's member RPCs in parallel and folds the answers

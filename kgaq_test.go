@@ -31,7 +31,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	q := SimpleQuery(Count, "", "Country_0", "Country", "product", "Automobile")
-	res, err := engine.Execute(q)
+	res, err := engine.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := engine.Execute(parsed)
+	pres, err := engine.Query(context.Background(), parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPublicAPITrainAndQueryNT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(SimpleQuery(Avg, "price", "Germany", "Country", "assembly", "Automobile"))
+	res, err := engine.Query(context.Background(), SimpleQuery(Avg, "price", "Germany", "Country", "assembly", "Automobile"))
 	if err != nil {
 		t.Fatal(err)
 	}
