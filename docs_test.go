@@ -79,6 +79,8 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/walk/walker.go", "func (w *Walker) AnswerDistribution"},
 		{"internal/estimate/estimate.go", "func Estimate"},
 		{"internal/estimate/estimate.go", "func NextSampleSize"},
+		{"internal/estimate/estimate.go", "func TotalSampleSize"},
+		{"internal/federate/coordinator.go", "func (c *Coordinator) sizeFromPrior"},
 		{"internal/estimate/estimate.go", "func Satisfied"},
 		{"internal/estimate/estimate.go", "func MoESeeded"},
 		{"internal/estimate/estimate.go", "func (sc *moeScratch) flatSigma"},

@@ -40,6 +40,7 @@ func TestDecide(t *testing.T) {
 		{"satisfied stops", rule, Progress{Correct: 100}, []interval{met}, Step{Stop: StopConverged}},
 		{"Eq. 12 step", rule, Progress{Correct: 100}, []interval{met, unmet}, Step{Grow: eq12}},
 		{"5x cap", rule, Progress{Correct: 100}, []interval{wild}, Step{Grow: 5000}},
+		{"5x cap on a saturated Eq. 12", rule, Progress{Correct: 100, Draws: 100}, []interval{{1e-12, 1, 0.01, -1}}, Step{Grow: 500}},
 		{"FixedDelta", fixed, Progress{Correct: 100}, []interval{wild}, Step{Grow: 60}},
 		{"grouped floor at half the sample", rule, Progress{Grouped: true}, []interval{group}, Step{Grow: 500}},
 		{"unestimable doubles", rule, Progress{Correct: 100, Unestimable: true}, nil, Step{Grow: 1000}},

@@ -399,24 +399,42 @@ func Satisfied(vhat, moe, eb float64) bool {
 	return moe <= Target(vhat, eb)
 }
 
+// maxSampleGrowth is where Eq. 12 saturates: more draws than any draw budget
+// allows, and small enough that adding a sample size to it cannot overflow.
+const maxSampleGrowth = math.MaxInt32
+
+// TotalSampleSize is Eq. 12 as a total: the sample size at which a sample of
+// curSize draws with margin moe would shrink ε to the Theorem 2 target,
+// assuming σ ∝ 1/√N — |S| + |S|·((ε/target)² − 1), below |S| when ε is
+// already inside its target. The growth term is clamped before it becomes
+// an int, so an estimate tiny against its margin (a SUM over mixed-sign
+// values) asks for maxSampleGrowth more draws instead of overflowing. It
+// returns 0 when the estimate has no target (V̂ = 0).
+func TotalSampleSize(curSize int, moe, vhat, eb float64) int {
+	tgt := Target(vhat, eb)
+	if tgt <= 0 {
+		return 0
+	}
+	ratio := moe / tgt
+	grow := float64(curSize) * (ratio*ratio - 1)
+	if !(grow < maxSampleGrowth) { // NaN included
+		grow = maxSampleGrowth
+	}
+	return curSize + int(grow)
+}
+
 // NextSampleSize returns |ΔS| per Eq. 12: the number of additional answers
-// to collect so that ε shrinks to the Theorem 2 target, assuming σ ∝ 1/√N —
-// |S|·((ε/target)² − 1). The step is undamped: the closed-form ε scales as
+// to collect so that ε shrinks to the Theorem 2 target (TotalSampleSize
+// minus the current size). The step is undamped: the closed-form ε scales as
 // 1/√N exactly, so the paper's bootstrap-era exponent 2m < 2 would only
 // under-size every round (DESIGN.md "Deliberate deviation: closed-form
 // margin"). It returns at least 1 whenever the termination condition is
 // unmet.
 func NextSampleSize(curSize int, moe, vhat, eb float64) int {
-	tgt := Target(vhat, eb)
-	if tgt <= 0 || moe <= tgt {
+	if tgt := Target(vhat, eb); tgt <= 0 || moe <= tgt {
 		return 0
 	}
-	ratio := moe / tgt
-	delta := int(float64(curSize) * (ratio*ratio - 1))
-	if delta < 1 {
-		delta = 1
-	}
-	return delta
+	return max(TotalSampleSize(curSize, moe, vhat, eb)-curSize, 1)
 }
 
 // Interval is a confidence interval V̂ ± ε with its confidence level.

@@ -319,26 +319,35 @@ func TestNextSampleSizeExample5(t *testing.T) {
 }
 
 func TestNextSampleSizeBoundaries(t *testing.T) {
-	// Termination already satisfied → no more samples.
-	if got := NextSampleSize(100, 1.0, 578, 0.01); got != 0 {
-		t.Fatalf("satisfied case = %d, want 0", got)
-	}
-	// Barely unsatisfied → at least 1.
 	target := Target(578, 0.01)
-	if got := NextSampleSize(100, target*1.0001, 578, 0.01); got < 1 {
-		t.Fatalf("tiny excess = %d, want ≥ 1", got)
+	for _, c := range []struct {
+		name        string
+		moe, vhat   float64
+		next, total int
+	}{
+		// Termination already satisfied → no more samples; the total is
+		// the smaller sample that would just have met the target.
+		{"satisfied", 1.0, 578, 0, 4},
+		// Barely unsatisfied → at least 1.
+		{"tiny excess", target * 1.0001, 578, 1, 100},
+		// Undamped: halving ε needs four times the sample.
+		{"twice the target", 2 * target, 578, 300, 400},
+		// A zero estimate has no target to size toward.
+		{"zero estimate", 6.5, 0, 0, 0},
+		// An estimate tiny against its margin saturates instead of
+		// overflowing to a one-draw step.
+		{"tiny estimate saturates", 1.0, 1e-12, maxSampleGrowth, 100 + maxSampleGrowth},
+	} {
+		if got := NextSampleSize(100, c.moe, c.vhat, 0.01); got != c.next {
+			t.Errorf("%s: NextSampleSize = %d, want %d", c.name, got, c.next)
+		}
+		if got := TotalSampleSize(100, c.moe, c.vhat, 0.01); got != c.total {
+			t.Errorf("%s: TotalSampleSize = %d, want %d", c.name, got, c.total)
+		}
 	}
 	// Larger ε → more samples (monotonicity).
 	if NextSampleSize(100, 13, 578, 0.01) <= NextSampleSize(100, 6.5, 578, 0.01) {
 		t.Fatal("|ΔS| not monotone in ε")
-	}
-	// Undamped: halving ε needs four times the sample.
-	if got := NextSampleSize(100, 2*target, 578, 0.01); got != 300 {
-		t.Fatalf("ε at twice the target sizes |ΔS| = %d, want 300", got)
-	}
-	// A zero estimate has no target to size toward.
-	if got := NextSampleSize(100, 6.5, 0, 0.01); got != 0 {
-		t.Fatalf("zero estimate = %d, want 0", got)
 	}
 }
 

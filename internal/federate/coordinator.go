@@ -12,6 +12,7 @@ import (
 
 	"kgaq/internal/core"
 	"kgaq/internal/estimate"
+	"kgaq/internal/obs"
 	"kgaq/internal/query"
 	"kgaq/internal/stats"
 )
@@ -32,6 +33,8 @@ type Coordinator struct {
 	health  []memberHealth
 	queries uint64
 	partial uint64
+
+	priors priorTable
 }
 
 // memberHealth is the cross-query, passively observed state of one member.
@@ -102,7 +105,9 @@ func (r *memberRun) contributing() bool { return !r.empty && !r.dropped && r.sam
 // refinement rounds of Neyman-allocated draws across members, merging the
 // members' moments through the stratified Horvitz–Thompson combiner until the
 // Theorem 2 condition holds for the requested (eb, α) — the same contract
-// and option surface as Engine.Query, across machine boundaries.
+// and option surface as Engine.Query, across machine boundaries. A query this
+// coordinator has already answered whole skips the pilot: its first scatter
+// is sized by Eq. 12 from the previous execution's final moments.
 //
 // Member death follows the package contract: without core.WithDegradation a
 // member unreachable past the retry budget fails the query with
@@ -121,11 +126,14 @@ func (c *Coordinator) Query(ctx context.Context, q *query.Aggregate, opts ...cor
 		c.partial++
 	}
 	c.mu.Unlock()
+	t := obs.TraceFrom(ctx)
 	if rounds > 0 {
 		metRounds.Observe(float64(rounds))
+		t.SetAttr("rounds", rounds)
 	}
 	if res != nil {
 		metStrata.Observe(float64(res.Shards))
+		t.SetAttr("sample_size", res.SampleSize)
 	}
 	metQueries.With(outcome(res, err)).Inc()
 	return res, err
@@ -149,10 +157,12 @@ func outcome(res *core.Result, err error) string {
 	}
 }
 
-// run is the federated round driver: scatter, classify member deaths,
-// merge the members' moments, and let core.Decide — the engine's stopping
-// rule — stop the query or size the next round, which allocate spreads
-// across the live members.
+// run is the federated round driver: size the first scatter (a pilot, or
+// the query's prior), then scatter, classify member deaths, merge the
+// members' moments, and let core.Decide — the engine's stopping rule — stop
+// the query or size the next round, which allocate spreads across the live
+// members. An execution that ends with an estimate and every member whole
+// leaves its final moments as the query's next prior.
 func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.QueryOption) (*core.Result, int, error) {
 	if q == nil {
 		return nil, 0, fmt.Errorf("federate: nil query")
@@ -172,10 +182,17 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 	runs := make([]memberRun, nm)
 	strata := make([]estimate.Moments, 0, nm) // contributing members' moments, per round
 	alloc := make([]int, nm)
-	for i := range alloc {
-		alloc[i] = o.MinSample
+	key := priorKey{query: qtext, tau: o.Tau, eb: o.ErrorBound, confidence: o.Confidence, policy: o.Policy}
+	pilot := !c.sizeFromPrior(q.Func, key, o, gcfg, alloc)
+	sizing := "prior"
+	if pilot {
+		sizing = "pilot"
+		for i := range alloc {
+			alloc[i] = o.MinSample
+		}
 	}
-	pilot := true
+	metSizing.With(sizing).Inc()
+	obs.TraceFrom(ctx).SetAttr("sizing", sizing)
 
 	var (
 		v, eps     float64
@@ -299,7 +316,42 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 	if !estimated {
 		return nil, len(rounds), fmt.Errorf("federate: %w: %w", core.ErrNotConverged, lastErr)
 	}
+	if !anyDeath {
+		c.priors.put(key, runs)
+	}
 	return result(), len(rounds), nil
+}
+
+// sizeFromPrior fills alloc with the first scatter of a query that has a
+// prior: Eq. 12's total evaluated on the prior's final moments, clipped to
+// [members × MinSample, MaxDraws], spread over every member — one that was
+// empty included — by Neyman allocation on the prior's σ̂ and candidate
+// weights. It reports false, leaving alloc untouched, when there is no
+// prior or the prior's moments give no estimate; the query then pilots.
+func (c *Coordinator) sizeFromPrior(fn query.AggFunc, key priorKey, o core.Options, gcfg estimate.GuaranteeConfig, alloc []int) bool {
+	prior, ok := c.priors.get(key)
+	if !ok {
+		return false
+	}
+	strata := make([]estimate.Moments, 0, len(prior))
+	n, sumCand := 0, 0
+	for i := range prior {
+		if r := &prior[i]; r.contributing() {
+			strata = append(strata, r.sample)
+			n += r.sample.N
+			sumCand += r.candidates
+		}
+	}
+	v, err := estimate.EstimateMoments(fn, strata, o.Policy)
+	if err != nil {
+		return false
+	}
+	eps, err := estimate.MoEMoments(fn, strata, o.Policy, gcfg)
+	if err != nil {
+		return false
+	}
+	total := min(max(estimate.TotalSampleSize(n, eps, v, o.ErrorBound), len(prior)*o.MinSample), o.MaxDraws)
+	return c.allocate(prior, alloc, total, sumCand, 0, o.MaxDraws)
 }
 
 // allocate spreads the next round's delta draws across the live members —

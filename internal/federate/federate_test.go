@@ -386,7 +386,8 @@ func TestReadMembersFile(t *testing.T) {
 // fixed seed to the values the observation wire produced (captured on the
 // commit before members began shipping moments): the statistics are
 // algebraically the same, so estimate and ε agree to rounding and rounds and
-// sample size exactly.
+// sample size exactly. It pins the cold path: each query runs once on the
+// coordinator, so its first round is the pilot, not a prior's size.
 func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 	graphs, _, _ := buildSplit(3, 240)
 	members := startFederation(t, graphs, nil)

@@ -27,4 +27,7 @@ var (
 		"Member samples discarded because the member's graph epoch moved mid-query.")
 	metDraws = obs.Default().Counter("kgaq_federate_draws_total",
 		"Remote draws gathered (as moments) from members across all federated queries.")
+	metSizing = obs.Default().CounterVec("kgaq_federate_sizing_total",
+		"Federated queries by how their first scatter was sized (pilot, or prior: the query's previous execution).",
+		"source")
 )
