@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	aggbench -exp table6                # one experiment, full profiles
-//	aggbench -exp all -quick            # every experiment on the tiny set
-//	aggbench -trajectory BENCH_PR8.json # write the hot-path baseline
-//	aggbench -gate BENCH_PR8.json       # fresh trajectory vs committed baseline
+//	aggbench -exp table6        # one experiment, full profiles
+//	aggbench -exp all -quick    # every experiment on the tiny set
 //	aggbench -list
+//
+// The serving benchmark of record is not here: it is bash benchmark/run.sh,
+// which drives real kgaqd processes (see BENCHMARK.json).
 package main
 
 import (
@@ -32,10 +33,6 @@ func main() {
 	per := flag.Int("per", 0, "queries per bucket (0 = default)")
 	profile := flag.String("profile", "", "restrict to one dataset profile")
 	seed := flag.Int64("seed", 1, "engine seed")
-	trajectory := flag.String("trajectory", "", "measure the hot-path baseline and write it to this JSON file")
-	trajectoryLabel := flag.String("trajectory-label", "PR10", "label recorded in the trajectory file")
-	gate := flag.String("gate", "", "measure a fresh trajectory and fail when it regresses past this committed baseline JSON")
-	gateTol := flag.Float64("gate-tolerance", -1, "relative regression tolerance for -gate (0.5 = fresh may be up to 1.5x baseline); negative derives it from the baseline's recorded runner noise")
 	version := flag.Bool("version", false, "print build provenance and exit")
 	flag.Parse()
 	if *version {
@@ -50,8 +47,8 @@ func main() {
 		}
 		return
 	}
-	if *exp == "" && *trajectory == "" && *gate == "" {
-		fmt.Fprintln(os.Stderr, "aggbench: -exp, -trajectory or -gate required (see -list)")
+	if *exp == "" {
+		fmt.Fprintln(os.Stderr, "aggbench: -exp required (see -list)")
 		os.Exit(2)
 	}
 
@@ -75,30 +72,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Profiles = []datagen.Profile{p}
-	}
-
-	if *trajectory != "" || *gate != "" {
-		// The baseline always runs on the tiny profile unless one was
-		// chosen explicitly, so successive PRs measure the same workload.
-		tcfg := cfg
-		if *profile == "" {
-			tcfg.Profiles = []datagen.Profile{datagen.TinyProfile()}
-		}
-		if *trajectory != "" {
-			if err := bench.WriteTrajectory(os.Stdout, tcfg, *trajectoryLabel, *trajectory); err != nil {
-				fmt.Fprintf(os.Stderr, "aggbench: trajectory: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *gate != "" {
-			if err := bench.Gate(os.Stdout, tcfg, *gate, *gateTol); err != nil {
-				fmt.Fprintf(os.Stderr, "aggbench: gate: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *exp == "" {
-			return
-		}
 	}
 
 	reg := bench.Registry()

@@ -15,7 +15,7 @@ import (
 	"kgaq/internal/stats"
 )
 
-// Config trims experiment size so the full suite can run as Go benchmarks.
+// Config trims experiment size so the full suite can run in tests and CI.
 type Config struct {
 	// PerCategory caps the number of queries evaluated per (dataset,
 	// category) bucket; zero means 4.
@@ -55,7 +55,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// QuickConfig is a fast configuration for tests and smoke benchmarks: the
+// QuickConfig is a fast configuration for tests and aggbench -quick: the
 // tiny dataset, two queries per bucket.
 func QuickConfig() Config {
 	return Config{

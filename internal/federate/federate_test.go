@@ -386,8 +386,8 @@ func TestReadMembersFile(t *testing.T) {
 // fixed seed to the values the observation wire produced (captured on the
 // commit before members began shipping moments): the statistics are
 // algebraically the same, so estimate and ε agree to rounding and rounds and
-// sample size exactly. It pins the cold path: each query runs once on the
-// coordinator, so its first round is the pilot, not a prior's size.
+// sample size exactly. Each query runs twice: cold from the pilot, then warm,
+// sized from the cold run's prior (its row captured when priors landed).
 func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 	graphs, _, _ := buildSplit(3, 240)
 	members := startFederation(t, graphs, nil)
@@ -399,43 +399,51 @@ func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 		fn     query.AggFunc
 		attr   string
 		rounds []core.Round // as the observation wire returned them
+		warm   []core.Round // the repeat, sized from the first execution
 	}{
 		{query.Sum, "price", []core.Round{
 			{Estimate: 5800152.0000000084, MoE: 438060.31059506797, SampleSize: 90},
 			{Estimate: 5633962.078310525, MoE: 169535.11933256272, SampleSize: 540},
 			{Estimate: 5570482.4413468363, MoE: 111297.65626791392, SampleSize: 1271},
 			{Estimate: 5563077.7993282648, MoE: 109075.25049709913, SampleSize: 1319},
+		}, []core.Round{
+			{Estimate: 5626900.464737058, MoE: 107814.2892310472, SampleSize: 1319},
 		}},
 		{query.Avg, "price", []core.Round{
 			{Estimate: 24167.299999999988, MoE: 1825.251294146113, SampleSize: 90},
 			{Estimate: 23474.841992960512, MoE: 706.39633055234447, SampleSize: 540},
 			{Estimate: 23210.343505611811, MoE: 463.74023444964121, SampleSize: 1271},
 			{Estimate: 23179.490830534432, MoE: 454.48021040457951, SampleSize: 1319},
+		}, []core.Round{
+			{Estimate: 23445.41860307107, MoE: 449.22620512936317, SampleSize: 1319},
 		}},
 	} {
 		q := query.Simple(tc.fn, tc.attr, "Root_0", "Country", "product", "Automobile")
-		res, err := coord.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%v: %v", tc.fn, err)
-		}
-		last := tc.rounds[len(tc.rounds)-1]
-		if !res.Converged || res.SampleSize != last.SampleSize || res.Correct != last.SampleSize {
-			t.Errorf("%v: converged %v with %d draws (%d correct), want true with %d, all correct",
-				tc.fn, res.Converged, res.SampleSize, res.Correct, last.SampleSize)
-		}
-		if len(res.Rounds) != len(tc.rounds) {
-			t.Fatalf("%v: %d rounds, want %d: %+v", tc.fn, len(res.Rounds), len(tc.rounds), res.Rounds)
-		}
-		for i, want := range tc.rounds {
-			got := res.Rounds[i]
-			if got.SampleSize != want.SampleSize ||
-				math.Abs(got.Estimate-want.Estimate) > 1e-9*want.Estimate ||
-				math.Abs(got.MoE-want.MoE) > 1e-9*want.MoE {
-				t.Errorf("%v round %d: %+v, the observation wire gave %+v", tc.fn, i, got, want)
+		for run, rounds := range [][]core.Round{tc.rounds, tc.warm} {
+			name := [...]string{"cold", "warm"}[run]
+			res, err := coord.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%v %s: %v", tc.fn, name, err)
 			}
-		}
-		if res.Estimate != res.Rounds[len(res.Rounds)-1].Estimate || res.MoE != res.Rounds[len(res.Rounds)-1].MoE {
-			t.Errorf("%v: result %v ± %v is not its last round %+v", tc.fn, res.Estimate, res.MoE, res.Rounds[len(res.Rounds)-1])
+			last := rounds[len(rounds)-1]
+			if !res.Converged || res.SampleSize != last.SampleSize || res.Correct != last.SampleSize {
+				t.Errorf("%v %s: converged %v with %d draws (%d correct), want true with %d, all correct",
+					tc.fn, name, res.Converged, res.SampleSize, res.Correct, last.SampleSize)
+			}
+			if len(res.Rounds) != len(rounds) {
+				t.Fatalf("%v %s: %d rounds, want %d: %+v", tc.fn, name, len(res.Rounds), len(rounds), res.Rounds)
+			}
+			for i, want := range rounds {
+				got := res.Rounds[i]
+				if got.SampleSize != want.SampleSize ||
+					math.Abs(got.Estimate-want.Estimate) > 1e-9*want.Estimate ||
+					math.Abs(got.MoE-want.MoE) > 1e-9*want.MoE {
+					t.Errorf("%v %s round %d: %+v, want %+v", tc.fn, name, i, got, want)
+				}
+			}
+			if res.Estimate != res.Rounds[len(res.Rounds)-1].Estimate || res.MoE != res.Rounds[len(res.Rounds)-1].MoE {
+				t.Errorf("%v %s: result %v ± %v is not its last round %+v", tc.fn, name, res.Estimate, res.MoE, res.Rounds[len(res.Rounds)-1])
+			}
 		}
 	}
 }

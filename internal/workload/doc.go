@@ -1,7 +1,7 @@
-// Package workload is the template-driven load engine behind cmd/kgaqload
-// and the bench trajectory's sustained-throughput axis: it replays a
-// scripted request mix against a kgaqd server at a fixed open-loop arrival
-// rate and reports per-block latency and outcome statistics.
+// Package workload is the template-driven load engine behind cmd/kgaqload:
+// it replays a scripted request mix against a kgaqd server at a fixed
+// open-loop arrival rate and reports per-block latency and outcome
+// statistics.
 //
 // A Script is a JSON document of weighted blocks, each one request shape:
 // "query" and "multi" post to /v1/query, "prepare" compiles a plan (and can
