@@ -1,7 +1,11 @@
 // Package httpapi is the HTTP/JSON serving layer over one shared engine:
 // /v1/query (single, streaming, multi-aggregate), the prepared-plan pair
-// /v1/prepare + /v1/plans/{id}/query, /v1/mutate for NDJSON mutation
-// batches on live graphs, and /v1/healthz.
+// /v1/prepare + /v1/plans/{id}/query, the federation member round
+// /v1/federate/sample, /v1/mutate for NDJSON mutation batches on live
+// graphs, and /v1/healthz. The JSON work endpoints share one request
+// pipeline (pipeline.go): one request head, one dispatch against a target
+// (local engine, prepared plan or federation coordinator) and one response
+// writer.
 //
 // The work endpoints sit behind an optional admission controller
 // (ConfigureAdmission): per-client token buckets, a bounded in-flight

@@ -9,7 +9,6 @@ import (
 	"kgaq/internal/core"
 	"kgaq/internal/estimate"
 	"kgaq/internal/federate"
-	"kgaq/internal/query"
 )
 
 // This file is the HTTP face of federated execution (DESIGN.md "Federation:
@@ -20,47 +19,19 @@ import (
 
 // ConfigureFederation turns this server into a federation coordinator:
 // single-aggregate /v1/query requests scatter across the coordinator's
-// members and merge through the stratified combiner, /v1/healthz gains the
+// members (the fields that do not decompose — aggregates, min_epoch, a
+// non-semantic sampler, shards — answer 400) and merge through the stratified combiner, /v1/healthz gains the
 // federation block, and /debug/federation serves member health. Call before
 // serving.
 func (s *Server) ConfigureFederation(c *federate.Coordinator) { s.fed = c }
 
-// handleFederateSample is the member half of a federated query: run a pilot
+// serveFederateSample is the member half of a federated query: run a pilot
 // and/or the allocated draws against the local engine's own graph and
 // return the moments of the draws' member-local HT terms
 // (POST /v1/federate/sample, see federate.SampleRequest/SampleResponse).
-func (s *Server) handleFederateSample(w http.ResponseWriter, r *http.Request) {
-	var req federate.SampleRequest
-	if !readJSON(w, r, maxRequestBody, &req) {
-		return
-	}
-	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, "missing \"query\"")
-		return
-	}
-	agg, err := query.Parse(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse: %v", err)
-		return
-	}
-	var opts []core.QueryOption
-	if req.Seed != 0 {
-		opts = append(opts, core.WithSeed(req.Seed))
-	}
-	if req.Tau > 0 {
-		opts = append(opts, core.WithTau(req.Tau))
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	ctx, endTrace := s.trace(ctx, w, "federate-sample", agg.String())
-	defer endTrace()
-
+func (s *Server) serveFederateSample(w http.ResponseWriter, wk *work, req *federate.SampleRequest) {
 	begin := time.Now()
-	ms, err := s.eng.FederateSample(ctx, agg, req.Draws, req.Pilot, opts...)
+	ms, err := s.eng.FederateSample(wk.ctx, wk.agg, req.Draws, req.Pilot, wk.opts...)
 	if err != nil {
 		// A query this member's graph simply cannot resolve (anchor entity,
 		// type, predicate or attribute absent) is an honest empty stratum,
@@ -71,7 +42,7 @@ func (s *Server) handleFederateSample(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, federate.SampleResponse{
 				Candidates: 0,
 				Epoch:      epoch,
-				ElapsedMS:  float64(time.Since(begin).Microseconds()) / 1000,
+				ElapsedMS:  elapsedMS(time.Since(begin)),
 			})
 			return
 		}
@@ -79,10 +50,10 @@ func (s *Server) handleFederateSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, federate.SampleResponse{
-		Moments:    estimate.MomentsOf(agg.Func, ms.Obs),
+		Moments:    estimate.MomentsOf(wk.agg.Func, ms.Obs),
 		Candidates: ms.Candidates,
 		Epoch:      ms.Epoch,
-		ElapsedMS:  float64(time.Since(begin).Microseconds()) / 1000,
+		ElapsedMS:  elapsedMS(time.Since(begin)),
 	})
 }
 

@@ -242,7 +242,8 @@ func TestPlanCacheTTLAndLRU(t *testing.T) {
 }
 
 // Request-body hardening: oversized bodies answer 413, non-JSON
-// Content-Types answer 415 — on every JSON endpoint.
+// Content-Types answer 415 and data after the one JSON value answers 400 —
+// on every JSON endpoint.
 func TestRequestBodyHardening(t *testing.T) {
 	ts := testServer(t)
 
@@ -268,6 +269,14 @@ func TestRequestBodyHardening(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusUnsupportedMediaType {
 			t.Fatalf("%s text/plain: status = %d, want 415", path, resp.StatusCode)
+		}
+	}
+
+	// 400: data after the one JSON value — the second query never runs.
+	for _, path := range []string{"/v1/query", "/v1/prepare", "/v1/plans/pdeadbeef/query", "/v1/federate/sample"} {
+		resp, body := postJSON(t, ts.URL+path, fmt.Sprintf(`{"query": %q}{"query": %q}`, avgPriceText, avgPriceText))
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("trailing data")) {
+			t.Fatalf("%s trailing data: status = %d (%s), want 400", path, resp.StatusCode, body)
 		}
 	}
 

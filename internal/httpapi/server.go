@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
-	"mime"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -20,7 +18,6 @@ import (
 	"kgaq/internal/federate"
 	"kgaq/internal/live"
 	"kgaq/internal/obs"
-	"kgaq/internal/query"
 )
 
 // maxRequestBody bounds a query request; the textual language is tiny.
@@ -93,7 +90,8 @@ func (s *Server) ConfigurePlans(capacity int, ttl time.Duration) {
 }
 
 // ConfigureAdmission puts the work endpoints (/v1/query, /v1/prepare,
-// /v1/plans/{id}/query, /v1/mutate — healthz stays exempt) behind an
+// /v1/plans/{id}/query, /v1/federate/sample, /v1/mutate — healthz stays
+// exempt) behind an
 // admission controller: per-client rate limits, the bounded work queue with
 // fast 429/503 + Retry-After shedding, and pressure-based degradation
 // grants. clientHeader overrides the header the client identity is read
@@ -118,20 +116,18 @@ func (s *Server) ConfigureTracing(capacity, sampleEvery int) {
 
 // trace begins the request's lifecycle trace: the trace id is echoed in the
 // X-Trace-ID header (and later the response body), recorded for the access
-// log, and the trace travels to the engine through the context. The cleanup
-// finishes the trace into the ring; the finish* helpers seal it earlier —
-// before the response is written — so a client can fetch its trace the
-// moment it reads the response (Finish is idempotent).
-func (s *Server) trace(ctx context.Context, w http.ResponseWriter, kind, target string) (context.Context, func()) {
+// log, and the trace travels to the engine through the context. seal
+// finishes it into the ring.
+func (s *Server) trace(ctx context.Context, w http.ResponseWriter, kind, target string) context.Context {
 	t := s.tracer.Start(kind, target)
 	if t == nil {
-		return ctx, func() {}
+		return ctx
 	}
 	w.Header().Set(TraceIDHeader, t.ID())
 	if st := stateFrom(ctx); st != nil {
 		st.traceID = t.ID()
 	}
-	return obs.WithTrace(ctx, t), func() { s.tracer.Finish(t) }
+	return obs.WithTrace(ctx, t)
 }
 
 // ConfigureDurability routes /v1/mutate through a durable store: a batch
@@ -161,6 +157,7 @@ func (s *Server) Drain(ctx context.Context) error {
 //	                            aggregates over one sample ("aggregates")
 //	POST /v1/prepare          — compile a query into a cached plan → plan id
 //	POST /v1/plans/{id}/query — execute a prepared plan (single or multi)
+//	POST /v1/federate/sample  — one member round of a federated query
 //	POST /v1/mutate           — apply one atomic mutation batch (NDJSON, live servers)
 //	GET  /v1/healthz          — liveness plus graph statistics and the current epoch
 //
@@ -170,249 +167,15 @@ func (s *Server) Drain(ctx context.Context) error {
 // access log).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", s.admit(s.handleQuery))
-	mux.HandleFunc("POST /v1/prepare", s.admit(s.handlePrepare))
-	mux.HandleFunc("POST /v1/plans/{id}/query", s.admit(s.handlePlanQuery))
-	mux.HandleFunc("POST /v1/federate/sample", s.admit(s.handleFederateSample))
+	mux.HandleFunc("POST /v1/query", s.admit(endpoint(s, "query", s.serveQuery)))
+	mux.HandleFunc("POST /v1/prepare", s.admit(endpoint(s, "prepare", s.servePrepare)))
+	mux.HandleFunc("POST /v1/plans/{id}/query", s.admit(endpoint(s, "plan_query", s.serveQuery)))
+	mux.HandleFunc("POST /v1/federate/sample", s.admit(endpoint(s, "federate-sample", s.serveFederateSample)))
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	if s.store != nil {
 		mux.HandleFunc("POST /v1/mutate", s.admit(s.handleMutate))
 	}
 	return s.recoverPanics(s.instrument(mux))
-}
-
-// contentTypeOK reports whether a request Content-Type is acceptable for a
-// JSON body: unset (bare curl -d) or any application/json variant.
-func contentTypeOK(header string, accept ...string) bool {
-	if header == "" {
-		return true
-	}
-	mt, _, err := mime.ParseMediaType(header)
-	if err != nil {
-		return false
-	}
-	for _, a := range accept {
-		if mt == a {
-			return true
-		}
-	}
-	return false
-}
-
-// readJSON decodes one JSON request body under the shared hardening rules:
-// a non-JSON Content-Type is 415, a body over maxBytes is 413, malformed
-// JSON is 400. It reports whether decoding succeeded; on failure the error
-// response has already been written.
-func readJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	if ct := r.Header.Get("Content-Type"); !contentTypeOK(ct, "application/json") {
-		writeError(w, http.StatusUnsupportedMediaType,
-			"unsupported Content-Type %q (use application/json)", ct)
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// queryRequest is the body of POST /v1/query: the textual query language
-// plus per-query overrides of the engine's options. Zero-valued fields keep
-// the server's engine defaults.
-type queryRequest struct {
-	// Query is the textual aggregate query, e.g.
-	// "AVG(price) MATCH (g:Country name=Germany)-[product]->(c:Automobile) TARGET c".
-	Query string `json:"query"`
-
-	ErrorBound float64 `json:"error_bound,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
-	Tau        float64 `json:"tau,omitempty"`
-	Seed       int64   `json:"seed,omitempty"`
-	MaxDraws   int     `json:"max_draws,omitempty"`
-	MaxRounds  int     `json:"max_rounds,omitempty"`
-	// Sampler selects "semantic" (default), "cnarw" or "node2vec".
-	Sampler string `json:"sampler,omitempty"`
-	// TimeoutMS bounds this query's execution; on expiry the response
-	// carries the partial estimate with interrupted=true.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Stream switches the response to NDJSON: one {"round":…} line per
-	// refinement round as it happens, then a final {"result":…} line.
-	Stream bool `json:"stream,omitempty"`
-	// MinEpoch pins the query to a graph view at or above this epoch —
-	// read-your-writes: pass the epoch a /v1/mutate response carried and the
-	// query observes that batch. The query waits (bounded by timeout_ms /
-	// the request context) for the epoch on a live server; a static server
-	// rejects positive values.
-	MinEpoch uint64 `json:"min_epoch,omitempty"`
-	// Shards overrides the server's shard count for this query: the
-	// candidate-answer space is cut into this many ownership strata,
-	// sampled per shard and merged with the stratified Horvitz–Thompson
-	// combiner. Requires the semantic sampler.
-	Shards int `json:"shards,omitempty"`
-	// Aggregates switches the request to multi-aggregate execution: every
-	// listed aggregate is evaluated over one shared sample of the query
-	// graph (the query's own aggregate function is ignored), refined until
-	// each guaranteed aggregate meets its error bound. Incompatible with
-	// "stream".
-	Aggregates []aggSpecJSON `json:"aggregates,omitempty"`
-}
-
-// aggSpecJSON is one multi-aggregate target on the wire.
-type aggSpecJSON struct {
-	// Func is COUNT, SUM, AVG, MAX or MIN (case-insensitive).
-	Func string `json:"func"`
-	// Attr is the aggregated attribute; omit only for COUNT.
-	Attr string `json:"attr,omitempty"`
-	// ErrorBound optionally tightens/loosens this aggregate's bound.
-	ErrorBound float64 `json:"error_bound,omitempty"`
-}
-
-// specs translates the wire form into engine specs.
-func toSpecs(in []aggSpecJSON) ([]core.AggSpec, error) {
-	out := make([]core.AggSpec, len(in))
-	for i, a := range in {
-		fn, err := query.ParseAggFunc(a.Func)
-		if err != nil {
-			return nil, fmt.Errorf("aggregates[%d]: %v", i, err)
-		}
-		out[i] = core.AggSpec{Func: fn, Attr: a.Attr, ErrorBound: a.ErrorBound}
-	}
-	return out, nil
-}
-
-// options translates the request's overrides into per-query options.
-func (qr *queryRequest) options() ([]core.QueryOption, error) {
-	var opts []core.QueryOption
-	if qr.ErrorBound > 0 {
-		opts = append(opts, core.WithErrorBound(qr.ErrorBound))
-	}
-	if qr.Confidence > 0 {
-		opts = append(opts, core.WithConfidence(qr.Confidence))
-	}
-	if qr.Tau > 0 {
-		opts = append(opts, core.WithTau(qr.Tau))
-	}
-	if qr.Seed != 0 {
-		opts = append(opts, core.WithSeed(qr.Seed))
-	}
-	if qr.MaxDraws > 0 {
-		opts = append(opts, core.WithMaxDraws(qr.MaxDraws))
-	}
-	if qr.MaxRounds > 0 {
-		opts = append(opts, core.WithMaxRounds(qr.MaxRounds))
-	}
-	if qr.MinEpoch > 0 {
-		opts = append(opts, core.WithMinEpoch(qr.MinEpoch))
-	}
-	if qr.Shards > 0 {
-		opts = append(opts, core.WithShards(qr.Shards))
-	}
-	switch strings.ToLower(qr.Sampler) {
-	case "", "semantic":
-	case "cnarw":
-		opts = append(opts, core.WithSampler(core.SamplerCNARW))
-	case "node2vec":
-		opts = append(opts, core.WithSampler(core.SamplerNode2Vec))
-	default:
-		return nil, fmt.Errorf("unknown sampler %q (semantic, cnarw, node2vec)", qr.Sampler)
-	}
-	return opts, nil
-}
-
-// roundJSON is one refinement round on the wire.
-type roundJSON struct {
-	Estimate   float64  `json:"estimate"`
-	MoE        *float64 `json:"moe"`
-	SampleSize int      `json:"sample_size"`
-}
-
-// groupJSON is one GROUP-BY bucket on the wire.
-type groupJSON struct {
-	Estimate float64  `json:"estimate"`
-	MoE      *float64 `json:"moe"`
-	Draws    int      `json:"draws"`
-}
-
-// queryResponse is the body of a successful (or partial) query execution.
-type queryResponse struct {
-	Query       string               `json:"query"`
-	Estimate    *float64             `json:"estimate"`
-	MoE         *float64             `json:"moe"`
-	Confidence  float64              `json:"confidence"`
-	Converged   bool                 `json:"converged"`
-	Interrupted bool                 `json:"interrupted,omitempty"`
-	SampleSize  int                  `json:"sample_size"`
-	Distinct    int                  `json:"distinct"`
-	Candidates  int                  `json:"candidates"`
-	Shards      int                  `json:"shards,omitempty"`
-	Epoch       uint64               `json:"epoch"`
-	Rounds      []roundJSON          `json:"rounds,omitempty"`
-	Groups      map[string]groupJSON `json:"groups,omitempty"`
-	ElapsedMS   float64              `json:"elapsed_ms"`
-	// Degraded marks an answer the serving tier loosened honestly: the loop
-	// stopped before the target bound (deadline pressure) or ran against a
-	// relaxed effective bound (queue pressure). The interval is still a
-	// valid 1-α interval — achieved_eb is the bound it actually guarantees.
-	Degraded bool `json:"degraded,omitempty"`
-	// TargetEB is the bound this execution refined toward.
-	TargetEB float64 `json:"target_eb,omitempty"`
-	// EffectiveEB is the relaxed bound admission substituted under queue
-	// pressure (absent when the request's own bound was used).
-	EffectiveEB float64 `json:"effective_eb,omitempty"`
-	// AchievedEB is the relative error bound the returned interval actually
-	// attains (null when no finite bound is honest).
-	AchievedEB *float64 `json:"achieved_eb,omitempty"`
-	// TraceID names this execution's lifecycle trace, fetchable at
-	// /debug/trace/{id} on the debug listener while it stays in the ring
-	// (absent when the request was not sampled).
-	TraceID string `json:"trace_id,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// jsonFloat maps NaN/Inf (JSON-unrepresentable) to null.
-func jsonFloat(f float64) *float64 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil
-	}
-	return &f
-}
-
-func toResponse(agg *query.Aggregate, res *core.Result, interrupted bool, elapsed time.Duration) queryResponse {
-	out := queryResponse{
-		Query:       agg.String(),
-		Estimate:    jsonFloat(res.Estimate),
-		MoE:         jsonFloat(res.MoE),
-		Confidence:  res.Confidence,
-		Converged:   res.Converged,
-		Interrupted: interrupted,
-		SampleSize:  res.SampleSize,
-		Distinct:    res.Distinct,
-		Candidates:  res.Candidates,
-		Shards:      res.Shards,
-		Epoch:       res.Epoch,
-		ElapsedMS:   float64(elapsed.Microseconds()) / 1000,
-		Degraded:    res.Degraded,
-		TargetEB:    res.TargetEB,
-		AchievedEB:  jsonFloat(res.AchievedEB()),
-	}
-	for _, r := range res.Rounds {
-		out.Rounds = append(out.Rounds, roundJSON{Estimate: r.Estimate, MoE: jsonFloat(r.MoE), SampleSize: r.SampleSize})
-	}
-	if res.Groups != nil {
-		out.Groups = map[string]groupJSON{}
-		for label, gr := range res.Groups {
-			out.Groups[label] = groupJSON{Estimate: gr.Estimate, MoE: jsonFloat(gr.MoE), Draws: gr.Draws}
-		}
-	}
-	return out
 }
 
 // errorStatus maps execution errors onto HTTP statuses: resolution errors
@@ -469,317 +232,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !readJSON(w, r, maxRequestBody, &req) {
-		return
-	}
-	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, "missing \"query\"")
-		return
-	}
-	agg, err := query.Parse(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse: %v", err)
-		return
-	}
-	opts, err := req.options()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// The request context carries both the client disconnect and the server
-	// drain; the optional per-query timeout layers on top. Either way the
-	// engine returns its partial estimate instead of running on.
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	ctx, endTrace := s.trace(ctx, w, "query", agg.String())
-	defer endTrace()
-	opts = append(opts, s.degradeOptions(ctx, req.ErrorBound)...)
-
-	// A coordinator scatters single-aggregate guaranteed queries across its
-	// members; the shapes that do not decompose into remote strata are the
-	// client's to re-route to a member directly.
-	if s.fed != nil {
-		switch {
-		case len(req.Aggregates) > 0:
-			writeError(w, http.StatusBadRequest, "multi-aggregate queries do not federate (one shared sample cannot span members)")
-		case req.MinEpoch > 0:
-			writeError(w, http.StatusBadRequest, "min_epoch is not meaningful across federation members (each owns its own epoch sequence)")
-		case req.Stream:
-			s.streamQuery(ctx, w, agg, func(ctx context.Context, extra ...core.QueryOption) (*core.Result, error) {
-				return s.fed.Query(ctx, agg, append(opts, extra...)...)
-			})
-		default:
-			s.runSingle(ctx, w, agg, func(ctx context.Context) (*core.Result, error) {
-				return s.fed.Query(ctx, agg, opts...)
-			})
-		}
-		return
-	}
-
-	if len(req.Aggregates) > 0 {
-		if req.Stream {
-			writeError(w, http.StatusBadRequest, "\"aggregates\" and \"stream\" are incompatible")
-			return
-		}
-		specs, err := toSpecs(req.Aggregates)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.runMulti(ctx, w, agg, specs, func(ctx context.Context) (*core.MultiResult, error) {
-			return s.eng.QueryMulti(ctx, agg, specs, opts...)
-		})
-		return
-	}
-
-	if req.Stream {
-		s.streamQuery(ctx, w, agg, func(ctx context.Context, extra ...core.QueryOption) (*core.Result, error) {
-			return s.eng.Query(ctx, agg, append(opts, extra...)...)
-		})
-		return
-	}
-	s.runSingle(ctx, w, agg, func(ctx context.Context) (*core.Result, error) {
-		return s.eng.Query(ctx, agg, opts...)
-	})
-}
-
-// runSingle executes one single-aggregate query through run and writes the
-// response, sharing the partial-result contract between the direct and
-// prepared-plan paths.
-func (s *Server) runSingle(ctx context.Context, w http.ResponseWriter, agg *query.Aggregate,
-	run func(context.Context) (*core.Result, error)) {
-
-	begin := time.Now()
-	res, err := run(ctx)
-	elapsed := time.Since(begin)
-	if err != nil {
-		// A partial result is only worth a 200 when it carries an estimate;
-		// an interruption before the first completed round (NaN estimate)
-		// is the same outcome as one during preparation — a timeout.
-		if core.IsPartial(err, res) {
-			resp := toResponse(agg, res, true, elapsed)
-			resp.Error = err.Error()
-			s.finishSingle(ctx, &resp)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		writeError(w, errorStatus(err), "%v", err)
-		return
-	}
-	resp := toResponse(agg, res, false, elapsed)
-	s.finishSingle(ctx, &resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// finishSingle folds the request-scoped degradation record (the admission
-// grant's relaxed bound) into the response, mirrors the final degraded flag
-// and convergence telemetry back into the request state for the access log
-// and grant outcome, and seals the lifecycle trace so the client can fetch
-// it by the echoed id as soon as it reads the response.
-func (s *Server) finishSingle(ctx context.Context, resp *queryResponse) {
-	if st := stateFrom(ctx); st != nil {
-		if st.effectiveEB > 0 {
-			resp.EffectiveEB = st.effectiveEB
-			resp.Degraded = true
-		}
-		if resp.Degraded {
-			st.degraded = true
-		}
-		st.rounds, st.hasRounds = len(resp.Rounds), true
-		st.achievedEB = resp.AchievedEB
-	}
-	if t := obs.TraceFrom(ctx); t != nil {
-		resp.TraceID = t.ID()
-		s.tracer.Finish(t)
-	}
-}
-
-// finishMulti is finishSingle for multi-aggregate responses.
-func (s *Server) finishMulti(ctx context.Context, resp *multiResponse) {
-	if st := stateFrom(ctx); st != nil {
-		if st.effectiveEB > 0 {
-			resp.EffectiveEB = st.effectiveEB
-			resp.Degraded = true
-		}
-		if resp.Degraded {
-			st.degraded = true
-		}
-		st.rounds, st.hasRounds = resp.Rounds, true
-	}
-	if t := obs.TraceFrom(ctx); t != nil {
-		resp.TraceID = t.ID()
-		s.tracer.Finish(t)
-	}
-}
-
-// runMulti executes a multi-aggregate query through run and writes the
-// response; an interrupted run with partial estimates still answers 200.
-func (s *Server) runMulti(ctx context.Context, w http.ResponseWriter, agg *query.Aggregate,
-	specs []core.AggSpec, run func(context.Context) (*core.MultiResult, error)) {
-
-	begin := time.Now()
-	res, err := run(ctx)
-	elapsed := time.Since(begin)
-	if err != nil {
-		if errors.Is(err, core.ErrInterrupted) && res != nil && anyEstimate(res) {
-			resp := toMultiResponse(agg, res, true, elapsed)
-			resp.Error = err.Error()
-			s.finishMulti(ctx, &resp)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		writeError(w, errorStatus(err), "%v", err)
-		return
-	}
-	resp := toMultiResponse(agg, res, false, elapsed)
-	s.finishMulti(ctx, &resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// anyEstimate reports whether a partial multi result carries at least one
-// usable estimate.
-func anyEstimate(res *core.MultiResult) bool {
-	for _, ar := range res.Aggs {
-		if !math.IsNaN(ar.Estimate) {
-			return true
-		}
-	}
-	return false
-}
-
-// streamQuery answers in NDJSON: a {"round":…} line per refinement round
-// (flushed immediately — OnRound fires on this goroutine, so writes need no
-// locking), then one final {"result":…} or {"error":…} line. run executes
-// the query with the streaming callback appended — the direct and
-// prepared-plan paths share this.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, agg *query.Aggregate,
-	run func(context.Context, ...core.QueryOption) (*core.Result, error)) {
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	wrote := false
-	emit := func(v any) {
-		wrote = true
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	begin := time.Now()
-	res, err := run(ctx, core.OnRound(func(r core.Round) {
-		emit(map[string]roundJSON{"round": {Estimate: r.Estimate, MoE: jsonFloat(r.MoE), SampleSize: r.SampleSize}})
-	}))
-	elapsed := time.Since(begin)
-	switch {
-	case err != nil && core.IsPartial(err, res):
-		resp := toResponse(agg, res, true, elapsed)
-		resp.Error = err.Error()
-		s.finishSingle(ctx, &resp)
-		emit(map[string]queryResponse{"result": resp})
-	case err != nil:
-		// While nothing has been streamed the status line is still ours to
-		// set; match the non-stream path instead of defaulting to 200.
-		if !wrote {
-			w.WriteHeader(errorStatus(err))
-		}
-		emit(map[string]string{"error": err.Error()})
-	default:
-		resp := toResponse(agg, res, false, elapsed)
-		s.finishSingle(ctx, &resp)
-		emit(map[string]queryResponse{"result": resp})
-	}
-}
-
-// aggResultJSON is one aggregate's outcome within a multi-aggregate
-// response.
-type aggResultJSON struct {
-	Func       string   `json:"func"`
-	Attr       string   `json:"attr,omitempty"`
-	Estimate   *float64 `json:"estimate"`
-	MoE        *float64 `json:"moe"`
-	ErrorBound float64  `json:"error_bound"`
-	Converged  bool     `json:"converged"`
-	// AchievedEB is the bound this aggregate's interval actually attains
-	// (null when no finite bound is honest).
-	AchievedEB *float64             `json:"achieved_eb,omitempty"`
-	Rounds     []roundJSON          `json:"rounds,omitempty"`
-	Groups     map[string]groupJSON `json:"groups,omitempty"`
-}
-
-// multiResponse is the body of a multi-aggregate execution: shared sample
-// counters plus one result per aggregate.
-type multiResponse struct {
-	Query       string          `json:"query"`
-	Aggs        []aggResultJSON `json:"aggregates"`
-	Confidence  float64         `json:"confidence"`
-	Converged   bool            `json:"converged"`
-	Interrupted bool            `json:"interrupted,omitempty"`
-	Rounds      int             `json:"rounds"`
-	SampleSize  int             `json:"sample_size"`
-	Distinct    int             `json:"distinct"`
-	Candidates  int             `json:"candidates"`
-	Shards      int             `json:"shards,omitempty"`
-	Epoch       uint64          `json:"epoch"`
-	ElapsedMS   float64         `json:"elapsed_ms"`
-	// Degraded marks an honestly-loosened answer (see queryResponse).
-	Degraded bool `json:"degraded,omitempty"`
-	// EffectiveEB is the relaxed bound admission substituted under queue
-	// pressure (absent when the request's own bound was used).
-	EffectiveEB float64 `json:"effective_eb,omitempty"`
-	// TraceID names this execution's lifecycle trace (see queryResponse).
-	TraceID string `json:"trace_id,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-func toMultiResponse(agg *query.Aggregate, res *core.MultiResult, interrupted bool, elapsed time.Duration) multiResponse {
-	out := multiResponse{
-		Query:       agg.String(),
-		Confidence:  res.Confidence,
-		Converged:   res.Converged,
-		Interrupted: interrupted,
-		Rounds:      res.Rounds,
-		SampleSize:  res.SampleSize,
-		Distinct:    res.Distinct,
-		Candidates:  res.Candidates,
-		Shards:      res.Shards,
-		Epoch:       res.Epoch,
-		ElapsedMS:   float64(elapsed.Microseconds()) / 1000,
-		Degraded:    res.Degraded,
-	}
-	for _, ar := range res.Aggs {
-		aj := aggResultJSON{
-			Func:       ar.Spec.Func.String(),
-			Attr:       ar.Spec.Attr,
-			Estimate:   jsonFloat(ar.Estimate),
-			MoE:        jsonFloat(ar.MoE),
-			ErrorBound: ar.ErrorBound,
-			Converged:  ar.Converged,
-			AchievedEB: jsonFloat(ar.AchievedEB()),
-		}
-		for _, r := range ar.Rounds {
-			aj.Rounds = append(aj.Rounds, roundJSON{Estimate: r.Estimate, MoE: jsonFloat(r.MoE), SampleSize: r.SampleSize})
-		}
-		if ar.Groups != nil {
-			aj.Groups = map[string]groupJSON{}
-			for label, gr := range ar.Groups {
-				aj.Groups[label] = groupJSON{Estimate: gr.Estimate, MoE: jsonFloat(gr.MoE), Draws: gr.Draws}
-			}
-		}
-		out.Aggs = append(out.Aggs, aj)
-	}
-	return out
-}
-
 // prepareRequest is the body of POST /v1/prepare: the textual query plus
 // the plan-relevant options. Execution-level knobs (error bound, seed,
 // draw budgets) belong on the per-execution /v1/plans/{id}/query request
@@ -800,135 +252,26 @@ type prepareRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-func (pr *prepareRequest) options() ([]core.QueryOption, error) {
-	var opts []core.QueryOption
-	if pr.Tau > 0 {
-		opts = append(opts, core.WithTau(pr.Tau))
-	}
-	if pr.Shards > 0 {
-		opts = append(opts, core.WithShards(pr.Shards))
-	}
-	if pr.MinEpoch > 0 {
-		opts = append(opts, core.WithMinEpoch(pr.MinEpoch))
-	}
-	switch strings.ToLower(pr.EpochPolicy) {
-	case "", "pin":
-	case "repin":
-		opts = append(opts, core.WithEpochPolicy(core.EpochRepin))
-	default:
-		return nil, fmt.Errorf("unknown epoch_policy %q (pin, repin)", pr.EpochPolicy)
-	}
-	return opts, nil
-}
-
-// handlePrepare compiles a query into a cached plan and returns its id and
+// servePrepare compiles a query into a cached plan and returns its id and
 // metadata. The id is a content hash, so preparing the same query twice is
 // idempotent and refreshes the plan's TTL.
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req prepareRequest
-	if !readJSON(w, r, maxRequestBody, &req) {
-		return
-	}
-	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, "missing \"query\"")
-		return
-	}
-	agg, err := query.Parse(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse: %v", err)
-		return
-	}
-	opts, err := req.options()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	ctx, endTrace := s.trace(ctx, w, "prepare", agg.String())
-	defer endTrace()
-	id := planID(agg.String(), req.optFingerprint())
-	if e := s.plans.get(id); e != nil {
+func (s *Server) servePrepare(w http.ResponseWriter, wk *work, req *prepareRequest) {
+	id := planID(wk.text, req.optFingerprint())
+	e := s.plans.get(id)
+	if e != nil {
 		// Idempotent re-prepare: the resident plan is fresh again.
 		metPlanHits.Inc()
-		endTrace()
-		writeJSON(w, http.StatusOK, s.plans.entryJSON(e, time.Now()))
-		return
-	}
-	metPlanMisses.Inc()
-	p, err := s.eng.Prepare(ctx, agg, opts...)
-	if err != nil {
-		writeError(w, errorStatus(err), "%v", err)
-		return
-	}
-	e := s.plans.put(id, p, agg)
-	endTrace()
-	writeJSON(w, http.StatusOK, s.plans.entryJSON(e, time.Now()))
-}
-
-// handlePlanQuery executes a cached plan: the body is a queryRequest
-// without "query" (the plan carries it) — single-aggregate by default,
-// multi-aggregate with "aggregates", NDJSON streaming with "stream".
-// Unknown or expired plan ids answer 404.
-func (s *Server) handlePlanQuery(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req queryRequest
-	if !readJSON(w, r, maxRequestBody, &req) {
-		return
-	}
-	if req.Query != "" {
-		writeError(w, http.StatusBadRequest, "\"query\" belongs to /v1/prepare; the plan already carries it")
-		return
-	}
-	e := s.plans.get(id)
-	if e == nil {
+	} else {
 		metPlanMisses.Inc()
-		writeError(w, http.StatusNotFound, "unknown or expired plan %q (POST /v1/prepare first)", id)
-		return
-	}
-	metPlanHits.Inc()
-	opts, err := req.options()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	ctx, endTrace := s.trace(ctx, w, "plan_query", e.agg.String())
-	defer endTrace()
-	opts = append(opts, s.degradeOptions(ctx, req.ErrorBound)...)
-	if len(req.Aggregates) > 0 {
-		if req.Stream {
-			writeError(w, http.StatusBadRequest, "\"aggregates\" and \"stream\" are incompatible")
-			return
-		}
-		specs, err := toSpecs(req.Aggregates)
+		p, err := s.eng.Prepare(wk.ctx, wk.agg, wk.opts...)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			writeError(w, errorStatus(err), "%v", err)
 			return
 		}
-		s.runMulti(ctx, w, e.agg, specs, func(ctx context.Context) (*core.MultiResult, error) {
-			return e.prepared.QueryMulti(ctx, specs, opts...)
-		})
-		return
+		e = s.plans.put(id, p, wk.agg)
 	}
-	if req.Stream {
-		s.streamQuery(ctx, w, e.agg, func(ctx context.Context, extra ...core.QueryOption) (*core.Result, error) {
-			return e.prepared.Query(ctx, append(opts, extra...)...)
-		})
-		return
-	}
-	s.runSingle(ctx, w, e.agg, func(ctx context.Context) (*core.Result, error) {
-		return e.prepared.Query(ctx, opts...)
-	})
+	s.seal(wk.ctx)
+	writeJSON(w, http.StatusOK, s.plans.entryJSON(e, time.Now()))
 }
 
 // cacheJSON is the answer-space cache snapshot on the wire, shared by
@@ -1109,8 +452,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty mutation batch")
 		return
 	}
-	ctx, endTrace := s.trace(r.Context(), w, "mutate", fmt.Sprintf("%d mutations", len(batch)))
-	defer endTrace()
+	ctx := s.trace(r.Context(), w, "mutate", fmt.Sprintf("%d mutations", len(batch)))
+	defer s.seal(ctx)
 	// On a durable server the batch is framed into the WAL (and fsynced,
 	// under sync=always) strictly before this returns: the acknowledged
 	// epoch survives a kill.
@@ -1141,12 +484,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Nodes:   snap.NumNodes(),
 		Edges:   snap.NumEdges(),
 	}
-	if t := obs.TraceFrom(ctx); t != nil {
-		t.SetAttr("epoch", snap.Epoch())
-		t.SetAttr("applied", len(batch))
-		resp.TraceID = t.ID()
-	}
-	endTrace()
+	t := obs.TraceFrom(ctx)
+	t.SetAttr("epoch", snap.Epoch())
+	t.SetAttr("applied", len(batch))
+	resp.TraceID = s.seal(ctx)
 	writeJSON(w, http.StatusOK, resp)
 }
 

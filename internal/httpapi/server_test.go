@@ -523,3 +523,31 @@ func TestFederateSampleRepeatIsOnePlanHit(t *testing.T) {
 		t.Fatalf("healthz cache block %+v, want one plan entry inside the byte total", h.Cache)
 	}
 }
+
+// BenchmarkWarmQuery is one warm non-stream /v1/query through Handler():
+// decode, request head, dispatch, engine (an answer-space cache hit) and
+// the encoded response. Read allocs/op against the parent commit's.
+func BenchmarkWarmQuery(b *testing.B) {
+	g := kgtest.Figure1()
+	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.05, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := NewServer(eng).Handler()
+	body := fmt.Sprintf(`{"query": %q, "seed": 3}`, avgPriceText)
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
