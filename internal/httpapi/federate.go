@@ -19,10 +19,10 @@ import (
 
 // ConfigureFederation turns this server into a federation coordinator:
 // single-aggregate /v1/query requests scatter across the coordinator's
-// members (the fields that do not decompose — aggregates, min_epoch, a
-// non-semantic sampler, shards — answer 400) and merge through the stratified combiner, /v1/healthz gains the
-// federation block, and /debug/federation serves member health. Call before
-// serving.
+// members and merge through the stratified combiner (the fields that do not
+// decompose — aggregates, min_epoch, a non-semantic sampler, shards —
+// answer 400), /v1/healthz gains the federation block, and
+// /debug/federation serves member health. Call before serving.
 func (s *Server) ConfigureFederation(c *federate.Coordinator) { s.fed = c }
 
 // serveFederateSample is the member half of a federated query: run a pilot

@@ -185,9 +185,11 @@ func readJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) boo
 	err := dec.Decode(v)
 	if err == nil {
 		// {"query":"A"}{"query":"B"} is not a request for A.
-		if _, err = dec.Token(); err == io.EOF {
+		_, err = dec.Token()
+		if errors.Is(err, io.EOF) {
 			return true
-		} else if err == nil {
+		}
+		if err == nil {
 			err = errors.New("trailing data after the JSON value")
 		}
 	}
@@ -224,6 +226,7 @@ func endpoint[B any](s *Server, kind string, serve func(http.ResponseWriter, *wo
 		}
 		f := fieldsOf(&body)
 		wk := work{ctx: r.Context()}
+		var err error
 		if id := r.PathValue("id"); id != "" {
 			if f.Query != "" {
 				writeError(w, http.StatusBadRequest, "\"query\" belongs to /v1/prepare; the plan already carries it")
@@ -241,13 +244,11 @@ func endpoint[B any](s *Server, kind string, serve func(http.ResponseWriter, *wo
 				writeError(w, http.StatusBadRequest, "missing \"query\"")
 				return
 			}
-			var err error
 			if wk.agg, err = query.Parse(f.Query); err != nil {
 				writeError(w, http.StatusBadRequest, "parse: %v", err)
 				return
 			}
 		}
-		var err error
 		if wk.opts, err = f.options(); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return

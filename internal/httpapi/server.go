@@ -91,11 +91,10 @@ func (s *Server) ConfigurePlans(capacity int, ttl time.Duration) {
 
 // ConfigureAdmission puts the work endpoints (/v1/query, /v1/prepare,
 // /v1/plans/{id}/query, /v1/federate/sample, /v1/mutate — healthz stays
-// exempt) behind an
-// admission controller: per-client rate limits, the bounded work queue with
-// fast 429/503 + Retry-After shedding, and pressure-based degradation
-// grants. clientHeader overrides the header the client identity is read
-// from ("" = ClientIDHeader). Call before serving.
+// exempt) behind an admission controller: per-client rate limits, the
+// bounded work queue with fast 429/503 + Retry-After shedding, and
+// pressure-based degradation grants. clientHeader overrides the header the
+// client identity is read from ("" = ClientIDHeader). Call before serving.
 func (s *Server) ConfigureAdmission(c *admission.Controller, clientHeader string) {
 	s.adm = c
 	s.clientHeader = clientHeader

@@ -546,8 +546,7 @@ func BenchmarkWarmQuery(b *testing.B) {
 	}
 	serve()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		serve()
 	}
 }
