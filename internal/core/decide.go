@@ -111,7 +111,8 @@ type Step struct {
 //     miss to size by: double the sample;
 //   - every interval met: stop, converged;
 //   - size the step: GROUP-BY by Eq. 12, floored at half the sample;
-//     otherwise FixedDelta when set, else Eq. 12; capped at 5× the sample;
+//     otherwise FixedDelta when set, else Eq. 12 floored at |S|/20 when it
+//     asks for any draw at all; capped at 5× the sample;
 //   - stop degraded when the round the step buys would not fit the deadline;
 //   - stop when there is nothing to size with (V̂ = 0);
 //   - stop on the last round, or when the draw budget is spent.
@@ -135,7 +136,12 @@ func Decide(o Options, p Progress) Step {
 		case o.FixedDelta > 0:
 			st.Grow = o.FixedDelta
 		default:
-			st.Grow = p.gap.nextSampleSize(p.Draws)
+			// Eq. 12 lands exactly on the target, so an ε̂ hovering at the
+			// bound would crawl by a handful of draws a round until the
+			// round budget ran out.
+			if st.Grow = p.gap.nextSampleSize(p.Draws); st.Grow > 0 {
+				st.Grow = max(st.Grow, p.Draws/20)
+			}
 		}
 		// Keep one round from ballooning on a noisy early ε.
 		st.Grow = min(st.Grow, 5*p.Draws)

@@ -23,6 +23,7 @@ func TestDecide(t *testing.T) {
 	fixed.FixedDelta = 60
 	met := interval{100, 1, 0.05, -1}      // ε far inside its target
 	unmet := interval{100, 10, 0.1, -1}    // ε/target = 1.1
+	brink := interval{100, 9.2, 0.1, -1}   // ε/target ≈ 1.01: Eq. 12 asks for 24 draws
 	wild := interval{100, 100, 0.05, -1}   // ε/target = 21
 	zero := interval{0, 5, 0.05, -1}       // V̂ = 0: no target
 	group := interval{100, 9.2, 0.1, 10}   // a counted group, ε/target ≈ 1.01
@@ -39,6 +40,7 @@ func TestDecide(t *testing.T) {
 		{"below MinCorrect doubles", rule, Progress{Correct: 29}, []interval{met}, Step{Grow: 1000, Gated: true}},
 		{"satisfied stops", rule, Progress{Correct: 100}, []interval{met}, Step{Stop: StopConverged}},
 		{"Eq. 12 step", rule, Progress{Correct: 100}, []interval{met, unmet}, Step{Grow: eq12}},
+		{"Eq. 12 floor at |S|/20", rule, Progress{Correct: 100}, []interval{brink}, Step{Grow: 50}},
 		{"5x cap", rule, Progress{Correct: 100}, []interval{wild}, Step{Grow: 5000}},
 		{"5x cap on a saturated Eq. 12", rule, Progress{Correct: 100, Draws: 100}, []interval{{1e-12, 1, 0.01, -1}}, Step{Grow: 500}},
 		{"FixedDelta", fixed, Progress{Correct: 100}, []interval{wild}, Step{Grow: 60}},

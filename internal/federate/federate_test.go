@@ -405,17 +405,17 @@ func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 			{Estimate: 5800152.0000000084, MoE: 438060.31059506797, SampleSize: 90},
 			{Estimate: 5633962.078310525, MoE: 169535.11933256272, SampleSize: 540},
 			{Estimate: 5570482.4413468363, MoE: 111297.65626791392, SampleSize: 1271},
-			{Estimate: 5563077.7993282648, MoE: 109075.25049709913, SampleSize: 1319},
+			{Estimate: 5561602.963739814, MoE: 108504.39521738185, SampleSize: 1334},
 		}, []core.Round{
-			{Estimate: 5626900.464737058, MoE: 107814.2892310472, SampleSize: 1319},
+			{Estimate: 5625592.123929882, MoE: 107669.67606818886, SampleSize: 1321},
 		}},
 		{query.Avg, "price", []core.Round{
 			{Estimate: 24167.299999999988, MoE: 1825.251294146113, SampleSize: 90},
 			{Estimate: 23474.841992960512, MoE: 706.39633055234447, SampleSize: 540},
 			{Estimate: 23210.343505611811, MoE: 463.74023444964121, SampleSize: 1271},
-			{Estimate: 23179.490830534432, MoE: 454.48021040457951, SampleSize: 1319},
+			{Estimate: 23173.34568224922, MoE: 452.1016467390909, SampleSize: 1334},
 		}, []core.Round{
-			{Estimate: 23445.41860307107, MoE: 449.22620512936317, SampleSize: 1319},
+			{Estimate: 23439.96718304117, MoE: 448.6236502841201, SampleSize: 1321},
 		}},
 	} {
 		q := query.Simple(tc.fn, tc.attr, "Root_0", "Country", "product", "Automobile")
