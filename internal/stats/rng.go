@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 )
 
@@ -88,7 +89,8 @@ type Alias struct {
 }
 
 // NewAlias builds an alias table for the given weights. Weights must be
-// non-negative with a positive sum; NewAlias returns nil otherwise.
+// finite and non-negative with a positive finite sum; NewAlias returns nil
+// otherwise (a NaN or an infinite weight included).
 func NewAlias(weights []float64) *Alias {
 	n := len(weights)
 	if n == 0 {
@@ -96,12 +98,12 @@ func NewAlias(weights []float64) *Alias {
 	}
 	total := 0.0
 	for _, w := range weights {
-		if w < 0 {
+		if !(w >= 0) { // NaN included
 			return nil
 		}
 		total += w
 	}
-	if total <= 0 {
+	if !(total > 0 && total <= math.MaxFloat64) { // NaN and +Inf included
 		return nil
 	}
 

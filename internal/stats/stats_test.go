@@ -231,8 +231,17 @@ func TestAliasDegenerate(t *testing.T) {
 	if NewAlias([]float64{0, 0}) != nil {
 		t.Fatal("NewAlias(zeros) should be nil")
 	}
-	if NewAlias([]float64{-1, 2}) != nil {
-		t.Fatal("NewAlias(negative) should be nil")
+	for _, w := range [][]float64{
+		{-1, 2},
+		{math.NaN(), 1},
+		{1, math.NaN()},
+		{math.Inf(1), 1},
+		{math.Inf(-1), 1},
+		{math.MaxFloat64, math.MaxFloat64}, // finite weights, infinite sum
+	} {
+		if NewAlias(w) != nil {
+			t.Fatalf("NewAlias(%v) should be nil", w)
+		}
 	}
 	// Near-zero weights: the normalisation must survive weights at the edge
 	// of floating-point underflow — the table builds, every draw lands in
