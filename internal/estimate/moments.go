@@ -122,10 +122,8 @@ func (r *Running) Moments(n int) Moments {
 // Estimate is the point estimate of one unstratified sample from its
 // moments, in Estimate's own arithmetic — COUNT and SUM divide Σs by the
 // divisor the policy names, AVG is Σs/Σc — so a loop that keeps moments
-// instead of the observation list reports the same bits. (EstimateMoments
-// over a single stratum divides both AVG sums by N first, which rounds
-// differently; it is the form of the stratified paths.) MAX and MIN have no
-// moments form.
+// instead of the observation list reports the same bits, and so does the
+// stratified form over a single stratum. MAX and MIN have no moments form.
 func (m Moments) Estimate(fn query.AggFunc, pol DivisorPolicy) (float64, error) {
 	if m.N == 0 {
 		return 0, ErrNoObservations
@@ -220,6 +218,10 @@ type stratifiedAcc struct {
 	// pooled merges the single-draw strata, which cannot estimate their own
 	// variance and are assessed jointly.
 	pooled Moments
+	// strata counts the strata with draws; first is the first of them, the
+	// whole sample when strata is 1.
+	strata int
+	first  Moments
 }
 
 // accOfMoments folds strata already reduced to moments.
@@ -244,6 +246,9 @@ func accOfStrata(fn query.AggFunc, strata []Stratum, pol DivisorPolicy) stratifi
 func (a *stratifiedAcc) add(m Moments, pol DivisorPolicy) {
 	if m.N == 0 {
 		return
+	}
+	if a.strata++; a.strata == 1 {
+		a.first = m
 	}
 	a.n += m.N
 	a.correct += m.Correct
@@ -284,7 +289,11 @@ func (a stratifiedAcc) estimate(fn query.AggFunc, pol DivisorPolicy) (float64, e
 		}
 		return a.meanS, nil
 	case query.Avg:
-		// Ratio estimator over the stratified totals.
+		// Ratio estimator over the stratified totals. One stratum is the
+		// plain sample: Σs/Σc, not (Σs/d)/(Σc/d), which rounds differently.
+		if a.strata == 1 {
+			return a.first.Estimate(fn, pol)
+		}
 		if a.correct == 0 || a.meanC == 0 {
 			return 0, ErrNoCorrect
 		}

@@ -111,6 +111,23 @@ func TestStratifiedSingleStratumEquivalence(t *testing.T) {
 	}
 }
 
+// The AVG arm of the equivalence above on many samples: the stratified
+// ratio of per-stratum means, (Σs/d)/(Σc/d), rounds differently from Σs/Σc
+// on some of them, so one stratum must take the plain ratio.
+func TestStratifiedSingleStratumAvgBits(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		r := stats.NewRand(seed)
+		obs := newPopulation(r, 30, 0.6).draw(r, 50)
+		for _, pol := range []DivisorPolicy{SampleSize, CorrectOnly} {
+			want, werr := Estimate(query.Avg, obs, pol)
+			got, gerr := EstimateStratified(query.Avg, []Stratum{{Weight: 1, Obs: obs}}, pol)
+			if werr != nil || gerr != nil || got != want {
+				t.Fatalf("seed %d %s: stratified %v (%v) != plain %v (%v)", seed, pol, got, gerr, want, werr)
+			}
+		}
+	}
+}
+
 // Regroup reassembles flat observations into the strata they came from and
 // folds unsharded observations into one weight-1 stratum.
 func TestRegroup(t *testing.T) {
