@@ -126,8 +126,9 @@ type StratumStats struct {
 // AllocateDraws splits a round's additional draws across strata. With
 // variance signals it uses Neyman allocation — shares proportional to
 // w_h·σ_h, which minimises the variance of the merged estimate for a fixed
-// total — and falls back to proportional allocation (shares ∝ w_h, the
-// behaviour of unstratified sampling in expectation) while σ is unknown.
+// total — mixed with a defensiveShare of proportional allocation, and falls
+// back to proportional allocation (shares ∝ w_h, the behaviour of
+// unstratified sampling in expectation) while σ is unknown.
 // Every stratum is floored at one draw whenever total ≥ len(stats); when
 // total is smaller than the stratum count the floors cannot hold and the
 // highest-share strata win the draws — callers needing full coverage (the
@@ -137,6 +138,16 @@ type StratumStats struct {
 func AllocateDraws(total int, stats []StratumStats) []int {
 	return AllocateDrawsInto(nil, total, stats)
 }
+
+// defensiveShare is the part of every Neyman round allocated in proportion
+// to the stratum weights. σ̂ is estimated from the draws so far, and a
+// stratum whose draws have not yet hit one of its few correct answers reads
+// σ̂ = 0: pure Neyman then gives it the one-draw floor every round, so it
+// never finds them, and the merged estimate is biased low by its whole
+// total under an interval that knows nothing of it. A defensive share keeps
+// every stratum's sample growing with the total, at a variance cost of at
+// most 1/(1−defensiveShare) of Neyman's.
+const defensiveShare = 0.1
 
 // allocScratch is the pooled working memory of AllocateDrawsInto: the
 // Neyman shares and the largest-remainder worklist, one slot per stratum.
@@ -171,17 +182,19 @@ func AllocateDrawsInto(dst []int, total int, stats []StratumStats) []int {
 	defer allocPool.Put(sc)
 	sc.shares = grow(sc.shares, len(stats))
 	shares := sc.shares
+	neyman, weight := 0.0, 0.0
+	for _, st := range stats {
+		neyman += st.Weight * st.Sigma
+		weight += st.Weight
+	}
 	sum := 0.0
 	for i, st := range stats {
-		shares[i] = st.Weight * st.Sigma
-		sum += shares[i]
-	}
-	if sum <= 0 {
-		// No variance signal: proportional allocation.
-		for i, st := range stats {
-			shares[i] = st.Weight
-			sum += st.Weight
+		if neyman > 0 {
+			shares[i] = (1-defensiveShare)*st.Weight*st.Sigma/neyman + defensiveShare*st.Weight/weight
+		} else {
+			shares[i] = st.Weight // no variance signal: proportional allocation
 		}
+		sum += shares[i]
 	}
 	if sum <= 0 {
 		out[0] = total

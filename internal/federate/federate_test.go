@@ -407,7 +407,7 @@ func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 			{Estimate: 5570482.4413468363, MoE: 111297.65626791392, SampleSize: 1271},
 			{Estimate: 5561602.963739814, MoE: 108504.39521738185, SampleSize: 1334},
 		}, []core.Round{
-			{Estimate: 5625592.123929882, MoE: 107669.67606818886, SampleSize: 1321},
+			{Estimate: 5628701.574364822, MoE: 107737.9381460441, SampleSize: 1321},
 		}},
 		{query.Avg, "price", []core.Round{
 			{Estimate: 24167.299999999988, MoE: 1825.251294146113, SampleSize: 90},
@@ -415,7 +415,7 @@ func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 			{Estimate: 23210.343505611811, MoE: 463.74023444964121, SampleSize: 1271},
 			{Estimate: 23173.34568224922, MoE: 452.1016467390909, SampleSize: 1334},
 		}, []core.Round{
-			{Estimate: 23439.96718304117, MoE: 448.6236502841201, SampleSize: 1321},
+			{Estimate: 23452.923226520088, MoE: 448.908075608517, SampleSize: 1321},
 		}},
 	} {
 		q := query.Simple(tc.fn, tc.attr, "Root_0", "Country", "product", "Automobile")
