@@ -21,7 +21,8 @@ import (
 // regression and needs the same scrutiny as a latency one.
 const (
 	// drawAllocBudget covers one alias-table draw batch into reused scratch
-	// (answerSpace.drawInto and shardedSpace.drawInto).
+	// (answerSpace.drawInto and shardedSpace.drawInto): one Splitmix word
+	// per draw, from the stream the Execution holds by value.
 	drawAllocBudget = 0
 	// validateAllocBudget covers a warm round's evaluation sweep over its
 	// fresh draws when every candidate they reach is already known — the
@@ -101,9 +102,9 @@ func TestAllocBudgetDraw(t *testing.T) {
 	x, _, release := warmExecution(t)
 	defer release()
 	const k = 128
-	x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k) // size the batch buffer
+	x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k) // size the batch buffer
 	allocs := testing.AllocsPerRun(200, func() {
-		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
+		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
 	})
 	if allocs > drawAllocBudget {
 		t.Fatalf("draw stage allocates %.1f/op, budget %d", allocs, drawAllocBudget)
@@ -114,9 +115,9 @@ func TestAllocBudgetValidateCached(t *testing.T) {
 	x, ctx, release := warmExecution(t)
 	defer release()
 	const k = 128
-	x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
+	x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
 	allocs := testing.AllocsPerRun(200, func() {
-		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
+		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
 		if !x.evaluate(ctx, x.scr.draws) {
 			panic("cancelled")
 		}
@@ -227,9 +228,10 @@ func TestAllocBudgetWarmChainPrepare(t *testing.T) {
 
 // coldPrepareAllocBudget covers compiling a one-hop query with nothing
 // cached: one stage build (scope, weighted degrees and π in the walker's
-// recycled arena; exact-size answer arrays, their alias table and the π map
-// copied out) plus the execution's own answer space. The map-indexed CSR
-// build allocated 168 times here; measured 81.
+// recycled arena; exact-size answer arrays and the π map copied out) plus
+// the execution's own answer space and its alias table. The map-indexed CSR
+// build allocated 168 times here; measured 81, then 72, and 65 once the
+// stage stopped building an alias table it threw away.
 const coldPrepareAllocBudget = 110
 
 func TestAllocBudgetColdOneHopPrepare(t *testing.T) {
@@ -258,12 +260,14 @@ func TestAllocBudgetColdOneHopPrepare(t *testing.T) {
 }
 
 // warmQueryAllocBudget covers one whole execution of a warm one-hop plan
-// (Prepared.Query on dbpedia-sim, three rounds, 8 219 draws over 780
+// (Prepared.Query on dbpedia-sim, three rounds, ≈ 8 200 draws over 780
 // candidates, every verdict already shared on the plan's space): the
-// Execution and its RNG, the rounds and the Result. With the verdicts in the
-// stage's table only, every round went through the batch oracle and its
-// verdict map: 40 allocations; measured 9.
-const warmQueryAllocBudget = 12
+// Execution, the rounds and the Result. With the verdicts in the stage's
+// table only, every round went through the batch oracle and its verdict
+// map: 40 allocations. A math/rand generator per execution (its 4.9 KB
+// source included) made it 10 allocations and 6 530 B; on the Splitmix
+// draw stream, held in the Execution, it is 7 and 1 080 B.
+const warmQueryAllocBudget = 7
 
 func TestAllocBudgetWarmOneHopQuery(t *testing.T) {
 	ds, err := datagen.Generate(datagen.DBpediaSim())

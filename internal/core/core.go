@@ -290,7 +290,7 @@ func (s liveSource) waitEpoch(ctx context.Context, epoch uint64) (view, error) {
 // source, the embedding model, the defaulted Options and the precomputed
 // predicate-similarity matrix are immutable after NewEngine, the shared
 // answer-space cache is internally synchronised, and every Query/Start
-// call builds its own Execution with a private RNG and draw list.
+// call builds its own Execution with a private draw stream and draw list.
 // Concurrent queries with the same seed draw identical samples; validation
 // verdicts may be served from the shared cache, where they were settled by
 // whichever query batch-validated them first (always a legitimate §IV-B2

@@ -16,8 +16,8 @@
 // classification, filter/attribute binding, walker convergence, the answer
 // distribution, alias tables and the shard split — into a concurrency-safe
 // *Prepared (introspectable via Plan()); each Prepared.Start then returns a
-// private Execution holding its own RNG, draw list and term table over the
-// shared compiled space, pinned to one epoch-consistent graph view
+// private Execution holding its own draw stream, draw list and term table
+// over the shared compiled space, pinned to one epoch-consistent graph view
 // (EpochPin freezes the Prepare-time snapshot, EpochRepin follows the live
 // graph). Execution.Refine implements Algorithm 1's refinement loop: draw,
 // validate, estimate, compute the margin of error, test Theorem 2's

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"time"
@@ -21,9 +20,9 @@ import (
 // the interactive scenario of §IV-C where the user tightens eb at runtime
 // and the engine reuses everything collected so far.
 //
-// An Execution carries its own RNG, draw list and term table and must not
-// be shared across goroutines; concurrency happens by running
-// many Executions of one Engine in parallel.
+// An Execution carries its own draw stream, draw list and term table and
+// must not be shared across goroutines; concurrency happens by running many
+// Executions of one Engine in parallel.
 type Execution struct {
 	e       *Engine
 	q       *query.Aggregate
@@ -37,9 +36,9 @@ type Execution struct {
 	targetEB float64 // the bound the last Refine targeted
 
 	sp      *answerSpace
-	sh      *shardedSpace // non-nil when Options.Shards > 1
-	rng     *rand.Rand    // the draw stream: consumed by sampling alone
-	scr     *execScratch  // pooled hot-loop buffers, held per Refine call
+	sh      *shardedSpace  // non-nil when Options.Shards > 1
+	stream  stats.Splitmix // the draw stream: one word per draw, consumed by sampling alone
+	scr     *execScratch   // pooled hot-loop buffers, held per Refine call
 	drawIdx []int
 	// tab is the sample in reduced form: what is known of each candidate and
 	// the running moments of the draws folded so far (terms.go).
@@ -120,7 +119,7 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 			return nil, err
 		}
 	}
-	x := &Execution{e: e, q: q, v: v, opts: o, onRound: cfg.onRound, degrade: cfg.degrade, rng: stats.NewRand(o.Seed)}
+	x := &Execution{e: e, q: q, v: v, opts: o, onRound: cfg.onRound, degrade: cfg.degrade, stream: stats.NewSplitmix(o.Seed)}
 
 	var err error
 	if x.bindings, err = bind(v.g, q); err != nil {
@@ -135,7 +134,9 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 		return nil, fmt.Errorf("core: %v sampler supports simple queries only", o.Sampler)
 	}
 	begin := time.Now()
-	sp, draws, err := e.buildTopologySpace(ctx, o, v, paths[0], x.rng, x.initialSize(200))
+	// The topology walkers take a *rand.Rand; the draws after the build come
+	// from the execution's own stream.
+	sp, draws, err := e.buildTopologySpace(ctx, o, v, paths[0], stats.NewRand(o.Seed), x.initialSize(200))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("core: %w during preparation: %w", ErrInterrupted, cerr)
@@ -276,7 +277,7 @@ func (x *Execution) sampleMore(k int) {
 	if x.sh != nil {
 		x.scr.draws = x.sh.drawInto(x.scr.draws[:0], k)
 	} else {
-		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], x.rng, k)
+		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
 	}
 	x.drawIdx = append(x.drawIdx, x.scr.draws...)
 	x.scr.shardCounts = x.e.countDraws(x.sp.answers, x.scr.draws, x.scr.shardCounts)

@@ -120,8 +120,8 @@ type compiled struct {
 // (walk convergence, alias tables, shard split) all done once at Prepare.
 // It is safe for concurrent use — any number of goroutines may Start
 // executions or Query/QueryMulti from one Prepared; each execution has
-// its own RNG, draw list and term table and only reads the immutable
-// compiled space.
+// its own draw stream, draw list and term table and only reads the
+// immutable compiled space.
 type Prepared struct {
 	e      *Engine
 	q      *query.Aggregate
@@ -355,7 +355,7 @@ func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution
 		degrade:  cfg.degrade,
 		bindings: c.bindings,
 		sp:       c.sp,
-		rng:      stats.NewRand(cfg.opts.Seed),
+		stream:   stats.NewSplitmix(cfg.opts.Seed),
 	}
 	if c.split != nil {
 		x.sh = newShardedSpace(c.split, cfg.opts.Seed)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"kgaq/internal/estimate"
 	"kgaq/internal/shard"
@@ -46,17 +45,17 @@ func newShardSplit(sp *answerSpace, shards int) (*shardSplit, error) {
 
 // shardedSpace is one execution's view of a shard split: the shared
 // immutable partition plus the per-execution draw state — each stratum's
-// deterministic RNG stream, its draw count, and the latest variance
+// deterministic draw stream, its draw count, and the latest variance
 // signals feeding the Neyman allocator. Per-shard validation runs in
 // parallel without sharing mutable state (Execution.validate); each
 // stratum's draws fold into its own running moments, which merge through
 // the stratified Horvitz–Thompson combiner of internal/estimate.
 type shardedSpace struct {
 	*shardSplit
-	// rngs are per-stratum generators: each stratum's draw stream is
+	// streams are per-stratum generators: each stratum's draw stream is
 	// deterministic under the query seed regardless of how the allocator
 	// splits a round across strata.
-	rngs []*rand.Rand
+	streams []stats.Splitmix
 	// drawn counts draws taken per stratum (allocation state).
 	drawn []int
 	// sigmas holds the latest per-stratum HT-term standard deviations; the
@@ -74,7 +73,7 @@ type shardedSpace struct {
 func newShardedSpace(split *shardSplit, seed int64) *shardedSpace {
 	sh := &shardedSpace{
 		shardSplit: split,
-		rngs:       make([]*rand.Rand, len(split.spaces)),
+		streams:    make([]stats.Splitmix, len(split.spaces)),
 		drawn:      make([]int, len(split.spaces)),
 		sigmas:     make([]float64, len(split.spaces)),
 	}
@@ -82,7 +81,7 @@ func newShardedSpace(split *shardSplit, seed int64) *shardedSpace {
 		// Each stratum forks an independent stream from the query seed and
 		// its shard id, so draws are reproducible per stratum no matter how
 		// rounds allocate across strata.
-		sh.rngs[pos] = stats.NewRand(seed ^ (int64(spc.Shard)+1)*0x9E3779B9)
+		sh.streams[pos] = stats.NewSplitmix(seed ^ (int64(spc.Shard)+1)*0x9E3779B9)
 	}
 	return sh
 }
@@ -111,7 +110,7 @@ func (sh *shardedSpace) drawInto(dst []int, k int) []int {
 		if n <= 0 {
 			continue
 		}
-		dst = sh.spaces[pos].DrawInto(dst, sh.rngs[pos], n)
+		dst = sh.spaces[pos].DrawInto(dst, &sh.streams[pos], n)
 		sh.drawn[pos] += n
 	}
 	return dst

@@ -67,12 +67,12 @@ type answerSpace struct {
 
 func (s *answerSpace) len() int { return len(s.answers) }
 
-// drawInto appends k alias-table draws to dst and returns it; callers pass
-// a reused scratch buffer so the per-round draw batch allocates nothing
-// once warm.
-func (s *answerSpace) drawInto(dst []int, r *rand.Rand, k int) []int {
+// drawInto appends k alias-table draws, one word of sm each, to dst and
+// returns it; callers pass a reused scratch buffer so the per-round draw
+// batch allocates nothing once warm.
+func (s *answerSpace) drawInto(dst []int, sm *stats.Splitmix, k int) []int {
 	for j := 0; j < k; j++ {
-		dst = append(dst, s.alias.Draw(r))
+		dst = append(dst, s.alias.Pick(sm.Next()))
 	}
 	return dst
 }
@@ -778,7 +778,7 @@ func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, path
 	}
 	// Approximate resident bytes: per candidate its id, probability, alias
 	// slot and verdict; the oracles' data; the scope list.
-	sp.cost = 256 + int64(len(answers))*(4+8+16+4) + int64(len(sp.scope))*4
+	sp.cost = 256 + int64(len(answers))*(4+8+8+4) + int64(len(sp.scope))*4
 	for _, lv := range levels {
 		sp.cost += lv.oracle.bytes()
 	}

@@ -65,7 +65,7 @@ func (p *population) truth(fn query.AggFunc) float64 {
 func (p *population) draw(r *rand.Rand, n int) []Observation {
 	obs := make([]Observation, n)
 	for i := range obs {
-		j := p.alias.Draw(r)
+		j := p.alias.Pick(r.Uint64())
 		obs[i] = Observation{Value: p.values[j], Prob: p.probs[j], Correct: p.correct[j]}
 	}
 	return obs

@@ -49,7 +49,7 @@ func (s *stratified) draw(r *rand.Rand, perStratum int) []Stratum {
 		}
 		st := Stratum{Weight: s.weight[h]}
 		for d := 0; d < perStratum; d++ {
-			k := s.alias[h].Draw(r)
+			k := s.alias[h].Pick(r.Uint64())
 			i := s.index[h][k]
 			st.Obs = append(st.Obs, Observation{
 				Value:         s.pop.values[i],

@@ -402,20 +402,18 @@ func TestMomentsWireKeepsCoordinatorResult(t *testing.T) {
 		warm   []core.Round // the repeat, sized from the first execution
 	}{
 		{query.Sum, "price", []core.Round{
-			{Estimate: 5800152.0000000084, MoE: 438060.31059506797, SampleSize: 90},
-			{Estimate: 5633962.078310525, MoE: 169535.11933256272, SampleSize: 540},
-			{Estimate: 5570482.4413468363, MoE: 111297.65626791392, SampleSize: 1271},
-			{Estimate: 5561602.963739814, MoE: 108504.39521738185, SampleSize: 1334},
+			{Estimate: 5576376.000000009, MoE: 433252.63412245864, SampleSize: 90},
+			{Estimate: 5715066.034482762, MoE: 173631.11049171642, SampleSize: 540},
+			{Estimate: 5716920.640968496, MoE: 110527.7094189871, SampleSize: 1296},
 		}, []core.Round{
-			{Estimate: 5628701.574364822, MoE: 107737.9381460441, SampleSize: 1321},
+			{Estimate: 5588354.299900696, MoE: 109360.03482166857, SampleSize: 1260},
 		}},
 		{query.Avg, "price", []core.Round{
-			{Estimate: 24167.299999999988, MoE: 1825.251294146113, SampleSize: 90},
-			{Estimate: 23474.841992960512, MoE: 706.39633055234447, SampleSize: 540},
-			{Estimate: 23210.343505611811, MoE: 463.74023444964121, SampleSize: 1271},
-			{Estimate: 23173.34568224922, MoE: 452.1016467390909, SampleSize: 1334},
+			{Estimate: 23234.899999999994, MoE: 1805.2193088435743, SampleSize: 90},
+			{Estimate: 23812.77514367816, MoE: 723.4629603821513, SampleSize: 540},
+			{Estimate: 23820.50267070206, MoE: 460.5321225791127, SampleSize: 1296},
 		}, []core.Round{
-			{Estimate: 23452.923226520088, MoE: 448.908075608517, SampleSize: 1321},
+			{Estimate: 23284.80958291956, MoE: 455.66681175695226, SampleSize: 1260},
 		}},
 	} {
 		q := query.Simple(tc.fn, tc.attr, "Root_0", "Country", "product", "Automobile")

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"math/rand"
 
 	"kgaq/internal/kg"
 	"kgaq/internal/stats"
@@ -140,17 +139,12 @@ type Space struct {
 	alias     *stats.Alias
 }
 
-// Draw samples k global answer indices i.i.d. from the stratum's
-// conditional distribution.
-func (s *Space) Draw(r *rand.Rand, k int) []int {
-	return s.DrawInto(make([]int, 0, k), r, k)
-}
-
-// DrawInto appends k i.i.d. draws from the stratum's conditional
-// distribution to dst, for callers that batch draws into a reused buffer.
-func (s *Space) DrawInto(dst []int, r *rand.Rand, k int) []int {
+// DrawInto appends k global answer indices, drawn i.i.d. from the
+// stratum's conditional distribution with one word of sm each, to dst, for
+// callers that batch draws into a reused buffer.
+func (s *Space) DrawInto(dst []int, sm *stats.Splitmix, k int) []int {
 	for i := 0; i < k; i++ {
-		dst = append(dst, s.Index[s.alias.Draw(r)])
+		dst = append(dst, s.Index[s.alias.Pick(sm.Next())])
 	}
 	return dst
 }

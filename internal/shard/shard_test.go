@@ -150,9 +150,9 @@ func TestSplitSpace(t *testing.T) {
 	}
 
 	// Draws come back as global indices owned by the stratum's shard.
-	r := stats.NewRand(1)
+	sm := stats.NewSplitmix(1)
 	for _, sp := range spaces {
-		for _, i := range sp.Draw(r, 100) {
+		for _, i := range sp.DrawInto(nil, &sm, 100) {
 			if plan.Of(answers[i]) != sp.Shard {
 				t.Fatalf("draw %d escaped shard %d", i, sp.Shard)
 			}

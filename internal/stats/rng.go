@@ -21,11 +21,13 @@ func Fork(parent *rand.Rand) *rand.Rand {
 }
 
 // Splitmix is a splitmix64 generator: a single multiply-xorshift chain per
-// output, no allocation, no locking. The bootstrap hot loop draws millions
-// of bounded indices per query; math/rand's generic path was ~45% of warm
-// query CPU, so the resampler uses this instead. Not for cryptographic or
-// statistical-testing use — its output quality is ample for bootstrap index
-// selection, where only uniformity over a small range matters.
+// output, no allocation, no locking, and an 8-byte state. It is the engine's
+// one draw stream — one word per alias-table draw (Alias.Pick) on every
+// semantic-sampling path — and the bootstrap's resampling stream; math/rand
+// cost ~45 % of warm query CPU in either place, plus a 4.9 KB source to
+// seed per execution. Not for cryptographic or statistical-testing use — its
+// output quality is ample for categorical draws and bootstrap index
+// selection, where only uniformity over a modest range matters.
 //
 // The zero value is a valid generator (a fixed stream); seed it via
 // NewSplitmix for a reproducible stream keyed to an experiment seed.
@@ -82,18 +84,27 @@ func WeightedIndex(r *rand.Rand, weights []float64) int {
 // Alias implements Walker's alias method for O(1) categorical sampling from
 // a fixed discrete distribution. Building the table is O(n); it is the
 // workhorse behind continuous sampling, where the engine draws thousands of
-// i.i.d. answers from the stationary distribution π′.
+// i.i.d. answers from the stationary distribution π′. Each category is one
+// packed 8-byte slot, and a draw costs one uniform 64-bit word (Pick).
 type Alias struct {
-	prob  []float64
-	alias []int
+	slots []aliasSlot
+}
+
+// aliasSlot is one column of the table: the column's own category when the
+// coin, a uniform 32-bit word, falls below cut, else alias. A full column
+// aliases itself.
+type aliasSlot struct {
+	cut   uint32
+	alias uint32
 }
 
 // NewAlias builds an alias table for the given weights. Weights must be
-// finite and non-negative with a positive finite sum; NewAlias returns nil
-// otherwise (a NaN or an infinite weight included).
+// finite and non-negative with a positive finite sum, and there must be
+// fewer than 2³² of them; NewAlias returns nil otherwise (a NaN or an
+// infinite weight included).
 func NewAlias(weights []float64) *Alias {
 	n := len(weights)
-	if n == 0 {
+	if n == 0 || uint64(n) > math.MaxUint32 {
 		return nil
 	}
 	total := 0.0
@@ -107,54 +118,59 @@ func NewAlias(weights []float64) *Alias {
 		return nil
 	}
 
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]int, n),
-	}
+	a := &Alias{slots: make([]aliasSlot, n)}
 	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
+	// work holds two stacks of category indices: the under-full columns
+	// grow up from 0, the full ones down from n.
+	work := make([]uint32, n)
+	small, large := 0, n
+	push := func(i uint32) {
+		if scaled[i] < 1 {
+			work[small] = i
+			small++
+		} else {
+			large--
+			work[large] = i
+		}
+	}
 	for i, w := range weights {
 		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
+		push(uint32(i))
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
+	for small > 0 && large < n {
+		small--
+		s, l := work[small], work[large]
+		large++
+		// scaled[s] < 1, so the coin's threshold fits 32 bits.
+		a.slots[s] = aliasSlot{cut: uint32(scaled[s] * (1 << 32)), alias: l}
 		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
+		push(l)
 	}
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
+	// What is left is full up to floating-point slack.
+	for _, i := range work[:small] {
+		a.slots[i] = aliasSlot{cut: math.MaxUint32, alias: i}
 	}
-	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
+	for _, i := range work[large:] {
+		a.slots[i] = aliasSlot{cut: math.MaxUint32, alias: i}
 	}
 	return a
 }
 
-// Draw samples one index from the alias table.
-func (a *Alias) Draw(r *rand.Rand) int {
-	i := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
+// Pick maps one uniform 64-bit word to a category. Its high 32 bits choose
+// the column by Lemire's multiply-shift, as Splitmix.Intn does; its low 32
+// bits are the coin against the column's cut. Both halves are 32-bit, so a
+// draw is biased: a column takes ⌊2³²/n⌋ or ⌈2³²/n⌉ of the high words,
+// off 1/n by at most n·2⁻³² relative (2.5·10⁻⁷ at 1 080 categories), and a
+// cut truncates its probability to a multiple of 2⁻³². Both are far below
+// the sampling error of any sample the engine draws.
+func (a *Alias) Pick(u uint64) int {
+	i := (u >> 32) * uint64(len(a.slots)) >> 32
+	s := a.slots[i]
+	if uint32(u) < s.cut {
+		return int(i)
 	}
-	return a.alias[i]
+	return int(s.alias)
 }
 
 // N returns the number of categories in the table.
-func (a *Alias) N() int { return len(a.prob) }
+func (a *Alias) N() int { return len(a.slots) }

@@ -250,9 +250,9 @@ func TestAliasDegenerate(t *testing.T) {
 	if tiny == nil {
 		t.Fatal("NewAlias(tiny uniform) failed to build")
 	}
-	r := NewRand(3)
+	sm := NewSplitmix(3)
 	for i := 0; i < 1000; i++ {
-		if k := tiny.Draw(r); k < 0 || k > 2 {
+		if k := tiny.Pick(sm.Next()); k < 0 || k > 2 {
 			t.Fatalf("tiny-weight draw out of range: %d", k)
 		}
 	}
@@ -262,7 +262,7 @@ func TestAliasDegenerate(t *testing.T) {
 	}
 	dominant := 0
 	for i := 0; i < 1000; i++ {
-		if skew.Draw(r) == 1 {
+		if skew.Pick(sm.Next()) == 1 {
 			dominant++
 		}
 	}
@@ -315,11 +315,11 @@ func TestAliasDistribution(t *testing.T) {
 	if a == nil || a.N() != 4 {
 		t.Fatal("alias table not built")
 	}
-	r := NewRand(11)
+	sm := NewSplitmix(11)
 	counts := make([]int, 4)
 	const n = 200000
 	for i := 0; i < n; i++ {
-		counts[a.Draw(r)]++
+		counts[a.Pick(sm.Next())]++
 	}
 	for i, wi := range w {
 		frac := float64(counts[i]) / n
@@ -347,7 +347,7 @@ func TestAliasMatchesWeightedIndex(t *testing.T) {
 		const draws = 20000
 		counts := make([]int, n)
 		for i := 0; i < draws; i++ {
-			counts[a.Draw(r)]++
+			counts[a.Pick(r.Uint64())]++
 		}
 		for i := range w {
 			want := w[i] / total
@@ -386,5 +386,25 @@ func TestNewRandDeterminism(t *testing.T) {
 		if a.Int63() != b.Int63() {
 			t.Fatal("same seed produced different streams")
 		}
+	}
+}
+
+// One draw as the engine makes it: a Splitmix word into Alias.Pick, over a
+// table the size of the first simple dbpedia-sim query's 780 candidates.
+func BenchmarkAliasPick(b *testing.B) {
+	w := make([]float64, 780)
+	r := NewRand(1)
+	for i := range w {
+		w[i] = r.ExpFloat64()
+	}
+	a := NewAlias(w)
+	sm := NewSplitmix(1)
+	sink := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += a.Pick(sm.Next())
+	}
+	if sink < 0 {
+		b.Fatal(sink)
 	}
 }

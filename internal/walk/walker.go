@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"kgaq/internal/kg"
 	"kgaq/internal/semsim"
@@ -534,7 +535,11 @@ func (w *Walker) PiMap() map[kg.NodeID]float64 {
 type AnswerDist struct {
 	Answers []kg.NodeID
 	Probs   []float64 // parallel to Answers; sums to 1
-	alias   *stats.Alias
+
+	// The alias table is built on the first Sample: the engine keeps only
+	// Answers and Probs of a stage and never draws from the distribution.
+	aliasOnce sync.Once
+	alias     *stats.Alias
 }
 
 // AnswerDistribution extracts π′ over the candidate answers: nodes of the
@@ -565,7 +570,7 @@ func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error
 		total += w.pi[i]
 	}
 	w.mem.cand = cand
-	if len(cand) == 0 || total <= 0 {
+	if len(cand) == 0 || !(total > 0 && total <= math.MaxFloat64) {
 		return nil, fmt.Errorf("walk: no candidate answers with positive visiting probability in %d-bounded scope", w.cfg.N)
 	}
 	ans := make([]kg.NodeID, len(cand))
@@ -574,11 +579,7 @@ func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error
 		ans[k] = w.nodes[i]
 		probs[k] = w.pi[i] / total
 	}
-	alias := stats.NewAlias(probs)
-	if alias == nil {
-		return nil, fmt.Errorf("walk: failed to build sampling table over %d answers", len(ans))
-	}
-	return &AnswerDist{Answers: ans, Probs: probs, alias: alias}, nil
+	return &AnswerDist{Answers: ans, Probs: probs}, nil
 }
 
 // Prob returns π′ of answer index i.
@@ -588,11 +589,14 @@ func (d *AnswerDist) Prob(i int) float64 { return d.Probs[i] }
 func (d *AnswerDist) Len() int { return len(d.Answers) }
 
 // Sample draws k answer indices i.i.d. from π′ (continuous sampling,
-// Theorem 1). Indices refer to d.Answers.
+// Theorem 1), one 64-bit word of r per draw. Indices refer to d.Answers.
+// It panics when Probs is not a distribution stats.NewAlias accepts, which
+// AnswerDistribution never returns.
 func (d *AnswerDist) Sample(r *rand.Rand, k int) []int {
+	d.aliasOnce.Do(func() { d.alias = stats.NewAlias(d.Probs) })
 	out := make([]int, k)
 	for i := range out {
-		out[i] = d.alias.Draw(r)
+		out[i] = d.alias.Pick(r.Uint64())
 	}
 	return out
 }
