@@ -77,6 +77,7 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/semsim/semsim.go", "func (c *Calculator) PathSim"},
 		{"internal/walk/walker.go", "func (w *Walker) ConvergeCtx"},
 		{"internal/walk/walker.go", "func (w *Walker) AnswerDistribution"},
+		{"internal/stats/rng.go", "func (a *Alias) Pick"},
 		{"internal/estimate/estimate.go", "func Estimate"},
 		{"internal/estimate/estimate.go", "func NextSampleSize"},
 		{"internal/estimate/estimate.go", "func TotalSampleSize"},

@@ -157,8 +157,9 @@ func NewAlias(weights []float64) *Alias {
 }
 
 // Pick maps one uniform 64-bit word to a category. Its high 32 bits choose
-// the column by Lemire's multiply-shift, as Splitmix.Intn does; its low 32
-// bits are the coin against the column's cut. Both halves are 32-bit, so a
+// the column by Lemire's multiply-shift (the reduction Splitmix.Intn
+// applies to its low 32 bits); its low 32 bits are the coin against the
+// column's cut. Both halves are 32-bit, so a
 // draw is biased: a column takes ⌊2³²/n⌋ or ⌈2³²/n⌉ of the high words,
 // off 1/n by at most n·2⁻³² relative (2.5·10⁻⁷ at 1 080 categories), and a
 // cut truncates its probability to a multiple of 2⁻³². Both are far below
