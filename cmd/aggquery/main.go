@@ -111,8 +111,8 @@ func main() {
 		fmt.Printf("  estimate: %s\n", res.Interval())
 		fmt.Printf("  rounds: %d  sample: %d draws / %d distinct (of %d candidates)\n",
 			len(res.Rounds), res.SampleSize, res.Distinct, res.Candidates)
-		fmt.Printf("  converged: %v  time: %.1fms (S1 %.1f / S2 %.1f / S3 %.1f)\n",
-			res.Converged, float64(elapsed.Microseconds())/1000,
+		fmt.Printf("  converged: %v  exact: %v  time: %.1fms (S1 %.1f / S2 %.1f / S3 %.1f)\n",
+			res.Converged, res.Exact, float64(elapsed.Microseconds())/1000,
 			ms(res.Times.Sampling), ms(res.Times.Estimation), ms(res.Times.Guarantee))
 		if res.Groups != nil {
 			labels := make([]string, 0, len(res.Groups))

@@ -106,6 +106,10 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/prepared.go", "func (e *Engine) Prepare"},
 		{"internal/core/exec.go", "func (x *Execution) refine"},
 		{"internal/core/decide.go", "func Decide"},
+		{"internal/core/decide.go", "StopCensus"},
+		{"internal/core/exec.go", "func (x *Execution) census"},
+		{"internal/core/terms.go", "func (t *termTable) tally"},
+		{"internal/core/census_test.go", "func TestCensusMatchesSSB"},
 		{"internal/core/decide.go", "func (p *Progress) Check"},
 		{"internal/estimate/multi.go", "func Project"},
 		{"internal/shard/shard.go", "func SplitSpace"},

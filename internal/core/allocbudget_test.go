@@ -73,7 +73,7 @@ func warmExecution(t *testing.T, specs ...termSpec) (*Execution, context.Context
 	if !x.evaluate(ctx, all) {
 		t.Fatal("evaluation of a live context reported a cancellation")
 	}
-	x.firstSample()
+	x.sampleMore(x.firstSize())
 	x.advance(ctx)
 	x.drawIdx = slices.Grow(x.drawIdx, x.opts.MaxDraws)
 	return x, ctx, release

@@ -56,7 +56,7 @@ func TestQueryCancelMidRefinement(t *testing.T) {
 		var rounds []Round
 		estimate, converged, err := c.run(e, ctx,
 			// An unreachable bound keeps refinement running until cancelled.
-			WithErrorBound(1e-9),
+			WithErrorBound(1e-9), withoutCensus(),
 			OnRound(func(r Round) {
 				rounds = append(rounds, r)
 				cancel()
@@ -139,7 +139,7 @@ func TestQueryOptionOverrides(t *testing.T) {
 	ctx := context.Background()
 
 	// MaxDraws: an unreachable bound with a tiny budget must stop early.
-	res, err := e.Query(ctx, avgPriceQuery(), WithErrorBound(1e-9), WithMaxDraws(40))
+	res, err := e.Query(ctx, avgPriceQuery(), WithErrorBound(1e-9), WithMaxDraws(40), withoutCensus())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ type Round struct {
 type GroupResult struct {
 	Estimate float64
 	MoE      float64
-	Draws    int // observations that fell into the group
+	Draws    int // observations that fell into the group (a census: its candidates)
 }
 
 // Result is the outcome of executing one aggregate query.
@@ -219,6 +219,11 @@ type Result struct {
 	// for the returned sample but may be looser than TargetEB requested.
 	// AchievedEB() reports the bound it actually attains.
 	Degraded bool
+	// Exact reports the refinement ended in a census: the next sample would
+	// have reached |A|, so every candidate was settled and the aggregate
+	// read off all of them, with MoE 0. It is exact for the validator's
+	// verdicts (DESIGN.md "Census crossover").
+	Exact bool
 	// TargetEB is the relative error bound this execution refined toward
 	// (0 for MAX/MIN, which carry no guarantee).
 	TargetEB   float64
@@ -231,6 +236,11 @@ type Result struct {
 	Epoch      uint64 // graph epoch the whole query observed (0 on static engines)
 	Times      StepTimes
 	Groups     map[string]GroupResult // non-nil only for GROUP-BY queries
+	// CapDroppedMass is the stage-one π mass of the chain intermediates the
+	// answer space left unexpanded (maxChainIntermediates), summed over its
+	// decomposed paths: answers reachable only through them are missing
+	// from A. Non-zero, it rules the census out.
+	CapDroppedMass float64
 }
 
 // Interval returns the confidence interval of the final estimate.

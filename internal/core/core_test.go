@@ -55,7 +55,7 @@ func TestOptionsDefaults(t *testing.T) {
 // The running example: AVG(price) of cars produced in Germany ≈ $44,072.16.
 func TestExecuteAvgRunningExample(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 7})
-	res, err := e.Query(context.Background(), avgPriceQuery())
+	res, err := e.Query(context.Background(), avgPriceQuery(), withoutCensus())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,12 +314,12 @@ func TestDivisorPolicyAblation(t *testing.T) {
 	// With τ=0.85 some sampled answers (KIA) are incorrect, so the
 	// CorrectOnly policy overestimates COUNT.
 	def, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 43})
-	resDef, err := def.Query(context.Background(), countQuery())
+	resDef, err := def.Query(context.Background(), countQuery(), withoutCensus())
 	if err != nil {
 		t.Fatal(err)
 	}
 	alt, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 43, Policy: estimate.CorrectOnly})
-	resAlt, err := alt.Query(context.Background(), countQuery())
+	resAlt, err := alt.Query(context.Background(), countQuery(), withoutCensus())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,10 @@ const (
 	StopRounds
 	// StopDraws: the draw budget (MaxDraws) is spent.
 	StopDraws
+	// StopCensus: the sample the step would reach covers the candidate set,
+	// so the loop draws no more and reads every spec exactly from its
+	// candidates instead (DESIGN.md "Census crossover").
+	StopCensus
 )
 
 // Progress is what one evaluated round tells the stopping rule. The caller
@@ -39,6 +43,13 @@ const (
 type Progress struct {
 	// Draws is the sample size |S| so far.
 	Draws int
+	// Initial, when positive, marks the call before any draw: its step is
+	// the first round's planned size, Initial.
+	Initial int
+	// Census is |A| when a census may replace the next round — an unsharded
+	// semantic execution over a space the chain cap did not truncate — and
+	// 0 otherwise.
+	Census int
 	// Correct counts the correct draws the MinCorrect gate reads.
 	Correct int
 	// Grouped marks a GROUP-BY round: its intervals are per group.
@@ -106,6 +117,7 @@ type Step struct {
 
 // Decide is the stopping rule of every refinement loop, in order:
 //
+//   - before any draw, grow by the first round's planned size;
 //   - a round without a guaranteed aggregate grows by its fixed size;
 //   - ungrouped, below MinCorrect or with an unestimable aggregate and no
 //     miss to size by: double the sample;
@@ -115,12 +127,17 @@ type Step struct {
 //     asks for any draw at all; capped at 5× the sample;
 //   - stop degraded when the round the step buys would not fit the deadline;
 //   - stop when there is nothing to size with (V̂ = 0);
+//   - take the census when the sample the step reaches covers the Census
+//     candidates and they fit the draw budget: it draws nothing, so it
+//     outranks the two budget stops below;
 //   - stop on the last round, or when the draw budget is spent.
 //
 // The grown step is not clipped to the budget: the draw itself clips.
 func Decide(o Options, p Progress) Step {
 	st := Step{Grow: p.Draws}
 	switch {
+	case p.Initial > 0:
+		st.Grow = p.Initial
 	case p.Extreme > 0:
 		st.Grow = p.Extreme
 	case p.gated(o.MinCorrect):
@@ -153,6 +170,8 @@ func Decide(o Options, p Progress) Step {
 		}
 	}
 	switch {
+	case p.Census > 0 && p.Census <= o.MaxDraws && p.Draws+st.Grow >= p.Census:
+		return Step{Stop: StopCensus}
 	case p.Last:
 		st.Stop = StopRounds
 	case p.Draws >= o.MaxDraws:

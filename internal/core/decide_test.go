@@ -68,10 +68,27 @@ func TestDecide(t *testing.T) {
 		{"grouped: no group grows by the floor", rule, Progress{Grouped: true, Unestimable: true}, nil, Step{Grow: 500}},
 		// ROADMAP item 1: an under-sampled group counts as met.
 		{"grouped: a group under minGroupDraws counts as met", rule, Progress{Grouped: true}, []interval{thinGroup}, Step{Stop: StopConverged}},
+
+		// The census: where the sample the step reaches covers |A|.
+		{"first round", rule, Progress{Draws: -1, Initial: 53, Census: 400}, nil, Step{Grow: 53}},
+		{"census before any draw", rule, Progress{Draws: -1, Initial: 30, Census: 30}, nil, Step{Stop: StopCensus}},
+		{"census: the Eq. 12 step reaches |A|", rule, Progress{Correct: 100, Census: 1000 + eq12}, []interval{unmet}, Step{Stop: StopCensus}},
+		{"census: the step falls short of |A|", rule, Progress{Correct: 100, Census: 1001 + eq12}, []interval{unmet}, Step{Grow: eq12}},
+		{"census: a gated doubling reaches |A|", rule, Progress{Correct: 29, Census: 2000}, nil, Step{Stop: StopCensus}},
+		{"census: a grouped step reaches |A|", rule, Progress{Grouped: true, Census: 1500}, []interval{group}, Step{Stop: StopCensus}},
+		{"census outranks the round budget", rule, Progress{Correct: 100, Last: true, Census: 1000 + eq12}, []interval{unmet}, Step{Stop: StopCensus}},
+		{"census outranks the draw budget", rule, Progress{Correct: 100, Draws: 10000, Census: 10000}, []interval{unmet}, Step{Stop: StopCensus}},
+		{"census: |A| past the draw budget", rule, Progress{Correct: 100, Draws: 10000, Census: 10001}, []interval{unmet}, Step{Grow: estimate.NextSampleSize(10000, 10, 100, 0.1), Stop: StopDraws}},
+		{"census: convergence outranks it", rule, Progress{Correct: 100, Census: 1000}, []interval{met}, Step{Stop: StopConverged}},
+		{"census: degradation outranks it", rule, Progress{Correct: 100, Estimated: true, Deadline: true, Cost: 10 * time.Millisecond, Slack: 20 * time.Millisecond, Census: 1000}, []interval{wild}, Step{Stop: StopDegraded}},
+		{"census: V̂ = 0 outranks it", rule, Progress{Correct: 100, Census: 1000}, []interval{zero}, Step{Stop: StopUnsized}},
 	} {
 		p := c.p
-		if p.Draws == 0 {
+		switch p.Draws {
+		case 0:
 			p.Draws = 1000
+		case -1: // before any draw
+			p.Draws = 0
 		}
 		for _, iv := range c.ivs {
 			if iv.draws < 0 {

@@ -64,7 +64,7 @@ func TestDeadlineDegrade(t *testing.T) {
 	defer cancel()
 	res, err := eng.Query(ctx, q,
 		WithErrorBound(1e-9), // unattainable: forces the degrade arm
-		WithDegradation(Degradation{MaxErrorBound: 0.5, DeadlineHeadroom: 2 * time.Minute}))
+		WithDegradation(Degradation{MaxErrorBound: 0.5, DeadlineHeadroom: 2 * time.Minute}), withoutCensus())
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestDeadlineDegradeMulti(t *testing.T) {
 	res, err := eng.QueryMulti(ctx, q,
 		[]AggSpec{{Func: query.Count}, {Func: query.Avg, Attr: "price"}},
 		WithErrorBound(1e-9),
-		WithDegradation(Degradation{MaxErrorBound: 0.5, DeadlineHeadroom: 2 * time.Minute}))
+		WithDegradation(Degradation{MaxErrorBound: 0.5, DeadlineHeadroom: 2 * time.Minute}), withoutCensus())
 	if err != nil {
 		t.Fatalf("QueryMulti: %v", err)
 	}

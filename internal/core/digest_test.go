@@ -96,6 +96,18 @@ func (d *digester) result(res *Result, err error) {
 	d.rounds(res.Rounds)
 	d.i(res.SampleSize, res.Distinct, res.Correct, res.Candidates, res.Shards, int(res.Epoch))
 	d.groups(res.Groups)
+	d.census(res.Exact, res.CapDroppedMass)
+}
+
+// census covers the census fields, which only a census answer or a
+// truncated chain space sets: a row without either keeps its golden value.
+func (d *digester) census(exact bool, capDropped float64) {
+	if exact {
+		d.b.WriteString("exact;")
+	}
+	if capDropped != 0 {
+		d.f(capDropped)
+	}
 }
 
 func (d *digester) multi(res *MultiResult, err error) {
@@ -112,7 +124,9 @@ func (d *digester) multi(res *MultiResult, err error) {
 		d.flag(a.Converged)
 		d.rounds(a.Rounds)
 		d.groups(a.Groups)
+		d.census(a.Exact, 0)
 	}
+	d.census(false, res.CapDroppedMass)
 }
 
 func (d *digester) sample(ms *MemberSample, err error) {

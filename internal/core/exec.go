@@ -33,7 +33,9 @@ type Execution struct {
 	bindings
 
 	degraded bool    // the guarantee loop stopped early under degrade
+	exact    bool    // the last refinement ended in a census with every guaranteed spec read
 	targetEB float64 // the bound the last Refine targeted
+	noCensus bool    // the census is off (a test hook: queryConfig.noCensus)
 
 	sp      *answerSpace
 	sh      *shardedSpace  // non-nil when Options.Shards > 1
@@ -206,6 +208,8 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 		outcome = "interrupted"
 	case x.degraded:
 		outcome = "degraded"
+	case x.exact:
+		outcome = "exact"
 	case converged:
 		outcome = "converged"
 	}
@@ -223,6 +227,10 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 	t.SetAttr("outcome", outcome)
 	t.SetAttr("converged", converged)
 	t.SetAttr("degraded", x.degraded)
+	t.SetAttr("exact", x.exact)
+	if m := x.sp.capDropped; m > 0 {
+		t.SetAttr("cap_dropped_mass", m)
+	}
 	t.SetAttr("rounds", len(x.rounds))
 	t.SetAttr("sample_size", len(x.drawIdx))
 	t.SetAttr("candidates", x.sp.len())
@@ -251,18 +259,28 @@ func (x *Execution) initialSize(candidates int) int {
 	return size
 }
 
-// firstSample draws the initial round. Under sharded execution the size is
+// firstSize is the size of the initial round. Under sharded execution it is
 // additionally floored at the stratum count: an unobserved stratum
 // contributes zero to the merged estimate AND zero to its variance, so a
 // first round smaller than the stratum count could converge on a biased
 // underestimate; covering every stratum from round one (the allocator's
 // per-stratum floors then hold for all later rounds) removes that mode.
-func (x *Execution) firstSample() {
+func (x *Execution) firstSize() int {
 	size := x.initialSize(x.sp.len())
 	if x.sh != nil && size < len(x.sh.spaces) {
 		size = len(x.sh.spaces)
 	}
-	x.sampleMore(size)
+	return size
+}
+
+// censusSize is what Progress.Census carries: |A| when a census may end this
+// execution's refinement — unsharded, over a semantic answer space the
+// chain cap did not truncate — and 0 otherwise.
+func (x *Execution) censusSize() int {
+	if x.sh != nil || x.opts.Sampler != SamplerSemantic || x.sp.capDropped > 0 || x.noCensus {
+		return 0
+	}
+	return x.sp.len()
 }
 
 // sampleMore extends the draw list by k, honouring the MaxDraws budget.
@@ -338,9 +356,11 @@ func (x *Execution) extremeRoundSize() int {
 // moments the sharded allocator, and its intervals are the execution's
 // rounds (OnRound, Rounds()). Under GROUP-BY each spec's groups are what
 // Theorem 2 checks. MAX/MIN specs ride along and are read once over the
-// final sample; a list of extremes alone runs fixed-size rounds (§VII). It
-// returns the rounds it evaluated; a cancelled refine returns an error from
-// cut and leaves each run at its last evaluated round.
+// final sample; a list of extremes alone runs fixed-size rounds (§VII).
+// When the sample Decide would reach covers the candidate set — asked once
+// before the first draw too — the loop ends in a census instead. It returns
+// the rounds it evaluated; a cancelled refine returns an error from cut and
+// leaves each run at its last evaluated round.
 func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSpec, keepRounds bool) (rounds int, converged bool, err error) {
 	o := x.opts
 	grouped := x.group != kg.InvalidAttr
@@ -352,15 +372,12 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 		}
 	}
 	x.bindTerms(terms...)
+	x.exact = false
 
-	extreme, maxRounds := 0, o.MaxRounds
-	switch {
-	case drive < 0:
+	extreme, maxRounds, census := 0, o.MaxRounds, x.censusSize()
+	if drive < 0 {
 		// Extremes alone: every round draws its fixed size, then evaluates.
-		drive, extreme, maxRounds = 0, x.extremeRoundSize(), o.ExtremeRounds
-		x.sampleMore(extreme)
-	case len(x.drawIdx) == 0:
-		x.firstSample()
+		drive, extreme, maxRounds, census = 0, x.extremeRoundSize(), o.ExtremeRounds, 0
 	}
 	if grouped {
 		maxRounds *= 3
@@ -368,6 +385,16 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 	// A call cut short before its first round reports the execution's last.
 	if n := len(x.rounds); n > 0 {
 		runs[drive].Estimate, runs[drive].MoE = x.rounds[n-1].Estimate, x.rounds[n-1].MoE
+	}
+	switch {
+	case extreme > 0:
+		x.sampleMore(extreme)
+	case len(x.drawIdx) == 0:
+		st := Decide(o, Progress{Initial: x.firstSize(), Census: census})
+		if st.Stop == StopCensus {
+			return x.census(ctx, runs, drive, 0, keepRounds)
+		}
+		x.sampleMore(st.Grow)
 	}
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -380,13 +407,16 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 			return rounds, false, x.cut(ctx.Err())
 		}
 		rounds++
-		p := Progress{Draws: len(x.drawIdx), Grouped: grouped, Extreme: extreme, Last: extreme > 0 && round+1 >= maxRounds}
+		p := Progress{Draws: len(x.drawIdx), Grouped: grouped, Extreme: extreme, Last: round+1 >= maxRounds, Census: census}
 		v, verr := x.evaluateRound(ctx, runs, drive, &p, roundBegin, keepRounds)
 		p.Cost = time.Since(roundBegin) + x.drawCost
 		p.Slack, p.Deadline = x.degrade.slack(ctx)
 		begin := time.Now()
 		st := Decide(o, p)
 		x.times.Guarantee += time.Since(begin)
+		if st.Stop == StopCensus {
+			return x.census(ctx, runs, drive, rounds, keepRounds)
+		}
 		if st.Gated && st.Stop != Continue && verr == nil {
 			// The budget ran out under the gate: report the estimate
 			// without claiming a margin.
@@ -418,14 +448,67 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 		if runs[k].Spec.Func.HasGuarantee() {
 			continue
 		}
-		if x.tab.folded != len(x.drawIdx) && !x.advance(ctx) {
-			return rounds, false, x.cut(ctx.Err())
-		}
 		if v, err := x.estimateOf(k, nil); err == nil {
 			x.report(ctx, &runs[k], false, v, 0, time.Time{}, keepRounds)
 		}
 	}
 	return rounds, converged, nil
+}
+
+// census ends a refinement whose next sample would reach |A| (StopCensus,
+// DESIGN.md "Census crossover"). It settles every candidate not yet known in
+// one evaluate — on a warm plan from the shared verdicts, without an oracle
+// call — and reads every spec exactly off the term table (tally), per group
+// when grouped, with MoE 0. A spec with no valued candidate has no AVG, MAX
+// or MIN; the census converges when every guaranteed spec was read, and
+// counts as one more round, reported like a sampled one.
+func (x *Execution) census(ctx context.Context, runs []AggResult, drive, rounds int, keepRounds bool) (int, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return rounds, false, x.cut(err)
+	}
+	began := time.Now()
+	if !x.evaluate(ctx, x.scr.candidates(x.sp.len())) {
+		x.charge(&x.times.Estimation, began)
+		return rounds, false, x.cut(ctx.Err())
+	}
+	t := x.tab
+	t.tally()
+	x.charge(&x.times.Estimation, began)
+	converged, estimated := true, false
+	for k := range runs {
+		r := &runs[k]
+		v, _, err := t.exact(0, k)
+		if err != nil {
+			r.Estimate, r.MoE = math.NaN(), math.NaN()
+			converged = converged && !r.Spec.Func.HasGuarantee()
+			continue
+		}
+		estimated = true
+		r.Exact, r.Converged = true, r.Spec.Func.HasGuarantee()
+		if x.group != kg.InvalidAttr {
+			r.Groups = x.exactGroups(k)
+		}
+		x.report(ctx, r, k == drive, v, 0, began, keepRounds)
+	}
+	if !estimated {
+		return rounds, false, fmt.Errorf("core: %w: no candidate of %d is correct for the aggregate: %w",
+			ErrNotConverged, x.sp.len(), estimate.ErrNoCorrect)
+	}
+	x.exact = converged
+	return rounds + 1, converged, nil
+}
+
+// exactGroups reads spec k's census per GROUP-BY group: every group with a
+// candidate correct for the spec, its Draws the number of such candidates.
+func (x *Execution) exactGroups(k int) map[string]GroupResult {
+	t := x.tab
+	groups := map[string]GroupResult{}
+	for g := 1; g < len(t.labels); g++ {
+		if v, n, err := t.exact(g, k); err == nil && n > 0 {
+			groups[t.labels[g]] = GroupResult{Estimate: v, Draws: n}
+		}
+	}
+	return groups
 }
 
 // evaluateRound reads one round's intervals out of the term table into the
@@ -558,22 +641,24 @@ func (x *Execution) result(ctx context.Context, vhat, moe float64, converged boo
 		shards = len(x.sh.spaces)
 	}
 	return &Result{
-		Query:      x.q,
-		Estimate:   vhat,
-		MoE:        moe,
-		Confidence: x.opts.Confidence,
-		Converged:  converged,
-		Degraded:   x.degraded,
-		TargetEB:   x.targetEB,
-		Rounds:     append([]Round(nil), x.rounds...),
-		SampleSize: len(x.drawIdx),
-		Distinct:   distinct,
-		Correct:    correct,
-		Candidates: x.sp.len(),
-		Shards:     shards,
-		Epoch:      x.v.epoch,
-		Times:      x.times,
-		Groups:     groups,
+		Query:          x.q,
+		Estimate:       vhat,
+		MoE:            moe,
+		Confidence:     x.opts.Confidence,
+		Converged:      converged,
+		Degraded:       x.degraded,
+		Exact:          x.exact,
+		TargetEB:       x.targetEB,
+		Rounds:         append([]Round(nil), x.rounds...),
+		SampleSize:     len(x.drawIdx),
+		Distinct:       distinct,
+		Correct:        correct,
+		Candidates:     x.sp.len(),
+		CapDroppedMass: x.sp.capDropped,
+		Shards:         shards,
+		Epoch:          x.v.epoch,
+		Times:          x.times,
+		Groups:         groups,
 	}
 }
 

@@ -151,7 +151,7 @@ func TestTermTableEvaluatesEachCandidateOnce(t *testing.T) {
 	e, ds := tinyEngine(t)
 	for _, q := range []*query.Aggregate{ds.QueriesByShape(query.ShapeSimple)[1].Agg, ds.QueriesByShape(query.ShapeChain)[0].Agg} {
 		for _, shards := range []int{1, 4} {
-			x, err := e.Start(context.Background(), q, WithShards(shards), WithErrorBound(0.03))
+			x, err := e.Start(context.Background(), q, WithShards(shards), WithErrorBound(0.03), withoutCensus())
 			if err != nil {
 				t.Fatal(err)
 			}

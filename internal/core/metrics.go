@@ -8,7 +8,7 @@ import "kgaq/internal/obs"
 // always tell the same story.
 var (
 	metQueries = obs.Default().CounterVec("kgaq_core_queries_total",
-		"Completed engine executions by outcome (converged, unconverged, degraded, interrupted).",
+		"Completed engine executions by outcome (exact, converged, unconverged, degraded, interrupted).",
 		"outcome")
 	metRounds = obs.Default().Histogram("kgaq_core_rounds_per_query",
 		"Guarantee-loop rounds taken per execution.", obs.RoundBuckets)

@@ -47,6 +47,9 @@ type AggResult struct {
 	// Converged reports the spec's own Theorem 2 termination (per group,
 	// when grouped).
 	Converged bool
+	// Exact marks a census answer: the spec read off every candidate, with
+	// MoE 0 (DESIGN.md "Census crossover").
+	Exact bool
 	// Rounds is this spec's per-round trace; SampleSize is shared across
 	// specs within a round — the visible face of the single draw stream.
 	Rounds []Round
@@ -78,6 +81,8 @@ type MultiResult struct {
 	Shards     int
 	Epoch      uint64
 	Times      StepTimes
+	// CapDroppedMass is Result.CapDroppedMass for the shared answer space.
+	CapDroppedMass float64
 }
 
 // validateSpecs checks a multi-aggregate spec list against the underlying
@@ -180,18 +185,19 @@ func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds in
 		shards = len(x.sh.spaces)
 	}
 	return &MultiResult{
-		Query:      x.q,
-		Aggs:       runs,
-		Confidence: x.opts.Confidence,
-		Converged:  converged,
-		Degraded:   x.degraded,
-		Rounds:     rounds,
-		SampleSize: len(x.drawIdx),
-		Distinct:   distinct,
-		Correct:    correct,
-		Candidates: x.sp.len(),
-		Shards:     shards,
-		Epoch:      x.v.epoch,
-		Times:      x.times,
+		Query:          x.q,
+		Aggs:           runs,
+		Confidence:     x.opts.Confidence,
+		Converged:      converged,
+		Degraded:       x.degraded,
+		Rounds:         rounds,
+		SampleSize:     len(x.drawIdx),
+		Distinct:       distinct,
+		Correct:        correct,
+		Candidates:     x.sp.len(),
+		CapDroppedMass: x.sp.capDropped,
+		Shards:         shards,
+		Epoch:          x.v.epoch,
+		Times:          x.times,
 	}
 }

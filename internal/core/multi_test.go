@@ -30,7 +30,7 @@ func TestQueryMultiSingleBuildSharedSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.QueryMulti(ctx, threeSpecs())
+	res, err := p.QueryMulti(ctx, threeSpecs(), withoutCensus())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,9 @@ type queryConfig struct {
 	// degrade configures deadline-aware graceful degradation of the
 	// guarantee loop (disabled by default).
 	degrade Degradation
+	// noCensus keeps the refinement sampling to its end: the test hook that
+	// lets the sampling tests run on populations smaller than their samples.
+	noCensus bool
 }
 
 // QueryOption overrides one engine-level option for a single Query, Start

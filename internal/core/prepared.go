@@ -353,6 +353,7 @@ func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution
 		opts:     cfg.opts,
 		onRound:  cfg.onRound,
 		degrade:  cfg.degrade,
+		noCensus: cfg.noCensus,
 		bindings: c.bindings,
 		sp:       c.sp,
 		stream:   stats.NewSplitmix(cfg.opts.Seed),

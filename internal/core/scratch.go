@@ -34,6 +34,17 @@ type execScratch struct {
 	verdicts   []bool
 	openAt     []int
 	freshNodes []kg.NodeID
+	// every lists the candidate indices 0, 1, …: the census's evaluate
+	// input, grown on demand and never rewritten.
+	every []int
+}
+
+// candidates returns the indices of n candidates, 0 … n−1.
+func (s *execScratch) candidates(n int) []int {
+	for len(s.every) < n {
+		s.every = append(s.every, len(s.every))
+	}
+	return s.every[:n]
 }
 
 // scratchFree is the free list: a bounded channel, not a sync.Pool. A pool
@@ -75,7 +86,7 @@ const (
 
 func putScratch(s *execScratch) {
 	if disableScratchPool || s == nil || cap(s.drawIdx) > scratchKeepDraws ||
-		8*cap(s.drawIdx)+s.tab.heldBytes() > scratchKeepBytes {
+		8*(cap(s.drawIdx)+cap(s.every))+s.tab.heldBytes() > scratchKeepBytes {
 		return
 	}
 	select {

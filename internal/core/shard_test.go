@@ -304,7 +304,7 @@ func TestShardedLiveConcurrentMutate(t *testing.T) {
 }
 
 // A first round smaller than the stratum count would leave strata
-// unobserved and bias the merge low; firstSample floors round one at the
+// unobserved and bias the merge low; firstSize floors round one at the
 // stratum count, so even a pathological MinSample stays unbiased.
 func TestShardedFirstRoundCoversAllStrata(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 7, Shards: 8, MinSample: 1, T: 1, Lambda: 0.01})

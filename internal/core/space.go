@@ -63,6 +63,10 @@ type answerSpace struct {
 	alias    *stats.Alias
 	oracle   oracle
 	verdicts []atomic.Uint32 // parallel to answers
+	// capDropped is the π mass the chain cap left unexpanded, summed over
+	// the decomposed paths (level.dropped): 0 when A holds every answer the
+	// walks reach (Result.CapDroppedMass).
+	capDropped float64
 }
 
 func (s *answerSpace) len() int { return len(s.answers) }
@@ -461,6 +465,11 @@ type level struct {
 	answers []kg.NodeID
 	mass    []float64
 	oracle  *levelOracle
+	// dropped is the visiting mass from the root that reaches no answer
+	// because maxChainIntermediates cut an intermediate off: the mass of
+	// the unexpanded ones, plus each expanded one's share of what its own
+	// onward level dropped.
+	dropped float64
 }
 
 // levelOfStage is the level of one hop from root: the converged stage's own
@@ -510,6 +519,7 @@ type chainSub struct {
 	answers []kg.NodeID
 	mass    []float64 // parallel to answers
 	oracle  levelOracle
+	dropped float64 // level.dropped of the onward level
 }
 
 // expandChain fills the onward half of every intermediate in subs, whose
@@ -538,7 +548,7 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 			return
 		}
 		if lv, err := e.buildChainLevel(ctx, o, v, sub.oracle.key, sub.oracle.types, hops, sb); err == nil {
-			sub.answers, sub.mass, sub.oracle = lv.answers, lv.mass, *lv.oracle
+			sub.answers, sub.mass, sub.oracle, sub.dropped = lv.answers, lv.mass, *lv.oracle, lv.dropped
 		}
 	}
 	var wg sync.WaitGroup
@@ -621,6 +631,10 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 		}
 		return cmp.Compare(a.node, b.node)
 	})
+	dropped := 0.0
+	for _, r := range top[min(len(top), maxChainIntermediates):] {
+		dropped += r.prob
+	}
 	top = top[:min(len(top), maxChainIntermediates)]
 	subs := make([]chainSub, len(top))
 	for i, r := range top {
@@ -639,6 +653,7 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 	for k := range subs {
 		pairs += len(subs[k].answers)
 		widest = max(widest, len(subs[k].answers))
+		dropped += subs[k].prob * subs[k].dropped
 	}
 	idOf := make(map[kg.NodeID]int32, widest)
 	var answers []kg.NodeID
@@ -674,7 +689,7 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(answers[a], answers[b]) })
 	rank := make([]int32, len(answers))
-	out := level{answers: make([]kg.NodeID, len(answers)), mass: make([]float64, len(answers))}
+	out := level{answers: make([]kg.NodeID, len(answers)), mass: make([]float64, len(answers)), dropped: dropped}
 	// Row i of the reach index lists the intermediates whose walk reaches
 	// answer i, most probable first (the order of subs) — built once, here,
 	// so the oracle never scans intermediates × answers and the build
@@ -773,6 +788,9 @@ func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, path
 		return nil, err
 	}
 	sp.epoch = v.epoch
+	for _, lv := range levels {
+		sp.capDropped += lv.dropped
+	}
 	if sb != nil && e.cache != nil {
 		sp.scope = sb.unionScope(v.g)
 	}

@@ -87,6 +87,18 @@ type termTable struct {
 	acc      []estimate.Running
 	best     []float64
 	mom      []estimate.Moments // read-out buffer, one per stratum
+
+	// cells is a census's tally (tally), at g·K+k.
+	cells []exactCell
+}
+
+// exactCell is one (group, spec) tally of a census: how many candidates are
+// correct for the spec, the sum of their values and their extreme (NaN
+// until the first).
+type exactCell struct {
+	n    int
+	sum  float64
+	best float64
 }
 
 // sized returns buf with length n, reallocating only when capacity is short.
@@ -135,7 +147,8 @@ func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec) {
 // measure (putScratch).
 func (t *termTable) heldBytes() int {
 	return cap(t.state) + 8*cap(t.c) + 4*cap(t.group) +
-		8*cap(t.val) + cap(t.has) + 8*cap(t.s) + int(unsafe.Sizeof(estimate.Running{}))*cap(t.acc)
+		8*cap(t.val) + cap(t.has) + 8*cap(t.s) + int(unsafe.Sizeof(estimate.Running{}))*cap(t.acc) +
+		int(unsafe.Sizeof(exactCell{}))*cap(t.cells)
 }
 
 // groupOf interns the GROUP-BY group of an answer: by attribute value, with
@@ -495,6 +508,72 @@ func (x *Execution) advance(ctx context.Context) bool {
 	}
 	x.times.Estimation += time.Since(begin)
 	return done
+}
+
+// tally is the census's read-out: one pass over every candidate in
+// ascending index (= NodeID) order, adding each one correct for a spec to
+// that spec's cell for the whole candidate set and for its group. Summing in
+// that order is what makes a census SUM or AVG bit-identical to an exact
+// aggregate over the same answers (baselines.AggregateOver). Every
+// candidate must be known.
+func (t *termTable) tally() {
+	k := len(t.specs)
+	t.cells = sized(t.cells, len(t.labels)*k)
+	for c := range t.cells {
+		t.cells[c] = exactCell{best: math.NaN()}
+	}
+	for i, state := range t.state {
+		if state&termCorrect == 0 {
+			continue
+		}
+		g := 0
+		if t.grouped {
+			g = int(t.group[i])
+		}
+		for j, spec := range t.specs {
+			v := 0.0
+			if spec.fn != query.Count {
+				at := i*k + j
+				if !t.has[at] {
+					continue
+				}
+				v = t.val[at]
+			}
+			t.cells[j].add(spec.fn, v)
+			if g != 0 {
+				t.cells[g*k+j].add(spec.fn, v)
+			}
+		}
+	}
+}
+
+func (c *exactCell) add(fn query.AggFunc, v float64) {
+	c.n++
+	c.sum += v
+	if math.IsNaN(c.best) || (fn == query.Max && v > c.best) || (fn == query.Min && v < c.best) {
+		c.best = v
+	}
+}
+
+// exact is spec k's aggregate over every candidate of group g (0: all of
+// them) from the census tally, and how many candidates are correct for the
+// spec: COUNT counts them, SUM sums their values, AVG is that sum over their
+// count, MAX and MIN their extreme. With no such candidate AVG, MAX and MIN
+// have no value (estimate.ErrNoCorrect); COUNT and SUM are 0.
+func (t *termTable) exact(g, k int) (float64, int, error) {
+	c := t.cells[g*len(t.specs)+k]
+	switch fn := t.specs[k].fn; {
+	case fn == query.Count:
+		return float64(c.n), c.n, nil
+	case fn == query.Sum:
+		return c.sum, c.n, nil
+	case c.n == 0:
+		return 0, 0, estimate.ErrNoCorrect
+	case fn == query.Avg:
+		return c.sum / float64(c.n), c.n, nil
+	default:
+		return c.best, c.n, nil
+	}
 }
 
 // moments reads spec k of group g (0: the whole sample) out as per-stratum

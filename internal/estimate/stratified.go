@@ -72,7 +72,7 @@ func Regroup(obs []Observation) []Stratum {
 //
 // A stratum without draws contributes zero, biasing the merge low by that
 // stratum's share — callers own coverage. The engine guarantees it by
-// flooring the first round at the stratum count (core's firstSample) and
+// flooring the first round at the stratum count (core's firstSize) and
 // every later allocation at one draw per stratum (AllocateDraws); a caller
 // driving this combiner directly with fewer draws than strata inherits the
 // bias.
@@ -133,7 +133,7 @@ type StratumStats struct {
 // total is smaller than the stratum count the floors cannot hold and the
 // highest-share strata win the draws — callers needing full coverage (the
 // stratified estimator does; see EstimateStratified) must size the round
-// at len(stats) or more, as core's firstSample does. The returned counts
+// at len(stats) or more, as core's firstSize does. The returned counts
 // sum exactly to total (largest-remainder rounding, deterministic).
 func AllocateDraws(total int, stats []StratumStats) []int {
 	return AllocateDrawsInto(nil, total, stats)

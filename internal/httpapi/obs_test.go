@@ -82,7 +82,9 @@ func TestMetricsScrape(t *testing.T) {
 // samples, and the final achieved error bound meets the requested one.
 func TestTraceEndToEnd(t *testing.T) {
 	g := kgtest.Figure1()
-	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7})
+	// A first round of 5 draws stays below Figure 1's six candidates, so the
+	// query samples (and traces its rounds) before any census.
+	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7, MinSample: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -454,6 +454,10 @@ type answerJSON struct {
 	Shards      int     `json:"shards,omitempty"`
 	Epoch       uint64  `json:"epoch"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
+	// CapDroppedMass is the π mass the chain cap left unexpanded
+	// (core.Result.CapDroppedMass): answers reachable only through it are
+	// missing, and no census is taken (absent when 0).
+	CapDroppedMass float64 `json:"cap_dropped_mass,omitempty"`
 	// Degraded marks an answer the serving tier loosened honestly: the loop
 	// stopped before the target bound (deadline pressure) or ran against a
 	// relaxed effective bound (queue pressure). The interval is still a
@@ -484,6 +488,8 @@ type estimateJSON struct {
 	AchievedEB *float64             `json:"achieved_eb,omitempty"`
 	Rounds     []roundJSON          `json:"rounds,omitempty"`
 	Groups     map[string]groupJSON `json:"groups,omitempty"`
+	// Exact marks a census answer: read off every candidate, MoE 0.
+	Exact bool `json:"exact,omitempty"`
 }
 
 // roundJSON is one refinement round on the wire.
@@ -538,8 +544,8 @@ func roundOf(r core.Round) roundJSON {
 	return roundJSON{Estimate: r.Estimate, MoE: jsonFloat(r.MoE), SampleSize: r.SampleSize}
 }
 
-func estimateOf(est, moe, achieved float64, rounds []core.Round, groups map[string]core.GroupResult) estimateJSON {
-	out := estimateJSON{Estimate: jsonFloat(est), MoE: jsonFloat(moe), AchievedEB: jsonFloat(achieved)}
+func estimateOf(est, moe, achieved float64, exact bool, rounds []core.Round, groups map[string]core.GroupResult) estimateJSON {
+	out := estimateJSON{Estimate: jsonFloat(est), MoE: jsonFloat(moe), AchievedEB: jsonFloat(achieved), Exact: exact}
 	if len(rounds) > 0 {
 		out.Rounds = make([]roundJSON, len(rounds))
 		for i, r := range rounds {
@@ -560,9 +566,9 @@ func elapsedMS(d time.Duration) float64 { return float64(d.Microseconds()) / 100
 func toResponse(text string, res *core.Result, elapsed time.Duration) *queryResponse {
 	out := &queryResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
-			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates, Shards: res.Shards,
-			Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: len(res.Rounds)},
-		estimateJSON: estimateOf(res.Estimate, res.MoE, res.AchievedEB(), res.Rounds, res.Groups),
+			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates, CapDroppedMass: res.CapDroppedMass,
+			Shards: res.Shards, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: len(res.Rounds)},
+		estimateJSON: estimateOf(res.Estimate, res.MoE, res.AchievedEB(), res.Exact, res.Rounds, res.Groups),
 		TargetEB:     res.TargetEB,
 	}
 	out.achievedEB = out.AchievedEB
@@ -572,8 +578,8 @@ func toResponse(text string, res *core.Result, elapsed time.Duration) *queryResp
 func toMultiResponse(text string, res *core.MultiResult, elapsed time.Duration) *multiResponse {
 	out := &multiResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
-			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates, Shards: res.Shards,
-			Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
+			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates, CapDroppedMass: res.CapDroppedMass,
+			Shards: res.Shards, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
 		Aggs:   make([]aggResultJSON, len(res.Aggs)),
 		Rounds: res.Rounds,
 	}
@@ -581,7 +587,7 @@ func toMultiResponse(text string, res *core.MultiResult, elapsed time.Duration) 
 		ar := &res.Aggs[i]
 		out.Aggs[i] = aggResultJSON{Func: ar.Spec.Func.String(), Attr: ar.Spec.Attr,
 			ErrorBound: ar.ErrorBound, Converged: ar.Converged,
-			estimateJSON: estimateOf(ar.Estimate, ar.MoE, ar.AchievedEB(), ar.Rounds, ar.Groups)}
+			estimateJSON: estimateOf(ar.Estimate, ar.MoE, ar.AchievedEB(), ar.Exact, ar.Rounds, ar.Groups)}
 	}
 	return out
 }

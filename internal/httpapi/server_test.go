@@ -20,10 +20,12 @@ import (
 
 const avgPriceText = "AVG(price) MATCH (g:Country name=Germany)-[product]->(c:Automobile) TARGET c"
 
+// testServer serves Figure 1 with a first round of 5 draws: below its six
+// candidates, so a query samples before the census settles it.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	g := kgtest.Figure1()
-	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7})
+	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7, MinSample: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,11 +45,13 @@ const (
 )
 
 var (
+	// Figure 1's six candidates are fewer than any first round, so every
+	// answer below is a census: it carries "exact".
 	singleKeys = []string{"achieved_eb", "candidates", "confidence", "converged", "distinct", "elapsed_ms",
-		"epoch", "estimate", "moe", "query", "rounds", "rounds[].estimate", "rounds[].moe",
+		"epoch", "estimate", "exact", "moe", "query", "rounds", "rounds[].estimate", "rounds[].moe",
 		"rounds[].sample_size", "sample_size", "target_eb", "trace_id"}
 	multiKeys = []string{"aggregates", "aggregates[].achieved_eb", "aggregates[].attr", "aggregates[].converged",
-		"aggregates[].error_bound", "aggregates[].estimate", "aggregates[].func", "aggregates[].moe",
+		"aggregates[].error_bound", "aggregates[].estimate", "aggregates[].exact", "aggregates[].func", "aggregates[].moe",
 		"aggregates[].rounds", "aggregates[].rounds[].estimate", "aggregates[].rounds[].moe",
 		"aggregates[].rounds[].sample_size", "candidates", "confidence", "converged", "distinct",
 		"elapsed_ms", "epoch", "query", "rounds", "sample_size", "trace_id"}
