@@ -345,7 +345,7 @@ func drainScratch() {
 func TestScratchFreeListSurvivesGC(t *testing.T) {
 	drainScratch()
 	defer drainScratch()
-	s := &execScratch{drawIdx: make([]int, 0, 1024), tab: termTable{s: make([]float64, 0, 4096)}}
+	s := &execScratch{drawIdx: make([]int, 0, 1024), tab: termTable{own: termCols{val: make([]float64, 0, 4096)}}}
 	putScratch(s)
 	for i := 0; i < 3; i++ {
 		runtime.GC()
@@ -358,7 +358,7 @@ func TestScratchFreeListSurvivesGC(t *testing.T) {
 		t.Fatalf("a scratch with an oversized draw list (cap %d) was retained", cap(got.drawIdx))
 	}
 	// Candidates × specs: a table no draw-list bound would have caught.
-	putScratch(&execScratch{tab: termTable{val: make([]float64, scratchKeepBytes/16), s: make([]float64, scratchKeepBytes/16+1)}})
+	putScratch(&execScratch{tab: termTable{own: termCols{val: make([]float64, scratchKeepBytes/8+1)}}})
 	if got := getScratch(); got.tab.heldBytes() != 0 {
 		t.Fatalf("a scratch holding a %d-byte term table was retained", got.tab.heldBytes())
 	}

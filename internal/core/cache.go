@@ -396,14 +396,42 @@ func (c *spaceCache) insert(it *cacheItem) *cacheItem {
 	if it.plan != nil {
 		c.plans[it.planKey] = el
 		c.planBytes += it.cost
+		it.plan.resident.Store(true)
 	} else {
 		c.stages[it.stageKey] = el
 	}
 	c.bytes += it.cost
+	c.evict()
+	return it
+}
+
+// evict removes least recently used entries until the budget holds.
+// Callers hold c.mu.
+func (c *spaceCache) evict() {
 	for c.bytes > c.maxBytes && c.ll.Back() != nil {
 		c.remove(c.ll.Back())
 	}
-	return it
+}
+
+// publishTerms installs a census's term table on an answer space the cache
+// holds and charges its bytes to the space's cost, evicting as an insert
+// does. A space the cache does not hold — never admitted, evicted, or no
+// cache at all — publishes nothing: no budget would carry the bytes.
+func (c *spaceCache) publishTerms(sp *answerSpace, pt *publishedTerms) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !sp.resident.Load() {
+		return
+	}
+	if delta, ok := sp.installTerms(pt); ok {
+		sp.cost += delta
+		c.planBytes += delta
+		c.bytes += delta
+		c.evict()
+	}
 }
 
 // slot is the resident element under the item's key, if any.
@@ -414,16 +442,19 @@ func (c *spaceCache) slot(it *cacheItem) *list.Element {
 	return c.stages[it.stageKey]
 }
 
-// remove unlinks one element and returns its bytes to the budget.
+// remove unlinks one element and returns its bytes to the budget. An
+// answer space leaving the cache drops its published term tables with them.
 func (c *spaceCache) remove(el *list.Element) {
 	it := c.ll.Remove(el).(*cacheItem)
-	if it.plan != nil {
+	c.bytes -= it.cost
+	if sp := it.plan; sp != nil {
 		delete(c.plans, it.planKey)
 		c.planBytes -= it.cost
+		sp.resident.Store(false)
+		sp.cost -= sp.dropTerms()
 	} else {
 		delete(c.stages, it.stageKey)
 	}
-	c.bytes -= it.cost
 }
 
 // scopeIntersects reports whether two sorted node lists share an element. A

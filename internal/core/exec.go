@@ -228,6 +228,16 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 	t.SetAttr("converged", converged)
 	t.SetAttr("degraded", x.degraded)
 	t.SetAttr("exact", x.exact)
+	if x.tab != nil {
+		// Where the candidates' terms came from: recorded by this execution,
+		// or adopted from a table a census published (a warm query that
+		// validated nothing).
+		terms := "recorded"
+		if x.tab.adopted {
+			terms = "adopted"
+		}
+		t.SetAttr("terms", terms)
+	}
 	if m := x.sp.capDropped; m > 0 {
 		t.SetAttr("cap_dropped_mass", m)
 	}
@@ -458,21 +468,26 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 // census ends a refinement whose next sample would reach |A| (StopCensus,
 // DESIGN.md "Census crossover"). It settles every candidate not yet known in
 // one evaluate — on a warm plan from the shared verdicts, without an oracle
-// call — and reads every spec exactly off the term table (tally), per group
-// when grouped, with MoE 0. A spec with no valued candidate has no AVG, MAX
-// or MIN; the census converges when every guaranteed spec was read, and
+// call — reads every spec exactly off the term table (tally), per group
+// when grouped, with MoE 0, and publishes the settled table on the space. An
+// execution that adopted a published table does neither: its candidates are
+// known and its cells tallied. A spec with no valued candidate has no AVG,
+// MAX or MIN; the census converges when every guaranteed spec was read, and
 // counts as one more round, reported like a sampled one.
 func (x *Execution) census(ctx context.Context, runs []AggResult, drive, rounds int, keepRounds bool) (int, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return rounds, false, x.cut(err)
 	}
 	began := time.Now()
-	if !x.evaluate(ctx, x.scr.candidates(x.sp.len())) {
-		x.charge(&x.times.Estimation, began)
-		return rounds, false, x.cut(ctx.Err())
-	}
 	t := x.tab
-	t.tally()
+	if !t.adopted {
+		if !x.evaluate(ctx, x.scr.candidates(x.sp.len())) {
+			x.charge(&x.times.Estimation, began)
+			return rounds, false, x.cut(ctx.Err())
+		}
+		t.tally()
+		x.publishTerms()
+	}
 	x.charge(&x.times.Estimation, began)
 	converged, estimated := true, false
 	for k := range runs {

@@ -35,6 +35,13 @@ func tinyEngine(t *testing.T) (*Engine, *datagen.Dataset) {
 	return e, ds
 }
 
+// withOracle is a copy of sp's sampling space and shared verdicts that
+// validates through o, outside the cache: it publishes no term table.
+func withOracle(sp *answerSpace, o oracle) *answerSpace {
+	return &answerSpace{cacheMeta: sp.cacheMeta, answers: sp.answers, probs: sp.probs, alias: sp.alias,
+		oracle: o, verdicts: sp.verdicts, capDropped: sp.capDropped}
+}
+
 // resultDigest is every field of a Result but its wall-clock Times.
 func resultDigest(res *Result, err error) string {
 	var d digester
@@ -157,16 +164,15 @@ func TestTermTableEvaluatesEachCandidateOnce(t *testing.T) {
 			}
 			var mu sync.Mutex // the sharded validator runs its buckets concurrently
 			asked := map[kg.NodeID]int{}
-			sp, inner := *x.sp, x.sp.oracle
-			sp.oracle = oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+			inner := x.sp.oracle
+			x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
 				mu.Lock()
 				for _, u := range us {
 					asked[u]++
 				}
 				mu.Unlock()
 				return inner.batch(ctx, env, us)
-			})
-			x.sp = &sp
+			}))
 			res, err := x.Refine(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -304,14 +310,13 @@ func TestFoldResumesAfterPanickedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, inner, calls := *x.sp, x.sp.oracle, 0
-	sp.oracle = oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	inner, calls := x.sp.oracle, 0
+	x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
 		if calls++; calls == 2 {
 			panic("validator fault")
 		}
 		return inner.batch(ctx, env, us)
-	})
-	x.sp = &sp
+	}))
 	if _, err := x.Refine(context.Background(), 0); !errors.Is(err, ErrInternal) {
 		t.Fatalf("Refine over a panicking validator returned %v, want ErrInternal", err)
 	}

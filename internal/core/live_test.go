@@ -119,7 +119,8 @@ func TestLiveSelectiveInvalidation(t *testing.T) {
 
 // Attribute-only updates must not invalidate cached stages — the stage holds
 // no attribute data — yet queries observe the new values immediately,
-// because observations read attributes from the query's snapshot.
+// because a candidate's terms are read from the query's snapshot, or from a
+// table published at its epoch (TestPublishedTermsFollowAttributeEpoch).
 func TestLiveAttrUpdateKeepsCacheButChangesEstimate(t *testing.T) {
 	e, st := liveEngine(t, Options{ErrorBound: 0.02, Seed: 5})
 	ctx := context.Background()

@@ -112,6 +112,9 @@ func (x *Execution) holdScratch() func() {
 	return func() {
 		if x.oneShot {
 			x.scr.drawIdx, x.drawIdx = x.drawIdx[:0], nil
+			// An adopted table's columns are the space's: the free list must
+			// not pin them past an eviction.
+			x.scr.tab.termCols = nil
 			x.tab = nil
 		}
 		putScratch(x.scr)

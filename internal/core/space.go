@@ -44,15 +44,18 @@ const (
 // and fetches the stages it needs by key, which is why a cached space pins
 // exactly the bytes its cost charges and never a superseded snapshot.
 //
-// Everything but verdicts is immutable after construction — the
-// compiled-plan half a Prepared shares across executions. A verdict is a
-// function of (graph inside the space's scope, candidate, τ, repeat), all of
-// which are fixed while the space is valid, so whichever execution settles a
-// candidate first settles it for every other: verdicts[i] is written once a
-// validation of candidate i ran to completion (atomically; racing writers
-// store the same value) and read before anything is queued for the oracle.
-// What else an execution learns of a candidate — filters, attribute values,
-// HT terms — lives in its own term table (terms.go).
+// Everything but verdicts and the published term tables is immutable after
+// construction — the compiled-plan half a Prepared shares across
+// executions. A verdict is a function of (graph inside the space's scope,
+// candidate, τ, repeat), all of which are fixed while the space is valid, so
+// whichever execution settles a candidate first settles it for every other:
+// verdicts[i] is written once a validation of candidate i ran to completion
+// (atomically; racing writers store the same value) and read before
+// anything is queued for the oracle. What else an execution learns of a
+// candidate — filters, attribute values, group — lives in its own term
+// table (terms.go), until a census has settled all of them: that table is
+// published here, under its aggregate binding and the view epoch whose
+// attribute values it read, for later executions to adopt (terms).
 type answerSpace struct {
 	// cacheMeta is the space's cache header: the view epoch it was assembled
 	// at, the union of the scopes of every stage the assembly read, and the
@@ -67,9 +70,88 @@ type answerSpace struct {
 	// the decomposed paths (level.dropped): 0 when A holds every answer the
 	// walks reach (Result.CapDroppedMass).
 	capDropped float64
+
+	// resident is set while the engine's cache holds the space (written
+	// under its lock): only then is a term table published here, its bytes
+	// charged to cost, and evicting the space drops them again.
+	resident atomic.Bool
+	// terms are the published term tables, one slot per aggregate binding
+	// and at most maxPublishedTerms, guarded by termsMu.
+	termsMu sync.Mutex
+	terms   []*publishedTerms
 }
 
+// maxPublishedTerms caps the aggregate bindings one answer space publishes a
+// term table for; a binding beyond it keeps evaluating its candidates.
+// The benchmark's hot_repeat workload binds at most five on one space.
+const maxPublishedTerms = 8
+
 func (s *answerSpace) len() int { return len(s.answers) }
+
+// publishedTerms returns the term table published for key's binding at
+// key's epoch, or nil.
+func (s *answerSpace) publishedTerms(key *termKey) *publishedTerms {
+	s.termsMu.Lock()
+	defer s.termsMu.Unlock()
+	for _, pt := range s.terms {
+		if pt.binds(key) && pt.epoch == key.epoch {
+			return pt
+		}
+	}
+	return nil
+}
+
+// termSlot is where a table for key would be installed now: its binding's
+// slot when that holds an older epoch's table, else a new slot at
+// len(terms) when the binding has none and the cap leaves room. ok is
+// false when there is no such slot. Callers hold termsMu.
+func (s *answerSpace) termSlot(key *termKey) (j int, ok bool) {
+	for j, pt := range s.terms {
+		if pt.binds(key) {
+			return j, pt.epoch < key.epoch
+		}
+	}
+	return len(s.terms), len(s.terms) < maxPublishedTerms
+}
+
+// wantsTerms reports whether a table for key would be installed now.
+func (s *answerSpace) wantsTerms(key *termKey) bool {
+	s.termsMu.Lock()
+	defer s.termsMu.Unlock()
+	_, ok := s.termSlot(key)
+	return ok
+}
+
+// installTerms puts pt in its binding's slot when wantsTerms allows it —
+// write-once per epoch, a newer epoch replacing an older — and returns the
+// change in the bytes the space holds.
+func (s *answerSpace) installTerms(pt *publishedTerms) (delta int64, ok bool) {
+	s.termsMu.Lock()
+	defer s.termsMu.Unlock()
+	j, ok := s.termSlot(&pt.termKey)
+	switch {
+	case !ok:
+		return 0, false
+	case j == len(s.terms):
+		s.terms = append(s.terms, pt)
+		return pt.bytes, true
+	}
+	delta = pt.bytes - s.terms[j].bytes
+	s.terms[j] = pt
+	return delta, true
+}
+
+// dropTerms unpublishes every term table and returns the bytes they held.
+func (s *answerSpace) dropTerms() int64 {
+	s.termsMu.Lock()
+	defer s.termsMu.Unlock()
+	n := int64(0)
+	for _, pt := range s.terms {
+		n += pt.bytes
+	}
+	s.terms = nil
+	return n
+}
 
 // drawInto appends k alias-table draws, one word of sm each, to dst and
 // returns it; callers pass a reused scratch buffer so the per-round draw

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,12 +18,14 @@ import (
 )
 
 // This file is the data path every refinement loop shares (DESIGN.md
-// "Running moments and the term table"). A candidate answer is evaluated
-// once per execution — verdict, filters, attribute values, Horvitz–Thompson
-// terms, group — and remembered in the execution's term table; a round then
-// folds only its fresh draws, by table lookup, into one running-moments
-// accumulator per (spec, stratum, group), and the estimate and its margin
-// are read from those moments. No loop rebuilds an observation list.
+// "Running moments and the term table"). A candidate answer is evaluated at
+// most once per execution — verdict, filters, attribute values, group — and
+// remembered in the execution's term table; a census that settled every
+// candidate publishes its table on the answer space, and a later execution
+// of the same key adopts it and evaluates nothing. A round folds only its
+// fresh draws, by table lookup, into one running-moments accumulator per
+// (spec, stratum, group), and the estimate and its margin are read from
+// those moments. No loop rebuilds an observation list.
 
 // termSpec is one aggregate the table evaluates candidates against: the
 // single aggregate of Refine and FederateSample, or each AggSpec of a
@@ -58,24 +61,22 @@ type termTable struct {
 	strata  int // accumulators per (group, spec): 1 unless sharded
 	grouped bool
 
-	// Per candidate i. c is 1/p with p the draw probability (conditional on
-	// the stratum when sharded); group the id of a correct candidate's
-	// GROUP-BY group.
+	// state is per candidate and per execution: the termKnown and
+	// termCorrect bits it settled or adopted, and its own seen and queued
+	// marks.
 	state []uint8
-	c     []float64
-	group []int32
-	// Per candidate and spec, at i·K+k: the attribute value, whether the
-	// candidate has the attribute at all, and the term v/p.
-	val []float64
-	has []bool
-	s   []float64
+	// *termCols are the settled columns every read goes through: own, which
+	// record and tally fill, or — adopted — a published table's, which
+	// nothing writes (bindTerms).
+	*termCols
+	own     termCols
+	adopted bool
 
-	// Groups get dense ids in order of first sight; id 0 is the whole sample.
 	// groupIDs keys a group by the bits of its attribute value, naGroup is
-	// the group of the answers without the attribute (0 until one is seen).
+	// the group of the answers without the attribute (0 until one is seen);
+	// record interns groups through them into own.
 	groupIDs map[uint64]int32
 	naGroup  int32
-	labels   []string
 
 	// The fold. drawIdx[:folded] is in the accumulators; acc holds them at
 	// (g·K+k)·strata+h, draws the folded draw count per stratum, best the
@@ -87,9 +88,82 @@ type termTable struct {
 	acc      []estimate.Running
 	best     []float64
 	mom      []estimate.Moments // read-out buffer, one per stratum
+}
 
+// termCols is what evaluation settles of the candidates beyond their state
+// bits, and a census's tally of it. Nothing in it depends on the draws: the
+// Horvitz–Thompson weight 1/p and term v/p are recomputed from the space's
+// probabilities at each fold, bit for bit, so they are not stored.
+type termCols struct {
+	// group is the GROUP-BY group id of each correct candidate (0 for the
+	// others). Groups get dense ids in order of first sight; id 0 is the
+	// whole sample, labels[g] the printed value of group g.
+	group  []int32
+	labels []string
+	// Per candidate and spec, at i·K+k: the attribute value and whether the
+	// candidate has the attribute at all.
+	val []float64
+	has []bool
 	// cells is a census's tally (tally), at g·K+k.
 	cells []exactCell
+}
+
+// publishedTerms is a term table a census settled — every candidate known
+// — published on its answer space for every later execution of the same
+// key: the known and correct bits, the settled columns and the census
+// tally, nothing of the draws. It is immutable once published.
+type publishedTerms struct {
+	termKey
+	state []uint8 // termKnown, and termCorrect where set, of every candidate
+	cols  termCols
+	bytes int64 // what it holds, charged to the space's cost
+}
+
+// termKey is what a settled term table is a function of besides its answer
+// space: the aggregate binding — the filters, the GROUP-BY attribute and,
+// in the specs, the aggregated attributes — and the view epoch whose
+// attribute values it read. Attribute-only mutations leave a space valid
+// across epochs, so a table is served at its own epoch only.
+type termKey struct {
+	epoch   uint64
+	group   kg.AttrID
+	filters []resolvedFilter
+	specs   []termSpec
+}
+
+// binds reports whether k and o bind the same aggregate, at any epochs.
+func (k *termKey) binds(o *termKey) bool {
+	return k.group == o.group && slices.Equal(k.filters, o.filters) && slices.Equal(k.specs, o.specs)
+}
+
+// published copies the table a census settled out for publication under
+// key: the state bits without the execution's own marks, the columns and
+// the tally. Group ids and labels are copied as they are, so the adopting
+// executions number the groups alike.
+func (t *termTable) published(key termKey) *publishedTerms {
+	pt := &publishedTerms{termKey: key, state: make([]uint8, len(t.state))}
+	for i, s := range t.state {
+		pt.state[i] = s & (termKnown | termCorrect)
+	}
+	pt.cols = termCols{
+		labels: slices.Clone(t.labels),
+		val:    slices.Clone(t.val),
+		has:    slices.Clone(t.has),
+		cells:  slices.Clone(t.cells),
+	}
+	if t.grouped {
+		pt.cols.group = slices.Clone(t.group)
+	}
+	// Approximate resident bytes: the header, the per-candidate arrays, the
+	// tally and the key's lists, the labels with their string headers.
+	pt.bytes = int64(unsafe.Sizeof(*pt)) + int64(len(pt.state)) + 4*int64(len(pt.cols.group)) +
+		9*int64(len(pt.cols.val)) + int64(unsafe.Sizeof(exactCell{}))*int64(len(pt.cols.cells)) +
+		int64(unsafe.Sizeof(termSpec{}))*int64(len(key.specs)) +
+		int64(unsafe.Sizeof(resolvedFilter{}))*int64(len(key.filters))
+	for _, l := range pt.cols.labels {
+		pt.bytes += 16 + int64(len(l))
+	}
+	return pt
 }
 
 // exactCell is one (group, spec) tally of a census: how many candidates are
@@ -111,30 +185,38 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// reset sizes the table for n candidates and empties it.
-func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec) {
+// reset sizes the table for n candidates and empties it: every candidate
+// unknown, its own columns to fill — or, given a published table, every
+// candidate known from the published bits and the published columns read in
+// place.
+func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec, pub *publishedTerms) {
 	t.specs = append(t.specs[:0], specs...)
 	t.strata, t.grouped = strata, grouped
 	k := len(specs)
 	t.state = sized(t.state, n)
-	clear(t.state)
-	t.c = sized(t.c, n)
-	t.val = sized(t.val, n*k)
-	t.has = sized(t.has, n*k)
-	t.s = sized(t.s, n*k)
-	t.labels = append(t.labels[:0], "")
-	t.naGroup = 0
-	if grouped {
-		t.group = sized(t.group, n)
-		if t.groupIDs == nil {
-			t.groupIDs = map[uint64]int32{}
-		}
-		clear(t.groupIDs)
-	}
 	t.folded, t.distinct, t.correct = 0, 0, 0
 	t.draws = sized(t.draws, strata)
 	clear(t.draws)
-	t.acc = sized(t.acc, k*strata)
+	if pub != nil {
+		copy(t.state, pub.state)
+		t.termCols, t.adopted = &pub.cols, true
+		t.acc = sized(t.acc, len(pub.cols.labels)*k*strata)
+	} else {
+		clear(t.state)
+		t.termCols, t.adopted = &t.own, false
+		t.val = sized(t.val, n*k)
+		t.has = sized(t.has, n*k)
+		t.labels = append(t.labels[:0], "")
+		t.naGroup = 0
+		if grouped {
+			t.group = sized(t.group, n)
+			if t.groupIDs == nil {
+				t.groupIDs = map[uint64]int32{}
+			}
+			clear(t.groupIDs)
+		}
+		t.acc = sized(t.acc, k*strata)
+	}
 	clear(t.acc)
 	t.best = sized(t.best, k)
 	for i := range t.best {
@@ -146,9 +228,9 @@ func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec) {
 // heldBytes is what the table's arrays pin, the free list's retention
 // measure (putScratch).
 func (t *termTable) heldBytes() int {
-	return cap(t.state) + 8*cap(t.c) + 4*cap(t.group) +
-		8*cap(t.val) + cap(t.has) + 8*cap(t.s) + int(unsafe.Sizeof(estimate.Running{}))*cap(t.acc) +
-		int(unsafe.Sizeof(exactCell{}))*cap(t.cells)
+	o := &t.own
+	return cap(t.state) + 4*cap(o.group) + 8*cap(o.val) + cap(o.has) +
+		int(unsafe.Sizeof(estimate.Running{}))*cap(t.acc) + int(unsafe.Sizeof(exactCell{}))*cap(o.cells)
 }
 
 // groupOf interns the GROUP-BY group of an answer: by attribute value, with
@@ -208,7 +290,9 @@ func (x *Execution) prob(i int) float64 {
 // interactive execution allocates its own on the first refinement call and
 // keeps it — and with it the sample — for the later ones; a one-shot
 // execution uses the table inside the scratch it holds and leaves the arrays
-// there (holdScratch's release).
+// there (holdScratch's release). When a census of the same key has
+// published its table on the space, the execution adopts it: every
+// candidate is known, and nothing is evaluated again.
 func (x *Execution) bindTerms(specs ...termSpec) {
 	if x.tab != nil {
 		return
@@ -222,20 +306,45 @@ func (x *Execution) bindTerms(specs ...termSpec) {
 	if x.sh != nil {
 		strata = len(x.sh.spaces)
 	}
-	x.tab.reset(x.sp.len(), strata, x.group != kg.InvalidAttr, specs)
+	var pub *publishedTerms
+	if key, ok := x.termKey(specs); ok {
+		pub = x.sp.publishedTerms(&key)
+	}
+	x.tab.reset(x.sp.len(), strata, x.group != kg.InvalidAttr, specs, pub)
+}
+
+// termKey is the key of the execution's term table over specs. ok is false
+// when the table may be neither published nor adopted: under sharding,
+// whose executions never take the census, or under the SkipValidation
+// ablation, whose correct bits are not the validator's.
+func (x *Execution) termKey(specs []termSpec) (key termKey, ok bool) {
+	key = termKey{epoch: x.v.epoch, group: x.group, filters: x.filters, specs: specs}
+	return key, x.sh == nil && !x.opts.SkipValidation
+}
+
+// publishTerms offers the table a census has just settled to the answer
+// space, for every later execution of its key to adopt. Only a space the
+// cache holds takes it (spaceCache.publishTerms); the copy is made only
+// when the space would.
+func (x *Execution) publishTerms() {
+	key, ok := x.termKey(x.tab.specs)
+	if !ok || !x.sp.resident.Load() || !x.sp.wantsTerms(&key) {
+		return
+	}
+	key.specs = slices.Clone(key.specs)
+	x.e.cache.publishTerms(x.sp, x.tab.published(key))
 }
 
 // record evaluates candidate i under a completed validation verdict and
-// stores it: the §V-A indicator c(u) = (L ≤ u.b ≤ U ∧ s ≥ τ), each spec's
-// attribute value and Horvitz–Thompson term, and the group. This is the one
-// place a candidate is looked at; every draw of it afterwards is a lookup.
-// (A candidate without draw probability has no HT weight and is recorded
-// incorrect; the alias tables never draw one.)
+// stores it in the table's own columns: the §V-A indicator
+// c(u) = (L ≤ u.b ≤ U ∧ s ≥ τ), each spec's attribute value, and the group.
+// This is the one place a candidate is looked at; every draw of it
+// afterwards is a lookup. (A candidate without draw probability has no HT
+// weight and is recorded incorrect; the alias tables never draw one.)
 func (x *Execution) record(i int, verdict bool) {
 	t, g, u := x.tab, x.v.g, x.sp.answers[i]
-	p := x.prob(i)
 	state := termKnown
-	if verdict && p > 0 {
+	if verdict && x.prob(i) > 0 {
 		state |= termCorrect
 		for _, f := range x.filters {
 			v, ok := g.Attr(u, f.attr)
@@ -245,20 +354,22 @@ func (x *Execution) record(i int, verdict bool) {
 			}
 		}
 	}
-	t.c[i] = 1 / p
 	k := len(t.specs)
 	for j, spec := range t.specs {
 		at := i*k + j
-		t.val[at], t.has[at], t.s[at] = 0, false, 0
+		t.val[at], t.has[at] = 0, false
 		if spec.attr == kg.InvalidAttr {
 			continue
 		}
 		if v, ok := g.Attr(u, spec.attr); ok {
-			t.val[at], t.has[at], t.s[at] = v, true, v/p
+			t.val[at], t.has[at] = v, true
 		}
 	}
-	if t.grouped && state&termCorrect != 0 {
-		t.group[i] = t.groupOf(g.Attr(u, x.group))
+	if t.grouped {
+		t.group[i] = 0
+		if state&termCorrect != 0 {
+			t.group[i] = t.groupOf(g.Attr(u, x.group))
+		}
 	}
 	t.state[i] = state
 }
@@ -436,11 +547,13 @@ func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool)
 // lets a Refine interrupted mid-validation be resumed by a later one without
 // counting a draw twice.
 //
-// A correct draw adds its terms to the whole-sample accumulator of every
-// spec it is correct for, in its stratum, and to its group's; an incorrect
-// draw, an out-of-group draw and a draw missing a spec's attribute are zero
-// terms there, which the accumulators never see — the read-out merges them
-// as the stratum's draw count minus the accumulator's (estimate.Running).
+// A correct draw adds its Horvitz–Thompson terms — weight c = 1/p and, per
+// valued spec, v/p, with p its draw probability — to the whole-sample
+// accumulator of every spec it is correct for, in its stratum, and to its
+// group's; an incorrect draw, an out-of-group draw and a draw missing a
+// spec's attribute are zero terms there, which the accumulators never see —
+// the read-out merges them as the stratum's draw count minus the
+// accumulator's (estimate.Running).
 func (x *Execution) fold() {
 	t := x.tab
 	k, strata := len(t.specs), t.strata
@@ -463,7 +576,8 @@ func (x *Execution) fold() {
 			continue
 		}
 		t.correct++
-		c := t.c[i]
+		p := x.prob(i)
+		c := 1 / p
 		g := 0
 		if t.grouped {
 			g = int(t.group[i])
@@ -475,8 +589,9 @@ func (x *Execution) fold() {
 				if !t.has[at] {
 					continue
 				}
-				s = t.s[at]
-				if v := t.val[at]; !spec.fn.HasGuarantee() &&
+				v := t.val[at]
+				s = v / p
+				if !spec.fn.HasGuarantee() &&
 					(math.IsNaN(t.best[j]) || (spec.fn == query.Max && v > t.best[j]) || (spec.fn == query.Min && v < t.best[j])) {
 					t.best[j] = v
 				}

@@ -508,7 +508,8 @@ func (s *Snapshot) setTypes(entity string, typeNames []string) (kg.NodeID, error
 // applyBatch applies every mutation of b to a clone of s, returning the new
 // snapshot at epoch+1 and the set of nodes whose topology or type set
 // changed (the cache-invalidation scope; attribute-only updates are
-// excluded on purpose — cached answer spaces hold no attribute data).
+// excluded on purpose — a cached answer space's distribution and verdicts
+// hold no attribute data, and the attribute values it keeps are per epoch).
 func applyBatch(s *Snapshot, b Batch) (*Snapshot, []kg.NodeID, error) {
 	if len(b) == 0 {
 		return nil, nil, badMutation("empty batch")

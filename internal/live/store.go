@@ -14,7 +14,9 @@ import (
 // order) to OnApply hooks. Touched lists the nodes whose adjacency or type
 // set changed — the scope the engine's answer-space cache intersects for
 // selective invalidation. Attribute-only updates produce an empty Touched:
-// cached sampling spaces hold no attribute data, so they stay valid.
+// a cached sampling space's distribution and verdicts hold no attribute
+// data, so the space stays valid; what it keeps of attribute values (the
+// term tables censuses publish on it) is keyed by the epoch that read them.
 type Event struct {
 	Epoch   uint64
 	Ops     int
