@@ -526,8 +526,8 @@ type ProbeResult struct {
 }
 
 // Probe actively checks every member's /v1/healthz in parallel (bounded by
-// the context). It backs /debug/federation and the kgaqload preflight-style
-// checks; the cheap passive Stats path backs /v1/healthz.
+// the context). It backs /debug/federation; the cheap passive Stats path
+// backs /v1/healthz.
 func (c *Coordinator) Probe(ctx context.Context) []ProbeResult {
 	out := make([]ProbeResult, len(c.cfg.Members))
 	var wg sync.WaitGroup

@@ -18,7 +18,9 @@ import (
 )
 
 // testDurableServer builds a read-write server whose mutations go through a
-// WAL-backed durable store rooted at a fresh directory.
+// WAL-backed durable store rooted at a fresh directory. Its engine takes a
+// first round of 5 draws, as testServer's does, so a query samples before
+// the census settles it.
 func testDurableServer(t *testing.T, dir string) (*httptest.Server, *Server, *live.Durable) {
 	t.Helper()
 	g := kgtest.Figure1()
@@ -26,7 +28,7 @@ func testDurableServer(t *testing.T, dir string) (*httptest.Server, *Server, *li
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewLiveEngine(dur.Store(), embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7})
+	eng, err := core.NewLiveEngine(dur.Store(), embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7, MinSample: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

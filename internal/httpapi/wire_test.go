@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"kgaq/internal/admission"
 	"kgaq/internal/core"
 	"kgaq/internal/embedding/embtest"
 	"kgaq/internal/kg/kgtest"
@@ -87,7 +88,10 @@ func TestWireContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewLiveServer(eng, store).Handler())
+	// kgaqd always serves behind admission control, so the contract does too.
+	api := NewLiveServer(eng, store)
+	api.ConfigureAdmission(admission.New(admission.Config{MaxErrorBound: 0.25}), "")
+	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)
 
 	resp, body := postJSON(t, ts.URL+"/v1/prepare", fmt.Sprintf(`{"query": %q}`, avgPriceText))
