@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kgaq/internal/datagen"
+	"kgaq/internal/live"
 	"kgaq/internal/query"
 )
 
@@ -223,4 +224,46 @@ func BenchmarkWarmQueryMulti(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// coldEngine is a live engine over dbpedia-sim with the answer-space cache
+// off: every query compiles from scratch — scope search, convergence,
+// answer distributions and greedy validation — as kgaqd does under the
+// benchmark of record's cold_compile workload (-cache-bytes -1).
+func coldEngine(b *testing.B) (*Engine, *datagen.Dataset) {
+	b.Helper()
+	ds, err := datagen.Generate(datagen.DBpediaSim())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewLiveEngine(live.NewStore(ds.Graph, 0), ds.Model, Options{Tau: 0.85, ErrorBound: 0.10, CacheMaxBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e, ds
+}
+
+func benchCold(b *testing.B, e *Engine, q *query.Aggregate) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query(ctx, q, WithSeed(int64(i%16)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColdSimpleQuery is one uncached one-hop query: a stage build and
+// the validation of the candidates its draws reach.
+func BenchmarkColdSimpleQuery(b *testing.B) {
+	e, ds := coldEngine(b)
+	benchCold(b, e, ds.QueriesByShape(query.ShapeSimple)[0].Agg)
+}
+
+// BenchmarkColdChainQuery is one uncached two-hop chain: a stage build per
+// expanded intermediate, then chain validation.
+func BenchmarkColdChainQuery(b *testing.B) {
+	e, ds := coldEngine(b)
+	benchCold(b, e, ds.QueriesByShape(query.ShapeChain)[0].Agg)
 }

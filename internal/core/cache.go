@@ -44,24 +44,27 @@ func typesKeyOf(types []kg.TypeID) string {
 	return fmt.Sprint(ts)
 }
 
-// stageEntry is one cached converged stage: the renormalised answer
-// distribution π′, the full stationary map (the validator's expansion
-// priorities), and one leg-verdict cache per validator configuration.
-// answers/probs/piMap are immutable after construction and read lock-free;
-// verdicts is guarded by mu and grows as queries validate answers, so
-// repeated queries skip both convergence and re-validation.
+// stageEntry is one converged stage: the renormalised answer distribution
+// π′, the stationary distribution π over the walk's scope (the validator's
+// expansion priorities) as an array parallel to the scope's node list, and
+// one leg-verdict cache per validator configuration. answers/probs/pi/scope
+// are immutable after construction and read lock-free; verdicts is guarded
+// by mu and grows as queries validate answers, so repeated queries skip both
+// convergence and re-validation.
 //
-// For live graphs the entry additionally records the epoch it was built at
-// and its scope — the sorted node set of the walk's n-bound. A mutation
-// invalidates the entry iff it touches a scope node: everything the stage
-// caches (transition rows, π, verdict paths of length ≤ n) is a function of
-// the scope's topology and types alone, so snapshots whose mutations all
-// land outside the scope share the entry soundly.
+// The entry also records the epoch it was built at and its scope — the node
+// set of the walk's n-bound, sorted by NodeID when the engine has a cache
+// (else in the walk's discovery order: nothing matches a mutation against
+// an uncached stage). A mutation invalidates a cached entry iff it touches
+// a scope node: everything the stage caches (transition rows, π, verdict
+// paths of length ≤ n) is a function of the scope's topology and types
+// alone, so snapshots whose mutations all land outside the scope share the
+// entry soundly.
 type stageEntry struct {
 	cacheMeta // scope: the walk's n-bounded node set
 	answers   []kg.NodeID
 	probs     []float64
-	piMap     map[kg.NodeID]float64
+	pi        []float64 // π of scope[k] at k
 
 	mu       sync.Mutex
 	verdicts map[verdictKey]*verdictTable
@@ -169,23 +172,22 @@ func (st *stageEntry) verdictsFor(k verdictKey) *verdictTable {
 	return m
 }
 
-func newStageEntry(answers []kg.NodeID, probs []float64, piMap map[kg.NodeID]float64,
-	epoch uint64, scope []kg.NodeID) *stageEntry {
+func newStageEntry(answers []kg.NodeID, probs, pi []float64, epoch uint64, scope []kg.NodeID) *stageEntry {
 	st := &stageEntry{
 		cacheMeta: cacheMeta{epoch: epoch, scope: scope},
 		answers:   answers,
 		probs:     probs,
-		piMap:     piMap,
+		pi:        pi,
 		verdicts:  make(map[verdictKey]*verdictTable),
 	}
-	// Approximate resident bytes: the distribution slices, the π map, the
-	// scope list, and headroom for the verdict tables to fill in (9 bytes
-	// per open-addressing slot at ≤75% load per possible validator
+	// Approximate resident bytes: the distribution slices, the π and scope
+	// arrays, and headroom for the verdict tables to fill in (9 bytes per
+	// open-addressing slot at ≤75% load per possible validator
 	// configuration) — the worst case the maxVerdictConfigs cap allows, so
 	// the LRU budget stays honest as verdicts accumulate.
 	st.cost = 256 +
 		int64(len(answers))*(4+8) +
-		int64(len(piMap))*48 +
+		int64(len(pi))*8 +
 		int64(len(scope))*4 +
 		int64(maxVerdictConfigs)*int64(len(answers))*16
 	return st

@@ -122,15 +122,15 @@ func TestCacheKeySeparatesConfigs(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newSpaceCache(24_000)
 	mkEntry := func() *stageEntry {
-		// ~6 KB per entry under the newStageEntry cost model.
+		// ~5 KB per entry under the newStageEntry cost model.
 		answers := make([]kg.NodeID, 32)
 		probs := make([]float64, 32)
-		pi := make(map[kg.NodeID]float64, 32)
+		pi := make([]float64, 32)
 		for i := range answers {
 			answers[i] = kg.NodeID(i)
-			pi[kg.NodeID(i)] = 1.0 / 32
+			pi[i] = 1.0 / 32
 		}
-		return newStageEntry(answers, probs, pi, 0, nil)
+		return newStageEntry(answers, probs, pi, 0, answers)
 	}
 	keyOf := func(i int) stageKey { return stageKey{root: kg.NodeID(i), types: "[]"} }
 
@@ -181,7 +181,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // configurations than maxVerdictConfigs resets the maps instead of growing
 // past the memory the LRU budget charged for them.
 func TestVerdictConfigsBounded(t *testing.T) {
-	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, map[kg.NodeID]float64{1: 0.5, 2: 0.5}, 0, nil)
+	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, []float64{0.5, 0.5}, 0, []kg.NodeID{1, 2})
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := 0; i < 5*maxVerdictConfigs; i++ {
@@ -204,8 +204,8 @@ func TestVerdictConfigsBounded(t *testing.T) {
 func TestCachePutReturnsCanonicalEntry(t *testing.T) {
 	c := newSpaceCache(1 << 20)
 	key := stageKey{root: 1, types: "[]"}
-	a := newStageEntry([]kg.NodeID{1}, []float64{1}, map[kg.NodeID]float64{1: 1}, 0, nil)
-	b := newStageEntry([]kg.NodeID{1}, []float64{1}, map[kg.NodeID]float64{1: 1}, 0, nil)
+	a := newStageEntry([]kg.NodeID{1}, []float64{1}, []float64{1}, 0, []kg.NodeID{1})
+	b := newStageEntry([]kg.NodeID{1}, []float64{1}, []float64{1}, 0, []kg.NodeID{1})
 	if got := c.putStage(key, a); got != a {
 		t.Fatal("first put did not return its own entry")
 	}
@@ -301,7 +301,7 @@ func TestStageBuildReportsWalk(t *testing.T) {
 		tracer := obs.NewTracer(1, 1)
 		tr := tracer.Start("query", c.name)
 		before := metWalkFallbacks.Value()
-		if _, err := e.buildStage(obs.WithTrace(context.Background(), tr), e.opts, view{g: c.g}, key, types, nil); err != nil {
+		if _, err := e.buildStage(obs.WithTrace(context.Background(), tr), e.opts, view{g: c.g}, key, typeMaskOf(c.g, types), nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := metWalkFallbacks.Value() - before; got != c.fallbacks {

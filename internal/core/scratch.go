@@ -121,3 +121,54 @@ func (x *Execution) holdScratch() func() {
 		x.scr = nil
 	}
 }
+
+// densePi is a stage's π scattered over an array addressed by NodeID, the
+// form the greedy search reads expansion priorities in (legBatch). Slots
+// outside the stage's scope hold 0, the π of a node the walk never visits.
+type densePi []float64
+
+// at is π(u), bounds-checked: the array is sized by the view the validation
+// runs on, so an id past it is a node that view does not hold.
+func (p densePi) at(u kg.NodeID) float64 {
+	if int(u) < len(p) {
+		return p[u]
+	}
+	return 0
+}
+
+// densePiFree recycles the arrays like scratchFree, one per P; one longer
+// than densePiKeep slots is left to the collector.
+var densePiFree = make(chan densePi, runtime.GOMAXPROCS(0))
+
+const densePiKeep = 1 << 19
+
+// scatterPi returns a pooled array of at least n slots holding pi[k] at
+// scope[k] and 0 everywhere else.
+func scatterPi(n int, scope []kg.NodeID, pi []float64) densePi {
+	var p densePi
+	select {
+	case p = <-densePiFree:
+	default:
+	}
+	if len(p) < n {
+		p = make(densePi, n)
+	}
+	for k, u := range scope {
+		p[u] = pi[k]
+	}
+	return p
+}
+
+// releasePi zeroes the slots scatterPi set and hands the array back.
+func releasePi(p densePi, scope []kg.NodeID) {
+	for _, u := range scope {
+		p[u] = 0
+	}
+	if len(p) > densePiKeep {
+		return
+	}
+	select {
+	case densePiFree <- p:
+	default:
+	}
+}

@@ -301,7 +301,7 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	if st == nil {
 		if st = env.e.cache.fetchStage(l.key, env.v.epoch); st == nil {
 			var err error
-			if st, err = env.e.buildStage(ctx, env.o, env.v, l.key, l.types, nil); err != nil {
+			if st, err = env.e.buildStage(ctx, env.o, env.v, l.key, typeMaskOf(env.v.g, l.types), nil); err != nil {
 				return out, false
 			}
 		}
@@ -331,8 +331,12 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	}
 	metValidationCalls.Add(float64(len(fresh)))
 	obs.TraceFrom(ctx).Add("validation_calls", float64(len(fresh)))
-	res, _ := semsim.ValidateCtx(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, st.piMap, fresh,
+	// The stage was built at the view's epoch or an older one, and node ids
+	// are never reused, so the view's node count covers its scope.
+	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
+	res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, fresh,
 		semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
+	releasePi(pi, st.scope)
 	if ctx.Err() != nil {
 		return out, false
 	}
@@ -352,7 +356,7 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 
 // batch evaluates OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
 // The order of evaluation cannot change a disjunction, and
-// semsim.ValidateCtx expands by π of the path tip whatever set it was asked
+// semsim.ValidateFunc expands by π of the path tip whatever set it was asked
 // for, so an answer's verdict is the same alone or in company. One search
 // from the root settles the leg of every intermediate the requested answers
 // are reached through; then each leg-correct intermediate runs its own batch
@@ -471,13 +475,41 @@ func newAnswerSpace(answers []kg.NodeID, probs []float64, oracle oracle) (*answe
 // fresh build is tagged with the view's epoch and its walk scope, the unit
 // of selective invalidation.
 func (e *Engine) convergedStage(ctx context.Context, o Options, v view,
-	key stageKey, types []kg.TypeID, sb *spaceBuild) (*stageEntry, error) {
+	key stageKey, mask func() typeMask, sb *spaceBuild) (*stageEntry, error) {
 
 	if st := e.cachedStage(key, v, sb); st != nil {
 		return st, nil
 	}
-	return e.buildStage(ctx, o, v, key, types, sb)
+	return e.buildStage(ctx, o, v, key, mask(), sb)
 }
+
+// typeMask is the candidate-type test of one (view, type set) as a bitmap
+// over the view's node ids: bit u is set iff node u carries one of the
+// types. A chain level's onward stages all test the same types on the same
+// view, so the level builds the bitmap once and each walker reads a bit
+// instead of searching the node's type list.
+type typeMask []uint64
+
+// typeMaskOf builds the bitmap from the view's type index, which lists
+// every node carrying a type (a shard partition narrows that list to its
+// own nodes; no stage is ever built over one).
+func typeMaskOf(g kg.ReadGraph, types []kg.TypeID) typeMask {
+	m := make(typeMask, (g.NumNodes()+63)/64)
+	for _, t := range types {
+		for _, u := range g.NodesByType(t) {
+			m[u>>6] |= 1 << (u & 63)
+		}
+	}
+	return m
+}
+
+// lazyTypeMask defers typeMaskOf to the first stage that misses the cache:
+// a level whose stages are all resident never builds it.
+func lazyTypeMask(g kg.ReadGraph, types []kg.TypeID) func() typeMask {
+	return sync.OnceValue(func() typeMask { return typeMaskOf(g, types) })
+}
+
+func (m typeMask) has(u kg.NodeID) bool { return m[u>>6]&(1<<(u&63)) != 0 }
 
 func stageKeyOf(o Options, root kg.NodeID, pred kg.PredID, types []kg.TypeID) stageKey {
 	return stageKey{
@@ -501,9 +533,10 @@ func (e *Engine) cachedStage(key stageKey, v view, sb *spaceBuild) *stageEntry {
 }
 
 // buildStage is the miss half of convergedStage: converge a fresh walker
-// and publish the stage. The caller has already consulted the cache.
+// and publish the stage. The caller has already consulted the cache; mask
+// is the candidate-type test of key's types on v.
 func (e *Engine) buildStage(ctx context.Context, o Options, v view,
-	key stageKey, types []kg.TypeID, sb *spaceBuild) (*stageEntry, error) {
+	key stageKey, mask typeMask, sb *spaceBuild) (*stageEntry, error) {
 
 	sb.build()
 	metStageBuilds.Inc()
@@ -524,19 +557,25 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 	if iters > 1 {
 		metWalkFallbacks.Inc()
 	}
-	dist, err := w.AnswerDistribution(types)
+	dist, err := w.AnswerDistributionFunc(mask.has)
 	if err != nil {
 		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(key.root), err)
 	}
-	// The scope is what a mutation is matched against to invalidate the
-	// cached stage; without a cache nothing reads it.
-	var scope []kg.NodeID
+	// π is kept parallel to the scope. A cache matches mutations against the
+	// scope of its stages, so there it is sorted; without one the walk's
+	// order serves and costs no sort.
+	scope := slices.Clone(w.Scope())
 	if e.cache != nil {
-		scope = slices.Clone(w.Scope())
 		slices.Sort(scope)
 	}
-	st := e.cache.putStage(key, newStageEntry(dist.Answers, dist.Probs, w.PiMap(), v.epoch, scope))
-	sb.read(st)
+	pi := make([]float64, len(scope))
+	for k, u := range scope {
+		pi[k] = w.Pi(u)
+	}
+	st := e.cache.putStage(key, newStageEntry(dist.Answers, dist.Probs, pi, v.epoch, scope))
+	if e.cache != nil {
+		sb.read(st) // only a cached space keeps the union of its stages' scopes
+	}
 	return st, nil
 }
 
@@ -614,7 +653,8 @@ type chainSub struct {
 // when the pool is saturated (many concurrent queries, or a deeper recursion
 // level already took the slots) the build simply runs inline, which keeps
 // the fan-out deadlock-free at any depth.
-func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chainSub, hops []query.Hop, sb *spaceBuild) error {
+func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chainSub, mask func() typeMask,
+	hops []query.Hop, sb *spaceBuild) error {
 	leaf := len(hops) == 1
 	fill := func(sub *chainSub, st *stageEntry) {
 		sub.answers, sub.mass = st.answers, st.probs
@@ -624,12 +664,12 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 	}
 	build := func(sub *chainSub) {
 		if leaf {
-			if st, err := e.buildStage(ctx, o, v, sub.oracle.key, sub.oracle.types, sb); err == nil {
+			if st, err := e.buildStage(ctx, o, v, sub.oracle.key, mask(), sb); err == nil {
 				fill(sub, st)
 			}
 			return
 		}
-		if lv, err := e.buildChainLevel(ctx, o, v, sub.oracle.key, sub.oracle.types, hops, sb); err == nil {
+		if lv, err := e.buildChainLevel(ctx, o, v, sub.oracle.key, sub.oracle.types, mask, hops, sb); err == nil {
 			sub.answers, sub.mass, sub.oracle, sub.dropped = lv.answers, lv.mass, *lv.oracle, lv.dropped
 		}
 	}
@@ -680,9 +720,11 @@ func hopKey(o Options, g kg.ReadGraph, root kg.NodeID, hop query.Hop) (stageKey,
 // buildChainLevel returns the exact visiting distribution over the final
 // hop's answers together with the data of a lazy correctness oracle,
 // recursing over the chain's hops: π(j) = Σᵢ π′ᵢ · π′ⱼ|ᵢ (§V-B). key is the
-// stage of hops[0] from the level's root.
-func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key stageKey, types []kg.TypeID, hops []query.Hop, sb *spaceBuild) (level, error) {
-	st, err := e.convergedStage(ctx, o, v, key, types, sb)
+// stage of hops[0] from the level's root, of target types types, and mask
+// returns their candidate test on v.
+func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key stageKey, types []kg.TypeID,
+	mask func() typeMask, hops []query.Hop, sb *spaceBuild) (level, error) {
+	st, err := e.convergedStage(ctx, o, v, key, mask, sb)
 	if err != nil {
 		return level{}, err
 	}
@@ -723,7 +765,8 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 		next.root = r.node
 		subs[i] = chainSub{prob: r.prob, oracle: levelOracle{key: next, types: nextTypes}}
 	}
-	if err := e.expandChain(ctx, o, v, subs, hops[1:], sb); err != nil {
+	// Every intermediate's next hop tests the same types on the same view.
+	if err := e.expandChain(ctx, o, v, subs, lazyTypeMask(v.g, nextTypes), hops[1:], sb); err != nil {
 		return level{}, err
 	}
 
@@ -823,7 +866,7 @@ func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, path
 		key, types, err := hopKey(o, v.g, us, p.Hops[0])
 		var lv level
 		if err == nil {
-			lv, err = e.buildChainLevel(ctx, o, v, key, types, p.Hops, sb)
+			lv, err = e.buildChainLevel(ctx, o, v, key, types, lazyTypeMask(v.g, types), p.Hops, sb)
 		}
 		if err != nil {
 			if len(paths) > 1 {

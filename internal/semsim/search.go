@@ -1,9 +1,10 @@
 package semsim
 
 import (
-	"container/heap"
 	"context"
 	"math"
+	"runtime"
+	"slices"
 
 	"kgaq/internal/kg"
 )
@@ -101,29 +102,150 @@ func (v ValidatorConfig) withDefaults() ValidatorConfig {
 	return v
 }
 
-// pathItem is a partial path in the greedy frontier. The path's Eq. 2 score
-// lives in logSum (the running sum of log predicate similarities), so
-// scoring an extension never re-walks the path; the predicate sequence
-// itself is not stored at all.
-type pathItem struct {
-	tip      kg.NodeID
-	priority float64     // π of the tip (paper: expand highest-π first)
-	logSum   float64     // Σ log PredSim(queryPred, pred) over the path's edges
-	nodes    []kg.NodeID // full node sequence for simple-path checking
+// pathRecord is one path of the greedy frontier, kept in the search's
+// arena: its tip, the index of the path it extends by one edge (-1 for the
+// start), and its Eq. 2 score as the running sum of log predicate
+// similarities. A path's node sequence is its chain of parents, so pushing
+// an extension copies nothing, and scoring one never re-walks the path.
+type pathRecord struct {
+	logSum float64
+	parent int32
+	tip    kg.NodeID
 }
 
-type pathHeap []*pathItem
+// frontierItem is one heap slot: the frontier path's arena index and the
+// priority it is expanded by, π of its tip (paper: highest π first).
+type frontierItem struct {
+	priority float64
+	rec      int32
+}
 
-func (h pathHeap) Len() int           { return len(h) }
-func (h pathHeap) Less(i, j int) bool { return h[i].priority > h[j].priority }
-func (h pathHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x any)        { *h = append(*h, x.(*pathItem)) }
-func (h *pathHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+// answerState is what the search knows of one requested answer: the result
+// it reports, whether any path reached it (only then does the result appear
+// in the returned map), and whether it is settled.
+type answerState struct {
+	res     ValidateResult
+	node    kg.NodeID
+	seen    bool
+	settled bool
+}
+
+// search is the working memory of one validation: a slot table addressed by
+// NodeID (slot[u] is 1 + the index of u's answerState, 0 for a node nobody
+// asked about), the per-answer states, the path arena, the frontier heap and
+// the node sequence of the path being expanded. The slot table is sized by
+// the graph and recycled between calls, so it is all zero whenever the
+// search is on the free list: release clears exactly the slots its call set.
+type search struct {
+	slot   []int32
+	states []answerState
+	recs   []pathRecord
+	heap   []frontierItem
+	path   []kg.NodeID
+}
+
+// searches is the free list: at most one search per P, whatever the garbage
+// collector does in between (a sync.Pool is emptied by every second
+// collection, and a cold query triggers more than one).
+var searches = make(chan *search, runtime.GOMAXPROCS(0))
+
+// searchKeepBytes bounds what the free list retains per search: one whose
+// arrays hold more (a huge graph's slot table, a huge frontier) is left to
+// the collector.
+const searchKeepBytes = 6 << 20
+
+func (s *search) bytes() int {
+	return 4*cap(s.slot) + 24*cap(s.states) + 16*cap(s.recs) + 16*cap(s.heap) + 4*cap(s.path)
+}
+
+// getSearch returns a search whose slot table covers n node ids, all zero.
+func getSearch(n int) *search {
+	var s *search
+	select {
+	case s = <-searches:
+	default:
+		s = new(search)
+	}
+	if len(s.slot) < n {
+		// First use, or a graph that grew since the search's last one. The
+		// old table was all zero, so nothing is carried over.
+		s.slot = make([]int32, n)
+	}
+	return s
+}
+
+// release zeroes the slots this call set and hands the search back.
+func (s *search) release() {
+	for _, st := range s.states {
+		s.slot[st.node] = 0
+	}
+	s.states = s.states[:0]
+	if s.bytes() > searchKeepBytes {
+		return
+	}
+	select {
+	case searches <- s:
+	default:
+	}
+}
+
+// push adds a frontier item, sifting it up exactly as container/heap does
+// under "higher priority first", so the pop order — ties included — is the
+// one the interface-based heap gave.
+func (s *search) push(it frontierItem) {
+	h := append(s.heap, it)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].priority > h[i].priority) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	s.heap = h
+}
+
+// pop removes the highest-priority item: container/heap's Pop, swap the
+// root to the end, sift the new root down, take the end.
+func (s *search) pop() frontierItem {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].priority > h[j].priority {
+			j = j2 // right child
+		}
+		if !(h[j].priority > h[i].priority) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	s.heap = h[:n]
 	return it
+}
+
+// results is the returned map: one entry per requested answer a path
+// reached or the fallback settled.
+func (s *search) results() map[kg.NodeID]ValidateResult {
+	n := 0
+	for i := range s.states {
+		if s.states[i].seen {
+			n++
+		}
+	}
+	res := make(map[kg.NodeID]ValidateResult, n)
+	for i := range s.states {
+		if st := &s.states[i]; st.seen {
+			res[st.node] = st.res
+		}
+	}
+	return res
 }
 
 // Validate performs greedy correctness validation (§IV-B2) for the given
@@ -144,7 +266,7 @@ func Validate(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID, 
 }
 
 // ctxCheckEvery is how many expansions pass between ctx polls in
-// ValidateCtx; one expansion touches a node's whole neighbour list, so the
+// ValidateFunc; one expansion touches a node's whole neighbour list, so the
 // poll amortises to noise while cancellation still lands within
 // microseconds on real graphs.
 const ctxCheckEvery = 64
@@ -156,112 +278,103 @@ const ctxCheckEvery = 64
 // evidence of incorrectness.
 func ValidateCtx(ctx context.Context, g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID,
 	pi map[kg.NodeID]float64, answers []kg.NodeID, cfg ValidatorConfig) (map[kg.NodeID]ValidateResult, ValidateStats) {
+	return ValidateFunc(ctx, g, c, us, queryPred, func(u kg.NodeID) float64 { return pi[u] }, answers, cfg)
+}
+
+// ValidateFunc is ValidateCtx with π read through a function — pi(u) is the
+// expansion priority of a path whose tip is u, 0 for a node without one —
+// so a caller holding π as a dense array needs no map. answers are node ids
+// of g and may repeat.
+func ValidateFunc(ctx context.Context, g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID,
+	pi func(kg.NodeID) float64, answers []kg.NodeID, cfg ValidatorConfig) (map[kg.NodeID]ValidateResult, ValidateStats) {
 
 	cfg = cfg.withDefaults()
 	logRow := c.LogSimRow(queryPred)
-	want := make(map[kg.NodeID]bool, len(answers))
+	s := getSearch(g.NumNodes())
+	defer s.release()
 	for _, a := range answers {
-		want[a] = true
+		if s.slot[a] == 0 {
+			s.states = append(s.states, answerState{node: a})
+			s.slot[a] = int32(len(s.states))
+		}
 	}
-	res := make(map[kg.NodeID]ValidateResult, len(answers))
-	settled := make(map[kg.NodeID]bool, len(answers))
 	var stats ValidateStats
 
-	remaining := len(want)
+	remaining := len(s.states)
 	floor := cfg.PlausibleFraction * cfg.Tau
 
-	h := &pathHeap{{tip: us, priority: pi[us], nodes: []kg.NodeID{us}}}
-	heap.Init(h)
-	// Popped items go to a local freelist and are recycled — node-sequence
-	// storage included — so steady-state expansion stops allocating once the
-	// freelist covers the frontier's churn.
-	var free []*pathItem
-	newItem := func(base *pathItem, to kg.NodeID, logSum float64) *pathItem {
-		var ni *pathItem
-		if n := len(free); n > 0 {
-			ni, free = free[n-1], free[:n-1]
-			ni.nodes = ni.nodes[:0]
-		} else {
-			ni = &pathItem{nodes: make([]kg.NodeID, 0, len(base.nodes)+1)}
-		}
-		ni.nodes = append(append(ni.nodes, base.nodes...), to)
-		ni.tip, ni.priority, ni.logSum = to, pi[to], logSum
-		return ni
-	}
-	for h.Len() > 0 && remaining > 0 && stats.Expansions < cfg.Budget {
+	s.recs = append(s.recs[:0], pathRecord{parent: -1, tip: us})
+	s.heap = s.heap[:0]
+	s.push(frontierItem{priority: pi(us)})
+	for len(s.heap) > 0 && remaining > 0 && stats.Expansions < cfg.Budget {
 		if stats.Expansions%ctxCheckEvery == 0 && ctx.Err() != nil {
-			return res, stats
+			return s.results(), stats
 		}
-		it := heap.Pop(h).(*pathItem)
-		depth := len(it.nodes) - 1 // edges on the path so far
+		it := s.pop()
+		path := s.path[:0]
+		for r := it.rec; r >= 0; r = s.recs[r].parent {
+			path = append(path, s.recs[r].tip)
+		}
+		s.path = path
+		depth := len(path) - 1 // edges on the path so far
 		if depth >= cfg.MaxLen {
-			free = append(free, it)
 			continue
 		}
 		stats.Expansions++
-		for _, he := range g.Neighbors(it.tip) {
-			onPath := false
-			for _, u := range it.nodes {
-				if u == he.To {
-					onPath = true
-					break
-				}
-			}
-			if onPath {
+		base := s.recs[it.rec]
+		for _, he := range g.Neighbors(base.tip) {
+			if slices.Contains(path, he.To) {
 				continue
 			}
-			logSum := it.logSum + logRow[he.Pred]
-			if want[he.To] && !settled[he.To] {
-				s := math.Exp(logSum / float64(depth+1))
-				r := res[he.To]
-				if s > r.Similarity {
-					r.Similarity = s
+			logSum := base.logSum + logRow[he.Pred]
+			if k := s.slot[he.To]; k != 0 && !s.states[k-1].settled {
+				st := &s.states[k-1]
+				sim := math.Exp(logSum / float64(depth+1))
+				if sim > st.res.Similarity {
+					st.res.Similarity = sim
 				}
+				st.seen = true
 				stats.PathsFound++
 				switch {
-				case s >= cfg.Tau:
+				case sim >= cfg.Tau:
 					// Eq. 3 takes the maximum over matches: one path at or
 					// above τ settles correctness for good.
-					r.Paths++
-					settled[he.To] = true
+					st.res.Paths++
+					st.settled = true
 					remaining--
-				case s >= floor:
+				case sim >= floor:
 					// A plausible near-miss: counts toward the r failures.
-					r.Paths++
-					if r.Paths >= cfg.Repeat {
-						settled[he.To] = true
+					st.res.Paths++
+					if st.res.Paths >= cfg.Repeat {
+						st.settled = true
 						remaining--
 					}
 				default:
 					// Junk path through unrelated predicates: no evidence.
 				}
-				res[he.To] = r
 			}
 			if depth+1 < cfg.MaxLen {
-				// The node sequence is copied only here, once the extension
-				// is actually pushed; scoring above allocated nothing.
-				heap.Push(h, newItem(it, he.To, logSum))
+				s.recs = append(s.recs, pathRecord{logSum: logSum, parent: it.rec, tip: he.To})
+				s.push(frontierItem{priority: pi(he.To), rec: int32(len(s.recs) - 1)})
 			}
 		}
-		free = append(free, it)
 	}
 
 	// Fallback for answers the guided search never reached at all (their
 	// Similarity is still zero; any found path, junk included, raises it).
 	for _, a := range answers {
 		if ctx.Err() != nil {
-			return res, stats
+			return s.results(), stats
 		}
-		if res[a].Similarity == 0 {
+		if st := &s.states[s.slot[a]-1]; st.res.Similarity == 0 {
 			stats.Fallbacks++
-			if s, ok := fallbackBest(g, c, us, queryPred, a, cfg.MaxLen); ok {
-				res[a] = ValidateResult{Similarity: s, Paths: 1}
-			} else {
-				res[a] = ValidateResult{}
+			st.res, st.seen = ValidateResult{}, true
+			if sim, ok := fallbackBest(g, c, us, queryPred, a, cfg.MaxLen); ok {
+				st.res = ValidateResult{Similarity: sim, Paths: 1}
 			}
 		}
 	}
-	return res, stats
+	return s.results(), stats
 }
 
 // fallbackBest runs a depth-bounded exhaustive search for the single answer
@@ -269,11 +382,13 @@ func ValidateCtx(ctx context.Context, g kg.ReadGraph, c *Calculator, us kg.NodeI
 func fallbackBest(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID, a kg.NodeID, maxLen int) (float64, bool) {
 	logRow := c.LogSimRow(queryPred)
 	best := -1.0
-	onPath := map[kg.NodeID]bool{us: true}
+	// The path is at most maxLen nodes long, so membership is a short scan.
+	path := make([]kg.NodeID, 1, maxLen+1)
+	path[0] = us
 	var dfs func(u kg.NodeID, depth int, logSum float64)
 	dfs = func(u kg.NodeID, depth int, logSum float64) {
 		for _, he := range g.Neighbors(u) {
-			if onPath[he.To] {
+			if slices.Contains(path, he.To) {
 				continue
 			}
 			ls := logSum + logRow[he.Pred]
@@ -283,9 +398,9 @@ func fallbackBest(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.Pred
 				}
 			}
 			if depth+1 < maxLen {
-				onPath[he.To] = true
+				path = append(path, he.To)
 				dfs(he.To, depth+1, ls)
-				onPath[he.To] = false
+				path = path[:len(path)-1]
 			}
 		}
 	}

@@ -12,14 +12,6 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// Fork derives a child generator from parent. Subsystems that need
-// independent random streams (e.g. each bootstrap replicate, each walker)
-// fork the experiment-level generator instead of sharing one, which keeps
-// results independent of evaluation order.
-func Fork(parent *rand.Rand) *rand.Rand {
-	return rand.New(rand.NewSource(parent.Int63()))
-}
-
 // Splitmix is a splitmix64 generator: a single multiply-xorshift chain per
 // output, no allocation, no locking, and an 8-byte state. It is the engine's
 // one draw stream — one word per alias-table draw (Alias.Pick) on every

@@ -363,23 +363,6 @@ func TestAliasMatchesWeightedIndex(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := NewRand(5)
-	a := Fork(parent)
-	b := Fork(parent)
-	// Two forks must produce different streams.
-	same := true
-	for i := 0; i < 10; i++ {
-		if a.Int63() != b.Int63() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("forked generators produced identical streams")
-	}
-}
-
 func TestNewRandDeterminism(t *testing.T) {
 	a, b := NewRand(99), NewRand(99)
 	for i := 0; i < 16; i++ {

@@ -521,7 +521,7 @@ func (w *Walker) Pi(u kg.NodeID) float64 {
 }
 
 // PiMap materialises the stationary distribution keyed by NodeID, the form
-// the greedy validator consumes.
+// semsim.ValidateCtx consumes.
 func (w *Walker) PiMap() map[kg.NodeID]float64 {
 	out := make(map[kg.NodeID]float64, len(w.nodes))
 	for i, u := range w.nodes {
@@ -548,6 +548,15 @@ type AnswerDist struct {
 // (the caller owns convergence and its cancellation), and an error when no
 // candidate answer has positive stationary probability.
 func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error) {
+	return w.AnswerDistributionFunc(func(u kg.NodeID) bool { return w.g.SharesType(u, targetTypes) })
+}
+
+// AnswerDistributionFunc is AnswerDistribution with the candidate test
+// given as a predicate: isCandidate(u) must say whether u shares a type
+// with the target. A caller building many walkers over one view for one
+// type set answers it from a precomputed bitmap instead of the graph's
+// per-node type lists.
+func (w *Walker) AnswerDistributionFunc(isCandidate func(kg.NodeID) bool) (*AnswerDist, error) {
 	if w.pi == nil {
 		return nil, ErrNotConverged
 	}
@@ -560,7 +569,7 @@ func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error
 		if u == w.start {
 			continue
 		}
-		if !w.g.SharesType(u, targetTypes) {
+		if !isCandidate(u) {
 			continue
 		}
 		if w.pi[i] <= 0 {
