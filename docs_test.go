@@ -110,6 +110,7 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/exec.go", "func (x *Execution) census"},
 		{"internal/core/terms.go", "func (t *termTable) tally"},
 		{"internal/core/census_test.go", "func TestCensusMatchesSSB"},
+		{"internal/core/census_test.go", "func TestCensusMatchesSSBScale30"},
 		{"internal/core/decide.go", "func (p *Progress) Check"},
 		{"internal/estimate/multi.go", "func Project"},
 		{"internal/shard/shard.go", "func SplitSpace"},

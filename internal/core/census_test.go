@@ -151,38 +151,39 @@ func TestCensusMatchesSSB(t *testing.T) {
 	}
 }
 
-// The chain cap (maxChainIntermediates) binds at Scale 30: a chain space
-// that left intermediates unexpanded reports their π mass and is never
-// answered by a census. At the profile's own Scale 3 it never binds.
-func TestCensusChainCapGate(t *testing.T) {
+// At Scale 30 a chain level holds up to ≈ 1 200 intermediates, and every
+// one is expanded, so a forced census of each ungrouped query — chains,
+// cycles and flowers included — equals the exact SSB aggregate bit for bit.
+func TestCensusMatchesSSBScale30(t *testing.T) {
+	t.Parallel()
+	e, ds, ssb := censusFixture(t, 30)
 	ctx := context.Background()
-	e, ds, _ := censusFixture(t, 3)
+	n := 0
 	for _, gq := range ds.Queries {
-		res, err := e.Query(ctx, gq.Agg, WithSeed(1))
-		if err != nil {
+		if gq.Category == "extreme" || gq.Category == "groupby" {
 			continue
 		}
-		if res.CapDroppedMass != 0 {
-			t.Errorf("Scale 3 %v: cap dropped mass %v, want 0", gq.Agg, res.CapDroppedMass)
-		}
-	}
-
-	e, ds, _ = censusFixture(t, 30)
-	for _, gq := range ds.QueriesByCategory("chain") {
-		a := *gq.Agg
-		a.Func, a.Attr = query.Count, ""
-		res, err := e.Query(ctx, &a, WithSeed(1))
+		n++
+		a := gq.Agg
+		want, err := ssb.Execute(a)
 		if err != nil {
-			t.Fatalf("%v: %v", &a, err)
+			t.Fatalf("SSB %v: %v", a, err)
 		}
-		if res.CapDroppedMass > 0 {
-			if res.Exact {
-				t.Fatalf("%v: a census over a truncated space (dropped mass %v)", &a, res.CapDroppedMass)
-			}
-			return
+		res, err := e.Query(ctx, a, WithErrorBound(1e-4), WithSeed(1))
+		if err != nil {
+			t.Fatalf("%s %v: %v", gq.Category, a, err)
+		}
+		if !res.Exact || res.MoE != 0 {
+			t.Errorf("%s %v: exact %v, MoE %v; want a census", gq.Category, a, res.Exact, res.MoE)
+			continue
+		}
+		if math.Float64bits(res.Estimate) != math.Float64bits(want.Value) {
+			t.Errorf("%s %v: census %v ≠ SSB %v", gq.Category, a, res.Estimate, want.Value)
 		}
 	}
-	t.Fatal("no Scale 30 chain COUNT reports a dropped mass")
+	if n != 88 {
+		t.Errorf("%d ungrouped Scale 30 queries, want 88", n)
+	}
 }
 
 // ROADMAP P5: the final round of refine is Last, so a round the MinCorrect

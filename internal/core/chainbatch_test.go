@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"kgaq/internal/datagen"
+	"kgaq/internal/embedding"
 	"kgaq/internal/kg"
 	"kgaq/internal/query"
 )
@@ -203,4 +207,41 @@ func TestChainBatchConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// A chain level names its intermediates by uint16 rank, so a stage with
+// more than 65 536 of them fails the query with errWideLevel — at the
+// top level, and from a nested level, where an onward build's other
+// failures only leave the intermediate leading nowhere.
+func TestChainLevelTooWide(t *testing.T) {
+	const wide = math.MaxUint16 + 2
+	b := kg.NewBuilder()
+	r, s := b.AddNode("r", "Root"), b.AddNode("s", "Root")
+	n0, a := b.AddNode("n0", "Mid2"), b.AddNode("a", "Ans")
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(b.AddEdge(s, "p", n0))
+	for i := 0; i < wide; i++ {
+		m := b.AddNode(fmt.Sprintf("m%d", i), "Mid")
+		must(b.AddEdge(r, "p", m))
+		must(b.AddEdge(n0, "q", m))
+		must(b.AddEdge(m, "q", a))
+	}
+	g := b.Build()
+	model, err := embedding.NewOracle(g, 8, 1, []embedding.Cluster{{Name: "c", Affinity: map[string]float64{"p": 1, "q": 1}}})
+	must(err)
+	e, err := NewEngine(g, model, Options{})
+	must(err)
+	hop := func(pred, typ string) query.Hop { return query.Hop{Predicate: pred, Types: []string{typ}} }
+	for _, q := range []*query.Aggregate{
+		query.Chain(query.Count, "", "r", "Root", []query.Hop{hop("p", "Mid"), hop("q", "Ans")}),
+		query.Chain(query.Count, "", "s", "Root", []query.Hop{hop("p", "Mid2"), hop("q", "Mid"), hop("q", "Ans")}),
+	} {
+		if _, err := e.Query(context.Background(), q, WithSeed(1)); !errors.Is(err, errWideLevel) {
+			t.Errorf("%v: err %v, want errWideLevel", q, err)
+		}
+	}
 }

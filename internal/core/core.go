@@ -236,11 +236,6 @@ type Result struct {
 	Epoch      uint64 // graph epoch the whole query observed (0 on static engines)
 	Times      StepTimes
 	Groups     map[string]GroupResult // non-nil only for GROUP-BY queries
-	// CapDroppedMass is the stage-one π mass of the chain intermediates the
-	// answer space left unexpanded (maxChainIntermediates), summed over its
-	// decomposed paths: answers reachable only through them are missing
-	// from A. Non-zero, it rules the census out.
-	CapDroppedMass float64
 }
 
 // Interval returns the confidence interval of the final estimate.

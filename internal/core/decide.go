@@ -47,8 +47,7 @@ type Progress struct {
 	// the first round's planned size, Initial.
 	Initial int
 	// Census is |A| when a census may replace the next round — an unsharded
-	// semantic execution over a space the chain cap did not truncate — and
-	// 0 otherwise.
+	// semantic execution — and 0 otherwise.
 	Census int
 	// Correct counts the correct draws the MinCorrect gate reads.
 	Correct int

@@ -238,9 +238,6 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 		}
 		t.SetAttr("terms", terms)
 	}
-	if m := x.sp.capDropped; m > 0 {
-		t.SetAttr("cap_dropped_mass", m)
-	}
 	t.SetAttr("rounds", len(x.rounds))
 	t.SetAttr("sample_size", len(x.drawIdx))
 	t.SetAttr("candidates", x.sp.len())
@@ -284,10 +281,10 @@ func (x *Execution) firstSize() int {
 }
 
 // censusSize is what Progress.Census carries: |A| when a census may end this
-// execution's refinement — unsharded, over a semantic answer space the
-// chain cap did not truncate — and 0 otherwise.
+// execution's refinement — unsharded, over a semantic answer space — and 0
+// otherwise.
 func (x *Execution) censusSize() int {
-	if x.sh != nil || x.opts.Sampler != SamplerSemantic || x.sp.capDropped > 0 || x.noCensus {
+	if x.sh != nil || x.opts.Sampler != SamplerSemantic || x.noCensus {
 		return 0
 	}
 	return x.sp.len()
@@ -656,24 +653,23 @@ func (x *Execution) result(ctx context.Context, vhat, moe float64, converged boo
 		shards = len(x.sh.spaces)
 	}
 	return &Result{
-		Query:          x.q,
-		Estimate:       vhat,
-		MoE:            moe,
-		Confidence:     x.opts.Confidence,
-		Converged:      converged,
-		Degraded:       x.degraded,
-		Exact:          x.exact,
-		TargetEB:       x.targetEB,
-		Rounds:         append([]Round(nil), x.rounds...),
-		SampleSize:     len(x.drawIdx),
-		Distinct:       distinct,
-		Correct:        correct,
-		Candidates:     x.sp.len(),
-		CapDroppedMass: x.sp.capDropped,
-		Shards:         shards,
-		Epoch:          x.v.epoch,
-		Times:          x.times,
-		Groups:         groups,
+		Query:      x.q,
+		Estimate:   vhat,
+		MoE:        moe,
+		Confidence: x.opts.Confidence,
+		Converged:  converged,
+		Degraded:   x.degraded,
+		Exact:      x.exact,
+		TargetEB:   x.targetEB,
+		Rounds:     append([]Round(nil), x.rounds...),
+		SampleSize: len(x.drawIdx),
+		Distinct:   distinct,
+		Correct:    correct,
+		Candidates: x.sp.len(),
+		Shards:     shards,
+		Epoch:      x.v.epoch,
+		Times:      x.times,
+		Groups:     groups,
 	}
 }
 

@@ -39,7 +39,7 @@ func tinyEngine(t *testing.T) (*Engine, *datagen.Dataset) {
 // validates through o, outside the cache: it publishes no term table.
 func withOracle(sp *answerSpace, o oracle) *answerSpace {
 	return &answerSpace{cacheMeta: sp.cacheMeta, answers: sp.answers, probs: sp.probs, alias: sp.alias,
-		oracle: o, verdicts: sp.verdicts, capDropped: sp.capDropped}
+		oracle: o, verdicts: sp.verdicts}
 }
 
 // resultDigest is every field of a Result but its wall-clock Times.

@@ -81,8 +81,6 @@ type MultiResult struct {
 	Shards     int
 	Epoch      uint64
 	Times      StepTimes
-	// CapDroppedMass is Result.CapDroppedMass for the shared answer space.
-	CapDroppedMass float64
 }
 
 // validateSpecs checks a multi-aggregate spec list against the underlying
@@ -185,19 +183,18 @@ func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds in
 		shards = len(x.sh.spaces)
 	}
 	return &MultiResult{
-		Query:          x.q,
-		Aggs:           runs,
-		Confidence:     x.opts.Confidence,
-		Converged:      converged,
-		Degraded:       x.degraded,
-		Rounds:         rounds,
-		SampleSize:     len(x.drawIdx),
-		Distinct:       distinct,
-		Correct:        correct,
-		Candidates:     x.sp.len(),
-		CapDroppedMass: x.sp.capDropped,
-		Shards:         shards,
-		Epoch:          x.v.epoch,
-		Times:          x.times,
+		Query:      x.q,
+		Aggs:       runs,
+		Confidence: x.opts.Confidence,
+		Converged:  converged,
+		Degraded:   x.degraded,
+		Rounds:     rounds,
+		SampleSize: len(x.drawIdx),
+		Distinct:   distinct,
+		Correct:    correct,
+		Candidates: x.sp.len(),
+		Shards:     shards,
+		Epoch:      x.v.epoch,
+		Times:      x.times,
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -19,12 +21,11 @@ import (
 	"kgaq/internal/walk"
 )
 
-// maxChainIntermediates caps the number of stage-one entities expanded per
-// chain hop. The paper's two-stage sampling runs "till enough automobiles
-// are obtained"; expanding the highest-π intermediates first preserves the
-// bulk of the probability mass while bounding work. An intermediate's rank
-// fits the uint16 rows of a chain level's reach index.
-const maxChainIntermediates = 300
+// errWideLevel marks a chain stage with more intermediates than the uint16
+// rows of its level's reach index can name. Only a loaded graph can hold
+// such a stage, so the query fails rather than wrap an index or drop an
+// intermediate.
+var errWideLevel = errors.New("too many chain intermediates")
 
 // Shared verdict of one candidate (answerSpace.verdicts).
 const (
@@ -66,10 +67,6 @@ type answerSpace struct {
 	alias    *stats.Alias
 	oracle   oracle
 	verdicts []atomic.Uint32 // parallel to answers
-	// capDropped is the π mass the chain cap left unexpanded, summed over
-	// the decomposed paths (level.dropped): 0 when A holds every answer the
-	// walks reach (Result.CapDroppedMass).
-	capDropped float64
 
 	// resident is set while the engine's cache holds the space (written
 	// under its lock): only then is a term table published here, its bytes
@@ -199,15 +196,22 @@ func (b *spaceBuild) read(st *stageEntry) {
 }
 
 // unionScope merges the scopes of every stage read into one sorted node
-// list, through a bitmap over the view's node ids: a two-hop chain reads
-// ≈ 190 stages of ≈ 2 800 nodes each that overlap almost entirely.
+// list: a two-hop chain reads ≈ 190 stages of ≈ 2 800 nodes each that
+// overlap almost entirely.
 func (b *spaceBuild) unionScope(g kg.ReadGraph) []kg.NodeID {
 	if len(b.scopes) == 1 {
 		return b.scopes[0] // a one-hop space shares its stage's list
 	}
+	return sortedNodes(g, b.scopes...)
+}
+
+// sortedNodes returns the union of lists as one ascending node list without
+// duplicates, through a bitmap over g's node ids: one pass to mark, one to
+// read the set bits in order, and no comparison sort.
+func sortedNodes(g kg.ReadGraph, lists ...[]kg.NodeID) []kg.NodeID {
 	marks := make([]uint64, (g.NumNodes()+63)/64)
-	for _, sc := range b.scopes {
-		for _, u := range sc {
+	for _, l := range lists {
+		for _, u := range l {
 			marks[u>>6] |= 1 << (u & 63)
 		}
 	}
@@ -561,13 +565,9 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 	if err != nil {
 		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(key.root), err)
 	}
-	// π is kept parallel to the scope. A cache matches mutations against the
-	// scope of its stages, so there it is sorted; without one the walk's
-	// order serves and costs no sort.
-	scope := slices.Clone(w.Scope())
-	if e.cache != nil {
-		slices.Sort(scope)
-	}
+	// π is kept parallel to the scope, which is sorted: a cache matches
+	// mutations against the scopes of its stages.
+	scope := sortedNodes(v.g, w.Scope())
 	pi := make([]float64, len(scope))
 	for k, u := range scope {
 		pi[k] = w.Pi(u)
@@ -586,11 +586,6 @@ type level struct {
 	answers []kg.NodeID
 	mass    []float64
 	oracle  *levelOracle
-	// dropped is the visiting mass from the root that reaches no answer
-	// because maxChainIntermediates cut an intermediate off: the mass of
-	// the unexpanded ones, plus each expanded one's share of what its own
-	// onward level dropped.
-	dropped float64
 }
 
 // levelOfStage is the level of one hop from root: the converged stage's own
@@ -634,13 +629,14 @@ func (e *Engine) stageLevel(key stageKey, types []kg.TypeID, st *stageEntry) *le
 // nowhere keeps nil answers and contributes nothing. With one hop left the
 // answers and masses are the converged stage's own arrays, read in place;
 // they go with the subs when the assembly is done, so the level's oracle
-// never pins them.
+// never pins them. err is the onward build's failure, which leaves the
+// intermediate leading nowhere unless it is errWideLevel.
 type chainSub struct {
 	prob    float64
 	answers []kg.NodeID
 	mass    []float64 // parallel to answers
 	oracle  levelOracle
-	dropped float64 // level.dropped of the onward level
+	err     error
 }
 
 // expandChain fills the onward half of every intermediate in subs, whose
@@ -669,8 +665,9 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 			}
 			return
 		}
-		if lv, err := e.buildChainLevel(ctx, o, v, sub.oracle.key, sub.oracle.types, mask, hops, sb); err == nil {
-			sub.answers, sub.mass, sub.oracle, sub.dropped = lv.answers, lv.mass, *lv.oracle, lv.dropped
+		var lv level
+		if lv, sub.err = e.buildChainLevel(ctx, o, v, sub.oracle.key, sub.oracle.types, mask, hops, sb); sub.err == nil {
+			sub.answers, sub.mass, sub.oracle = lv.answers, lv.mass, *lv.oracle
 		}
 	}
 	var wg sync.WaitGroup
@@ -732,8 +729,12 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 		return e.levelOfStage(key, types, st), nil
 	}
 
-	// Multi-hop: expand the highest-probability intermediates, recursing
+	// Multi-hop: expand every intermediate, most probable first, recursing
 	// into the remaining hops from each.
+	if len(st.answers) > math.MaxUint16+1 {
+		return level{}, fmt.Errorf("core: chain stage rooted at %q has %d intermediates, more than the %d a level indexes: %w",
+			v.g.Name(key.root), len(st.answers), math.MaxUint16+1, errWideLevel)
+	}
 	noAnswers := func() error {
 		return fmt.Errorf("core: chain stage rooted at %q found no final answers", v.g.Name(key.root))
 	}
@@ -755,11 +756,6 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 		}
 		return cmp.Compare(a.node, b.node)
 	})
-	dropped := 0.0
-	for _, r := range top[min(len(top), maxChainIntermediates):] {
-		dropped += r.prob
-	}
-	top = top[:min(len(top), maxChainIntermediates)]
 	subs := make([]chainSub, len(top))
 	for i, r := range top {
 		next.root = r.node
@@ -776,9 +772,11 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 	// (intermediate, answer) pair so the later passes need no map.
 	pairs, widest := 0, 0
 	for k := range subs {
+		if errors.Is(subs[k].err, errWideLevel) {
+			return level{}, subs[k].err
+		}
 		pairs += len(subs[k].answers)
 		widest = max(widest, len(subs[k].answers))
-		dropped += subs[k].prob * subs[k].dropped
 	}
 	idOf := make(map[kg.NodeID]int32, widest)
 	var answers []kg.NodeID
@@ -814,7 +812,7 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(answers[a], answers[b]) })
 	rank := make([]int32, len(answers))
-	out := level{answers: make([]kg.NodeID, len(answers)), mass: make([]float64, len(answers)), dropped: dropped}
+	out := level{answers: make([]kg.NodeID, len(answers)), mass: make([]float64, len(answers))}
 	// Row i of the reach index lists the intermediates whose walk reaches
 	// answer i, most probable first (the order of subs) — built once, here,
 	// so the oracle never scans intermediates × answers and the build
@@ -913,9 +911,6 @@ func (e *Engine) buildAssemblySpace(ctx context.Context, o Options, v view, path
 		return nil, err
 	}
 	sp.epoch = v.epoch
-	for _, lv := range levels {
-		sp.capDropped += lv.dropped
-	}
 	if sb != nil && e.cache != nil {
 		sp.scope = sb.unionScope(v.g)
 	}
@@ -961,39 +956,40 @@ func (e *Engine) buildTopologySpace(ctx context.Context, o Options, v view, p qu
 		return nil, nil, fmt.Errorf("core: topology sample has no mass")
 	}
 	// Correctness still uses the greedy validator so the ablation isolates
-	// the sampling step (S1) exactly as in Fig. 5a. The validator wants a
-	// π map; the empirical shares serve.
+	// the sampling step (S1) exactly as in Fig. 5a. The empirical shares
+	// serve as its π.
 	pred, err := resolvePred(v.g, p.Hops[0].Predicate)
 	if err != nil {
 		return nil, nil, err
-	}
-	piMap := make(map[kg.NodeID]float64, len(ts.Answers))
-	for i, u := range ts.Answers {
-		piMap[u] = ts.Probs[i]
 	}
 	sp := &answerSpace{
 		answers:  ts.Answers,
 		probs:    ts.Probs,
 		alias:    alias,
-		oracle:   &topologyOracle{root: us, pred: pred, pi: piMap},
+		oracle:   &topologyOracle{root: us, pred: pred, answers: ts.Answers, probs: ts.Probs},
 		verdicts: make([]atomic.Uint32, len(ts.Answers)),
 	}
 	return sp, ts.Draws, nil
 }
 
 // topologyOracle validates the answers of a topology-sampled space: one lazy
-// greedy search per answer from the query's root.
+// greedy search per answer from the query's root, expanding by the
+// empirical share of each sampled answer (probs, parallel to answers; 0 for
+// every other node).
 type topologyOracle struct {
-	root kg.NodeID
-	pred kg.PredID
-	pi   map[kg.NodeID]float64
+	root    kg.NodeID
+	pred    kg.PredID
+	answers []kg.NodeID
+	probs   []float64
 }
 
 func (t *topologyOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
 	out := make(map[kg.NodeID]bool, len(us))
 	o := env.o
+	pi := scatterPi(env.v.g.NumNodes(), t.answers, t.probs)
+	defer releasePi(pi, t.answers)
 	for _, u := range us {
-		res, _ := semsim.ValidateCtx(ctx, env.v.g, env.e.calc, t.root, t.pred, t.pi, []kg.NodeID{u},
+		res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, t.root, t.pred, pi.at, []kg.NodeID{u},
 			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
 		if ctx.Err() != nil {
 			return out, false

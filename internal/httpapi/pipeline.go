@@ -454,10 +454,6 @@ type answerJSON struct {
 	Shards      int     `json:"shards,omitempty"`
 	Epoch       uint64  `json:"epoch"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
-	// CapDroppedMass is the π mass the chain cap left unexpanded
-	// (core.Result.CapDroppedMass): answers reachable only through it are
-	// missing, and no census is taken (absent when 0).
-	CapDroppedMass float64 `json:"cap_dropped_mass,omitempty"`
 	// Degraded marks an answer the serving tier loosened honestly: the loop
 	// stopped before the target bound (deadline pressure) or ran against a
 	// relaxed effective bound (queue pressure). The interval is still a
@@ -566,7 +562,7 @@ func elapsedMS(d time.Duration) float64 { return float64(d.Microseconds()) / 100
 func toResponse(text string, res *core.Result, elapsed time.Duration) *queryResponse {
 	out := &queryResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
-			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates, CapDroppedMass: res.CapDroppedMass,
+			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates,
 			Shards: res.Shards, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: len(res.Rounds)},
 		estimateJSON: estimateOf(res.Estimate, res.MoE, res.AchievedEB(), res.Exact, res.Rounds, res.Groups),
 		TargetEB:     res.TargetEB,
@@ -578,7 +574,7 @@ func toResponse(text string, res *core.Result, elapsed time.Duration) *queryResp
 func toMultiResponse(text string, res *core.MultiResult, elapsed time.Duration) *multiResponse {
 	out := &multiResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
-			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates, CapDroppedMass: res.CapDroppedMass,
+			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates,
 			Shards: res.Shards, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
 		Aggs:   make([]aggResultJSON, len(res.Aggs)),
 		Rounds: res.Rounds,

@@ -260,6 +260,11 @@ func (s *search) results() map[kg.NodeID]ValidateResult {
 // Answers the guided search never reaches within budget fall back to a
 // per-answer exhaustive search, keeping starvation from turning into false
 // negatives wholesale.
+//
+// Validate and ValidateCtx take π as a map. The engine reads it through
+// ValidateFunc; outside this package's tests their one caller is the
+// benchmark module's validation probe (benchmark/trace.go), and both go
+// once that probe moves onto ValidateFunc.
 func Validate(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID, pi map[kg.NodeID]float64,
 	answers []kg.NodeID, cfg ValidatorConfig) (map[kg.NodeID]ValidateResult, ValidateStats) {
 	return ValidateCtx(context.Background(), g, c, us, queryPred, pi, answers, cfg)
@@ -275,7 +280,8 @@ const ctxCheckEvery = 64
 // best-first search, and a cancelled call returns the verdicts settled so
 // far without running the per-answer fallback. Callers must treat the
 // result of a cancelled call as incomplete — absent answers carry no
-// evidence of incorrectness.
+// evidence of incorrectness. Only benchmark/trace.go calls it outside
+// tests (see Validate).
 func ValidateCtx(ctx context.Context, g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID,
 	pi map[kg.NodeID]float64, answers []kg.NodeID, cfg ValidatorConfig) (map[kg.NodeID]ValidateResult, ValidateStats) {
 	return ValidateFunc(ctx, g, c, us, queryPred, func(u kg.NodeID) float64 { return pi[u] }, answers, cfg)

@@ -521,7 +521,9 @@ func (w *Walker) Pi(u kg.NodeID) float64 {
 }
 
 // PiMap materialises the stationary distribution keyed by NodeID, the form
-// semsim.ValidateCtx consumes.
+// semsim.ValidateCtx consumes. Outside tests its one caller is the
+// benchmark module's validation probe (benchmark/trace.go); it goes once
+// that probe reads Pi through semsim.ValidateFunc.
 func (w *Walker) PiMap() map[kg.NodeID]float64 {
 	out := make(map[kg.NodeID]float64, len(w.nodes))
 	for i, u := range w.nodes {
@@ -546,7 +548,9 @@ type AnswerDist struct {
 // bounded subgraph sharing a type with the target (excluding the start
 // node). It returns ErrNotConverged when Converge/ConvergeCtx has not run
 // (the caller owns convergence and its cancellation), and an error when no
-// candidate answer has positive stationary probability.
+// candidate answer has positive stationary probability. The engine uses
+// AnswerDistributionFunc; outside tests this type-list form's one caller is
+// benchmark/trace.go, and it goes once that moves onto the predicate form.
 func (w *Walker) AnswerDistribution(targetTypes []kg.TypeID) (*AnswerDist, error) {
 	return w.AnswerDistributionFunc(func(u kg.NodeID) bool { return w.g.SharesType(u, targetTypes) })
 }
