@@ -112,10 +112,10 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/census_test.go", "func TestCensusMatchesSSB"},
 		{"internal/core/census_test.go", "func TestCensusMatchesSSBScale30"},
 		{"internal/core/decide.go", "func (p *Progress) Check"},
-		{"internal/estimate/multi.go", "func Project"},
+		{"internal/core/multi_test.go", "func TestQueryMultiMatchesSingles"},
 		{"internal/shard/shard.go", "func SplitSpace"},
 		{"internal/estimate/estimate_test.go", "func TestTheorem2"},
-		{"internal/estimate/multi_test.go", "func TestProjectMatchesSingleTarget"},
+		{"internal/core/determinism_test.go", "func TestQueryMultiBitwiseMatchesSequentialSingles"},
 	}
 	for _, c := range checks {
 		data, err := os.ReadFile(filepath.FromSlash(c.file))

@@ -97,9 +97,11 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []*query.Aggregate, opts ...
 			plans[key] = slot
 		}
 		plansMu.Unlock()
+		var clk stepClock
 		building := false
 		slot.once.Do(func() {
 			building = true
+			clk.edge(nil)
 			slot.p, slot.err = e.prepare(ctx, q, cfg)
 		})
 		if slot.err != nil {
@@ -118,7 +120,8 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []*query.Aggregate, opts ...
 			return nil, err
 		}
 		if building {
-			x.times.Sampling += p.buildTime
+			x.clk = clk
+			x.clk.edge(&x.clk.times.Sampling)
 		}
 		x.oneShot = true
 		return x.Refine(ctx, 0)

@@ -174,8 +174,18 @@ func (o Options) guarantee() estimate.GuaranteeConfig {
 }
 
 // StepTimes breaks the response time into the paper's three steps
-// (Table XII): S1 semantic-aware sampling, S2 approximate estimation
-// (validation + point estimate), S3 accuracy guarantee (CI + sizing).
+// (Table XII), read off one clock per execution whose edges split every
+// refinement round, so the steps add up to the wall time of the refinement
+// calls less their OnRound callbacks:
+//
+//   - S1 Sampling ends with a round's draws; it holds the one-shot compile
+//     (Engine.Start, QueryBatch) and the sizing decision (Decide) that asked
+//     for the draws.
+//   - S2 Estimation ends once the fresh draws are validated and folded into
+//     the running moments, or a census has evaluated and tallied every
+//     candidate.
+//   - S3 Guarantee ends with the round's read-out: every point estimate,
+//     margin and group; and, after the last round, the result's.
 type StepTimes struct {
 	Sampling   time.Duration
 	Estimation time.Duration
@@ -185,12 +195,6 @@ type StepTimes struct {
 // Total returns the summed step time.
 func (s StepTimes) Total() time.Duration {
 	return s.Sampling + s.Estimation + s.Guarantee
-}
-
-func (s *StepTimes) add(other StepTimes) {
-	s.Sampling += other.Sampling
-	s.Estimation += other.Estimation
-	s.Guarantee += other.Guarantee
 }
 
 // Round records one refinement iteration, the raw material of Table IX.

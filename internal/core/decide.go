@@ -64,8 +64,9 @@ type Progress struct {
 	// Unestimable marks a round in which some guaranteed aggregate has no
 	// interval (no estimate, no margin, or — grouped — no group).
 	Unestimable bool
-	// Cost is what this round took, its draws included; Slack the time left
-	// before the deadline minus the degradation headroom, when Deadline.
+	// Cost is what this round took, from the reading it opened at to its
+	// guarantee edge, its draws included; Slack the time left before the
+	// deadline minus the degradation headroom, when Deadline.
 	Cost     time.Duration
 	Slack    time.Duration
 	Deadline bool

@@ -36,7 +36,11 @@ type Degradation struct {
 	DeadlineHeadroom time.Duration
 }
 
-func (d Degradation) enabled() bool { return d.MaxErrorBound > 0 }
+// Enabled reports whether this configuration permits degradation at all (a
+// zero MaxErrorBound disables it). The federated coordinator uses it to
+// decide between a typed partial-federation failure and an honestly
+// degraded answer when a member dies mid-query.
+func (d Degradation) Enabled() bool { return d.MaxErrorBound > 0 }
 
 func (d Degradation) headroom() time.Duration {
 	if d.DeadlineHeadroom > 0 {
@@ -45,12 +49,13 @@ func (d Degradation) headroom() time.Duration {
 	return DefaultDeadlineHeadroom
 }
 
-// slack is the time left before ctx's deadline minus the headroom, and
+// Slack is the time left before ctx's deadline minus the headroom, and
 // whether the deadline applies at all (degradation enabled, a deadline set):
-// the refinement loop stops degraded when the next round's predicted cost
+// a refinement loop — the engine's, and the federated round driver in
+// internal/federate — stops degraded when the next round's predicted cost
 // exceeds it (Decide).
-func (d Degradation) slack(ctx context.Context) (time.Duration, bool) {
-	if !d.enabled() {
+func (d Degradation) Slack(ctx context.Context) (time.Duration, bool) {
+	if !d.Enabled() {
 		return 0, false
 	}
 	deadline, ok := ctx.Deadline()
@@ -59,16 +64,6 @@ func (d Degradation) slack(ctx context.Context) (time.Duration, bool) {
 	}
 	return time.Until(deadline) - d.headroom(), true
 }
-
-// Slack is the exported form of slack, for the federated round driver
-// (internal/federate), which stops on the same rule.
-func (d Degradation) Slack(ctx context.Context) (time.Duration, bool) { return d.slack(ctx) }
-
-// Enabled reports whether this configuration permits degradation at all (a
-// zero MaxErrorBound disables it). The federated coordinator uses it to
-// decide between a typed partial-federation failure and an honestly
-// degraded answer when a member dies mid-query.
-func (d Degradation) Enabled() bool { return d.enabled() }
 
 // AchievedEB returns the relative error bound the result's interval
 // actually attains — the smallest eb for which the Theorem 2 condition

@@ -50,10 +50,7 @@ type Execution struct {
 	// term table afterwards, so both live in the scratch (holdScratch).
 	oneShot bool
 	rounds  []Round
-	times   StepTimes
-	// drawCost is what the latest sampleMore took: the sampling share of
-	// the round it feeds, which the degradation check prices in.
-	drawCost time.Duration
+	clk     stepClock
 
 	// Telemetry bookkeeping. reportedTimes is what earlier result() calls on
 	// this execution already exported to the step-seconds metrics, so
@@ -89,6 +86,10 @@ func (e *Engine) Start(ctx context.Context, q *query.Aggregate, opts ...QueryOpt
 	if cfg.opts.Sampler != SamplerSemantic {
 		return e.startTopology(ctx, q, cfg)
 	}
+	// The one-shot API's contract: preparation time is part of the query's
+	// sampling step.
+	var clk stepClock
+	clk.edge(nil)
 	p, err := e.prepare(ctx, q, cfg)
 	if err != nil {
 		return nil, err
@@ -97,9 +98,8 @@ func (e *Engine) Start(ctx context.Context, q *query.Aggregate, opts ...QueryOpt
 	if err != nil {
 		return nil, err
 	}
-	// The one-shot API's contract: preparation time is part of the query's
-	// sampling step.
-	x.times.Sampling += p.buildTime
+	x.clk = clk
+	x.clk.edge(&x.clk.times.Sampling)
 	return x, nil
 }
 
@@ -135,7 +135,7 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 	if len(paths) != 1 {
 		return nil, fmt.Errorf("core: %v sampler supports simple queries only", o.Sampler)
 	}
-	begin := time.Now()
+	x.clk.edge(nil)
 	// The topology walkers take a *rand.Rand; the draws after the build come
 	// from the execution's own stream.
 	sp, draws, err := e.buildTopologySpace(ctx, o, v, paths[0], stats.NewRand(o.Seed), x.initialSize(200))
@@ -147,7 +147,7 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 	}
 	x.sp = sp
 	x.drawIdx = draws
-	x.times.Sampling += time.Since(begin)
+	x.clk.edge(&x.clk.times.Sampling)
 	return x, nil
 }
 
@@ -171,37 +171,14 @@ func (x *Execution) Rounds() []Round {
 	return append([]Round(nil), x.rounds...)
 }
 
-// traceRound records one guarantee-loop round into the request trace: the
-// fresh draws and validation work of this round, the estimate and its ε,
-// and the achieved bound ε̂ = ε/(|V̂|−ε) whose shrink toward eb is the
-// Theorem 2 convergence signal.
-func (x *Execution) traceRound(ctx context.Context, began time.Time, vhat, eps float64) {
-	t := obs.TraceFrom(ctx)
-	if t == nil {
-		return
-	}
-	n := len(x.drawIdx)
-	validated := t.Counter("validation_calls")
-	hits := t.Counter("verdict_cache_hits")
-	t.Round(obs.RoundTelemetry{
-		Round:      len(x.rounds),
-		SampleSize: n,
-		Draws:      n - x.traceSampleAt,
-		Validated:  int(validated - x.traceValidated),
-		CacheHits:  int(hits - x.traceHits),
-		Estimate:   obs.Float(vhat),
-		MoE:        obs.Float(eps),
-		AchievedEB: obs.Float(achievedEB(vhat, eps)),
-		ElapsedMS:  float64(time.Since(began)) / float64(time.Millisecond),
-	})
-	x.traceSampleAt, x.traceValidated, x.traceHits = n, validated, hits
-}
-
-// finishTelemetry exports one completed Refine to the engine metrics and
-// stamps the request trace with the result-level attributes (outcome,
-// convergence, the final ε̂, per-shard draw attribution). Step times export
-// as deltas against what this execution already reported.
+// finishTelemetry ends one completed refinement call at the step clock's
+// stop edge, which charges the read-out after the last round to Guarantee.
+// It exports the call to the engine metrics — step times as deltas against
+// what this execution already reported — and stamps the request trace with
+// the result-level attributes (outcome, convergence, the final ε̂, the step
+// times, per-shard draw attribution).
 func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, moe float64) {
+	x.clk.edge(&x.clk.times.Guarantee)
 	outcome := "unconverged"
 	switch {
 	case ctx.Err() != nil:
@@ -215,10 +192,11 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 	}
 	metQueries.With(outcome).Inc()
 	metRounds.Observe(float64(len(x.rounds)))
-	metStepSeconds.With("sampling").Add((x.times.Sampling - x.reportedTimes.Sampling).Seconds())
-	metStepSeconds.With("estimation").Add((x.times.Estimation - x.reportedTimes.Estimation).Seconds())
-	metStepSeconds.With("guarantee").Add((x.times.Guarantee - x.reportedTimes.Guarantee).Seconds())
-	x.reportedTimes = x.times
+	times := x.clk.times
+	metStepSeconds.With("sampling").Add((times.Sampling - x.reportedTimes.Sampling).Seconds())
+	metStepSeconds.With("estimation").Add((times.Estimation - x.reportedTimes.Estimation).Seconds())
+	metStepSeconds.With("guarantee").Add((times.Guarantee - x.reportedTimes.Guarantee).Seconds())
+	x.reportedTimes = times
 
 	t := obs.TraceFrom(ctx)
 	if t == nil {
@@ -246,6 +224,9 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 	t.SetAttr("estimate", vhat)
 	t.SetAttr("moe", moe)
 	t.SetAttr("achieved_eb", achievedEB(vhat, moe))
+	t.SetAttr("sampling_ms", millis(times.Sampling))
+	t.SetAttr("estimation_ms", millis(times.Estimation))
+	t.SetAttr("guarantee_ms", millis(times.Guarantee))
 	if x.sh != nil {
 		draws := make(map[string]int, len(x.sh.spaces))
 		for pos, spc := range x.sh.spaces {
@@ -298,7 +279,6 @@ func (x *Execution) sampleMore(k int) {
 	if k = min(k, x.opts.MaxDraws-len(x.drawIdx)); k <= 0 {
 		return
 	}
-	begin := time.Now()
 	if x.sh != nil {
 		x.scr.draws = x.sh.drawInto(x.scr.draws[:0], k)
 	} else {
@@ -306,8 +286,7 @@ func (x *Execution) sampleMore(k int) {
 	}
 	x.drawIdx = append(x.drawIdx, x.scr.draws...)
 	x.scr.shardCounts = x.e.countDraws(x.sp.answers, x.scr.draws, x.scr.shardCounts)
-	x.drawCost = time.Since(begin)
-	x.times.Sampling += x.drawCost
+	x.clk.edge(&x.clk.times.Sampling)
 }
 
 // cut is the error of a cancelled refinement: it matches both
@@ -378,6 +357,7 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 			drive = k
 		}
 	}
+	x.clk.round = x.clk.edge(nil) // the call, and its first round, open
 	x.bindTerms(terms...)
 	x.exact = false
 
@@ -407,7 +387,6 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 		if err := ctx.Err(); err != nil {
 			return rounds, false, x.cut(err)
 		}
-		roundBegin := time.Now()
 		if !x.advance(ctx) {
 			// Validation was cut short: the round's draws stay unfolded, and
 			// a later call picks them up where this one stopped.
@@ -415,12 +394,11 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 		}
 		rounds++
 		p := Progress{Draws: len(x.drawIdx), Grouped: grouped, Extreme: extreme, Last: round+1 >= maxRounds, Census: census}
-		v, verr := x.evaluateRound(ctx, runs, drive, &p, roundBegin, keepRounds)
-		p.Cost = time.Since(roundBegin) + x.drawCost
-		p.Slack, p.Deadline = x.degrade.slack(ctx)
-		begin := time.Now()
+		n := len(x.rounds)
+		v, verr := x.evaluateRound(runs, drive, &p, keepRounds)
+		p.Cost = x.endRound(ctx, n, runs[drive].Spec.Func.HasGuarantee())
+		p.Slack, p.Deadline = x.degrade.Slack(ctx)
 		st := Decide(o, p)
-		x.times.Guarantee += time.Since(begin)
 		if st.Stop == StopCensus {
 			return x.census(ctx, runs, drive, rounds, keepRounds)
 		}
@@ -456,7 +434,7 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 			continue
 		}
 		if v, err := x.estimateOf(k, nil); err == nil {
-			x.report(ctx, &runs[k], false, v, 0, time.Time{}, keepRounds)
+			x.report(&runs[k], false, v, 0, keepRounds)
 		}
 	}
 	return rounds, converged, nil
@@ -475,17 +453,17 @@ func (x *Execution) census(ctx context.Context, runs []AggResult, drive, rounds 
 	if err := ctx.Err(); err != nil {
 		return rounds, false, x.cut(err)
 	}
-	began := time.Now()
 	t := x.tab
-	if !t.adopted {
-		if !x.evaluate(ctx, x.scr.candidates(x.sp.len())) {
-			x.charge(&x.times.Estimation, began)
-			return rounds, false, x.cut(ctx.Err())
-		}
+	done := t.adopted || x.evaluate(ctx, x.scr.candidates(x.sp.len()))
+	if done && !t.adopted {
 		t.tally()
 		x.publishTerms()
 	}
-	x.charge(&x.times.Estimation, began)
+	x.clk.edge(&x.clk.times.Estimation)
+	if !done {
+		return rounds, false, x.cut(ctx.Err())
+	}
+	n := len(x.rounds)
 	converged, estimated := true, false
 	for k := range runs {
 		r := &runs[k]
@@ -500,8 +478,9 @@ func (x *Execution) census(ctx context.Context, runs []AggResult, drive, rounds 
 		if x.group != kg.InvalidAttr {
 			r.Groups = x.exactGroups(k)
 		}
-		x.report(ctx, r, k == drive, v, 0, began, keepRounds)
+		x.report(r, k == drive, v, 0, keepRounds)
 	}
+	x.endRound(ctx, n, true)
 	if !estimated {
 		return rounds, false, fmt.Errorf("core: %w: no candidate of %d is correct for the aggregate: %w",
 			ErrNotConverged, x.sp.len(), estimate.ErrNoCorrect)
@@ -529,14 +508,14 @@ func (x *Execution) exactGroups(k int) map[string]GroupResult {
 // loop reports alone should the budget end it. An ungrouped spec without an
 // estimate or a margin is unestimable; a grouped spec reports its
 // whole-sample estimate even without a margin, and is checked by its groups.
-func (x *Execution) evaluateRound(ctx context.Context, runs []AggResult, drive int, p *Progress, began time.Time, keepRounds bool) (float64, error) {
+func (x *Execution) evaluateRound(runs []AggResult, drive int, p *Progress, keepRounds bool) (float64, error) {
 	// The driving spec refreshes the sharded allocator every round, gated
 	// or not.
 	mom := x.sampleMoments(drive)
 	if p.Extreme > 0 {
 		for k := range runs {
 			if v, err := x.estimateOf(k, nil); err == nil {
-				x.report(ctx, &runs[k], k == drive, v, 0, began, keepRounds)
+				x.report(&runs[k], k == drive, v, 0, keepRounds)
 			}
 		}
 		return 0, nil
@@ -564,7 +543,7 @@ func (x *Execution) evaluateRound(ctx context.Context, runs []AggResult, drive i
 		}
 		switch {
 		case err == nil:
-			x.report(ctx, r, k == drive, v, eps, began, keepRounds)
+			x.report(r, k == drive, v, eps, keepRounds)
 			p.Estimated = true
 			if !p.Grouped {
 				r.Converged = p.Check(v, eps, r.ErrorBound)
@@ -580,9 +559,8 @@ func (x *Execution) evaluateRound(ctx context.Context, runs []AggResult, drive i
 }
 
 // report records one interval of spec run r. The driving spec's interval is
-// also the execution's refinement round: recorded, streamed to the OnRound
-// callback, if any, and traced.
-func (x *Execution) report(ctx context.Context, r *AggResult, drive bool, v, eps float64, began time.Time, keepRounds bool) {
+// also the execution's refinement round, which endRound streams and traces.
+func (x *Execution) report(r *AggResult, drive bool, v, eps float64, keepRounds bool) {
 	round := Round{Estimate: v, MoE: eps, SampleSize: len(x.drawIdx)}
 	r.Estimate, r.MoE = v, eps
 	if keepRounds {
@@ -590,15 +568,51 @@ func (x *Execution) report(ctx context.Context, r *AggResult, drive bool, v, eps
 	}
 	if drive {
 		x.rounds = append(x.rounds, round)
-		if x.onRound != nil {
-			x.onRound(round)
-		}
-		if !r.Spec.Func.HasGuarantee() {
-			eps = math.NaN()
-		}
-		x.traceRound(ctx, began, v, eps)
 	}
 }
+
+// endRound is a round's guarantee edge: it charges the read-out to Guarantee
+// and returns what the round took since it opened, its draws included. A
+// round that reported the driving spec's interval — a round past the first
+// n — is streamed to the OnRound callback, which the clock pauses over, and
+// recorded in the request trace: its fresh draws and validation work, the
+// estimate and its ε (NaN without a guarantee), the achieved bound
+// ε̂ = ε/(|V̂|−ε) whose shrink toward eb is the Theorem 2 convergence
+// signal, and what it took. The next round opens after the callback.
+func (x *Execution) endRound(ctx context.Context, n int, guaranteed bool) time.Duration {
+	took := x.clk.edge(&x.clk.times.Guarantee).Sub(x.clk.round)
+	if len(x.rounds) > n {
+		r := x.rounds[n]
+		if t := obs.TraceFrom(ctx); t != nil {
+			eps := r.MoE
+			if !guaranteed {
+				eps = math.NaN()
+			}
+			validated, hits := t.Counter("validation_calls"), t.Counter("verdict_cache_hits")
+			t.Round(obs.RoundTelemetry{
+				Round:      n + 1,
+				SampleSize: r.SampleSize,
+				Draws:      r.SampleSize - x.traceSampleAt,
+				Validated:  int(validated - x.traceValidated),
+				CacheHits:  int(hits - x.traceHits),
+				Estimate:   obs.Float(r.Estimate),
+				MoE:        obs.Float(eps),
+				AchievedEB: obs.Float(achievedEB(r.Estimate, eps)),
+				ElapsedMS:  millis(took),
+			})
+			x.traceSampleAt, x.traceValidated, x.traceHits = r.SampleSize, validated, hits
+		}
+		if x.onRound != nil {
+			x.onRound(r)
+			x.clk.edge(nil)
+		}
+	}
+	x.clk.round = x.clk.last
+	return took
+}
+
+// millis is d in milliseconds, the trace's unit.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // groupsOf reads out spec k's per-group estimators for the current round:
 // every group with a draw correct for the spec gets its estimate and margin
@@ -633,19 +647,8 @@ func (x *Execution) groupsOf(k int, eb float64, p *Progress) (map[string]GroupRe
 	return groups, ok
 }
 
-// settleTail validates the draws that arrived after the last evaluated
-// round (a loop that ran out of rounds right after sampling), so a result's
-// Correct and Distinct cover its whole SampleSize; under a cancelled ctx
-// they are not, and count as sampleCounts says.
-func (x *Execution) settleTail(ctx context.Context) {
-	if x.tab.folded < len(x.drawIdx) && ctx.Err() == nil {
-		x.advance(ctx)
-	}
-}
-
 // result assembles the Result.
 func (x *Execution) result(ctx context.Context, vhat, moe float64, converged bool, groups map[string]GroupResult) *Result {
-	x.settleTail(ctx)
 	x.finishTelemetry(ctx, converged, vhat, moe)
 	correct, distinct := x.sampleCounts(0)
 	shards := 0
@@ -668,7 +671,7 @@ func (x *Execution) result(ctx context.Context, vhat, moe float64, converged boo
 		Candidates: x.sp.len(),
 		Shards:     shards,
 		Epoch:      x.v.epoch,
-		Times:      x.times,
+		Times:      x.clk.times,
 		Groups:     groups,
 	}
 }

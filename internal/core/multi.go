@@ -175,7 +175,6 @@ func (x *Execution) queryMulti(ctx context.Context, specs []AggSpec) (res *Multi
 
 // multiResult assembles the shared-counters result.
 func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds int, converged bool) *MultiResult {
-	x.settleTail(ctx)
 	x.finishTelemetry(ctx, converged, math.NaN(), math.NaN())
 	correct, distinct := x.sampleCounts(-1)
 	shards := 0
@@ -195,6 +194,6 @@ func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds in
 		Candidates: x.sp.len(),
 		Shards:     shards,
 		Epoch:      x.v.epoch,
-		Times:      x.times,
+		Times:      x.clk.times,
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 
 	"kgaq/internal/obs"
 	"kgaq/internal/query"
@@ -131,11 +130,6 @@ type Prepared struct {
 	shape  query.Shape
 	policy EpochPolicy
 
-	// buildTime is the initial compilation's wall time; Engine.Start (the
-	// unprepared path) charges it to the execution's sampling step so the
-	// one-shot API's timing semantics are unchanged.
-	buildTime time.Duration
-
 	mu       sync.Mutex
 	cur      *compiled
 	rebuilds int
@@ -195,12 +189,10 @@ func (e *Engine) prepare(ctx context.Context, q *query.Aggregate, cfg queryConfi
 		shape:  q.Q.ShapeOf(),
 		policy: cfg.epochPolicy,
 	}
-	begin := time.Now()
 	c, err := p.compile(ctx, v)
 	if err != nil {
 		return nil, err
 	}
-	p.buildTime = time.Since(begin)
 	p.cur = c
 	return p, nil
 }

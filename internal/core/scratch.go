@@ -136,39 +136,51 @@ func (p densePi) at(u kg.NodeID) float64 {
 	return 0
 }
 
-// densePiFree recycles the arrays like scratchFree, one per P; one longer
-// than densePiKeep slots is left to the collector.
-var densePiFree = make(chan densePi, runtime.GOMAXPROCS(0))
+// denseFree recycles arrays addressed by NodeID like scratchFree, one per
+// P. A pooled array is all zeros; one longer than denseKeep slots is left to
+// the collector.
+type denseFree[T float64 | int32] chan []T
 
-const densePiKeep = 1 << 19
+const denseKeep = 1 << 19
 
-// scatterPi returns a pooled array of at least n slots holding pi[k] at
-// scope[k] and 0 everywhere else.
-func scatterPi(n int, scope []kg.NodeID, pi []float64) densePi {
-	var p densePi
+var piFree = make(denseFree[float64], runtime.GOMAXPROCS(0)) // scatterPi's
+
+var slotFree = make(denseFree[int32], runtime.GOMAXPROCS(0)) // buildChainLevel's answer numbering
+
+// take returns a pooled all-zero array of at least n slots.
+func (f denseFree[T]) take(n int) []T {
+	var a []T
 	select {
-	case p = <-densePiFree:
+	case a = <-f:
 	default:
 	}
-	if len(p) < n {
-		p = make(densePi, n)
+	if len(a) < n {
+		a = make([]T, n)
 	}
+	return a
+}
+
+// release zeroes the slots of a at nodes, the only ones its user set, and
+// hands a back.
+func (f denseFree[T]) release(a []T, nodes []kg.NodeID) {
+	for _, u := range nodes {
+		a[u] = 0
+	}
+	if len(a) > denseKeep {
+		return
+	}
+	select {
+	case f <- a:
+	default:
+	}
+}
+
+// scatterPi returns a pooled array of at least n slots holding pi[k] at
+// scope[k] and 0 everywhere else; piFree.release hands it back.
+func scatterPi(n int, scope []kg.NodeID, pi []float64) densePi {
+	p := piFree.take(n)
 	for k, u := range scope {
 		p[u] = pi[k]
 	}
 	return p
-}
-
-// releasePi zeroes the slots scatterPi set and hands the array back.
-func releasePi(p densePi, scope []kg.NodeID) {
-	for _, u := range scope {
-		p[u] = 0
-	}
-	if len(p) > densePiKeep {
-		return
-	}
-	select {
-	case densePiFree <- p:
-	default:
-	}
 }

@@ -340,7 +340,7 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
 	res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, fresh,
 		semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
-	releasePi(pi, st.scope)
+	piFree.release(pi, st.scope)
 	if ctx.Err() != nil {
 		return out, false
 	}
@@ -768,28 +768,27 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 
 	// Accumulate sequentially in intermediate order so the assembled π is
 	// deterministic regardless of which goroutine finished first. Answers
-	// get dense ids in order of first sight; ids remembers the id of every
-	// (intermediate, answer) pair so the later passes need no map.
-	pairs, widest := 0, 0
+	// get dense ids in order of first sight.
 	for k := range subs {
 		if errors.Is(subs[k].err, errWideLevel) {
 			return level{}, subs[k].err
 		}
-		pairs += len(subs[k].answers)
-		widest = max(widest, len(subs[k].answers))
 	}
-	idOf := make(map[kg.NodeID]int32, widest)
+	// slot[u] is 1 + the id of answer u, 0 until it is first seen. The
+	// stages were built at the view's epoch or an older one, and node ids
+	// are never reused, so the view's node count covers every answer.
+	slot := slotFree.take(v.g.NumNodes())
 	var answers []kg.NodeID
+	defer func() { slotFree.release(slot, answers) }()
 	var mass []float64
 	var fanIn []int32
-	ids := make([]int32, 0, pairs)
 	for k := range subs {
 		sub := &subs[k]
 		for j, u := range sub.answers {
-			id, seen := idOf[u]
-			if !seen {
+			id := slot[u] - 1
+			if id < 0 {
 				id = int32(len(answers))
-				idOf[u] = id
+				slot[u] = id + 1
 				answers = append(answers, u)
 				mass = append(mass, 0)
 				fanIn = append(fanIn, 0)
@@ -798,42 +797,34 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 			if sub.mass[j] > 0 {
 				fanIn[id]++
 			}
-			ids = append(ids, id)
 		}
 	}
 	if len(answers) == 0 {
 		return level{}, noAnswers()
 	}
-	// Put the answers into NodeID order: rank[id] is the position of the
-	// answer first seen id-th.
-	order := make([]int32, len(answers))
-	for id := range order {
-		order[id] = int32(id)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(answers[a], answers[b]) })
-	rank := make([]int32, len(answers))
-	out := level{answers: make([]kg.NodeID, len(answers)), mass: make([]float64, len(answers))}
+	// Put the answers into NodeID order; from here on slot[u] is 1 + the
+	// position of answer u.
+	out := level{answers: sortedNodes(v.g, answers), mass: make([]float64, len(answers))}
 	// Row i of the reach index lists the intermediates whose walk reaches
 	// answer i, most probable first (the order of subs) — built once, here,
 	// so the oracle never scans intermediates × answers and the build
 	// allocates two arrays, not one slice per answer.
 	rowStart := make([]int32, len(answers)+1)
-	for i, id := range order {
-		rank[id] = int32(i)
-		out.answers[i], out.mass[i] = answers[id], mass[id]
+	for i, u := range out.answers {
+		id := slot[u] - 1
+		slot[u] = int32(i) + 1
+		out.mass[i] = mass[id]
 		rowStart[i+1] = rowStart[i] + fanIn[id]
 	}
 	rows := make([]uint16, rowStart[len(answers)])
 	cursor := fanIn // reused as the per-row fill cursor
 	copy(cursor, rowStart)
-	at := 0
 	for k := range subs {
-		for _, p := range subs[k].mass {
-			if i := rank[ids[at]]; p > 0 {
+		for j, p := range subs[k].mass {
+			if i := slot[subs[k].answers[j]] - 1; p > 0 {
 				rows[cursor[i]] = uint16(k)
 				cursor[i]++
 			}
-			at++
 		}
 	}
 	out.oracle = e.stageLevel(key, types, st)
@@ -987,7 +978,7 @@ func (t *topologyOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	out := make(map[kg.NodeID]bool, len(us))
 	o := env.o
 	pi := scatterPi(env.v.g.NumNodes(), t.answers, t.probs)
-	defer releasePi(pi, t.answers)
+	defer piFree.release(pi, t.answers)
 	for _, u := range us {
 		res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, t.root, t.pred, pi.at, []kg.NodeID{u},
 			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})

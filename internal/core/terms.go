@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"kgaq/internal/estimate"
@@ -605,23 +604,16 @@ func (x *Execution) fold() {
 	t.folded = len(x.drawIdx)
 }
 
-// charge adds the time since begin to one step of the execution's times:
-// each interval of a refinement is charged to exactly one step.
-func (x *Execution) charge(step *time.Duration, begin time.Time) {
-	*step += time.Since(begin)
-}
-
-// advance brings the running moments up to the draw list, on the estimation
-// clock: evaluate the new candidates of the fresh draws, then fold the fresh
-// draws. It reports false when ctx cut the evaluation short, in which case
-// nothing was folded.
+// advance brings the running moments up to the draw list: evaluate the new
+// candidates of the fresh draws, then fold the fresh draws, up to the
+// estimation edge. It reports false when ctx cut the evaluation short, in
+// which case nothing was folded.
 func (x *Execution) advance(ctx context.Context) bool {
-	begin := time.Now()
 	done := x.evaluate(ctx, x.drawIdx[x.tab.folded:])
 	if done {
 		x.fold()
 	}
-	x.times.Estimation += time.Since(begin)
+	x.clk.edge(&x.clk.times.Estimation)
 	return done
 }
 
@@ -730,10 +722,8 @@ func (t *termTable) hits(g, k int) int {
 // estimateOf is the point estimate of spec k from its moments (Eq. 7–9):
 // stratified when sharded — the per-shard samples merge as Σ_h f̂(S_h) over
 // conditional probabilities — plain Horvitz–Thompson otherwise. MAX and MIN
-// report the running extreme over the draws correct for the spec. Its time
-// is estimation time.
+// report the running extreme over the draws correct for the spec.
 func (x *Execution) estimateOf(k int, mom []estimate.Moments) (float64, error) {
-	defer x.charge(&x.times.Estimation, time.Now())
 	t, fn := x.tab, x.tab.specs[k].fn
 	switch {
 	case !fn.HasGuarantee():
@@ -756,9 +746,8 @@ func (x *Execution) estimateOf(k int, mom []estimate.Moments) (float64, error) {
 // function of the moments alone: it consumes no randomness, so the draw
 // stream stays a function of draw counts and pooled and unpooled execution,
 // or a QueryMulti and sequential Query calls over the same plan, sample
-// identically. Its time is guarantee time.
+// identically.
 func (x *Execution) marginOf(k int, mom []estimate.Moments) (float64, error) {
-	defer x.charge(&x.times.Guarantee, time.Now())
 	return estimate.MoEMoments(x.tab.specs[k].fn, mom, x.opts.Policy, x.opts.guarantee())
 }
 

@@ -29,9 +29,6 @@
 // and MoEMoments merge without ever seeing an observation.
 //
 // Multi-aggregate execution rides the same machinery: the engine keeps one
-// Running per aggregate over the one sample. In list form, a
-// MultiObservation carries one draw's shared facts (π′, correctness verdict,
-// stratum) plus per-target attribute values, and Project lowers it onto any
-// single target's classic observation list — the reference for "one sample
-// feeds COUNT, SUM and AVG at once without touching the estimators".
+// Running per aggregate over the one sample, so one sample feeds COUNT, SUM
+// and AVG at once without touching the estimators.
 package estimate

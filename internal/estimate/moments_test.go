@@ -349,3 +349,20 @@ func TestWireRejectsMalformed(t *testing.T) {
 		t.Error("an overflowing number must fail to decode")
 	}
 }
+
+func TestMomentsSigma(t *testing.T) {
+	obs := []Observation{
+		{Value: 10, Prob: 0.5, Correct: true},
+		{Value: 10, Prob: 0.5, Correct: true},
+	}
+	if s := MomentsOf(query.Sum, obs).Sigma(); s != 0 {
+		t.Fatalf("identical terms: sigma = %v, want 0", s)
+	}
+	obs = append(obs, Observation{Value: 90, Prob: 0.1, Correct: true})
+	if s := MomentsOf(query.Sum, obs).Sigma(); s <= 0 {
+		t.Fatalf("spread terms: sigma = %v, want > 0", s)
+	}
+	if s := MomentsOf(query.Sum, obs[:1]).Sigma(); s != 0 {
+		t.Fatalf("single draw: sigma = %v, want 0", s)
+	}
+}

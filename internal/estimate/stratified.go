@@ -105,21 +105,12 @@ func MoEStratified(fn query.AggFunc, strata []Stratum, pol DivisorPolicy,
 	return accOfStrata(fn, strata, pol).margin(fn, cfg.withDefaults().Confidence)
 }
 
-// StratumSigma returns the sample standard deviation of a stratum's
-// per-draw Horvitz–Thompson terms v·1{correct}/π′ — the variance signal the
-// Neyman allocator weighs strata by. COUNT uses v = 1 (for AVG the SUM
-// terms: the numerator dominates the ratio's variance); a stratum with
-// fewer than two draws reports zero (no signal yet).
-func StratumSigma(fn query.AggFunc, obs []Observation) float64 {
-	return MomentsOf(fn, obs).Sigma()
-}
-
 // StratumStats carries one stratum's allocation inputs.
 type StratumStats struct {
 	// Weight is the stratum's inclusion probability w_h.
 	Weight float64
 	// Sigma is the stratum's per-draw HT-term standard deviation (see
-	// StratumSigma); zero means no variance signal yet.
+	// Moments.Sigma); zero means no variance signal yet.
 	Sigma float64
 }
 

@@ -246,23 +246,6 @@ func TestAllocateDraws(t *testing.T) {
 	}
 }
 
-func TestStratumSigma(t *testing.T) {
-	obs := []Observation{
-		{Value: 10, Prob: 0.5, Correct: true},
-		{Value: 10, Prob: 0.5, Correct: true},
-	}
-	if s := StratumSigma(query.Sum, obs); s != 0 {
-		t.Fatalf("identical terms: sigma = %v, want 0", s)
-	}
-	obs = append(obs, Observation{Value: 90, Prob: 0.1, Correct: true})
-	if s := StratumSigma(query.Sum, obs); s <= 0 {
-		t.Fatalf("spread terms: sigma = %v, want > 0", s)
-	}
-	if s := StratumSigma(query.Sum, obs[:1]); s != 0 {
-		t.Fatalf("single draw: sigma = %v, want 0", s)
-	}
-}
-
 func sum(xs []int) int {
 	t := 0
 	for _, x := range xs {
