@@ -77,6 +77,9 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/semsim/semsim.go", "func (c *Calculator) PathSim"},
 		{"internal/walk/walker.go", "func (w *Walker) ConvergeCtx"},
 		{"internal/walk/walker.go", "func (w *Walker) AnswerDistribution"},
+		{"internal/walk/reference_test.go", "func refMatrix"},
+		{"internal/walk/reference_test.go", "func refPowerIterate"},
+		{"internal/walk/reference_test.go", "func refSampleByWalk"},
 		{"internal/stats/rng.go", "func (a *Alias) Pick"},
 		{"internal/estimate/estimate.go", "func Estimate"},
 		{"internal/estimate/estimate.go", "func NextSampleSize"},

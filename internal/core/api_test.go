@@ -266,9 +266,9 @@ func TestQueryBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestRoundsStreaming: OnRound sees exactly the rounds Rounds() and the
-// result record, one per evaluated round, on the plain, GROUP-BY and
-// multi-aggregate paths alike.
+// TestRoundsStreaming: OnRound sees exactly the rounds the result records,
+// one per evaluated round, on the plain, GROUP-BY and multi-aggregate paths
+// alike.
 func TestRoundsStreaming(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 7})
 	ctx := context.Background()
@@ -300,13 +300,12 @@ func TestRoundsStreaming(t *testing.T) {
 			}
 			recorded = res.Aggs[0].Rounds
 		}
-		got := x.Rounds()
-		if len(streamed) == 0 || len(streamed) != len(got) || len(got) != len(recorded) {
-			t.Fatalf("%s: streamed %d rounds, Rounds() has %d, the result %d", c.name, len(streamed), len(got), len(recorded))
+		if len(streamed) == 0 || len(streamed) != len(recorded) {
+			t.Fatalf("%s: streamed %d rounds, the result %d", c.name, len(streamed), len(recorded))
 		}
 		for i := range streamed {
-			if streamed[i] != got[i] || got[i] != recorded[i] {
-				t.Fatalf("%s: round %d: streamed %+v, Rounds() %+v, result %+v", c.name, i, streamed[i], got[i], recorded[i])
+			if streamed[i] != recorded[i] {
+				t.Fatalf("%s: round %d: streamed %+v, result %+v", c.name, i, streamed[i], recorded[i])
 			}
 		}
 	}

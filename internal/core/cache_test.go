@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"kgaq/internal/kg/kgtest"
 	"kgaq/internal/obs"
 	"kgaq/internal/query"
+	"kgaq/internal/walk"
 )
 
 func cacheTestEngine(t *testing.T, opts Options) *Engine {
@@ -284,39 +286,36 @@ func TestCacheConcurrentHammer(t *testing.T) {
 }
 
 // A stage build says how its walk went: the walk_converge span carries the
-// scope size and the sweep count, and a build that fell back to power
-// iteration is counted in kgaq_core_walk_fallbacks_total.
+// scope size. A scope whose adjacency lists an edge at one end only fails
+// the build with walk.ErrAsymmetric, and no stage is published.
 func TestStageBuildReportsWalk(t *testing.T) {
 	e, g := figure1Engine(t, Options{})
 	types := []kg.TypeID{g.TypeByName("Automobile")}
 	key := stageKeyOf(e.opts, g.NodeByName("Germany"), g.PredByName("product"), types)
 	for _, c := range []struct {
-		name      string
-		g         kg.ReadGraph
-		fallbacks float64
+		name  string
+		g     kg.ReadGraph
+		err   error
+		scope int
 	}{
-		{"symmetric", g, 0},
-		{"one half-edge hidden", kgtest.OneWay(g, g.NodeByName("EA211_TSI"), g.NodeByName("Volkswagen")), 1},
+		{"one half-edge hidden", kgtest.OneWay(g, g.NodeByName("EA211_TSI"), g.NodeByName("Volkswagen")), walk.ErrAsymmetric, 0},
+		{"symmetric", g, nil, g.NumNodes()},
 	} {
 		tracer := obs.NewTracer(1, 1)
 		tr := tracer.Start("query", c.name)
-		before := metWalkFallbacks.Value()
-		if _, err := e.buildStage(obs.WithTrace(context.Background(), tr), e.opts, view{g: c.g}, key, typeMaskOf(c.g, types), nil); err != nil {
-			t.Fatal(err)
+		if _, err := e.buildStage(obs.WithTrace(context.Background(), tr), e.opts, view{g: c.g}, key, typeMaskOf(c.g, types), nil); !errors.Is(err, c.err) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.err)
 		}
-		if got := metWalkFallbacks.Value() - before; got != c.fallbacks {
-			t.Errorf("%s: kgaq_core_walk_fallbacks_total moved by %v, want %v", c.name, got, c.fallbacks)
+		if got := e.cache.fetchStage(key, 0) != nil; got != (c.err == nil) {
+			t.Errorf("%s: stage cached: %v", c.name, got)
 		}
 		tracer.Finish(tr)
 		spans := tracer.Lookup(tr.ID()).Spans
 		if len(spans) != 1 || spans[0].Name != "walk_converge" {
 			t.Fatalf("%s: spans = %+v, want one walk_converge", c.name, spans)
 		}
-		if int(spans[0].ScopeNodes) != g.NumNodes() {
-			t.Errorf("%s: scope_nodes = %d, want %d", c.name, spans[0].ScopeNodes, g.NumNodes())
-		}
-		if iters := spans[0].Iters; iters < 1 || (iters > 1) != (c.fallbacks > 0) {
-			t.Errorf("%s: iters = %d", c.name, iters)
+		if int(spans[0].ScopeNodes) != c.scope {
+			t.Errorf("%s: scope_nodes = %d, want %d", c.name, spans[0].ScopeNodes, c.scope)
 		}
 	}
 }

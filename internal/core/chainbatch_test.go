@@ -12,7 +12,9 @@ import (
 	"kgaq/internal/datagen"
 	"kgaq/internal/embedding"
 	"kgaq/internal/kg"
+	"kgaq/internal/kg/kgtest"
 	"kgaq/internal/query"
+	"kgaq/internal/walk"
 )
 
 // multiHopQueries returns the chain, cycle and flower queries of a dataset:
@@ -242,6 +244,77 @@ func TestChainLevelTooWide(t *testing.T) {
 	} {
 		if _, err := e.Query(context.Background(), q, WithSeed(1)); !errors.Is(err, errWideLevel) {
 			t.Errorf("%v: err %v, want errWideLevel", q, err)
+		}
+	}
+}
+
+// oneViewSource serves one graph view forever, at epoch 0: here a view no
+// builder or loader writes, whose adjacency lists an edge at one end only.
+type oneViewSource struct{ g kg.ReadGraph }
+
+func (s oneViewSource) snapshot() view { return view{g: s.g} }
+
+func (s oneViewSource) waitEpoch(context.Context, uint64) (view, error) { return s.snapshot(), nil }
+
+// A stage whose scope lists an edge at one end only has no closed-form π,
+// and the query that needs it fails with walk.ErrAsymmetric on every path:
+// a one-hop assembly (one path and two), a chain whose leaf stage is the
+// faulty one, and a chain whose nested level starts at it. Each chain has a
+// second, sound intermediate, so dropping the faulty one would still answer
+// — wrongly. Nothing is cached for the faulty stage or the failed plans.
+func TestAsymmetricStageFailsQuery(t *testing.T) {
+	b := kg.NewBuilder()
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := map[string]kg.NodeID{}
+	for _, n := range [][2]string{
+		{"r", "Root"}, {"s", "Root"}, {"m", "Mid"}, {"m2", "Mid"}, {"c", "Mid2"}, {"c2", "Mid2"},
+		{"d", "Ans"}, {"d2", "Ans"}, {"x", "Other"}, {"y", "Other"},
+	} {
+		node[n[0]] = b.AddNode(n[0], n[1])
+	}
+	for _, e := range [][3]string{
+		{"r", "p", "m"}, {"r", "p", "m2"}, {"s", "p", "m"}, {"s", "p", "m2"},
+		{"m", "q", "c"}, {"m2", "q", "c2"}, {"c", "t", "d"}, {"c2", "t", "d2"},
+		{"m", "o", "x"}, {"m", "o", "y"}, {"x", "o", "y"},
+	} {
+		must(b.AddEdge(node[e[0]], e[1], node[e[2]]))
+	}
+	g := b.Build()
+	model, err := embedding.NewOracle(g, 8, 1, []embedding.Cluster{{Name: "c",
+		Affinity: map[string]float64{"p": 1, "q": 1, "t": 1, "o": 0.9}}})
+	must(err)
+	// With N = 1 only m's scope holds both x and y, so only stages rooted
+	// at m see the hidden half-edge x→y.
+	e, err := newEngine(oneViewSource{kgtest.OneWay(g, node["x"], node["y"])}, g, model, Options{N: 1})
+	must(err)
+	faulty := stageKeyOf(e.opts, node["m"], g.PredByName("q"), []kg.TypeID{g.TypeByName("Mid2")})
+
+	hop := func(pred, typ string) query.Hop { return query.Hop{Predicate: pred, Types: []string{typ}} }
+	qb := query.NewBuilder()
+	from, tgt, to := qb.Specific("m", "Mid"), qb.Target("Mid2"), qb.Specific("d", "Ans")
+	qb.Edge(from, tgt, "q").Edge(tgt, to, "t")
+	for _, c := range []struct {
+		name string
+		q    *query.Aggregate
+	}{
+		{"one hop", query.Simple(query.Count, "", "m", "Mid", "q", "Mid2")},
+		{"two one-hop paths", qb.Aggregate(query.Count, "")},
+		{"leaf stage", query.Chain(query.Count, "", "r", "Root", []query.Hop{hop("p", "Mid"), hop("q", "Mid2")})},
+		{"nested level", query.Chain(query.Count, "", "s", "Root", []query.Hop{hop("p", "Mid"), hop("q", "Mid2"), hop("t", "Ans")})},
+	} {
+		res, err := e.Query(context.Background(), c.q, WithSeed(1))
+		if !errors.Is(err, walk.ErrAsymmetric) {
+			t.Errorf("%s: err %v (result %+v), want walk.ErrAsymmetric", c.name, err, res)
+		}
+		if st := e.cache.fetchStage(faulty, 0); st != nil {
+			t.Errorf("%s: the faulty stage was cached", c.name)
+		}
+		if plans := e.CacheStats().Plans; plans != 0 {
+			t.Errorf("%s: %d plans cached after a failed query", c.name, plans)
 		}
 	}
 }

@@ -377,19 +377,25 @@ func TestExecuteDeterministic(t *testing.T) {
 	}
 }
 
+// The plan's answer space ranks Figure 1's candidates by π′: a direct
+// assembly answer, not the designer-path KIA K5, has the most mass.
 func TestCandidateAnswersOrdering(t *testing.T) {
 	e, g := figure1Engine(t, Options{})
-	x, err := e.Start(context.Background(), avgPriceQuery())
+	p, err := e.Prepare(context.Background(), avgPriceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := x.CandidateAnswers()
-	if len(cands) != 6 {
-		t.Fatalf("candidates = %d", len(cands))
+	sp := p.cur.sp
+	if sp.len() != 6 {
+		t.Fatalf("candidates = %d", sp.len())
 	}
-	// Highest-π′ first: a direct assembly answer outranks KIA K5.
-	first := g.Name(cands[0])
-	if first == "KIA_K5" {
+	lead := 0
+	for i, pr := range sp.probs {
+		if pr > sp.probs[lead] {
+			lead = i
+		}
+	}
+	if g.Name(sp.answers[lead]) == "KIA_K5" {
 		t.Fatal("KIA K5 should not lead the candidate ranking")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"time"
 
@@ -163,12 +162,6 @@ func (e *Engine) Query(ctx context.Context, q *query.Aggregate, opts ...QueryOpt
 	}
 	x.oneShot = true
 	return x.Refine(ctx, 0)
-}
-
-// Rounds returns a snapshot of the refinement rounds observed so far — the
-// pull-style counterpart of the OnRound streaming option.
-func (x *Execution) Rounds() []Round {
-	return append([]Round(nil), x.rounds...)
 }
 
 // finishTelemetry ends one completed refinement call at the step clock's
@@ -674,19 +667,4 @@ func (x *Execution) result(ctx context.Context, vhat, moe float64, converged boo
 		Times:      x.clk.times,
 		Groups:     groups,
 	}
-}
-
-// CandidateAnswers exposes the sampling space (candidate answers sorted by
-// descending π′) for diagnostics and the CLIs.
-func (x *Execution) CandidateAnswers() []kg.NodeID {
-	idx := make([]int, len(x.sp.answers))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return x.sp.probs[idx[a]] > x.sp.probs[idx[b]] })
-	out := make([]kg.NodeID, len(idx))
-	for k, i := range idx {
-		out[k] = x.sp.answers[i]
-	}
-	return out
 }

@@ -26,8 +26,6 @@ var (
 		"Answer-space cache entries evicted by mutation-driven invalidation.")
 	metStageBuilds = obs.Default().Counter("kgaq_core_stage_builds_total",
 		"Random-walk stages converged from scratch (cache misses plus uncached builds).")
-	metWalkFallbacks = obs.Default().Counter("kgaq_core_walk_fallbacks_total",
-		"Stage builds whose closed-form stationary distribution failed its check and fell back to power iteration (adjacency that is not symmetric).")
 	metPlanRebuilds = obs.Default().Counter("kgaq_core_plan_rebuilds_total",
 		"Prepared plans recompiled because their pinned epoch went stale.")
 	metStepSeconds = obs.Default().CounterVec("kgaq_core_step_seconds_total",

@@ -27,6 +27,15 @@ import (
 // intermediate.
 var errWideLevel = errors.New("too many chain intermediates")
 
+// failsChain says whether an onward build's error fails the whole chain
+// query rather than leave its intermediate leading nowhere: a level too
+// wide to index, and a scope whose adjacency is not symmetric
+// (walk.ErrAsymmetric), whose π would be wrong. Dropping either would turn
+// the query's answer silently wrong.
+func failsChain(err error) bool {
+	return errors.Is(err, errWideLevel) || errors.Is(err, walk.ErrAsymmetric)
+}
+
 // Shared verdict of one candidate (answerSpace.verdicts).
 const (
 	verdictUnknown uint32 = iota
@@ -552,15 +561,11 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 	}
 	// Everything the stage keeps is copied out of the walker below.
 	defer w.Release()
-	iters, err := w.ConvergeCtx(ctx)
-	if err != nil {
+	if _, err := w.ConvergeCtx(ctx); err != nil {
 		endSpan.End()
 		return nil, err
 	}
-	endSpan.EndWalk(w.Size(), iters)
-	if iters > 1 {
-		metWalkFallbacks.Inc()
-	}
+	endSpan.EndWalk(w.Size())
 	dist, err := w.AnswerDistributionFunc(mask.has)
 	if err != nil {
 		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(key.root), err)
@@ -630,7 +635,7 @@ func (e *Engine) stageLevel(key stageKey, types []kg.TypeID, st *stageEntry) *le
 // answers and masses are the converged stage's own arrays, read in place;
 // they go with the subs when the assembly is done, so the level's oracle
 // never pins them. err is the onward build's failure, which leaves the
-// intermediate leading nowhere unless it is errWideLevel.
+// intermediate leading nowhere unless failsChain says it fails the query.
 type chainSub struct {
 	prob    float64
 	answers []kg.NodeID
@@ -660,7 +665,8 @@ func (e *Engine) expandChain(ctx context.Context, o Options, v view, subs []chai
 	}
 	build := func(sub *chainSub) {
 		if leaf {
-			if st, err := e.buildStage(ctx, o, v, sub.oracle.key, mask(), sb); err == nil {
+			var st *stageEntry
+			if st, sub.err = e.buildStage(ctx, o, v, sub.oracle.key, mask(), sb); sub.err == nil {
 				fill(sub, st)
 			}
 			return
@@ -770,7 +776,7 @@ func (e *Engine) buildChainLevel(ctx context.Context, o Options, v view, key sta
 	// deterministic regardless of which goroutine finished first. Answers
 	// get dense ids in order of first sight.
 	for k := range subs {
-		if errors.Is(subs[k].err, errWideLevel) {
+		if failsChain(subs[k].err) {
 			return level{}, subs[k].err
 		}
 	}

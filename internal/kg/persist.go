@@ -3,6 +3,7 @@ package kg
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // Snapshot framing. Version-0 files (everything written before the header
@@ -215,7 +217,71 @@ func fromSnapshot(s *snapshot) (*Graph, error) {
 			}
 		}
 	}
+	if err := checkMirrored(g); err != nil {
+		return nil, err
+	}
 	return g, nil
+}
+
+// checkMirrored holds a loaded adjacency to what every writer keeps: each
+// stored edge u→v with predicate p shows once as an Out half-edge at u and
+// once as an In half-edge at v, NumEdges times over. The semantic-aware
+// walk's closed-form π rests on it (a scope that breaks it fails with
+// walk.ErrAsymmetric), and a snapshot is the one outside input that could.
+//
+// The In half-edges are bucketed by the node they name, so each node's Out
+// half-edges are compared, both sides sorted, with the mirrors pointing
+// back at it: linear in the edges apart from the per-node sorts.
+func checkMirrored(g *Graph) error {
+	start := make([]int, len(g.adj)+1)
+	outs := 0
+	for _, hes := range g.adj {
+		for _, he := range hes {
+			if he.Out {
+				outs++
+			} else {
+				start[he.To+1]++
+			}
+		}
+	}
+	for u := range g.adj {
+		start[u+1] += start[u]
+	}
+	if ins := start[len(g.adj)]; outs != g.numEdges || ins != g.numEdges {
+		return fmt.Errorf("%w: %d out and %d in half-edges for %d edges", ErrBadSnapshot, outs, ins, g.numEdges)
+	}
+	// mirrors[start[u]:start[u+1]] holds, as u's Out half-edges would, the
+	// far end and predicate of every In half-edge that names u.
+	mirrors := make([]HalfEdge, g.numEdges)
+	next := slices.Clone(start[:len(g.adj)])
+	for v, hes := range g.adj {
+		for _, he := range hes {
+			if !he.Out {
+				mirrors[next[he.To]] = HalfEdge{To: NodeID(v), Pred: he.Pred, Out: true}
+				next[he.To]++
+			}
+		}
+	}
+	order := func(a, b HalfEdge) int {
+		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.Pred, b.Pred))
+	}
+	var out []HalfEdge
+	for u, hes := range g.adj {
+		out = out[:0]
+		for _, he := range hes {
+			if he.Out {
+				out = append(out, he)
+			}
+		}
+		in := mirrors[start[u]:start[u+1]]
+		slices.SortFunc(out, order)
+		slices.SortFunc(in, order)
+		if !slices.Equal(out, in) {
+			return fmt.Errorf("%w: the out half-edges of node %q do not match the in half-edges naming it",
+				ErrBadSnapshot, g.names[u])
+		}
+	}
+	return nil
 }
 
 // SaveFile writes a snapshot to path, creating or truncating it.

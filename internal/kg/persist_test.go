@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -74,6 +75,22 @@ func TestSnapshotBadFiles(t *testing.T) {
 	futureVersion := append([]byte(snapshotMagic), make([]byte, 12)...)
 	binary.LittleEndian.PutUint32(futureVersion[8:12], 99)
 
+	// reencoded is g with node u's adjacency replaced by hes, saved with a
+	// valid header and checksum: only the mirror check can refuse it.
+	reencoded := func(u NodeID, hes []HalfEdge) []byte {
+		h := *g
+		h.adj = slices.Clone(g.adj)
+		h.adj[u] = hes
+		var buf bytes.Buffer
+		if err := h.SaveEpoch(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	de := g.NodeByName("Germany")
+	relabelled := slices.Clone(g.adj[de])
+	relabelled[0].Pred = g.PredByName("product")
+
 	cases := []struct {
 		name string
 		data []byte
@@ -83,6 +100,8 @@ func TestSnapshotBadFiles(t *testing.T) {
 		{"truncated header", []byte(snapshotMagic + "ab")},
 		{"future version", futureVersion},
 		{"truncated payload", good.Bytes()[:len(good.Bytes())/2]},
+		{"half-edge dropped", reencoded(de, g.adj[de][1:])},
+		{"half-edge relabelled", reencoded(de, relabelled)},
 	}
 	for _, tc := range cases {
 		if _, _, err := LoadEpoch(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadSnapshot) {

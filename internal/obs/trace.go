@@ -172,14 +172,12 @@ type Span struct {
 }
 
 // End closes the span.
-func (s Span) End() { s.end(0, 0) }
+func (s Span) End() { s.end(0) }
 
-// EndWalk closes a walk_converge span with what the walk found out about
-// its own work: the size of its scope and the sweeps convergence took (more
-// than one: the closed form failed its check and power iteration ran).
-func (s Span) EndWalk(scopeNodes, iters int) { s.end(scopeNodes, iters) }
+// EndWalk closes a walk_converge span with the size of the walk's scope.
+func (s Span) EndWalk(scopeNodes int) { s.end(scopeNodes) }
 
-func (s Span) end(scopeNodes, iters int) {
+func (s Span) end(scopeNodes int) {
 	t := s.t
 	if t == nil {
 		return
@@ -195,7 +193,6 @@ func (s Span) end(scopeNodes, iters int) {
 		StartMS:    float64(s.begin.Sub(t.start)) / float64(time.Millisecond),
 		DurMS:      float64(time.Since(s.begin)) / float64(time.Millisecond),
 		ScopeNodes: int32(scopeNodes),
-		Iters:      int32(iters),
 	})
 }
 
@@ -266,11 +263,10 @@ type SpanData struct {
 	Name    string  `json:"name"`
 	StartMS float64 `json:"start_ms"`
 	DurMS   float64 `json:"dur_ms"`
-	// Set on walk_converge spans only. They sit on the span, not in a map
+	// Set on walk_converge spans only. It sits on the span, not in a map
 	// beside it: a chain query records some 190 of these spans, and the
 	// tracer's ring keeps the last 256 traces.
 	ScopeNodes int32 `json:"scope_nodes,omitempty"`
-	Iters      int32 `json:"iters,omitempty"`
 }
 
 // TraceData is the full JSON export of a finished (or in-flight) trace.

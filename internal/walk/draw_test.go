@@ -59,7 +59,7 @@ func drawTables(t *testing.T) map[string][]float64 {
 		t.Fatal(err)
 	}
 	defer w.Release()
-	w.Converge()
+	converge(t, w)
 	d, err := w.AnswerDistribution(types)
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,20 @@ import (
 )
 
 // ErrNotConverged is returned by samplers that need the stationary
-// distribution before Converge/ConvergeCtx has run. Callers own the
-// convergence step so a cancelled query can never fall into an unbounded
-// context-free iteration.
+// distribution before ConvergeCtx has succeeded. Callers own the
+// convergence step, and with it its cancellation.
 var ErrNotConverged = errors.New("walk: stationary distribution not converged")
+
+// ErrAsymmetric is ConvergeCtx's verdict on a scope whose adjacency lists
+// some edge at one end only. The walk's chain is then not reversible and the
+// closed-form π is not its stationary distribution. A stored edge always
+// shows at both ends, so this is a fault in the data, not a property of a
+// query.
+var ErrAsymmetric = errors.New("walk: adjacency is not symmetric")
+
+// tol bounds the L1 residual ‖πP − π‖₁ of the closed form; floating-point
+// slack on a symmetric scope stays orders of magnitude below it.
+const tol = 1e-10
 
 // Config tunes the semantic-aware walker.
 type Config struct {
@@ -28,11 +38,6 @@ type Config struct {
 	// SelfLoopSim is the predicate similarity of the virtual self-loop on
 	// the start node that makes the chain aperiodic (paper: 0.001).
 	SelfLoopSim float64
-	// Tol is the L1 convergence tolerance of the stationary distribution
-	// (default 1e-10).
-	Tol float64
-	// MaxIter caps power iteration sweeps (default 1000).
-	MaxIter int
 }
 
 func (c Config) withDefaults() Config {
@@ -42,30 +47,17 @@ func (c Config) withDefaults() Config {
 	if c.SelfLoopSim <= 0 {
 		c.SelfLoopSim = 0.001
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-10
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 1000
-	}
 	return c
 }
 
 // Walker is the semantic-aware Markov chain over one bounded subgraph,
-// specialised to one query predicate. Build with New, call Converge, then
-// sample answers.
+// specialised to one query predicate. Build with New, call ConvergeCtx,
+// then sample answers.
 //
 // New keeps only what the stationary distribution needs: the scope in BFS
 // order, a NodeID-addressed dense index, and per node the weighted degree
-// W(i) and the weight arriving at it. The transition matrix itself is built
-// by materialise, for the callers that read it: the convergence fallback and
-// the literal walk of SampleByWalk. It lives in CSR (compressed sparse row)
-// form: row i's transitions are targets[rowStart[i]:rowStart[i+1]] with
-// matching probabilities in probs. Power iteration sweeps the transpose
-// (inStart/inSrc/inProb — the same entries grouped by target), so each π′(j)
-// is a gather into one register followed by a single write, rather than a
-// scatter of read-modify-writes into random memory; the zeroing and the L1
-// diff pass fuse into the same sweep.
+// W(i) and the weight arriving at it. The transition matrix of Eq. 5 is
+// never built.
 type Walker struct {
 	g     kg.ReadGraph
 	calc  *semsim.Calculator
@@ -77,26 +69,13 @@ type Walker struct {
 	index []int32     // NodeID → dense index + 1; 0 outside the scope
 
 	// rowWeight[i] is the unnormalised weight mass of row i (Σ sim + the
-	// start self-loop) — the weighted degree W(i) that the reversibility
-	// fast path of ConvergeCtx turns into the closed-form π. inWeight[j] is
-	// the same mass summed by target: Σᵢ w(i,j).
+	// start self-loop) — the weighted degree W(i) that ConvergeCtx turns
+	// into the closed-form π. inWeight[j] is the same mass summed by target:
+	// Σᵢ w(i,j), against which ConvergeCtx checks the closed form.
 	rowWeight []float64
 	inWeight  []float64
 
-	// CSR transition matrix; each row sums to 1. Nil until materialise.
-	rowStart []int32
-	targets  []int32
-	probs    []float64
-
-	// CSC of the same matrix (CSR of its transpose): entry k of column j
-	// says node inSrc[k] reaches j with probability inProb[k]. Used by the
-	// power-iteration sweep.
-	inStart []int32
-	inSrc   []int32
-	inProb  []float64
-
-	pi    []float64 // stationary distribution (after Converge)
-	iters int       // sweeps used (1 when the closed form verified directly)
+	pi []float64 // stationary distribution (after ConvergeCtx)
 
 	mem *arena // backs every array above; see Release
 }
@@ -106,16 +85,12 @@ type Walker struct {
 // every answer-space cache miss, so the arrays are recycled through Release
 // instead of left to the collector. index is addressed by NodeID and so
 // sized by the graph; it is all zero whenever the arena is on the free list.
-// The first row below is what every walker uses, sized by its scope; the
-// rest is the transition matrix, allocated only by materialise.
+// The rest is sized by the scope.
 type arena struct {
 	index                   []int32
 	nodes                   []kg.NodeID
 	cand                    []int32
 	rowWeight, inWeight, pi []float64
-
-	rowStart, targets, inStart, inSrc, pos []int32
-	probs, inProb, piNext                  []float64
 }
 
 // arenas is the free list: at most one arena per P, whatever the garbage
@@ -124,15 +99,14 @@ type arena struct {
 var arenas = make(chan *arena, runtime.GOMAXPROCS(0))
 
 // arenaKeepBytes bounds what the free list retains per arena: one whose
-// arrays hold more (a huge graph's index, a huge scope's matrix) is left to
+// arrays hold more (a huge graph's index, a huge scope's arrays) is left to
 // the collector.
 const arenaKeepBytes = 6 << 20
 
 // bytes is the memory the arena's arrays hold.
 func (a *arena) bytes() int {
-	return 4*(cap(a.index)+cap(a.nodes)+cap(a.cand)+cap(a.rowStart)+cap(a.targets)+
-		cap(a.inStart)+cap(a.inSrc)+cap(a.pos)) +
-		8*(cap(a.rowWeight)+cap(a.inWeight)+cap(a.pi)+cap(a.probs)+cap(a.inProb)+cap(a.piNext))
+	return 4*(cap(a.index)+cap(a.nodes)+cap(a.cand)) +
+		8*(cap(a.rowWeight)+cap(a.inWeight)+cap(a.pi))
 }
 
 func getArena() *arena {
@@ -180,8 +154,7 @@ func (w *Walker) Release() {
 
 // New builds the walker: finds the n-bounded scope around start and, in one
 // pass over the scope's half-edges, the weighted degrees of Eq. 5's
-// transition matrix with the aperiodicity self-loop — all ConvergeCtx needs
-// unless its check of the closed form fails.
+// transition matrix with the aperiodicity self-loop — all ConvergeCtx needs.
 //
 // g is the graph view the walk runs on. For a live graph this is one
 // epoch's snapshot: the pass reads delta-overridden adjacency for mutated
@@ -273,97 +246,6 @@ func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.
 	}, nil
 }
 
-// materialise assembles the transition matrix of Eq. 5 — CSR, then its
-// transpose — over the scope New found. It is off the path every query
-// takes: only a failed closed-form check, SampleByWalk and tests need P
-// itself.
-func (w *Walker) materialise() {
-	if w.rowStart != nil {
-		return
-	}
-	g, mem, index, start := w.g, w.mem, w.index, w.start
-
-	// First pass: count in-bound transitions per row so the CSR arrays are
-	// allocated exactly once. Every row gets at least one entry (the
-	// probability-1 self-loop below), the start row one extra for the
-	// aperiodicity self-loop.
-	n := len(w.nodes)
-	mem.rowStart = sized(mem.rowStart, n+1)
-	w.rowStart = mem.rowStart
-	for i, u := range w.nodes {
-		c := int32(0)
-		for _, he := range g.Neighbors(u) {
-			if index[he.To] != 0 {
-				c++
-			}
-		}
-		if u == start {
-			c++ // self-loop
-		}
-		if c == 0 {
-			c = 1 // no listed neighbour inside the bound: probability-1 self-loop
-		}
-		w.rowStart[i+1] = w.rowStart[i] + c
-	}
-	total := int(w.rowStart[n])
-	mem.targets, mem.probs = sized(mem.targets, total), sized(mem.probs, total)
-	w.targets, w.probs = mem.targets, mem.probs
-
-	// Second pass: fill rows, normalised by the row masses New summed.
-	simRow := w.calc.SimRow(w.pred)
-	for i, u := range w.nodes {
-		at := w.rowStart[i]
-		for _, he := range g.Neighbors(u) {
-			j := index[he.To]
-			if j == 0 {
-				continue
-			}
-			w.targets[at] = j - 1
-			w.probs[at] = simRow[he.Pred]
-			at++
-		}
-		if u == start {
-			w.targets[at] = int32(i)
-			w.probs[at] = w.cfg.SelfLoopSim
-			at++
-		}
-		if at == w.rowStart[i] {
-			w.targets[at] = int32(i)
-			w.probs[at] = 1
-			at++
-		}
-		sum := w.rowWeight[i]
-		for k := w.rowStart[i]; k < at; k++ {
-			w.probs[k] /= sum
-		}
-	}
-
-	// Transpose into CSC for the convergence gather: count incoming entries
-	// per node, prefix-sum, then place.
-	mem.inStart = sized(mem.inStart, n+1)
-	inCounts := mem.inStart
-	for _, j := range w.targets {
-		inCounts[j+1]++
-	}
-	for j := 0; j < n; j++ {
-		inCounts[j+1] += inCounts[j]
-	}
-	w.inStart = inCounts
-	mem.inSrc, mem.inProb = sized(mem.inSrc, total), sized(mem.inProb, total)
-	w.inSrc, w.inProb = mem.inSrc, mem.inProb
-	mem.pos = sized(mem.pos, n)
-	pos := mem.pos
-	copy(pos, w.inStart[:n])
-	for i := 0; i < n; i++ {
-		for k := w.rowStart[i]; k < w.rowStart[i+1]; k++ {
-			j := w.targets[k]
-			w.inSrc[pos[j]] = int32(i)
-			w.inProb[pos[j]] = w.probs[k]
-			pos[j]++
-		}
-	}
-}
-
 // Size returns the number of nodes in the walk's scope.
 func (w *Walker) Size() int { return len(w.nodes) }
 
@@ -372,16 +254,8 @@ func (w *Walker) Size() int { return len(w.nodes) }
 // invalid after Release.
 func (w *Walker) Scope() []kg.NodeID { return w.nodes }
 
-// row returns the CSR row of dense node i: its targets and probabilities.
-func (w *Walker) row(i int) ([]int32, []float64) {
-	w.materialise()
-	lo, hi := w.rowStart[i], w.rowStart[i+1]
-	return w.targets[lo:hi], w.probs[lo:hi]
-}
-
-// Converge computes the stationary distribution and returns the number of
-// verification/power-iteration sweeps used. Calling Converge again is a
-// no-op.
+// ConvergeCtx computes the stationary distribution π. It returns 1, the
+// single pass it takes, and is a no-op once it has succeeded.
 //
 // The chain's transition weights are symmetric — both half-edges of a
 // stored edge carry the same predicate, Eq. 4 similarity is symmetric, and
@@ -390,24 +264,11 @@ func (w *Walker) row(i int) ([]int32, []float64) {
 // connected by construction: BFS only admits nodes reached through in-bound
 // edges). Its stationary distribution therefore has the closed form
 // π(i) = W(i)/ΣⱼW(j) with W the weighted degree (detailed balance:
-// π(i)·w(i,j)/W(i) = π(j)·w(j,i)/W(j)). Converge computes that closed form
-// directly and verifies it; only if the residual reaches Tol (it cannot for
-// symmetric weights beyond floating-point slack, but a graph whose
-// adjacency lists an edge in one direction only, or a future asymmetric
-// weighting, differs) does it fall back to classic power iteration (Eq. 6),
-// warm-started from the closed form.
-func (w *Walker) Converge() int {
-	n, _ := w.ConvergeCtx(context.Background())
-	return n
-}
-
-// ConvergeCtx is Converge with cancellation: ctx is checked before every
-// sweep, and a cancelled run returns ctx's error without storing a
-// stationary distribution (the walker stays usable — a later ConvergeCtx
-// restarts the computation).
+// π(i)·w(i,j)/W(i) = π(j)·w(j,i)/W(j)), which is where the power iteration
+// of Eq. 6 converges.
 //
-// The check needs no matrix. One step of the chain from the closed form
-// puts on node j the mass
+// The closed form is checked without a matrix. One step of the chain from
+// it puts on node j the mass
 //
 //	πP(j) = Σᵢ (W(i)/ΣW) · (w(i,j)/W(i)) = Σᵢ w(i,j)/ΣW = inW(j)/ΣW,
 //
@@ -415,22 +276,21 @@ func (w *Walker) Converge() int {
 // entry of P once: a half-edge i→j inside the bound adds its similarity to
 // W(i) and to inW(j), the start's self-loop adds SelfLoopSim to both
 // W(start) and inW(start), a probability-1 self-loop adds 1 to both. So
-// Σⱼ|inW(j) − W(j)|/ΣW is ‖πP − π‖₁ — the L1 change sweep measures over the
-// transpose — up to rounding, and it is held to the same Tol. Only when it
-// fails is P materialised, for the same check by sweep and then power
-// iteration.
+// Σⱼ|inW(j) − W(j)|/ΣW is ‖πP − π‖₁ up to rounding. When it reaches tol some
+// half-edge of the scope has no mirror, and ConvergeCtx returns
+// ErrAsymmetric without storing π.
+//
+// A cancelled ctx returns its error, also without storing π; the walker
+// stays usable.
 func (w *Walker) ConvergeCtx(ctx context.Context) (int, error) {
 	if w.pi != nil {
-		return w.iters, nil
+		return 1, nil
 	}
-	n := len(w.nodes)
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("walk: convergence interrupted: %w", err)
 	}
-
-	// Reversibility fast path: π ∝ weighted degree, exactly.
 	mem := w.mem
-	mem.pi = sized(mem.pi, n)
+	mem.pi = sized(mem.pi, len(w.nodes))
 	pi := mem.pi
 	totalW := 0.0
 	for _, wt := range w.rowWeight {
@@ -441,75 +301,16 @@ func (w *Walker) ConvergeCtx(ctx context.Context) (int, error) {
 		pi[i] = wt / totalW
 		diff += math.Abs(w.inWeight[i] - wt)
 	}
-	verified := diff/totalW < w.cfg.Tol
-	var next []float64
-	if !verified {
-		// The closed form failed its check: verify it against the matrix
-		// itself.
-		w.materialise()
-		mem.piNext = sized(mem.piNext, n)
-		next = mem.piNext
-		verified = w.sweep(pi, next) < w.cfg.Tol
-	}
-	if verified {
-		w.pi = pi
-		w.iters = 1
-		return w.iters, nil
-	}
-
-	// Fallback: power iteration (π ← πP, the synchronous form of the
-	// paper's Eq. 6 update) until the L1 change falls below Tol or MaxIter
-	// sweeps pass, warm-started from the closed form.
-	pi, next = next, pi
-	w.iters = 1
-	for it := 2; it <= w.cfg.MaxIter; it++ {
-		if err := ctx.Err(); err != nil {
-			return w.iters, fmt.Errorf("walk: convergence interrupted after %d sweeps: %w", w.iters, err)
-		}
-		diff = w.sweep(pi, next)
-		pi, next = next, pi
-		w.iters = it
-		if diff < w.cfg.Tol {
-			break
-		}
+	if residual := diff / totalW; !(residual < tol) {
+		return 0, fmt.Errorf("%w: the closed-form π over the %d-node scope of %q is %.3g off stationary",
+			ErrAsymmetric, len(w.nodes), w.g.Name(w.start), residual)
 	}
 	w.pi = pi
-	return w.iters, nil
-}
-
-// sweep performs one power-iteration step next ← πP over the transposed
-// CSR and returns the L1 change. Gathering through the transpose turns the
-// update into one register accumulation and a single write per node —
-// no zeroing pass, no scattered read-modify-writes — with the L1 diff fused
-// into the same loop. Four accumulators keep the gather from serialising on
-// floating-point add latency.
-func (w *Walker) sweep(pi, next []float64) float64 {
-	inSrc, inProb, inStart := w.inSrc, w.inProb, w.inStart
-	diff := 0.0
-	for j := range next {
-		lo, hi := int(inStart[j]), int(inStart[j+1])
-		src := inSrc[lo:hi]
-		pr := inProb[lo:hi:hi]
-		var s0, s1, s2, s3 float64
-		k := 0
-		for ; k+4 <= len(src); k += 4 {
-			s0 += pi[src[k]] * pr[k]
-			s1 += pi[src[k+1]] * pr[k+1]
-			s2 += pi[src[k+2]] * pr[k+2]
-			s3 += pi[src[k+3]] * pr[k+3]
-		}
-		sum := (s0 + s1) + (s2 + s3)
-		for ; k < len(src); k++ {
-			sum += pi[src[k]] * pr[k]
-		}
-		next[j] = sum
-		diff += math.Abs(sum - pi[j])
-	}
-	return diff
+	return 1, nil
 }
 
 // Pi returns the stationary probability of node u (0 for nodes outside the
-// walk's scope). Converge must have been called.
+// walk's scope). ConvergeCtx must have succeeded.
 func (w *Walker) Pi(u kg.NodeID) float64 {
 	if w.pi == nil {
 		return 0
@@ -520,8 +321,8 @@ func (w *Walker) Pi(u kg.NodeID) float64 {
 	return w.pi[w.index[u]-1]
 }
 
-// PiMap materialises the stationary distribution keyed by NodeID, the form
-// semsim.ValidateCtx consumes. Outside tests its one caller is the
+// PiMap copies the stationary distribution into a map keyed by NodeID, the
+// form semsim.ValidateCtx consumes. Outside tests its one caller is the
 // benchmark module's validation probe (benchmark/trace.go); it goes once
 // that probe reads Pi through semsim.ValidateFunc.
 func (w *Walker) PiMap() map[kg.NodeID]float64 {
@@ -546,7 +347,7 @@ type AnswerDist struct {
 
 // AnswerDistribution extracts π′ over the candidate answers: nodes of the
 // bounded subgraph sharing a type with the target (excluding the start
-// node). It returns ErrNotConverged when Converge/ConvergeCtx has not run
+// node). It returns ErrNotConverged when ConvergeCtx has not succeeded
 // (the caller owns convergence and its cancellation), and an error when no
 // candidate answer has positive stationary probability. The engine uses
 // AnswerDistributionFunc; outside tests this type-list form's one caller is
@@ -595,9 +396,6 @@ func (w *Walker) AnswerDistributionFunc(isCandidate func(kg.NodeID) bool) (*Answ
 	return &AnswerDist{Answers: ans, Probs: probs}, nil
 }
 
-// Prob returns π′ of answer index i.
-func (d *AnswerDist) Prob(i int) float64 { return d.Probs[i] }
-
 // Len returns the number of candidate answers with positive probability.
 func (d *AnswerDist) Len() int { return len(d.Answers) }
 
@@ -612,56 +410,4 @@ func (d *AnswerDist) Sample(r *rand.Rand, k int) []int {
 		out[i] = d.alias.Pick(r.Uint64())
 	}
 	return out
-}
-
-// SampleByWalk collects k answer visits by actually walking the chain with
-// the walking-with-rejection policy of §IV-A2(2), after burnIn steps. It is
-// the literal mechanism described in the paper; Sample is the equivalent
-// direct draw from the stationary answer distribution. Exposed for tests
-// and the sampling-equivalence benchmark. It returns ErrNotConverged when
-// Converge/ConvergeCtx has not run.
-func (w *Walker) SampleByWalk(r *rand.Rand, targetTypes []kg.TypeID, burnIn, k int) ([]kg.NodeID, error) {
-	if w.pi == nil {
-		return nil, ErrNotConverged
-	}
-	cur := 0 // the start node leads the scope
-	step := func() {
-		targets, probs := w.row(cur)
-		if len(targets) == 0 {
-			return
-		}
-		// Walking with rejection: pick a neighbour uniformly, accept with
-		// probability proportional to its transition weight.
-		maxP := 0.0
-		for _, p := range probs {
-			if p > maxP {
-				maxP = p
-			}
-		}
-		for {
-			i := r.Intn(len(targets))
-			if r.Float64()*maxP <= probs[i] {
-				cur = int(targets[i])
-				return
-			}
-		}
-	}
-	for i := 0; i < burnIn; i++ {
-		step()
-	}
-	var out []kg.NodeID
-	guard := 0
-	limit := (burnIn + 1) * (k + 1) * 1000
-	for len(out) < k && guard < limit {
-		step()
-		guard++
-		u := w.nodes[cur]
-		if u == w.start {
-			continue
-		}
-		if w.g.SharesType(u, targetTypes) {
-			out = append(out, u)
-		}
-	}
-	return out, nil
 }

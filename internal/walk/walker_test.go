@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -15,6 +16,14 @@ import (
 	"kgaq/internal/semsim"
 	"kgaq/internal/stats"
 )
+
+// converge runs ConvergeCtx and fails the test on an error.
+func converge(tb testing.TB, w *Walker) {
+	tb.Helper()
+	if _, err := w.ConvergeCtx(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 func figure1Walker(t *testing.T, cfg Config) (*Walker, *kg.Graph) {
 	t.Helper()
@@ -47,45 +56,23 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+// The reference matrix π is held to is stochastic, and its rows name only
+// nodes of the scope.
 func TestTransitionRowsSumToOne(t *testing.T) {
 	w, _ := figure1Walker(t, Config{N: 3})
-	for i := range w.nodes {
-		_, probs := w.row(i)
+	for i, row := range refMatrix(w) {
 		sum := 0.0
-		for _, p := range probs {
-			if p < 0 {
+		for _, e := range row {
+			if e.p < 0 {
 				t.Fatalf("negative transition probability on row %d", i)
 			}
-			sum += p
+			if e.to < 0 || e.to >= len(w.nodes) {
+				t.Fatalf("row %d targets out-of-range node %d", i, e.to)
+			}
+			sum += e.p
 		}
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("row %d sums to %v", i, sum)
-		}
-	}
-}
-
-func TestCSRShape(t *testing.T) {
-	w, _ := figure1Walker(t, Config{N: 3})
-	w.materialise()
-	if len(w.rowStart) != len(w.nodes)+1 {
-		t.Fatalf("rowStart has %d entries, want %d", len(w.rowStart), len(w.nodes)+1)
-	}
-	if w.rowStart[0] != 0 || int(w.rowStart[len(w.nodes)]) != len(w.targets) {
-		t.Fatalf("rowStart bounds [%d, %d] do not cover targets (%d)",
-			w.rowStart[0], w.rowStart[len(w.nodes)], len(w.targets))
-	}
-	if len(w.targets) != len(w.probs) {
-		t.Fatalf("targets (%d) and probs (%d) disagree", len(w.targets), len(w.probs))
-	}
-	for i := range w.nodes {
-		if w.rowStart[i] > w.rowStart[i+1] {
-			t.Fatalf("rowStart not monotone at %d", i)
-		}
-		targets, _ := w.row(i)
-		for _, to := range targets {
-			if to < 0 || int(to) >= len(w.nodes) {
-				t.Fatalf("row %d targets out-of-range node %d", i, to)
-			}
 		}
 	}
 }
@@ -94,10 +81,9 @@ func TestSelfLoopOnlyOnStart(t *testing.T) {
 	w, _ := figure1Walker(t, Config{N: 3})
 	si := int(w.index[w.start]) - 1
 	found := false
-	for i := range w.nodes {
-		targets, _ := w.row(i)
-		for _, to := range targets {
-			if int(to) == i {
+	for i, row := range refMatrix(w) {
+		for _, e := range row {
+			if e.to == i {
 				if i != si {
 					t.Fatalf("self-loop on non-start row %d", i)
 				}
@@ -112,9 +98,9 @@ func TestSelfLoopOnlyOnStart(t *testing.T) {
 
 func TestConvergeStationary(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
-	iters := w.Converge()
-	if iters <= 0 {
-		t.Fatal("no iterations recorded")
+	iters, err := w.ConvergeCtx(context.Background())
+	if err != nil || iters != 1 {
+		t.Fatalf("ConvergeCtx = %d, %v; want the closed form's single pass", iters, err)
 	}
 	// π sums to 1 over the scope.
 	total := 0.0
@@ -124,29 +110,103 @@ func TestConvergeStationary(t *testing.T) {
 	if math.Abs(total-1) > 1e-9 {
 		t.Fatalf("π sums to %v", total)
 	}
-	// π is stationary: π = πP within tolerance.
-	n := len(w.nodes)
-	next := make([]float64, n)
-	for i := range w.nodes {
-		targets, probs := w.row(i)
-		for k, to := range targets {
-			next[to] += w.pi[i] * probs[k]
-		}
-	}
+	// π is stationary under Eq. 5's matrix: π = πP within tolerance.
+	next, _ := refStep(refMatrix(w), w.pi)
 	for i := range next {
 		if math.Abs(next[i]-w.pi[i]) > 1e-8 {
 			t.Fatalf("π not stationary at node %s: %v vs %v", g.Name(w.nodes[i]), next[i], w.pi[i])
 		}
 	}
-	// Converge is idempotent.
-	if w.Converge() != iters {
-		t.Fatal("second Converge re-ran")
+	// ConvergeCtx is idempotent.
+	pi := w.pi
+	if again, err := w.ConvergeCtx(context.Background()); again != iters || err != nil || &w.pi[0] != &pi[0] {
+		t.Fatal("second ConvergeCtx re-ran")
+	}
+}
+
+// Eq. 6 itself — power iteration from all mass on the start node, over
+// Eq. 5's matrix — lands on the closed form ConvergeCtx computes. The
+// iteration stops at an L1 change of tol or after 1000 sweeps, so the
+// entries agree to 1e-8 only.
+func TestCSRMatchesLegacyConverge(t *testing.T) {
+	w, _ := figure1Walker(t, Config{N: 3})
+	converge(t, w)
+	pi := refPowerIterate(refMatrix(w), tol, 1000)
+	for i := range pi {
+		if math.Abs(pi[i]-w.pi[i]) > 1e-8 {
+			t.Fatalf("π[%d]: closed form %v vs power iteration %v", i, w.pi[i], pi[i])
+		}
+	}
+}
+
+// A graph whose adjacency lists an edge at one end only (kgtest.OneWay) is
+// not a reversible chain, so the closed form is not its stationary
+// distribution — Eq. 5's matrix moves it — and ConvergeCtx must say so with
+// ErrAsymmetric instead of storing π. In the second case BMW_320 lists no
+// neighbour, so its row is an absorbing probability-1 self-loop. The
+// rejected walker's Release must leave its arena clean: the next walker,
+// on the symmetric graph, takes that arena and finds kg.BFS's scope.
+func TestConvergeRejectsOneWayAdjacency(t *testing.T) {
+	g := kgtest.Figure1()
+	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	germany, pred := g.NodeByName("Germany"), g.PredByName("product")
+	auto := []kg.TypeID{g.TypeByName("Automobile")}
+	drainArenas()
+	defer drainArenas()
+	for _, c := range [][2]string{{"EA211_TSI", "Volkswagen"}, {"BMW_320", "Germany"}} {
+		ow := kgtest.OneWay(g, g.NodeByName(c[0]), g.NodeByName(c[1]))
+		w, err := New(ow, calc, germany, pred, Config{N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make([]float64, len(w.rowWeight))
+		total := 0.0
+		for _, wt := range w.rowWeight {
+			total += wt
+		}
+		for i, wt := range w.rowWeight {
+			closed[i] = wt / total
+		}
+		if _, diff := refStep(refMatrix(w), closed); !(diff >= tol) {
+			t.Fatalf("%s -/-> %s: the closed form is stationary (residual %v); the case shows nothing", c[0], c[1], diff)
+		}
+		iters, err := w.ConvergeCtx(context.Background())
+		if !errors.Is(err, ErrAsymmetric) || iters != 0 {
+			t.Fatalf("%s -/-> %s: ConvergeCtx = %d, %v; want ErrAsymmetric", c[0], c[1], iters, err)
+		}
+		if w.pi != nil {
+			t.Fatalf("%s -/-> %s: a rejected convergence stored π", c[0], c[1])
+		}
+		if _, err := w.AnswerDistribution(auto); !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("%s -/-> %s: AnswerDistribution after the rejection: err = %v, want ErrNotConverged", c[0], c[1], err)
+		}
+		mem := w.mem
+		w.Release()
+		for i, slot := range mem.index {
+			if slot != 0 {
+				t.Fatalf("%s -/-> %s: slot %d of the released index holds %d", c[0], c[1], i, slot)
+			}
+		}
+
+		next, err := New(g, calc, germany, pred, Config{N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.mem != mem {
+			t.Fatal("New did not take the released arena")
+		}
+		checkScope(t, next, g, germany, 3)
+		converge(t, next)
+		next.Release()
 	}
 }
 
 func TestSemanticBiasInPi(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
-	w.Converge()
+	converge(t, w)
 	// Direct assembly answers are more visited than the designer-path KIA.
 	bmw := w.Pi(g.NodeByName("BMW_320"))
 	kia := w.Pi(g.NodeByName("KIA_K5"))
@@ -162,7 +222,7 @@ func TestSemanticBiasInPi(t *testing.T) {
 
 func TestPiOutsideScope(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 1})
-	w.Converge()
+	converge(t, w)
 	if got := w.Pi(g.NodeByName("Audi_TT")); got != 0 {
 		t.Fatalf("π outside scope = %v, want 0", got)
 	}
@@ -170,7 +230,7 @@ func TestPiOutsideScope(t *testing.T) {
 
 func TestAnswerDistribution(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
-	w.Converge()
+	converge(t, w)
 	auto := []kg.TypeID{g.TypeByName("Automobile")}
 	d, err := w.AnswerDistribution(auto)
 	if err != nil {
@@ -187,7 +247,7 @@ func TestAnswerDistribution(t *testing.T) {
 		if u == g.NodeByName("Germany") {
 			t.Fatal("start node in answers")
 		}
-		total += d.Prob(i)
+		total += d.Probs[i]
 	}
 	if math.Abs(total-1) > 1e-9 {
 		t.Fatalf("π′ sums to %v", total)
@@ -196,7 +256,7 @@ func TestAnswerDistribution(t *testing.T) {
 
 func TestAnswerDistributionNoAnswers(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
-	w.Converge()
+	converge(t, w)
 	if _, err := w.AnswerDistribution([]kg.TypeID{g.TypeByName("Thing")}); err == nil {
 		t.Fatal("empty answer set accepted")
 	}
@@ -204,7 +264,7 @@ func TestAnswerDistributionNoAnswers(t *testing.T) {
 
 func TestSampleMatchesPi(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
-	w.Converge()
+	converge(t, w)
 	d, err := w.AnswerDistribution([]kg.TypeID{g.TypeByName("Automobile")})
 	if err != nil {
 		t.Fatal(err)
@@ -217,18 +277,19 @@ func TestSampleMatchesPi(t *testing.T) {
 	}
 	for i := range counts {
 		got := float64(counts[i]) / k
-		if math.Abs(got-d.Prob(i)) > 0.01 {
-			t.Errorf("%s: empirical %v vs π′ %v", g.Name(d.Answers[i]), got, d.Prob(i))
+		if math.Abs(got-d.Probs[i]) > 0.01 {
+			t.Errorf("%s: empirical %v vs π′ %v", g.Name(d.Answers[i]), got, d.Probs[i])
 		}
 	}
 }
 
-// The literal walking-with-rejection collection must agree with the direct
-// stationary draw: visits to answers occur with frequency proportional to
-// π′ (the sampling-equivalence claim behind Theorem 1).
+// The literal walking-with-rejection collection over Eq. 5's matrix must
+// agree with the direct stationary draw: visits to answers occur with
+// frequency proportional to π′ (the sampling-equivalence claim behind
+// Theorem 1).
 func TestSampleByWalkMatchesPi(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
-	w.Converge()
+	converge(t, w)
 	auto := []kg.TypeID{g.TypeByName("Automobile")}
 	d, err := w.AnswerDistribution(auto)
 	if err != nil {
@@ -236,10 +297,7 @@ func TestSampleByWalkMatchesPi(t *testing.T) {
 	}
 	r := stats.NewRand(11)
 	const k = 60000
-	visits, err := w.SampleByWalk(r, auto, 500, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	visits := refSampleByWalk(w, refMatrix(w), r, auto, 500, k)
 	if len(visits) != k {
 		t.Fatalf("visits = %d, want %d", len(visits), k)
 	}
@@ -249,30 +307,23 @@ func TestSampleByWalkMatchesPi(t *testing.T) {
 	}
 	for i, u := range d.Answers {
 		got := float64(counts[u]) / k
-		if math.Abs(got-d.Prob(i)) > 0.02 {
-			t.Errorf("%s: walk frequency %v vs π′ %v", g.Name(u), got, d.Prob(i))
+		if math.Abs(got-d.Probs[i]) > 0.02 {
+			t.Errorf("%s: walk frequency %v vs π′ %v", g.Name(u), got, d.Probs[i])
 		}
 	}
 }
 
-// Samplers must refuse to run before convergence instead of silently
-// converging outside the caller's context — a cancelled query could
-// otherwise fall into an unbounded context-free iteration.
+// The answer distribution must refuse to run before convergence instead of
+// converging outside the caller's context.
 func TestSamplersRequireConvergence(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
 	auto := []kg.TypeID{g.TypeByName("Automobile")}
 	if _, err := w.AnswerDistribution(auto); !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("AnswerDistribution before Converge: err = %v, want ErrNotConverged", err)
+		t.Fatalf("AnswerDistribution before ConvergeCtx: err = %v, want ErrNotConverged", err)
 	}
-	if _, err := w.SampleByWalk(stats.NewRand(1), auto, 10, 10); !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("SampleByWalk before Converge: err = %v, want ErrNotConverged", err)
-	}
-	w.Converge()
+	converge(t, w)
 	if _, err := w.AnswerDistribution(auto); err != nil {
-		t.Fatalf("AnswerDistribution after Converge: %v", err)
-	}
-	if _, err := w.SampleByWalk(stats.NewRand(1), auto, 10, 10); err != nil {
-		t.Fatalf("SampleByWalk after Converge: %v", err)
+		t.Fatalf("AnswerDistribution after ConvergeCtx: %v", err)
 	}
 }
 
@@ -294,7 +345,7 @@ func TestIsolatedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Converge()
+	converge(t, w)
 	if got := w.Pi(g.NodeByName("alone")); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("isolated start π = %v, want 1", got)
 	}
@@ -303,8 +354,9 @@ func TestIsolatedStart(t *testing.T) {
 	}
 }
 
-// Property: on random graphs the transition matrix is a proper stochastic
-// matrix and π converges to a distribution summing to 1.
+// Property: on random graphs Eq. 5's matrix is a proper stochastic matrix,
+// and the closed-form π is a distribution summing to 1 and stationary under
+// it.
 func TestWalkerInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := stats.NewRand(seed)
@@ -338,22 +390,25 @@ func TestWalkerInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range w.nodes {
-			_, probs := w.row(i)
+		rows := refMatrix(w)
+		for _, row := range rows {
 			sum := 0.0
-			for _, p := range probs {
-				sum += p
+			for _, e := range row {
+				sum += e.p
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				return false
 			}
 		}
-		w.Converge()
+		if _, err := w.ConvergeCtx(context.Background()); err != nil {
+			return false
+		}
 		total := 0.0
 		for _, u := range w.nodes {
 			total += w.Pi(u)
 		}
-		return math.Abs(total-1) < 1e-6
+		_, diff := refStep(rows, w.pi)
+		return math.Abs(total-1) < 1e-6 && diff < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -378,24 +433,22 @@ func drainArenas() {
 
 // Release recycles a walker's arrays into the next New: the recycled walker
 // must compute exactly what a fresh one does, whatever the arena held
-// before — here a larger scope's transition matrix, then a smaller one's.
+// before — here a larger scope's arrays, then a smaller one's.
 func TestReleaseRecyclesArena(t *testing.T) {
 	g := kgtest.Figure1()
 	calc, err := semsim.NewCalculator(g, embtest.Figure1Model(g), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// piOf also materialises the matrix, so that the arena carries one into
-	// its next use, and checks π against it.
+	// piOf also checks π against Eq. 5's matrix.
 	piOf := func(start string, n int) (map[kg.NodeID]float64, *arena) {
 		w, err := New(g, calc, g.NodeByName(start), g.PredByName("product"), Config{N: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Converge()
-		w.materialise()
-		if diff := w.sweep(w.pi, make([]float64, w.Size())); diff >= w.cfg.Tol {
-			t.Fatalf("%s/%d: π is %v off stationary under the materialised matrix", start, n, diff)
+		converge(t, w)
+		if _, diff := refStep(refMatrix(w), w.pi); diff >= tol {
+			t.Fatalf("%s/%d: π is %v off stationary under Eq. 5's matrix", start, n, diff)
 		}
 		pi, mem := w.PiMap(), w.mem
 		w.Release()
@@ -510,7 +563,7 @@ func TestDenseIndexUnreleasedWalker(t *testing.T) {
 	checkScope(t, w, g, g.NodeByName("KIA_K5"), 1)
 	w.Release()
 	checkScope(t, kept, g, g.NodeByName("Germany"), 3)
-	kept.Converge()
+	converge(t, kept)
 	if got := kept.Pi(g.NodeByName("KIA_K5")); got <= 0 {
 		t.Fatalf("π(KIA_K5) = %v on the unreleased walker after another was built and released", got)
 	}
@@ -585,7 +638,10 @@ func TestArenaConcurrentBuildRelease(t *testing.T) {
 					return
 				}
 				checkScope(t, w, g, u, n)
-				w.Converge()
+				if _, err := w.ConvergeCtx(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
 				total := 0.0
 				for _, v := range w.Scope() {
 					total += w.Pi(v)
