@@ -11,8 +11,7 @@
 //	}'
 //
 // Per-request overrides (error_bound, confidence, tau, seed, max_draws,
-// sampler, timeout_ms, min_epoch, shards) map 1:1 onto the engine's
-// QueryOptions;
+// sampler, timeout_ms, min_epoch) map 1:1 onto the engine's QueryOptions;
 // "stream": true switches the response to NDJSON with one line per
 // refinement round, and "aggregates": [{"func":"COUNT"}, …] evaluates
 // several aggregates over one shared sample. SIGINT/SIGTERM drain
@@ -96,7 +95,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "default engine seed")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown grace period")
 	cacheBytes := flag.Int64("cache-bytes", 0, "answer-space cache bound in bytes (0 = default, negative = disabled)")
-	shards := flag.Int("shards", 1, "partition query execution into this many shards (per-request override via \"shards\")")
 	planCap := flag.Int("plan-cap", httpapi.DefaultPlanCap, "maximum cached prepared plans (LRU beyond)")
 	planTTL := flag.Duration("plan-ttl", httpapi.DefaultPlanTTL, "prepared plans expire this long after their last use")
 	debugAddr := flag.String("debug-addr", "", "serve pprof and cache counters on this address (e.g. localhost:6060; empty = disabled)")
@@ -138,7 +136,7 @@ func main() {
 	}
 	opts := core.Options{
 		ErrorBound: *eb, Confidence: *conf, Tau: *tau, Seed: *seed,
-		CacheMaxBytes: *cacheBytes, Shards: *shards,
+		CacheMaxBytes: *cacheBytes,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -23,11 +23,10 @@ const DefaultCacheBytes int64 = 64 << 20
 // The epoch is not part of the key either: entries stay valid across
 // epochs until a mutation touches their scope (see invalidate).
 type stageKey struct {
-	root     kg.NodeID
-	pred     kg.PredID
-	types    string // sorted target TypeIDs, encoded
-	n        int
-	selfLoop float64
+	root  kg.NodeID
+	pred  kg.PredID
+	types string // sorted target TypeIDs, encoded
+	n     int
 }
 
 // verdictKey selects one validator configuration's verdict map within a

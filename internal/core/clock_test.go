@@ -177,4 +177,18 @@ func TestStepClockChargesEveryInterval(t *testing.T) {
 			}
 		}
 	}
+
+	// A federated member round reports no step times, so a warm
+	// FederateSample reads the clock at most once: its compile is a plan
+	// lookup, not a clocked step. The first call warms the plan.
+	var first int64
+	for range 2 {
+		first = reads.Load()
+		if _, err := e.FederateSample(context.Background(), simple, 50, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reads.Load() - first; got > 1 {
+		t.Errorf("warm FederateSample: %d readings, want at most 1", got)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"kgaq/internal/embedding"
@@ -79,8 +78,6 @@ type Options struct {
 	MinCorrect int
 	// Seed makes execution deterministic (default 1).
 	Seed int64
-	// SelfLoopSim is the aperiodicity self-loop weight (default 0.001).
-	SelfLoopSim float64
 	// Policy selects the estimator divisor (default SampleSize; see
 	// DESIGN.md).
 	Policy estimate.DivisorPolicy
@@ -92,9 +89,6 @@ type Options struct {
 	// SkipValidation treats every sampled answer as correct (the S2
 	// ablation of Fig. 5b).
 	SkipValidation bool
-	// ExtremeRounds is the number of fixed-size sampling rounds for MAX and
-	// MIN, which carry no guarantee (default 4, as reported in §VII-B).
-	ExtremeRounds int
 	// CacheMaxBytes bounds the engine's answer-space cache: converged
 	// stationary distributions with their leg verdicts, and the answer
 	// spaces assembled from them, one per compiled query graph, with one
@@ -150,12 +144,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.SelfLoopSim <= 0 {
-		o.SelfLoopSim = 0.001
-	}
-	if o.ExtremeRounds <= 0 {
-		o.ExtremeRounds = 4
 	}
 	if o.CacheMaxBytes == 0 {
 		o.CacheMaxBytes = DefaultCacheBytes
@@ -318,13 +306,6 @@ type Engine struct {
 	calc  *semsim.Calculator // shared read-only similarity matrix
 	cache *spaceCache        // nil when CacheMaxBytes < 0
 	sem   chan struct{}      // bounds the chain-build and shard worker pools
-
-	// plan is the engine's ownership partition (Options.Shards); per-shard
-	// counters below are always attributed in this plan's terms, so stats
-	// stay comparable even when queries override the shard count.
-	plan         shard.Plan
-	shardDraws   []atomic.Uint64 // draws whose answer the shard owns
-	shardTouched []atomic.Uint64 // mutated nodes the shard owns (live engines)
 }
 
 // NewEngine validates the pair and returns an execution engine over a
@@ -342,7 +323,7 @@ func NewEngine(g *kg.Graph, model embedding.Model, opts Options) (*Engine, error
 // execute against the epoch-consistent snapshot current at Start (or the
 // one WithMinEpoch waits for); applied batches invalidate the answer-space
 // cache selectively — only stages whose walk scope a mutation touched — and
-// compactions rebuild recently invalidated stages off the query path.
+// a stage a mutation evicted is rebuilt by the next query that wants it.
 //
 // The similarity matrix is built once over the store's base vocabulary;
 // this is sound because live graphs freeze the predicate vocabulary (see
@@ -357,9 +338,6 @@ func NewLiveEngine(store *live.Store, model embedding.Model, opts Options) (*Eng
 		return nil, err
 	}
 	store.OnApply(func(ev live.Event) {
-		for _, u := range ev.Touched {
-			e.shardTouched[e.plan.Of(u)].Add(1)
-		}
 		if e.cache != nil {
 			e.cache.invalidate(ev.Touched, ev.Epoch)
 		}
@@ -386,10 +364,7 @@ func newEngine(src graphSource, base *kg.Graph, model embedding.Model, opts Opti
 		opts:  opts,
 		calc:  calc,
 		sem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
-		plan:  shard.NewPlan(opts.Shards),
 	}
-	e.shardDraws = make([]atomic.Uint64, e.plan.Shards())
-	e.shardTouched = make([]atomic.Uint64, e.plan.Shards())
 	if opts.CacheMaxBytes > 0 {
 		e.cache = newSpaceCache(opts.CacheMaxBytes)
 	}
@@ -414,61 +389,6 @@ func (e *Engine) Options() Options { return e.opts }
 // CacheStats snapshots the answer-space cache counters (MaxBytes is -1 when
 // the cache is disabled).
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
-
-// ShardStat is one shard's share of the engine's work, in the engine plan's
-// terms (Options.Shards): the nodes it owns under the current graph view,
-// the sample draws whose answers it owned, and — on live engines — how many
-// mutated nodes landed in its territory (the per-shard face of selective
-// cache invalidation).
-type ShardStat struct {
-	Shard      int
-	OwnedNodes int
-	Draws      uint64
-	Touched    uint64
-}
-
-// ShardStats reports per-shard execution statistics under the engine's
-// ownership plan. Queries that override the shard count per call still
-// contribute: draws are attributed to the engine-plan shard owning the
-// sampled answer, not the query-plan stratum it was drawn from.
-func (e *Engine) ShardStats() []ShardStat {
-	v := e.src.snapshot()
-	owned := e.plan.OwnedCounts(v.g)
-	out := make([]ShardStat, e.plan.Shards())
-	for s := range out {
-		out[s] = ShardStat{
-			Shard:      s,
-			OwnedNodes: owned[s],
-			Draws:      e.shardDraws[s].Load(),
-			Touched:    e.shardTouched[s].Load(),
-		}
-	}
-	return out
-}
-
-// countDraws attributes a batch of drawn answers to the engine plan's
-// shards. The per-shard counters are shared by every concurrent query, so a
-// batch is tallied in counts (the caller's scratch, returned for reuse) and
-// each shard's total added once — one atomic add per shard and batch, not
-// one per draw; a one-shard plan owns every answer and is not even scanned.
-func (e *Engine) countDraws(answers []kg.NodeID, idx []int, counts []uint64) []uint64 {
-	metDraws.Add(float64(len(idx)))
-	if len(e.shardDraws) == 1 {
-		e.shardDraws[0].Add(uint64(len(idx)))
-		return counts
-	}
-	counts = sized(counts, len(e.shardDraws))
-	clear(counts)
-	for _, i := range idx {
-		counts[e.plan.Of(answers[i])]++
-	}
-	for s, n := range counts {
-		if n > 0 {
-			e.shardDraws[s].Add(n)
-		}
-	}
-	return counts
-}
 
 // resolveRoot maps a decomposed path's root onto the query's graph view,
 // enforcing the name + type conditions of Definition 5.

@@ -58,8 +58,8 @@
 // one shared verdict per candidate: a repeat of a query graph — through any
 // entry point — skips compilation and re-validation and goes straight to
 // drawing. Under a live graph, entries are invalidated
-// selectively — only when a mutation touches their walk scope — and
-// compactions rebuild recently evicted stages off the query path.
+// selectively — only when a mutation touches their walk scope — and a
+// stage a mutation evicted is rebuilt by the next query that wants it.
 //
 // # Sharded execution
 //

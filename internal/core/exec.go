@@ -278,7 +278,7 @@ func (x *Execution) sampleMore(k int) {
 		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
 	}
 	x.drawIdx = append(x.drawIdx, x.scr.draws...)
-	x.scr.shardCounts = x.e.countDraws(x.sp.answers, x.scr.draws, x.scr.shardCounts)
+	metDraws.Add(float64(len(x.scr.draws)))
 	x.clk.edge(&x.clk.times.Sampling)
 }
 
@@ -315,6 +315,10 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 	}
 	return x.result(ctx, runs[0].Estimate, runs[0].MoE, converged, runs[0].Groups), err
 }
+
+// extremeRounds is the number of fixed-size sampling rounds for MAX and
+// MIN, which carry no guarantee (§VII-B reports 4).
+const extremeRounds = 4
 
 // extremeRoundSize is the fixed round of the MAX/MIN paths: 5% of the
 // candidates, at least 20 draws, and at least one per stratum so that every
@@ -357,7 +361,7 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 	extreme, maxRounds, census := 0, o.MaxRounds, x.censusSize()
 	if drive < 0 {
 		// Extremes alone: every round draws its fixed size, then evaluates.
-		drive, extreme, maxRounds, census = 0, x.extremeRoundSize(), o.ExtremeRounds, 0
+		drive, extreme, maxRounds, census = 0, x.extremeRoundSize(), extremeRounds, 0
 	}
 	if grouped {
 		maxRounds *= 3

@@ -61,7 +61,18 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 	if q.GroupBy != "" {
 		return nil, fmt.Errorf("core: %w: GROUP-BY does not decompose into remote strata", ErrFederatedQuery)
 	}
-	x, err := e.Start(ctx, q, append(opts, WithShards(1))...)
+	// No Result reads a member round's step times, so the compile is a
+	// plan lookup rather than Start's clocked step.
+	cfg := e.queryConfig(append(opts, WithShards(1)))
+	var x *Execution
+	if cfg.opts.Sampler != SamplerSemantic {
+		x, err = e.startTopology(ctx, q, cfg)
+	} else {
+		var p *Prepared
+		if p, err = e.prepare(ctx, q, cfg); err == nil {
+			x, err = p.Start(ctx)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -45,22 +45,20 @@ func (p EpochPolicy) String() string {
 // changing any of them requires a new Prepare — which is what keeps a
 // Prepared's concurrent executions coherent.
 type planKnobs struct {
-	sampler  SamplerKind
-	shards   int
-	n        int
-	selfLoop float64
-	tau      float64
-	repeat   int
+	sampler SamplerKind
+	shards  int
+	n       int
+	tau     float64
+	repeat  int
 }
 
 func knobsOf(o Options) planKnobs {
 	return planKnobs{
-		sampler:  o.Sampler,
-		shards:   o.Shards,
-		n:        o.N,
-		selfLoop: o.SelfLoopSim,
-		tau:      o.Tau,
-		repeat:   o.Repeat,
+		sampler: o.Sampler,
+		shards:  o.Shards,
+		n:       o.N,
+		tau:     o.Tau,
+		repeat:  o.Repeat,
 	}
 }
 
@@ -402,7 +400,7 @@ func planKey(paths []query.Path, o Options) string {
 	k := knobsOf(o)
 	b = append(b, '|')
 	for _, n := range []uint64{uint64(k.sampler), uint64(k.shards), uint64(k.n),
-		math.Float64bits(k.selfLoop), math.Float64bits(k.tau), uint64(k.repeat)} {
+		math.Float64bits(k.tau), uint64(k.repeat)} {
 		b = strconv.AppendUint(b, n, 16)
 		b = append(b, ',')
 	}

@@ -22,10 +22,8 @@ type execScratch struct {
 	// tab is the term table of a one-shot execution (bindTerms): its arrays
 	// grow with candidates × specs and are lent and taken back like drawIdx.
 	tab termTable
-	// draws is the per-call alias-table draw batch (sampleMore); shardCounts
-	// its per-shard tally for the engine's draw attribution (countDraws).
-	draws       []int
-	shardCounts []uint64
+	// draws is the per-call alias-table draw batch (sampleMore).
+	draws []int
 	// freshIdx queues the distinct not-yet-known candidates of a round for
 	// evaluation and verdicts, parallel to it, takes what is decided of them;
 	// openAt lists the queue positions the plan's shared verdicts leave to

@@ -159,79 +159,6 @@ func TestShardedRejectsTopologySamplers(t *testing.T) {
 	}
 }
 
-// Engine-plan shard statistics: every node owned exactly once, and draw
-// attribution accounts for each sampled answer — also when two goroutines
-// query at once (each adds its per-shard tallies once per round; run under
-// -race), and in step with the kgaq_core_draws_total metric.
-func TestShardStats(t *testing.T) {
-	e, g := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 7, Shards: 4})
-	metricBefore := metDraws.Value()
-	res, err := e.Query(context.Background(), countQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(wantDraws int) {
-		t.Helper()
-		st := e.ShardStats()
-		if len(st) != 4 {
-			t.Fatalf("ShardStats returned %d shards, want 4", len(st))
-		}
-		owned, draws := 0, uint64(0)
-		for i, s := range st {
-			if s.Shard != i {
-				t.Fatalf("shard ids out of order: %+v", st)
-			}
-			owned += s.OwnedNodes
-			draws += s.Draws
-		}
-		if owned != g.NumNodes() {
-			t.Fatalf("owned nodes sum to %d, graph has %d", owned, g.NumNodes())
-		}
-		if draws != uint64(wantDraws) {
-			t.Fatalf("per-shard draws sum to %d, the queries drew %d", draws, wantDraws)
-		}
-		if got := metDraws.Value() - metricBefore; got != float64(wantDraws) {
-			t.Fatalf("kgaq_core_draws_total moved by %v, the queries drew %d", got, wantDraws)
-		}
-	}
-	check(res.SampleSize)
-
-	const workers, perWorker = 2, 6
-	drew := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perWorker; j++ {
-				// Sharded and unsharded executions, plain and multi: all
-				// attribute to the engine's four-shard plan.
-				opts := []QueryOption{WithSeed(int64(10*w + j + 1)), WithShards(1 + 3*(j%2))}
-				if j%3 == 2 {
-					mr, err := e.QueryMulti(context.Background(), countQuery(), threeSpecs(), opts...)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					drew[w] += mr.SampleSize
-					continue
-				}
-				r, err := e.Query(context.Background(), avgPriceQuery(), opts...)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				drew[w] += r.SampleSize
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	check(res.SampleSize + drew[0] + drew[1])
-}
-
 // GROUP-BY under sharding: per-group stratified estimates converge and the
 // group structure matches the unsharded run.
 func TestShardedGroupBy(t *testing.T) {

@@ -526,11 +526,10 @@ func (m typeMask) has(u kg.NodeID) bool { return m[u>>6]&(1<<(u&63)) != 0 }
 
 func stageKeyOf(o Options, root kg.NodeID, pred kg.PredID, types []kg.TypeID) stageKey {
 	return stageKey{
-		root:     root,
-		pred:     pred,
-		types:    typesKeyOf(types),
-		n:        o.N,
-		selfLoop: o.SelfLoopSim,
+		root:  root,
+		pred:  pred,
+		types: typesKeyOf(types),
+		n:     o.N,
 	}
 }
 
@@ -554,7 +553,7 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 	sb.build()
 	metStageBuilds.Inc()
 	endSpan := obs.TraceFrom(ctx).Span("walk_converge")
-	w, err := walk.New(v.g, e.calc, key.root, key.pred, walk.Config{N: o.N, SelfLoopSim: o.SelfLoopSim})
+	w, err := walk.New(v.g, e.calc, key.root, key.pred, walk.Config{N: o.N})
 	if err != nil {
 		endSpan.End()
 		return nil, err

@@ -208,12 +208,12 @@ func TestDeadlineDegradedResponse(t *testing.T) {
 	ts, _ := admissionServer(t, admission.Config{MaxInFlight: 4, MaxErrorBound: 0.5})
 
 	// max_draws is lifted far past the default cap so the deadline — not
-	// the draw budget — is what ends refinement. Two shards keep the census
-	// out: Figure 1's six candidates are far fewer than the draws the
-	// deadline allows, and an unsharded execution would settle all six
+	// the draw budget — is what ends refinement. The CNARW sampler keeps the
+	// census out: Figure 1's six candidates are far fewer than the draws
+	// the deadline allows, and a semantic execution would settle all six
 	// before any deadline pressure.
 	resp, body := postQuery(t, ts, fmt.Sprintf(
-		`{"query": %q, "error_bound": 1e-9, "timeout_ms": 250, "max_draws": 1000000000, "seed": 3, "shards": 2}`, avgPriceText))
+		`{"query": %q, "error_bound": 1e-9, "timeout_ms": 250, "max_draws": 1000000000, "seed": 3, "sampler": "cnarw"}`, avgPriceText))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}

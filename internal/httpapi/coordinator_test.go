@@ -110,7 +110,7 @@ func TestCoordinatorHTTP(t *testing.T) {
 		{`, "aggregates": [{"func": "COUNT"}]`, "multi-aggregate queries do not federate (one shared sample cannot span members)"},
 		{`, "min_epoch": 1`, "min_epoch is not meaningful across federation members (each owns its own epoch sequence)"},
 		{`, "sampler": "cnarw"`, "sampler does not federate (every member samples with its own engine's sampler)"},
-		{`, "shards": 4`, "shards do not federate (each member is one stratum of the merge)"},
+		{`, "shards": 4`, `bad request body: json: unknown field "shards"`},
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/query", body(c.extra))
 		var e struct {

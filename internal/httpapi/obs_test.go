@@ -3,6 +3,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -190,8 +191,11 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDebugIndexAndContentType: GET /debug/ lists the debug surface and
-// every JSON debug endpoint declares the same charset-qualified type.
+// TestDebugIndexAndContentType: GET /debug/ lists the debug surface, every
+// listed route reaches a handler (a handler's JSON 404 for a subsystem this
+// server does not run counts; the mux's own 404 does not), every JSON debug
+// endpoint declares the same charset-qualified type, and every debug route
+// README.md documents is listed.
 func TestDebugIndexAndContentType(t *testing.T) {
 	g := kgtest.Figure1()
 	eng, err := core.NewEngine(g, embtest.Figure1Model(g), core.Options{ErrorBound: 0.02, Seed: 7})
@@ -201,6 +205,7 @@ func TestDebugIndexAndContentType(t *testing.T) {
 	dbg := httptest.NewServer(NewServer(eng).DebugHandler())
 	t.Cleanup(dbg.Close)
 
+	const jsonCT = "application/json; charset=utf-8"
 	resp, err := http.Get(dbg.URL + "/debug/")
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +214,9 @@ func TestDebugIndexAndContentType(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/ status = %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != jsonCT {
+		t.Errorf("/debug/ Content-Type = %q, want %s", ct, jsonCT)
+	}
 	var idx []debugRoute
 	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
 		t.Fatal(err)
@@ -216,14 +224,33 @@ func TestDebugIndexAndContentType(t *testing.T) {
 	if len(idx) != len(debugIndex) {
 		t.Fatalf("index has %d routes, want %d", len(idx), len(debugIndex))
 	}
-	for _, path := range []string{"/debug/", "/debug/cache", "/debug/shards", "/debug/plans", "/debug/trace"} {
+	listed := map[string]bool{}
+	for _, rt := range debugIndex {
+		listed[rt.Path] = true
+		path := strings.ReplaceAll(rt.Path, "{id}", "no-such-trace")
 		r, err := http.Get(dbg.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(r.Body)
 		r.Body.Close()
-		if ct := r.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
-			t.Errorf("%s Content-Type = %q, want application/json; charset=utf-8", path, ct)
+		ct := r.Header.Get("Content-Type")
+		if r.StatusCode == http.StatusNotFound && ct != jsonCT {
+			t.Errorf("%s reaches no handler: %d %q", rt.Path, r.StatusCode, body)
+			continue
+		}
+		if strings.HasPrefix(path, "/debug/") && !strings.HasPrefix(path, "/debug/pprof/") && ct != jsonCT {
+			t.Errorf("%s Content-Type = %q, want %s", rt.Path, ct, jsonCT)
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile("`(/debug/[^`]*)`").FindAllStringSubmatch(string(readme), -1) {
+		if !listed[m[1]] {
+			t.Errorf("README.md documents %s, the debug index does not list it", m[1])
 		}
 	}
 }

@@ -51,11 +51,6 @@ type queryRequest struct {
 	// the request context) for the epoch on a live server; a static server
 	// rejects positive values.
 	MinEpoch uint64 `json:"min_epoch,omitempty"`
-	// Shards overrides the server's shard count for this query: the
-	// candidate-answer space is cut into this many ownership strata,
-	// sampled per shard and merged with the stratified Horvitz–Thompson
-	// combiner. Requires the semantic sampler.
-	Shards int `json:"shards,omitempty"`
 	// EpochPolicy is /v1/prepare's "pin" (default) or "repin"; /v1/query
 	// has no such field.
 	EpochPolicy string `json:"-"`
@@ -99,7 +94,7 @@ func fieldsOf(body any) queryRequest {
 	case *queryRequest:
 		return *b
 	case *prepareRequest:
-		return queryRequest{Query: b.Query, Tau: b.Tau, Shards: b.Shards, MinEpoch: b.MinEpoch,
+		return queryRequest{Query: b.Query, Tau: b.Tau, MinEpoch: b.MinEpoch,
 			EpochPolicy: b.EpochPolicy, TimeoutMS: b.TimeoutMS}
 	}
 	b := body.(*federate.SampleRequest)
@@ -129,9 +124,6 @@ func (f *queryRequest) options() ([]core.QueryOption, error) {
 	}
 	if f.MinEpoch > 0 {
 		opts = append(opts, core.WithMinEpoch(f.MinEpoch))
-	}
-	if f.Shards > 0 {
-		opts = append(opts, core.WithShards(f.Shards))
 	}
 	switch strings.ToLower(f.Sampler) {
 	case "", "semantic":
@@ -283,8 +275,6 @@ var refusals = []struct {
 		"min_epoch is not meaningful across federation members (each owns its own epoch sequence)"},
 	{true, func(q *queryRequest) bool { return q.Sampler != "" && !strings.EqualFold(q.Sampler, "semantic") },
 		"sampler does not federate (every member samples with its own engine's sampler)"},
-	{true, func(q *queryRequest) bool { return q.Shards > 0 },
-		"shards do not federate (each member is one stratum of the merge)"},
 	{false, func(q *queryRequest) bool { return len(q.Aggregates) > 0 && q.Stream },
 		"\"aggregates\" and \"stream\" are incompatible"},
 }

@@ -198,5 +198,5 @@ func (pc *planCache) len() int {
 // content id: two prepare requests differing only in execution-level knobs
 // (error bound, seed, …) map to the same plan.
 func (qr *prepareRequest) optFingerprint() string {
-	return fmt.Sprintf("tau=%g|shards=%d|policy=%s|min_epoch=%d", qr.Tau, qr.Shards, qr.EpochPolicy, qr.MinEpoch)
+	return fmt.Sprintf("tau=%g|policy=%s|min_epoch=%d", qr.Tau, qr.EpochPolicy, qr.MinEpoch)
 }

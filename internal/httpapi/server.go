@@ -239,8 +239,6 @@ type prepareRequest struct {
 	Query string `json:"query"`
 	// Tau is compiled into the plan's validation oracle.
 	Tau float64 `json:"tau,omitempty"`
-	// Shards fixes the plan's stratum split.
-	Shards int `json:"shards,omitempty"`
 	// EpochPolicy is "pin" (default: freeze the Prepare-time snapshot) or
 	// "repin" (follow the live graph, rebuilding when the epoch moves).
 	EpochPolicy string `json:"epoch_policy,omitempty"`
@@ -302,39 +300,19 @@ func cacheSnapshot(eng *core.Engine) cacheJSON {
 	}
 }
 
-// shardJSON is one shard's statistics on the wire (healthz and
-// /debug/shards): node ownership balance, attributed sample draws, and —
-// on live servers — mutations that landed in the shard's territory.
-type shardJSON struct {
-	Shard      int    `json:"shard"`
-	OwnedNodes int    `json:"owned_nodes"`
-	Draws      uint64 `json:"draws"`
-	Touched    uint64 `json:"touched,omitempty"`
-}
-
-func shardSnapshot(eng *core.Engine) []shardJSON {
-	st := eng.ShardStats()
-	out := make([]shardJSON, len(st))
-	for i, s := range st {
-		out[i] = shardJSON{Shard: s.Shard, OwnedNodes: s.OwnedNodes, Draws: s.Draws, Touched: s.Touched}
-	}
-	return out
-}
-
 // healthResponse is the body of GET /v1/healthz.
 type healthResponse struct {
-	Status     string      `json:"status"`
-	UptimeS    float64     `json:"uptime_s"`
-	Nodes      int         `json:"nodes"`
-	Edges      int         `json:"edges"`
-	Predicates int         `json:"predicates"`
-	Types      int         `json:"types"`
-	Epoch      uint64      `json:"epoch"`
-	Live       bool        `json:"live"`
-	DeltaNodes int         `json:"delta_nodes,omitempty"`
-	Cache      cacheJSON   `json:"cache"`
-	Plans      int         `json:"plans"`
-	Shards     []shardJSON `json:"shards,omitempty"`
+	Status     string    `json:"status"`
+	UptimeS    float64   `json:"uptime_s"`
+	Nodes      int       `json:"nodes"`
+	Edges      int       `json:"edges"`
+	Predicates int       `json:"predicates"`
+	Types      int       `json:"types"`
+	Epoch      uint64    `json:"epoch"`
+	Live       bool      `json:"live"`
+	DeltaNodes int       `json:"delta_nodes,omitempty"`
+	Cache      cacheJSON `json:"cache"`
+	Plans      int       `json:"plans"`
 	// Admission is the serving tier's load snapshot: in-flight/queued depth,
 	// shed and degrade counters, and the latency-SLO percentiles (absent
 	// when admission control is off).
@@ -367,11 +345,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		h.DeltaNodes = s.store.Snapshot().DeltaSize()
-	}
-	// Per-shard stats appear once the server runs an actual partition plan
-	// (a single-shard engine's stats are the graph totals already shown).
-	if sh := shardSnapshot(s.eng); len(sh) > 1 {
-		h.Shards = sh
 	}
 	if s.adm != nil {
 		st := s.adm.Stats()
@@ -503,7 +476,6 @@ var debugIndex = []debugRoute{
 	{"/debug/trace", "retained query-lifecycle traces, newest first"},
 	{"/debug/trace/{id}", "one trace: spans, per-round convergence telemetry, attributes"},
 	{"/debug/cache", "answer-space cache counters"},
-	{"/debug/shards", "per-shard ownership, draws and mutation touches"},
 	{"/debug/plans", "resident prepared plans, most recently used first"},
 	{"/debug/admission", "admission controller snapshot (404 when admission is off)"},
 	{"/debug/durability", "WAL/checkpoint picture (404 on memory-only servers)"},
@@ -514,8 +486,8 @@ var debugIndex = []debugRoute{
 // DebugHandler returns the operations mux served on the (loopback-only by
 // default) debug address: the net/http/pprof suite under /debug/pprof/,
 // the Prometheus scrape endpoint at /metrics, the trace ring under
-// /debug/trace, and JSON snapshots of the cache/shard/plan/admission/
-// durability state. It is deliberately a separate handler from the public
+// /debug/trace, and JSON snapshots of the cache/plan/admission/
+// durability/federation state. It is deliberately a separate handler from the public
 // API so profiling endpoints never face query traffic.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
@@ -542,9 +514,6 @@ func (s *Server) DebugHandler() http.Handler {
 	})
 	mux.HandleFunc("GET /debug/cache", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, cacheSnapshot(s.eng))
-	})
-	mux.HandleFunc("GET /debug/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, shardSnapshot(s.eng))
 	})
 	mux.HandleFunc("GET /debug/plans", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.plans.snapshot())

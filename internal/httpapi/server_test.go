@@ -384,8 +384,8 @@ func TestMinEpochUnreachable(t *testing.T) {
 	}
 }
 
-// TestQuerySharded drives a per-request sharded execution and checks the
-// sharded healthz/debug reporting on a sharded server.
+// TestQuerySharded drives a sharded execution on a server whose engine
+// shards every query.
 func TestQuerySharded(t *testing.T) {
 	g := kgtest.Figure1()
 	eng, err := core.NewEngine(g, embtest.Figure1Model(g),
@@ -393,11 +393,10 @@ func TestQuerySharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(eng)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(NewServer(eng).Handler())
 	t.Cleanup(ts.Close)
 
-	resp, body := postQuery(t, ts, fmt.Sprintf(`{"query": %q, "shards": 4}`, avgPriceText))
+	resp, body := postQuery(t, ts, fmt.Sprintf(`{"query": %q}`, avgPriceText))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -416,50 +415,9 @@ func TestQuerySharded(t *testing.T) {
 	}
 
 	// Sharding a topology-only ablation sampler is the client's mistake.
-	resp, body = postQuery(t, ts, fmt.Sprintf(`{"query": %q, "shards": 2, "sampler": "cnarw"}`, avgPriceText))
+	resp, body = postQuery(t, ts, fmt.Sprintf(`{"query": %q, "sampler": "cnarw"}`, avgPriceText))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("sharded cnarw: status = %d, want 400 (%s)", resp.StatusCode, body)
-	}
-
-	// healthz reports the per-shard balance once a plan is active.
-	hresp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var h healthResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Shards) != 4 {
-		t.Fatalf("healthz shards = %+v, want 4 entries", h.Shards)
-	}
-	owned, draws := 0, uint64(0)
-	for _, s := range h.Shards {
-		owned += s.OwnedNodes
-		draws += s.Draws
-	}
-	if owned != g.NumNodes() {
-		t.Fatalf("healthz shard ownership sums to %d, graph has %d", owned, g.NumNodes())
-	}
-	if draws == 0 {
-		t.Fatal("healthz shard draws all zero after a sharded query")
-	}
-
-	// The debug mux serves the same snapshot.
-	dts := httptest.NewServer(srv.DebugHandler())
-	t.Cleanup(dts.Close)
-	dresp, err := http.Get(dts.URL + "/debug/shards")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dresp.Body.Close()
-	var sh []shardJSON
-	if err := json.NewDecoder(dresp.Body).Decode(&sh); err != nil {
-		t.Fatal(err)
-	}
-	if len(sh) != 4 {
-		t.Fatalf("/debug/shards returned %d entries, want 4", len(sh))
 	}
 }
 

@@ -126,6 +126,8 @@ func TestWireContract(t *testing.T) {
 		{name: "query malformed", path: "/v1/query", body: `{not json`, status: 400, rctype: jsonCT, err: malformed},
 		{name: "query unknown field", path: "/v1/query", body: `{"query": "x", "epoch_policy": "pin"}`, status: 400, rctype: jsonCT,
 			err: `bad request body: json: unknown field "epoch_policy"`},
+		{name: "query shards field", path: "/v1/query", body: q(`, "shards": 2`), status: 400, rctype: jsonCT,
+			err: `bad request body: json: unknown field "shards"`},
 		{name: "query wrong type", path: "/v1/query", body: `{"query": "x", "error_bound": "tight"}`, status: 400, rctype: jsonCT,
 			err: "bad request body: json: cannot unmarshal string into Go struct field queryRequest.error_bound of type float64"},
 		{name: "query missing", path: "/v1/query", body: `{"seed": 3}`, status: 400, rctype: jsonCT, err: `missing "query"`},
@@ -158,8 +160,8 @@ func TestWireContract(t *testing.T) {
 		{name: "plan sampler", path: "/v1/plans/{plan}/query", body: `{"sampler": "quantum"}`, status: 400, rctype: jsonCT,
 			err: `unknown sampler "quantum" (semantic, cnarw, node2vec)`},
 		{name: "plan sampler refused", path: "/v1/plans/{plan}/query", body: `{"sampler": "cnarw"}`, status: 400, rctype: jsonCT, traced: true,
-			err: "core: option is compiled into the prepared plan: plan compiled with {sampler:0 shards:1 n:3 selfLoop:0.001 tau:0.85 repeat:3}, " +
-				"execution requested {sampler:1 shards:1 n:3 selfLoop:0.001 tau:0.85 repeat:3}"},
+			err: "core: option is compiled into the prepared plan: plan compiled with {sampler:0 shards:1 n:3 tau:0.85 repeat:3}, " +
+				"execution requested {sampler:1 shards:1 n:3 tau:0.85 repeat:3}"},
 		{name: "plan aggregates+stream", path: "/v1/plans/{plan}/query", body: `{"stream": true` + aggs + `}`, status: 400, rctype: jsonCT, traced: true,
 			err: `"aggregates" and "stream" are incompatible`},
 
@@ -172,6 +174,8 @@ func TestWireContract(t *testing.T) {
 		{name: "prepare malformed", path: "/v1/prepare", body: `{not json`, status: 400, rctype: jsonCT, err: malformed},
 		{name: "prepare unknown field", path: "/v1/prepare", body: q(""), status: 400, rctype: jsonCT,
 			err: `bad request body: json: unknown field "seed"`},
+		{name: "prepare shards field", path: "/v1/prepare", body: fmt.Sprintf(`{"query": %q, "shards": 2}`, countGer), status: 400, rctype: jsonCT,
+			err: `bad request body: json: unknown field "shards"`},
 		{name: "prepare missing", path: "/v1/prepare", body: `{}`, status: 400, rctype: jsonCT, err: `missing "query"`},
 		{name: "prepare parse", path: "/v1/prepare", body: `{"query": "AVG(price) MATCH nonsense"}`, status: 400, rctype: jsonCT,
 			err: "parse: query: parse: at offset 17: expected '(' starting a node"},

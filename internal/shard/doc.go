@@ -1,28 +1,21 @@
-// Package shard partitions a knowledge graph into N logical shards for
-// partition-parallel query execution. A Plan hash-assigns every node to
-// exactly one shard; a Partition presents one shard's view of the graph as
-// a kg.ReadGraph; and SplitSpace cuts a query's candidate-answer
-// distribution π′ into per-shard strata whose observations merge back into
-// one estimate through the stratified Horvitz–Thompson combiner of
-// internal/estimate.
+// Package shard hash-partitions a query's candidate answers into N strata
+// for sharded execution. A Plan hash-assigns every node to exactly one
+// shard, and SplitSpace cuts a query's candidate-answer distribution π′
+// into per-shard strata whose observations merge back into one estimate
+// through the stratified Horvitz–Thompson combiner of internal/estimate.
 //
-// # Ownership sharding over shared topology
+// # Ownership strata over shared topology
 //
-// The shards are ownership partitions, not topology partitions: every
-// Partition reads the full, shared edge structure (walks must see the whole
-// n-bounded neighbourhood, or answers reachable only through another
-// shard's nodes would silently get visiting probability zero and bias the
-// estimator), while the candidate-answer space is cut by node ownership —
-// each answer belongs to exactly one shard, so per-shard samples are
-// disjoint strata and the merged estimate stays provably unbiased
-// (E[Σ_h V̂_h] = Σ_h Σ_{u∈A_h} v·1{correct} = V, the same decomposition
-// stratified approximate aggregation systems such as ABae exploit).
-//
-// In-process, shards share the graph's memory and the single converged
-// stationary distribution; the Partition boundary is the seam where a
-// multi-process deployment would give each shard its own storage plus a
-// halo of replicated boundary nodes. Everything above this package — the
-// stratified combiner, the per-shard draw allocation, the per-shard cache
-// segments — already speaks in per-shard terms, so that migration changes
-// where a Partition reads from, not how results merge.
+// The shards are ownership strata, not topology partitions: every stratum
+// is drawn from the one converged stationary distribution over the full,
+// shared edge structure (walks must see the whole n-bounded neighbourhood,
+// or answers reachable only through another shard's nodes would silently
+// get visiting probability zero and bias the estimator), while the
+// candidate-answer space is cut by node ownership — each answer belongs to
+// exactly one shard, so per-shard samples are disjoint strata and the
+// merged estimate stays provably unbiased (E[Σ_h V̂_h] = Σ_h Σ_{u∈A_h}
+// v·1{correct} = V, the same decomposition stratified approximate
+// aggregation systems such as ABae exploit). Hash strata are random
+// partitions, though, so unlike ABae's proxy strata they do not reduce
+// variance.
 package shard

@@ -58,70 +58,6 @@ func (p Plan) Shards() int {
 // Of returns the shard owning node u.
 func (p Plan) Of(u kg.NodeID) int { return Assign(u, p.Shards()) }
 
-// OwnedCounts returns, for each shard, how many of the graph's nodes it
-// owns — the healthz/debug balance report.
-func (p Plan) OwnedCounts(g kg.ReadGraph) []int {
-	out := make([]int, p.Shards())
-	for u := 0; u < g.NumNodes(); u++ {
-		out[p.Of(kg.NodeID(u))]++
-	}
-	return out
-}
-
-// Partition is one shard's view of a graph: a kg.ReadGraph that shares the
-// base topology (walks and validations traverse every edge, so visiting
-// probabilities stay exact) while filtering node *ownership* — NodesByType
-// returns only owned nodes, and Owns answers the ownership question the
-// sampling layer partitions the answer space by.
-type Partition struct {
-	kg.ReadGraph
-	plan  Plan
-	shard int
-}
-
-// NewPartition returns shard s's view of g.
-func NewPartition(g kg.ReadGraph, plan Plan, s int) (*Partition, error) {
-	if g == nil {
-		return nil, fmt.Errorf("shard: nil graph")
-	}
-	if s < 0 || s >= plan.Shards() {
-		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", s, plan.Shards())
-	}
-	return &Partition{ReadGraph: g, plan: plan, shard: s}, nil
-}
-
-// Shard returns the partition's shard index.
-func (p *Partition) Shard() int { return p.shard }
-
-// Owns reports whether this shard owns node u.
-func (p *Partition) Owns(u kg.NodeID) bool { return p.plan.Of(u) == p.shard }
-
-// OwnedNodes returns the number of nodes this shard owns.
-func (p *Partition) OwnedNodes() int {
-	n := 0
-	for u := 0; u < p.ReadGraph.NumNodes(); u++ {
-		if p.Owns(kg.NodeID(u)) {
-			n++
-		}
-	}
-	return n
-}
-
-// NodesByType narrows the base graph's answer to the shard's owned nodes —
-// the one ReadGraph method whose results partition across shards.
-func (p *Partition) NodesByType(t kg.TypeID) []kg.NodeID {
-	all := p.ReadGraph.NodesByType(t)
-	var out []kg.NodeID
-	for _, u := range all {
-		if p.Owns(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-var _ kg.ReadGraph = (*Partition)(nil)
-
 // Space is one shard's stratum of a query's sampling space: the owned
 // candidate answers as indices into the full answer list, their
 // probabilities conditional on the stratum (they sum to 1), the stratum's

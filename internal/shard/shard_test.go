@@ -53,58 +53,6 @@ func TestNewPlanClamps(t *testing.T) {
 	}
 }
 
-func TestPartitionOwnership(t *testing.T) {
-	g := kgtest.Figure1()
-	plan := NewPlan(4)
-	if _, err := NewPartition(nil, plan, 0); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-	if _, err := NewPartition(g, plan, 4); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-
-	// Every node is owned by exactly one partition, and NodesByType across
-	// partitions reassembles the base graph's answer exactly.
-	parts := make([]*Partition, plan.Shards())
-	for s := range parts {
-		p, err := NewPartition(g, plan, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[s] = p
-	}
-	totalOwned := 0
-	for _, p := range parts {
-		totalOwned += p.OwnedNodes()
-	}
-	if totalOwned != g.NumNodes() {
-		t.Fatalf("partitions own %d nodes, graph has %d", totalOwned, g.NumNodes())
-	}
-	auto := g.TypeByName("Automobile")
-	seen := map[kg.NodeID]int{}
-	for _, p := range parts {
-		for _, u := range p.NodesByType(auto) {
-			seen[u]++
-			if !p.Owns(u) {
-				t.Fatalf("partition %d returned unowned node %d", p.Shard(), u)
-			}
-		}
-	}
-	for _, u := range g.NodesByType(auto) {
-		if seen[u] != 1 {
-			t.Fatalf("node %d appears in %d partitions, want exactly 1", u, seen[u])
-		}
-	}
-
-	// Topology is shared: a partition sees the full neighbourhood of any
-	// node, owned or not.
-	for u := 0; u < g.NumNodes(); u++ {
-		if len(parts[0].Neighbors(kg.NodeID(u))) != len(g.Neighbors(kg.NodeID(u))) {
-			t.Fatalf("partition filtered topology of node %d", u)
-		}
-	}
-}
-
 func TestSplitSpace(t *testing.T) {
 	g := kgtest.Figure1()
 	var answers []kg.NodeID

@@ -84,7 +84,7 @@ func TestDensePassMatchesReference(t *testing.T) {
 						}
 					}
 					if u == root {
-						sum += cfg.SelfLoopSim
+						sum += selfLoopSim
 					}
 					weights[i] = sum
 				}

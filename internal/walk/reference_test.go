@@ -40,7 +40,7 @@ func refMatrix(w *Walker) [][]refEntry {
 			}
 		}
 		if u == w.start {
-			row = append(row, refEntry{i, w.cfg.SelfLoopSim})
+			row = append(row, refEntry{i, selfLoopSim})
 		}
 		if len(row) == 0 {
 			row = append(row, refEntry{i, 1})

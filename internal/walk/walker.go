@@ -30,22 +30,20 @@ var ErrAsymmetric = errors.New("walk: adjacency is not symmetric")
 // slack on a symmetric scope stays orders of magnitude below it.
 const tol = 1e-10
 
+// selfLoopSim is the predicate similarity of the virtual self-loop on the
+// start node that makes the chain aperiodic (Eq. 5: 0.001).
+const selfLoopSim = 0.001
+
 // Config tunes the semantic-aware walker.
 type Config struct {
 	// N is the hop bound of the walk's scope (default 3; §VII finds 99% of
 	// correct answers within 3 hops).
 	N int
-	// SelfLoopSim is the predicate similarity of the virtual self-loop on
-	// the start node that makes the chain aperiodic (paper: 0.001).
-	SelfLoopSim float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.N <= 0 {
 		c.N = 3
-	}
-	if c.SelfLoopSim <= 0 {
-		c.SelfLoopSim = 0.001
 	}
 	return c
 }
@@ -226,8 +224,8 @@ func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.
 			entries++
 		}
 		if u == start {
-			sum += cfg.SelfLoopSim
-			inWeight[i] += cfg.SelfLoopSim
+			sum += selfLoopSim
+			inWeight[i] += selfLoopSim
 			entries++
 		}
 		if entries == 0 {
@@ -274,7 +272,7 @@ func (w *Walker) Scope() []kg.NodeID { return w.nodes }
 //
 // where inW(j) is the weight arriving at j. New summed it next to W, every
 // entry of P once: a half-edge i→j inside the bound adds its similarity to
-// W(i) and to inW(j), the start's self-loop adds SelfLoopSim to both
+// W(i) and to inW(j), the start's self-loop adds selfLoopSim to both
 // W(start) and inW(start), a probability-1 self-loop adds 1 to both. So
 // Σⱼ|inW(j) − W(j)|/ΣW is ‖πP − π‖₁ up to rounding. When it reaches tol some
 // half-edge of the scope has no mirror, and ConvergeCtx returns

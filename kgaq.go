@@ -32,11 +32,12 @@
 // of times. QueryMulti evaluates several aggregates — e.g. COUNT, SUM and
 // AVG of one query graph — over a single shared sample, refining until
 // every guaranteed aggregate meets its error bound.
-// Options.Shards / WithShards switches a query to sharded execution: the
-// candidate-answer space is hash-partitioned into ownership strata, sampled
-// per shard, and merged through a stratified Horvitz–Thompson combiner
-// (see DESIGN.md "Sharded execution"). The kgaqd command wraps the engine
-// in an HTTP/JSON service.
+// Options.Shards / WithShards switches a query to sharded execution, a
+// library ablation: the candidate-answer space is hash-partitioned into
+// ownership strata, sampled per shard, and merged through a stratified
+// Horvitz–Thompson combiner (see DESIGN.md "Sharded execution"). The kgaqd
+// command wraps the engine in an HTTP/JSON service, which always runs
+// unsharded.
 //
 // The pipeline is the paper's Algorithm 2: a semantic-aware random walk
 // over the n-bounded subgraph around the query's specific entity collects a
@@ -245,12 +246,6 @@ type BatchResult = core.BatchResult
 // reused across queries. Bound the cache with Options.CacheMaxBytes (default 64 MiB,
 // negative disables).
 type CacheStats = core.CacheStats
-
-// ShardStat is one shard's share of the engine's work under sharded
-// execution (Options.Shards / WithShards): owned nodes, attributed sample
-// draws, and mutations that landed in its territory. See Engine.ShardStats
-// and DESIGN.md "Sharded execution".
-type ShardStat = core.ShardStat
 
 // SamplerKind selects the sampling algorithm (WithSampler / Options).
 type SamplerKind = core.SamplerKind
