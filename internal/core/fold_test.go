@@ -13,10 +13,10 @@ import (
 )
 
 // oracleFunc lets a test stand in front of a compiled space's oracle.
-type oracleFunc func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool)
+type oracleFunc func(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool
 
-func (f oracleFunc) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
-	return f(ctx, env, us)
+func (f oracleFunc) batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
+	return f(ctx, env, us, out)
 }
 
 // tinyEngine builds a fresh engine over the tiny profile: nothing cached, so
@@ -165,13 +165,13 @@ func TestTermTableEvaluatesEachCandidateOnce(t *testing.T) {
 			var mu sync.Mutex // the sharded validator runs its buckets concurrently
 			asked := map[kg.NodeID]int{}
 			inner := x.sp.oracle
-			x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+			x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 				mu.Lock()
 				for _, u := range us {
 					asked[u]++
 				}
 				mu.Unlock()
-				return inner.batch(ctx, env, us)
+				return inner.batch(ctx, env, us, out)
 			}))
 			res, err := x.Refine(context.Background(), 0)
 			if err != nil {
@@ -311,11 +311,11 @@ func TestFoldResumesAfterPanickedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner, calls := x.sp.oracle, 0
-	x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+	x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 		if calls++; calls == 2 {
 			panic("validator fault")
 		}
-		return inner.batch(ctx, env, us)
+		return inner.batch(ctx, env, us, out)
 	}))
 	if _, err := x.Refine(context.Background(), 0); !errors.Is(err, ErrInternal) {
 		t.Fatalf("Refine over a panicking validator returned %v, want ErrInternal", err)

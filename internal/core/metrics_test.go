@@ -7,8 +7,9 @@ import (
 )
 
 // kgaq_core_draws_total moves by exactly the draws the executions took: for
-// one query, and for two goroutines querying at once (run under -race) with
-// sharded and unsharded, plain and multi executions.
+// one query, for a topology-sampled query (whose first round the sampler's
+// build draws), and for two goroutines querying at once (run under -race)
+// with sharded and unsharded, plain and multi executions.
 func TestDrawsMetricCountsEveryDraw(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 7})
 	before := metDraws.Value()
@@ -26,6 +27,12 @@ func TestDrawsMetricCountsEveryDraw(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(res.SampleSize)
+	// A topology sampler's first round is drawn by its build.
+	topo, err := e.Query(context.Background(), countQuery(), WithSampler(SamplerCNARW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(res.SampleSize + topo.SampleSize)
 
 	const workers, perWorker = 2, 6
 	drew := make([]int, workers)
@@ -58,5 +65,5 @@ func TestDrawsMetricCountsEveryDraw(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	check(res.SampleSize + drew[0] + drew[1])
+	check(res.SampleSize + topo.SampleSize + drew[0] + drew[1])
 }

@@ -27,11 +27,13 @@ type execScratch struct {
 	// freshIdx queues the distinct not-yet-known candidates of a round for
 	// evaluation and verdicts, parallel to it, takes what is decided of them;
 	// openAt lists the queue positions the plan's shared verdicts leave to
-	// the batch validator, freshNodes is its input.
-	freshIdx   []int
-	verdicts   []bool
-	openAt     []int
-	freshNodes []kg.NodeID
+	// the batch validator, freshNodes is its input and freshVerdicts,
+	// parallel to it, its output.
+	freshIdx      []int
+	verdicts      []bool
+	openAt        []int
+	freshNodes    []kg.NodeID
+	freshVerdicts []bool
 	// every lists the candidate indices 0, 1, …: the census's evaluate
 	// input, grown on demand and never rewritten.
 	every []int
@@ -98,7 +100,8 @@ func putScratch(s *execScratch) {
 // the already-attached scratch and its release is a no-op, so only the
 // outermost holder returns it to the free list. A one-shot execution that
 // has drawn nothing yet also borrows its draw list from the scratch — and,
-// at bindTerms, its term table — and leaves both there on release.
+// at bindTerms, its term table — and leaves both there on release, when it
+// also hands back its suspended greedy searches.
 func (x *Execution) holdScratch() func() {
 	if x.scr != nil {
 		return func() {}
@@ -109,6 +112,7 @@ func (x *Execution) holdScratch() func() {
 	}
 	return func() {
 		if x.oneShot {
+			x.searches.release()
 			x.scr.drawIdx, x.drawIdx = x.drawIdx[:0], nil
 			// An adopted table's columns are the space's: the free list must
 			// not pin them past an eviction.

@@ -239,23 +239,49 @@ func sortedNodes(g kg.ReadGraph, lists ...[]kg.NodeID) []kg.NodeID {
 
 // oracleEnv is what a validation needs beyond the space's own data and what
 // a cached space must not hold: the engine, the graph view and the options
-// of the execution asking. A space valid for the view gives the same verdict
-// under any such view (the validity rule of the cache), so the env never
-// shows in the outcome.
+// of the execution asking, and its suspended greedy searches (nil where
+// each call searches afresh: concurrent sharded buckets, and an execution
+// that validates one batch). A space valid for the view gives the same
+// verdict under any such view (the validity rule of the cache), so the env
+// never shows in the outcome.
 type oracleEnv struct {
-	e *Engine
-	o Options
-	v view
+	e        *Engine
+	o        Options
+	v        view
+	searches legSearches
+}
+
+// legSearches are an execution's suspended greedy searches, one per leg it
+// has validated, keyed by the leg's stage and the validator configuration.
+// Each is told the stage's answers as its candidates, so the next round's
+// (or the census's) call on the same leg pops on from where the last one
+// stopped instead of re-expanding the prefix from the root: the verdicts
+// are the ones a fresh search gives (semsim.Search). Only the stages'
+// verdict tables outlive the execution; a one-shot execution releases its
+// searches when it ends (holdScratch).
+type legSearches map[legKey]*semsim.Search
+
+type legKey struct {
+	stage stageKey
+	verdictKey
+}
+
+// release hands every search back to semsim's free list.
+func (ls legSearches) release() {
+	for k, s := range ls {
+		s.Release()
+		delete(ls, k)
+	}
 }
 
 // oracle is the correctness machinery of an answer space, in batch form: one
 // shared greedy search settles a round's worth of fresh answers (§IV-B2's
 // search is a single traversal recording paths to every requested answer).
-// It returns the verdict of each requested answer and whether the validation
-// ran to completion; a cut batch carries no evidence and nothing of it may
-// be kept.
+// It writes the verdict of us[j] to out[j] and reports whether the
+// validation ran to completion; a cut batch carries no evidence and nothing
+// of it may be kept.
 type oracle interface {
-	batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool)
+	batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool
 }
 
 // levelOracle validates the answers of one decomposed path from one root.
@@ -307,28 +333,29 @@ func (l *levelOracle) reach(u kg.NodeID) []uint16 {
 // concurrent queries never serialise on it. The stage is fetched by key, and
 // re-converged if the LRU has let it go (a later epoch's stage gives the same
 // verdicts) — reached only for answers nobody has validated under this plan
-// yet.
-func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
-	out := make(map[kg.NodeID]bool, len(us))
+// yet. The search resumes the execution's suspended one for the leg when
+// there is one; a cancelled call discards it.
+func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 	st := l.st
 	if st == nil {
 		if st = env.e.cache.fetchStage(l.key, env.v.epoch); st == nil {
 			var err error
 			if st, err = env.e.buildStage(ctx, env.o, env.v, l.key, typeMaskOf(env.v.g, l.types), nil); err != nil {
-				return out, false
+				return false
 			}
 		}
 	}
 	o := env.o
 	vkey := verdictKey{tau: o.Tau, repeat: o.Repeat}
 	var fresh []kg.NodeID
+	var freshAt []int // positions in us
 	st.mu.Lock()
 	verdicts := st.verdictsFor(vkey)
-	for _, u := range us {
+	for j, u := range us {
 		if v, ok := verdicts.get(u); ok {
-			out[u] = v
+			out[j] = v
 		} else {
-			fresh = append(fresh, u)
+			fresh, freshAt = append(fresh, u), append(freshAt, j)
 		}
 	}
 	st.mu.Unlock()
@@ -337,115 +364,141 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 		obs.TraceFrom(ctx).Add("verdict_cache_hits", float64(hits))
 	}
 	if len(fresh) == 0 {
-		return out, true
+		return true
 	}
 	if ctx.Err() != nil {
-		return out, false
+		return false
 	}
 	metValidationCalls.Add(float64(len(fresh)))
-	obs.TraceFrom(ctx).Add("validation_calls", float64(len(fresh)))
+	tr := obs.TraceFrom(ctx)
+	tr.Add("validation_calls", float64(len(fresh)))
+	key := legKey{l.key, vkey}
+	s := env.searches[key]
+	if s != nil {
+		// Out of the set for the call: a search a panic leaves mid-expansion
+		// is never resumed.
+		delete(env.searches, key)
+	} else {
+		// A search that is kept tracks every answer of the stage, one that
+		// is not only those it is asked for.
+		cands := fresh
+		if env.searches != nil {
+			cands = st.answers
+		}
+		s = semsim.NewSearch(env.v.g, env.e.calc, l.key.root, l.key.pred, cands,
+			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
+	}
 	// The stage was built at the view's epoch or an older one, and node ids
 	// are never reused, so the view's node count covers its scope.
 	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
-	res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, fresh,
-		semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
+	res := make([]semsim.ValidateResult, len(fresh))
+	stats := s.Validate(ctx, pi.at, fresh, res)
 	piFree.release(pi, st.scope)
-	if ctx.Err() != nil {
-		return out, false
+	tr.Add("validation_expansions", float64(stats.Expansions))
+	cut := ctx.Err() != nil
+	if cut || env.searches == nil {
+		s.Release()
+	} else {
+		env.searches[key] = s
+	}
+	if cut {
+		return false
 	}
 	st.mu.Lock()
 	verdicts = st.verdictsFor(vkey)
-	for _, u := range fresh {
+	for i, u := range fresh {
 		v, ok := verdicts.get(u)
 		if !ok {
-			v = res[u].Similarity >= o.Tau
+			v = res[i].Similarity >= o.Tau
 			verdicts.put(u, v)
 		}
-		out[u] = v
+		out[freshAt[i]] = v
 	}
 	st.mu.Unlock()
-	return out, true
+	return true
 }
 
 // batch evaluates OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
-// The order of evaluation cannot change a disjunction, and
-// semsim.ValidateFunc expands by π of the path tip whatever set it was asked
-// for, so an answer's verdict is the same alone or in company. One search
-// from the root settles the leg of every intermediate the requested answers
-// are reached through; then each leg-correct intermediate runs its own batch
+// The order of evaluation cannot change a disjunction, and the greedy
+// search expands by π of the path tip whatever set it was asked for, so an
+// answer's verdict is the same alone or in company. One search from the
+// root settles the leg of every intermediate the requested answers are
+// reached through; then each leg-correct intermediate runs its own batch
 // over the answers it reaches that no earlier chain has validated yet.
-func (l *levelOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
+func (l *levelOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 	if l.subs == nil {
-		return l.legBatch(ctx, env, us)
+		return l.legBatch(ctx, env, us, out)
 	}
-	out := make(map[kg.NodeID]bool, len(us))
+	clear(out)
 	wanted := make([]bool, len(l.subs))
 	var legs []kg.NodeID
+	var legOf []uint16 // legOf[i] is the sub whose root is legs[i]
 	for _, u := range us {
-		out[u] = false
 		for _, k := range l.reach(u) {
 			if !wanted[k] {
 				wanted[k] = true
-				legs = append(legs, l.subs[k].key.root)
+				legs, legOf = append(legs, l.subs[k].key.root), append(legOf, k)
 			}
 		}
 	}
-	legVerdicts, ok := l.legBatch(ctx, env, legs)
-	if !ok {
-		return out, false
+	legOK := make([]bool, len(legs))
+	if !l.legBatch(ctx, env, legs, legOK) {
+		return false
 	}
-	through := make([][]kg.NodeID, len(l.subs))
-	for _, u := range us {
+	correct := make([]bool, len(l.subs)) // the sub's leg is correct
+	for i, ok := range legOK {
+		correct[legOf[i]] = ok
+	}
+	through := make([][]int, len(l.subs)) // positions in us
+	for j, u := range us {
 		for _, k := range l.reach(u) {
-			if legVerdicts[l.subs[k].key.root] {
-				through[k] = append(through[k], u)
+			if correct[k] {
+				through[k] = append(through[k], j)
 			}
 		}
 	}
+	var open []kg.NodeID
+	var verdicts []bool
 	for k, reaches := range through {
-		open := reaches[:0]
-		for _, u := range reaches {
-			if !out[u] {
-				open = append(open, u)
+		at := reaches[:0]
+		open = open[:0]
+		for _, j := range reaches {
+			if !out[j] {
+				at, open = append(at, j), append(open, us[j])
 			}
 		}
-		if len(open) == 0 {
+		if len(at) == 0 {
 			continue
 		}
-		verdicts, ok := l.subs[k].batch(ctx, env, open)
-		if !ok {
-			return out, false
+		verdicts = sized(verdicts, len(open))
+		if !l.subs[k].batch(ctx, env, open, verdicts) {
+			return false
 		}
-		for _, u := range open {
-			if verdicts[u] {
-				out[u] = true
-			}
+		for i, j := range at {
+			out[j] = verdicts[i]
 		}
 	}
-	return out, true
+	return true
 }
 
 // allPaths is the oracle of a decomposed query (§V-B): an answer is correct
 // only if every path validates it.
 type allPaths []*levelOracle
 
-func (a allPaths) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
-	out := make(map[kg.NodeID]bool, len(us))
-	for _, u := range us {
-		out[u] = true
+func (a allPaths) batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
+	for j := range out {
+		out[j] = true
 	}
+	verdicts := make([]bool, len(us))
 	for _, l := range a {
-		verdicts, ok := l.batch(ctx, env, us)
-		if !ok {
-			return out, false
+		if !l.batch(ctx, env, us, verdicts) {
+			return false
 		}
-		for _, u := range us {
-			if !verdicts[u] {
-				out[u] = false
-			}
+		for j, v := range verdicts {
+			out[j] = out[j] && v
 		}
 	}
-	return out, true
+	return true
 }
 
 // newAnswerSpace builds the space over answers in ascending NodeID order,
@@ -979,18 +1032,17 @@ type topologyOracle struct {
 	probs   []float64
 }
 
-func (t *topologyOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID) (map[kg.NodeID]bool, bool) {
-	out := make(map[kg.NodeID]bool, len(us))
+func (t *topologyOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 	o := env.o
 	pi := scatterPi(env.v.g.NumNodes(), t.answers, t.probs)
 	defer piFree.release(pi, t.answers)
-	for _, u := range us {
+	for j, u := range us {
 		res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, t.root, t.pred, pi.at, []kg.NodeID{u},
 			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
 		if ctx.Err() != nil {
-			return out, false
+			return false
 		}
-		out[u] = res[u].Similarity >= o.Tau
+		out[j] = res[u].Similarity >= o.Tau
 	}
-	return out, true
+	return true
 }

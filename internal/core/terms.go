@@ -453,37 +453,47 @@ func (x *Execution) settle(ctx context.Context, queue []int) bool {
 	return true
 }
 
-// oracleEnv is the execution's side of a validation: its engine, its options
-// and the one graph view it observes.
-func (x *Execution) oracleEnv() oracleEnv { return oracleEnv{e: x.e, o: x.opts, v: x.v} }
+// oracleEnv is the execution's side of a validation: its engine, its options,
+// the one graph view it observes and its suspended searches, unless it
+// validates one batch only.
+func (x *Execution) oracleEnv() oracleEnv {
+	if x.searches == nil && !x.oneBatch {
+		x.searches = legSearches{}
+	}
+	return oracleEnv{e: x.e, o: x.opts, v: x.v, searches: x.searches}
+}
 
 // validate batch-validates the candidates at the open positions of queue
 // into the same positions of out and reports whether the validation ran to
-// completion. Unsharded it is one shared greedy search (one lazy search per
-// answer under the topology ablation samplers). Sharded, the open positions
-// are cut per stratum, the strata are packed into at most GOMAXPROCS
-// buckets, and each bucket runs its own shared search on a goroutine taken
+// completion. Unsharded it is one shared greedy search per leg, resumed
+// from the execution's earlier rounds (one lazy search per answer under the
+// topology ablation samplers). Sharded, the open positions are cut per
+// stratum, the strata are packed into at most GOMAXPROCS buckets, and each
+// bucket runs its own shared search, once, on a goroutine taken
 // opportunistically from the engine's worker pool — on a single CPU every
 // stratum lands in one bucket and the search is exactly the unsharded one,
 // so sharding never splits validation work it cannot parallelise. Each
 // goroutine writes only its own bucket's slots of out.
 func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool) bool {
-	sp, env := x.sp, x.oracleEnv()
+	sp := x.sp
 	if x.sh == nil {
 		nodes := x.scr.freshNodes[:0]
 		for _, k := range open {
 			nodes = append(nodes, sp.answers[queue[k]])
 		}
 		x.scr.freshNodes = nodes
-		res, ok := sp.oracle.batch(ctx, env, nodes)
-		if !ok {
+		res := sized(x.scr.freshVerdicts, len(nodes))
+		x.scr.freshVerdicts = res
+		if !sp.oracle.batch(ctx, x.oracleEnv(), nodes, res) {
 			return false
 		}
 		for j, k := range open {
-			out[k] = res[nodes[j]]
+			out[k] = res[j]
 		}
 		return true
 	}
+	env := x.oracleEnv()
+	env.searches = nil // the buckets run concurrently: each searches afresh
 	sh := x.sh
 	perStratum := make([][]int, len(sh.spaces)) // positions in queue
 	active := 0
@@ -513,13 +523,13 @@ func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool)
 			for j, k := range ks {
 				nodes[j] = sp.answers[queue[k]]
 			}
-			res, ok := sp.oracle.batch(ctx, env, nodes)
-			if !ok {
+			res := make([]bool, len(nodes))
+			if !sp.oracle.batch(ctx, env, nodes, res) {
 				cut.Store(true)
 				return
 			}
 			for j, k := range ks {
-				out[k] = res[nodes[j]]
+				out[k] = res[j]
 			}
 		}
 		select {

@@ -197,7 +197,7 @@ func (s Span) end(scopeNodes int) {
 }
 
 // Add accumulates a named counter (draws, validation_calls,
-// verdict_cache_hits, ...).
+// validation_expansions, verdict_cache_hits, ...).
 func (t *Trace) Add(name string, delta float64) {
 	if t == nil || delta == 0 {
 		return

@@ -207,21 +207,25 @@ func New(g kg.ReadGraph, calc *semsim.Calculator, start kg.NodeID, queryPred kg.
 	// Weighted degrees. The query predicate's similarity row is a single
 	// precomputed slice, so scoring an edge is one index. Every weight w(i,j)
 	// of the matrix is added once to its row's mass and once to its target's.
+	// The in-bound test is a bit mask, not a branch: a half-edge leaving the
+	// bound (index 0) adds +0 to its row's mass, which leaves every sum
+	// bit-identical (no sum is ever −0), and its weight lands in the sink
+	// slot in[0], which nothing reads. A mask, unlike a multiplication by 0,
+	// stays exact for a NaN or infinite similarity.
 	n := len(nodes)
-	mem.rowWeight, mem.inWeight = sized(mem.rowWeight, n), sized(mem.inWeight, n)
-	rowWeight, inWeight := mem.rowWeight, mem.inWeight
+	mem.rowWeight, mem.inWeight = sized(mem.rowWeight, n), sized(mem.inWeight, n+1)
+	rowWeight, in := mem.rowWeight, mem.inWeight
+	inWeight := in[1:] // inWeight[j-1] is in[j]
 	simRow := calc.SimRow(queryPred)
 	for i, u := range nodes {
-		sum, entries := 0.0, 0
+		sum, entries := 0.0, int32(0)
 		for _, he := range g.Neighbors(u) {
 			j := index[he.To]
-			if j == 0 {
-				continue // neighbour outside the n-bound: walk never leaves
-			}
-			s := simRow[he.Pred]
+			inBound := min(j, 1) // the neighbour is inside the n-bound
+			s := math.Float64frombits(math.Float64bits(simRow[he.Pred]) & -uint64(inBound))
 			sum += s
-			inWeight[j-1] += s
-			entries++
+			in[j] += s
+			entries += inBound
 		}
 		if u == start {
 			sum += selfLoopSim
