@@ -25,9 +25,9 @@ import (
 // the scope: the fallback settles answers of a spent search, and its
 // result is kept. A batch asking for a non-candidate is
 // answered by a one-call search and leaves the resumed one as it was.
-// Calls cancelled at the first, second and seventh poll must leave the
-// search valid to resume, and a fresh start afterwards (on the slot tables
-// the cancelled call handed back) must match too.
+// Calls cancelled at the first, second and seventh poll (on every third
+// leg) must leave the search valid to resume, and a fresh start afterwards
+// (on the slot tables the cancelled call handed back) must match too.
 func TestResumedSearchMatchesFresh(t *testing.T) {
 	ds, err := datagen.Generate(datagen.DBpediaSim())
 	if err != nil {
@@ -102,7 +102,7 @@ func TestResumedSearchMatchesFresh(t *testing.T) {
 		fellBack += wantStats.Fallbacks
 	}
 
-	for _, l := range workloadLegs(t, ds) {
+	for li, l := range workloadLegs(t, ds) {
 		cands := candidatesOf(g, l, 0)
 		if len(cands) == 0 {
 			continue
@@ -147,7 +147,11 @@ func TestResumedSearchMatchesFresh(t *testing.T) {
 		}
 		s.Release()
 
-		// A cancelled call, then the same search resumed, then a fresh start.
+		// A cancelled call, then the same search resumed, then a fresh start
+		// (on every third leg, which keeps the test short under -race).
+		if li%3 != 0 {
+			continue
+		}
 		for _, n := range []int{1, 2, 7} {
 			s := NewSearch(g, c, l.root, l.pred, cands, configs[0])
 			reqs := batches(cands)
