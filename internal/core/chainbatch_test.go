@@ -14,6 +14,7 @@ import (
 	"kgaq/internal/kg"
 	"kgaq/internal/kg/kgtest"
 	"kgaq/internal/query"
+	"kgaq/internal/semsim"
 	"kgaq/internal/walk"
 )
 
@@ -68,10 +69,87 @@ func compileSpace(t *testing.T, ds *datagen.Dataset, tau float64, q *query.Aggre
 	return testSpace{sp, oracleEnv{e: e, o: e.opts, v: v}}
 }
 
+// freshOracle works out the verdict a compiled space's oracle must give an
+// answer with a fresh greedy search over that answer alone on every leg:
+// the chain rule of levelOracle.batch (some intermediate chain validates
+// every leg) under the AND of allPaths. It keeps no stage verdict, only its
+// own per-leg memo, so the oracle's stage-wide validations are held to
+// searches that were never asked for anything else.
+type freshOracle struct {
+	env  oracleEnv
+	memo map[freshLegKey]bool
+}
+
+type freshLegKey struct {
+	leg stageKey
+	u   kg.NodeID
+}
+
+func newFreshOracle(env oracleEnv) *freshOracle {
+	return &freshOracle{env: env, memo: map[freshLegKey]bool{}}
+}
+
+func (f *freshOracle) verdict(t *testing.T, o oracle, u kg.NodeID) bool {
+	switch o := o.(type) {
+	case allPaths:
+		for _, l := range o {
+			if !f.level(t, l, u) {
+				return false
+			}
+		}
+		return true
+	case *levelOracle:
+		return f.level(t, o, u)
+	}
+	t.Fatalf("no fresh verdict for oracle %T", o)
+	return false
+}
+
+func (f *freshOracle) level(t *testing.T, l *levelOracle, u kg.NodeID) bool {
+	if l.subs == nil {
+		return f.leg(t, l, u)
+	}
+	for _, k := range l.reach(u) {
+		sub := &l.subs[k]
+		if f.leg(t, l, sub.key.root) && f.level(t, sub, u) {
+			return true
+		}
+	}
+	return false
+}
+
+// leg validates u alone against the level's own stage.
+func (f *freshOracle) leg(t *testing.T, l *levelOracle, u kg.NodeID) bool {
+	k := freshLegKey{l.key, u}
+	if v, ok := f.memo[k]; ok {
+		return v
+	}
+	env, ctx := f.env, context.Background()
+	st := l.st
+	if st == nil {
+		st = env.e.cache.fetchStage(l.key, env.v.epoch)
+	}
+	if st == nil {
+		var err error
+		if st, err = env.e.buildStage(ctx, env.o, env.v, l.key, typeMaskOf(env.v.g, l.types), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
+	defer piFree.release(pi, st.scope)
+	res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, []kg.NodeID{u},
+		semsim.ValidatorConfig{Repeat: env.o.Repeat, MaxLen: env.o.N, Tau: env.o.Tau})
+	v := res[u].Similarity >= env.o.Tau
+	f.memo[k] = v
+	return v
+}
+
 // The chain-level oracle settles for a whole batch exactly the verdicts it
-// settles for each answer alone — asked one by one of searches resumed
-// from call to call — on every candidate of every chain, cycle and flower
-// query of the tiny profile and of one dbpedia-sim root.
+// settles for each answer asked alone, and both are the verdicts of a fresh
+// search over each answer alone on every leg (freshOracle) — on every
+// candidate of every chain, cycle and flower query of the tiny profile and
+// of one dbpedia-sim root. The oracle validates a leg's whole stage at its
+// first open answer, so the single arm reads what that validation stored.
 func TestChainBatchMatchesSingle(t *testing.T) {
 	for _, c := range []struct {
 		profile  datagen.Profile
@@ -88,18 +166,21 @@ func TestChainBatchMatchesSingle(t *testing.T) {
 		ctx := context.Background()
 		for _, gq := range qs {
 			viaSingle := compileSpace(t, ds, c.profile.OptimalTau, gq.Agg)
-			// One answer at a time, each call resuming the legs' searches.
-			viaSingle.env.searches = legSearches{}
 			viaBatch := compileSpace(t, ds, c.profile.OptimalTau, gq.Agg)
+			viaFresh := compileSpace(t, ds, c.profile.OptimalTau, gq.Agg)
+			fresh := newFreshOracle(viaFresh.env)
 			got := viaBatch.batch(ctx, viaBatch.answers)
 			correct := 0
 			for _, u := range viaSingle.answers {
-				want := viaSingle.batch(ctx, []kg.NodeID{u})[u]
+				want := fresh.verdict(t, viaFresh.oracle, u)
 				if want {
 					correct++
 				}
 				if got[u] != want {
-					t.Errorf("%s: answer %d: batch says %v, single says %v", gq.ID, u, got[u], want)
+					t.Errorf("%s: answer %d: batch says %v, a fresh search per answer %v", gq.ID, u, got[u], want)
+				}
+				if single := viaSingle.batch(ctx, []kg.NodeID{u})[u]; single != want {
+					t.Errorf("%s: answer %d: asked alone the oracle says %v, a fresh search per answer %v", gq.ID, u, single, want)
 				}
 			}
 			t.Logf("%s %s: %d candidates, %d correct", c.profile.Name, gq.ID, len(viaSingle.answers), correct)

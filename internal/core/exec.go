@@ -36,16 +36,11 @@ type Execution struct {
 	targetEB float64 // the bound the last Refine targeted
 	noCensus bool    // the census is off (a test hook: queryConfig.noCensus)
 
-	sp     *answerSpace
-	sh     *shardedSpace  // non-nil when Options.Shards > 1
-	stream stats.Splitmix // the draw stream: one word per draw, consumed by sampling alone
-	scr    *execScratch   // pooled hot-loop buffers, held per Refine call
-	// searches are the greedy searches suspended between rounds, one per
-	// validated leg (legSearches); nil until the first validation, and for
-	// good when oneBatch says nothing would resume them.
-	searches legSearches
-	oneBatch bool // validates one batch and ends (a federated member round)
-	drawIdx  []int
+	sp      *answerSpace
+	sh      *shardedSpace  // non-nil when Options.Shards > 1
+	stream  stats.Splitmix // the draw stream: one word per draw, consumed by sampling alone
+	scr     *execScratch   // pooled hot-loop buffers, held per Refine call
+	drawIdx []int
 	// tab is the sample in reduced form: what is known of each candidate and
 	// the running moments of the draws folded so far (terms.go).
 	tab *termTable

@@ -76,7 +76,7 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 	if err != nil {
 		return nil, err
 	}
-	x.oneShot, x.oneBatch = true, true
+	x.oneShot = true
 	release := x.holdScratch()
 	defer release()
 	x.bindTerms(termSpec{fn: q.Func, attr: x.attr})

@@ -100,8 +100,7 @@ func putScratch(s *execScratch) {
 // the already-attached scratch and its release is a no-op, so only the
 // outermost holder returns it to the free list. A one-shot execution that
 // has drawn nothing yet also borrows its draw list from the scratch — and,
-// at bindTerms, its term table — and leaves both there on release, when it
-// also hands back its suspended greedy searches.
+// at bindTerms, its term table — and leaves both there on release.
 func (x *Execution) holdScratch() func() {
 	if x.scr != nil {
 		return func() {}
@@ -112,7 +111,6 @@ func (x *Execution) holdScratch() func() {
 	}
 	return func() {
 		if x.oneShot {
-			x.searches.release()
 			x.scr.drawIdx, x.drawIdx = x.drawIdx[:0], nil
 			// An adopted table's columns are the space's: the free list must
 			// not pin them past an eviction.

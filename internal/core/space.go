@@ -239,39 +239,13 @@ func sortedNodes(g kg.ReadGraph, lists ...[]kg.NodeID) []kg.NodeID {
 
 // oracleEnv is what a validation needs beyond the space's own data and what
 // a cached space must not hold: the engine, the graph view and the options
-// of the execution asking, and its suspended greedy searches (nil where
-// each call searches afresh: concurrent sharded buckets, and an execution
-// that validates one batch). A space valid for the view gives the same
-// verdict under any such view (the validity rule of the cache), so the env
-// never shows in the outcome.
+// of the execution asking. A space valid for the view gives the same verdict
+// under any such view (the validity rule of the cache), so the env never
+// shows in the outcome.
 type oracleEnv struct {
-	e        *Engine
-	o        Options
-	v        view
-	searches legSearches
-}
-
-// legSearches are an execution's suspended greedy searches, one per leg it
-// has validated, keyed by the leg's stage and the validator configuration.
-// Each is told the stage's answers as its candidates, so the next round's
-// (or the census's) call on the same leg pops on from where the last one
-// stopped instead of re-expanding the prefix from the root: the verdicts
-// are the ones a fresh search gives (semsim.Search). Only the stages'
-// verdict tables outlive the execution; a one-shot execution releases its
-// searches when it ends (holdScratch).
-type legSearches map[legKey]*semsim.Search
-
-type legKey struct {
-	stage stageKey
-	verdictKey
-}
-
-// release hands every search back to semsim's free list.
-func (ls legSearches) release() {
-	for k, s := range ls {
-		s.Release()
-		delete(ls, k)
-	}
+	e *Engine
+	o Options
+	v view
 }
 
 // oracle is the correctness machinery of an answer space, in batch form: one
@@ -326,15 +300,22 @@ func (l *levelOracle) reach(u kg.NodeID) []uint16 {
 	return l.rows[l.rowStart[i]:l.rowStart[i+1]]
 }
 
-// legBatch validates us against the level's own stage — the leg from its
-// root. Verdicts live on the shared stage entry under the (τ, repeat)
-// sub-map, guarded by its mutex, and are stored only when the search was not
-// cancelled mid-flight; the validation itself runs outside the lock so
-// concurrent queries never serialise on it. The stage is fetched by key, and
-// re-converged if the LRU has let it go (a later epoch's stage gives the same
-// verdicts) — reached only for answers nobody has validated under this plan
-// yet. The search resumes the execution's suspended one for the leg when
-// there is one; a cancelled call discards it.
+// legBatch validates us, answers of the level's own stage (the leg from
+// its root), against it. Verdicts live on the shared stage entry under the
+// (τ, repeat) sub-map, guarded by its mutex, and are stored only when the
+// search was not cancelled mid-flight; the validation itself runs outside
+// the lock so concurrent queries never serialise on it. The stage is
+// fetched by key, and re-converged if the LRU has let it go (a later
+// epoch's stage gives the same verdicts) — reached only for answers nobody
+// has validated under this plan yet.
+//
+// A request with an answer still open validates every open answer of the
+// stage, asked for or not, in one search. Its pop order does not depend on
+// what is asked and each answer's evidence only on the paths reaching it,
+// so every verdict is the one a search asked for that answer alone gives;
+// on the benchmark graph a search runs its heap dry either way, so the
+// stage's answers cost what the request's do, and every later round, the
+// census and later executions of the plan find their verdicts on the stage.
 func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 	st := l.st
 	if st == nil {
@@ -347,23 +328,30 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	}
 	o := env.o
 	vkey := verdictKey{tau: o.Tau, repeat: o.Repeat}
+	var openAt []int // positions in us
 	var fresh []kg.NodeID
-	var freshAt []int // positions in us
 	st.mu.Lock()
 	verdicts := st.verdictsFor(vkey)
 	for j, u := range us {
 		if v, ok := verdicts.get(u); ok {
 			out[j] = v
 		} else {
-			fresh, freshAt = append(fresh, u), append(freshAt, j)
+			openAt = append(openAt, j)
+		}
+	}
+	if len(openAt) > 0 {
+		for _, u := range st.answers {
+			if _, ok := verdicts.get(u); !ok {
+				fresh = append(fresh, u)
+			}
 		}
 	}
 	st.mu.Unlock()
-	if hits := len(us) - len(fresh); hits > 0 {
+	if hits := len(us) - len(openAt); hits > 0 {
 		metVerdictHits.Add(float64(hits))
 		obs.TraceFrom(ctx).Add("verdict_cache_hits", float64(hits))
 	}
-	if len(fresh) == 0 {
+	if len(openAt) == 0 {
 		return true
 	}
 	if ctx.Err() != nil {
@@ -372,58 +360,34 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	metValidationCalls.Add(float64(len(fresh)))
 	tr := obs.TraceFrom(ctx)
 	tr.Add("validation_calls", float64(len(fresh)))
-	key := legKey{l.key, vkey}
-	s := env.searches[key]
-	if s != nil {
-		// Out of the set for the call: a search a panic leaves mid-expansion
-		// is never resumed.
-		delete(env.searches, key)
-	} else {
-		// A search that is kept tracks every answer of the stage, one that
-		// is not only those it is asked for.
-		cands := fresh
-		if env.searches != nil {
-			cands = st.answers
-		}
-		s = semsim.NewSearch(env.v.g, env.e.calc, l.key.root, l.key.pred, cands,
-			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
-	}
 	// The stage was built at the view's epoch or an older one, and node ids
 	// are never reused, so the view's node count covers its scope.
 	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
-	res := make([]semsim.ValidateResult, len(fresh))
-	stats := s.Validate(ctx, pi.at, fresh, res)
+	res, stats := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, fresh,
+		semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
 	piFree.release(pi, st.scope)
 	tr.Add("validation_expansions", float64(stats.Expansions))
-	cut := ctx.Err() != nil
-	if cut || env.searches == nil {
-		s.Release()
-	} else {
-		env.searches[key] = s
-	}
-	if cut {
+	if ctx.Err() != nil {
 		return false
 	}
 	st.mu.Lock()
 	verdicts = st.verdictsFor(vkey)
-	for i, u := range fresh {
-		v, ok := verdicts.get(u)
-		if !ok {
-			v = res[i].Similarity >= o.Tau
-			verdicts.put(u, v)
-		}
-		out[freshAt[i]] = v
+	for _, u := range fresh {
+		verdicts.put(u, res[u].Similarity >= o.Tau) // an earlier verdict stands
+	}
+	for _, j := range openAt {
+		out[j], _ = verdicts.get(us[j])
 	}
 	st.mu.Unlock()
 	return true
 }
 
 // batch evaluates OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
-// The order of evaluation cannot change a disjunction, and the greedy
-// search expands by π of the path tip whatever set it was asked for, so an
-// answer's verdict is the same alone or in company. One search from the
-// root settles the leg of every intermediate the requested answers are
-// reached through; then each leg-correct intermediate runs its own batch
+// The order of evaluation cannot change a disjunction, and
+// semsim.ValidateFunc expands by π of the path tip whatever set it was asked
+// for, so an answer's verdict is the same alone or in company. One search
+// from the root settles the leg of every intermediate the requested answers
+// are reached through; then each leg-correct intermediate runs its own batch
 // over the answers it reaches that no earlier chain has validated yet.
 func (l *levelOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 	if l.subs == nil {

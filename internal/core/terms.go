@@ -453,23 +453,16 @@ func (x *Execution) settle(ctx context.Context, queue []int) bool {
 	return true
 }
 
-// oracleEnv is the execution's side of a validation: its engine, its options,
-// the one graph view it observes and its suspended searches, unless it
-// validates one batch only.
-func (x *Execution) oracleEnv() oracleEnv {
-	if x.searches == nil && !x.oneBatch {
-		x.searches = legSearches{}
-	}
-	return oracleEnv{e: x.e, o: x.opts, v: x.v, searches: x.searches}
-}
+// oracleEnv is the execution's side of a validation: its engine, its options
+// and the one graph view it observes.
+func (x *Execution) oracleEnv() oracleEnv { return oracleEnv{e: x.e, o: x.opts, v: x.v} }
 
 // validate batch-validates the candidates at the open positions of queue
 // into the same positions of out and reports whether the validation ran to
-// completion. Unsharded it is one shared greedy search per leg, resumed
-// from the execution's earlier rounds (one lazy search per answer under the
-// topology ablation samplers). Sharded, the open positions are cut per
-// stratum, the strata are packed into at most GOMAXPROCS buckets, and each
-// bucket runs its own shared search, once, on a goroutine taken
+// completion. Unsharded it is one shared greedy search (one lazy search per
+// answer under the topology ablation samplers). Sharded, the open positions
+// are cut per stratum, the strata are packed into at most GOMAXPROCS
+// buckets, and each bucket runs its own shared search on a goroutine taken
 // opportunistically from the engine's worker pool — on a single CPU every
 // stratum lands in one bucket and the search is exactly the unsharded one,
 // so sharding never splits validation work it cannot parallelise. Each
@@ -493,7 +486,6 @@ func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool)
 		return true
 	}
 	env := x.oracleEnv()
-	env.searches = nil // the buckets run concurrently: each searches afresh
 	sh := x.sh
 	perStratum := make([][]int, len(sh.spaces)) // positions in queue
 	active := 0

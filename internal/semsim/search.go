@@ -102,78 +102,6 @@ func (v ValidatorConfig) withDefaults() ValidatorConfig {
 	return v
 }
 
-// answerState is what the search knows of one candidate: the result it
-// reports, whether any path reached it (only then does a one-call search
-// put it in its returned map), whether it is settled, and the number of the
-// call that last asked for it (Search.gen).
-type answerState struct {
-	res     ValidateResult
-	node    kg.NodeID
-	seen    bool
-	settled bool
-	want    uint32
-}
-
-// Search is one greedy validation (§IV-B2) that can be resumed: built for a
-// graph view, a root, a query predicate, a configuration and a candidate
-// set, it keeps its frontier, its path arena and what it found of every
-// candidate between calls to Validate, and each call pops on from where the
-// last one stopped. ValidateFunc is its one-call use.
-//
-// A resumed call returns, for every answer it is asked about, what a fresh
-// search asked about the same answers would return, bit for bit, because
-// the search never looks at which answers are wanted except to stop:
-//   - what it pushes depends on the popped path alone, so the pop order is
-//     one sequence whatever is asked;
-//   - a candidate's evidence depends only on the paths reaching it, in that
-//     order, up to the path that settles it, and every candidate collects
-//     evidence from the first expansion on, asked for or not;
-//   - the stop condition (every asked answer settled) and the budget
-//     (counted over all calls) only pick how long a prefix of that sequence
-//     is expanded, and a settled answer's result no longer changes.
-//
-// The per-answer fallback runs only once the frontier or the budget is
-// spent, after which nothing more is expanded, so its result is kept with
-// the candidate's.
-//
-// A suspended search pins its frontier and one state per candidate, never
-// an array sized by the graph: the NodeID slot table is taken from a free
-// list for the length of each call, and a spent search hands its frontier
-// back. A Search is used by one goroutine at a time.
-type Search struct {
-	g      kg.ReadGraph
-	c      *Calculator
-	logRow []float64
-	us     kg.NodeID
-	pred   kg.PredID
-	cfg    ValidatorConfig
-	// cands is the candidate set as given, until the first call numbers it
-	// into states.
-	cands []kg.NodeID
-
-	// states holds one state per distinct candidate. slot, attached for the
-	// length of a call, maps a NodeID to 1 + the index of its state (0 for
-	// a node that is not a candidate).
-	states []answerState
-	slot   []int32
-	frontier
-	started    bool
-	expansions int    // over every call, against cfg.Budget
-	gen        uint32 // the number of the current call
-}
-
-// frontier is a search's expandable working memory: the path arena, the
-// heap and the node sequence of the path being expanded. A search takes one
-// from the free list when it starts and hands it back as soon as it is
-// spent — its heap or its budget ran out — since it expands nothing more.
-type frontier struct {
-	recs []pathRecord
-	heap []frontierItem
-	path []kg.NodeID
-}
-
-func (f *frontier) bytes() int { return 16*cap(f.recs) + 16*cap(f.heap) + 4*cap(f.path) }
-
 // pathRecord is one path of the greedy frontier, kept in the search's
 // arena: its tip, the index of the path it extends by one edge (-1 for the
 // start), and its Eq. 2 score as the running sum of log predicate
@@ -192,119 +120,82 @@ type frontierItem struct {
 	rec      int32
 }
 
-// searches is the free list of released searches, whose state arrays the
-// next NewSearch reuses, frontiers that of the frontiers and slotTables
-// that of the NodeID slot tables: at most one of each per P, whatever the
-// garbage collector does in between (a sync.Pool is emptied by every
-// second collection, and a cold query triggers more than one). A slot
-// table is all zero on its free list.
-var (
-	searches   = make(chan *Search, runtime.GOMAXPROCS(0))
-	frontiers  = make(chan frontier, runtime.GOMAXPROCS(0))
-	slotTables = make(chan []int32, runtime.GOMAXPROCS(0))
-)
+// answerState is what the search knows of one requested answer: the result
+// it reports, whether any path reached it (only then does the result appear
+// in the returned map), and whether it is settled.
+type answerState struct {
+	res     ValidateResult
+	node    kg.NodeID
+	seen    bool
+	settled bool
+}
 
-// searchKeepBytes bounds what the free lists retain per search, frontier
-// and slot table: anything holding more (a huge graph's slot table, a huge
-// frontier) is left to the collector.
+// search is the working memory of one validation: a slot table addressed by
+// NodeID (slot[u] is 1 + the index of u's answerState, 0 for a node nobody
+// asked about), the per-answer states, the path arena, the frontier heap,
+// the node sequence of the path being expanded and, parallel to the states,
+// the best path similarity the fallback found (-1 for none). The slot table
+// is sized by the graph and recycled between calls, so it is all zero
+// whenever the search is on the free list: release clears exactly the slots
+// its call set.
+type search struct {
+	slot   []int32
+	states []answerState
+	recs   []pathRecord
+	heap   []frontierItem
+	path   []kg.NodeID
+	best   []float64
+}
+
+// searches is the free list: at most one search per P, whatever the garbage
+// collector does in between (a sync.Pool is emptied by every second
+// collection, and a cold query triggers more than one).
+var searches = make(chan *search, runtime.GOMAXPROCS(0))
+
+// searchKeepBytes bounds what the free list retains per search: one whose
+// arrays hold more (a huge graph's slot table, a huge frontier) is left to
+// the collector.
 const searchKeepBytes = 6 << 20
 
-// NewSearch returns a search from us for the query predicate over g, not yet
-// started, whose candidate set is candidates (node ids of g, which may
-// repeat and must not change while the search lives). Release hands it
-// back.
-func NewSearch(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID,
-	candidates []kg.NodeID, cfg ValidatorConfig) *Search {
-	var s *Search
+func (s *search) bytes() int {
+	return 4*cap(s.slot) + 24*cap(s.states) + 16*cap(s.recs) + 16*cap(s.heap) + 4*cap(s.path) + 8*cap(s.best)
+}
+
+// getSearch returns a search whose slot table covers n node ids, all zero.
+func getSearch(n int) *search {
+	var s *search
 	select {
 	case s = <-searches:
 	default:
-		s = new(Search)
+		s = new(search)
 	}
-	*s = Search{
-		g: g, c: c, logRow: c.LogSimRow(queryPred), us: us, pred: queryPred,
-		cfg: cfg.withDefaults(), cands: candidates, states: s.states[:0],
+	if len(s.slot) < n {
+		// First use, or a graph that grew since the search's last one. The
+		// old table was all zero, so nothing is carried over.
+		s.slot = make([]int32, n)
 	}
 	return s
 }
 
-// Release hands the search's arrays back for the next NewSearch. It is
-// optional — an unreleased search is ordinary garbage — and final.
-func (s *Search) Release() {
-	s.dropFrontier()
-	if 32*cap(s.states) > searchKeepBytes {
+// release zeroes the slots this call set and hands the search back.
+func (s *search) release() {
+	for _, st := range s.states {
+		s.slot[st.node] = 0
+	}
+	s.states = s.states[:0]
+	if s.bytes() > searchKeepBytes {
 		return
 	}
-	*s = Search{states: s.states[:0]}
 	select {
 	case searches <- s:
 	default:
 	}
 }
 
-// dropFrontier hands the frontier, if the search holds one, back.
-func (s *Search) dropFrontier() {
-	f := frontier{s.recs[:0], s.heap[:0], s.path[:0]}
-	s.frontier = frontier{}
-	if cap(f.recs) == 0 || f.bytes() > searchKeepBytes {
-		return
-	}
-	select {
-	case frontiers <- f:
-	default:
-	}
-}
-
-// Expansions is the number of paths the search has expanded over all its
-// calls: the length of the pop sequence's prefix it has walked.
-func (s *Search) Expansions() int { return s.expansions }
-
-// attach takes a slot table for the call and points it at the candidates'
-// states; the first call numbers the candidates first.
-func (s *Search) attach() {
-	n := s.g.NumNodes()
-	select {
-	case s.slot = <-slotTables:
-	default:
-	}
-	if len(s.slot) < n {
-		// First use, or a graph that grew since the table's last one. The
-		// old table was all zero, so nothing is carried over.
-		s.slot = make([]int32, n)
-	}
-	if s.cands != nil {
-		for _, a := range s.cands {
-			if s.slot[a] == 0 {
-				s.states = append(s.states, answerState{node: a})
-				s.slot[a] = int32(len(s.states))
-			}
-		}
-		s.cands = nil
-		return
-	}
-	for i := range s.states {
-		s.slot[s.states[i].node] = int32(i + 1)
-	}
-}
-
-// detach zeroes the slots attach set and hands the table back.
-func (s *Search) detach() {
-	for i := range s.states {
-		s.slot[s.states[i].node] = 0
-	}
-	if 4*len(s.slot) <= searchKeepBytes {
-		select {
-		case slotTables <- s.slot:
-		default:
-		}
-	}
-	s.slot = nil
-}
-
 // push adds a frontier item, sifting it up exactly as container/heap does
 // under "higher priority first", so the pop order — ties included — is the
 // one the interface-based heap gave.
-func (s *Search) push(it frontierItem) {
+func (s *search) push(it frontierItem) {
 	h := append(s.heap, it)
 	for j := len(h) - 1; ; {
 		i := (j - 1) / 2 // parent
@@ -319,7 +210,7 @@ func (s *Search) push(it frontierItem) {
 
 // pop removes the highest-priority item: container/heap's Pop, swap the
 // root to the end, sift the new root down, take the end.
-func (s *Search) pop() frontierItem {
+func (s *search) pop() frontierItem {
 	h := s.heap
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
@@ -342,6 +233,24 @@ func (s *Search) pop() frontierItem {
 	return it
 }
 
+// results is the returned map: one entry per requested answer a path
+// reached or the fallback settled.
+func (s *search) results() map[kg.NodeID]ValidateResult {
+	n := 0
+	for i := range s.states {
+		if s.states[i].seen {
+			n++
+		}
+	}
+	res := make(map[kg.NodeID]ValidateResult, n)
+	for i := range s.states {
+		if st := &s.states[i]; st.seen {
+			res[st.node] = st.res
+		}
+	}
+	return res
+}
+
 // Validate performs greedy correctness validation (§IV-B2) for the given
 // answers: a best-first search over simple paths from us, expanding the
 // frontier path whose tip has the highest visiting probability π, recording
@@ -356,18 +265,18 @@ func (s *Search) pop() frontierItem {
 // negatives wholesale.
 //
 // Validate and ValidateCtx take π as a map. The engine reads it through
-// ValidateFunc and Search; outside this package's tests their one caller is
-// the benchmark module's validation probe (benchmark/trace.go), and both go
+// ValidateFunc; outside this package's tests their one caller is the
+// benchmark module's validation probe (benchmark/trace.go), and both go
 // once that probe moves onto ValidateFunc.
 func Validate(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID, pi map[kg.NodeID]float64,
 	answers []kg.NodeID, cfg ValidatorConfig) (map[kg.NodeID]ValidateResult, ValidateStats) {
 	return ValidateCtx(context.Background(), g, c, us, queryPred, pi, answers, cfg)
 }
 
-// ctxCheckEvery is how many expansions of one call pass between ctx polls;
-// one expansion touches a node's whole neighbour list, so the poll
-// amortises to noise while cancellation still lands within microseconds on
-// real graphs.
+// ctxCheckEvery is how many expansions pass between ctx polls in
+// ValidateFunc; one expansion touches a node's whole neighbour list, so the
+// poll amortises to noise while cancellation still lands within
+// microseconds on real graphs.
 const ctxCheckEvery = 64
 
 // ValidateCtx is Validate with cancellation: ctx is polled inside the
@@ -384,94 +293,31 @@ func ValidateCtx(ctx context.Context, g kg.ReadGraph, c *Calculator, us kg.NodeI
 // ValidateFunc is ValidateCtx with π read through a function — pi(u) is the
 // expansion priority of a path whose tip is u, 0 for a node without one —
 // so a caller holding π as a dense array needs no map. answers are node ids
-// of g and may repeat. It is one call of a Search whose candidates are the
-// answers.
+// of g and may repeat.
 func ValidateFunc(ctx context.Context, g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID,
 	pi func(kg.NodeID) float64, answers []kg.NodeID, cfg ValidatorConfig) (map[kg.NodeID]ValidateResult, ValidateStats) {
-	s := NewSearch(g, c, us, queryPred, answers, cfg)
-	defer s.Release()
-	s.attach()
-	defer s.detach()
-	stats := s.resume(ctx, pi, answers)
-	n := 0
-	for i := range s.states {
-		if s.states[i].seen {
-			n++
-		}
-	}
-	res := make(map[kg.NodeID]ValidateResult, n)
-	for i := range s.states {
-		if st := &s.states[i]; st.seen {
-			res[st.node] = st.res
-		}
-	}
-	return res, stats
-}
 
-// Validate resumes the search until every one of answers is settled, or the
-// frontier or the budget is spent, runs the fallback for those still at
-// similarity 0 exactly as ValidateFunc does, and writes the result of
-// answers[j] to out[j] (the zero ValidateResult for an answer no path
-// reached). pi must give the same priorities on every call. The stats are
-// the work of this call: on a search's first call they are a fresh
-// ValidateFunc's on the same answers, and after a call that expanded
-// anything Expansions() is that fresh search's Expansions.
-//
-// An answer outside the candidate set has no evidence recorded from the
-// expansions already made, so a call asking for one is answered by a
-// one-call search instead and leaves this one as it was. A cancelled call
-// leaves the search valid to resume, though the results it wrote may be
-// incomplete (see ValidateCtx).
-func (s *Search) Validate(ctx context.Context, pi func(kg.NodeID) float64, answers []kg.NodeID, out []ValidateResult) ValidateStats {
-	s.attach()
+	cfg = cfg.withDefaults()
+	logRow := c.LogSimRow(queryPred)
+	s := getSearch(g.NumNodes())
+	defer s.release()
 	for _, a := range answers {
 		if s.slot[a] == 0 {
-			s.detach()
-			res, stats := ValidateFunc(ctx, s.g, s.c, s.us, s.pred, pi, answers, s.cfg)
-			for j, a := range answers {
-				out[j] = res[a]
-			}
-			return stats
-		}
-	}
-	defer s.detach()
-	stats := s.resume(ctx, pi, answers)
-	for j, a := range answers {
-		out[j] = s.states[s.slot[a]-1].res
-	}
-	return stats
-}
-
-// resume is the search proper, on an attached slot table whose every answer
-// is a candidate: pop on until each answer is settled, then run the
-// fallback.
-func (s *Search) resume(ctx context.Context, pi func(kg.NodeID) float64, answers []kg.NodeID) ValidateStats {
-	cfg := &s.cfg
-	s.gen++
-	remaining := 0
-	for _, a := range answers {
-		if st := &s.states[s.slot[a]-1]; st.want != s.gen {
-			st.want = s.gen
-			if !st.settled {
-				remaining++
-			}
+			s.states = append(s.states, answerState{node: a})
+			s.slot[a] = int32(len(s.states))
 		}
 	}
 	var stats ValidateStats
+
+	remaining := len(s.states)
 	floor := cfg.PlausibleFraction * cfg.Tau
 
-	if !s.started {
-		s.started = true
-		select {
-		case s.frontier = <-frontiers:
-		default:
-		}
-		s.recs = append(s.recs, pathRecord{parent: -1, tip: s.us})
-		s.push(frontierItem{priority: pi(s.us)})
-	}
-	for len(s.heap) > 0 && remaining > 0 && s.expansions < cfg.Budget {
+	s.recs = append(s.recs[:0], pathRecord{parent: -1, tip: us})
+	s.heap = s.heap[:0]
+	s.push(frontierItem{priority: pi(us)})
+	for len(s.heap) > 0 && remaining > 0 && stats.Expansions < cfg.Budget {
 		if stats.Expansions%ctxCheckEvery == 0 && ctx.Err() != nil {
-			return stats
+			return s.results(), stats
 		}
 		it := s.pop()
 		path := s.path[:0]
@@ -483,40 +329,37 @@ func (s *Search) resume(ctx context.Context, pi func(kg.NodeID) float64, answers
 		if depth >= cfg.MaxLen {
 			continue
 		}
-		s.expansions++
 		stats.Expansions++
 		base := s.recs[it.rec]
-		for _, he := range s.g.Neighbors(base.tip) {
+		for _, he := range g.Neighbors(base.tip) {
 			if slices.Contains(path, he.To) {
 				continue
 			}
-			logSum := base.logSum + s.logRow[he.Pred]
+			logSum := base.logSum + logRow[he.Pred]
 			if k := s.slot[he.To]; k != 0 && !s.states[k-1].settled {
 				st := &s.states[k-1]
-				wanted := st.want == s.gen
 				sim := math.Exp(logSum / float64(depth+1))
 				if sim > st.res.Similarity {
 					st.res.Similarity = sim
 				}
 				st.seen = true
-				if wanted {
-					stats.PathsFound++
-				}
+				stats.PathsFound++
 				switch {
 				case sim >= cfg.Tau:
 					// Eq. 3 takes the maximum over matches: one path at or
 					// above τ settles correctness for good.
 					st.res.Paths++
 					st.settled = true
+					remaining--
 				case sim >= floor:
 					// A plausible near-miss: counts toward the r failures.
 					st.res.Paths++
-					st.settled = st.res.Paths >= cfg.Repeat
+					if st.res.Paths >= cfg.Repeat {
+						st.settled = true
+						remaining--
+					}
 				default:
 					// Junk path through unrelated predicates: no evidence.
-				}
-				if st.settled && wanted {
-					remaining--
 				}
 			}
 			if depth+1 < cfg.MaxLen {
@@ -526,37 +369,48 @@ func (s *Search) resume(ctx context.Context, pi func(kg.NodeID) float64, answers
 		}
 	}
 
-	if len(s.heap) == 0 || s.expansions >= cfg.Budget {
-		s.dropFrontier() // spent
-	}
-
 	// Fallback for answers the guided search never reached at all (their
 	// Similarity is still zero; any found path, junk included, raises it).
-	// Only a spent search gets here with such an answer, so it expands
-	// nothing more and the fallback's result stands for good.
+	// A search that ran its heap dry has expanded every simple path shorter
+	// than MaxLen and scored every one up to MaxLen, which is all the
+	// exhaustive search enumerates, and every scored path of a number is at
+	// least the calculator's floor > 0: such an answer has no path, and the
+	// fallback would find none. After a budget stop one exhaustive pass
+	// scores the paths to every answer at once.
+	scored := false
 	for _, a := range answers {
 		if ctx.Err() != nil {
-			return stats
+			return s.results(), stats
 		}
-		if st := &s.states[s.slot[a]-1]; st.res.Similarity == 0 {
+		k := s.slot[a] - 1
+		if st := &s.states[k]; st.res.Similarity == 0 {
 			stats.Fallbacks++
 			st.res, st.seen = ValidateResult{}, true
-			if sim, ok := fallbackBest(s.g, s.c, s.us, s.pred, a, cfg.MaxLen); ok {
-				st.res = ValidateResult{Similarity: sim, Paths: 1}
+			if len(s.heap) == 0 {
+				continue
+			}
+			if !scored {
+				s.fallback(g, logRow, us, cfg.MaxLen)
+				scored = true
+			}
+			if best := s.best[k]; best >= 0 {
+				st.res = ValidateResult{Similarity: best, Paths: 1}
 			}
 		}
 	}
-	return stats
+	return s.results(), stats
 }
 
-// fallbackBest runs a depth-bounded exhaustive search for the single answer
-// a, returning the best path similarity from us.
-func fallbackBest(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.PredID, a kg.NodeID, maxLen int) (float64, bool) {
-	logRow := c.LogSimRow(queryPred)
-	best := -1.0
+// fallback runs a depth-bounded exhaustive search over the simple paths from
+// us and records in best, for every answer, the best similarity of a path
+// reaching it (-1 for none).
+func (s *search) fallback(g kg.ReadGraph, logRow []float64, us kg.NodeID, maxLen int) {
+	s.best = s.best[:0]
+	for range s.states {
+		s.best = append(s.best, -1)
+	}
 	// The path is at most maxLen nodes long, so membership is a short scan.
-	path := make([]kg.NodeID, 1, maxLen+1)
-	path[0] = us
+	path := append(s.path[:0], us)
 	var dfs func(u kg.NodeID, depth int, logSum float64)
 	dfs = func(u kg.NodeID, depth int, logSum float64) {
 		for _, he := range g.Neighbors(u) {
@@ -564,9 +418,9 @@ func fallbackBest(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.Pred
 				continue
 			}
 			ls := logSum + logRow[he.Pred]
-			if he.To == a {
-				if s := math.Exp(ls / float64(depth+1)); s > best {
-					best = s
+			if k := s.slot[he.To]; k != 0 {
+				if sim := math.Exp(ls / float64(depth+1)); sim > s.best[k-1] {
+					s.best[k-1] = sim
 				}
 			}
 			if depth+1 < maxLen {
@@ -577,8 +431,5 @@ func fallbackBest(g kg.ReadGraph, c *Calculator, us kg.NodeID, queryPred kg.Pred
 		}
 	}
 	dfs(us, 0, 0)
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	s.path = path
 }
