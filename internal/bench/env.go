@@ -269,7 +269,6 @@ func Registry() map[string]Runner {
 		"fig5c":            Fig5c,
 		"fig6a":            Fig6a,
 		"fig6b":            Fig6b,
-		"fig6c":            Fig6c,
 		"fig6d":            Fig6d,
 		"fig6e":            Fig6e,
 		"fig6f":            Fig6f,
@@ -283,7 +282,7 @@ func ExperimentIDs() []string {
 		"table5", "table6", "table7", "table8", "table9", "table10",
 		"table11", "table12", "table13",
 		"fig5a", "fig5b", "fig5c",
-		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f",
+		"fig6a", "fig6b", "fig6d", "fig6e", "fig6f",
 		"ablation-divisor",
 	}
 }

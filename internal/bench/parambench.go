@@ -285,18 +285,6 @@ func Fig6b(w io.Writer, cfg Config) error {
 	return runSweep(w, cfg, "Fig 6b: effect of confidence level 1-α", points, haGTOf)
 }
 
-// Fig6c reproduces Fig. 6(c): the repeat-factor sweep.
-func Fig6c(w io.Writer, cfg Config) error {
-	var points []sweepPoint
-	for r := 1; r <= 5; r++ {
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("r=%d", r),
-			opts:  core.Options{Repeat: r},
-		})
-	}
-	return runSweep(w, cfg, "Fig 6c: effect of repeat factor r", points, haGTOf)
-}
-
 // Fig6d reproduces Fig. 6(d): the desired-sample-ratio sweep.
 func Fig6d(w io.Writer, cfg Config) error {
 	var points []sweepPoint

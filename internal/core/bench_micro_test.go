@@ -228,7 +228,7 @@ func BenchmarkWarmQueryMulti(b *testing.B) {
 
 // coldEngine is a live engine over dbpedia-sim with the answer-space cache
 // off: every query compiles from scratch — scope search, convergence,
-// answer distributions and greedy validation — as kgaqd does under the
+// answer distributions and validation — as kgaqd does under the
 // benchmark of record's cold_compile workload (-cache-bytes -1).
 func coldEngine(b *testing.B) (*Engine, *datagen.Dataset) {
 	b.Helper()

@@ -16,10 +16,10 @@ const DefaultCacheBytes int64 = 64 << 20
 
 // stageKey identifies one converged chain stage: everything that shapes the
 // walker's stationary distribution and its answer filter (root, query
-// predicate, target types, walk config). Validator knobs (τ, repeat) are
-// deliberately NOT part of the key — they only affect verdicts, which live
-// in a per-(τ, repeat) sub-map on the entry — so a per-query WithTau
-// override still hits the cached convergence and merely re-validates.
+// predicate, target types, walk config). τ is deliberately NOT part of the
+// key — it only affects verdicts, which live in a per-τ sub-map on the
+// entry — so a per-query WithTau override still hits the cached convergence
+// and merely re-validates.
 // The epoch is not part of the key either: entries stay valid across
 // epochs until a mutation touches their scope (see invalidate).
 type stageKey struct {
@@ -27,13 +27,6 @@ type stageKey struct {
 	pred  kg.PredID
 	types string // sorted target TypeIDs, encoded
 	n     int
-}
-
-// verdictKey selects one validator configuration's verdict map within a
-// cached stage.
-type verdictKey struct {
-	tau    float64
-	repeat int
 }
 
 // typesKeyOf canonicalises a type set (query order is irrelevant).
@@ -44,29 +37,24 @@ func typesKeyOf(types []kg.TypeID) string {
 }
 
 // stageEntry is one converged stage: the renormalised answer distribution
-// π′, the stationary distribution π over the walk's scope (the validator's
-// expansion priorities) as an array parallel to the scope's node list, and
-// one leg-verdict cache per validator configuration. answers/probs/pi/scope
-// are immutable after construction and read lock-free; verdicts is guarded
-// by mu and grows as queries validate answers, so repeated queries skip both
+// π′ and one leg-verdict cache per τ. answers/probs/scope are immutable
+// after construction and read lock-free; verdicts is guarded by mu and
+// grows as queries validate answers, so repeated queries skip both
 // convergence and re-validation.
 //
 // The entry also records the epoch it was built at and its scope — the node
-// set of the walk's n-bound, sorted by NodeID when the engine has a cache
-// (else in the walk's discovery order: nothing matches a mutation against
-// an uncached stage). A mutation invalidates a cached entry iff it touches
-// a scope node: everything the stage caches (transition rows, π, verdict
-// paths of length ≤ n) is a function of the scope's topology and types
-// alone, so snapshots whose mutations all land outside the scope share the
-// entry soundly.
+// set of the walk's n-bound, sorted by NodeID. A mutation invalidates a
+// cached entry iff it touches a scope node: everything the stage caches (π′,
+// verdicts over paths of length ≤ n) is a function of the scope's topology
+// and types alone, so snapshots whose mutations all land outside the scope
+// share the entry soundly.
 type stageEntry struct {
 	cacheMeta // scope: the walk's n-bounded node set
 	answers   []kg.NodeID
 	probs     []float64
-	pi        []float64 // π of scope[k] at k
 
 	mu       sync.Mutex
-	verdicts map[verdictKey]*verdictTable
+	verdicts map[float64]*verdictTable // by τ
 }
 
 // cacheMeta is what the cache knows of an entry of either kind — a converged
@@ -145,48 +133,45 @@ func (t *verdictTable) put(u kg.NodeID, v bool) {
 	}
 }
 
-// maxVerdictConfigs bounds how many distinct (τ, repeat) verdict maps one
-// cached stage may hold. Verdict keys are always members of the stage's
-// answer set, so each map is bounded by len(answers); the config count is
-// the only unbounded dimension (kgaqd accepts per-request τ overrides), and
-// capping it keeps the entry's resident size within the cost charged to the
-// LRU budget at insert time.
+// maxVerdictConfigs bounds how many distinct τ verdict maps one cached
+// stage may hold. Verdict keys are always members of the stage's answer
+// set, so each map is bounded by len(answers); the τ count is the only
+// unbounded dimension (kgaqd accepts per-request τ overrides), and capping
+// it keeps the entry's resident size within the cost charged to the LRU
+// budget at insert time.
 const maxVerdictConfigs = 8
 
-// verdictsFor returns the verdict table of one validator configuration,
-// creating it on first use. When a new configuration would exceed
-// maxVerdictConfigs, all verdict tables are dropped and rebuilt on demand —
-// verdicts are recomputable, and a workload cycling through more than
-// maxVerdictConfigs τ values is already re-validating constantly. Callers
-// must hold st.mu.
-func (st *stageEntry) verdictsFor(k verdictKey) *verdictTable {
-	m, ok := st.verdicts[k]
+// verdictsFor returns the verdict table of τ, creating it on first use. When
+// a new τ would exceed maxVerdictConfigs, all verdict tables are dropped and
+// rebuilt on demand — verdicts are recomputable, and a workload cycling
+// through more than maxVerdictConfigs τ values is already re-validating
+// constantly. Callers must hold st.mu.
+func (st *stageEntry) verdictsFor(tau float64) *verdictTable {
+	m, ok := st.verdicts[tau]
 	if !ok {
 		if len(st.verdicts) >= maxVerdictConfigs {
 			clear(st.verdicts)
 		}
 		m = newVerdictTable()
-		st.verdicts[k] = m
+		st.verdicts[tau] = m
 	}
 	return m
 }
 
-func newStageEntry(answers []kg.NodeID, probs, pi []float64, epoch uint64, scope []kg.NodeID) *stageEntry {
+func newStageEntry(answers []kg.NodeID, probs []float64, epoch uint64, scope []kg.NodeID) *stageEntry {
 	st := &stageEntry{
 		cacheMeta: cacheMeta{epoch: epoch, scope: scope},
 		answers:   answers,
 		probs:     probs,
-		pi:        pi,
-		verdicts:  make(map[verdictKey]*verdictTable),
+		verdicts:  make(map[float64]*verdictTable),
 	}
-	// Approximate resident bytes: the distribution slices, the π and scope
-	// arrays, and headroom for the verdict tables to fill in (9 bytes per
-	// open-addressing slot at ≤75% load per possible validator
-	// configuration) — the worst case the maxVerdictConfigs cap allows, so
-	// the LRU budget stays honest as verdicts accumulate.
+	// Approximate resident bytes: the distribution slices, the scope array,
+	// and headroom for the verdict tables to fill in (9 bytes per
+	// open-addressing slot at ≤75% load per possible τ) — the worst case the
+	// maxVerdictConfigs cap allows, so the LRU budget stays honest as
+	// verdicts accumulate.
 	st.cost = 256 +
 		int64(len(answers))*(4+8) +
-		int64(len(pi))*8 +
 		int64(len(scope))*4 +
 		int64(maxVerdictConfigs)*int64(len(answers))*16
 	return st

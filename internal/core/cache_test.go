@@ -71,7 +71,7 @@ func TestCacheHitOnRepeatedQuery(t *testing.T) {
 
 // The stage key covers what shapes the stationary distribution (root,
 // predicate, types, walk config): a per-query tau override must HIT the
-// cached convergence (verdicts live in a per-(τ, repeat) sub-map), while a
+// cached convergence (verdicts live in a per-τ sub-map), while a
 // changed hop bound must MISS (it changes the walk's scope).
 func TestCacheKeySeparatesConfigs(t *testing.T) {
 	e := cacheTestEngine(t, Options{Tau: 0.85, ErrorBound: 0.05})
@@ -93,8 +93,8 @@ func TestCacheKeySeparatesConfigs(t *testing.T) {
 	if afterTau.Hits <= base.Hits {
 		t.Fatal("tau override did not hit the cached stage")
 	}
-	// The shared stage must keep the two validator configurations' verdicts
-	// apart: one sub-map per (τ, repeat).
+	// The shared stage must keep the two thresholds' verdicts apart: one
+	// sub-map per τ.
 	e.cache.mu.Lock()
 	vconfigs := 0
 	for _, el := range e.cache.stages {
@@ -127,12 +127,10 @@ func TestCacheLRUEviction(t *testing.T) {
 		// ~5 KB per entry under the newStageEntry cost model.
 		answers := make([]kg.NodeID, 32)
 		probs := make([]float64, 32)
-		pi := make([]float64, 32)
 		for i := range answers {
 			answers[i] = kg.NodeID(i)
-			pi[i] = 1.0 / 32
 		}
-		return newStageEntry(answers, probs, pi, 0, answers)
+		return newStageEntry(answers, probs, 0, answers)
 	}
 	keyOf := func(i int) stageKey { return stageKey{root: kg.NodeID(i), types: "[]"} }
 
@@ -179,24 +177,23 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// The per-stage verdict maps are bounded: cycling through more validator
-// configurations than maxVerdictConfigs resets the maps instead of growing
-// past the memory the LRU budget charged for them.
+// The per-stage verdict maps are bounded: cycling through more thresholds
+// than maxVerdictConfigs resets the maps instead of growing past the memory
+// the LRU budget charged for them.
 func TestVerdictConfigsBounded(t *testing.T) {
-	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, []float64{0.5, 0.5}, 0, []kg.NodeID{1, 2})
+	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, 0, []kg.NodeID{1, 2})
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := 0; i < 5*maxVerdictConfigs; i++ {
-		m := st.verdictsFor(verdictKey{tau: 0.5 + float64(i)/1000, repeat: 3})
+		m := st.verdictsFor(0.5 + float64(i)/1000)
 		m.put(1, true)
 		if len(st.verdicts) > maxVerdictConfigs {
 			t.Fatalf("verdict configs grew to %d (cap %d)", len(st.verdicts), maxVerdictConfigs)
 		}
 	}
 	// An existing config is returned, not reset.
-	k := verdictKey{tau: 0.9, repeat: 3}
-	st.verdictsFor(k).put(2, true)
-	if v, ok := st.verdictsFor(k).get(2); !ok || !v {
+	st.verdictsFor(0.9).put(2, true)
+	if v, ok := st.verdictsFor(0.9).get(2); !ok || !v {
 		t.Fatal("existing verdict config was reset on re-access")
 	}
 }
@@ -206,8 +203,8 @@ func TestVerdictConfigsBounded(t *testing.T) {
 func TestCachePutReturnsCanonicalEntry(t *testing.T) {
 	c := newSpaceCache(1 << 20)
 	key := stageKey{root: 1, types: "[]"}
-	a := newStageEntry([]kg.NodeID{1}, []float64{1}, []float64{1}, 0, []kg.NodeID{1})
-	b := newStageEntry([]kg.NodeID{1}, []float64{1}, []float64{1}, 0, []kg.NodeID{1})
+	a := newStageEntry([]kg.NodeID{1}, []float64{1}, 0, []kg.NodeID{1})
+	b := newStageEntry([]kg.NodeID{1}, []float64{1}, 0, []kg.NodeID{1})
 	if got := c.putStage(key, a); got != a {
 		t.Fatal("first put did not return its own entry")
 	}

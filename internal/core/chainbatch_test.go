@@ -70,7 +70,7 @@ func compileSpace(t *testing.T, ds *datagen.Dataset, tau float64, q *query.Aggre
 }
 
 // freshOracle works out the verdict a compiled space's oracle must give an
-// answer with a fresh greedy search over that answer alone on every leg:
+// answer with a fresh search over that answer alone on every leg:
 // the chain rule of levelOracle.batch (some intermediate chain validates
 // every leg) under the AND of allPaths. It keeps no stage verdict, only its
 // own per-leg memo, so the oracle's stage-wide validations are held to
@@ -124,24 +124,14 @@ func (f *freshOracle) leg(t *testing.T, l *levelOracle, u kg.NodeID) bool {
 	if v, ok := f.memo[k]; ok {
 		return v
 	}
-	env, ctx := f.env, context.Background()
-	st := l.st
-	if st == nil {
-		st = env.e.cache.fetchStage(l.key, env.v.epoch)
+	env := f.env
+	v := []bool{false}
+	if _, err := semsim.Validate(context.Background(), env.v.g, env.e.calc, l.key.root, l.key.pred, []kg.NodeID{u}, v,
+		semsim.ValidatorConfig{MaxLen: env.o.N, Tau: env.o.Tau}); err != nil {
+		t.Fatal(err)
 	}
-	if st == nil {
-		var err error
-		if st, err = env.e.buildStage(ctx, env.o, env.v, l.key, typeMaskOf(env.v.g, l.types), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
-	defer piFree.release(pi, st.scope)
-	res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, []kg.NodeID{u},
-		semsim.ValidatorConfig{Repeat: env.o.Repeat, MaxLen: env.o.N, Tau: env.o.Tau})
-	v := res[u].Similarity >= env.o.Tau
-	f.memo[k] = v
-	return v
+	f.memo[k] = v[0]
+	return v[0]
 }
 
 // The chain-level oracle settles for a whole batch exactly the verdicts it

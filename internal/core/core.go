@@ -50,8 +50,6 @@ type Options struct {
 	Confidence float64
 	// N bounds the walk scope in hops (default 3).
 	N int
-	// Repeat is the validation repeat factor r (default 3).
-	Repeat int
 	// Lambda is the desired sample ratio λ (default 0.3).
 	Lambda float64
 	// T and M size the initial sample |S| = T·(λ·|A|)^M (defaults 3, 0.6:
@@ -117,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.N <= 0 {
 		o.N = 3
-	}
-	if o.Repeat <= 0 {
-		o.Repeat = 3
 	}
 	if o.Lambda <= 0 || o.Lambda > 1 {
 		o.Lambda = 0.3

@@ -46,7 +46,7 @@ func TestOptionsDefaults(t *testing.T) {
 	e, _ := figure1Engine(t, Options{})
 	o := e.Options()
 	if o.Tau != 0.85 || o.ErrorBound != 0.01 || o.Confidence != 0.95 ||
-		o.N != 3 || o.Repeat != 3 || o.Lambda != 0.3 ||
+		o.N != 3 || o.Lambda != 0.3 ||
 		o.T != 3 || o.M != 0.6 || o.MaxRounds != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}

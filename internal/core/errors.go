@@ -43,8 +43,7 @@ var (
 	ErrPlanSampler = errors.New("prepared plans require the semantic sampler")
 	// ErrPlanOption reports a Prepared.Start/Query/QueryMulti override of
 	// an option that is compiled into the plan (sampler, shards, hop bound,
-	// self-loop weight, τ, repeat factor). Prepare a new plan with those
-	// options instead.
+	// τ). Prepare a new plan with those options instead.
 	ErrPlanOption = errors.New("option is compiled into the prepared plan")
 	// ErrBadAggSpec reports an invalid multi-aggregate specification: an
 	// empty spec list, a non-COUNT aggregate without an attribute, or a

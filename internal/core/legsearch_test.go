@@ -46,11 +46,8 @@ func TestCensusSearchesOncePerLeg(t *testing.T) {
 		l := inner.(*levelOracle)
 		fresh := newFreshOracle(x.oracleEnv())
 		validate := func(us []kg.NodeID) int {
-			st := e.cache.fetchStage(l.key, x.v.epoch)
-			pi := scatterPi(x.v.g.NumNodes(), st.scope, st.pi)
-			defer piFree.release(pi, st.scope)
-			_, stats := semsim.ValidateFunc(ctx, x.v.g, e.calc, l.key.root, l.key.pred, pi.at, us,
-				semsim.ValidatorConfig{Repeat: x.opts.Repeat, MaxLen: x.opts.N, Tau: x.opts.Tau})
+			stats, _ := semsim.Validate(ctx, x.v.g, e.calc, l.key.root, l.key.pred, us, make([]bool, len(us)),
+				semsim.ValidatorConfig{MaxLen: x.opts.N, Tau: x.opts.Tau})
 			return stats.Expansions
 		}
 		asked := map[kg.NodeID]bool{}

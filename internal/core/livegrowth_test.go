@@ -31,8 +31,8 @@ func compileOn(t *testing.T, e *Engine, q *query.Aggregate) testSpace {
 }
 
 // A live graph grows past the arrays its first validations sized: the
-// greedy search's slot table and the scattered stage π are NodeID-addressed
-// and recycled, and each newer view holds ids beyond both. On dbpedia-sim's
+// search's slot table and the chain level's answer numbering are
+// NodeID-addressed and recycled, and each newer view holds ids beyond both. On dbpedia-sim's
 // first simple and first chain query, an engine that compiled and validated
 // every candidate on the first view sees two batches. The first adds an
 // island of 130 entities no stage's scope reaches, so a cached engine

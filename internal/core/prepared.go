@@ -49,7 +49,6 @@ type planKnobs struct {
 	shards  int
 	n       int
 	tau     float64
-	repeat  int
 }
 
 func knobsOf(o Options) planKnobs {
@@ -58,7 +57,6 @@ func knobsOf(o Options) planKnobs {
 		shards:  o.Shards,
 		n:       o.N,
 		tau:     o.Tau,
-		repeat:  o.Repeat,
 	}
 }
 
@@ -312,12 +310,11 @@ func (p *Prepared) ensure(ctx context.Context, minEpoch uint64) (*compiled, erro
 // Start starts one execution of the plan: per-call options may override
 // the sampling and guarantee knobs (seed, error bound, policy, draw
 // budgets, OnRound, …) but not the compiled plan knobs — overriding the
-// sampler, shard count, hop bound, self-loop weight, τ or the repeat
-// factor fails with ErrPlanOption, because those are baked into the
-// compiled space and its validation oracle. The execution reuses the
-// compiled answer space directly; only drawing, candidate evaluation and
-// estimation remain per call. Refine the returned Execution exactly as
-// one from Engine.Start.
+// sampler, shard count, hop bound or τ fails with ErrPlanOption, because
+// those are baked into the compiled space and its validation oracle. The
+// execution reuses the compiled answer space directly; only drawing,
+// candidate evaluation and estimation remain per call. Refine the returned
+// Execution exactly as one from Engine.Start.
 func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution, err error) {
 	defer catchPanics(p.q, &err)
 	if ctx == nil {
@@ -400,7 +397,7 @@ func planKey(paths []query.Path, o Options) string {
 	k := knobsOf(o)
 	b = append(b, '|')
 	for _, n := range []uint64{uint64(k.sampler), uint64(k.shards), uint64(k.n),
-		math.Float64bits(k.tau), uint64(k.repeat)} {
+		math.Float64bits(k.tau)} {
 		b = strconv.AppendUint(b, n, 16)
 		b = append(b, ',')
 	}

@@ -122,47 +122,31 @@ func (x *Execution) holdScratch() func() {
 	}
 }
 
-// densePi is a stage's π scattered over an array addressed by NodeID, the
-// form the greedy search reads expansion priorities in (legBatch). Slots
-// outside the stage's scope hold 0, the π of a node the walk never visits.
-type densePi []float64
-
-// at is π(u), bounds-checked: the array is sized by the view the validation
-// runs on, so an id past it is a node that view does not hold.
-func (p densePi) at(u kg.NodeID) float64 {
-	if int(u) < len(p) {
-		return p[u]
-	}
-	return 0
-}
-
 // denseFree recycles arrays addressed by NodeID like scratchFree, one per
 // P. A pooled array is all zeros; one longer than denseKeep slots is left to
 // the collector.
-type denseFree[T float64 | int32] chan []T
+type denseFree chan []int32
 
 const denseKeep = 1 << 19
 
-var piFree = make(denseFree[float64], runtime.GOMAXPROCS(0)) // scatterPi's
-
-var slotFree = make(denseFree[int32], runtime.GOMAXPROCS(0)) // buildChainLevel's answer numbering
+var slotFree = make(denseFree, runtime.GOMAXPROCS(0)) // buildChainLevel's answer numbering
 
 // take returns a pooled all-zero array of at least n slots.
-func (f denseFree[T]) take(n int) []T {
-	var a []T
+func (f denseFree) take(n int) []int32 {
+	var a []int32
 	select {
 	case a = <-f:
 	default:
 	}
 	if len(a) < n {
-		a = make([]T, n)
+		a = make([]int32, n)
 	}
 	return a
 }
 
 // release zeroes the slots of a at nodes, the only ones its user set, and
 // hands a back.
-func (f denseFree[T]) release(a []T, nodes []kg.NodeID) {
+func (f denseFree) release(a []int32, nodes []kg.NodeID) {
 	for _, u := range nodes {
 		a[u] = 0
 	}
@@ -173,14 +157,4 @@ func (f denseFree[T]) release(a []T, nodes []kg.NodeID) {
 	case f <- a:
 	default:
 	}
-}
-
-// scatterPi returns a pooled array of at least n slots holding pi[k] at
-// scope[k] and 0 everywhere else; piFree.release hands it back.
-func scatterPi(n int, scope []kg.NodeID, pi []float64) densePi {
-	p := piFree.take(n)
-	for k, u := range scope {
-		p[u] = pi[k]
-	}
-	return p
 }

@@ -45,8 +45,8 @@ const (
 
 // answerSpace is the sampling space of a compiled query graph: the candidate
 // answers A with their exact per-draw probabilities π′ (Theorem 1), the data
-// of the correctness oracle combining the τ threshold and the greedy
-// validation of §IV-B2, and one shared verdict per candidate.
+// of the correctness oracle deciding Eq. 3 at the τ threshold, and one
+// shared verdict per candidate.
 //
 // It is also the unit the engine's answer-space cache holds per plan key, so
 // it is data only: no graph view, no stage pointer, no closure over one. The
@@ -57,7 +57,7 @@ const (
 // Everything but verdicts and the published term tables is immutable after
 // construction — the compiled-plan half a Prepared shares across
 // executions. A verdict is a function of (graph inside the space's scope,
-// candidate, τ, repeat), all of which are fixed while the space is valid, so
+// candidate, τ), all of which are fixed while the space is valid, so
 // whichever execution settles a candidate first settles it for every other:
 // verdicts[i] is written once a validation of candidate i ran to completion
 // (atomically; racing writers store the same value) and read before
@@ -249,8 +249,8 @@ type oracleEnv struct {
 }
 
 // oracle is the correctness machinery of an answer space, in batch form: one
-// shared greedy search settles a round's worth of fresh answers (§IV-B2's
-// search is a single traversal recording paths to every requested answer).
+// shared search settles a round's worth of fresh answers (a single
+// traversal records the paths to every requested answer).
 // It writes the verdict of us[j] to out[j] and reports whether the
 // validation ran to completion; a cut batch carries no evidence and nothing
 // of it may be kept.
@@ -302,20 +302,19 @@ func (l *levelOracle) reach(u kg.NodeID) []uint16 {
 
 // legBatch validates us, answers of the level's own stage (the leg from
 // its root), against it. Verdicts live on the shared stage entry under the
-// (τ, repeat) sub-map, guarded by its mutex, and are stored only when the
-// search was not cancelled mid-flight; the validation itself runs outside
-// the lock so concurrent queries never serialise on it. The stage is
-// fetched by key, and re-converged if the LRU has let it go (a later
-// epoch's stage gives the same verdicts) — reached only for answers nobody
-// has validated under this plan yet.
+// τ sub-map, guarded by its mutex, and are stored only when the search was
+// not cancelled mid-flight; the validation itself runs outside the lock so
+// concurrent queries never serialise on it. The stage is fetched by key,
+// and re-converged if the LRU has let it go (a later epoch's stage gives
+// the same verdicts) — reached only for answers nobody has validated under
+// this plan yet.
 //
 // A request with an answer still open validates every open answer of the
-// stage, asked for or not, in one search. Its pop order does not depend on
-// what is asked and each answer's evidence only on the paths reaching it,
-// so every verdict is the one a search asked for that answer alone gives;
-// on the benchmark graph a search runs its heap dry either way, so the
-// stage's answers cost what the request's do, and every later round, the
-// census and later executions of the plan find their verdicts on the stage.
+// stage, asked for or not, in one search: each verdict is Eq. 3's, whatever
+// else is asked, and a request holding an incorrect answer enumerates every
+// path under the τ bound either way, so the stage's answers cost what the
+// request's do, and every later round, the census and later executions of
+// the plan find their verdicts on the stage.
 func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
 	st := l.st
 	if st == nil {
@@ -327,11 +326,10 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 		}
 	}
 	o := env.o
-	vkey := verdictKey{tau: o.Tau, repeat: o.Repeat}
 	var openAt []int // positions in us
 	var fresh []kg.NodeID
 	st.mu.Lock()
-	verdicts := st.verdictsFor(vkey)
+	verdicts := st.verdictsFor(o.Tau)
 	for j, u := range us {
 		if v, ok := verdicts.get(u); ok {
 			out[j] = v
@@ -361,19 +359,18 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 	tr := obs.TraceFrom(ctx)
 	tr.Add("validation_calls", float64(len(fresh)))
 	// The stage was built at the view's epoch or an older one, and node ids
-	// are never reused, so the view's node count covers its scope.
-	pi := scatterPi(env.v.g.NumNodes(), st.scope, st.pi)
-	res, stats := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, pi.at, fresh,
-		semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
-	piFree.release(pi, st.scope)
+	// are never reused, so its answers are node ids of the view.
+	correct := make([]bool, len(fresh))
+	stats, err := semsim.Validate(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, fresh, correct,
+		semsim.ValidatorConfig{MaxLen: o.N, Tau: o.Tau})
 	tr.Add("validation_expansions", float64(stats.Expansions))
-	if ctx.Err() != nil {
+	if err != nil {
 		return false
 	}
 	st.mu.Lock()
-	verdicts = st.verdictsFor(vkey)
-	for _, u := range fresh {
-		verdicts.put(u, res[u].Similarity >= o.Tau) // an earlier verdict stands
+	verdicts = st.verdictsFor(o.Tau)
+	for i, u := range fresh {
+		verdicts.put(u, correct[i]) // an earlier verdict stands
 	}
 	for _, j := range openAt {
 		out[j], _ = verdicts.get(us[j])
@@ -383,9 +380,9 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 }
 
 // batch evaluates OR over intermediates i of legOK(i) ∧ subᵢ.correct(u).
-// The order of evaluation cannot change a disjunction, and
-// semsim.ValidateFunc expands by π of the path tip whatever set it was asked
-// for, so an answer's verdict is the same alone or in company. One search
+// The order of evaluation cannot change a disjunction, and semsim.Validate
+// decides each answer by Eq. 3 whatever set it was asked for, so an
+// answer's verdict is the same alone or in company. One search
 // from the root settles the leg of every intermediate the requested answers
 // are reached through; then each leg-correct intermediate runs its own batch
 // over the answers it reaches that no earlier chain has validated yet.
@@ -586,14 +583,9 @@ func (e *Engine) buildStage(ctx context.Context, o Options, v view,
 	if err != nil {
 		return nil, fmt.Errorf("core: stage rooted at %q: %w", v.g.Name(key.root), err)
 	}
-	// π is kept parallel to the scope, which is sorted: a cache matches
-	// mutations against the scopes of its stages.
-	scope := sortedNodes(v.g, w.Scope())
-	pi := make([]float64, len(scope))
-	for k, u := range scope {
-		pi[k] = w.Pi(u)
-	}
-	st := e.cache.putStage(key, newStageEntry(dist.Answers, dist.Probs, pi, v.epoch, scope))
+	// The scope is sorted: a cache matches mutations against the scopes of
+	// its stages.
+	st := e.cache.putStage(key, newStageEntry(dist.Answers, dist.Probs, v.epoch, sortedNodes(v.g, w.Scope())))
 	if e.cache != nil {
 		sb.read(st) // only a cached space keeps the union of its stages' scopes
 	}
@@ -968,9 +960,8 @@ func (e *Engine) buildTopologySpace(ctx context.Context, o Options, v view, p qu
 	if alias == nil {
 		return nil, nil, fmt.Errorf("core: topology sample has no mass")
 	}
-	// Correctness still uses the greedy validator so the ablation isolates
-	// the sampling step (S1) exactly as in Fig. 5a. The empirical shares
-	// serve as its π.
+	// Correctness uses the engine's validator, so the ablation isolates the
+	// sampling step (S1) exactly as in Fig. 5a.
 	pred, err := resolvePred(v.g, p.Hops[0].Predicate)
 	if err != nil {
 		return nil, nil, err
@@ -979,34 +970,21 @@ func (e *Engine) buildTopologySpace(ctx context.Context, o Options, v view, p qu
 		answers:  ts.Answers,
 		probs:    ts.Probs,
 		alias:    alias,
-		oracle:   &topologyOracle{root: us, pred: pred, answers: ts.Answers, probs: ts.Probs},
+		oracle:   &topologyOracle{root: us, pred: pred},
 		verdicts: make([]atomic.Uint32, len(ts.Answers)),
 	}
 	return sp, ts.Draws, nil
 }
 
-// topologyOracle validates the answers of a topology-sampled space: one lazy
-// greedy search per answer from the query's root, expanding by the
-// empirical share of each sampled answer (probs, parallel to answers; 0 for
-// every other node).
+// topologyOracle validates the answers of a topology-sampled space: one
+// search per request from the query's root.
 type topologyOracle struct {
-	root    kg.NodeID
-	pred    kg.PredID
-	answers []kg.NodeID
-	probs   []float64
+	root kg.NodeID
+	pred kg.PredID
 }
 
 func (t *topologyOracle) batch(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
-	o := env.o
-	pi := scatterPi(env.v.g.NumNodes(), t.answers, t.probs)
-	defer piFree.release(pi, t.answers)
-	for j, u := range us {
-		res, _ := semsim.ValidateFunc(ctx, env.v.g, env.e.calc, t.root, t.pred, pi.at, []kg.NodeID{u},
-			semsim.ValidatorConfig{Repeat: o.Repeat, MaxLen: o.N, Tau: o.Tau})
-		if ctx.Err() != nil {
-			return false
-		}
-		out[j] = res[u].Similarity >= o.Tau
-	}
-	return true
+	_, err := semsim.Validate(ctx, env.v.g, env.e.calc, t.root, t.pred, us, out,
+		semsim.ValidatorConfig{MaxLen: env.o.N, Tau: env.o.Tau})
+	return err == nil
 }

@@ -375,11 +375,10 @@ func (x *Execution) record(i int, verdict bool) {
 
 // evaluate settles every not-yet-known candidate among the fresh draws: one
 // batch validation over the distinct new candidates (per stratum bucket and
-// in parallel when sharded, one lazy search per answer under the topology
-// ablation samplers, none under SkipValidation), then one record each. It is
-// the only cancellable part of a round and reports false when ctx cut it
-// short: a verdict is recorded only when its validation ran to completion,
-// so the candidates of a cancelled batch stay unknown.
+// in parallel when sharded, none under SkipValidation), then one record
+// each. It is the only cancellable part of a round and reports false when
+// ctx cut it short: a verdict is recorded only when its validation ran to
+// completion, so the candidates of a cancelled batch stay unknown.
 func (x *Execution) evaluate(ctx context.Context, fresh []int) bool {
 	fireValidatePoint()
 	t := x.tab
@@ -459,8 +458,7 @@ func (x *Execution) oracleEnv() oracleEnv { return oracleEnv{e: x.e, o: x.opts, 
 
 // validate batch-validates the candidates at the open positions of queue
 // into the same positions of out and reports whether the validation ran to
-// completion. Unsharded it is one shared greedy search (one lazy search per
-// answer under the topology ablation samplers). Sharded, the open positions
+// completion. Unsharded it is one shared search. Sharded, the open positions
 // are cut per stratum, the strata are packed into at most GOMAXPROCS
 // buckets, and each bucket runs its own shared search on a goroutine taken
 // opportunistically from the engine's worker pool — on a single CPU every

@@ -160,8 +160,8 @@ func TestWireContract(t *testing.T) {
 		{name: "plan sampler", path: "/v1/plans/{plan}/query", body: `{"sampler": "quantum"}`, status: 400, rctype: jsonCT,
 			err: `unknown sampler "quantum" (semantic, cnarw, node2vec)`},
 		{name: "plan sampler refused", path: "/v1/plans/{plan}/query", body: `{"sampler": "cnarw"}`, status: 400, rctype: jsonCT, traced: true,
-			err: "core: option is compiled into the prepared plan: plan compiled with {sampler:0 shards:1 n:3 tau:0.85 repeat:3}, " +
-				"execution requested {sampler:1 shards:1 n:3 tau:0.85 repeat:3}"},
+			err: "core: option is compiled into the prepared plan: plan compiled with {sampler:0 shards:1 n:3 tau:0.85}, " +
+				"execution requested {sampler:1 shards:1 n:3 tau:0.85}"},
 		{name: "plan aggregates+stream", path: "/v1/plans/{plan}/query", body: `{"stream": true` + aggs + `}`, status: 400, rctype: jsonCT, traced: true,
 			err: `"aggregates" and "stream" are incompatible`},
 

@@ -1,6 +1,7 @@
 package semsim
 
 import (
+	"context"
 	"testing"
 
 	"kgaq/internal/embedding/embtest"
@@ -9,7 +10,7 @@ import (
 )
 
 // Micro-benchmarks of the similarity layer: cached predicate similarity,
-// exhaustive path enumeration (SSB's core), and batched greedy validation.
+// exhaustive path enumeration (SSB's core), and batched validation.
 
 func benchCalc(b *testing.B) (*Calculator, *kg.Graph) {
 	b.Helper()
@@ -48,22 +49,19 @@ func BenchmarkValidateBatch(b *testing.B) {
 	c, g := benchCalc(b)
 	us := g.NodeByName("Germany")
 	pred := g.PredByName("product")
-	bound := g.BoundedSubgraph(us, 3)
-	pi := map[kg.NodeID]float64{}
-	for u, d := range bound.Dist {
-		pi[u] = 1.0 / float64(1+d)
-	}
 	var answers []kg.NodeID
 	auto := g.TypeByName("Automobile")
-	for _, u := range bound.Nodes {
+	for _, u := range g.BoundedSubgraph(us, 3).Nodes {
 		if g.HasType(u, auto) {
 			answers = append(answers, u)
 		}
 	}
-	cfg := ValidatorConfig{Repeat: 3, MaxLen: 3, Tau: 0.85}
+	correct := make([]bool, len(answers))
+	cfg := ValidatorConfig{MaxLen: 3, Tau: 0.85}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Validate(g, c, us, pred, pi, answers, cfg)
+		Validate(ctx, g, c, us, pred, answers, correct, cfg)
 	}
 }

@@ -3,5 +3,5 @@
 // path similarity as the geometric mean of predicate similarities (Eq. 2),
 // answer similarity as the maximum over subgraph matches (Eq. 3), the
 // exhaustive bounded path enumeration used by the SSB baseline, and the
-// π-guided greedy correctness validator with repeat factor r.
+// τ-bounded enumeration that decides Eq. 3 for the engine's answers.
 package semsim

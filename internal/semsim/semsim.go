@@ -22,7 +22,6 @@ const DefaultFloor = 0.01
 // engine serves.
 type Calculator struct {
 	g     kg.ReadGraph
-	model embedding.Model
 	floor float64
 	nPred int
 	// sim and logSim are flat row-major P×P matrices: sim[a*P+b] is the
@@ -36,7 +35,7 @@ type Calculator struct {
 // (DefaultFloor when floor <= 0), precomputing the full predicate-similarity
 // matrix. The matrix depends only on the predicate vocabulary, which live
 // graphs keep frozen, so one Calculator serves every snapshot of a live
-// graph; traversal helpers (Exhaustive, ValidateCtx) take the snapshot to
+// graph; traversal helpers (Exhaustive, Validate) take the snapshot to
 // walk explicitly.
 func NewCalculator(g kg.ReadGraph, model embedding.Model, floor float64) (*Calculator, error) {
 	if g == nil || model == nil {
@@ -51,7 +50,6 @@ func NewCalculator(g kg.ReadGraph, model embedding.Model, floor float64) (*Calcu
 	p := g.NumPredicates()
 	c := &Calculator{
 		g:      g,
-		model:  model,
 		floor:  floor,
 		nPred:  p,
 		sim:    make([]float64, p*p),
@@ -60,7 +58,7 @@ func NewCalculator(g kg.ReadGraph, model embedding.Model, floor float64) (*Calcu
 	for a := 0; a < p; a++ {
 		c.sim[a*p+a] = 1
 		for b := a + 1; b < p; b++ {
-			s := embedding.PredicateSimilarity(c.model, kg.PredID(a), kg.PredID(b))
+			s := embedding.PredicateSimilarity(model, kg.PredID(a), kg.PredID(b))
 			if s < floor {
 				s = floor
 			}
@@ -98,7 +96,7 @@ func (c *Calculator) SimRow(p kg.PredID) []float64 {
 }
 
 // LogSimRow returns the natural-log similarity row of predicate p, the form
-// the greedy validator's incremental Eq. 2 scoring consumes. The returned
+// the path searches' incremental Eq. 2 scoring consumes. The returned
 // slice is shared and must not be modified.
 func (c *Calculator) LogSimRow(p kg.PredID) []float64 {
 	return c.logSim[int(p)*c.nPred : (int(p)+1)*c.nPred]

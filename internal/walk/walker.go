@@ -323,10 +323,10 @@ func (w *Walker) Pi(u kg.NodeID) float64 {
 	return w.pi[w.index[u]-1]
 }
 
-// PiMap copies the stationary distribution into a map keyed by NodeID, the
-// form semsim.ValidateCtx consumes. Outside tests its one caller is the
-// benchmark module's validation probe (benchmark/trace.go); it goes once
-// that probe reads Pi through semsim.ValidateFunc.
+// PiMap copies the stationary distribution into a map keyed by NodeID.
+// Outside tests its one caller is the benchmark module's validation probe
+// (benchmark/trace.go), which hands it to semsim.ValidateCtx; that
+// adapter ignores it, and both go with ROADMAP item 2.
 func (w *Walker) PiMap() map[kg.NodeID]float64 {
 	out := make(map[kg.NodeID]float64, len(w.nodes))
 	for i, u := range w.nodes {

@@ -42,7 +42,7 @@
 // The pipeline is the paper's Algorithm 2: a semantic-aware random walk
 // over the n-bounded subgraph around the query's specific entity collects a
 // sample of candidate answers biased toward semantic similarity;
-// Horvitz–Thompson estimators with greedy correctness validation produce an
+// Horvitz–Thompson estimators with exact correctness validation produce an
 // unbiased COUNT/SUM (consistent AVG) estimate; the Central Limit Theorem
 // yields a confidence interval (its variance in closed form from the
 // sample's moments; the paper's Bag of Little Bootstraps is kept as a
@@ -309,7 +309,7 @@ var (
 	// sampler (prepared plans require the semantic sampler).
 	ErrPlanSampler = core.ErrPlanSampler
 	// ErrPlanOption reports a per-execution override of an option compiled
-	// into a prepared plan (sampler, shards, hop bound, τ, repeat).
+	// into a prepared plan (sampler, shards, hop bound, τ).
 	ErrPlanOption = core.ErrPlanOption
 	// ErrBadAggSpec reports an invalid multi-aggregate specification.
 	ErrBadAggSpec = core.ErrBadAggSpec
