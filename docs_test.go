@@ -116,7 +116,7 @@ func TestPaperMapSymbols(t *testing.T) {
 		{"internal/core/census_test.go", "func TestCensusMatchesSSBScale30"},
 		{"internal/core/decide.go", "func (p *Progress) Check"},
 		{"internal/core/multi_test.go", "func TestQueryMultiMatchesSingles"},
-		{"internal/shard/shard.go", "func SplitSpace"},
+		{"internal/estimate/stratified_test.go", "func TestStratifiedRefinementCoverage"},
 		{"internal/estimate/estimate_test.go", "func TestTheorem2"},
 		{"internal/core/determinism_test.go", "func TestQueryMultiBitwiseMatchesSequentialSingles"},
 	}

@@ -21,7 +21,7 @@ import (
 // regression and needs the same scrutiny as a latency one.
 const (
 	// drawAllocBudget covers one alias-table draw batch into reused scratch
-	// (answerSpace.drawInto and shardedSpace.drawInto): one Splitmix word
+	// (answerSpace.drawInto): one Splitmix word
 	// per draw, from the stream the Execution holds by value.
 	drawAllocBudget = 0
 	// validateAllocBudget covers a warm round's evaluation sweep over its
@@ -32,10 +32,10 @@ const (
 	// estimateAllocBudget covers one whole warm round: draw a batch, sweep
 	// it, fold it into the running moments, and read the point estimate and
 	// the margin out of them (sampleMore + advance + estimateOf/marginOf).
-	// The moments are read into the table's own buffer.
+	// The margin reads its one-stratum list from the table.
 	estimateAllocBudget = 0
-	// mergeAllocBudget covers the stratified Horvitz–Thompson merge of a
-	// sharded round in its reference list form (Regroup excluded):
+	// mergeAllocBudget covers the stratified Horvitz–Thompson merge in its
+	// reference list form (Regroup excluded):
 	// MoEStratified/EstimateStratified reduce each stratum to moments held in
 	// registers.
 	mergeAllocBudget = 0
@@ -73,7 +73,7 @@ func warmExecution(t *testing.T, specs ...termSpec) (*Execution, context.Context
 	if !x.evaluate(ctx, all) {
 		t.Fatal("evaluation of a live context reported a cancellation")
 	}
-	x.sampleMore(x.firstSize())
+	x.sampleMore(x.initialSize(x.sp.len()))
 	x.advance(ctx)
 	x.drawIdx = slices.Grow(x.drawIdx, x.opts.MaxDraws)
 	return x, ctx, release
@@ -144,8 +144,7 @@ func TestAllocBudgetEstimate(t *testing.T) {
 }
 
 func TestAllocBudgetStratifiedMerge(t *testing.T) {
-	// Synthetic 4-stratum sample exercising the pooled merge exactly as a
-	// sharded guarantee round does.
+	// Synthetic 4-stratum sample exercising the pooled merge.
 	obs := make([]estimate.Observation, 400)
 	for i := range obs {
 		obs[i] = estimate.Observation{

@@ -193,10 +193,13 @@ func (c *pollCtx) Err() error {
 }
 
 // A batch cancelled at any depth caches no verdict: not in the execution's
-// term table (evaluate records nothing of a cut batch), not among the
-// space's shared verdicts and not on the stages, so the same space validated
-// afterwards under a live context still matches a space that never saw a
-// cancellation.
+// term table (evaluate records nothing of a cut batch) and not among the
+// space's shared verdicts, so the same space validated afterwards under a
+// live context still matches a space that never saw a cancellation. Each
+// depth runs on a fresh engine, so that no stage keeps the verdicts of an
+// earlier depth's completed leg searches and every depth polls as often as
+// the first. The depths run until the batch completes, the one just after
+// the batch's last poll included: a batch that completed is not cut.
 func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 	p := datagen.TinyProfile()
 	ds, err := datagen.Generate(p)
@@ -214,52 +217,57 @@ func TestChainBatchCancelledCachesNoVerdict(t *testing.T) {
 			t.Fatalf("%s: fixture has no correct answer to poison", gq.ID)
 		}
 
-		e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: p.OptimalTau})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := e.Start(context.Background(), gq.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer x.holdScratch()()
-		x.bindTerms(termSpec{fn: gq.Agg.Func, attr: x.attr})
-		sp := testSpace{x.sp, x.oracleEnv()}
-		all := make([]int, len(sp.answers))
-		for i := range all {
-			all[i] = i
-		}
 		depths := 0
-		for polls := int64(0); polls < 64; polls++ {
+		for polls := int64(0); ; polls++ {
+			e, err := NewEngine(ds.Graph, ds.Model, Options{Tau: p.OptimalTau})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := e.Start(context.Background(), gq.Agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release := x.holdScratch()
+			x.bindTerms(termSpec{fn: gq.Agg.Func, attr: x.attr})
+			sp := testSpace{x.sp, x.oracleEnv()}
+			all := make([]int, len(sp.answers))
+			for i := range all {
+				all[i] = i
+			}
 			ctx := &pollCtx{Context: context.Background()}
 			ctx.left.Store(polls)
-			if x.evaluate(ctx, all) {
-				break // the batch finished before the cancellation landed
-			}
-			depths++
+			done := x.evaluate(ctx, all)
 			for i, state := range x.tab.state {
-				if state != 0 || sp.verdicts[i].Load() != verdictUnknown {
+				if !done && (state != 0 || sp.verdicts[i].Load() != verdictUnknown) {
 					t.Fatalf("%s: cancelled after %d polls, yet answer %d carries state %b, shared verdict %d",
 						gq.ID, polls, sp.answers[i], state, sp.verdicts[i].Load())
 				}
+				if done && (state&termKnown == 0 || (state&termCorrect != 0) != want[sp.answers[i]]) {
+					t.Fatalf("%s: completed after %d polls, yet answer %d carries state %b, clean verdict %v",
+						gq.ID, polls, sp.answers[i], state, want[sp.answers[i]])
+				}
 			}
+			got := sp.batch(context.Background(), sp.answers)
+			for _, u := range sp.answers {
+				if got[u] != want[u] {
+					t.Errorf("%s: answer %d reads %v after %d polls, %v on a clean space", gq.ID, u, got[u], polls, want[u])
+				}
+			}
+			release()
+			if done {
+				break
+			}
+			depths++
 		}
 		if depths < 5 {
 			t.Fatalf("%s: only %d cancellation depths exercised", gq.ID, depths)
 		}
-		got := sp.batch(context.Background(), sp.answers)
-		for _, u := range sp.answers {
-			if got[u] != want[u] {
-				t.Errorf("%s: answer %d reads %v after the cancelled batches, %v on a clean space", gq.ID, u, got[u], want[u])
-			}
-		}
 	}
 }
 
-// One compiled chain space serves every execution of its plan and, under
-// sharding, several validation buckets of one round at once: concurrent
-// batches over overlapping answer sets must agree with a quiet run. Run
-// with -race.
+// One compiled chain space serves every execution of its plan at once:
+// concurrent batches over overlapping answer sets must agree with a quiet
+// run. Run with -race.
 func TestChainBatchConcurrent(t *testing.T) {
 	p := datagen.TinyProfile()
 	ds, err := datagen.Generate(p)

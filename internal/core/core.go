@@ -12,7 +12,6 @@ import (
 	"kgaq/internal/live"
 	"kgaq/internal/query"
 	"kgaq/internal/semsim"
-	"kgaq/internal/shard"
 )
 
 // SamplerKind selects the sampling algorithm (the S1 ablation of Fig. 5a).
@@ -93,13 +92,11 @@ type Options struct {
 	// verdict per candidate — all shared across queries. Zero means
 	// DefaultCacheBytes; a negative value disables the cache entirely.
 	CacheMaxBytes int64
-	// Shards partitions query execution: the candidate-answer space is cut
-	// into this many hash-ownership strata, sampled and validated per shard
-	// (in parallel where cores allow) and merged through the stratified
-	// Horvitz–Thompson combiner, with each refinement round's draws
-	// allocated across shards by per-shard variance (Neyman allocation).
-	// Default 1 (unsharded); requires the semantic sampler. See DESIGN.md
-	// "Sharded execution".
+	// Shards is ignored: every execution draws one sample from one
+	// stratum. It is kept only so that existing callers still compile.
+	//
+	// Deprecated: sharded execution was removed (DESIGN.md "Sharded
+	// execution"). The field goes with ROADMAP item 2.
 	Shards int
 }
 
@@ -142,12 +139,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheMaxBytes == 0 {
 		o.CacheMaxBytes = DefaultCacheBytes
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Shards > shard.MaxShards {
-		o.Shards = shard.MaxShards
 	}
 	return o
 }
@@ -219,7 +210,7 @@ type Result struct {
 	Distinct   int    // distinct answers in the sample
 	Correct    int    // draws that validated as correct
 	Candidates int    // |A|: candidate answers with positive π′
-	Shards     int    // strata the sample was drawn from (0 when unsharded)
+	Strata     int    // member strata a federation coordinator merged (0 for a local execution)
 	Epoch      uint64 // graph epoch the whole query observed (0 on static engines)
 	Times      StepTimes
 	Groups     map[string]GroupResult // non-nil only for GROUP-BY queries
@@ -300,7 +291,7 @@ type Engine struct {
 	opts  Options
 	calc  *semsim.Calculator // shared read-only similarity matrix
 	cache *spaceCache        // nil when CacheMaxBytes < 0
-	sem   chan struct{}      // bounds the chain-build and shard worker pools
+	sem   chan struct{}      // bounds the chain-build worker pool
 }
 
 // NewEngine validates the pair and returns an execution engine over a

@@ -46,8 +46,8 @@ type Progress struct {
 	// Initial, when positive, marks the call before any draw: its step is
 	// the first round's planned size, Initial.
 	Initial int
-	// Census is |A| when a census may replace the next round — an unsharded
-	// semantic execution — and 0 otherwise.
+	// Census is |A| when a census may replace the next round — a semantic
+	// execution — and 0 otherwise.
 	Census int
 	// Correct counts the correct draws the MinCorrect gate reads.
 	Correct int

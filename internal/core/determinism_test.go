@@ -171,41 +171,33 @@ func TestConcurrentQueryMultiSharedPlan(t *testing.T) {
 
 // The draw stream is a function of the query seed alone: two executions of
 // one plan under a seed draw the same list, however the draws are batched,
-// and another seed draws another list — unsharded, and sharded, where each
-// stratum has its own stream.
+// and another seed draws another list.
 func TestDrawStreamDeterminism(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05})
 	ctx := context.Background()
-	for _, shards := range []int{1, 2} {
-		p, err := e.Prepare(ctx, countQuery(), WithShards(shards))
+	p, err := e.Prepare(ctx, countQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws := func(seed int64, batches ...int) []int {
+		x, err := p.Start(ctx, WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		draws := func(seed int64, batches ...int) []int {
-			x, err := p.Start(ctx, WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (x.sh != nil) != (shards > 1) {
-				t.Fatalf("shards %d: sharded execution %v", shards, x.sh != nil)
-			}
-			defer x.holdScratch()()
-			for _, k := range batches {
-				x.sampleMore(k)
-			}
-			return slices.Clone(x.drawIdx)
+		defer x.holdScratch()()
+		for _, k := range batches {
+			x.sampleMore(k)
 		}
-		a := draws(7, 200)
-		if b := draws(7, 200); !slices.Equal(a, b) {
-			t.Errorf("shards %d: seed 7 drew two different lists", shards)
-		}
-		if shards == 1 {
-			if b := draws(7, 50, 150); !slices.Equal(a, b) {
-				t.Errorf("shards %d: seed 7 drew another list in two batches", shards)
-			}
-		}
-		if c := draws(8, 200); slices.Equal(a, c) {
-			t.Errorf("shards %d: seeds 7 and 8 drew the same list", shards)
-		}
+		return slices.Clone(x.drawIdx)
+	}
+	a := draws(7, 200)
+	if b := draws(7, 200); !slices.Equal(a, b) {
+		t.Error("seed 7 drew two different lists")
+	}
+	if b := draws(7, 50, 150); !slices.Equal(a, b) {
+		t.Error("seed 7 drew another list in two batches")
+	}
+	if c := draws(8, 200); slices.Equal(a, c) {
+		t.Error("seeds 7 and 8 drew the same list")
 	}
 }

@@ -94,7 +94,7 @@ func (d *digester) result(res *Result, err error) {
 	d.f(res.Estimate, res.MoE, res.Confidence, res.TargetEB)
 	d.flag(res.Converged, res.Degraded)
 	d.rounds(res.Rounds)
-	d.i(res.SampleSize, res.Distinct, res.Correct, res.Candidates, res.Shards, int(res.Epoch))
+	d.i(res.SampleSize, res.Distinct, res.Correct, res.Candidates, res.Strata, int(res.Epoch))
 	d.groups(res.Groups)
 	d.census(res.Exact)
 }
@@ -114,7 +114,7 @@ func (d *digester) multi(res *MultiResult, err error) {
 	}
 	d.f(res.Confidence)
 	d.flag(res.Converged, res.Degraded)
-	d.i(res.Rounds, res.SampleSize, res.Distinct, res.Correct, res.Candidates, res.Shards, int(res.Epoch))
+	d.i(res.Rounds, res.SampleSize, res.Distinct, res.Correct, res.Candidates, res.Strata, int(res.Epoch))
 	for _, a := range res.Aggs {
 		d.b.WriteString(a.Spec.String() + ":")
 		d.f(a.Estimate, a.MoE, a.ErrorBound)
@@ -288,22 +288,6 @@ func digestScenarios(t *testing.T, fx digestFixture) map[string]string {
 		out["multi-groupby"] = d.sum()
 	}
 
-	// WithShards(8): every path again, stratified.
-	{
-		var d digester
-		for _, cat := range []string{"simple", "filter", "groupby", "extreme", "chain"} {
-			for i, q := range fx.queries[cat] {
-				if i >= 3 {
-					break
-				}
-				d.result(e.Query(ctx, q, WithSeed(5), WithShards(8)))
-			}
-		}
-		d.multi(e.QueryMulti(ctx, valued[0], valueSpecs(valued[0].Attr), WithSeed(5), WithShards(8)))
-		d.multi(e.QueryMulti(ctx, fx.queries["groupby"][0], playerSpecs(), WithSeed(5), WithShards(8)))
-		out["shards8"] = d.sum()
-	}
-
 	// Interactive tightening: Start → Refine(0.3) → Refine(0.05).
 	{
 		var d digester
@@ -320,7 +304,6 @@ func digestScenarios(t *testing.T, fx digestFixture) map[string]string {
 		steps(fx.queries["chain"][0], WithSeed(7))
 		steps(fx.queries["groupby"][0], WithSeed(7))
 		steps(fx.queries["extreme"][0], WithSeed(7))
-		steps(valued[0], WithSeed(7), WithShards(8))
 		out["twostep"] = d.sum()
 	}
 

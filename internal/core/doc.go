@@ -2,7 +2,7 @@
 // (Algorithm 2): semantic-aware sampling over the n-bounded subgraph
 // (§IV-A), correctness validation and Horvitz–Thompson estimation (§IV-B),
 // and the iteratively refined CLT accuracy guarantee (§IV-C, with σ in
-// closed form from per-stratum moments — DESIGN.md "Deliberate deviation:
+// closed form from the sample's moments — DESIGN.md "Deliberate deviation:
 // closed-form margin"), extended
 // with filters, GROUP-BY, MAX/MIN, chain-shaped queries via two-stage
 // sampling, and star/cycle/flower queries via decomposition–assembly (§V).
@@ -14,7 +14,7 @@
 // queries. Execution follows a two-phase Prepare → Execute model:
 // Engine.Prepare compiles a query once — name→id resolution, shape
 // classification, filter/attribute binding, walker convergence, the answer
-// distribution, alias tables and the shard split — into a concurrency-safe
+// distribution and alias tables — into a concurrency-safe
 // *Prepared (introspectable via Plan()); each Prepared.Start then returns a
 // private Execution holding its own draw stream, draw list and term table
 // over the shared compiled space, pinned to one epoch-consistent graph view
@@ -31,10 +31,10 @@
 // filters, attribute values, Horvitz–Thompson terms, group — into the
 // execution's term table; each round validates only the new candidates
 // among its fresh draws and folds only those fresh draws into one running
-// moments accumulator per (aggregate, stratum, group), all of them or —
-// when cancelled mid-validation — none; estimate and margin are read from
-// the moments. The one refinement loop (refine, behind Refine and
-// QueryMulti, grouped, sharded or not) and FederateSample's single round sit
+// moments accumulator per (aggregate, group), all of them or — when
+// cancelled mid-validation — none; estimate and margin are read from the
+// moments. The one refinement loop (refine, behind Refine and QueryMulti,
+// grouped or not) and FederateSample's single round sit
 // on that one data path, bit-identical to the observation-list form it
 // replaced; the loop's stopping rule is Decide (decide.go), which the
 // federated coordinator calls too.
@@ -47,7 +47,7 @@
 // sample, so a candidate is evaluated once against every spec and each
 // round's one fold feeds every spec's running Horvitz–Thompson moments;
 // the guarantee loop refines until every guaranteed spec meets its error
-// bound, GROUP-BY and sharded strata included.
+// bound, GROUP-BY groups included.
 //
 // # Performance machinery
 //
@@ -61,13 +61,8 @@
 // selectively — only when a mutation touches their walk scope — and a
 // stage a mutation evicted is rebuilt by the next query that wants it.
 //
-// # Sharded execution
-//
-// Options.Shards (or the per-query WithShards) switches a query to
-// partition-parallel execution: the candidate-answer space is cut into
-// hash-ownership strata (internal/shard), each stratum drawn from its own
-// conditional distribution and validated in per-shard batches, and the
-// per-shard samples merge through the stratified Horvitz–Thompson combiner
-// of internal/estimate, with each round's draws allocated across shards by
-// per-shard variance. See DESIGN.md "Sharded execution".
+// Every execution draws one sample from one stratum: there is no
+// in-process sharding (DESIGN.md "Sharded execution"). Stratified merging
+// lives where the strata are real, across federation members
+// (FederateSample and internal/federate).
 package core

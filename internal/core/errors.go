@@ -33,17 +33,13 @@ var (
 	// positive epoch; never for a live engine, which waits instead (a
 	// cancelled wait reports ErrInterrupted).
 	ErrEpochNotReached = errors.New("graph epoch not reached")
-	// ErrShardedSampler reports a query combining sharded execution with a
-	// topology-only ablation sampler, whose empirical visit shares carry no
-	// exact per-answer probability to stratify.
-	ErrShardedSampler = errors.New("sharded execution requires the semantic sampler")
 	// ErrPlanSampler reports Engine.Prepare with a topology-only ablation
 	// sampler: those samplers draw during the build itself, so a plan would
 	// have nothing reusable to compile.
 	ErrPlanSampler = errors.New("prepared plans require the semantic sampler")
 	// ErrPlanOption reports a Prepared.Start/Query/QueryMulti override of
-	// an option that is compiled into the plan (sampler, shards, hop bound,
-	// τ). Prepare a new plan with those options instead.
+	// an option that is compiled into the plan (sampler, hop bound, τ).
+	// Prepare a new plan with those options instead.
 	ErrPlanOption = errors.New("option is compiled into the prepared plan")
 	// ErrBadAggSpec reports an invalid multi-aggregate specification: an
 	// empty spec list, a non-COUNT aggregate without an attribute, or a

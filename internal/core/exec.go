@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"kgaq/internal/estimate"
@@ -37,7 +36,6 @@ type Execution struct {
 	noCensus bool    // the census is off (a test hook: queryConfig.noCensus)
 
 	sp      *answerSpace
-	sh      *shardedSpace  // non-nil when Options.Shards > 1
 	stream  stats.Splitmix // the draw stream: one word per draw, consumed by sampling alone
 	scr     *execScratch   // pooled hot-loop buffers, held per Refine call
 	drawIdx []int
@@ -110,9 +108,6 @@ func (e *Engine) startTopology(ctx context.Context, q *query.Aggregate, cfg quer
 		return nil, err
 	}
 	o := cfg.opts
-	if o.Shards > 1 {
-		return nil, fmt.Errorf("core: %w (got %v)", ErrShardedSampler, o.Sampler)
-	}
 	v := e.src.snapshot()
 	if cfg.minEpoch > v.epoch {
 		var err error
@@ -170,7 +165,7 @@ func (e *Engine) Query(ctx context.Context, q *query.Aggregate, opts ...QueryOpt
 // It exports the call to the engine metrics — step times as deltas against
 // what this execution already reported — and stamps the request trace with
 // the result-level attributes (outcome, convergence, the final ε̂, the step
-// times, per-shard draw attribution).
+// times).
 func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, moe float64) {
 	x.clk.edge(&x.clk.times.Guarantee)
 	outcome := "unconverged"
@@ -221,13 +216,6 @@ func (x *Execution) finishTelemetry(ctx context.Context, converged bool, vhat, m
 	t.SetAttr("sampling_ms", millis(times.Sampling))
 	t.SetAttr("estimation_ms", millis(times.Estimation))
 	t.SetAttr("guarantee_ms", millis(times.Guarantee))
-	if x.sh != nil {
-		draws := make(map[string]int, len(x.sh.spaces))
-		for pos, spc := range x.sh.spaces {
-			draws[strconv.Itoa(spc.Shard)] = x.sh.drawn[pos]
-		}
-		t.SetAttr("shard_draws", draws)
-	}
 }
 
 // initialSize is the paper's |S| = t·(λ·|A|)^m with a practical floor.
@@ -241,43 +229,21 @@ func (x *Execution) initialSize(candidates int) int {
 	return size
 }
 
-// firstSize is the size of the initial round. Under sharded execution it is
-// additionally floored at the stratum count: an unobserved stratum
-// contributes zero to the merged estimate AND zero to its variance, so a
-// first round smaller than the stratum count could converge on a biased
-// underestimate; covering every stratum from round one (the allocator's
-// per-stratum floors then hold for all later rounds) removes that mode.
-func (x *Execution) firstSize() int {
-	size := x.initialSize(x.sp.len())
-	if x.sh != nil && size < len(x.sh.spaces) {
-		size = len(x.sh.spaces)
-	}
-	return size
-}
-
 // censusSize is what Progress.Census carries: |A| when a census may end this
-// execution's refinement — unsharded, over a semantic answer space — and 0
-// otherwise.
+// execution's refinement — over a semantic answer space — and 0 otherwise.
 func (x *Execution) censusSize() int {
-	if x.sh != nil || x.opts.Sampler != SamplerSemantic || x.noCensus {
+	if x.opts.Sampler != SamplerSemantic || x.noCensus {
 		return 0
 	}
 	return x.sp.len()
 }
 
 // sampleMore extends the draw list by k, honouring the MaxDraws budget.
-// Sharded executions allocate the k draws across strata (Neyman once
-// variance signals exist) and draw each stratum from its own deterministic
-// stream.
 func (x *Execution) sampleMore(k int) {
 	if k = min(k, x.opts.MaxDraws-len(x.drawIdx)); k <= 0 {
 		return
 	}
-	if x.sh != nil {
-		x.scr.draws = x.sh.drawInto(x.scr.draws[:0], k)
-	} else {
-		x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
-	}
+	x.scr.draws = x.sp.drawInto(x.scr.draws[:0], &x.stream, k)
 	x.drawIdx = append(x.drawIdx, x.scr.draws...)
 	metDraws.Add(float64(len(x.scr.draws)))
 	x.clk.edge(&x.clk.times.Sampling)
@@ -318,29 +284,19 @@ func (x *Execution) Refine(ctx context.Context, eb float64) (res *Result, err er
 }
 
 // extremeRounds is the number of fixed-size sampling rounds for MAX and
-// MIN, which carry no guarantee (§VII-B reports 4).
+// MIN, which carry no guarantee (§VII-B reports 4). Each round draws 5% of
+// the candidates, at least 20.
 const extremeRounds = 4
-
-// extremeRoundSize is the fixed round of the MAX/MIN paths: 5% of the
-// candidates, at least 20 draws, and at least one per stratum so that every
-// stratum is observed each round.
-func (x *Execution) extremeRoundSize() int {
-	per := max(x.sp.len()/20, 20)
-	if x.sh != nil {
-		per = max(per, len(x.sh.spaces))
-	}
-	return per
-}
 
 // refine is Algorithm 2 over a spec list, the one refinement loop behind
 // Refine and QueryMulti (DESIGN.md "Refinement loop"). A round validates and
 // folds the fresh draws (advance), reads every spec's interval out of the
 // term table, and asks Decide whether to stop or how much to draw. The first
-// guaranteed spec drives: its correct draws feed the MinCorrect gate, its
-// moments the sharded allocator, and its intervals are the execution's
-// rounds (OnRound, Rounds()). Under GROUP-BY each spec's groups are what
-// Theorem 2 checks. MAX/MIN specs ride along and are read once over the
-// final sample; a list of extremes alone runs fixed-size rounds (§VII).
+// guaranteed spec drives: its correct draws feed the MinCorrect gate, and
+// its intervals are the execution's rounds (OnRound, Rounds()). Under
+// GROUP-BY each spec's groups are what Theorem 2 checks. MAX/MIN specs ride
+// along and are read once over the final sample; a list of extremes alone
+// runs fixed-size rounds (§VII).
 // When the sample Decide would reach covers the candidate set — asked once
 // before the first draw too — the loop ends in a census instead. It returns
 // the rounds it evaluated; a cancelled refine returns an error from cut and
@@ -362,7 +318,7 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 	extreme, maxRounds, census := 0, o.MaxRounds, x.censusSize()
 	if drive < 0 {
 		// Extremes alone: every round draws its fixed size, then evaluates.
-		drive, extreme, maxRounds, census = 0, x.extremeRoundSize(), extremeRounds, 0
+		drive, extreme, maxRounds, census = 0, max(x.sp.len()/20, 20), extremeRounds, 0
 	}
 	if grouped {
 		maxRounds *= 3
@@ -375,7 +331,7 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 	case extreme > 0:
 		x.sampleMore(extreme)
 	case len(x.drawIdx) == 0:
-		st := Decide(o, Progress{Initial: x.firstSize(), Census: census})
+		st := Decide(o, Progress{Initial: x.initialSize(x.sp.len()), Census: census})
 		if st.Stop == StopCensus {
 			return x.census(ctx, runs, drive, 0, keepRounds)
 		}
@@ -431,7 +387,7 @@ func (x *Execution) refine(ctx context.Context, runs []AggResult, terms []termSp
 		if runs[k].Spec.Func.HasGuarantee() {
 			continue
 		}
-		if v, err := x.estimateOf(k, nil); err == nil {
+		if v, err := x.estimateOf(k, estimate.Moments{}); err == nil {
 			x.report(&runs[k], false, v, 0, keepRounds)
 		}
 	}
@@ -507,28 +463,23 @@ func (x *Execution) exactGroups(k int) map[string]GroupResult {
 // estimate or a margin is unestimable; a grouped spec reports its
 // whole-sample estimate even without a margin, and is checked by its groups.
 func (x *Execution) evaluateRound(runs []AggResult, drive int, p *Progress, keepRounds bool) (float64, error) {
-	// The driving spec refreshes the sharded allocator every round, gated
-	// or not.
-	mom := x.sampleMoments(drive)
 	if p.Extreme > 0 {
 		for k := range runs {
-			if v, err := x.estimateOf(k, nil); err == nil {
+			if v, err := x.estimateOf(k, estimate.Moments{}); err == nil {
 				x.report(&runs[k], k == drive, v, 0, keepRounds)
 			}
 		}
 		return 0, nil
 	}
 	if p.Correct = x.tab.hits(0, drive); p.gated(x.opts.MinCorrect) {
-		return x.estimateOf(drive, mom)
+		return x.estimateOf(drive, x.tab.moments(0, drive))
 	}
 	for k := drive; k < len(runs); k++ {
 		r := &runs[k]
 		if !r.Spec.Func.HasGuarantee() {
 			continue
 		}
-		if k != drive {
-			mom = x.tab.moments(0, k)
-		}
+		mom := x.tab.moments(0, k)
 		v, err := x.estimateOf(k, mom)
 		eps := math.NaN()
 		if err == nil {
@@ -649,10 +600,6 @@ func (x *Execution) groupsOf(k int, eb float64, p *Progress) (map[string]GroupRe
 func (x *Execution) result(ctx context.Context, vhat, moe float64, converged bool, groups map[string]GroupResult) *Result {
 	x.finishTelemetry(ctx, converged, vhat, moe)
 	correct, distinct := x.sampleCounts(0)
-	shards := 0
-	if x.sh != nil {
-		shards = len(x.sh.spaces)
-	}
 	return &Result{
 		Query:      x.q,
 		Estimate:   vhat,
@@ -667,7 +614,6 @@ func (x *Execution) result(ctx context.Context, vhat, moe float64, converged boo
 		Distinct:   distinct,
 		Correct:    correct,
 		Candidates: x.sp.len(),
-		Shards:     shards,
 		Epoch:      x.v.epoch,
 		Times:      x.clk.times,
 		Groups:     groups,

@@ -47,9 +47,7 @@ type MemberSample struct {
 //
 // The query must carry a guaranteed aggregate (COUNT/SUM/AVG) without
 // GROUP-BY: extremes and grouped queries do not decompose into remote
-// strata. Local sharding is forced off — the combiner needs member-local
-// conditional probabilities, not probabilities conditional on a member's
-// own sub-strata.
+// strata.
 func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, pilot bool, opts ...QueryOption) (ms *MemberSample, err error) {
 	defer catchPanics(q, &err)
 	if ctx == nil {
@@ -63,7 +61,7 @@ func (e *Engine) FederateSample(ctx context.Context, q *query.Aggregate, n int, 
 	}
 	// No Result reads a member round's step times, so the compile is a
 	// plan lookup rather than Start's clocked step.
-	cfg := e.queryConfig(append(opts, WithShards(1)))
+	cfg := e.queryConfig(opts)
 	var x *Execution
 	if cfg.opts.Sampler != SamplerSemantic {
 		x, err = e.startTopology(ctx, q, cfg)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"kgaq/internal/datagen"
@@ -82,10 +81,7 @@ func TestFoldResumesAfterCancelledValidation(t *testing.T) {
 		}
 		cancelled++
 		tab := x.tab
-		folded, known, unknown := 0, 0, 0
-		for _, n := range tab.draws {
-			folded += n
-		}
+		known, unknown := 0, 0
 		for _, i := range x.drawIdx {
 			switch {
 			case tab.state[i]&termKnown == 0:
@@ -94,8 +90,8 @@ func TestFoldResumesAfterCancelledValidation(t *testing.T) {
 				known++
 			}
 		}
-		if folded != tab.folded || tab.folded > len(x.drawIdx) {
-			t.Fatalf("%d polls: accumulators hold %d draws, fold position %d of %d", polls, folded, tab.folded, len(x.drawIdx))
+		if tab.folded > len(x.drawIdx) {
+			t.Fatalf("%d polls: fold position %d of %d draws", polls, tab.folded, len(x.drawIdx))
 		}
 		if n := len(part.Rounds); n > 0 && part.Rounds[n-1].SampleSize > tab.folded {
 			t.Fatalf("%d polls: last round covered %d draws, fold position %d", polls, part.Rounds[n-1].SampleSize, tab.folded)
@@ -157,36 +153,31 @@ func TestFoldResumesAfterCancelledValidationGrouped(t *testing.T) {
 func TestTermTableEvaluatesEachCandidateOnce(t *testing.T) {
 	e, ds := tinyEngine(t)
 	for _, q := range []*query.Aggregate{ds.QueriesByShape(query.ShapeSimple)[1].Agg, ds.QueriesByShape(query.ShapeChain)[0].Agg} {
-		for _, shards := range []int{1, 4} {
-			x, err := e.Start(context.Background(), q, WithShards(shards), WithErrorBound(0.03), withoutCensus())
-			if err != nil {
-				t.Fatal(err)
+		x, err := e.Start(context.Background(), q, WithErrorBound(0.03), withoutCensus())
+		if err != nil {
+			t.Fatal(err)
+		}
+		asked := map[kg.NodeID]int{}
+		inner := x.sp.oracle
+		x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
+			for _, u := range us {
+				asked[u]++
 			}
-			var mu sync.Mutex // the sharded validator runs its buckets concurrently
-			asked := map[kg.NodeID]int{}
-			inner := x.sp.oracle
-			x.sp = withOracle(x.sp, oracleFunc(func(ctx context.Context, env oracleEnv, us []kg.NodeID, out []bool) bool {
-				mu.Lock()
-				for _, u := range us {
-					asked[u]++
-				}
-				mu.Unlock()
-				return inner.batch(ctx, env, us, out)
-			}))
-			res, err := x.Refine(context.Background(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rounds) < 2 {
-				t.Fatalf("%v: %d rounds — the fixture does not revisit candidates", q, len(res.Rounds))
-			}
-			if len(asked) != res.Distinct {
-				t.Fatalf("%v, %d shards: %d candidates validated, %d distinct answers drawn", q, shards, len(asked), res.Distinct)
-			}
-			for u, n := range asked {
-				if n != 1 {
-					t.Fatalf("%v, %d shards: candidate %d validated %d times", q, shards, u, n)
-				}
+			return inner.batch(ctx, env, us, out)
+		}))
+		res, err := x.Refine(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rounds) < 2 {
+			t.Fatalf("%v: %d rounds — the fixture does not revisit candidates", q, len(res.Rounds))
+		}
+		if len(asked) != res.Distinct {
+			t.Fatalf("%v: %d candidates validated, %d distinct answers drawn", q, len(asked), res.Distinct)
+		}
+		for u, n := range asked {
+			if n != 1 {
+				t.Fatalf("%v: candidate %d validated %d times", q, u, n)
 			}
 		}
 	}
@@ -195,9 +186,9 @@ func TestTermTableEvaluatesEachCandidateOnce(t *testing.T) {
 // The fold is the list form, bit for bit: after a refinement, rebuild the
 // observation list the loops used to build — one Observation per draw, in
 // draw order, read off the table — and the reference estimators over it
-// (Estimate, EstimateStratified, MoEStratified, and MomentsOf per stratum)
-// return exactly what the running moments return, for every spec, for the
-// whole sample and for every group, unsharded and sharded.
+// (Estimate, MoEStratified over one stratum, and MomentsOf) return exactly
+// what the running moments return, for every spec, for the whole sample and
+// for every group.
 func TestFoldMatchesListForm(t *testing.T) {
 	e, ds := tinyEngine(t)
 	var grouped *query.Aggregate
@@ -218,24 +209,22 @@ func TestFoldMatchesListForm(t *testing.T) {
 		{valued, valueSpecs(valued.Attr)},
 		{grouped, playerSpecs()},
 	} {
-		for _, shards := range []int{1, 8} {
-			for _, pol := range []estimate.DivisorPolicy{estimate.SampleSize, estimate.CorrectOnly} {
-				x, err := e.Start(ctx, c.q, WithShards(shards), WithPolicy(pol))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.specs == nil {
-					_, err = x.Refine(ctx, 0)
-				} else {
-					// Not through QueryMulti: an execution that is not one-shot
-					// keeps its table past the call.
-					_, err = x.queryMulti(ctx, c.specs)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkListForm(t, x)
+		for _, pol := range []estimate.DivisorPolicy{estimate.SampleSize, estimate.CorrectOnly} {
+			x, err := e.Start(ctx, c.q, WithPolicy(pol))
+			if err != nil {
+				t.Fatal(err)
 			}
+			if c.specs == nil {
+				_, err = x.Refine(ctx, 0)
+			} else {
+				// Not through QueryMulti: an execution that is not one-shot
+				// keeps its table past the call.
+				_, err = x.queryMulti(ctx, c.specs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkListForm(t, x)
 		}
 	}
 }
@@ -251,23 +240,14 @@ func checkListForm(t *testing.T, x *Execution) {
 		for j, spec := range tab.specs {
 			obs := make([]estimate.Observation, len(x.drawIdx))
 			for n, i := range x.drawIdx {
-				ob := estimate.Observation{
+				obs[n] = estimate.Observation{
 					Value:   tab.val[i*k+j],
-					Prob:    x.prob(i),
+					Prob:    x.sp.probs[i],
 					Correct: tab.specCorrect(i, j) && (g == 0 || int(tab.group[i]) == g),
 				}
-				if x.sh != nil {
-					spc := x.sh.spaces[x.sh.posOf[i]]
-					ob.Stratum, ob.StratumWeight = spc.Shard, spc.Weight
-				}
-				obs[n] = ob
 			}
 			strata := []estimate.Stratum{{Weight: 1, Obs: obs}}
 			wantV, wantErr := estimate.Estimate(spec.fn, obs, x.opts.Policy)
-			if x.sh != nil {
-				strata = estimate.Regroup(obs)
-				wantV, wantErr = estimate.EstimateStratified(spec.fn, strata, x.opts.Policy)
-			}
 			wantEps, wantEpsErr := estimate.MoEStratified(spec.fn, strata, x.opts.Policy, x.opts.guarantee())
 
 			mom := tab.moments(g, j)
@@ -277,19 +257,12 @@ func checkListForm(t *testing.T, x *Execution) {
 			}
 			gotEps, gotEpsErr := x.marginOf(j, mom)
 			if gotV != wantV || gotErr != wantErr || gotEps != wantEps || gotEpsErr != wantEpsErr {
-				t.Fatalf("%v, %d strata, group %q, spec %v: moments give (%v, %v) ± (%v, %v), the list form (%v, %v) ± (%v, %v)",
-					x.q, tab.strata, tab.labels[g], spec.fn, gotV, gotErr, gotEps, gotEpsErr, wantV, wantErr, wantEps, wantEpsErr)
+				t.Fatalf("%v, group %q, spec %v: moments give (%v, %v) ± (%v, %v), the list form (%v, %v) ± (%v, %v)",
+					x.q, tab.labels[g], spec.fn, gotV, gotErr, gotEps, gotEpsErr, wantV, wantErr, wantEps, wantEpsErr)
 			}
-			if spec.fn.HasGuarantee() {
-				filled := 0
-				for h, m := range mom {
-					if m.N == 0 {
-						continue
-					}
-					if want := estimate.MomentsOf(spec.fn, strata[filled].Obs); m != want {
-						t.Fatalf("%v, stratum %d, group %q, spec %v: running moments %+v, MomentsOf %+v", x.q, h, tab.labels[g], spec.fn, m, want)
-					}
-					filled++
+			if spec.fn.HasGuarantee() && mom.N > 0 {
+				if want := estimate.MomentsOf(spec.fn, obs); mom != want {
+					t.Fatalf("%v, group %q, spec %v: running moments %+v, MomentsOf %+v", x.q, tab.labels[g], spec.fn, mom, want)
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // kgaq_core_draws_total moves by exactly the draws the executions took: for
 // one query, for a topology-sampled query (whose first round the sampler's
 // build draws), and for two goroutines querying at once (run under -race)
-// with sharded and unsharded, plain and multi executions.
+// with plain and multi executions.
 func TestDrawsMetricCountsEveryDraw(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 7})
 	before := metDraws.Value()
@@ -42,7 +42,7 @@ func TestDrawsMetricCountsEveryDraw(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				opts := []QueryOption{WithSeed(int64(10*w + j + 1)), WithShards(1 + 3*(j%2)), withoutCensus()}
+				opts := []QueryOption{WithSeed(int64(10*w + j + 1)), withoutCensus()}
 				if j%3 == 2 {
 					mr, err := e.QueryMulti(context.Background(), countQuery(), threeSpecs(), opts...)
 					if err != nil {

@@ -78,9 +78,11 @@ type MultiResult struct {
 	Distinct   int
 	Correct    int
 	Candidates int
-	Shards     int
-	Epoch      uint64
-	Times      StepTimes
+	// Strata is the count of member strata a federation coordinator merged;
+	// a local execution draws one sample and reports 0.
+	Strata int
+	Epoch  uint64
+	Times  StepTimes
 }
 
 // validateSpecs checks a multi-aggregate spec list against the underlying
@@ -110,9 +112,9 @@ func validateSpecs(specs []AggSpec, grouped bool) error {
 // candidate, with per-spec Horvitz–Thompson accumulators. The
 // guarantee loop refines until every guaranteed spec (COUNT/SUM/AVG) meets
 // its error bound at the configured confidence — per group when the plan's
-// query has GROUP-BY, per stratum-merged estimate when the plan is
-// sharded. MAX/MIN specs ride along without a guarantee. Cancellation
-// returns the partial MultiResult with ErrInterrupted, like Query.
+// query has GROUP-BY. MAX/MIN specs ride along without a guarantee.
+// Cancellation returns the partial MultiResult with ErrInterrupted, like
+// Query.
 func (p *Prepared) QueryMulti(ctx context.Context, specs []AggSpec, opts ...QueryOption) (*MultiResult, error) {
 	x, err := p.Start(ctx, opts...)
 	if err != nil {
@@ -177,10 +179,6 @@ func (x *Execution) queryMulti(ctx context.Context, specs []AggSpec) (res *Multi
 func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds int, converged bool) *MultiResult {
 	x.finishTelemetry(ctx, converged, math.NaN(), math.NaN())
 	correct, distinct := x.sampleCounts(-1)
-	shards := 0
-	if x.sh != nil {
-		shards = len(x.sh.spaces)
-	}
 	return &MultiResult{
 		Query:      x.q,
 		Aggs:       runs,
@@ -192,7 +190,6 @@ func (x *Execution) multiResult(ctx context.Context, runs []AggResult, rounds in
 		Distinct:   distinct,
 		Correct:    correct,
 		Candidates: x.sp.len(),
-		Shards:     shards,
 		Epoch:      x.v.epoch,
 		Times:      x.clk.times,
 	}

@@ -164,28 +164,6 @@ func TestQueryMultiGrouped(t *testing.T) {
 	}
 }
 
-// Sharded multi execution merges every spec through the stratified
-// combiner over the same per-stratum draw streams.
-func TestQueryMultiSharded(t *testing.T) {
-	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 7, Shards: 4})
-	res, err := e.QueryMulti(context.Background(), countQuery(), threeSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("sharded multi did not converge: %+v", res)
-	}
-	if res.Shards < 1 {
-		t.Fatalf("shards = %d", res.Shards)
-	}
-	truths := []float64{5, kgtest.Figure1SumPrice, kgtest.Figure1AvgPrice}
-	for k, ar := range res.Aggs {
-		if rel := stats.RelativeError(ar.Estimate, truths[k]); rel > 0.05 {
-			t.Fatalf("agg %v estimate %v vs truth %v", ar.Spec, ar.Estimate, truths[k])
-		}
-	}
-}
-
 // Per-spec error bounds refine until the tightest one is met.
 func TestQueryMultiPerSpecBounds(t *testing.T) {
 	e, _ := figure1Engine(t, Options{ErrorBound: 0.20, Seed: 5})

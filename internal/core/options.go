@@ -101,11 +101,11 @@ func WithLambda(l float64) QueryOption {
 	return func(c *queryConfig) { c.opts.Lambda = l }
 }
 
-// WithShards overrides the shard count for this query: its candidate-answer
-// space is cut into n hash-ownership strata, sampled and validated per
-// shard, and merged through the stratified Horvitz–Thompson combiner.
-// Requires the semantic sampler (topology-only ablation samplers carry
-// empirical probabilities that do not stratify). n ≤ 1 runs unsharded.
+// WithShards sets Options.Shards, which nothing reads: every execution
+// draws one sample from one stratum.
+//
+// Deprecated: sharded execution was removed; the option is kept only so
+// that existing callers still compile, and goes with ROADMAP item 2.
 func WithShards(n int) QueryOption {
 	return func(c *queryConfig) { c.opts.Shards = n }
 }

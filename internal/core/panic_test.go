@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"kgaq/internal/faultinject"
@@ -40,23 +42,45 @@ func TestPanicInValidationIsContained(t *testing.T) {
 	}
 }
 
-// The same containment must hold under sharded execution, where validation
-// fans out across worker goroutines: the panic crosses the goroutine
-// boundary with its stack instead of killing the process.
-func TestPanicInShardWorkerIsContained(t *testing.T) {
-	e, _ := figure1Engine(t, Options{ErrorBound: 0.02, Seed: 7, Shards: 2})
-	deactivate := faultinject.Activate(1, faultinject.Fault{
-		Point: "core.validate", Count: 1, Panic: "injected shard panic",
-	})
-	_, err := e.Query(context.Background(), avgPriceQuery())
-	deactivate()
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("sharded query under injected panic = %v, want ErrInternal", err)
+// A panic on a worker goroutine — the chain-build pool's, which captures
+// it into a panicBox — crosses to the coordinating goroutine and reaches
+// the entry-point guard as ErrInternal, with the query and the stack of
+// the worker that panicked.
+func TestPanicInWorkerKeepsItsStack(t *testing.T) {
+	q := countQuery()
+	run := func() (err error) {
+		defer catchPanics(q, &err)
+		var wg sync.WaitGroup
+		var pb panicBox
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer pb.capture()
+				if w == 1 {
+					panickingWorker()
+				}
+			}()
+		}
+		wg.Wait()
+		pb.rethrow()
+		return nil
 	}
-	if _, err := e.Query(context.Background(), avgPriceQuery()); err != nil {
-		t.Fatalf("sharded query after contained panic: %v", err)
+	err := run()
+	var ie *InternalError
+	if !errors.Is(err, ErrInternal) || !errors.As(err, &ie) {
+		t.Fatalf("worker panic surfaced as %v, want an *InternalError", err)
+	}
+	if ie.Panic != "worker fault" || ie.Query != q.String() {
+		t.Fatalf("InternalError carries panic %v for query %q, want %q for %q", ie.Panic, ie.Query, "worker fault", q)
+	}
+	if !bytes.Contains(ie.Stack, []byte("panickingWorker")) {
+		t.Fatalf("InternalError stack is not the worker's:\n%s", ie.Stack)
 	}
 }
+
+//go:noinline
+func panickingWorker() { panic("worker fault") }
 
 // One poisoned query in a batch must fail alone; its siblings complete.
 func TestPanicInBatchIsolated(t *testing.T) {

@@ -46,7 +46,6 @@ func (p EpochPolicy) String() string {
 // Prepared's concurrent executions coherent.
 type planKnobs struct {
 	sampler SamplerKind
-	shards  int
 	n       int
 	tau     float64
 }
@@ -54,7 +53,6 @@ type planKnobs struct {
 func knobsOf(o Options) planKnobs {
 	return planKnobs{
 		sampler: o.Sampler,
-		shards:  o.Shards,
 		n:       o.N,
 		tau:     o.Tau,
 	}
@@ -72,9 +70,6 @@ type PlanInfo struct {
 	Paths int
 	// HopBound is the walk-scope bound n the plan was compiled with.
 	HopBound int
-	// Strata is the number of non-empty shard strata the candidate space
-	// was split into; 0 for an unsharded plan.
-	Strata int
 	// Candidates is |A|: candidate answers with positive visiting
 	// probability under the compiled distribution.
 	Candidates int
@@ -95,14 +90,13 @@ type PlanInfo struct {
 }
 
 // compiled is one epoch's compilation of a prepared query: the resolved
-// bindings and the immutable sampling space (plus its shard split). A new
-// compiled replaces the old wholesale when an EpochRepin plan follows the
-// graph, so executions started earlier keep their epoch's state untouched.
+// bindings and the immutable sampling space. A new compiled replaces the
+// old wholesale when an EpochRepin plan follows the graph, so executions
+// started earlier keep their epoch's state untouched.
 type compiled struct {
 	v view
 	bindings
-	sp    *answerSpace
-	split *shardSplit // non-nil when the plan is sharded
+	sp *answerSpace
 	// hits and built count the compilation's cache traffic: one hit and
 	// nothing built when the assembled space itself was resident, else the
 	// converged stages served from the cache and built fresh.
@@ -112,7 +106,7 @@ type compiled struct {
 
 // Prepared is a compiled aggregate query: name→id resolution, shape
 // classification, filter/attribute binding and the full answer-space build
-// (walk convergence, alias tables, shard split) all done once at Prepare.
+// (walk convergence, alias tables) all done once at Prepare.
 // It is safe for concurrent use — any number of goroutines may Start
 // executions or Query/QueryMulti from one Prepared; each execution has
 // its own draw stream, draw list and term table and only reads the
@@ -133,12 +127,11 @@ type Prepared struct {
 
 // Prepare compiles a query into a reusable execution plan: Validate,
 // decomposition, name→id resolution, filter/attribute binding, walker
-// convergence and answer-space assembly (with shard split when the plan is
-// sharded) happen here, once; every later Query/Start/QueryMulti on the
-// returned Prepared skips straight to drawing the sample. QueryOptions
-// given here become the plan's defaults; executions may override the
-// sampling/guarantee knobs per call, but not the compiled ones
-// (ErrPlanOption names the offender).
+// convergence and answer-space assembly happen here, once; every later
+// Query/Start/QueryMulti on the returned Prepared skips straight to drawing
+// the sample. QueryOptions given here become the plan's defaults;
+// executions may override the sampling/guarantee knobs per call, but not
+// the compiled ones (ErrPlanOption names the offender).
 //
 // Prepared plans require the semantic sampler — the topology-only ablation
 // samplers draw during the build itself and have nothing to reuse
@@ -229,14 +222,6 @@ func (p *Prepared) compile(ctx context.Context, v view) (*compiled, error) {
 		c.sp = e.cache.putPlan(p.key, sp)
 		c.hits, c.built = int(sb.hits.Load()), int(sb.built.Load())
 	}
-	// The shard split is a function of the space and the shard count alone,
-	// but it is recomputed per compile: sharding has no measured win yet
-	// (ROADMAP item 4) and does not earn cache bytes.
-	if o.Shards > 1 {
-		if c.split, err = newShardSplit(c.sp, o.Shards); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
@@ -247,16 +232,11 @@ func (p *Prepared) Plan() PlanInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := p.cur
-	strata := 0
-	if c.split != nil {
-		strata = len(c.split.spaces)
-	}
 	return PlanInfo{
 		Query:       p.q.String(),
 		Shape:       p.shape,
 		Paths:       len(p.paths),
 		HopBound:    p.cfg.opts.N,
-		Strata:      strata,
 		Candidates:  c.sp.len(),
 		Epoch:       c.v.epoch,
 		EpochPolicy: p.policy,
@@ -310,8 +290,8 @@ func (p *Prepared) ensure(ctx context.Context, minEpoch uint64) (*compiled, erro
 // Start starts one execution of the plan: per-call options may override
 // the sampling and guarantee knobs (seed, error bound, policy, draw
 // budgets, OnRound, …) but not the compiled plan knobs — overriding the
-// sampler, shard count, hop bound or τ fails with ErrPlanOption, because
-// those are baked into the compiled space and its validation oracle. The
+// sampler, hop bound or τ fails with ErrPlanOption, because those are
+// baked into the compiled space and its validation oracle. The
 // execution reuses the compiled answer space directly; only drawing,
 // candidate evaluation and estimation remain per call. Refine the returned
 // Execution exactly as one from Engine.Start.
@@ -344,9 +324,6 @@ func (p *Prepared) Start(ctx context.Context, opts ...QueryOption) (x *Execution
 		bindings: c.bindings,
 		sp:       c.sp,
 		stream:   stats.NewSplitmix(cfg.opts.Seed),
-	}
-	if c.split != nil {
-		x.sh = newShardedSpace(c.split, cfg.opts.Seed)
 	}
 	return x, nil
 }
@@ -396,8 +373,7 @@ func planKey(paths []query.Path, o Options) string {
 	}
 	k := knobsOf(o)
 	b = append(b, '|')
-	for _, n := range []uint64{uint64(k.sampler), uint64(k.shards), uint64(k.n),
-		math.Float64bits(k.tau)} {
+	for _, n := range []uint64{uint64(k.sampler), uint64(k.n), math.Float64bits(k.tau)} {
 		b = strconv.AppendUint(b, n, 16)
 		b = append(b, ',')
 	}
@@ -408,14 +384,13 @@ func planKey(paths []query.Path, o Options) string {
 // space — the QueryBatch dedupe path: q decomposes to the same paths under
 // the same plan knobs (equal planKey), so only its aggregate bindings
 // (attribute, filters, GROUP-BY) need resolving. The two plans share the
-// immutable space and shard split; what an execution learns of a candidate
-// stays in its own term table, so the sharing is invisible except in build
-// cost.
+// immutable space; what an execution learns of a candidate stays in its own
+// term table, so the sharing is invisible except in build cost.
 func (e *Engine) prepareShared(q *query.Aggregate, paths []query.Path, cfg queryConfig, base *Prepared) (*Prepared, error) {
 	base.mu.Lock()
 	c0 := base.cur
 	base.mu.Unlock()
-	c := &compiled{v: c0.v, sp: c0.sp, split: c0.split, hits: c0.hits, built: c0.built}
+	c := &compiled{v: c0.v, sp: c0.sp, hits: c0.hits, built: c0.built}
 	var err error
 	if c.bindings, err = bind(c.v.g, q); err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"kgaq/internal/kg/kgtest"
 	"kgaq/internal/query"
 	"kgaq/internal/stats"
 )
@@ -34,9 +33,6 @@ func TestPrepareCompilesOnceAndIntrospects(t *testing.T) {
 	}
 	if info.CacheBuilt != 1 || info.CacheHits != 0 {
 		t.Fatalf("cold prepare: built/hits = %d/%d, want 1/0", info.CacheBuilt, info.CacheHits)
-	}
-	if info.Strata != 0 {
-		t.Fatalf("unsharded plan reports %d strata", info.Strata)
 	}
 	if info.EpochPolicy != EpochPin {
 		t.Fatalf("default epoch policy = %v, want pin", info.EpochPolicy)
@@ -143,7 +139,6 @@ func TestPreparedOptionBoundaries(t *testing.T) {
 	for name, opt := range map[string]QueryOption{
 		"hop bound":    WithHopBound(2),
 		"tau":          WithTau(0.7),
-		"shards":       WithShards(4),
 		"sampler":      WithSampler(SamplerCNARW),
 		"epoch policy": WithEpochPolicy(EpochRepin),
 	} {
@@ -166,30 +161,6 @@ func TestPrepareRejectsTopologySamplers(t *testing.T) {
 	// The one-shot path still accepts them (it routes around Prepare).
 	if _, err := e.Query(context.Background(), countQuery(), WithSampler(SamplerCNARW), WithErrorBound(0.3)); err != nil {
 		t.Fatalf("one-shot topology query failed: %v", err)
-	}
-}
-
-// A sharded plan compiles its split once and reports the stratum count.
-func TestPreparedSharded(t *testing.T) {
-	e, _ := figure1Engine(t, Options{ErrorBound: 0.05, Seed: 7, Shards: 4})
-	ctx := context.Background()
-	p, err := e.Prepare(ctx, avgPriceQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := p.Plan()
-	if info.Strata < 1 || info.Strata > 6 {
-		t.Fatalf("strata = %d, want within [1,6]", info.Strata)
-	}
-	res, err := p.Query(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Shards != info.Strata {
-		t.Fatalf("sharded plan query: converged=%v shards=%d (plan %d)", res.Converged, res.Shards, info.Strata)
-	}
-	if rel := stats.RelativeError(res.Estimate, kgtest.Figure1AvgPrice); rel > 0.05 {
-		t.Fatalf("estimate %v vs truth %v", res.Estimate, kgtest.Figure1AvgPrice)
 	}
 }
 

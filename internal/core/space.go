@@ -518,8 +518,7 @@ func (e *Engine) convergedStage(ctx context.Context, o Options, v view,
 type typeMask []uint64
 
 // typeMaskOf builds the bitmap from the view's type index, which lists
-// every node carrying a type (a shard partition narrows that list to its
-// own nodes; no stage is ever built over one).
+// every node carrying a type.
 func typeMaskOf(g kg.ReadGraph, types []kg.TypeID) typeMask {
 	m := make(typeMask, (g.NumNodes()+63)/64)
 	for _, t := range types {

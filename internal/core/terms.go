@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"kgaq/internal/estimate"
@@ -23,8 +20,8 @@ import (
 // candidate publishes its table on the answer space, and a later execution
 // of the same key adopts it and evaluates nothing. A round folds only its
 // fresh draws, by table lookup, into one running-moments accumulator per
-// (spec, stratum, group), and the estimate and its margin are read from
-// those moments. No loop rebuilds an observation list.
+// (spec, group), and the estimate and its margin are read from those
+// moments. No loop rebuilds an observation list.
 
 // termSpec is one aggregate the table evaluates candidates against: the
 // single aggregate of Refine and FederateSample, or each AggSpec of a
@@ -57,7 +54,6 @@ const (
 // execution borrows the one inside its scratch (bindTerms).
 type termTable struct {
 	specs   []termSpec
-	strata  int // accumulators per (group, spec): 1 unless sharded
 	grouped bool
 
 	// state is per candidate and per execution: the termKnown and
@@ -78,15 +74,16 @@ type termTable struct {
 	naGroup  int32
 
 	// The fold. drawIdx[:folded] is in the accumulators; acc holds them at
-	// (g·K+k)·strata+h, draws the folded draw count per stratum, best the
-	// running extreme of each MAX/MIN spec (NaN until a correct draw).
+	// g·K+k, best the running extreme of each MAX/MIN spec (NaN until a
+	// correct draw).
 	folded   int
 	distinct int
 	correct  int // folded draws of termCorrect candidates
-	draws    []int
 	acc      []estimate.Running
 	best     []float64
-	mom      []estimate.Moments // read-out buffer, one per stratum
+	// stratum is marginOf's stratum list: the sample is one stratum of
+	// weight 1, held here so that reading a margin allocates nothing.
+	stratum [1]estimate.Moments
 }
 
 // termCols is what evaluation settles of the candidates beyond their state
@@ -188,18 +185,16 @@ func sized[T any](buf []T, n int) []T {
 // unknown, its own columns to fill — or, given a published table, every
 // candidate known from the published bits and the published columns read in
 // place.
-func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec, pub *publishedTerms) {
+func (t *termTable) reset(n int, grouped bool, specs []termSpec, pub *publishedTerms) {
 	t.specs = append(t.specs[:0], specs...)
-	t.strata, t.grouped = strata, grouped
+	t.grouped = grouped
 	k := len(specs)
 	t.state = sized(t.state, n)
 	t.folded, t.distinct, t.correct = 0, 0, 0
-	t.draws = sized(t.draws, strata)
-	clear(t.draws)
 	if pub != nil {
 		copy(t.state, pub.state)
 		t.termCols, t.adopted = &pub.cols, true
-		t.acc = sized(t.acc, len(pub.cols.labels)*k*strata)
+		t.acc = sized(t.acc, len(pub.cols.labels)*k)
 	} else {
 		clear(t.state)
 		t.termCols, t.adopted = &t.own, false
@@ -214,14 +209,13 @@ func (t *termTable) reset(n, strata int, grouped bool, specs []termSpec, pub *pu
 			}
 			clear(t.groupIDs)
 		}
-		t.acc = sized(t.acc, k*strata)
+		t.acc = sized(t.acc, k)
 	}
 	clear(t.acc)
 	t.best = sized(t.best, k)
 	for i := range t.best {
 		t.best[i] = math.NaN()
 	}
-	t.mom = sized(t.mom, strata)
 }
 
 // heldBytes is what the table's arrays pin, the free list's retention
@@ -235,7 +229,7 @@ func (t *termTable) heldBytes() int {
 // groupOf interns the GROUP-BY group of an answer: by attribute value, with
 // one group for the answers that lack the attribute. The label — the value
 // formatted as the API prints it — is built once per group, and a new group
-// extends acc by one zeroed accumulator per (spec, stratum).
+// extends acc by one zeroed accumulator per spec.
 func (t *termTable) groupOf(v float64, present bool) int32 {
 	if !present {
 		if t.naGroup == 0 {
@@ -258,8 +252,7 @@ func (t *termTable) groupOf(v float64, present bool) int32 {
 func (t *termTable) addGroup(label string) int32 {
 	id := int32(len(t.labels))
 	t.labels = append(t.labels, label)
-	per := len(t.specs) * t.strata
-	for i := 0; i < per; i++ {
+	for range t.specs {
 		t.acc = append(t.acc, estimate.Running{})
 	}
 	return id
@@ -274,15 +267,6 @@ func (t *termTable) specCorrect(i, k int) bool {
 		return false
 	}
 	return t.specs[k].fn == query.Count || t.has[i*len(t.specs)+k]
-}
-
-// prob is the draw probability of candidate i: π′, conditional on the
-// candidate's stratum under sharded execution.
-func (x *Execution) prob(i int) float64 {
-	if x.sh != nil {
-		return x.sh.condProb(x.sp, i)
-	}
-	return x.sp.probs[i]
 }
 
 // bindTerms attaches the execution's term table for the given specs. An
@@ -301,24 +285,19 @@ func (x *Execution) bindTerms(specs ...termSpec) {
 	} else {
 		x.tab = new(termTable)
 	}
-	strata := 1
-	if x.sh != nil {
-		strata = len(x.sh.spaces)
-	}
 	var pub *publishedTerms
 	if key, ok := x.termKey(specs); ok {
 		pub = x.sp.publishedTerms(&key)
 	}
-	x.tab.reset(x.sp.len(), strata, x.group != kg.InvalidAttr, specs, pub)
+	x.tab.reset(x.sp.len(), x.group != kg.InvalidAttr, specs, pub)
 }
 
 // termKey is the key of the execution's term table over specs. ok is false
-// when the table may be neither published nor adopted: under sharding,
-// whose executions never take the census, or under the SkipValidation
-// ablation, whose correct bits are not the validator's.
+// when the table may be neither published nor adopted: under the
+// SkipValidation ablation, whose correct bits are not the validator's.
 func (x *Execution) termKey(specs []termSpec) (key termKey, ok bool) {
 	key = termKey{epoch: x.v.epoch, group: x.group, filters: x.filters, specs: specs}
-	return key, x.sh == nil && !x.opts.SkipValidation
+	return key, !x.opts.SkipValidation
 }
 
 // publishTerms offers the table a census has just settled to the answer
@@ -343,7 +322,7 @@ func (x *Execution) publishTerms() {
 func (x *Execution) record(i int, verdict bool) {
 	t, g, u := x.tab, x.v.g, x.sp.answers[i]
 	state := termKnown
-	if verdict && x.prob(i) > 0 {
+	if verdict && x.sp.probs[i] > 0 {
 		state |= termCorrect
 		for _, f := range x.filters {
 			v, ok := g.Attr(u, f.attr)
@@ -374,11 +353,12 @@ func (x *Execution) record(i int, verdict bool) {
 }
 
 // evaluate settles every not-yet-known candidate among the fresh draws: one
-// batch validation over the distinct new candidates (per stratum bucket and
-// in parallel when sharded, none under SkipValidation), then one record
-// each. It is the only cancellable part of a round and reports false when
-// ctx cut it short: a verdict is recorded only when its validation ran to
-// completion, so the candidates of a cancelled batch stay unknown.
+// batch validation over the distinct new candidates (none under
+// SkipValidation), then one record each. It is the only cancellable part of
+// a round and reports false when ctx cut it short: a verdict is recorded
+// only when its validation ran to completion, so the candidates of a
+// cancelled batch stay unknown, and a batch that completed is never
+// reported cut, however soon after ctx turns cancelled.
 func (x *Execution) evaluate(ctx context.Context, fresh []int) bool {
 	fireValidatePoint()
 	t := x.tab
@@ -398,7 +378,7 @@ func (x *Execution) evaluate(ctx context.Context, fresh []int) bool {
 			t.state[i] &^= termQueued
 		}
 	}()
-	return x.settle(ctx, queue) && ctx.Err() == nil
+	return x.settle(ctx, queue)
 }
 
 // settle decides and records the queued candidates, in queue order, and
@@ -457,87 +437,24 @@ func (x *Execution) settle(ctx context.Context, queue []int) bool {
 func (x *Execution) oracleEnv() oracleEnv { return oracleEnv{e: x.e, o: x.opts, v: x.v} }
 
 // validate batch-validates the candidates at the open positions of queue
-// into the same positions of out and reports whether the validation ran to
-// completion. Unsharded it is one shared search. Sharded, the open positions
-// are cut per stratum, the strata are packed into at most GOMAXPROCS
-// buckets, and each bucket runs its own shared search on a goroutine taken
-// opportunistically from the engine's worker pool — on a single CPU every
-// stratum lands in one bucket and the search is exactly the unsharded one,
-// so sharding never splits validation work it cannot parallelise. Each
-// goroutine writes only its own bucket's slots of out.
+// into the same positions of out, in one shared search, and reports whether
+// the validation ran to completion.
 func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool) bool {
 	sp := x.sp
-	if x.sh == nil {
-		nodes := x.scr.freshNodes[:0]
-		for _, k := range open {
-			nodes = append(nodes, sp.answers[queue[k]])
-		}
-		x.scr.freshNodes = nodes
-		res := sized(x.scr.freshVerdicts, len(nodes))
-		x.scr.freshVerdicts = res
-		if !sp.oracle.batch(ctx, x.oracleEnv(), nodes, res) {
-			return false
-		}
-		for j, k := range open {
-			out[k] = res[j]
-		}
-		return true
-	}
-	env := x.oracleEnv()
-	sh := x.sh
-	perStratum := make([][]int, len(sh.spaces)) // positions in queue
-	active := 0
+	nodes := x.scr.freshNodes[:0]
 	for _, k := range open {
-		pos := sh.posOf[queue[k]]
-		if len(perStratum[pos]) == 0 {
-			active++
-		}
-		perStratum[pos] = append(perStratum[pos], k)
+		nodes = append(nodes, sp.answers[queue[k]])
 	}
-	buckets := min(runtime.GOMAXPROCS(0), active)
-	slots := make([][]int, buckets)
-	b := 0
-	for _, ks := range perStratum {
-		if len(ks) == 0 {
-			continue
-		}
-		slots[b] = append(slots[b], ks...)
-		b = (b + 1) % buckets
+	x.scr.freshNodes = nodes
+	res := sized(x.scr.freshVerdicts, len(nodes))
+	x.scr.freshVerdicts = res
+	if !sp.oracle.batch(ctx, x.oracleEnv(), nodes, res) {
+		return false
 	}
-	var wg sync.WaitGroup
-	var pb panicBox
-	var cut atomic.Bool
-	for _, ks := range slots {
-		search := func() {
-			nodes := make([]kg.NodeID, len(ks))
-			for j, k := range ks {
-				nodes[j] = sp.answers[queue[k]]
-			}
-			res := make([]bool, len(nodes))
-			if !sp.oracle.batch(ctx, env, nodes, res) {
-				cut.Store(true)
-				return
-			}
-			for j, k := range ks {
-				out[k] = res[j]
-			}
-		}
-		select {
-		case x.e.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-x.e.sem }()
-				defer pb.capture()
-				search()
-			}()
-		default:
-			search()
-		}
+	for j, k := range open {
+		out[k] = res[j]
 	}
-	wg.Wait()
-	pb.rethrow()
-	return !cut.Load()
+	return true
 }
 
 // fold adds the fresh draws drawIdx[folded:] to the running moments. Every
@@ -548,24 +465,15 @@ func (x *Execution) validate(ctx context.Context, queue, open []int, out []bool)
 //
 // A correct draw adds its Horvitz–Thompson terms — weight c = 1/p and, per
 // valued spec, v/p, with p its draw probability — to the whole-sample
-// accumulator of every spec it is correct for, in its stratum, and to its
-// group's; an incorrect draw, an out-of-group draw and a draw missing a
-// spec's attribute are zero terms there, which the accumulators never see —
-// the read-out merges them as the stratum's draw count minus the
-// accumulator's (estimate.Running).
+// accumulator of every spec it is correct for, and to its group's; an
+// incorrect draw, an out-of-group draw and a draw missing a spec's attribute
+// are zero terms there, which the accumulators never see — the read-out
+// merges them as the folded draw count minus the accumulator's
+// (estimate.Running).
 func (x *Execution) fold() {
 	t := x.tab
-	k, strata := len(t.specs), t.strata
-	var posOf []int // nil: one stratum
-	if x.sh != nil {
-		posOf = x.sh.posOf
-	}
+	k := len(t.specs)
 	for _, i := range x.drawIdx[t.folded:] {
-		h := 0
-		if posOf != nil {
-			h = posOf[i]
-		}
-		t.draws[h]++
 		state := t.state[i]
 		if state&termSeen == 0 {
 			t.state[i] = state | termSeen
@@ -575,7 +483,7 @@ func (x *Execution) fold() {
 			continue
 		}
 		t.correct++
-		p := x.prob(i)
+		p := x.sp.probs[i]
 		c := 1 / p
 		g := 0
 		if t.grouped {
@@ -595,9 +503,9 @@ func (x *Execution) fold() {
 					t.best[j] = v
 				}
 			}
-			t.acc[j*strata+h].Add(s, c)
+			t.acc[j].Add(s, c)
 			if g != 0 {
-				t.acc[(g*k+j)*strata+h].Add(s, c)
+				t.acc[g*k+j].Add(s, c)
 			}
 		}
 	}
@@ -683,72 +591,45 @@ func (t *termTable) exact(g, k int) (float64, int, error) {
 	}
 }
 
-// moments reads spec k of group g (0: the whole sample) out as per-stratum
-// moments, into a buffer valid until the next call. Every stratum's sample
-// is its full draw count: whatever the accumulator did not see is a zero.
-func (t *termTable) moments(g, k int) []estimate.Moments {
-	at := (g*len(t.specs) + k) * t.strata
-	for h := range t.mom {
-		t.mom[h] = t.acc[at+h].Moments(t.draws[h])
-	}
-	return t.mom
-}
-
-// sampleMoments reads spec k's whole-sample moments per stratum and, when
-// sharded, refreshes the Neyman allocator's per-stratum variance signals
-// from them. Only the spec driving the refinement may do so, once per round
-// and over the whole sample — per-group moments never: allocation stays a
-// function of the whole sample and the run stays deterministic under its
-// seed.
-func (x *Execution) sampleMoments(k int) []estimate.Moments {
-	mom := x.tab.moments(0, k)
-	if x.sh != nil {
-		x.sh.updateSigmas(mom)
-	}
-	return mom
+// moments reads spec k of group g (0: the whole sample) out as moments. The
+// sample is every folded draw: whatever the accumulator did not see is a
+// zero.
+func (t *termTable) moments(g, k int) estimate.Moments {
+	return t.acc[g*len(t.specs)+k].Moments(t.folded)
 }
 
 // hits counts the folded draws correct for spec k inside group g (0: the
 // whole sample) — Result.Correct, and a group's Draws.
 func (t *termTable) hits(g, k int) int {
-	at := (g*len(t.specs) + k) * t.strata
-	n := 0
-	for h := 0; h < t.strata; h++ {
-		n += t.acc[at+h].Correct()
-	}
-	return n
+	return t.acc[g*len(t.specs)+k].Correct()
 }
 
-// estimateOf is the point estimate of spec k from its moments (Eq. 7–9):
-// stratified when sharded — the per-shard samples merge as Σ_h f̂(S_h) over
-// conditional probabilities — plain Horvitz–Thompson otherwise. MAX and MIN
-// report the running extreme over the draws correct for the spec.
-func (x *Execution) estimateOf(k int, mom []estimate.Moments) (float64, error) {
+// estimateOf is the Horvitz–Thompson point estimate of spec k from its
+// moments (Eq. 7–9). MAX and MIN report the running extreme over the draws
+// correct for the spec.
+func (x *Execution) estimateOf(k int, m estimate.Moments) (float64, error) {
 	t, fn := x.tab, x.tab.specs[k].fn
-	switch {
-	case !fn.HasGuarantee():
-		if t.folded == 0 {
-			return 0, estimate.ErrNoObservations
-		}
-		if math.IsNaN(t.best[k]) {
-			return 0, estimate.ErrNoCorrect
-		}
-		return t.best[k], nil
-	case x.sh != nil:
-		return estimate.EstimateMoments(fn, mom, x.opts.Policy)
-	default:
-		return mom[0].Estimate(fn, x.opts.Policy)
+	if fn.HasGuarantee() {
+		return m.Estimate(fn, x.opts.Policy)
 	}
+	if t.folded == 0 {
+		return 0, estimate.ErrNoObservations
+	}
+	if math.IsNaN(t.best[k]) {
+		return 0, estimate.ErrNoCorrect
+	}
+	return t.best[k], nil
 }
 
-// marginOf is ε of spec k: the closed-form stratified CLT margin over the
-// strata's moments — an unsharded sample is one stratum of weight 1. ε is a
-// function of the moments alone: it consumes no randomness, so the draw
-// stream stays a function of draw counts and pooled and unpooled execution,
-// or a QueryMulti and sequential Query calls over the same plan, sample
-// identically.
-func (x *Execution) marginOf(k int, mom []estimate.Moments) (float64, error) {
-	return estimate.MoEMoments(x.tab.specs[k].fn, mom, x.opts.Policy, x.opts.guarantee())
+// marginOf is ε of spec k: the closed-form CLT margin over the moments, a
+// sample of one stratum of weight 1. ε is a function of the moments alone:
+// it consumes no randomness, so the draw stream stays a function of draw
+// counts and pooled and unpooled execution, or a QueryMulti and sequential
+// Query calls over the same plan, sample identically.
+func (x *Execution) marginOf(k int, m estimate.Moments) (float64, error) {
+	t := x.tab
+	t.stratum[0] = m
+	return estimate.MoEMoments(t.specs[k].fn, t.stratum[:], x.opts.Policy, x.opts.guarantee())
 }
 
 // sampleCounts returns the correct draws for spec k (k < 0: by the shared

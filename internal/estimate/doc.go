@@ -18,15 +18,15 @@
 // (TestRunningMatchesMomentsOf; core's TestFoldMatchesListForm); no query
 // path calls them.
 //
-// The package also provides the cross-shard side of sharded execution
-// (DESIGN.md "Sharded execution"): per-shard samples arrive as disjoint
-// strata of the candidate-answer space, EstimateStratified merges them into
-// one unbiased estimate with the shard inclusion probabilities folded into
-// each Observation's conditional draw probability, MoEStratified computes
-// the closed-form stratified CLT margin of error, and AllocateDraws splits
-// the next round's draws across strata by Neyman allocation. Federation
-// members are strata too: they ship their Moments, which EstimateMoments
-// and MoEMoments merge without ever seeing an observation.
+// The package also provides the stratified side: per-stratum samples of
+// disjoint strata of the candidate-answer space, which EstimateStratified
+// merges into one unbiased estimate with the stratum inclusion
+// probabilities folded into each Observation's conditional draw
+// probability; MoEStratified computes the closed-form stratified CLT margin
+// of error, and AllocateDraws splits the next round's draws across strata
+// by Neyman allocation. Federation members are the strata: they ship their
+// Moments, which EstimateMoments and MoEMoments merge without ever seeing
+// an observation.
 //
 // Multi-aggregate execution rides the same machinery: the engine keeps one
 // Running per aggregate over the one sample, so one sample feeds COUNT, SUM

@@ -14,11 +14,10 @@ import (
 // aggregated attribute value, its per-draw probability π′, and the
 // validation verdict (semantic similarity ≥ τ and all filters passed).
 //
-// Under sharded execution (DESIGN.md "Sharded execution") the draw comes
-// from one shard's stratum: Prob is then the probability conditional on the
-// stratum, and the stratum's inclusion probability rides along in
-// StratumWeight so the stratified combiner can merge per-shard samples
-// without side tables. The zero values (Stratum 0, StratumWeight 0) mark an
+// A draw from one stratum of a stratified sample carries the probability
+// conditional on its stratum in Prob, and the stratum's inclusion
+// probability rides along in StratumWeight so the stratified combiner can
+// merge per-stratum samples without side tables. The zero values (Stratum 0, StratumWeight 0) mark an
 // unstratified observation, which Regroup treats as a single stratum of
 // weight 1.
 type Observation struct {
@@ -26,10 +25,10 @@ type Observation struct {
 	Prob    float64
 	Correct bool
 
-	// Stratum identifies the shard stratum the draw came from.
+	// Stratum identifies the stratum the draw came from.
 	Stratum int
 	// StratumWeight is the inclusion probability w_h of that stratum
-	// (Σ π′ over the shard's owned answers); zero means unstratified.
+	// (Σ π′ over its answers); zero means unstratified.
 	StratumWeight float64
 }
 

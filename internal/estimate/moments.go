@@ -14,7 +14,7 @@ import (
 // rather than from bootstrap resamples (DESIGN.md "Deliberate deviation:
 // closed-form margin"; MoESeeded keeps the paper's Eq. 10–11 as the
 // reference). Every execution path — plain, grouped, multi-aggregate,
-// sharded, federated — computes its ε here, and a federation member ships
+// federated — computes its ε here, and a federation member ships
 // exactly these seven numbers per round instead of its observations.
 
 // Moments is the sufficient statistic of one stratum's sample for the

@@ -7,23 +7,23 @@ import (
 	"kgaq/internal/query"
 )
 
-// This file implements the cross-shard combiner of the sharded execution
-// model (DESIGN.md "Sharded execution"): per-shard samples are disjoint
-// strata of the candidate-answer space, each drawn from its own conditional
-// distribution π′|shard, and the merged estimate is the classic stratified
+// This file implements the stratified combiner (DESIGN.md "Federation:
+// remote strata"): per-stratum samples are disjoint strata of the
+// candidate-answer space, each drawn from its own conditional distribution
+// π′|stratum, and the merged estimate is the classic stratified
 // Horvitz–Thompson form
 //
 //	V̂ = Σ_h  f̂(S_h),   f̂(S_h) = (1/n_h) Σ_{i∈S_h} v_i·1{correct}/p_i
 //
 // where p_i = π′(i)/w_h is the draw probability conditional on the stratum
-// and w_h = Σ π′(owned answers) is the shard's inclusion probability. The
+// and w_h = Σ π′(answers of h) is the stratum's inclusion probability. The
 // inclusion probability is folded into the conditional p_i carried on each
-// Observation, so each shard term estimates its stratum total
+// Observation, so each stratum term estimates its stratum total
 // E[f̂(S_h)] = Σ_{u∈A_h} v_u·1{correct} without bias, whatever n_h the
 // allocator chose — the merge is unbiased for COUNT and SUM and consistent
-// for AVG, exactly the properties the single-shard estimators carry.
+// for AVG, exactly the properties the unstratified estimators carry.
 
-// Stratum is one shard's sample: its inclusion probability and the
+// Stratum is one stratum's sample: its inclusion probability and the
 // observations drawn from its conditional distribution.
 type Stratum struct {
 	// Weight is the stratum's inclusion probability w_h ∈ (0, 1]; the
@@ -36,7 +36,7 @@ type Stratum struct {
 
 // Regroup reassembles flat observations into strata using the Stratum and
 // StratumWeight fields, in ascending stratum order. Observations with a
-// zero StratumWeight (the unsharded default) land in one stratum of weight
+// zero StratumWeight (the unstratified default) land in one stratum of weight
 // 1, so a regrouped-then-combined unstratified sample reproduces the plain
 // estimator.
 func Regroup(obs []Observation) []Stratum {
@@ -63,8 +63,7 @@ func Regroup(obs []Observation) []Stratum {
 	return out
 }
 
-// EstimateStratified computes the merged point estimate over per-shard
-// strata. COUNT and SUM merge as Σ_h f̂(S_h) over conditional-probability
+// EstimateStratified computes the merged point estimate over strata. COUNT and SUM merge as Σ_h f̂(S_h) over conditional-probability
 // HT means; AVG is the ratio of the stratified SUM and COUNT (each stratum
 // is reduced to its moments, see EstimateMoments); MAX and MIN are the
 // extreme over every stratum's correct observations (weights play no role
@@ -124,7 +123,7 @@ type StratumStats struct {
 // total is smaller than the stratum count the floors cannot hold and the
 // highest-share strata win the draws — callers needing full coverage (the
 // stratified estimator does; see EstimateStratified) must size the round
-// at len(stats) or more, as core's firstSize does. The returned counts
+// at len(stats) or more, as the federation coordinator's allocate does. The returned counts
 // sum exactly to total (largest-remainder rounding, deterministic).
 func AllocateDraws(total int, stats []StratumStats) []int {
 	return AllocateDrawsInto(nil, total, stats)
@@ -155,8 +154,8 @@ type frac struct {
 var allocPool = sync.Pool{New: func() any { return new(allocScratch) }}
 
 // AllocateDrawsInto is AllocateDraws writing into dst (reused when its
-// capacity suffices) so the per-round sharded draw path reuses one
-// allocation buffer across rounds; the internal share/remainder scratch is
+// capacity suffices) so a caller allocating every round reuses one
+// buffer across rounds; the internal share/remainder scratch is
 // pooled, so a warm call allocates nothing.
 func AllocateDrawsInto(dst []int, total int, stats []StratumStats) []int {
 	if cap(dst) < len(stats) {

@@ -47,21 +47,24 @@ func (s *stratified) draw(r *rand.Rand, perStratum int) []Stratum {
 		if s.alias[h] == nil {
 			continue
 		}
-		st := Stratum{Weight: s.weight[h]}
-		for d := 0; d < perStratum; d++ {
-			k := s.alias[h].Pick(r.Uint64())
-			i := s.index[h][k]
-			st.Obs = append(st.Obs, Observation{
-				Value:         s.pop.values[i],
-				Prob:          s.pop.probs[i] / s.weight[h],
-				Correct:       s.pop.correct[i],
-				Stratum:       h,
-				StratumWeight: s.weight[h],
-			})
-		}
-		out = append(out, st)
+		out = append(out, Stratum{Weight: s.weight[h], Obs: s.drawStratum(r, h, nil, perStratum)})
 	}
 	return out
+}
+
+// drawStratum appends n draws of stratum h to obs.
+func (s *stratified) drawStratum(r *rand.Rand, h int, obs []Observation, n int) []Observation {
+	for d := 0; d < n; d++ {
+		i := s.index[h][s.alias[h].Pick(r.Uint64())]
+		obs = append(obs, Observation{
+			Value:         s.pop.values[i],
+			Prob:          s.pop.probs[i] / s.weight[h],
+			Correct:       s.pop.correct[i],
+			Stratum:       h,
+			StratumWeight: s.weight[h],
+		})
+	}
+	return obs
 }
 
 // The merged stratified estimator is unbiased for COUNT and SUM, exactly
@@ -252,4 +255,59 @@ func sum(xs []int) int {
 		t += x
 	}
 	return t
+}
+
+// The interval a federation coordinator reads (EstimateMoments,
+// MoEMoments) covers the truth at roughly the configured 95% when a
+// refinement draws 1, 2 or 8 strata by Neyman allocation and stops at
+// Theorem 2's bound. The 0.85 floor leaves room for the CLT margin's
+// small-sample optimism; at least half the runs must converge.
+func TestStratifiedRefinementCoverage(t *testing.T) {
+	const eb, trials, rounds = 0.05, 60, 10
+	pop := newPopulation(stats.NewRand(5), 60, 0.5)
+	truth := pop.truth(query.Sum)
+	for _, n := range []int{1, 2, 8} {
+		s := stratifyPop(pop, n)
+		var strata []int // the non-empty ones
+		for h := range s.index {
+			if s.alias[h] != nil {
+				strata = append(strata, h)
+			}
+		}
+		covered, converged := 0, 0
+		for trial := 0; trial < trials; trial++ {
+			r := stats.NewRand(int64(100 + trial))
+			obs := make([][]Observation, len(strata))
+			mom := make([]Moments, len(strata))
+			st := make([]StratumStats, len(strata))
+			for round := 0; round < rounds; round++ {
+				for j, h := range strata {
+					st[j] = StratumStats{Weight: s.weight[h], Sigma: mom[j].Sigma()}
+				}
+				for j, k := range AllocateDraws(100<<round, st) {
+					obs[j] = s.drawStratum(r, strata[j], obs[j], k)
+					mom[j] = MomentsOf(query.Sum, obs[j])
+				}
+				v, err := EstimateMoments(query.Sum, mom, SampleSize)
+				if err != nil {
+					continue
+				}
+				eps, err := MoEMoments(query.Sum, mom, SampleSize, DefaultGuarantee())
+				if err != nil || !Satisfied(v, eps, eb) {
+					continue
+				}
+				converged++
+				if math.Abs(v-truth) <= eps {
+					covered++
+				}
+				break
+			}
+		}
+		if converged < trials/2 {
+			t.Fatalf("%d strata: only %d/%d runs converged", n, converged, trials)
+		}
+		if rate := float64(covered) / float64(converged); rate < 0.85 {
+			t.Fatalf("%d strata: interval covered truth in %.0f%% of %d converged runs", n, rate*100, converged)
+		}
+	}
 }

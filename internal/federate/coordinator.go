@@ -132,7 +132,7 @@ func (c *Coordinator) Query(ctx context.Context, q *query.Aggregate, opts ...cor
 		t.SetAttr("rounds", rounds)
 	}
 	if res != nil {
-		metStrata.Observe(float64(res.Shards))
+		metStrata.Observe(float64(res.Strata))
 		t.SetAttr("sample_size", res.SampleSize)
 	}
 	metQueries.With(outcome(res, err)).Inc()
@@ -220,7 +220,7 @@ func (c *Coordinator) run(ctx context.Context, q *query.Aggregate, opts ...core.
 		}
 		for i := range runs {
 			if runs[i].contributing() {
-				res.Shards++
+				res.Strata++
 				res.SampleSize += runs[i].sample.N
 				res.Correct += runs[i].sample.Correct
 				res.Candidates += runs[i].candidates

@@ -3,8 +3,8 @@
 // partition — and gathers their per-member sample moments into one
 // guaranteed estimate (DESIGN.md "Federation: remote strata").
 //
-// The math is the PR4 stratified Horvitz–Thompson combiner generalised from
-// in-process shards to remote strata: one member = one stratum. A member
+// The math is the stratified Horvitz–Thompson combiner over remote strata:
+// one member = one stratum. A member
 // samples its own graph with member-local inclusion probabilities, so its
 // per-draw HT terms v·1{correct}/p estimate the member's local aggregate
 // total without any global knowledge. Those terms enter every estimator

@@ -139,8 +139,8 @@ func TestFederatedMatchesUnsplitTwin(t *testing.T) {
 			if fed.Degraded {
 				t.Fatalf("healthy federation reported degraded")
 			}
-			if fed.Shards != 3 {
-				t.Fatalf("merged %d strata, want 3", fed.Shards)
+			if fed.Strata != 3 {
+				t.Fatalf("merged %d strata, want 3", fed.Strata)
 			}
 			if got := math.Abs(fed.Estimate - tc.truth); got > fed.MoE+1e-9 {
 				t.Errorf("federated interval misses truth: estimate %.3f ± %.3f, truth %.3f",
@@ -208,8 +208,8 @@ func TestMemberKillFreezesStratum(t *testing.T) {
 	if !res.Degraded {
 		t.Fatalf("losing a member mid-query must flag the answer degraded: %+v", res)
 	}
-	if res.Shards != 3 {
-		t.Fatalf("frozen stratum must stay in the merge: got %d strata, want 3", res.Shards)
+	if res.Strata != 3 {
+		t.Fatalf("frozen stratum must stay in the merge: got %d strata, want 3", res.Strata)
 	}
 	// The frozen merge is still unbiased for the FULL federation, so the
 	// honest (possibly widened) interval must cover the unsplit truth.
@@ -254,8 +254,8 @@ func TestMemberDeadAtStartDropsStratum(t *testing.T) {
 	if !res.Degraded {
 		t.Fatalf("a dropped member must flag the answer degraded: %+v", res)
 	}
-	if res.Shards != 2 {
-		t.Fatalf("dropped stratum must leave the merge: got %d strata, want 2", res.Shards)
+	if res.Strata != 2 {
+		t.Fatalf("dropped stratum must leave the merge: got %d strata, want 2", res.Strata)
 	}
 	if res.Candidates != survivors {
 		t.Errorf("surviving candidates = %d, want %d", res.Candidates, survivors)
@@ -314,8 +314,8 @@ func TestEmptyMemberIsNotDeath(t *testing.T) {
 	if res.Degraded || !res.Converged {
 		t.Fatalf("an empty member is not a failure: %+v", res)
 	}
-	if res.Shards != 2 {
-		t.Fatalf("merged %d strata, want 2 (empty member contributes none)", res.Shards)
+	if res.Strata != 2 {
+		t.Fatalf("merged %d strata, want 2 (empty member contributes none)", res.Strata)
 	}
 	if got := math.Abs(res.Estimate - sum); got > res.MoE+1e-9 {
 		t.Errorf("interval misses truth: estimate %.1f ± %.1f, truth %.1f", res.Estimate, res.MoE, sum)

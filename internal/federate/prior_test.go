@@ -152,14 +152,14 @@ func TestNoPriorAfterAPartialExecution(t *testing.T) {
 		{"frozen", func(t *testing.T, coord *federate.Coordinator, taps []*memberTap, q *query.Aggregate) {
 			// The member dies once it has answered the first round.
 			res, err := coord.Query(context.Background(), q, degrade, core.OnRound(func(core.Round) { taps[2].down.Store(true) }))
-			if err != nil || !res.Degraded || res.Shards != 3 {
+			if err != nil || !res.Degraded || res.Strata != 3 {
 				t.Fatalf("want a degraded answer with a frozen stratum, got %+v, %v", res, err)
 			}
 		}},
 		{"dropped", func(t *testing.T, coord *federate.Coordinator, taps []*memberTap, q *query.Aggregate) {
 			taps[1].down.Store(true)
 			res, err := coord.Query(context.Background(), q, degrade)
-			if err != nil || !res.Degraded || res.Shards != 2 {
+			if err != nil || !res.Degraded || res.Strata != 2 {
 				t.Fatalf("want a degraded answer with a dropped stratum, got %+v, %v", res, err)
 			}
 		}},

@@ -69,9 +69,9 @@ func TestCoordinatorHTTP(t *testing.T) {
 		if err := json.Unmarshal(raw, &qr); err != nil {
 			t.Fatal(err)
 		}
-		if qr.Shards != len(members) || qr.Estimate == nil {
-			t.Fatalf("query%s: shards %d, estimate %v; want %d contributing members and an estimate",
-				extra, qr.Shards, qr.Estimate, len(members))
+		if qr.Strata != len(members) || qr.Estimate == nil {
+			t.Fatalf("query%s: strata %d, estimate %v; want %d contributing members and an estimate",
+				extra, qr.Strata, qr.Estimate, len(members))
 		}
 	}
 

@@ -441,7 +441,7 @@ type answerJSON struct {
 	SampleSize  int     `json:"sample_size"`
 	Distinct    int     `json:"distinct"`
 	Candidates  int     `json:"candidates"`
-	Shards      int     `json:"shards,omitempty"`
+	Strata      int     `json:"strata,omitempty"`
 	Epoch       uint64  `json:"epoch"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
 	// Degraded marks an answer the serving tier loosened honestly: the loop
@@ -553,7 +553,7 @@ func toResponse(text string, res *core.Result, elapsed time.Duration) *queryResp
 	out := &queryResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
 			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates,
-			Shards: res.Shards, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: len(res.Rounds)},
+			Strata: res.Strata, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: len(res.Rounds)},
 		estimateJSON: estimateOf(res.Estimate, res.MoE, res.AchievedEB(), res.Exact, res.Rounds, res.Groups),
 		TargetEB:     res.TargetEB,
 	}
@@ -565,7 +565,7 @@ func toMultiResponse(text string, res *core.MultiResult, elapsed time.Duration) 
 	out := &multiResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
 			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates,
-			Shards: res.Shards, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
+			Strata: res.Strata, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
 		Aggs:   make([]aggResultJSON, len(res.Aggs)),
 		Rounds: res.Rounds,
 	}

@@ -130,7 +130,6 @@ type planJSON struct {
 	Shape       string  `json:"shape"`
 	Paths       int     `json:"paths"`
 	HopBound    int     `json:"hop_bound"`
-	Strata      int     `json:"strata,omitempty"`
 	Candidates  int     `json:"candidates"`
 	Epoch       uint64  `json:"epoch"`
 	EpochPolicy string  `json:"epoch_policy"`
@@ -159,7 +158,6 @@ func (pc *planCache) entryJSONLocked(e *planEntry, now time.Time) planJSON {
 		Shape:       info.Shape.String(),
 		Paths:       info.Paths,
 		HopBound:    info.HopBound,
-		Strata:      info.Strata,
 		Candidates:  info.Candidates,
 		Epoch:       info.Epoch,
 		EpochPolicy: info.EpochPolicy.String(),

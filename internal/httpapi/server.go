@@ -185,7 +185,6 @@ func errorStatus(err error) int {
 		errors.Is(err, core.ErrUnknownType),
 		errors.Is(err, core.ErrUnknownPredicate),
 		errors.Is(err, core.ErrUnknownAttribute),
-		errors.Is(err, core.ErrShardedSampler),
 		errors.Is(err, core.ErrPlanSampler),
 		errors.Is(err, core.ErrPlanOption),
 		errors.Is(err, core.ErrBadAggSpec),

@@ -384,43 +384,6 @@ func TestMinEpochUnreachable(t *testing.T) {
 	}
 }
 
-// TestQuerySharded drives a sharded execution on a server whose engine
-// shards every query.
-func TestQuerySharded(t *testing.T) {
-	g := kgtest.Figure1()
-	eng, err := core.NewEngine(g, embtest.Figure1Model(g),
-		core.Options{ErrorBound: 0.05, Seed: 7, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(eng).Handler())
-	t.Cleanup(ts.Close)
-
-	resp, body := postQuery(t, ts, fmt.Sprintf(`{"query": %q}`, avgPriceText))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	var qr queryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatalf("%v in %s", err, body)
-	}
-	if !qr.Converged || qr.Estimate == nil {
-		t.Fatalf("sharded response = %+v", qr)
-	}
-	if qr.Shards < 1 {
-		t.Fatalf("response shards = %d, want ≥ 1", qr.Shards)
-	}
-	if rel := stats.RelativeError(*qr.Estimate, kgtest.Figure1AvgPrice); rel > 0.05 {
-		t.Fatalf("sharded estimate %v, rel error %v", *qr.Estimate, rel)
-	}
-
-	// Sharding a topology-only ablation sampler is the client's mistake.
-	resp, body = postQuery(t, ts, fmt.Sprintf(`{"query": %q, "sampler": "cnarw"}`, avgPriceText))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("sharded cnarw: status = %d, want 400 (%s)", resp.StatusCode, body)
-	}
-}
-
 // A federated round after the first compiles nothing on the member: the
 // second /v1/federate/sample of a query finds its assembled answer space
 // under the plan key — exactly one cache hit, no miss — and, at the same

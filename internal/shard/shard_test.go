@@ -111,3 +111,22 @@ func TestSplitSpace(t *testing.T) {
 		t.Fatal("mismatched lengths accepted")
 	}
 }
+
+// The ownership hash must not degenerate for power-of-two shard counts: a
+// node population whose ids follow a periodic pattern (bulk loads
+// interleaving types) must still spread across all shards.
+func TestAssignPeriodicIDsSpread(t *testing.T) {
+	const n, shards = 4096, 8
+	counts := make(map[int]int)
+	for i := 0; i < n; i += 4 { // every 4th id, the skew pattern of bulk loads
+		counts[Assign(kg.NodeID(i), shards)]++
+	}
+	if len(counts) != shards {
+		t.Fatalf("periodic ids landed on %d of %d shards: %v", len(counts), shards, counts)
+	}
+	for s, c := range counts {
+		if c < n/4/shards/2 || c > n/4/shards*2 {
+			t.Fatalf("shard %d owns %d of %d periodic ids — skewed: %v", s, c, n/4, counts)
+		}
+	}
+}

@@ -27,17 +27,12 @@
 //
 // Heavy repeat traffic should split compilation from execution:
 // Engine.Prepare compiles a query once into a concurrency-safe *Prepared
-// (resolution, shape classification, walk convergence, alias tables, shard
-// split), and Prepared.Query / Prepared.QueryMulti execute it any number
-// of times. QueryMulti evaluates several aggregates — e.g. COUNT, SUM and
-// AVG of one query graph — over a single shared sample, refining until
-// every guaranteed aggregate meets its error bound.
-// Options.Shards / WithShards switches a query to sharded execution, a
-// library ablation: the candidate-answer space is hash-partitioned into
-// ownership strata, sampled per shard, and merged through a stratified
-// Horvitz–Thompson combiner (see DESIGN.md "Sharded execution"). The kgaqd
-// command wraps the engine in an HTTP/JSON service, which always runs
-// unsharded.
+// (resolution, shape classification, walk convergence, alias tables), and
+// Prepared.Query / Prepared.QueryMulti execute it any number of times.
+// QueryMulti evaluates several aggregates — e.g. COUNT, SUM and AVG of one
+// query graph — over a single shared sample, refining until every
+// guaranteed aggregate meets its error bound. The kgaqd command wraps the
+// engine in an HTTP/JSON service.
 //
 // The pipeline is the paper's Algorithm 2: a semantic-aware random walk
 // over the n-bounded subgraph around the query's specific entity collects a
@@ -200,8 +195,7 @@ type Execution = core.Execution
 type Prepared = core.Prepared
 
 // PlanInfo is a prepared plan's introspection metadata (Prepared.Plan):
-// shape, hop bound, strata, candidate count, epoch pin and build-cache
-// counters.
+// shape, hop bound, candidate count, epoch pin and build-cache counters.
 type PlanInfo = core.PlanInfo
 
 // EpochPolicy selects how a prepared plan follows a live graph's epochs
@@ -276,7 +270,6 @@ func WithSkipValidation(skip bool) QueryOption { return core.WithSkipValidation(
 func WithOptions(o Options) QueryOption        { return core.WithOptions(o) }
 func WithParallelism(n int) QueryOption        { return core.WithParallelism(n) }
 func WithMinEpoch(epoch uint64) QueryOption    { return core.WithMinEpoch(epoch) }
-func WithShards(n int) QueryOption             { return core.WithShards(n) }
 func WithEpochPolicy(p EpochPolicy) QueryOption {
 	return core.WithEpochPolicy(p)
 }
@@ -302,14 +295,11 @@ var (
 	// ErrEpochNotReached reports a WithMinEpoch requirement the engine's
 	// graph source can never satisfy (static engines are pinned at epoch 0).
 	ErrEpochNotReached = core.ErrEpochNotReached
-	// ErrShardedSampler reports WithShards combined with a topology-only
-	// ablation sampler (only the semantic sampler stratifies).
-	ErrShardedSampler = core.ErrShardedSampler
 	// ErrPlanSampler reports Engine.Prepare with a topology-only ablation
 	// sampler (prepared plans require the semantic sampler).
 	ErrPlanSampler = core.ErrPlanSampler
 	// ErrPlanOption reports a per-execution override of an option compiled
-	// into a prepared plan (sampler, shards, hop bound, τ).
+	// into a prepared plan (sampler, hop bound, τ).
 	ErrPlanOption = core.ErrPlanOption
 	// ErrBadAggSpec reports an invalid multi-aggregate specification.
 	ErrBadAggSpec = core.ErrBadAggSpec

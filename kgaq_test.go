@@ -250,7 +250,7 @@ func TestFacadePreparedAPI(t *testing.T) {
 	if err != nil || r2.Estimate != r1.Estimate {
 		t.Fatalf("plan re-execution diverged: %v / %v vs %v", err, r2.Estimate, r1.Estimate)
 	}
-	if _, err := plan.Query(ctx, WithShards(4)); !errors.Is(err, ErrPlanOption) {
+	if _, err := plan.Query(ctx, WithHopBound(2)); !errors.Is(err, ErrPlanOption) {
 		t.Fatalf("plan-knob override: err = %v, want ErrPlanOption", err)
 	}
 
