@@ -37,10 +37,10 @@ func typesKeyOf(types []kg.TypeID) string {
 }
 
 // stageEntry is one converged stage: the renormalised answer distribution
-// π′ and one leg-verdict cache per τ. answers/probs/scope are immutable
-// after construction and read lock-free; verdicts is guarded by mu and
-// grows as queries validate answers, so repeated queries skip both
-// convergence and re-validation.
+// π′ and the leg verdicts per τ. answers/probs/scope are immutable after
+// construction and read lock-free; verdicts is guarded by mu and gains one
+// τ per completed search, so repeated queries skip both convergence and
+// re-validation.
 //
 // The entry also records the epoch it was built at and its scope — the node
 // set of the walk's n-bound, sorted by NodeID. A mutation invalidates a
@@ -53,8 +53,12 @@ type stageEntry struct {
 	answers   []kg.NodeID
 	probs     []float64
 
+	// verdicts holds, per τ, the answers one search of the whole stage found
+	// correct, ascending: a leg is validated whole (legBatch), so a τ's
+	// verdicts are all known or none are, and an answer absent from a
+	// present set is incorrect.
 	mu       sync.Mutex
-	verdicts map[float64]*verdictTable // by τ
+	verdicts map[float64][]kg.NodeID
 }
 
 // cacheMeta is what the cache knows of an entry of either kind — a converged
@@ -68,94 +72,29 @@ type cacheMeta struct {
 	cost  int64
 }
 
-// verdictTable is a flat open-addressing verdict cache keyed by node id —
-// the shared stage-level counterpart of the execution's per-index verdict
-// byte array. Every refinement round's batch validation probes it once per
-// distinct drawn answer, so the probe replaces a Go map lookup with one
-// multiply-hash and a short linear scan over a power-of-two slot array.
-// Keys are stored as node id + 1 so the zero slot means empty (NodeID 0 is
-// a valid node). First verdict wins, matching the map-based semantics it
-// replaced. Not goroutine-safe: callers hold the stage entry's mutex.
-type verdictTable struct {
-	keys []int64
-	vals []bool
-	n    int
-}
-
-func newVerdictTable() *verdictTable {
-	return &verdictTable{keys: make([]int64, 64), vals: make([]bool, 64)}
-}
-
-func (t *verdictTable) slot(u kg.NodeID) int {
-	h := uint64(u) * 0x9E3779B97F4A7C15
-	return int((h ^ (h >> 32)) & uint64(len(t.keys)-1))
-}
-
-// get returns the cached verdict for u and whether one exists.
-func (t *verdictTable) get(u kg.NodeID) (verdict, ok bool) {
-	k := int64(u) + 1
-	mask := len(t.keys) - 1
-	for i := t.slot(u); ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			return t.vals[i], true
-		case 0:
-			return false, false
-		}
-	}
-}
-
-// put caches a verdict for u; an existing entry is kept unchanged.
-func (t *verdictTable) put(u kg.NodeID, v bool) {
-	if 4*(t.n+1) > 3*len(t.keys) { // grow at 75% load
-		old := *t
-		t.keys = make([]int64, 2*len(old.keys))
-		t.vals = make([]bool, 2*len(old.vals))
-		t.n = 0
-		for i, k := range old.keys {
-			if k != 0 {
-				t.put(kg.NodeID(k-1), old.vals[i])
-			}
-		}
-	}
-	k := int64(u) + 1
-	mask := len(t.keys) - 1
-	for i := t.slot(u); ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			return // first verdict wins
-		case 0:
-			t.keys[i] = k
-			t.vals[i] = v
-			t.n++
-			return
-		}
-	}
-}
-
-// maxVerdictConfigs bounds how many distinct τ verdict maps one cached
-// stage may hold. Verdict keys are always members of the stage's answer
-// set, so each map is bounded by len(answers); the τ count is the only
-// unbounded dimension (kgaqd accepts per-request τ overrides), and capping
-// it keeps the entry's resident size within the cost charged to the LRU
-// budget at insert time.
+// maxVerdictConfigs bounds how many τ values one cached stage holds
+// verdicts for. Each set is a subset of the stage's answers, so the τ count
+// is the only unbounded dimension (kgaqd accepts per-request τ overrides),
+// and capping it keeps the entry's resident size within the cost charged to
+// the LRU budget at insert time.
 const maxVerdictConfigs = 8
 
-// verdictsFor returns the verdict table of τ, creating it on first use. When
-// a new τ would exceed maxVerdictConfigs, all verdict tables are dropped and
-// rebuilt on demand — verdicts are recomputable, and a workload cycling
-// through more than maxVerdictConfigs τ values is already re-validating
-// constantly. Callers must hold st.mu.
-func (st *stageEntry) verdictsFor(tau float64) *verdictTable {
-	m, ok := st.verdicts[tau]
-	if !ok {
-		if len(st.verdicts) >= maxVerdictConfigs {
-			clear(st.verdicts)
-		}
-		m = newVerdictTable()
-		st.verdicts[tau] = m
+// install records correct, the ascending correct answers a completed search
+// at τ found, and returns the set that stands: the first installed. When a
+// new τ would exceed maxVerdictConfigs, every set is dropped first —
+// verdicts are recomputable, and a workload cycling through that many τ
+// values is already re-validating constantly.
+func (st *stageEntry) install(tau float64, correct []kg.NodeID) []kg.NodeID {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if prev, ok := st.verdicts[tau]; ok {
+		return prev
 	}
-	return m
+	if len(st.verdicts) >= maxVerdictConfigs {
+		clear(st.verdicts)
+	}
+	st.verdicts[tau] = correct
+	return correct
 }
 
 func newStageEntry(answers []kg.NodeID, probs []float64, epoch uint64, scope []kg.NodeID) *stageEntry {
@@ -163,17 +102,16 @@ func newStageEntry(answers []kg.NodeID, probs []float64, epoch uint64, scope []k
 		cacheMeta: cacheMeta{epoch: epoch, scope: scope},
 		answers:   answers,
 		probs:     probs,
-		verdicts:  make(map[float64]*verdictTable),
+		verdicts:  make(map[float64][]kg.NodeID),
 	}
 	// Approximate resident bytes: the distribution slices, the scope array,
-	// and headroom for the verdict tables to fill in (9 bytes per
-	// open-addressing slot at ≤75% load per possible τ) — the worst case the
-	// maxVerdictConfigs cap allows, so the LRU budget stays honest as
-	// verdicts accumulate.
+	// and the worst case of the verdicts — at each of the maxVerdictConfigs
+	// τ values a map slot (key and slice header) and every answer correct —
+	// so the LRU budget stays honest as verdicts accumulate.
 	st.cost = 256 +
 		int64(len(answers))*(4+8) +
 		int64(len(scope))*4 +
-		int64(maxVerdictConfigs)*int64(len(answers))*16
+		int64(maxVerdictConfigs)*(32+int64(len(answers))*4)
 	return st
 }
 

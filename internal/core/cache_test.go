@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kgaq/internal/datagen"
 	"kgaq/internal/kg"
@@ -122,9 +123,7 @@ func TestCacheKeySeparatesConfigs(t *testing.T) {
 // The LRU must stay within its byte bound, evicting least-recently-used
 // stages, and lookups must keep working after eviction.
 func TestCacheLRUEviction(t *testing.T) {
-	c := newSpaceCache(24_000)
 	mkEntry := func() *stageEntry {
-		// ~5 KB per entry under the newStageEntry cost model.
 		answers := make([]kg.NodeID, 32)
 		probs := make([]float64, 32)
 		for i := range answers {
@@ -132,6 +131,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		}
 		return newStageEntry(answers, probs, 0, answers)
 	}
+	c := newSpaceCache(5 * mkEntry().cost) // five entries' worth
 	keyOf := func(i int) stageKey { return stageKey{root: kg.NodeID(i), types: "[]"} }
 
 	const total = 12
@@ -177,25 +177,65 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// The per-stage verdict maps are bounded: cycling through more thresholds
-// than maxVerdictConfigs resets the maps instead of growing past the memory
-// the LRU budget charged for them.
+// The per-stage verdict sets are bounded: installing more thresholds than
+// maxVerdictConfigs drops the sets instead of growing past the memory the
+// LRU budget charged for them, and the set installed first at a τ stands
+// against a later install.
 func TestVerdictConfigsBounded(t *testing.T) {
 	st := newStageEntry([]kg.NodeID{1, 2}, []float64{0.5, 0.5}, 0, []kg.NodeID{1, 2})
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for i := 0; i < 5*maxVerdictConfigs; i++ {
-		m := st.verdictsFor(0.5 + float64(i)/1000)
-		m.put(1, true)
-		if len(st.verdicts) > maxVerdictConfigs {
-			t.Fatalf("verdict configs grew to %d (cap %d)", len(st.verdicts), maxVerdictConfigs)
+		tau := 0.5 + float64(i)/1000
+		st.install(tau, []kg.NodeID{1})
+		if _, ok := st.verdicts[tau]; !ok || len(st.verdicts) > maxVerdictConfigs {
+			t.Fatalf("install %d: τ %v present %v, %d configs (cap %d)", i, tau, ok, len(st.verdicts), maxVerdictConfigs)
 		}
 	}
-	// An existing config is returned, not reset.
-	st.verdictsFor(0.9).put(2, true)
-	if v, ok := st.verdictsFor(0.9).get(2); !ok || !v {
-		t.Fatal("existing verdict config was reset on re-access")
+	if got := st.install(0.9, []kg.NodeID{2}); !slices.Equal(got, []kg.NodeID{2}) {
+		t.Fatalf("first install at τ 0.9 returned %v", got)
 	}
+	if got := st.install(0.9, []kg.NodeID{1, 2}); !slices.Equal(got, []kg.NodeID{2}) {
+		t.Fatalf("a later install at τ 0.9 returned %v, want the installed [2]", got)
+	}
+	if got := st.verdicts[0.9]; !slices.Equal(got, []kg.NodeID{2}) {
+		t.Fatalf("the set at τ 0.9 became %v", got)
+	}
+}
+
+// A stage whose every answer is correct at maxVerdictConfigs τ values — the
+// most its verdicts can hold — stays within the cost newStageEntry charged:
+// the entry, its answer data and scope, and per τ a map slot and the correct
+// set as legBatch allocated it.
+func TestStageVerdictsWithinCharge(t *testing.T) {
+	ctx := context.Background()
+	e := cacheTestEngine(t, Options{ErrorBound: 0.05})
+	q := query.Simple(query.Count, "", "Country_0", "Country", "product", "Automobile")
+	x, err := e.Start(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := x.sp.oracle.(*levelOracle)
+	st := e.cache.fetchStage(l.key, x.v.epoch)
+	env := x.oracleEnv()
+	out := make([]bool, len(st.answers))
+	for i := range maxVerdictConfigs {
+		env.o.Tau = 1e-6 * float64(i+1)
+		if !l.legBatch(ctx, env, st.answers, out) {
+			t.Fatal("leg validation was cut")
+		}
+		if slices.Contains(out, false) {
+			t.Fatalf("τ %v: an answer is incorrect; the check needs every answer correct", env.o.Tau)
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	held := int64(unsafe.Sizeof(*st)) + int64(cap(st.answers))*4 + int64(cap(st.probs))*8 + int64(cap(st.scope))*4
+	for tau, set := range st.verdicts {
+		held += int64(unsafe.Sizeof(tau)+unsafe.Sizeof(set)) + int64(cap(set))*4
+	}
+	if len(st.verdicts) != maxVerdictConfigs || held > st.cost {
+		t.Fatalf("%d answers, %d verdict sets hold %d bytes, charged %d", len(st.answers), len(st.verdicts), held, st.cost)
+	}
+	t.Logf("%d answers: %d bytes held, %d charged", len(st.answers), held, st.cost)
 }
 
 // put must be idempotent under racing builders: the first insert wins and

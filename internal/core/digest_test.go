@@ -114,7 +114,9 @@ func (d *digester) multi(res *MultiResult, err error) {
 	}
 	d.f(res.Confidence)
 	d.flag(res.Converged, res.Degraded)
-	d.i(res.Rounds, res.SampleSize, res.Distinct, res.Correct, res.Candidates, res.Strata, int(res.Epoch))
+	// A multi result carries no stratum count; the 0 in its place keeps the
+	// golden rows.
+	d.i(res.Rounds, res.SampleSize, res.Distinct, res.Correct, res.Candidates, 0, int(res.Epoch))
 	for _, a := range res.Aggs {
 		d.b.WriteString(a.Spec.String() + ":")
 		d.f(a.Estimate, a.MoE, a.ErrorBound)

@@ -78,11 +78,8 @@ type MultiResult struct {
 	Distinct   int
 	Correct    int
 	Candidates int
-	// Strata is the count of member strata a federation coordinator merged;
-	// a local execution draws one sample and reports 0.
-	Strata int
-	Epoch  uint64
-	Times  StepTimes
+	Epoch      uint64
+	Times      StepTimes
 }
 
 // validateSpecs checks a multi-aggregate spec list against the underlying

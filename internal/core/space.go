@@ -301,15 +301,15 @@ func (l *levelOracle) reach(u kg.NodeID) []uint16 {
 }
 
 // legBatch validates us, answers of the level's own stage (the leg from
-// its root), against it. Verdicts live on the shared stage entry under the
-// τ sub-map, guarded by its mutex, and are stored only when the search was
-// not cancelled mid-flight; the validation itself runs outside the lock so
-// concurrent queries never serialise on it. The stage is fetched by key,
-// and re-converged if the LRU has let it go (a later epoch's stage gives
-// the same verdicts) — reached only for answers nobody has validated under
-// this plan yet.
+// its root), against it. Verdicts live on the shared stage entry, one
+// sorted set of correct answers per τ, and are installed only when the
+// search was not cancelled mid-flight; the validation itself runs outside
+// the lock so concurrent queries never serialise on it. The stage is
+// fetched by key, and re-converged if the LRU has let it go (a later
+// epoch's stage gives the same verdicts) — reached only for answers nobody
+// has validated under this plan yet.
 //
-// A request with an answer still open validates every open answer of the
+// A request at a τ with no verdicts yet validates every answer of the
 // stage, asked for or not, in one search: each verdict is Eq. 3's, whatever
 // else is asked, and a request holding an incorrect answer enumerates every
 // path under the τ bound either way, so the stage's answers cost what the
@@ -326,56 +326,46 @@ func (l *levelOracle) legBatch(ctx context.Context, env oracleEnv, us []kg.NodeI
 		}
 	}
 	o := env.o
-	var openAt []int // positions in us
-	var fresh []kg.NodeID
+	tr := obs.TraceFrom(ctx)
 	st.mu.Lock()
-	verdicts := st.verdictsFor(o.Tau)
-	for j, u := range us {
-		if v, ok := verdicts.get(u); ok {
-			out[j] = v
-		} else {
-			openAt = append(openAt, j)
+	correct, ok := st.verdicts[o.Tau]
+	st.mu.Unlock()
+	if ok {
+		metVerdictHits.Add(float64(len(us)))
+		tr.Add("verdict_cache_hits", float64(len(us)))
+	} else {
+		if ctx.Err() != nil {
+			return false
 		}
-	}
-	if len(openAt) > 0 {
-		for _, u := range st.answers {
-			if _, ok := verdicts.get(u); !ok {
-				fresh = append(fresh, u)
+		metValidationCalls.Add(float64(len(st.answers)))
+		tr.Add("validation_calls", float64(len(st.answers)))
+		// The stage was built at the view's epoch or an older one, and node
+		// ids are never reused, so its answers are node ids of the view.
+		verdicts := make([]bool, len(st.answers))
+		stats, err := semsim.Validate(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, st.answers, verdicts,
+			semsim.ValidatorConfig{MaxLen: o.N, Tau: o.Tau})
+		tr.Add("validation_expansions", float64(stats.Expansions))
+		if err != nil {
+			return false
+		}
+		n := 0 // sized exactly: the entry's cost charges 4 B per correct answer
+		for _, v := range verdicts {
+			if v {
+				n++
 			}
 		}
+		correct = make([]kg.NodeID, 0, n)
+		for i, u := range st.answers {
+			if verdicts[i] {
+				correct = append(correct, u)
+			}
+		}
+		slices.Sort(correct)
+		correct = st.install(o.Tau, correct)
 	}
-	st.mu.Unlock()
-	if hits := len(us) - len(openAt); hits > 0 {
-		metVerdictHits.Add(float64(hits))
-		obs.TraceFrom(ctx).Add("verdict_cache_hits", float64(hits))
+	for j, u := range us {
+		_, out[j] = slices.BinarySearch(correct, u)
 	}
-	if len(openAt) == 0 {
-		return true
-	}
-	if ctx.Err() != nil {
-		return false
-	}
-	metValidationCalls.Add(float64(len(fresh)))
-	tr := obs.TraceFrom(ctx)
-	tr.Add("validation_calls", float64(len(fresh)))
-	// The stage was built at the view's epoch or an older one, and node ids
-	// are never reused, so its answers are node ids of the view.
-	correct := make([]bool, len(fresh))
-	stats, err := semsim.Validate(ctx, env.v.g, env.e.calc, l.key.root, l.key.pred, fresh, correct,
-		semsim.ValidatorConfig{MaxLen: o.N, Tau: o.Tau})
-	tr.Add("validation_expansions", float64(stats.Expansions))
-	if err != nil {
-		return false
-	}
-	st.mu.Lock()
-	verdicts = st.verdictsFor(o.Tau)
-	for i, u := range fresh {
-		verdicts.put(u, correct[i]) // an earlier verdict stands
-	}
-	for _, j := range openAt {
-		out[j], _ = verdicts.get(us[j])
-	}
-	st.mu.Unlock()
 	return true
 }
 

@@ -565,7 +565,7 @@ func toMultiResponse(text string, res *core.MultiResult, elapsed time.Duration) 
 	out := &multiResponse{
 		answerJSON: answerJSON{Query: text, Confidence: res.Confidence, Converged: res.Converged,
 			SampleSize: res.SampleSize, Distinct: res.Distinct, Candidates: res.Candidates,
-			Strata: res.Strata, Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
+			Epoch: res.Epoch, ElapsedMS: elapsedMS(elapsed), Degraded: res.Degraded, rounds: res.Rounds},
 		Aggs:   make([]aggResultJSON, len(res.Aggs)),
 		Rounds: res.Rounds,
 	}

@@ -311,18 +311,6 @@ func (w *Walker) ConvergeCtx(ctx context.Context) (int, error) {
 	return 1, nil
 }
 
-// Pi returns the stationary probability of node u (0 for nodes outside the
-// walk's scope). ConvergeCtx must have succeeded.
-func (w *Walker) Pi(u kg.NodeID) float64 {
-	if w.pi == nil {
-		return 0
-	}
-	if u < 0 || int(u) >= len(w.index) || w.index[u] == 0 {
-		return 0
-	}
-	return w.pi[w.index[u]-1]
-}
-
 // PiMap copies the stationary distribution into a map keyed by NodeID.
 // Outside tests its one caller is the benchmark module's validation probe
 // (benchmark/trace.go), which hands it to semsim.ValidateCtx; that

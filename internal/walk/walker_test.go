@@ -104,8 +104,8 @@ func TestConvergeStationary(t *testing.T) {
 	}
 	// π sums to 1 over the scope.
 	total := 0.0
-	for _, u := range w.nodes {
-		total += w.Pi(u)
+	for _, p := range w.PiMap() {
+		total += p
 	}
 	if math.Abs(total-1) > 1e-9 {
 		t.Fatalf("π sums to %v", total)
@@ -208,14 +208,15 @@ func TestSemanticBiasInPi(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 3})
 	converge(t, w)
 	// Direct assembly answers are more visited than the designer-path KIA.
-	bmw := w.Pi(g.NodeByName("BMW_320"))
-	kia := w.Pi(g.NodeByName("KIA_K5"))
+	pi := w.PiMap()
+	bmw := pi[g.NodeByName("BMW_320")]
+	kia := pi[g.NodeByName("KIA_K5")]
 	if bmw <= kia {
 		t.Fatalf("π(BMW_320)=%v should exceed π(KIA_K5)=%v", bmw, kia)
 	}
 	// Irrelevant city should be visited less than semantically relevant
 	// company hub.
-	if w.Pi(g.NodeByName("Berlin")) >= w.Pi(g.NodeByName("Volkswagen")) {
+	if pi[g.NodeByName("Berlin")] >= pi[g.NodeByName("Volkswagen")] {
 		t.Fatal("topological neighbour outranks semantic hub")
 	}
 }
@@ -223,7 +224,7 @@ func TestSemanticBiasInPi(t *testing.T) {
 func TestPiOutsideScope(t *testing.T) {
 	w, g := figure1Walker(t, Config{N: 1})
 	converge(t, w)
-	if got := w.Pi(g.NodeByName("Audi_TT")); got != 0 {
+	if got := w.PiMap()[g.NodeByName("Audi_TT")]; got != 0 {
 		t.Fatalf("π outside scope = %v, want 0", got)
 	}
 }
@@ -346,7 +347,7 @@ func TestIsolatedStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	converge(t, w)
-	if got := w.Pi(g.NodeByName("alone")); math.Abs(got-1) > 1e-9 {
+	if got := w.PiMap()[g.NodeByName("alone")]; math.Abs(got-1) > 1e-9 {
 		t.Fatalf("isolated start π = %v, want 1", got)
 	}
 	if _, err := w.AnswerDistribution([]kg.TypeID{g.TypeByName("Automobile")}); err == nil {
@@ -404,8 +405,8 @@ func TestWalkerInvariants(t *testing.T) {
 			return false
 		}
 		total := 0.0
-		for _, u := range w.nodes {
-			total += w.Pi(u)
+		for _, p := range w.PiMap() {
+			total += p
 		}
 		_, diff := refStep(rows, w.pi)
 		return math.Abs(total-1) < 1e-6 && diff < tol
@@ -564,7 +565,7 @@ func TestDenseIndexUnreleasedWalker(t *testing.T) {
 	w.Release()
 	checkScope(t, kept, g, g.NodeByName("Germany"), 3)
 	converge(t, kept)
-	if got := kept.Pi(g.NodeByName("KIA_K5")); got <= 0 {
+	if got := kept.PiMap()[g.NodeByName("KIA_K5")]; got <= 0 {
 		t.Fatalf("π(KIA_K5) = %v on the unreleased walker after another was built and released", got)
 	}
 }
@@ -643,8 +644,8 @@ func TestArenaConcurrentBuildRelease(t *testing.T) {
 					return
 				}
 				total := 0.0
-				for _, v := range w.Scope() {
-					total += w.Pi(v)
+				for _, p := range w.PiMap() {
+					total += p
 				}
 				if math.Abs(total-1) > 1e-9 {
 					t.Errorf("π of %s/%d sums to %v", g.Name(u), n, total)
